@@ -52,6 +52,7 @@
 //! [`TcpServer`]: crate::TcpServer
 
 use crate::auth::ClusterKey;
+use crate::conn::{ClientConfig, Conn, TcpTransport};
 use crate::executor::{oneshot, Handle, Sleep};
 use crate::fault::{FaultAction, FaultPlan, FaultSite};
 use crate::messages::{
@@ -59,10 +60,7 @@ use crate::messages::{
 };
 use crate::pool::ThreadPool;
 use crate::service::{CacheStats, MatrixService, WarmInsertOutcome};
-use crate::transport::{
-    encode_json_frame, parse_json_payload, read_frame_blocking_raw, send_frame_blocking,
-    ClientConfig, FrameKind, HelloFrame, HelloReply, TcpTransport, TransportStats,
-};
+use crate::transport::{FrameKind, TransportStats};
 use crate::warm::WarmPush;
 use corgi_core::LocationTree;
 use corgi_datagen::PriorDistribution;
@@ -70,8 +68,6 @@ use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::future::Future;
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -199,8 +195,9 @@ pub struct ClusterStats {
     /// Rendezvous rankings served from the router's memo cache instead of
     /// being rehashed (client side only; zero in server snapshots).
     pub rank_memo_hits: u64,
-    /// Liveness probes completed (protocol 1.5) — server probe tasks or the
-    /// router's prober thread, whichever side is reporting.
+    /// Liveness probes completed (protocol 1.5) — over the server's peer
+    /// links or by the router's prober thread, whichever side is reporting.
+    /// A failed redial of a probed link counts as a (failed) probe.
     pub probes_sent: u64,
     /// Health-state transitions into `Down` observed by this side's probes
     /// (protocol 1.5).
@@ -314,6 +311,16 @@ pub struct Ping {
     pub nonce: u64,
 }
 
+impl Ping {
+    /// A probe carrying a nonce unique within this process.
+    pub(crate) fn fresh() -> Self {
+        static NONCE: AtomicU64 = AtomicU64::new(1);
+        Self {
+            nonce: NONCE.fetch_add(1, Ordering::Relaxed),
+        }
+    }
+}
+
 /// Reply payload of a `Ping` frame: the echoed nonce.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Pong {
@@ -323,17 +330,19 @@ pub struct Pong {
 
 /// Tunables of the per-peer liveness state machine (protocol 1.5).
 ///
-/// Handed to a [`Replicator`] via [`ReplicationConfig::health`] (server-side
-/// probe tasks on the reactor) or to a [`ShardRouter`] via
-/// [`RouterConfig::health`] (a dedicated prober thread); `None` in either
-/// place disables probing and health tracking entirely, which is the 1.4
-/// behaviour.
+/// Handed to a [`Replicator`] via [`ReplicationConfig::health`] (probes ride
+/// the server's replication links) or to a [`ShardRouter`] via
+/// [`RouterConfig::health`] (a prober thread holding one connection per
+/// shard); `None` in either place disables probing and health tracking
+/// entirely, which is the 1.4 behaviour.  Either way a probe is one `Ping`
+/// on an established connection; a connection is dialed again only after a
+/// probe has failed on it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HealthConfig {
     /// Pause between consecutive probes of the same peer.
     pub probe_interval: Duration,
-    /// Socket budget of one probe (bounds the connect, the hello and the
-    /// ping/pong read).
+    /// How long a `Ping` may wait for its `Pong`; also bounds the hello of a
+    /// redial after a failed probe.
     pub probe_timeout: Duration,
     /// Consecutive probe failures that take a peer from `Healthy` to `Down`
     /// (via `Suspect`).
@@ -490,10 +499,11 @@ pub struct ReplicationConfig {
     /// Largest accepted frame on the peer link (the accepted hello reply
     /// carries the peer's grid and prior).
     pub max_frame: usize,
-    /// Enable liveness probing of the peers (protocol 1.5): the server spawns
-    /// one probe task per reactor shard driving each peer's
-    /// [`PeerHealthState`].  `None` (the default) disables probing — the 1.4
-    /// behaviour.
+    /// Enable liveness probing of the peers (protocol 1.5): every peer link
+    /// stays connected and carries a `Ping` each probe interval, driving the
+    /// peer's [`PeerHealthState`].  `None` (the default) disables probing —
+    /// the 1.4 behaviour, where an idle link dials only once a push is
+    /// queued.
     pub health: Option<HealthConfig>,
     /// Deterministic fault injection hook for the peer connect/send paths;
     /// `None` (the default) in production.  See [`crate::fault`].
@@ -525,7 +535,7 @@ pub(crate) struct PeerLink {
     pushes_dropped: AtomicU64,
     connects: AtomicU64,
     link_errors: AtomicU64,
-    /// Liveness state driven by the probe task (protocol 1.5); stays
+    /// Liveness state driven by the probes on this link (protocol 1.5); stays
     /// `Healthy` forever when probing is disabled.
     health: PeerHealth,
 }
@@ -558,6 +568,13 @@ impl PeerLink {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .pop_front()
+    }
+
+    fn is_queue_empty(&self) -> bool {
+        self.queue
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .is_empty()
     }
 
     fn stats(&self) -> PeerStats {
@@ -736,21 +753,26 @@ impl<S: MatrixService> MatrixService for ReplicatingService<S> {
     }
 }
 
-/// Spawn one shard's queue-flushing task on that shard's reactor: the task
+/// Spawn one shard's replication task on that shard's reactor: the task
 /// drives every peer link whose index `i` satisfies
-/// `i % shard_count == shard_index`, so replication work shards with the
-/// connections instead of serializing on one reactor.
+/// `i % shard_count == shard_index` — pushes and liveness probes alike — so
+/// replication work shards with the connections instead of serializing on
+/// one reactor.
 pub(crate) fn spawn_replication_shard(
     handle: &Handle,
     replicator: Arc<Replicator>,
     dispatch: Arc<ThreadPool>,
+    cluster: Arc<ClusterMetrics>,
     shard_index: usize,
     shard_count: usize,
 ) {
     handle.spawn(ReplicationTask {
-        handle: handle.clone(),
-        replicator,
-        dispatch,
+        env: LinkEnv {
+            handle: handle.clone(),
+            replicator,
+            dispatch,
+            cluster,
+        },
         shard_index,
         shard_count: shard_count.max(1),
         known_links: 0,
@@ -758,20 +780,29 @@ pub(crate) fn spawn_replication_shard(
     });
 }
 
-/// An established (post-hello) nonblocking peer connection.
-struct PeerConn {
-    stream: TcpStream,
-    codec: WireCodec,
-    auth: Option<ClusterKey>,
-    write_buf: Vec<u8>,
-    write_pos: usize,
-}
-
-/// Per-link connection state: back off, connect off-reactor, stream pushes.
+/// Per-link connection state: back off, dial off-reactor, stream.
 enum LinkState {
     Idle(Sleep),
-    Connecting(oneshot::Receiver<Result<PeerConn, ServiceError>>),
-    Streaming(PeerConn),
+    Dialing(oneshot::Receiver<Result<Conn, ServiceError>>),
+    Streaming(Streaming),
+}
+
+/// An established peer link: the connection and what is in flight on it.
+struct Streaming {
+    conn: Conn,
+    /// Whether the queued bytes are a push, counted as sent once written.
+    push_in_flight: bool,
+    /// The probe loop riding this connection (`None` without a
+    /// [`ReplicationConfig::health`]).
+    probe: Option<LinkProbe>,
+}
+
+/// Where a streaming link's probe loop stands.
+enum LinkProbe {
+    /// Waiting out the probe interval before the next `Ping`.
+    Next(Sleep),
+    /// A `Ping` is out; its `Pong` must echo `nonce` before `deadline`.
+    Awaiting { nonce: u64, deadline: Sleep },
 }
 
 struct LinkDriver {
@@ -779,7 +810,32 @@ struct LinkDriver {
     backoff: Duration,
 }
 
-/// Reactor task draining the peer queues of one [`Replicator`] shard.
+/// What every link of one replication task shares.
+struct LinkEnv {
+    handle: Handle,
+    replicator: Arc<Replicator>,
+    dispatch: Arc<ThreadPool>,
+    cluster: Arc<ClusterMetrics>,
+}
+
+impl LinkEnv {
+    fn config(&self) -> &ReplicationConfig {
+        &self.replicator.config
+    }
+
+    /// Count one probe outcome and feed it to the peer's health state (a
+    /// no-op without a health config).
+    fn observe(&self, link: &PeerLink, ok: bool) {
+        if let Some(health) = &self.config().health {
+            self.cluster.count_probe_sent();
+            if link.health.observe(ok, health) {
+                self.cluster.count_peer_down();
+            }
+        }
+    }
+}
+
+/// Reactor task driving the peer links of one [`Replicator`] shard.
 ///
 /// Blocking work (connect + hello) runs on the dispatch pool and returns via
 /// a oneshot; the reactor only ever does nonblocking reads and writes.  A
@@ -787,14 +843,19 @@ struct LinkDriver {
 /// pushes survive the outage (up to the drop-oldest bound) and flush once the
 /// peer is back.
 ///
+/// With a [`ReplicationConfig::health`], every link stays connected and
+/// probes ride it: a `Ping` every probe interval, answered by a `Pong` within
+/// the probe timeout, on the same connection that carries the pushes.  A
+/// missed pong, a dead socket and a failed dial each count as a failed probe;
+/// a matching pong counts as a successful one.
+///
 /// The task is fully event-driven: offers and new peers wake it through the
 /// replicator's flush waker, streaming sockets park on kernel readiness
-/// ([`Handle::park_socket`]), and backoffs sit in the timer wheel — it never
-/// asks for tick service, so an idle cluster reactor stays blocked.
+/// ([`Handle::park_socket`]), and backoffs and probe deadlines sit in the
+/// timer wheel — it never asks for tick service, so an idle cluster reactor
+/// stays blocked.
 struct ReplicationTask {
-    handle: Handle,
-    replicator: Arc<Replicator>,
-    dispatch: Arc<ThreadPool>,
+    env: LinkEnv,
     shard_index: usize,
     shard_count: usize,
     /// Global link indexes examined so far (links only ever append).
@@ -808,25 +869,26 @@ impl Future for ReplicationTask {
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
         let this = self.get_mut();
-        if this.handle.is_shutdown() {
+        if this.env.handle.is_shutdown() {
             return Poll::Ready(());
         }
         // Register for offer/add_peer wakes *before* inspecting any queue
         // (see register_flush_waker for the ordering argument).
-        this.replicator
+        this.env
+            .replicator
             .register_flush_waker(this.shard_index, cx.waker());
-        let links = this.replicator.links();
+        let links = this.env.replicator.links();
         while this.known_links < links.len() {
             let index = this.known_links;
             this.known_links += 1;
             if index % this.shard_count == this.shard_index {
-                // A fresh link connects immediately (zero-length backoff
+                // A fresh link may dial immediately (zero-length backoff
                 // sleep).
                 this.drivers.push((
                     index,
                     LinkDriver {
-                        state: LinkState::Idle(this.handle.sleep(Duration::ZERO)),
-                        backoff: this.replicator.config.retry_backoff,
+                        state: LinkState::Idle(this.env.handle.sleep(Duration::ZERO)),
+                        backoff: this.env.config().retry_backoff,
                     },
                 ));
             }
@@ -835,26 +897,18 @@ impl Future for ReplicationTask {
         while progress {
             progress = false;
             for (index, driver) in this.drivers.iter_mut() {
-                progress |= step_link(
-                    driver,
-                    &links[*index],
-                    &this.handle,
-                    &this.dispatch,
-                    &this.replicator.config,
-                    cx,
-                );
+                progress |= driver.step(&links[*index], &this.env, cx);
             }
         }
-        // Streaming links park on their socket (read: EOF/error detection is
-        // the link's only inbound signal; write: only while bytes are
-        // actually blocked).  Idle links wait on the backoff timer or the
-        // flush waker, Connecting on its oneshot.
+        // Streaming links park on their socket (read: pongs and EOF; write:
+        // only while bytes are actually blocked).  Idle links wait on the
+        // backoff timer or the flush waker, Dialing on its oneshot.
         for (_, driver) in &this.drivers {
-            if let LinkState::Streaming(conn) = &driver.state {
-                this.handle.park_socket(
-                    crate::transport::sock_fd(&conn.stream),
+            if let LinkState::Streaming(streaming) = &driver.state {
+                this.env.handle.park_socket(
+                    streaming.conn.fd(),
                     true,
-                    conn.write_pos < conn.write_buf.len(),
+                    !streaming.conn.is_flushed(),
                     cx.waker(),
                 );
             }
@@ -863,143 +917,162 @@ impl Future for ReplicationTask {
     }
 }
 
-/// Advance one link's state machine; returns whether progress was made.
-fn step_link(
-    driver: &mut LinkDriver,
-    link: &Arc<PeerLink>,
-    handle: &Handle,
-    dispatch: &Arc<ThreadPool>,
-    config: &ReplicationConfig,
-    cx: &mut Context<'_>,
-) -> bool {
-    match &mut driver.state {
-        LinkState::Idle(retry) => {
-            if Pin::new(retry).poll(cx).is_pending() {
-                return false;
-            }
-            // Nothing queued yet: stay idle until an offer wakes the task
-            // (via the replicator's flush waker) instead of dialing a peer
-            // we have nothing to say to.  The expired sleep stays in place,
-            // polling Ready whenever the task next runs.
-            if link
-                .queue
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .is_empty()
-            {
-                return false;
-            }
-            let (tx, rx) = oneshot::channel();
-            let endpoint = link.endpoint.clone();
-            let config = config.clone();
-            dispatch.execute(move || {
-                let _ = tx.send(connect_peer(&endpoint, &config));
-            });
-            driver.state = LinkState::Connecting(rx);
-            true
-        }
-        LinkState::Connecting(rx) => match Pin::new(rx).poll(cx) {
-            Poll::Ready(Ok(Ok(conn))) => {
-                link.connects.fetch_add(1, Ordering::Relaxed);
-                driver.backoff = config.retry_backoff;
-                driver.state = LinkState::Streaming(conn);
+impl LinkDriver {
+    /// Advance the link's state machine; returns whether progress was made.
+    fn step(&mut self, link: &PeerLink, env: &LinkEnv, cx: &mut Context<'_>) -> bool {
+        let config = env.config();
+        match &mut self.state {
+            LinkState::Idle(retry) => {
+                if Pin::new(retry).poll(cx).is_pending() {
+                    return false;
+                }
+                // Without probing, a link with nothing queued stays idle
+                // until an offer wakes the task instead of dialing a peer we
+                // have nothing to say to (the expired sleep stays in place,
+                // polling Ready whenever the task next runs).  A probed link
+                // always dials: its pings need the connection.
+                if config.health.is_none() && link.is_queue_empty() {
+                    return false;
+                }
+                let (tx, rx) = oneshot::channel();
+                let endpoint = link.endpoint.clone();
+                let config = config.clone();
+                env.dispatch.execute(move || {
+                    let _ = tx.send(dial_peer(&endpoint, &config));
+                });
+                self.state = LinkState::Dialing(rx);
                 true
             }
-            Poll::Ready(Ok(Err(_)) | Err(_)) => {
-                fail_link(driver, link, handle, config);
-                true
-            }
-            Poll::Pending => false,
-        },
-        LinkState::Streaming(conn) => {
-            let mut progress = false;
-            // Drain whatever the peer says.  The link is one-way — the only
-            // frames that can come back are structured errors right before
-            // the peer hangs up — so bytes are discarded and EOF/error is
-            // the actual signal.
-            let mut scratch = [0u8; 1024];
-            loop {
-                match conn.stream.read(&mut scratch) {
-                    Ok(0) => {
-                        fail_link(driver, link, handle, config);
-                        return true;
-                    }
-                    Ok(_) => progress = true,
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        fail_link(driver, link, handle, config);
-                        return true;
-                    }
+            LinkState::Dialing(rx) => match Pin::new(rx).poll(cx) {
+                Poll::Ready(Ok(Ok(conn))) => {
+                    link.connects.fetch_add(1, Ordering::Relaxed);
+                    self.backoff = config.retry_backoff;
+                    self.state = LinkState::Streaming(Streaming {
+                        conn,
+                        push_in_flight: false,
+                        // A fresh link probes at once: its first pong is what
+                        // starts re-admitting a recovering peer.
+                        probe: config
+                            .health
+                            .as_ref()
+                            .map(|_| LinkProbe::Next(env.handle.sleep(Duration::ZERO))),
+                    });
+                    true
                 }
-            }
-            loop {
-                if conn.write_pos < conn.write_buf.len() {
-                    match conn.stream.write(&conn.write_buf[conn.write_pos..]) {
-                        Ok(0) => {
-                            fail_link(driver, link, handle, config);
-                            return true;
-                        }
-                        Ok(n) => {
-                            conn.write_pos += n;
-                            progress = true;
-                            if conn.write_pos == conn.write_buf.len() {
-                                link.pushes_sent.fetch_add(1, Ordering::Relaxed);
-                                conn.write_buf.clear();
-                                conn.write_pos = 0;
-                            }
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                        Err(_) => {
-                            fail_link(driver, link, handle, config);
-                            return true;
-                        }
-                    }
-                } else if let Some(push) = link.pop() {
-                    let frame = conn.codec.encode_frame(&push);
-                    conn.write_buf = match &conn.auth {
-                        Some(key) => key.seal(frame),
-                        None => frame,
-                    };
-                    conn.write_pos = 0;
-                    progress = true;
-                } else {
-                    break;
+                Poll::Ready(_) => {
+                    self.fail(link, env);
+                    true
                 }
-            }
-            progress
+                Poll::Pending => false,
+            },
+            LinkState::Streaming(streaming) => match streaming.step(link, env, cx) {
+                Ok(progress) => progress,
+                Err(_) => {
+                    self.fail(link, env);
+                    true
+                }
+            },
         }
+    }
+
+    /// Tear the link down to `Idle` with doubled backoff.  With probing on,
+    /// the failure is a failed probe and the wait never outgrows the probe
+    /// interval: the next dial *is* the next probe.
+    fn fail(&mut self, link: &PeerLink, env: &LinkEnv) {
+        link.link_errors.fetch_add(1, Ordering::Relaxed);
+        env.observe(link, false);
+        if let LinkState::Streaming(streaming) = &self.state {
+            // The stream closes when the state is replaced below; drop its
+            // readiness registration first (see ConnectionTask::drop).
+            env.handle.deregister_socket(streaming.conn.fd());
+        }
+        let config = env.config();
+        let wait = match &config.health {
+            Some(health) => self.backoff.min(health.probe_interval),
+            None => self.backoff,
+        };
+        self.state = LinkState::Idle(env.handle.sleep(wait));
+        self.backoff = (self.backoff * 2).min(config.max_backoff);
     }
 }
 
-/// Tear a link down to `Idle` with doubled backoff.
-fn fail_link(
-    driver: &mut LinkDriver,
-    link: &Arc<PeerLink>,
-    handle: &Handle,
-    config: &ReplicationConfig,
-) {
-    link.link_errors.fetch_add(1, Ordering::Relaxed);
-    if let LinkState::Streaming(conn) = &driver.state {
-        // The stream closes when the state is replaced below; drop its
-        // readiness registration first (see ConnectionTask::drop).
-        handle.deregister_socket(crate::transport::sock_fd(&conn.stream));
+impl Streaming {
+    /// Take in pongs, run the probe loop, stream queued pushes.  An error
+    /// means the link is dead.
+    fn step(
+        &mut self,
+        link: &PeerLink,
+        env: &LinkEnv,
+        cx: &mut Context<'_>,
+    ) -> Result<bool, ServiceError> {
+        let mut progress = false;
+        // Pongs are the only frames a peer sends on a link — apart from a
+        // structured error right before it hangs up, which fails the link
+        // like any other unexpected frame.
+        for (kind, payload) in self.conn.read_frames()? {
+            progress = true;
+            if kind != FrameKind::Pong {
+                return Err(ServiceError::transport(format!(
+                    "unexpected {kind:?} frame on a peer link"
+                )));
+            }
+            let pong: Pong = self.conn.codec().decode_payload(&payload)?;
+            let awaited = matches!(
+                &self.probe,
+                Some(LinkProbe::Awaiting { nonce, .. }) if *nonce == pong.nonce
+            );
+            let Some(health) = env.config().health.as_ref().filter(|_| awaited) else {
+                return Err(ServiceError::transport("unsolicited pong on a peer link"));
+            };
+            env.observe(link, true);
+            self.probe = Some(LinkProbe::Next(env.handle.sleep(health.probe_interval)));
+        }
+        if let (Some(probe), Some(health)) = (&mut self.probe, &env.config().health) {
+            match probe {
+                LinkProbe::Awaiting { deadline, .. } => {
+                    if Pin::new(deadline).poll(cx).is_ready() {
+                        return Err(ServiceError::transport("probe timed out"));
+                    }
+                }
+                // The ping waits for the socket to take any push in flight.
+                LinkProbe::Next(next) => {
+                    if self.conn.is_flushed() && Pin::new(next).poll(cx).is_ready() {
+                        let ping = Ping::fresh();
+                        self.conn.queue(self.conn.codec().encode_frame(&ping));
+                        *probe = LinkProbe::Awaiting {
+                            nonce: ping.nonce,
+                            deadline: env.handle.sleep(health.probe_timeout),
+                        };
+                        progress = true;
+                    }
+                }
+            }
+        }
+        loop {
+            progress |= self.conn.flush()?;
+            if !self.conn.is_flushed() {
+                break;
+            }
+            if std::mem::take(&mut self.push_in_flight) {
+                link.pushes_sent.fetch_add(1, Ordering::Relaxed);
+            }
+            let Some(push) = link.pop() else {
+                break;
+            };
+            self.conn.queue(self.conn.codec().encode_frame(&push));
+            self.push_in_flight = true;
+            progress = true;
+        }
+        Ok(progress)
     }
-    driver.state = LinkState::Idle(handle.sleep(driver.backoff));
-    driver.backoff = (driver.backoff * 2).min(config.max_backoff);
 }
 
-/// Blocking connect + hello exchange for a peer link (runs on the dispatch
-/// pool).  Mirrors the client handshake, including the tolerant read of a
-/// plain structured rejection from a peer that does not share our key.
-fn connect_peer(endpoint: &str, config: &ReplicationConfig) -> Result<PeerConn, ServiceError> {
+/// Dial a peer link (blocking; runs on the dispatch pool): the client hello
+/// of [`Conn::open`], bounded by the connect timeout — or by the probe
+/// timeout, when shorter, since a probed link's dial is a probe — and handed
+/// back nonblocking for the reactor.
+fn dial_peer(endpoint: &str, config: &ReplicationConfig) -> Result<Conn, ServiceError> {
     if let Some(plan) = &config.fault_plan {
-        if plan.is_partitioned(endpoint) {
-            return Err(ServiceError::transport(format!(
-                "peer connect failed: {endpoint} is partitioned (injected)"
-            )));
-        }
         match plan.check(FaultSite::PeerConnect) {
             None => {}
             Some(FaultAction::Delay(pause)) => std::thread::sleep(pause),
@@ -1010,255 +1083,20 @@ fn connect_peer(endpoint: &str, config: &ReplicationConfig) -> Result<PeerConn, 
             }
         }
     }
-    let stream = TcpStream::connect(endpoint)
-        .map_err(|e| ServiceError::transport(format!("peer connect failed: {e}")))?;
-    let _ = stream.set_nodelay(true);
-    stream
-        .set_read_timeout(Some(config.connect_timeout))
-        .map_err(|e| ServiceError::transport(format!("setting peer read timeout: {e}")))?;
-    let mut stream = stream;
-    let mut hello = HelloFrame::advertising(&config.codecs);
-    if config.cluster_key.is_some() {
-        hello = hello.authenticated();
-    }
-    send_frame_blocking(&mut stream, &encode_json_frame(&hello), None)?;
-    let (kind, header, mut payload) = read_frame_blocking_raw(&mut stream, config.max_frame, None)?;
-    if kind != FrameKind::HelloReply {
-        return Err(ServiceError::transport(format!(
-            "expected a HelloReply frame from peer, got {kind:?}"
-        )));
-    }
-    if let Some(key) = &config.cluster_key {
-        if key.open_split(&header, &mut payload).is_err() {
-            return match parse_json_payload::<HelloReply>(&payload) {
-                Ok(HelloReply::Rejected(error)) => Err(error),
-                _ => Err(ServiceError::unauthenticated(
-                    "peer did not authenticate its hello reply; it holds no (or a different) \
-                     cluster key",
-                )),
-            };
-        }
-    }
-    match parse_json_payload::<HelloReply>(&payload)? {
-        HelloReply::Accepted { codec, .. } => {
-            let codec = match codec {
-                None => WireCodec::Json,
-                Some(name) => match WireCodec::from_name(&name) {
-                    Some(codec) if codec == WireCodec::Json || config.codecs.contains(&codec) => {
-                        codec
-                    }
-                    _ => {
-                        return Err(ServiceError::transport(format!(
-                            "peer selected codec {name:?}, which this link did not offer"
-                        )))
-                    }
-                },
-            };
-            stream
-                .set_nonblocking(true)
-                .map_err(|e| ServiceError::transport(format!("peer stream nonblocking: {e}")))?;
-            Ok(PeerConn {
-                stream,
-                codec,
-                auth: config.cluster_key.clone(),
-                write_buf: Vec::new(),
-                write_pos: 0,
-            })
-        }
-        HelloReply::Rejected(error) => Err(error),
-    }
-}
-
-/// Everything one blocking probe needs, shared between the server-side probe
-/// tasks and the router's prober thread.
-pub(crate) struct ProbeContext {
-    codecs: Vec<WireCodec>,
-    cluster_key: Option<ClusterKey>,
-    health: HealthConfig,
-    fault_plan: Option<Arc<FaultPlan>>,
-    max_frame: usize,
-}
-
-/// One blocking liveness probe: connect, hello, sealed `Ping`, check the
-/// echoed nonce.  Every socket operation is bounded by
-/// [`HealthConfig::probe_timeout`]; any failure (partition, timeout, bad MAC,
-/// wrong nonce) is simply `false` — the state machine turns repetition into a
-/// verdict.
-fn probe_peer(endpoint: &str, ctx: &ProbeContext) -> bool {
-    static PROBE_NONCE: AtomicU64 = AtomicU64::new(1);
-    let config = ReplicationConfig {
-        codecs: ctx.codecs.clone(),
-        cluster_key: ctx.cluster_key.clone(),
-        connect_timeout: ctx.health.probe_timeout,
-        max_frame: ctx.max_frame,
-        fault_plan: ctx.fault_plan.clone(),
-        ..ReplicationConfig::default()
+    let timeout = match &config.health {
+        Some(health) => health.probe_timeout.min(config.connect_timeout),
+        None => config.connect_timeout,
     };
-    let Ok(mut conn) = connect_peer(endpoint, &config) else {
-        return false;
+    let client = ClientConfig {
+        max_frame: config.max_frame,
+        read_timeout: Some(timeout),
+        codecs: config.codecs.clone(),
+        cluster_key: config.cluster_key.clone(),
+        fault_plan: config.fault_plan.clone(),
     };
-    // connect_peer hands the stream back nonblocking (for the reactor); the
-    // probe runs blocking with a hard read deadline instead.
-    if conn.stream.set_nonblocking(false).is_err()
-        || conn
-            .stream
-            .set_read_timeout(Some(ctx.health.probe_timeout))
-            .is_err()
-    {
-        return false;
-    }
-    let nonce = PROBE_NONCE.fetch_add(1, Ordering::Relaxed);
-    let frame = conn.codec.encode_frame(&Ping { nonce });
-    let frame = match &conn.auth {
-        Some(key) => key.seal(frame),
-        None => frame,
-    };
-    if send_frame_blocking(&mut conn.stream, &frame, None).is_err() {
-        return false;
-    }
-    let Ok((kind, header, mut payload)) =
-        read_frame_blocking_raw(&mut conn.stream, ctx.max_frame, None)
-    else {
-        return false;
-    };
-    if kind != FrameKind::Pong {
-        return false;
-    }
-    if let Some(key) = &conn.auth {
-        if key.open_split(&header, &mut payload).is_err() {
-            return false;
-        }
-    }
-    matches!(
-        conn.codec.decode_payload::<Pong>(&payload),
-        Ok(pong) if pong.nonce == nonce
-    )
-}
-
-/// Spawn one shard's probe task on that shard's reactor (no-op unless
-/// [`ReplicationConfig::health`] is set).  Like replication flushing, peer
-/// `i` is probed by the task on reactor shard `i % shard_count`, so probing
-/// scales with the reactors instead of serializing on one.
-pub(crate) fn spawn_probe_shard(
-    handle: &Handle,
-    replicator: Arc<Replicator>,
-    dispatch: Arc<ThreadPool>,
-    cluster: Arc<ClusterMetrics>,
-    shard_index: usize,
-    shard_count: usize,
-) {
-    if replicator.config.health.is_none() {
-        return;
-    }
-    handle.spawn(ProbeTask {
-        rescan: handle.sleep(Duration::ZERO),
-        handle: handle.clone(),
-        replicator,
-        dispatch,
-        cluster,
-        shard_index,
-        shard_count: shard_count.max(1),
-        known_links: 0,
-        probes: Vec::new(),
-    });
-}
-
-/// Per-peer probe progress: waiting out the interval, or waiting for the
-/// blocking probe (running on the dispatch pool) to report back.
-enum ProbeState {
-    Idle(Sleep),
-    Waiting(oneshot::Receiver<bool>),
-}
-
-/// Reactor task probing this shard's peers every
-/// [`HealthConfig::probe_interval`].
-///
-/// The blocking probe itself runs on the dispatch pool and reports through a
-/// oneshot, so the reactor never blocks; a rescan timer re-arms every
-/// interval so peers added after bind ([`Replicator::add_peer`]) are picked
-/// up without a dedicated wakeup path.
-struct ProbeTask {
-    handle: Handle,
-    replicator: Arc<Replicator>,
-    dispatch: Arc<ThreadPool>,
-    cluster: Arc<ClusterMetrics>,
-    shard_index: usize,
-    shard_count: usize,
-    known_links: usize,
-    rescan: Sleep,
-    /// Probe state per owned link, tagged with its global index.
-    probes: Vec<(usize, ProbeState)>,
-}
-
-impl Future for ProbeTask {
-    type Output = ();
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let this = self.get_mut();
-        if this.handle.is_shutdown() {
-            return Poll::Ready(());
-        }
-        let Some(health) = this.replicator.config.health.clone() else {
-            return Poll::Ready(());
-        };
-        // Keep the rescan timer armed so late add_peer calls are adopted.
-        while Pin::new(&mut this.rescan).poll(cx).is_ready() {
-            this.rescan = this.handle.sleep(health.probe_interval);
-        }
-        let links = this.replicator.links();
-        while this.known_links < links.len() {
-            let index = this.known_links;
-            this.known_links += 1;
-            if index % this.shard_count == this.shard_index {
-                this.probes
-                    .push((index, ProbeState::Idle(this.handle.sleep(Duration::ZERO))));
-            }
-        }
-        if this.probes.is_empty() {
-            return Poll::Pending;
-        }
-        let ctx = Arc::new(ProbeContext {
-            codecs: this.replicator.config.codecs.clone(),
-            cluster_key: this.replicator.config.cluster_key.clone(),
-            health: health.clone(),
-            fault_plan: this.replicator.config.fault_plan.clone(),
-            max_frame: this.replicator.config.max_frame,
-        });
-        let mut progress = true;
-        while progress {
-            progress = false;
-            for (index, state) in this.probes.iter_mut() {
-                match state {
-                    ProbeState::Idle(sleep) => {
-                        if Pin::new(sleep).poll(cx).is_ready() {
-                            let (tx, rx) = oneshot::channel();
-                            let endpoint = links[*index].endpoint.clone();
-                            let ctx = Arc::clone(&ctx);
-                            this.dispatch.execute(move || {
-                                let _ = tx.send(probe_peer(&endpoint, &ctx));
-                            });
-                            *state = ProbeState::Waiting(rx);
-                            progress = true;
-                        }
-                    }
-                    ProbeState::Waiting(rx) => {
-                        if let Poll::Ready(result) = Pin::new(rx).poll(cx) {
-                            // A dropped sender (pool shutting down) reads as a
-                            // failed probe; the state machine absorbs it.
-                            let ok = result.unwrap_or(false);
-                            this.cluster.count_probe_sent();
-                            if links[*index].health.observe(ok, &health) {
-                                this.cluster.count_peer_down();
-                            }
-                            *state = ProbeState::Idle(this.handle.sleep(health.probe_interval));
-                            progress = true;
-                        }
-                    }
-                }
-            }
-        }
-        Poll::Pending
-    }
+    let (conn, _) = Conn::open(endpoint, &client, Arc::default())?;
+    conn.set_nonblocking()?;
+    Ok(conn)
 }
 
 // ---------------------------------------------------------------------------
@@ -1276,7 +1114,8 @@ pub struct RouterConfig {
     /// Backoff before round *n* (doubling: `retry_backoff << (n - 1)`).
     pub retry_backoff: Duration,
     /// Enable health tracking (protocol 1.5): a prober thread pings every
-    /// shard each interval, request outcomes feed the same state machine,
+    /// shard each interval over a connection it holds open (redialing only
+    /// after a failed probe), request outcomes feed the same state machine,
     /// and routing skips `Down`/`Probation` shards *before* paying a connect
     /// timeout.  `None` (the default) is the 1.4 always-try behaviour.
     pub health: Option<HealthConfig>,
@@ -1391,22 +1230,22 @@ fn spawn_router_prober(
 ) -> RouterProber {
     let stop = Arc::new(AtomicBool::new(false));
     let stop_flag = Arc::clone(&stop);
-    let ctx = ProbeContext {
-        codecs: config.client.codecs.clone(),
-        cluster_key: config.client.cluster_key.clone(),
-        health: health.clone(),
-        fault_plan: config.client.fault_plan.clone(),
-        max_frame: config.client.max_frame,
+    let client = ClientConfig {
+        read_timeout: Some(health.probe_timeout),
+        ..config.client.clone()
     };
     let thread = std::thread::Builder::new()
         .name("corgi-router-probe".into())
         .spawn(move || {
+            // One probe connection per shard, separate from the request
+            // connections so a ping never queues behind a cold solve.
+            let mut probe_conns: Vec<Option<TcpTransport>> = shards.iter().map(|_| None).collect();
             while !stop_flag.load(Ordering::Relaxed) {
-                for slot in shards.iter() {
+                for (slot, conn) in shards.iter().zip(probe_conns.iter_mut()) {
                     if stop_flag.load(Ordering::Relaxed) {
                         return;
                     }
-                    let ok = probe_peer(&slot.endpoint, &ctx);
+                    let ok = probe_shard(conn, &slot.endpoint, &client);
                     probes_sent.fetch_add(1, Ordering::Relaxed);
                     if slot.health.observe(ok, &health) {
                         peers_down.fetch_add(1, Ordering::Relaxed);
@@ -1428,6 +1267,22 @@ fn spawn_router_prober(
         stop,
         thread: Some(thread),
     }
+}
+
+/// One liveness probe: a `Ping` over the held connection to a shard, dialing
+/// it first when there is none.  Any failure — partition, refused dial,
+/// timeout, bad MAC, wrong nonce — drops the connection so the next probe
+/// redials, and is simply `false`: the state machine turns repetition into a
+/// verdict.
+fn probe_shard(conn: &mut Option<TcpTransport>, endpoint: &str, client: &ClientConfig) -> bool {
+    if conn.is_none() {
+        *conn = TcpTransport::connect_with(endpoint, client.clone()).ok();
+    }
+    let ok = conn.as_ref().is_some_and(|conn| conn.ping().is_ok());
+    if !ok {
+        *conn = None;
+    }
+    ok
 }
 
 impl ShardRouter {

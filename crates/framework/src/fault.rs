@@ -5,7 +5,8 @@
 //! partitioned for the window between two probes.  Reproducing them with real
 //! packet loss is flaky; this module instead threads an optional
 //! [`FaultPlan`] through the send paths of [`crate::transport`] and the
-//! connect paths of [`crate::cluster`], so a test (see `tests/chaos.rs`) can
+//! connect paths of the client connections and peer links, so a test (see
+//! `tests/chaos.rs`) can
 //! script *exact* failure sequences — "drop the 2nd server send, corrupt the
 //! MAC of the 5th" — and assert the recovery contract deterministically.
 //!
@@ -62,7 +63,7 @@ pub enum FaultSite {
     /// A blocking client ([`TcpTransport`](crate::TcpTransport)) about to
     /// send a request frame.
     ClientSend,
-    /// A replication or probe task dialing a peer.
+    /// A replication link dialing a peer.
     PeerConnect,
 }
 

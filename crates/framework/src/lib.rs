@@ -36,9 +36,10 @@
 //!
 //! ```text
 //! executor   executor::Executor — single-threaded future runner: atomic-state
-//!    │        wakers, hashed timer wheel, oneshot completions, I/O poll set
+//!    │        wakers, hashed timer wheel, oneshot completions, epoll
+//!    │        readiness (a timed poll loop where epoll is unavailable)
 //! reactor    transport::{AcceptTask, ConnectionTask} — nonblocking std::net
-//!    │        sockets polled per tick, bounded per-connection write queues
+//!    │        sockets parked on readiness, bounded per-connection write queues
 //! transport  length-prefixed frames carrying the versioned envelopes of
 //!    │        [`messages`] in the negotiated [`WireCodec`] (binary between
 //!    │        1.2 peers, JSON fallback); version + codec negotiation on
@@ -47,12 +48,15 @@
 //!             responses re-entering the event loop as oneshot futures
 //! ```
 //!
-//! [`TcpServer`] runs the three top layers on one reactor thread;
-//! [`TcpTransport`] is the client side of the same frames and is itself a
-//! [`MatrixService`], so [`CorgiClient`] works unchanged over a process
-//! boundary.  The [`mod@warm`] subsystem precomputes the `(privacy_level, δ)` key
-//! grid through whatever caching layer the stack holds, making steady-state
-//! traffic cache-hit dominated.
+//! [`TcpServer`] runs the three top layers on
+//! [`TransportConfig::reactor_shards`] reactor threads, one executor each.
+//! On the client side every connection — [`TcpTransport`], the
+//! [`ShardRouter`]'s shard and probe connections, the replication links
+//! between peers — is one connection type opened by one hello exchange.
+//! [`TcpTransport`] is itself a [`MatrixService`], so [`CorgiClient`] works
+//! unchanged over a process boundary.  The [`mod@warm`] subsystem precomputes
+//! the `(privacy_level, δ)` key grid through whatever caching layer the stack
+//! holds, making steady-state traffic cache-hit dominated.
 //!
 //! # The cluster subsystem (protocols 1.4–1.5)
 //!
@@ -72,9 +76,10 @@
 //!   (transport + cache + cluster counters) without touching in-process
 //!   accessors.
 //!
-//! Protocol 1.5 adds the resilience layer: `Ping`/`Pong` liveness probes
-//! drive a per-peer health state machine ([`cluster::PeerHealthState`]) so
-//! routing skips known-dead shards before paying a connect timeout;
+//! Protocol 1.5 adds the resilience layer: `Ping`/`Pong` liveness probes,
+//! riding established connections, drive a per-peer health state machine
+//! ([`cluster::PeerHealthState`]) so routing skips known-dead shards before
+//! paying a connect timeout;
 //! `Digest`/`DigestReply` frames let a restarted shard re-warm its cache
 //! from peers without repeating any LP solve
 //! ([`TcpServer::rewarm_from_peers`]); and an optional [`FaultPlan`]
@@ -86,25 +91,6 @@
 //! the versioned [`messages::RequestEnvelope`] / [`messages::ResponseEnvelope`]
 //! — and [`MetadataAttributeProvider`] bridges the `corgi-datagen` location
 //! labels into the policy evaluation of `corgi-core`.
-//!
-//! # Migrating from `CorgiServer`
-//!
-//! The monolithic `CorgiServer` is deprecated and now a thin facade over the
-//! stack above. Old calls map one-to-one:
-//!
-//! ```text
-//! // old
-//! let server = CorgiServer::new(tree, prior, ServerConfig { epsilon: 15.0, ..Default::default() });
-//! let response = server.handle_request(request)?;
-//! let client = CorgiClient::new(&server, policy, provider)?;
-//!
-//! // new
-//! let config = ServerConfig::builder().epsilon(15.0).build();
-//! let service: Arc<dyn MatrixService> =
-//!     Arc::new(CachingService::with_defaults(ForestGenerator::new(tree, prior, config)));
-//! let response = service.privacy_forest(request)?;
-//! let client = CorgiClient::new(Arc::clone(&service), policy, provider)?;
-//! ```
 
 #![warn(missing_docs)]
 
@@ -112,6 +98,7 @@ pub mod auth;
 mod client;
 pub mod cluster;
 pub mod codec;
+mod conn;
 pub mod executor;
 pub mod fault;
 pub mod messages;
@@ -136,8 +123,6 @@ pub use fault::{FaultAction, FaultPlan, FaultSite};
 pub use messages::{ServiceError, ServiceErrorKind, WireCodec};
 pub use pool::{JobPanic, ThreadPool};
 pub use provider::MetadataAttributeProvider;
-#[allow(deprecated)]
-pub use server::CorgiServer;
 pub use server::{ServerConfig, ServerConfigBuilder};
 pub use service::{
     CacheConfig, CacheStats, CachingService, ForestGenerator, InstrumentedService, MatrixService,

@@ -1,17 +1,11 @@
-//! Server configuration and the deprecated [`CorgiServer`] facade.
+//! Server configuration.
 //!
 //! The serving stack itself lives in [`crate::service`]: compose
-//! [`ForestGenerator`] with [`CachingService`] (and optionally
+//! [`ForestGenerator`](crate::ForestGenerator) with
+//! [`CachingService`](crate::CachingService) (and optionally
 //! [`crate::InstrumentedService`]) behind an `Arc<dyn MatrixService>`.
-//! [`CorgiServer`] remains only as a thin deprecated facade over that stack so
-//! the pre-service API keeps compiling for one release.
 
-use crate::messages::{MatrixRequest, PrivacyForestResponse};
-use crate::service::{CacheConfig, CachingService, ForestGenerator, MatrixService};
-use corgi_core::{CorgiError, LocationTree, ObfuscationProblem, Subtree};
-use corgi_datagen::PriorDistribution;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// Server-side configuration (set once for all users, footnote 6 of the paper).
 ///
@@ -119,118 +113,32 @@ impl ServerConfigBuilder {
     }
 }
 
-/// The pre-service-layer server facade.
-///
-/// Delegates to a [`CachingService`]`<`[`ForestGenerator`]`>` internally; new
-/// code should build that stack directly (see the [`MatrixService`] docs) and
-/// hand `Arc<dyn MatrixService>` to [`crate::CorgiClient`].
-///
-/// **Removal timeline:** kept through the 0.1.x series so the pre-service API
-/// keeps compiling; deleted in 0.2.0 together with this deprecation shim.  It
-/// will not grow transport support — cross-process serving exists only on the
-/// [`MatrixService`] stack via [`crate::TcpServer`] / [`crate::TcpTransport`].
-/// Migration:
-///
-/// | old | new |
-/// |---|---|
-/// | `CorgiServer::new(tree, prior, config)` | `CachingService::with_defaults(ForestGenerator::new(tree, prior, config))` |
-/// | `server.handle_request(req)` | `service.privacy_forest(req)` |
-/// | `server.cached_forests()` | `caching_service.len()` / `cache_stats().entries` |
-/// | `CorgiClient::new(&server, …)` | `CorgiClient::new(server.service(), …)` |
-#[deprecated(
-    since = "0.1.0",
-    note = "compose ForestGenerator + CachingService behind Arc<dyn MatrixService> instead"
-)]
-pub struct CorgiServer {
-    service: Arc<CachingService<ForestGenerator>>,
-    prior: Arc<PriorDistribution>,
-}
-
-#[allow(deprecated)]
-impl CorgiServer {
-    /// Create a server over a location tree with a public prior distribution.
-    pub fn new(tree: LocationTree, prior: PriorDistribution, config: ServerConfig) -> Self {
-        let generator = ForestGenerator::new(tree, prior, config);
-        let prior = generator.prior();
-        Self {
-            service: Arc::new(CachingService::new(generator, CacheConfig::default())),
-            prior,
-        }
-    }
-
-    /// The serving stack behind this facade, as a trait object for
-    /// [`crate::CorgiClient`] and other new-API callers.
-    pub fn service(&self) -> Arc<dyn MatrixService> {
-        Arc::clone(&self.service) as Arc<dyn MatrixService>
-    }
-
-    /// The server's location tree (shared with clients in step ② of Fig. 1).
-    pub fn tree(&self) -> Arc<LocationTree> {
-        self.service.tree()
-    }
-
-    /// The server configuration.
-    pub fn config(&self) -> &ServerConfig {
-        self.service.inner().config()
-    }
-
-    /// The public prior distribution over leaf cells.
-    pub fn prior(&self) -> &PriorDistribution {
-        &self.prior
-    }
-
-    /// Handle a matrix request (Algorithm 3): generate — or fetch from cache — a
-    /// robust matrix for every subtree rooted at the requested privacy level.
-    pub fn handle_request(
-        &self,
-        request: MatrixRequest,
-    ) -> Result<Arc<PrivacyForestResponse>, CorgiError> {
-        self.service
-            .privacy_forest(request)
-            .map_err(CorgiError::from)
-    }
-
-    /// Number of privacy forests currently cached.
-    pub fn cached_forests(&self) -> usize {
-        self.service.len()
-    }
-
-    /// Generate the privacy forest for a request without consulting the cache.
-    pub fn generate_privacy_forest(
-        &self,
-        request: MatrixRequest,
-    ) -> Result<PrivacyForestResponse, CorgiError> {
-        self.service.inner().generate(request)
-    }
-
-    /// Build the LP instance for one subtree: restricted prior + randomly chosen
-    /// target locations (the paper samples `NR_TARGET` leaf nodes as targets).
-    pub fn problem_for_subtree(&self, subtree: &Subtree) -> Result<ObfuscationProblem, CorgiError> {
-        self.service.inner().problem_for_subtree(subtree)
-    }
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
-    use corgi_datagen::{GowallaLikeConfig, GowallaLikeGenerator};
+    use crate::messages::MatrixRequest;
+    use crate::{CachingService, ForestGenerator, MatrixService};
+    use corgi_core::LocationTree;
+    use corgi_datagen::{GowallaLikeConfig, GowallaLikeGenerator, PriorDistribution};
     use corgi_hexgrid::{HexGrid, HexGridConfig};
+    use std::sync::Arc;
 
-    fn server() -> CorgiServer {
+    /// The serving stack a configuration is built for: a cache over the
+    /// forest generator.
+    fn server() -> CachingService<ForestGenerator> {
         let grid = HexGrid::new(HexGridConfig::san_francisco()).unwrap();
         let (dataset, _) =
             GowallaLikeGenerator::new(GowallaLikeConfig::small_test()).generate(&grid);
         let prior = PriorDistribution::from_dataset(&grid, &dataset, 0.5);
         let tree = LocationTree::new(grid);
-        CorgiServer::new(
+        CachingService::with_defaults(ForestGenerator::new(
             tree,
             prior,
             ServerConfig::builder()
                 .robust_iterations(2)
                 .targets_per_subtree(5)
                 .build(),
-        )
+        ))
     }
 
     #[test]
@@ -256,7 +164,7 @@ mod tests {
     fn privacy_forest_covers_every_subtree() {
         let srv = server();
         let response = srv
-            .handle_request(MatrixRequest {
+            .privacy_forest(MatrixRequest {
                 privacy_level: 1,
                 delta: 1,
             })
@@ -286,24 +194,24 @@ mod tests {
             privacy_level: 1,
             delta: 0,
         };
-        let a = srv.handle_request(req).unwrap();
-        let b = srv.handle_request(req).unwrap();
+        let a = srv.privacy_forest(req).unwrap();
+        let b = srv.privacy_forest(req).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "second call must hit the cache");
-        assert_eq!(srv.cached_forests(), 1);
+        assert_eq!(srv.len(), 1);
         let _ = srv
-            .handle_request(MatrixRequest {
+            .privacy_forest(MatrixRequest {
                 privacy_level: 1,
                 delta: 2,
             })
             .unwrap();
-        assert_eq!(srv.cached_forests(), 2);
+        assert_eq!(srv.len(), 2);
     }
 
     #[test]
     fn invalid_privacy_level_is_rejected() {
         let srv = server();
         assert!(srv
-            .handle_request(MatrixRequest {
+            .privacy_forest(MatrixRequest {
                 privacy_level: 9,
                 delta: 1,
             })

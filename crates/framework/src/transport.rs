@@ -1,5 +1,8 @@
 //! Cross-process envelope transport: length-prefixed frames over TCP, served
-//! by a non-blocking reactor on the hand-rolled executor.
+//! by a non-blocking reactor on the hand-rolled executor.  This module holds
+//! the frames and the server; the client side — one connection type behind
+//! [`TcpTransport`], the shard router and the peer links — lives in
+//! `conn.rs` and is re-exported here.
 //!
 //! # Wire format
 //!
@@ -42,8 +45,9 @@
 //! not a decode failure, and the accepted reply carries the grid
 //! configuration and public prior so a remote client can rebuild the
 //! location tree without an out-of-band channel (step ② of Fig. 1).
-//! `Warm`/`WarmReply` frames carry the [`WarmRequest`] / [`WarmReport`] of
-//! [`mod@crate::warm`] in the negotiated codec.  Setting `CORGI_WIRE_CODEC=json`
+//! `Warm`/`WarmReply` frames carry the [`WarmRequest`] /
+//! [`WarmReport`](crate::warm::WarmReport) of [`mod@crate::warm`] in the
+//! negotiated codec.  Setting `CORGI_WIRE_CODEC=json`
 //! forces the JSON fallback process-wide (handy for CI interop runs and
 //! packet-capture debugging).
 //!
@@ -140,26 +144,25 @@
 //! [`ServiceErrorKind::Transport`]: crate::messages::ServiceErrorKind::Transport
 //! [`oneshot`]: crate::executor::oneshot
 
+pub use crate::conn::{ClientConfig, TcpTransport};
+
 use crate::auth::{ClusterKey, AUTH_SCHEME};
 use crate::cluster::{
-    spawn_probe_shard, ClusterMetrics, ClusterStats, Ping, Pong, Replicator, StatsReport,
-    StatsRequest,
+    ClusterMetrics, ClusterStats, Ping, Pong, Replicator, StatsReport, StatsRequest,
 };
 use crate::executor::{oneshot, Executor, Handle, ReactorBackend, Sleep};
 use crate::fault::{FaultAction, FaultPlan, FaultSite};
-use crate::messages::{MatrixRequest, ProtocolVersion, WireCodec};
+use crate::messages::{ProtocolVersion, WireCodec};
 use crate::messages::{
-    PrivacyForestResponse, RequestEnvelope, ResponseEnvelope, ServiceError, ServiceErrorKind,
-    PROTOCOL_VERSION,
+    RequestEnvelope, ResponseEnvelope, ServiceError, ServiceErrorKind, PROTOCOL_VERSION,
 };
 use crate::pool::ThreadPool;
 use crate::service::{MatrixService, WarmInsertOutcome};
 use crate::warm::{
-    warm, DigestReply, DigestRequest, RewarmReport, WarmFailure, WarmPush, WarmReport, WarmRequest,
+    warm, DigestReply, DigestRequest, RewarmReport, WarmFailure, WarmPush, WarmRequest,
 };
-use corgi_core::LocationTree;
 use corgi_datagen::PriorDistribution;
-use corgi_hexgrid::{HexGrid, HexGridConfig};
+use corgi_hexgrid::HexGridConfig;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::future::Future;
@@ -167,7 +170,7 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::pin::Pin;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::task::{Context, Poll};
 use std::time::Duration;
 
@@ -201,7 +204,8 @@ pub enum FrameKind {
     Response = 3,
     /// Client → server: a [`WarmRequest`] to precompute the cache.
     Warm = 4,
-    /// Server → client: the [`WarmReport`] answering a `Warm` frame.
+    /// Server → client: the [`WarmReport`](crate::warm::WarmReport)
+    /// answering a `Warm` frame.
     WarmReply = 5,
     /// Peer → peer: a [`WarmPush`] replicating a freshly solved cache entry
     /// (protocol 1.4).  Fire-and-forget: no reply frame.
@@ -308,7 +312,7 @@ pub(crate) fn seal_frame(mut frame: Vec<u8>, kind: FrameKind) -> Vec<u8> {
 /// Validate a frame header and return its kind and payload length — the one
 /// definition of the header rules, shared by the reactor's incremental
 /// decoder and the client's blocking receive.
-fn parse_frame_header(
+pub(crate) fn parse_frame_header(
     header: &[u8; FRAME_HEADER_LEN],
     max_payload: usize,
 ) -> Result<(FrameKind, usize), FrameError> {
@@ -659,24 +663,24 @@ fn aggregate_stats(shards: &[Arc<TransportMetrics>]) -> TransportStats {
 /// Shared atomic counters behind [`TransportStats`].
 #[derive(Default)]
 pub(crate) struct TransportMetrics {
-    connections_accepted: AtomicU64,
-    connections_closed: AtomicU64,
-    binary_connections: AtomicU64,
-    json_connections: AtomicU64,
-    frames_in: AtomicU64,
-    frames_out: AtomicU64,
-    bytes_in: AtomicU64,
-    bytes_out: AtomicU64,
-    backpressure_stalls: AtomicU64,
-    requests_admitted: AtomicU64,
-    requests_shed: AtomicU64,
-    read_buffer_high_water: AtomicU64,
-    transport_errors: AtomicU64,
-    poisoned_connections: AtomicU64,
+    pub(crate) connections_accepted: AtomicU64,
+    pub(crate) connections_closed: AtomicU64,
+    pub(crate) binary_connections: AtomicU64,
+    pub(crate) json_connections: AtomicU64,
+    pub(crate) frames_in: AtomicU64,
+    pub(crate) frames_out: AtomicU64,
+    pub(crate) bytes_in: AtomicU64,
+    pub(crate) bytes_out: AtomicU64,
+    pub(crate) backpressure_stalls: AtomicU64,
+    pub(crate) requests_admitted: AtomicU64,
+    pub(crate) requests_shed: AtomicU64,
+    pub(crate) read_buffer_high_water: AtomicU64,
+    pub(crate) transport_errors: AtomicU64,
+    pub(crate) poisoned_connections: AtomicU64,
 }
 
 impl TransportMetrics {
-    fn add(counter: &AtomicU64, n: u64) {
+    pub(crate) fn add(counter: &AtomicU64, n: u64) {
         counter.fetch_add(n, Ordering::Relaxed);
     }
 
@@ -685,14 +689,14 @@ impl TransportMetrics {
             .fetch_max(bytes, Ordering::Relaxed);
     }
 
-    fn count_codec(&self, codec: WireCodec) {
+    pub(crate) fn count_codec(&self, codec: WireCodec) {
         match codec {
             WireCodec::Binary => Self::add(&self.binary_connections, 1),
             WireCodec::Json => Self::add(&self.json_connections, 1),
         }
     }
 
-    fn snapshot(&self) -> TransportStats {
+    pub(crate) fn snapshot(&self) -> TransportStats {
         TransportStats {
             connections_accepted: self.connections_accepted.load(Ordering::Relaxed),
             connections_closed: self.connections_closed.load(Ordering::Relaxed),
@@ -712,7 +716,7 @@ impl TransportMetrics {
     }
 }
 
-/// A running CORGI server: one reactor thread accepting framed-envelope TCP
+/// A running CORGI server: reactor shard threads serving framed-envelope TCP
 /// connections on behalf of an `Arc<dyn MatrixService>` stack.
 ///
 /// ```no_run
@@ -793,20 +797,11 @@ impl TcpServer {
         let cluster = Arc::new(ClusterMetrics::default());
         let replication = config.replication.clone();
         if let Some(replicator) = replication.clone() {
-            // Replication flush work shards with the reactors: each shard's
-            // task drives the peer links assigned to it by index.  Liveness
-            // probing (protocol 1.5) shards the same way when the replicator
-            // carries a health config; spawn_probe_shard is a no-op when it
-            // does not.
+            // Replication links shard with the reactors: each shard's task
+            // drives the peer links assigned to it by index, pushes and
+            // liveness probes alike.
             for (index, executor) in executors.iter().enumerate() {
                 crate::cluster::spawn_replication_shard(
-                    &executor.handle(),
-                    Arc::clone(&replicator),
-                    Arc::clone(&dispatch),
-                    index,
-                    shard_count,
-                );
-                spawn_probe_shard(
                     &executor.handle(),
                     Arc::clone(&replicator),
                     Arc::clone(&dispatch),
@@ -1775,571 +1770,6 @@ impl Future for ConnectionTask {
             }
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Client
-// ---------------------------------------------------------------------------
-
-/// Tunables of a [`TcpTransport`] client connection.
-#[derive(Debug, Clone)]
-pub struct ClientConfig {
-    /// Largest accepted frame payload from the server.  Responses carry whole
-    /// privacy forests, so this is generous by default (64 MiB).
-    pub max_frame: usize,
-    /// Socket read timeout per blocking receive; bounds how long a truncated
-    /// or withheld response can stall a caller.  `None` waits forever.
-    pub read_timeout: Option<Duration>,
-    /// Payload codecs to advertise in the hello.  The server picks by its
-    /// own preference among these; JSON is always accepted as the fallback.
-    /// The default honours `CORGI_WIRE_CODEC`
-    /// (see [`WireCodec::advertisement_from_env`]).
-    pub codecs: Vec<WireCodec>,
-    /// Cluster key for keyed frame authentication (protocol 1.4).  When set,
-    /// the hello announces `hmac-sha256`, every post-handshake frame in both
-    /// directions carries a MAC trailer, and connecting to an unkeyed or
-    /// differently-keyed server fails with a structured
-    /// [`Unauthenticated`](ServiceErrorKind::Unauthenticated) error.  The
-    /// default reads `CORGI_CLUSTER_KEY` (see [`ClusterKey::from_env`]).
-    pub cluster_key: Option<ClusterKey>,
-    /// Deterministic fault injection for this client's connect and send
-    /// paths (protocol 1.5 chaos testing; see [`crate::fault`]).  `None` —
-    /// the default — costs one pointer check per exchange.
-    pub fault_plan: Option<Arc<FaultPlan>>,
-}
-
-impl Default for ClientConfig {
-    fn default() -> Self {
-        Self {
-            max_frame: 64 * 1024 * 1024,
-            read_timeout: Some(Duration::from_secs(600)),
-            codecs: WireCodec::advertisement_from_env(),
-            cluster_key: ClusterKey::from_env(),
-            fault_plan: None,
-        }
-    }
-}
-
-/// Client side of the framed envelope transport: a [`MatrixService`] whose
-/// requests cross a process boundary over TCP.
-///
-/// Connecting performs the hello exchange, from which the transport learns the
-/// server's protocol version, grid configuration (rebuilt into a local
-/// [`LocationTree`]) and public prior — so a [`crate::CorgiClient`] can run
-/// against a `TcpTransport` exactly as it does against an in-process stack.
-///
-/// The connection is a `Mutex`-serialized request/response channel: one
-/// request is in flight at a time per transport (clone-free sharing across
-/// threads works, callers just serialize).  Pipelining is a property of the
-/// *server*; concurrent client load is modelled with multiple transports, as
-/// in the loopback tests and benches.
-pub struct TcpTransport {
-    conn: Mutex<ClientConn>,
-    tree: Arc<LocationTree>,
-    prior: Arc<PriorDistribution>,
-    server_version: ProtocolVersion,
-    /// Payload codec negotiated for this connection.
-    codec: WireCodec,
-    next_request_id: AtomicU64,
-    max_frame: usize,
-    metrics: Arc<TransportMetrics>,
-}
-
-/// Connection state behind the transport's mutex.
-struct ClientConn {
-    stream: TcpStream,
-    /// Set after a transport-level failure (timeout, truncated or
-    /// uncorrelated frame) or a codec desync: the request/response stream may
-    /// be desynchronized — a late response could be mistaken for the next
-    /// call's reply — so every further call fails fast until the caller
-    /// reconnects.
-    poisoned: bool,
-    /// Frame-authentication key negotiated in the hello exchange (`None`
-    /// means plain frames): outbound frames are sealed, inbound frames are
-    /// verified and stripped.
-    auth: Option<ClusterKey>,
-    metrics: Arc<TransportMetrics>,
-    /// Fault injection hook ([`ClientConfig::fault_plan`]); `None` in
-    /// production.
-    fault_plan: Option<Arc<FaultPlan>>,
-}
-
-impl ClientConn {
-    fn poison(&mut self) {
-        if !self.poisoned {
-            self.poisoned = true;
-            TransportMetrics::add(&self.metrics.poisoned_connections, 1);
-        }
-    }
-
-    /// One request/response exchange of pre-encoded frames.  Any
-    /// transport-level failure — send failure, timeout, truncated frame —
-    /// poisons the connection: a reply to this call may still arrive later
-    /// and would desynchronize every subsequent exchange.
-    fn exchange(
-        &mut self,
-        frame: Vec<u8>,
-        max_frame: usize,
-    ) -> Result<(FrameKind, Vec<u8>), ServiceError> {
-        if self.poisoned {
-            return Err(ServiceError::transport(
-                "connection poisoned by an earlier stream desynchronization; reconnect",
-            ));
-        }
-        let mut frame = match &self.auth {
-            Some(key) => key.seal(frame),
-            None => frame,
-        };
-        if let Some(plan) = &self.fault_plan {
-            match plan.check(FaultSite::ClientSend) {
-                None => {}
-                Some(FaultAction::Delay(pause)) => std::thread::sleep(pause),
-                // The send never happens; the receive path then times out (or
-                // hits the closed socket) and poisons the connection exactly
-                // as a real loss would.
-                Some(FaultAction::DropFrame) => {
-                    let result = read_frame_blocking(
-                        &mut self.stream,
-                        max_frame,
-                        Some(&self.metrics),
-                        self.auth.as_ref(),
-                    );
-                    self.poison();
-                    return result;
-                }
-                Some(FaultAction::CloseConnection) => {
-                    let _ = self.stream.shutdown(std::net::Shutdown::Both);
-                }
-                Some(FaultAction::CorruptMac) => {
-                    if let Some(last) = frame.last_mut() {
-                        *last ^= 0xff;
-                    }
-                }
-            }
-        }
-        let result =
-            send_frame_blocking(&mut self.stream, &frame, Some(&self.metrics)).and_then(|()| {
-                read_frame_blocking(
-                    &mut self.stream,
-                    max_frame,
-                    Some(&self.metrics),
-                    self.auth.as_ref(),
-                )
-            });
-        if result.is_err() {
-            self.poison();
-        }
-        result
-    }
-}
-
-impl TcpTransport {
-    /// Connect with the default [`ClientConfig`].
-    pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, ServiceError> {
-        Self::connect_with(addr, ClientConfig::default())
-    }
-
-    /// Connect, perform the version handshake and mirror the server's tree.
-    pub fn connect_with(
-        addr: impl ToSocketAddrs,
-        config: ClientConfig,
-    ) -> Result<Self, ServiceError> {
-        if let Some(plan) = &config.fault_plan {
-            // Level-triggered partitions fail the connect fast, endpoint by
-            // endpoint, exactly like an unreachable host would.
-            let partitioned = addr
-                .to_socket_addrs()
-                .ok()
-                .into_iter()
-                .flatten()
-                .any(|candidate| plan.is_partitioned(&candidate.to_string()));
-            if partitioned {
-                return Err(ServiceError::transport(
-                    "connect failed: endpoint is partitioned (injected)",
-                ));
-            }
-        }
-        let stream = TcpStream::connect(addr)
-            .map_err(|e| ServiceError::transport(format!("connect failed: {e}")))?;
-        let _ = stream.set_nodelay(true);
-        stream
-            .set_read_timeout(config.read_timeout)
-            .map_err(|e| ServiceError::transport(format!("setting read timeout: {e}")))?;
-        let mut stream = stream;
-        let metrics = Arc::new(TransportMetrics::default());
-        TransportMetrics::add(&metrics.connections_accepted, 1);
-        // The hello exchange always travels as JSON: it is what carries the
-        // codec (and authentication) negotiation, so it must be legible
-        // before any agreement.
-        let mut hello_frame = HelloFrame::advertising(&config.codecs);
-        if config.cluster_key.is_some() {
-            hello_frame = hello_frame.authenticated();
-        }
-        let hello = encode_json_frame(&hello_frame);
-        send_frame_blocking(&mut stream, &hello, Some(&metrics))?;
-        let (kind, header, mut payload) =
-            read_frame_blocking_raw(&mut stream, config.max_frame, Some(&metrics))?;
-        if kind != FrameKind::HelloReply {
-            return Err(ServiceError::transport(format!(
-                "expected a HelloReply frame, got {kind:?}"
-            )));
-        }
-        if let Some(key) = &config.cluster_key {
-            // An accepted reply from a keyed server is itself sealed; the
-            // only *plain* reply a keyed client accepts is a structured
-            // rejection — that is how a key mismatch stays a legible error
-            // instead of a MAC failure.  (A pre-1.4 server would also reply
-            // plain, having ignored the unknown `auth` hello field: caught
-            // here rather than desynchronizing on the first sealed request.)
-            if key.open_split(&header, &mut payload).is_err() {
-                return match parse_json_payload::<HelloReply>(&payload) {
-                    Ok(HelloReply::Rejected(error)) => Err(error),
-                    _ => Err(ServiceError::unauthenticated(
-                        "server did not authenticate its hello reply; it holds no (or a \
-                         different) cluster key",
-                    )),
-                };
-            }
-        }
-        match parse_json_payload::<HelloReply>(&payload)? {
-            HelloReply::Accepted {
-                version,
-                grid,
-                prior,
-                codec,
-                auth,
-            } => {
-                match (&config.cluster_key, auth.as_deref()) {
-                    (Some(_), Some(AUTH_SCHEME)) | (None, None) => {}
-                    (Some(_), _) => {
-                        return Err(ServiceError::unauthenticated(
-                            "server accepted without confirming hmac-sha256 frame authentication",
-                        ))
-                    }
-                    (None, Some(scheme)) => {
-                        return Err(ServiceError::unauthenticated(format!(
-                            "server negotiated {scheme:?} frame authentication this client did \
-                             not announce"
-                        )))
-                    }
-                }
-                let grid = HexGrid::new(grid).map_err(|e| {
-                    ServiceError::transport(format!("server sent an invalid grid config: {e}"))
-                })?;
-                // The server must pick something we advertised (absent means
-                // the JSON fallback, which every client accepts).
-                let codec = match codec {
-                    None => WireCodec::Json,
-                    Some(name) => match WireCodec::from_name(&name) {
-                        Some(codec)
-                            if codec == WireCodec::Json || config.codecs.contains(&codec) =>
-                        {
-                            codec
-                        }
-                        _ => {
-                            return Err(ServiceError::transport(format!(
-                                "server selected codec {name:?}, which this client did not offer"
-                            )))
-                        }
-                    },
-                };
-                metrics.count_codec(codec);
-                Ok(Self {
-                    conn: Mutex::new(ClientConn {
-                        stream,
-                        poisoned: false,
-                        auth: config.cluster_key.clone(),
-                        metrics: Arc::clone(&metrics),
-                        fault_plan: config.fault_plan.clone(),
-                    }),
-                    tree: Arc::new(LocationTree::new(grid)),
-                    prior: Arc::new(prior),
-                    server_version: version,
-                    codec,
-                    next_request_id: AtomicU64::new(1),
-                    max_frame: config.max_frame,
-                    metrics,
-                })
-            }
-            HelloReply::Rejected(error) => Err(error),
-        }
-    }
-
-    /// Protocol version the server negotiated.
-    pub fn server_version(&self) -> ProtocolVersion {
-        self.server_version
-    }
-
-    /// Payload codec negotiated for this connection.
-    pub fn codec(&self) -> WireCodec {
-        self.codec
-    }
-
-    /// A point-in-time snapshot of this connection's transport counters.
-    pub fn stats(&self) -> TransportStats {
-        self.metrics.snapshot()
-    }
-
-    /// Ask the server to precompute its cache over a `(privacy_level, δ)`
-    /// grid; blocks until the server reports back.
-    pub fn warm(&self, plan: &WarmRequest) -> Result<WarmReport, ServiceError> {
-        let frame = self.codec.encode_frame(plan);
-        let mut conn = self.conn.lock().unwrap_or_else(|e| e.into_inner());
-        let (kind, payload) = conn.exchange(frame, self.max_frame)?;
-        match kind {
-            FrameKind::WarmReply => match self.codec.decode_payload(&payload) {
-                Ok(report) => Ok(report),
-                Err(e) => {
-                    // An undecodable reply is a codec desync: fail fast on
-                    // every further call until the caller reconnects.
-                    conn.poison();
-                    Err(e)
-                }
-            },
-            FrameKind::Response => {
-                // The server refused at the transport level (e.g. a plan
-                // larger than its inbound frame limit) and is closing.
-                conn.poison();
-                let envelope: ResponseEnvelope = self.codec.decode_payload(&payload)?;
-                Err(envelope
-                    .into_result()
-                    .err()
-                    .unwrap_or_else(|| ServiceError::transport("unexpected forest reply")))
-            }
-            other => {
-                conn.poison();
-                Err(ServiceError::transport(format!(
-                    "expected a WarmReply frame, got {other:?}"
-                )))
-            }
-        }
-    }
-
-    /// Fetch the server's runtime counters over the wire (protocol 1.4):
-    /// transport, cache and cluster snapshots in one [`StatsReport`].
-    pub fn server_stats(&self) -> Result<StatsReport, ServiceError> {
-        let frame = self.codec.encode_frame(&StatsRequest {});
-        let mut conn = self.conn.lock().unwrap_or_else(|e| e.into_inner());
-        let (kind, payload) = conn.exchange(frame, self.max_frame)?;
-        match kind {
-            FrameKind::StatsReply => match self.codec.decode_payload(&payload) {
-                Ok(report) => Ok(report),
-                Err(e) => {
-                    conn.poison();
-                    Err(e)
-                }
-            },
-            FrameKind::Response => {
-                // The server refused at the transport level and is closing.
-                conn.poison();
-                let envelope: ResponseEnvelope = self.codec.decode_payload(&payload)?;
-                Err(envelope
-                    .into_result()
-                    .err()
-                    .unwrap_or_else(|| ServiceError::transport("unexpected forest reply")))
-            }
-            other => {
-                conn.poison();
-                Err(ServiceError::transport(format!(
-                    "expected a StatsReply frame, got {other:?}"
-                )))
-            }
-        }
-    }
-
-    /// One liveness round-trip (protocol 1.5): send a nonce, verify the
-    /// server echoes it.  Errors are transport failures; a mismatched nonce
-    /// is a desynchronized stream and poisons the connection like one.
-    pub fn ping(&self) -> Result<(), ServiceError> {
-        static NONCE: AtomicU64 = AtomicU64::new(1);
-        let nonce = NONCE.fetch_add(1, Ordering::Relaxed);
-        let frame = self.codec.encode_frame(&Ping { nonce });
-        let mut conn = self.conn.lock().unwrap_or_else(|e| e.into_inner());
-        let (kind, payload) = conn.exchange(frame, self.max_frame)?;
-        if kind != FrameKind::Pong {
-            conn.poison();
-            return Err(ServiceError::transport(format!(
-                "expected a Pong frame, got {kind:?}"
-            )));
-        }
-        match self.codec.decode_payload::<Pong>(&payload) {
-            Ok(pong) if pong.nonce == nonce => Ok(()),
-            Ok(_) => {
-                conn.poison();
-                Err(ServiceError::transport(
-                    "pong echoed a different nonce; stream desynchronized",
-                ))
-            }
-            Err(e) => {
-                conn.poison();
-                Err(e)
-            }
-        }
-    }
-
-    /// Fetch the server's resident-cache digest (protocol 1.5): the
-    /// generation-tagged summary of `(privacy_level, δ)` keys it could serve
-    /// to a pull, bounded by the server's warm-key limit.
-    pub fn cache_digest(&self) -> Result<DigestReply, ServiceError> {
-        self.digest_exchange(DigestRequest { pull: None })
-    }
-
-    /// Pull one resident forest from the server's cache (protocol 1.5).
-    /// `Ok(None)` means the key was not resident (e.g. evicted since the
-    /// digest was taken) — the server never solves to answer a pull.
-    pub fn pull_resident(
-        &self,
-        key: MatrixRequest,
-    ) -> Result<Option<Arc<PrivacyForestResponse>>, ServiceError> {
-        self.digest_exchange(DigestRequest { pull: Some(key) })
-            .map(|reply| reply.forest)
-    }
-
-    fn digest_exchange(&self, request: DigestRequest) -> Result<DigestReply, ServiceError> {
-        let frame = self.codec.encode_frame(&request);
-        let mut conn = self.conn.lock().unwrap_or_else(|e| e.into_inner());
-        let (kind, payload) = conn.exchange(frame, self.max_frame)?;
-        match kind {
-            FrameKind::DigestReply => match self.codec.decode_payload(&payload) {
-                Ok(reply) => Ok(reply),
-                Err(e) => {
-                    conn.poison();
-                    Err(e)
-                }
-            },
-            FrameKind::Response => {
-                // The server refused at the transport level and is closing.
-                conn.poison();
-                let envelope: ResponseEnvelope = self.codec.decode_payload(&payload)?;
-                Err(envelope
-                    .into_result()
-                    .err()
-                    .unwrap_or_else(|| ServiceError::transport("unexpected forest reply")))
-            }
-            other => {
-                conn.poison();
-                Err(ServiceError::transport(format!(
-                    "expected a DigestReply frame, got {other:?}"
-                )))
-            }
-        }
-    }
-}
-
-impl MatrixService for TcpTransport {
-    fn privacy_forest(
-        &self,
-        request: MatrixRequest,
-    ) -> Result<Arc<PrivacyForestResponse>, ServiceError> {
-        let request_id = self.next_request_id.fetch_add(1, Ordering::Relaxed);
-        let envelope = RequestEnvelope::new(request_id, request);
-        let frame = self.codec.encode_frame(&envelope);
-        let mut conn = self.conn.lock().unwrap_or_else(|e| e.into_inner());
-        let (kind, payload) = conn.exchange(frame, self.max_frame)?;
-        if kind != FrameKind::Response {
-            conn.poison();
-            return Err(ServiceError::transport(format!(
-                "expected a Response frame, got {kind:?}"
-            )));
-        }
-        let reply: ResponseEnvelope = match self.codec.decode_payload(&payload) {
-            Ok(reply) => reply,
-            Err(e) => {
-                // Undecodable response: codec desync, poison like any other
-                // stream desynchronization.
-                conn.poison();
-                return Err(e);
-            }
-        };
-        if reply.request_id != request_id {
-            // Either a transport-level error (id 0, server closing) or a
-            // desynchronized stream; both poison the connection.  Surface the
-            // carried error if there is one.
-            conn.poison();
-            return match reply.into_result() {
-                Err(error) => Err(error),
-                Ok(_) => Err(ServiceError::transport(
-                    "response correlates to a different request",
-                )),
-            };
-        }
-        reply.into_result()
-    }
-
-    fn tree(&self) -> Arc<LocationTree> {
-        Arc::clone(&self.tree)
-    }
-
-    fn prior(&self) -> Arc<PriorDistribution> {
-        Arc::clone(&self.prior)
-    }
-}
-
-/// Send one pre-encoded frame over a blocking stream.
-pub(crate) fn send_frame_blocking(
-    stream: &mut TcpStream,
-    frame: &[u8],
-    metrics: Option<&TransportMetrics>,
-) -> Result<(), ServiceError> {
-    stream
-        .write_all(frame)
-        .map_err(|e| ServiceError::transport(format!("send failed: {e}")))?;
-    if let Some(metrics) = metrics {
-        TransportMetrics::add(&metrics.frames_out, 1);
-        TransportMetrics::add(&metrics.bytes_out, frame.len() as u64);
-    }
-    Ok(())
-}
-
-/// Receive one frame from a blocking stream (honouring its read timeout),
-/// verifying and stripping the MAC trailer when `auth` is active.
-pub(crate) fn read_frame_blocking(
-    stream: &mut TcpStream,
-    max_payload: usize,
-    metrics: Option<&TransportMetrics>,
-    auth: Option<&ClusterKey>,
-) -> Result<(FrameKind, Vec<u8>), ServiceError> {
-    let (kind, header, mut payload) = read_frame_blocking_raw(stream, max_payload, metrics)?;
-    if let Some(key) = auth {
-        key.open_split(&header, &mut payload).map_err(|e| {
-            ServiceError::unauthenticated(format!("peer frame failed authentication: {e}"))
-        })?;
-    }
-    Ok((kind, payload))
-}
-
-/// Receive one frame from a blocking stream, returning the raw header
-/// alongside the payload so callers can defer MAC verification (the client
-/// hello exchange must tolerate a plain structured rejection from a server
-/// that does not share its key).  The payload is read directly into its
-/// final buffer — no staging copy.
-pub(crate) fn read_frame_blocking_raw(
-    stream: &mut TcpStream,
-    max_payload: usize,
-    metrics: Option<&TransportMetrics>,
-) -> Result<(FrameKind, [u8; FRAME_HEADER_LEN], Vec<u8>), ServiceError> {
-    let mut header = [0u8; FRAME_HEADER_LEN];
-    read_exact_mapped(stream, &mut header)?;
-    let (kind, len) = parse_frame_header(&header, max_payload)?;
-    let mut payload = vec![0u8; len];
-    read_exact_mapped(stream, &mut payload)?;
-    if let Some(metrics) = metrics {
-        TransportMetrics::add(&metrics.frames_in, 1);
-        TransportMetrics::add(&metrics.bytes_in, (FRAME_HEADER_LEN + len) as u64);
-    }
-    Ok((kind, header, payload))
-}
-
-fn read_exact_mapped(stream: &mut TcpStream, buf: &mut [u8]) -> Result<(), ServiceError> {
-    stream.read_exact(buf).map_err(|e| match e.kind() {
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => {
-            ServiceError::transport("timed out waiting for a frame")
-        }
-        io::ErrorKind::UnexpectedEof => {
-            ServiceError::transport("connection closed mid-frame (truncated frame)")
-        }
-        _ => ServiceError::transport(format!("receive failed: {e}")),
-    })
 }
 
 #[cfg(test)]

@@ -1,7 +1,9 @@
 //! Chaos tests for the protocol 1.5 resilience layer: liveness probing marks
 //! a killed shard `Down` so routing skips it (and probation re-admits it once
-//! it answers again), a restarted shard re-warms its cache from peers with
-//! zero LP solver invocations, and scripted fault injection ([`FaultPlan`])
+//! it answers again), probes ride connections that are already open and
+//! condemn a peer whose socket stays up but whose pongs stop, a restarted
+//! shard re-warms its cache from peers with zero LP solver invocations, and
+//! scripted fault injection ([`FaultPlan`])
 //! proves that dropped frames, corrupted MACs and torn connections surface as
 //! structured errors on a fail-fast poisoned connection — never as a hang.
 //!
@@ -195,8 +197,8 @@ fn probes_mark_a_killed_shard_down_and_probation_readmits_it() {
     assert!(stats.probes_sent > 0, "{stats:?}");
     assert!(stats.peers_down >= 1, "{stats:?}");
 
-    // The surviving server runs its own reactor probe task over the
-    // replication links; its verdict travels the wire `Stats` frame.
+    // The surviving server probes over its own replication links; its
+    // verdict travels the wire `Stats` frame.
     let survivor_conn = TcpTransport::connect_with(endpoints[survivor].as_str(), client_config())
         .expect("stats connection to the survivor");
     wait_for(
@@ -232,6 +234,103 @@ fn probes_mark_a_killed_shard_down_and_probation_readmits_it() {
     for shard in shards {
         shard.server.shutdown();
     }
+}
+
+#[test]
+fn probes_ride_established_connections_instead_of_redialing() {
+    // Fast cadence, but a deadline no loaded test runner misses: any failed
+    // probe here would be a redial, which is what the test rules out.
+    let health = HealthConfig {
+        probe_timeout: Duration::from_secs(5),
+        ..fast_health()
+    };
+    let shards = start_cluster(2, Some(health.clone()));
+    let endpoints = endpoints_of(&shards);
+    let router = ShardRouter::connect(
+        endpoints.iter().cloned(),
+        RouterConfig {
+            client: client_config(),
+            health: Some(health),
+            ..RouterConfig::default()
+        },
+    )
+    .expect("router connects");
+
+    // Twenty probe intervals on every side: the servers ping each other over
+    // their replication links, the router pings each shard over its prober
+    // connection.
+    wait_for("probes on every side", Duration::from_secs(10), || {
+        router.cluster_stats().probes_sent >= 40
+            && shards
+                .iter()
+                .all(|shard| shard.server.cluster_stats().probes_sent >= 20)
+    });
+
+    // Every probe rode a connection that was already open.  Each shard has
+    // accepted one replication link from its peer, one prober connection and
+    // at most one request connection from the router — not one connection
+    // per probe.
+    for (index, shard) in shards.iter().enumerate() {
+        let accepted = shard.server.stats().connections_accepted;
+        assert!(
+            accepted <= 3,
+            "shard {index} accepted {accepted} connections"
+        );
+        let cluster = shard.server.cluster_stats();
+        assert_eq!(cluster.peers_down, 0, "{cluster:?}");
+        assert_eq!(cluster.peers[0].connects, 1, "{cluster:?}");
+        assert_eq!(cluster.peers[0].link_errors, 0, "{cluster:?}");
+    }
+    assert!(router
+        .shard_health()
+        .iter()
+        .all(|state| *state == PeerHealthState::Healthy));
+
+    drop(router);
+    for shard in shards {
+        shard.server.shutdown();
+    }
+}
+
+#[test]
+fn a_peer_that_stops_answering_pings_is_condemned() {
+    // The peer accepts the link and answers the hello, then drops every
+    // frame it sends: its socket stays open, but no pong ever arrives.
+    let (grid, prior, config) = world();
+    let mute_plan =
+        Arc::new(FaultPlan::scripted((1..10_000).map(|step| {
+            (FaultSite::ServerSend, step, FaultAction::DropFrame)
+        })));
+    let mute = TcpServer::bind(
+        "127.0.0.1:0",
+        Arc::new(CachingService::with_defaults(ForestGenerator::new(
+            LocationTree::new(grid.clone()),
+            prior.clone(),
+            config,
+        ))) as Arc<dyn MatrixService>,
+        TransportConfig {
+            fault_plan: Some(mute_plan),
+            codecs: vec![WireCodec::Binary, WireCodec::Json],
+            ..TransportConfig::default()
+        },
+    )
+    .expect("binding the mute peer");
+    let prober = boot_shard("127.0.0.1:0", Some(fast_health()), &grid, &prior, config);
+    prober.replicator.add_peer(mute.local_addr().to_string());
+
+    // The missed pong times out on the open link; the redial's hello reply
+    // is dropped too, and the second failure condemns the peer.
+    wait_for(
+        "the mute peer to be condemned",
+        Duration::from_secs(10),
+        || prober.server.cluster_stats().peers_down >= 1,
+    );
+    let cluster = prober.server.cluster_stats();
+    assert!(cluster.peers[0].connects >= 1, "{cluster:?}");
+    assert!(cluster.peers[0].link_errors >= 2, "{cluster:?}");
+
+    prober.server.shutdown();
+    mute.shutdown();
 }
 
 #[test]
