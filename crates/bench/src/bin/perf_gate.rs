@@ -26,12 +26,16 @@
 //!
 //! A few pairs additionally carry a **hard cap on the current-run ratio**
 //! (see `RATIO_CAPS`): the warm-chained refinement engine must stay ≤ 0.75×
-//! its cold sibling on any machine, and the parallel block factorization must
-//! stay ≤ 0.85× its serial sibling wherever a second core exists (on a
-//! single-core runner both sides execute the identical serial path, so that
-//! cap relaxes to parity plus the tolerance).  Drift gating alone would let a
-//! baseline refreshed on a machine where the optimization is inert launder
-//! the loss; the caps assert the optimization itself, not just its history.
+//! its cold sibling on any machine, the parallel block factorization must
+//! stay ≤ 0.85× its serial sibling wherever a second core exists, and the
+//! hardware SHA-256 kernel must seal a frame in ≤ 0.4× the scalar kernel's
+//! time wherever the CPU has the SHA extensions.  On a host that lacks what
+//! a cap needs, both sides execute the identical fallback path: the cap
+//! relaxes to parity plus the tolerance and is the pair's only gate, since
+//! drift against a baseline from a capable host would measure the host, not
+//! the code.  Drift gating alone would let a baseline refreshed on a machine
+//! where the optimization is inert launder the loss; the caps assert the
+//! optimization itself, not just its history.
 //!
 //! In ratio mode, reference-side benches (the slow comparison points named as
 //! some optimized bench's sibling) are presence-checked only — their siblings
@@ -98,11 +102,15 @@ const RATIO_PAIRS: &[(&str, &str, f64)] = &[
     // run, same thread count: losing warm capture or application collapses
     // the ratio toward 1.0.
     ("k49/warm", "k49/cold", 1.0),
-    // Parallel block factorization vs the serial path in the same run.  On a
-    // single-core runner both sides execute the identical serial code, so the
-    // drift gate still holds at 1× tolerance; the multicore-only cap below is
-    // what catches a lost parallel path.
+    // Parallel block factorization vs the serial path in the same run.  The
+    // multicore cap below is what catches a lost parallel path; on a
+    // single-core runner both sides execute the identical serial code and
+    // only that cap's parity fallback gates the pair.
     ("/n_threads", "/1_thread", 1.0),
+    // The SHA-extensions kernel vs the scalar one sealing the same frame in
+    // the same run.  The two sides run on different execution units whose
+    // relative speed varies across CPU generations: 3× tolerance.
+    ("/sha_ni", "/portable", 3.0),
 ];
 
 /// Hard caps on the *current-run* ratio of a gated pair, independent of the
@@ -115,10 +123,33 @@ struct RatioCap {
     optimized: &'static str,
     /// Maximum allowed `optimized/reference` ratio in the current run.
     max_ratio: f64,
-    /// Whether the cap only binds on a multi-core machine.  On a single core
-    /// the parallel kernels run the identical serial path, so the cap relaxes
-    /// to parity plus the tolerance.
-    multicore_only: bool,
+    /// What the host must offer for the optimized side to run its own path.
+    needs: HostNeed,
+}
+
+/// What a ratio cap needs from the host before it binds.  Without it both
+/// sides of the pair run the same fallback path, so the cap relaxes to
+/// parity plus the tolerance.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum HostNeed {
+    /// Binds on any machine.
+    Nothing,
+    /// A second core for the parallel kernels.
+    Multicore,
+    /// The x86-64 SHA extensions for the hardware SHA-256 kernel.
+    ShaExtensions,
+}
+
+impl HostNeed {
+    fn met(self) -> bool {
+        match self {
+            HostNeed::Nothing => true,
+            HostNeed::Multicore => std::thread::available_parallelism()
+                .map(|n| n.get() >= 2)
+                .unwrap_or(false),
+            HostNeed::ShaExtensions => corgi_framework::auth::has_sha_extensions(),
+        }
+    }
 }
 
 const RATIO_CAPS: &[RatioCap] = &[
@@ -128,13 +159,20 @@ const RATIO_CAPS: &[RatioCap] = &[
     RatioCap {
         optimized: "k49/warm",
         max_ratio: 0.75,
-        multicore_only: false,
+        needs: HostNeed::Nothing,
     },
     // Parallel factorization must beat serial wherever a second core exists.
     RatioCap {
         optimized: "/n_threads",
         max_ratio: 0.85,
-        multicore_only: true,
+        needs: HostNeed::Multicore,
+    },
+    // Hashing on the SHA extensions must beat the scalar rounds outright
+    // (about 0.12× where measured) wherever the CPU has them.
+    RatioCap {
+        optimized: "/sha_ni",
+        max_ratio: 0.4,
+        needs: HostNeed::ShaExtensions,
     },
 ];
 
@@ -144,19 +182,13 @@ fn ratio_cap(name: &str) -> Option<&'static RatioCap> {
 }
 
 /// The cap actually enforced for a run: the configured cap, or parity plus
-/// tolerance when the cap is multicore-only and the machine is not.
-fn enforced_cap(cap: &RatioCap, multicore: bool, tol: f64) -> f64 {
-    if cap.multicore_only && !multicore {
-        1.0 + tol
-    } else {
+/// tolerance when the host lacks what the cap needs.
+fn enforced_cap(cap: &RatioCap, need_met: bool, tol: f64) -> f64 {
+    if need_met {
         cap.max_ratio
+    } else {
+        1.0 + tol
     }
-}
-
-fn is_multicore() -> bool {
-    std::thread::available_parallelism()
-        .map(|n| n.get() >= 2)
-        .unwrap_or(false)
 }
 
 /// Whole records per bench name; later lines win, so re-running a bench
@@ -413,11 +445,19 @@ fn main() -> ExitCode {
         let drift = now_ratio / base_ratio.max(1e-12);
         let pair_tol = tol * pair_tol_multiplier;
         if let Some(cap) = ratio_cap(name) {
-            let limit = enforced_cap(cap, is_multicore(), tol);
+            let need_met = cap.needs.met();
+            let limit = enforced_cap(cap, need_met, tol);
             if now_ratio > limit {
                 failures.push(format!(
                     "{shown}: current-run ratio vs {sibling} is {now_ratio:.3}, above the {limit:.2} cap (the optimized path must beat its reference outright)"
                 ));
+            }
+            if !need_met {
+                println!(
+                    "  {shown:<50} ratio {now_ratio:>6.3}  host lacks {:?}: parity cap {limit:.2} only",
+                    cap.needs
+                );
+                continue;
             }
         }
         let verdict = judge(drift, pair_tol, tol, &mut failures, || {
@@ -591,11 +631,11 @@ mod tests {
 
         // Caps: warm binds everywhere; parallel binds only with ≥ 2 cores.
         let warm = ratio_cap("warm_vs_cold_ipm/k49/warm").expect("warm cap");
-        assert!(!warm.multicore_only);
-        assert_eq!(enforced_cap(warm, false, 0.2), 0.75);
+        assert_eq!(warm.needs, HostNeed::Nothing);
+        assert!(warm.needs.met());
         assert_eq!(enforced_cap(warm, true, 0.2), 0.75);
         let par = ratio_cap("block_factorize_parallel/n_threads").expect("parallel cap");
-        assert!(par.multicore_only);
+        assert_eq!(par.needs, HostNeed::Multicore);
         assert_eq!(enforced_cap(par, true, 0.2), 0.85);
         assert!((enforced_cap(par, false, 0.2) - 1.2).abs() < 1e-12);
         // Uncapped benches stay uncapped.
@@ -655,5 +695,29 @@ mod tests {
             reference_sibling("transport_loopback/warm_hit_roundtrip/tick", &names),
             None
         );
+    }
+
+    #[test]
+    fn frame_auth_benches_pair_sha_ni_against_portable() {
+        let mut names = BTreeMap::new();
+        for name in [
+            "frame_auth/seal_134k/sha_ni",
+            "frame_auth/seal_134k/portable",
+        ] {
+            names.insert(name.to_string(), serde_json::json!({"median_ns": 1.0}));
+        }
+        assert_eq!(
+            reference_pair("frame_auth/seal_134k/sha_ni", &names),
+            Some(("frame_auth/seal_134k/portable".to_string(), 3.0))
+        );
+        assert_eq!(
+            reference_sibling("frame_auth/seal_134k/portable", &names),
+            None
+        );
+        // The cap binds only where the CPU has the SHA extensions.
+        let sha = ratio_cap("frame_auth/seal_134k/sha_ni").expect("sha cap");
+        assert_eq!(sha.needs, HostNeed::ShaExtensions);
+        assert_eq!(enforced_cap(sha, true, 0.2), 0.4);
+        assert!((enforced_cap(sha, false, 0.2) - 1.2).abs() < 1e-12);
     }
 }

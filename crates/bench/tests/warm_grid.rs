@@ -21,11 +21,13 @@
 //! the perf gate caps.
 use corgi_bench::{ExperimentContext, DEFAULT_EPSILON};
 use corgi_core::robust::reserved_privacy_budget_approx;
-use corgi_core::ObfuscationMatrix;
+use corgi_core::{geoind, ObfuscationMatrix};
 use corgi_lp::{BlockAngularSolver, InteriorPointOptions, LpSolver, SolveStatus, WarmStart};
 
 const REFINEMENTS: usize = 10;
 const DELTA: usize = 2;
+/// The tolerance the other solved-matrix checks in this workspace use.
+const SOLVER_TOLERANCE: f64 = 1e-6;
 
 #[test]
 fn warm_chained_refinement_engine_halves_total_iterations() {
@@ -110,6 +112,30 @@ fn warm_chained_refinement_engine_halves_total_iterations() {
     assert!(
         (warm_final_objective - cold_final_objective).abs() / scale < 0.05,
         "engines disagree: warm {warm_final_objective} vs cold {cold_final_objective}"
+    );
+    // Warm starts and the relaxed ladder must not cost the guarantee: the
+    // shipped matrix is row-stochastic and satisfies ε-Geo-Ind over all
+    // pairs (the robust rows are tighter still, and the graph approximation
+    // implies all pairs, Theorem 4.1).
+    matrix
+        .check_stochastic(SOLVER_TOLERANCE)
+        .expect("shipped warm matrix is row-stochastic");
+    let report = geoind::check_all_pairs(
+        &matrix,
+        problem.distances(),
+        problem.epsilon(),
+        SOLVER_TOLERANCE,
+    );
+    println!(
+        "warm matrix Geo-Ind: worst margin {:e}, {} / {} constraints violated",
+        report.worst_margin, report.violated, report.total_constraints
+    );
+    assert!(
+        report.worst_margin <= SOLVER_TOLERANCE,
+        "shipped warm matrix violates Geo-Ind by {:e} ({} / {} constraints)",
+        report.worst_margin,
+        report.violated,
+        report.total_constraints
     );
     assert!(
         warm_total * 2 <= cold_total,

@@ -45,8 +45,28 @@
 //! `KEY=B, PREVIOUS=A` (signing B, still accepting A), then drop the previous
 //! key — so at every step both sides of any connection verify what the other
 //! signs.
+//!
+//! # Kernels
+//!
+//! SHA-256 has two compression kernels.  On x86-64 CPUs that report the SHA
+//! extensions together with SSE2, SSSE3 and SSE4.1, every hasher uses the
+//! hardware kernel (`sha256rnds2` / `sha256msg1` / `sha256msg2`); everywhere
+//! else it uses the scalar FIPS 180-4 rounds, which are also the oracle the
+//! unit tests hold the hardware kernel to.  The choice is made once per
+//! process from what the CPU reports (`is_x86_feature_detected!`); there is
+//! no setting.  `Sha256::update` hands every run of whole 64-byte blocks to
+//! the kernel in one call, and a [`ClusterKey`] absorbs its HMAC pad blocks
+//! once when it is built, so a MAC compresses only the message and two
+//! finishing blocks.
+//!
+//! Sealing a 134 KB frame (a level-2 forest) on a 2-vCPU Intel Xeon VM
+//! reporting the SHA extensions takes 100–113 µs on the hardware kernel
+//! (1.2–1.4 GB/s) against 0.6–1.0 ms on the scalar one (140–230 MB/s,
+//! depending on host load); the `frame_auth/seal_134k/{sha_ni,portable}`
+//! bench pair measures both in one run.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Bytes of HMAC-SHA-256 output kept as the per-frame trailer.
 ///
@@ -89,6 +109,60 @@ const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
+/// A SHA-256 compression kernel: absorbs whole 64-byte blocks into a state.
+///
+/// Only [`Kernel::sha_ni`] constructs [`Kernel::ShaNi`], and only after the
+/// CPU reported every extension that kernel executes, which is what makes
+/// calling it sound.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kernel {
+    /// The scalar FIPS 180-4 rounds: the fallback on every other CPU and
+    /// architecture, and the oracle the hardware kernel is tested against.
+    Portable,
+    /// The x86-64 SHA extensions (`sha256rnds2`, `sha256msg1/2`).
+    #[cfg(target_arch = "x86_64")]
+    ShaNi,
+}
+
+impl Kernel {
+    /// The fastest kernel this CPU runs, chosen on first use.
+    fn detect() -> Self {
+        static CHOSEN: std::sync::OnceLock<Kernel> = std::sync::OnceLock::new();
+        *CHOSEN.get_or_init(|| Self::sha_ni().unwrap_or(Kernel::Portable))
+    }
+
+    /// The hardware kernel, if the CPU reports every extension it uses.
+    fn sha_ni() -> Option<Self> {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("sse2")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1")
+        {
+            return Some(Kernel::ShaNi);
+        }
+        None
+    }
+
+    /// Compress every block of `blocks` into `state`, in order.
+    fn compress(self, state: &mut [u32; 8], blocks: &[u8]) {
+        debug_assert_eq!(blocks.len() % 64, 0, "compress takes whole blocks");
+        match self {
+            Kernel::Portable => compress_portable(state, blocks),
+            // SAFETY: `ShaNi` exists only where `sha_ni()` saw the CPU report
+            // sha, sse2, ssse3 and sse4.1 (see the type docs).
+            #[cfg(target_arch = "x86_64")]
+            Kernel::ShaNi => unsafe { sha_ni::compress(state, blocks) },
+        }
+    }
+}
+
+/// Whether this CPU runs the hardware SHA-256 kernel.
+#[doc(hidden)]
+pub fn has_sha_extensions() -> bool {
+    Kernel::sha_ni().is_some()
+}
+
 /// Streaming SHA-256 hasher.
 ///
 /// ```
@@ -108,6 +182,7 @@ pub struct Sha256 {
     buffered: usize,
     /// Total message length in bytes (the padding encodes it in bits).
     length: u64,
+    kernel: Kernel,
 }
 
 impl Default for Sha256 {
@@ -119,11 +194,23 @@ impl Default for Sha256 {
 impl Sha256 {
     /// Fresh hasher.
     pub fn new() -> Self {
+        Self::with_kernel(Kernel::detect())
+    }
+
+    fn with_kernel(kernel: Kernel) -> Self {
+        Self::resume(H0, 0, kernel)
+    }
+
+    /// A hasher that has already absorbed `length` bytes (a whole number of
+    /// blocks) leaving `state` behind.
+    fn resume(state: [u32; 8], length: u64, kernel: Kernel) -> Self {
+        debug_assert_eq!(length % 64, 0, "resume at a block boundary");
         Self {
-            state: H0,
+            state,
             buffer: [0u8; 64],
             buffered: 0,
-            length: 0,
+            length,
+            kernel,
         }
     }
 
@@ -137,17 +224,15 @@ impl Sha256 {
             self.buffered += take;
             data = &data[take..];
             if self.buffered == 64 {
-                let block = self.buffer;
-                self.compress(&block);
+                self.kernel.compress(&mut self.state, &self.buffer);
                 self.buffered = 0;
             }
         }
-        // Whole blocks straight from the input.
-        while data.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&data[..64]);
-            self.compress(&block);
-            data = &data[64..];
+        // Every whole block straight from the input, in one kernel call.
+        let whole = data.len() - data.len() % 64;
+        if whole > 0 {
+            self.kernel.compress(&mut self.state, &data[..whole]);
+            data = &data[whole..];
         }
         // Stash the tail.
         if !data.is_empty() {
@@ -181,9 +266,11 @@ impl Sha256 {
         }
         digest
     }
+}
 
-    /// One compression round over a 64-byte block.
-    fn compress(&mut self, block: &[u8; 64]) {
+/// The scalar compression function over whole 64-byte blocks.
+fn compress_portable(state: &mut [u32; 8], blocks: &[u8]) {
+    for block in blocks.chunks_exact(64) {
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -196,7 +283,7 @@ impl Sha256 {
                 .wrapping_add(w[i - 7])
                 .wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let big_s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
@@ -217,8 +304,105 @@ impl Sha256 {
             b = a;
             a = t1.wrapping_add(t2);
         }
-        for (s, v) in self.state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
             *s = s.wrapping_add(v);
+        }
+    }
+}
+
+/// The compression function on the x86-64 SHA extensions.
+///
+/// `sha256rnds2` runs two rounds on the state split across two registers as
+/// `ABEF` and `CDGH`; `sha256msg1`/`sha256msg2` extend the message schedule
+/// four words at a time.  The layout follows Intel's reference description of
+/// the extensions (Gulley et al., "Intel SHA Extensions", 2013).
+#[cfg(target_arch = "x86_64")]
+mod sha_ni {
+    use super::K;
+    use std::arch::x86_64::*;
+
+    /// Four rounds: add the round constants to four schedule words, then two
+    /// `sha256rnds2` steps (the second takes the upper two words).
+    #[inline]
+    #[target_feature(enable = "sha,sse2")]
+    fn rounds4(abef: &mut __m128i, cdgh: &mut __m128i, w: __m128i, i: usize) {
+        let k = &K[4 * i..4 * i + 4];
+        // SAFETY: `k` is four words, 16 bytes: one unaligned load.
+        let k = unsafe { _mm_loadu_si128(k.as_ptr().cast()) };
+        let wk = _mm_add_epi32(w, k);
+        *cdgh = _mm_sha256rnds2_epu32(*cdgh, *abef, wk);
+        *abef = _mm_sha256rnds2_epu32(*abef, *cdgh, _mm_shuffle_epi32(wk, 0x0E));
+    }
+
+    /// The next four schedule words from the previous sixteen.
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3")]
+    fn schedule(w0: __m128i, w1: __m128i, w2: __m128i, w3: __m128i) -> __m128i {
+        let t = _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8(w3, w2, 4));
+        _mm_sha256msg2_epu32(t, w3)
+    }
+
+    /// Message words `4j..4j + 4` of a 64-byte block, byte-swapped from big
+    /// endian into lanes.
+    #[inline]
+    #[target_feature(enable = "sse2,ssse3")]
+    fn load_words(block: &[u8], j: usize) -> __m128i {
+        let bytes = &block[16 * j..16 * j + 16];
+        // SAFETY: `bytes` is 16 bytes long: one unaligned load.
+        let words = unsafe { _mm_loadu_si128(bytes.as_ptr().cast()) };
+        let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        _mm_shuffle_epi8(words, bswap)
+    }
+
+    /// Compress every whole 64-byte block of `blocks` into `state`.
+    ///
+    /// Callers must first check that the CPU supports `sha`, `sse2`, `ssse3`
+    /// and `sse4.1`.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) fn compress(state: &mut [u32; 8], blocks: &[u8]) {
+        let state_ptr: *mut __m128i = state.as_mut_ptr().cast();
+        // SAFETY: `state` is 32 bytes: two unaligned 16-byte loads.
+        let (dcba, hgfe) = unsafe {
+            (
+                _mm_loadu_si128(state_ptr),
+                _mm_loadu_si128(state_ptr.add(1)),
+            )
+        };
+        let cdab = _mm_shuffle_epi32(dcba, 0xB1);
+        let efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
+        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+        for block in blocks.chunks_exact(64) {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            let mut w0 = load_words(block, 0);
+            let mut w1 = load_words(block, 1);
+            let mut w2 = load_words(block, 2);
+            let mut w3 = load_words(block, 3);
+            rounds4(&mut abef, &mut cdgh, w0, 0);
+            rounds4(&mut abef, &mut cdgh, w1, 1);
+            rounds4(&mut abef, &mut cdgh, w2, 2);
+            rounds4(&mut abef, &mut cdgh, w3, 3);
+            for i in (4..16).step_by(4) {
+                w0 = schedule(w0, w1, w2, w3);
+                rounds4(&mut abef, &mut cdgh, w0, i);
+                w1 = schedule(w1, w2, w3, w0);
+                rounds4(&mut abef, &mut cdgh, w1, i + 1);
+                w2 = schedule(w2, w3, w0, w1);
+                rounds4(&mut abef, &mut cdgh, w2, i + 2);
+                w3 = schedule(w3, w0, w1, w2);
+                rounds4(&mut abef, &mut cdgh, w3, i + 3);
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+
+        let feba = _mm_shuffle_epi32(abef, 0x1B);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+        // SAFETY: as for the loads above.
+        unsafe {
+            _mm_storeu_si128(state_ptr, _mm_blend_epi16(feba, dchg, 0xF0));
+            _mm_storeu_si128(state_ptr.add(1), _mm_alignr_epi8(dchg, feba, 8));
         }
     }
 }
@@ -235,31 +419,53 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
 /// Taking the message as parts lets callers MAC a frame header and payload
 /// that live in separate buffers without copying them together first.
 pub fn hmac_sha256(key: &[u8], parts: &[&[u8]]) -> [u8; 32] {
-    const BLOCK: usize = 64;
-    let mut padded = [0u8; BLOCK];
-    if key.len() > BLOCK {
-        padded[..32].copy_from_slice(&sha256(key));
-    } else {
-        padded[..key.len()].copy_from_slice(key);
+    HmacKey::new(key).mac(Kernel::detect(), parts)
+}
+
+/// An HMAC-SHA-256 key with its two pad blocks already absorbed: the SHA-256
+/// states after `key ⊕ ipad` and after `key ⊕ opad`, so each MAC starts from
+/// them instead of compressing both blocks again.
+#[derive(Clone, PartialEq, Eq)]
+struct HmacKey {
+    inner: [u32; 8],
+    outer: [u32; 8],
+}
+
+impl HmacKey {
+    fn new(key: &[u8]) -> Self {
+        const BLOCK: usize = 64;
+        let mut padded = [0u8; BLOCK];
+        if key.len() > BLOCK {
+            padded[..32].copy_from_slice(&sha256(key));
+        } else {
+            padded[..key.len()].copy_from_slice(key);
+        }
+        let absorb = |pad: u8| {
+            let mut block = padded;
+            for byte in &mut block {
+                *byte ^= pad;
+            }
+            let mut state = H0;
+            Kernel::detect().compress(&mut state, &block);
+            state
+        };
+        Self {
+            inner: absorb(0x36),
+            outer: absorb(0x5c),
+        }
     }
-    let mut inner = Sha256::new();
-    let mut ipad = [0u8; BLOCK];
-    for (o, k) in ipad.iter_mut().zip(padded.iter()) {
-        *o = k ^ 0x36;
+
+    /// The full 32-byte HMAC of the concatenation of `parts`.
+    fn mac(&self, kernel: Kernel, parts: &[&[u8]]) -> [u8; 32] {
+        let mut inner = Sha256::resume(self.inner, 64, kernel);
+        for part in parts {
+            inner.update(part);
+        }
+        let inner_digest = inner.finalize();
+        let mut outer = Sha256::resume(self.outer, 64, kernel);
+        outer.update(&inner_digest);
+        outer.finalize()
     }
-    inner.update(&ipad);
-    for part in parts {
-        inner.update(part);
-    }
-    let inner_digest = inner.finalize();
-    let mut outer = Sha256::new();
-    let mut opad = [0u8; BLOCK];
-    for (o, k) in opad.iter_mut().zip(padded.iter()) {
-        *o = k ^ 0x5c;
-    }
-    outer.update(&opad);
-    outer.update(&inner_digest);
-    outer.finalize()
 }
 
 /// Constant-time byte-slice equality (no early exit on the first mismatch).
@@ -304,17 +510,24 @@ impl std::error::Error for AuthError {}
 ///
 /// Compare with `==` for key-agreement checks in tests; the `Debug` impl
 /// never prints key material.
+///
+/// Every connection holds a clone, so the precomputed HMAC states sit behind
+/// one shared allocation.
 #[derive(Clone, PartialEq, Eq)]
-pub struct ClusterKey {
-    primary: [u8; 32],
-    previous: Option<[u8; 32]>,
+pub struct ClusterKey(Arc<KeyStates>);
+
+#[derive(Clone, PartialEq, Eq)]
+struct KeyStates {
+    primary: HmacKey,
+    previous: Option<HmacKey>,
+    /// First 4 bytes of SHA-256 of the primary key: enough to tell two keys
+    /// apart when debugging, without printing key material.
+    fingerprint: [u8; 4],
 }
 
 impl fmt::Debug for ClusterKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // Never leak key bytes through logs; the fingerprint (first 4 bytes of
-        // SHA-256 of the key) is enough to tell two keys apart when debugging.
-        let fp = sha256(&self.primary);
+        let fp = self.0.fingerprint;
         write!(
             f,
             "ClusterKey(fp={:02x}{:02x}{:02x}{:02x}{})",
@@ -322,7 +535,7 @@ impl fmt::Debug for ClusterKey {
             fp[1],
             fp[2],
             fp[3],
-            if self.previous.is_some() {
+            if self.0.previous.is_some() {
                 ", rotating"
             } else {
                 ""
@@ -334,16 +547,19 @@ impl fmt::Debug for ClusterKey {
 impl ClusterKey {
     /// Derive the key from an arbitrary secret byte string.
     pub fn from_secret(secret: &[u8]) -> Self {
-        Self {
-            primary: sha256(secret),
+        let key = sha256(secret);
+        let fp = sha256(&key);
+        Self(Arc::new(KeyStates {
+            primary: HmacKey::new(&key),
             previous: None,
-        }
+            fingerprint: [fp[0], fp[1], fp[2], fp[3]],
+        }))
     }
 
     /// Open a rotation window: keep signing with this key, but also accept
     /// frames signed with the key derived from `secret`.
     pub fn with_previous(mut self, secret: &[u8]) -> Self {
-        self.previous = Some(sha256(secret));
+        Arc::make_mut(&mut self.0).previous = Some(HmacKey::new(&sha256(secret)));
         self
     }
 
@@ -370,17 +586,17 @@ impl ClusterKey {
 
     /// Whether a rotation window is open (a previous key is accepted).
     pub fn is_rotating(&self) -> bool {
-        self.previous.is_some()
+        self.0.previous.is_some()
     }
 
     /// Truncated HMAC over the concatenation of `parts`, signed with the
     /// primary key.
     pub fn mac(&self, parts: &[&[u8]]) -> [u8; MAC_LEN] {
-        Self::mac_with(&self.primary, parts)
+        Self::mac_with(&self.0.primary, Kernel::detect(), parts)
     }
 
-    fn mac_with(key: &[u8; 32], parts: &[&[u8]]) -> [u8; MAC_LEN] {
-        let full = hmac_sha256(key, parts);
+    fn mac_with(key: &HmacKey, kernel: Kernel, parts: &[&[u8]]) -> [u8; MAC_LEN] {
+        let full = key.mac(kernel, parts);
         let mut mac = [0u8; MAC_LEN];
         mac.copy_from_slice(&full[..MAC_LEN]);
         mac
@@ -389,23 +605,35 @@ impl ClusterKey {
     /// Verify `trailer` against the primary key, falling back to the previous
     /// key when a rotation window is open.
     fn verify(&self, parts: &[&[u8]], trailer: &[u8]) -> bool {
-        if constant_time_eq(&Self::mac_with(&self.primary, parts), trailer) {
+        let kernel = Kernel::detect();
+        if constant_time_eq(&Self::mac_with(&self.0.primary, kernel, parts), trailer) {
             return true;
         }
-        match &self.previous {
-            Some(previous) => constant_time_eq(&Self::mac_with(previous, parts), trailer),
+        match &self.0.previous {
+            Some(previous) => constant_time_eq(&Self::mac_with(previous, kernel, parts), trailer),
             None => false,
         }
     }
 
     /// Append the MAC trailer to a sealed frame (header + payload), patching
     /// the header length to count the trailer.
-    pub fn seal(&self, mut frame: Vec<u8>) -> Vec<u8> {
+    pub fn seal(&self, frame: Vec<u8>) -> Vec<u8> {
+        self.seal_with(Kernel::detect(), frame)
+    }
+
+    /// [`ClusterKey::seal`] on the scalar SHA-256 kernel whatever the CPU
+    /// offers: the reference side of the `frame_auth` bench pair.
+    #[doc(hidden)]
+    pub fn seal_portable(&self, frame: Vec<u8>) -> Vec<u8> {
+        self.seal_with(Kernel::Portable, frame)
+    }
+
+    fn seal_with(&self, kernel: Kernel, mut frame: Vec<u8>) -> Vec<u8> {
         let header = crate::transport::FRAME_HEADER_LEN;
         debug_assert!(frame.len() >= header, "seal() takes a framed message");
         let body_len = (frame.len() - header + MAC_LEN) as u32;
         frame[header - 4..header].copy_from_slice(&body_len.to_be_bytes());
-        let mac = self.mac(&[&frame]);
+        let mac = Self::mac_with(&self.0.primary, kernel, &[&frame]);
         frame.extend_from_slice(&mac);
         frame
     }
@@ -469,46 +697,135 @@ mod tests {
         );
     }
 
+    /// The kernels under test: the scalar oracle always, the hardware kernel
+    /// where this CPU has the extensions it needs.
+    fn kernels() -> Vec<Kernel> {
+        let mut kernels = vec![Kernel::Portable];
+        match Kernel::sha_ni() {
+            Some(kernel) => kernels.push(kernel),
+            None => println!("SHA-NI kernel not run: this CPU lacks the SHA extensions"),
+        }
+        kernels
+    }
+
+    /// SHA-256 of the concatenation of `parts`, fed to `update` one by one.
+    fn digest_on(kernel: Kernel, parts: &[&[u8]]) -> [u8; 32] {
+        let mut hasher = Sha256::with_kernel(kernel);
+        for part in parts {
+            hasher.update(part);
+        }
+        hasher.finalize()
+    }
+
+    fn message(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 131 + 7) as u8).collect()
+    }
+
     #[test]
     fn sha256_streams_across_odd_chunk_boundaries() {
-        // One million 'a's, fed in chunk sizes that straddle block boundaries.
-        let chunk = [b'a'; 997];
-        let mut hasher = Sha256::new();
-        let mut remaining = 1_000_000usize;
-        while remaining > 0 {
-            let take = remaining.min(chunk.len());
-            hasher.update(&chunk[..take]);
-            remaining -= take;
+        // One million 'a's, fed in chunk sizes that straddle block boundaries
+        // and as one run of whole blocks.
+        let million = vec![b'a'; 1_000_000];
+        let expected = "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0";
+        for kernel in kernels() {
+            let chunks: Vec<&[u8]> = million.chunks(997).collect();
+            assert_eq!(hex(&digest_on(kernel, &chunks)), expected, "{kernel:?}");
+            assert_eq!(hex(&digest_on(kernel, &[&million])), expected, "{kernel:?}");
         }
-        assert_eq!(
-            hex(&hasher.finalize()),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
+    }
+
+    #[test]
+    fn kernels_agree_on_every_length_to_1024() {
+        let msg = message(1024);
+        for len in 0..=1024 {
+            let oracle = digest_on(Kernel::Portable, &[&msg[..len]]);
+            for kernel in kernels() {
+                assert_eq!(
+                    digest_on(kernel, &[&msg[..len]]),
+                    oracle,
+                    "{kernel:?} len {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn kernels_agree_on_every_split_of_a_300_byte_message() {
+        let msg = message(300);
+        let oracle = digest_on(Kernel::Portable, &[&msg]);
+        for kernel in kernels() {
+            for split in 0..=msg.len() {
+                let (head, tail) = msg.split_at(split);
+                assert_eq!(
+                    digest_on(kernel, &[head, tail]),
+                    oracle,
+                    "{kernel:?} split {split}"
+                );
+            }
+        }
     }
 
     #[test]
     fn hmac_matches_rfc4231_vectors() {
-        // RFC 4231 test case 1.
-        assert_eq!(
-            hex(&hmac_sha256(&[0x0b; 20], &[b"Hi There"])),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
-        );
-        // Test case 2: short key, message split across parts.
-        assert_eq!(
-            hex(&hmac_sha256(
+        let case4_key: Vec<u8> = (0x01..=0x19).collect();
+        // (key, message parts, expected MAC hex)
+        type Case<'a> = (&'a [u8], &'a [&'a [u8]], &'a str);
+        let cases: [Case; 7] = [
+            // Case 1.
+            (
+                &[0x0b; 20],
+                &[b"Hi There"],
+                "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
+            ),
+            // Case 2: short key, message split across parts.
+            (
                 b"Jefe",
-                &[b"what do ya want ", b"for nothing?"]
-            )),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
-        );
-        // Test case 6: key longer than one block (hashed down first).
-        assert_eq!(
-            hex(&hmac_sha256(
+                &[b"what do ya want ", b"for nothing?"],
+                "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
+            ),
+            // Case 3: 50 bytes of 0xdd.
+            (
+                &[0xaa; 20],
+                &[&[0xdd; 50]],
+                "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe",
+            ),
+            // Case 4: the 25-byte key 0x01..=0x19.
+            (
+                &case4_key,
+                &[&[0xcd; 50]],
+                "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b",
+            ),
+            // Case 5: the RFC gives only the 128-bit truncation, which is
+            // exactly the `MAC_LEN` frame trailer.
+            (
+                &[0x0c; 20],
+                &[b"Test With Truncation"],
+                "a3b6167473100ee06e0c796c2955552b",
+            ),
+            // Case 6: key longer than one block (hashed down first).
+            (
                 &[0xaa; 131],
-                &[b"Test Using Larger Than Block-Size Key - Hash Key First".as_slice()]
-            )),
-            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
-        );
+                &[b"Test Using Larger Than Block-Size Key - Hash Key First"],
+                "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
+            ),
+            // Case 7: key and data both longer than one block.
+            (
+                &[0xaa; 131],
+                &[b"This is a test using a larger than block-size key and a larger than block-size data. The key needs to be hashed before being used by the HMAC algorithm."],
+                "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2",
+            ),
+        ];
+        for kernel in kernels() {
+            for (i, (key, parts, expected)) in cases.iter().enumerate() {
+                let mac = HmacKey::new(key).mac(kernel, parts);
+                assert_eq!(
+                    hex(&mac[..expected.len() / 2]),
+                    *expected,
+                    "{kernel:?} case {}",
+                    i + 1
+                );
+            }
+        }
     }
 
     #[test]
@@ -517,7 +834,8 @@ mod tests {
         // A hand-built frame: magic, kind 2, len 5, payload "hello".
         let mut frame = vec![b'C', b'G', 2, 0, 0, 0, 5];
         frame.extend_from_slice(b"hello");
-        let sealed = key.seal(frame);
+        let sealed = key.seal(frame.clone());
+        assert_eq!(sealed, key.seal_portable(frame));
         assert_eq!(sealed.len(), 7 + 5 + MAC_LEN);
         // The header length now counts the trailer.
         assert_eq!(
@@ -566,11 +884,17 @@ mod tests {
         assert!(printed.starts_with("ClusterKey(fp="));
         assert!(!printed.contains("super-secret"));
         assert!(!printed.contains("older-secret"));
-        for window in key.primary.windows(4) {
-            assert!(!printed.contains(&hex(window)));
+        for secret in [b"super-secret", b"older-secret"] {
+            for window in sha256(secret).windows(4) {
+                assert!(!printed.contains(&hex(window)));
+            }
         }
-        for window in key.previous.expect("rotation window open").windows(4) {
-            assert!(!printed.contains(&hex(window)));
+        let previous = key.0.previous.as_ref().expect("rotation window open");
+        for state in [&key.0.primary, previous] {
+            for word in state.inner.iter().chain(&state.outer) {
+                assert!(!printed.contains(&format!("{word:08x}")));
+                assert!(!printed.contains(&word.to_string()));
+            }
         }
     }
 
