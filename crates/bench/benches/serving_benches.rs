@@ -1,26 +1,28 @@
 //! Serving-stack benchmarks: concurrent vs serial privacy-forest generation,
-//! the cached request path, the wire codecs, and warm-cache transport
-//! throughput over loopback TCP.
+//! the cached request path, the wire codec, and warm-cache transport
+//! round trips over loopback TCP.
 //!
 //! The K per-subtree LP solves of Algorithm 3 are independent, so
 //! `ForestGenerator` fans them out over a fixed-size thread pool; this bench
 //! pins the speed-up against the serial baseline (throughput is reported in
 //! subtrees per second, so the two rows are directly comparable), plus the
-//! cost of a cache hit through `CachingService` — in-process, per-codec
-//! (encode+decode of the warm-hit forest response in binary vs JSON, the
-//! ratio the perf gate holds), and across the full event-driven stack
-//! (frames, reactor, dispatch pool) under each codec — plus the HMAC trailer
-//! a keyed cluster seals onto every frame, on each SHA-256 kernel.
+//! cost of a cache hit through `CachingService` — in-process, in the wire
+//! codec (encode+decode of the warm-hit forest response, against a JSON text
+//! reference: the ratio the perf gate holds), and across the full
+//! event-driven stack (frames, reactor, dispatch pool) on each reactor
+//! backend — plus the HMAC trailer a keyed cluster seals onto every frame,
+//! on each SHA-256 kernel.
 
 use corgi_core::LocationTree;
 use corgi_datagen::{GowallaLikeConfig, GowallaLikeGenerator, PriorDistribution};
 use corgi_framework::messages::{MatrixRequest, RequestEnvelope, ResponseEnvelope};
-use corgi_framework::transport::try_decode_frame;
+use corgi_framework::transport::{encode_frame, try_decode_frame};
 use corgi_framework::{
-    CachingService, ClientConfig, ClusterKey, ForestGenerator, MatrixService, ReactorBackend,
-    ServerConfig, TcpServer, TcpTransport, TransportConfig, WarmRequest, WireCodec,
+    CachingService, ClusterKey, ForestGenerator, MatrixService, ReactorBackend, ServerConfig,
+    TcpServer, TcpTransport, TransportConfig, WarmRequest, WireCodec, WireMessage,
 };
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 fn generator(worker_threads: usize) -> ForestGenerator {
@@ -76,11 +78,58 @@ fn bench_cached_request_path(c: &mut Criterion) {
     group.finish();
 }
 
+/// One framed round trip of `message` — encode, frame, unframe, decode — in
+/// the wire codec or, as the reference, in the JSON text of its serde derives.
+#[derive(Clone, Copy)]
+enum Codec {
+    Binary,
+    Json,
+}
+
+impl Codec {
+    fn label(self) -> &'static str {
+        match self {
+            Codec::Binary => "binary",
+            Codec::Json => "json",
+        }
+    }
+
+    fn frame<M: WireMessage + Serialize>(self, message: &M) -> Vec<u8> {
+        match self {
+            Codec::Binary => WireCodec::Binary.encode_frame(message),
+            Codec::Json => encode_frame(
+                M::KIND,
+                serde_json::to_string(message)
+                    .expect("serializable message")
+                    .as_bytes(),
+            ),
+        }
+    }
+
+    fn roundtrip<M>(self, message: &M) -> M
+    where
+        M: WireMessage + Serialize + for<'de> Deserialize<'de>,
+    {
+        let mut frame = self.frame(message);
+        let (_, payload) = try_decode_frame(&mut frame, usize::MAX)
+            .expect("well-formed frame")
+            .expect("complete frame");
+        match self {
+            Codec::Binary => WireCodec::Binary
+                .decode_payload(&payload)
+                .expect("decodable payload"),
+            Codec::Json => serde_json::from_str(std::str::from_utf8(&payload).expect("utf-8"))
+                .expect("decodable payload"),
+        }
+    }
+}
+
 /// Pure codec cost of the warm-hit payload: encode + decode of the ~70 KB
 /// level-1 forest `ResponseEnvelope` (and of the tiny request envelope) in
-/// each codec.  This is exactly the work PR 5 moved off the hot path, so the
-/// perf gate holds the `/binary` vs `/json` ratio: losing the raw-`f64`-run
-/// encoding shows up as an order-of-magnitude ratio jump on any hardware.
+/// the binary wire codec and in JSON text, the reference implementation the
+/// wire no longer speaks.  The perf gate holds the `/binary` vs `/json`
+/// ratio: losing the raw-`f64`-run encoding shows up as an
+/// order-of-magnitude ratio jump on any hardware.
 fn bench_wire_codec(c: &mut Criterion) {
     let service = CachingService::with_defaults(generator(0));
     let request = MatrixRequest {
@@ -93,102 +142,24 @@ fn bench_wire_codec(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("wire_codec");
     group.sample_size(40);
-    for codec in [WireCodec::Binary, WireCodec::Json] {
-        let encoded = codec.encode_frame(&response);
-        group.throughput(Throughput::Bytes(encoded.len() as u64));
-        group.bench_function(format!("forest_roundtrip/{codec}"), |b| {
-            b.iter(|| {
-                let mut frame = codec.encode_frame(&response);
-                let (_, payload) = try_decode_frame(&mut frame, usize::MAX)
-                    .expect("well-formed frame")
-                    .expect("complete frame");
-                let decoded: ResponseEnvelope =
-                    codec.decode_payload(&payload).expect("decodable payload");
-                decoded
-            });
+    for codec in [Codec::Binary, Codec::Json] {
+        assert_eq!(codec.roundtrip(&response), response);
+        group.throughput(Throughput::Bytes(codec.frame(&response).len() as u64));
+        group.bench_function(format!("forest_roundtrip/{}", codec.label()), |b| {
+            b.iter(|| codec.roundtrip(&response));
         });
         group.throughput(Throughput::Elements(1));
-        group.bench_function(format!("request_roundtrip/{codec}"), |b| {
-            b.iter(|| {
-                let mut frame = codec.encode_frame(&request_envelope);
-                let (_, payload) = try_decode_frame(&mut frame, usize::MAX)
-                    .expect("well-formed frame")
-                    .expect("complete frame");
-                let decoded: RequestEnvelope =
-                    codec.decode_payload(&payload).expect("decodable payload");
-                decoded
-            });
+        group.bench_function(format!("request_roundtrip/{}", codec.label()), |b| {
+            b.iter(|| codec.roundtrip(&request_envelope));
         });
     }
     group.finish();
 }
 
-/// Warm-cache request/response round trips across the loopback transport:
-/// requests per second through frame encode → reactor → dispatch pool → cache
-/// hit → frame decode, with zero LP solves on the measured path — under the
-/// negotiated binary codec (`warm_hit_roundtrip`), the forced JSON codec
-/// (`warm_hit_roundtrip_json`, the perf gate's reference sibling), and with
-/// the transport removed entirely (`warm_hit_inprocess`, the floor the
-/// transport overhead is measured against).
-fn bench_transport_roundtrip(c: &mut Criterion) {
-    let service = Arc::new(CachingService::with_defaults(generator(0)));
-    let config = TransportConfig {
-        warm_on_start: Some(WarmRequest::level(1, 0)),
-        codecs: vec![WireCodec::Binary, WireCodec::Json],
-        ..TransportConfig::default()
-    };
-    let server = TcpServer::bind(
-        "127.0.0.1:0",
-        Arc::clone(&service) as Arc<dyn MatrixService>,
-        config,
-    )
-    .expect("binding the loopback bench server");
-    let binary = TcpTransport::connect_with(
-        server.local_addr(),
-        ClientConfig {
-            codecs: vec![WireCodec::Binary, WireCodec::Json],
-            ..ClientConfig::default()
-        },
-    )
-    .expect("connecting to loopback (binary)");
-    assert_eq!(binary.codec(), WireCodec::Binary);
-    let json = TcpTransport::connect_with(
-        server.local_addr(),
-        ClientConfig {
-            codecs: vec![WireCodec::Json],
-            ..ClientConfig::default()
-        },
-    )
-    .expect("connecting to loopback (json)");
-    assert_eq!(json.codec(), WireCodec::Json);
-    let request = MatrixRequest {
-        privacy_level: 1,
-        delta: 0,
-    };
-    // Ensure the startup warm has landed before timing (the first request
-    // coalesces onto it if it is still in flight).
-    binary.privacy_forest(request).expect("warm-up request");
-
-    let mut group = c.benchmark_group("transport_loopback");
-    group.sample_size(20);
-    group.throughput(Throughput::Elements(1));
-    group.bench_function("warm_hit_roundtrip", |b| {
-        b.iter(|| binary.privacy_forest(request).expect("cache hit over TCP"));
-    });
-    group.bench_function("warm_hit_roundtrip_json", |b| {
-        b.iter(|| json.privacy_forest(request).expect("cache hit over TCP"));
-    });
-    group.bench_function("warm_hit_inprocess", |b| {
-        b.iter(|| service.privacy_forest(request).expect("cache hit"));
-    });
-    group.finish();
-    drop(binary);
-    drop(json);
-    server.shutdown();
-}
-
-/// The same warm-hit round trip under each reactor backend, measured in one
-/// run: `warm_hit_roundtrip/epoll` blocks on socket readiness and answers as
+/// Warm-cache request/response round trips across the loopback transport
+/// under each reactor backend, measured in one run: requests through frame
+/// encode → reactor → dispatch pool → cache hit → frame decode, with zero LP
+/// solves on the measured path.  `warm_hit_roundtrip/epoll` blocks on socket readiness and answers as
 /// soon as the request frame lands, while `warm_hit_roundtrip/tick` only
 /// discovers it on the next 500 µs poll tick.  The perf gate holds the
 /// epoll/tick ratio — losing the readiness path (a broken epoll registration
@@ -208,7 +179,6 @@ fn bench_reactor_backend(c: &mut Criterion) {
             reactor_backend: backend,
             reactor_shards: 1,
             warm_on_start: Some(WarmRequest::level(1, 0)),
-            codecs: vec![WireCodec::Binary, WireCodec::Json],
             ..TransportConfig::default()
         };
         let server = TcpServer::bind(
@@ -268,7 +238,6 @@ criterion_group!(
     bench_forest_generation,
     bench_cached_request_path,
     bench_wire_codec,
-    bench_transport_roundtrip,
     bench_reactor_backend
 );
 criterion_main!(benches);

@@ -27,8 +27,7 @@
 //! that is re-warmed from the surviving peers (`Digest`/`DigestReply`, zero
 //! LP solves).  The run still fails on any hung request or hard error, and
 //! the bench artifact gains `peers_down` / `rewarm_keys_pulled` fields.
-//! The wire codec follows `CORGI_WIRE_CODEC` like every other client, and
-//! the reactor backend follows `CORGI_REACTOR_BACKEND` like every server
+//! The reactor backend follows `CORGI_REACTOR_BACKEND` like every server
 //! (`--reactor-shards N` pins the per-server reactor thread count; 0 = one
 //! per core).  Exits nonzero if any request failed with a non-shed error or
 //! hung past its deadline.

@@ -19,7 +19,7 @@
 //! and is caught on any hardware; uniform machine slowdowns cancel out.
 //!
 //! Pairs whose two sides do *different kinds* of work (the binary wire codec
-//! is memcpy-bound, its JSON reference is formatting-bound) carry a widened
+//! is memcpy-bound, its JSON text reference is formatting-bound) carry a widened
 //! per-pair tolerance multiplier in the pair table, since such ratios shift
 //! more across CPU generations; the regressions those pairs exist to catch
 //! are 50–100× ratio jumps, far beyond any multiplier.
@@ -80,16 +80,16 @@ use std::process::ExitCode;
 ///
 /// The kernel pairs compare same-character workloads (both floating-point
 /// compute), so their ratio is machine-stable and gates at 1× the tolerance.
-/// The codec pairs compare a memcpy-bound path against a formatting-bound
-/// one — those scale differently across CPU generations — so they gate at 3×
-/// the tolerance, which still catches the failure mode they exist for
-/// (losing the raw-f64-run encoding is a ~50-100× ratio jump).
+/// The codec pairs compare the memcpy-bound wire codec against a
+/// formatting-bound JSON text reference — those scale differently across CPU
+/// generations — so they gate at 3× the tolerance, which still catches the
+/// failure mode they exist for (losing the raw-f64-run encoding is a
+/// ~50-100× ratio jump).
 const RATIO_PAIRS: &[(&str, &str, f64)] = &[
     ("/blocked", "/reference", 1.0),
     ("fused_in_place", "per_column", 1.0),
     ("pooled", "serial", 1.0),
     ("/binary", "/json", 3.0),
-    ("warm_hit_roundtrip", "warm_hit_roundtrip_json", 3.0),
     // The readiness backend vs the 500 µs poll tick it replaced, measured on
     // the same warm-hit round trip in the same run.  Losing the epoll path
     // (a silently broken registration degrading to timers) collapses this
@@ -648,8 +648,6 @@ mod tests {
         for name in [
             "wire_codec/forest_roundtrip/binary",
             "wire_codec/forest_roundtrip/json",
-            "transport_loopback/warm_hit_roundtrip",
-            "transport_loopback/warm_hit_roundtrip_json",
             "transport_loopback/warm_hit_roundtrip/epoll",
             "transport_loopback/warm_hit_roundtrip/tick",
         ] {
@@ -662,18 +660,8 @@ mod tests {
             reference_pair("wire_codec/forest_roundtrip/binary", &names),
             Some(("wire_codec/forest_roundtrip/json".to_string(), 3.0))
         );
-        assert_eq!(
-            reference_pair("transport_loopback/warm_hit_roundtrip", &names),
-            Some((
-                "transport_loopback/warm_hit_roundtrip_json".to_string(),
-                3.0
-            ))
-        );
         // The backend pair: the epoll round trip gates against the tick
-        // round trip from the same run.  The "warm_hit_roundtrip" rule
-        // matches the name first, but its rewritten sibling
-        // (`…/warm_hit_roundtrip_json/epoll`) does not exist, so pairing
-        // falls through to the `/epoll` → `/tick` rule.
+        // round trip from the same run.
         assert_eq!(
             reference_pair("transport_loopback/warm_hit_roundtrip/epoll", &names),
             Some((
@@ -685,10 +673,6 @@ mod tests {
         // themselves.
         assert_eq!(
             reference_sibling("wire_codec/forest_roundtrip/json", &names),
-            None
-        );
-        assert_eq!(
-            reference_sibling("transport_loopback/warm_hit_roundtrip_json", &names),
             None
         );
         assert_eq!(

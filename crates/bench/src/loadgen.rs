@@ -232,8 +232,6 @@ fn connect(addrs: &[SocketAddr], timeout: Duration) -> Result<Conn, String> {
 ///
 /// Blocks until every scheduled request has been resolved (answered, shed,
 /// or failed against its deadline) and returns the merged [`LoadReport`].
-/// The codec each connection negotiates follows `CORGI_WIRE_CODEC`, exactly
-/// like any other client.
 pub fn run(addr: SocketAddr, profile: &LoadProfile) -> LoadReport {
     run_load(&[addr], LoadMode::Open, profile)
 }

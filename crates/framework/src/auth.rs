@@ -12,10 +12,10 @@
 //! byte string through SHA-256 into the 32-byte MAC key; operators usually set
 //! it via the `CORGI_CLUSTER_KEY` environment variable
 //! ([`ClusterKey::from_env`]).  Whether a connection authenticates is
-//! negotiated in the `Hello`/`HelloReply` exchange (which always travels as
-//! plain JSON, so a key mismatch produces a *legible* structured rejection
-//! rather than undecodable bytes); once negotiated, **every** subsequent frame
-//! carries a MAC trailer:
+//! agreed in the `Hello`/`HelloReply` exchange (a rejected hello travels
+//! without a MAC, so a key mismatch produces a *legible* structured
+//! rejection rather than an unverifiable frame); once agreed, **every**
+//! subsequent frame carries a MAC trailer:
 //!
 //! ```text
 //! | magic 2B | kind 1B | len 4B |   payload   | mac 16B |

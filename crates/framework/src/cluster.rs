@@ -23,7 +23,7 @@
 //!   the wire, so harnesses observe a remote server exactly as tests observe
 //!   an in-process one.
 //!
-//! Frame authentication for the whole tier is negotiated per connection from
+//! Frame authentication for the whole tier is agreed per connection from
 //! the shared cluster key — see [`crate::auth`].  Peer links and the router
 //! both honour it; a misconfigured key is a structured
 //! [`Unauthenticated`](crate::ServiceErrorKind::Unauthenticated) rejection at
@@ -481,8 +481,9 @@ pub struct ReplicationConfig {
     /// [`max_inbound_frame`](crate::TransportConfig::max_inbound_frame)
     /// raised above the encoded forest size.
     pub push_payloads: bool,
-    /// Payload codecs to advertise on peer links.  The default honours
-    /// `CORGI_WIRE_CODEC` (see [`WireCodec::advertisement_from_env`]).
+    /// Never read: every peer link speaks the binary codec since protocol
+    /// 2.0.  Kept so configs that still set it compile.
+    #[deprecated(note = "protocol 2.0 is binary-only; this field is never read")]
     pub codecs: Vec<WireCodec>,
     /// Cluster key for the peer-link hello; must match the peers' serving
     /// key.  The default reads `CORGI_CLUSTER_KEY`
@@ -511,11 +512,12 @@ pub struct ReplicationConfig {
 }
 
 impl Default for ReplicationConfig {
+    #[allow(deprecated)]
     fn default() -> Self {
         Self {
             queue_depth: 64,
             push_payloads: true,
-            codecs: WireCodec::advertisement_from_env(),
+            codecs: Vec::new(),
             cluster_key: ClusterKey::from_env(),
             connect_timeout: Duration::from_secs(5),
             retry_backoff: Duration::from_millis(50),
@@ -1016,7 +1018,7 @@ impl Streaming {
                     "unexpected {kind:?} frame on a peer link"
                 )));
             }
-            let pong: Pong = self.conn.codec().decode_payload(&payload)?;
+            let pong: Pong = WireCodec::Binary.decode_payload(&payload)?;
             let awaited = matches!(
                 &self.probe,
                 Some(LinkProbe::Awaiting { nonce, .. }) if *nonce == pong.nonce
@@ -1038,7 +1040,7 @@ impl Streaming {
                 LinkProbe::Next(next) => {
                     if self.conn.is_flushed() && Pin::new(next).poll(cx).is_ready() {
                         let ping = Ping::fresh();
-                        self.conn.queue(self.conn.codec().encode_frame(&ping));
+                        self.conn.queue(WireCodec::Binary.encode_frame(&ping));
                         *probe = LinkProbe::Awaiting {
                             nonce: ping.nonce,
                             deadline: env.handle.sleep(health.probe_timeout),
@@ -1059,7 +1061,7 @@ impl Streaming {
             let Some(push) = link.pop() else {
                 break;
             };
-            self.conn.queue(self.conn.codec().encode_frame(&push));
+            self.conn.queue(WireCodec::Binary.encode_frame(&push));
             self.push_in_flight = true;
             progress = true;
         }
@@ -1090,9 +1092,9 @@ fn dial_peer(endpoint: &str, config: &ReplicationConfig) -> Result<Conn, Service
     let client = ClientConfig {
         max_frame: config.max_frame,
         read_timeout: Some(timeout),
-        codecs: config.codecs.clone(),
         cluster_key: config.cluster_key.clone(),
         fault_plan: config.fault_plan.clone(),
+        ..ClientConfig::default()
     };
     let (conn, _) = Conn::open(endpoint, &client, Arc::default())?;
     conn.set_nonblocking()?;
@@ -1106,7 +1108,7 @@ fn dial_peer(endpoint: &str, config: &ReplicationConfig) -> Result<Conn, Service
 /// Tunables of a [`ShardRouter`].
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
-    /// Per-shard connection config (codecs, timeouts, cluster key).
+    /// Per-shard connection config (timeouts, cluster key).
     pub client: ClientConfig,
     /// Rounds over the ranked shard list before giving up; backoff applies
     /// between rounds, not between shards within a round.

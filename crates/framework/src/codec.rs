@@ -1,16 +1,16 @@
-//! The binary wire codec of protocol 1.2 (and the [`WireCodec`] dispatch
-//! between it and JSON).
+//! The binary wire codec: the one encoding of every frame payload since
+//! protocol 2.0 ([`WireCodec`]).
 //!
-//! # Why a second codec
+//! # Why binary
 //!
 //! The frame payloads of [`crate::transport`] are dominated by `f64` matrices:
-//! a warm cache hit returns a ~70 KB privacy forest whose JSON text is almost
-//! entirely formatted decimal floats.  Formatting and re-parsing that text
-//! costs milliseconds per round trip — three orders of magnitude more than the
-//! data movement itself.  The binary codec removes exactly that cost: small
-//! metadata fields are written tag-prefixed with fixed-width little-endian
-//! scalars, and matrices/forests/priors travel as length-prefixed runs of raw
-//! IEEE-754 `f64` bit patterns copied straight from (and into) the in-memory
+//! a warm cache hit returns a ~70 KB privacy forest whose JSON text would be
+//! almost entirely formatted decimal floats.  Formatting and re-parsing that
+//! text costs milliseconds per round trip — about a hundred times the cost
+//! of this codec on the same forest.  Here small metadata fields are written
+//! tag-prefixed with fixed-width little-endian scalars, and
+//! matrices/forests/priors travel as length-prefixed runs of raw IEEE-754
+//! `f64` bit patterns copied straight from (and into) the in-memory
 //! `Vec<f64>` — no per-element formatting, no intermediate `String`, and
 //! bit-exact round trips (NaN payloads, ±0 and subnormals survive, which JSON
 //! text cannot guarantee).
@@ -38,16 +38,14 @@
 //! WarmRequest       = T₇ n(u32) level(u8)×n T₈ n(u32) delta(u64)×n
 //! WarmReport        = T₉ requested(u64) warmed(u64) elapsed_ms(u64)
 //!                     T₁₀ n(u32) failure×n      failure = level(u8) delta(u64) error
-//! HelloFrame        = T₁ version T₁₁ present(u8) [n(u32) name(str)×n]
-//!                     T₁₅ present(u8) [scheme(str)]
+//! HelloFrame        = T₁ version T₁₅ present(u8) [scheme(str)]
 //! HelloReply        = disc(u8: 0 accepted, 1 rejected)
 //!   accepted        = T₁ version T₁₂ lat(f64) lng(f64) height(u8) spacing(f64)
-//!                     T₁₃ n(u32) prob(f64)×n T₁₄ present(u8) [name(str)]
-//!                     T₁₅ present(u8) [scheme(str)]
+//!                     T₁₃ n(u32) prob(f64)×n T₁₅ present(u8) [scheme(str)]
 //!   rejected        = error
 //! WarmPush          = T₃ request T₁₆ present(u8) [forest body]
 //! StatsRequest      = (empty payload)
-//! StatsReport       = T₁₇ transport(u64×14) T₁₈ present(u8) [cache(u64×5)]
+//! StatsReport       = T₁₇ transport(u64×13) T₁₈ present(u8) [cache(u64×5)]
 //!                     T₁₉ present(u8) [cluster]
 //!   cluster         = counters(u64×10) n(u32) peer×n
 //!   peer            = endpoint(str) counters(u64×6)
@@ -58,15 +56,15 @@
 //!                     T₁₆ present(u8) [forest body]
 //! ```
 //!
-//! The four cluster counters appended in protocol 1.5 (probes sent, peers
-//! down, re-warm keys pulled, pushes repaired) extend the fixed-width run
-//! in place: both ends of a connection run the same build of this module,
-//! so the widened run decodes symmetrically in either codec.
+//! Tags 0x0B and 0x0E are retired: they marked the hello's codec list and
+//! the reply's codec choice, which protocol 2.0 removed.  The fixed-width
+//! counter runs change in place (1.5 appended four cluster counters, 2.0
+//! dropped the JSON connection count from the transport run): both ends of
+//! a connection run the same build of this module.
 //!
-//! `Hello`/`HelloReply` have binary encodings for completeness (and so the
-//! property tests can cover every payload), but on the wire they always
-//! travel as JSON: they bootstrap the codec negotiation, so they must be
-//! legible to every protocol version.  See [`crate::transport`].
+//! The hello opens with the tagged version in every protocol major, so a
+//! server can always read what a peer claims to speak; a 1.x peer's JSON
+//! hello fails that first tag and is refused.  See [`crate::transport`].
 //!
 //! [`CellId::pack`]: corgi_hexgrid::CellId::pack
 
@@ -82,7 +80,6 @@ use corgi_core::ObfuscationMatrix;
 use corgi_datagen::PriorDistribution;
 use corgi_geo::LatLng;
 use corgi_hexgrid::{CellId, HexGridConfig};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
@@ -96,10 +93,8 @@ const TAG_LEVELS: u8 = 0x07;
 const TAG_DELTAS: u8 = 0x08;
 const TAG_COUNTS: u8 = 0x09;
 const TAG_FAILURES: u8 = 0x0A;
-const TAG_CODECS: u8 = 0x0B;
 const TAG_GRID: u8 = 0x0C;
 const TAG_PRIOR: u8 = 0x0D;
-const TAG_CODEC: u8 = 0x0E;
 const TAG_AUTH: u8 = 0x0F;
 const TAG_FOREST: u8 = 0x10;
 const TAG_TRANSPORT: u8 = 0x11;
@@ -454,10 +449,9 @@ fn read_forest(r: &mut WireReader<'_>) -> Result<PrivacyForestResponse, WireErro
 // The message trait and its implementations
 // ---------------------------------------------------------------------------
 
-/// A frame payload: one of the six message types of the wire protocol, able
-/// to encode/decode itself in either codec (JSON via its serde impls, binary
-/// via the hand-written encoding of this module).
-pub trait WireMessage: Serialize + for<'de> Deserialize<'de> + Sized {
+/// A frame payload: one of the message types of the wire protocol, able to
+/// encode/decode itself in the hand-written encoding of this module.
+pub trait WireMessage: Sized {
     /// The frame kind this message travels in.
     const KIND: FrameKind;
 
@@ -628,17 +622,6 @@ impl WireMessage for HelloFrame {
     fn encode_binary(&self, out: &mut Vec<u8>) {
         put_u8(out, TAG_VERSION);
         put_version(out, &self.version);
-        put_u8(out, TAG_CODECS);
-        match &self.codecs {
-            None => put_u8(out, 0),
-            Some(codecs) => {
-                put_u8(out, 1);
-                put_count(out, codecs.len());
-                for name in codecs {
-                    put_str(out, name);
-                }
-            }
-        }
         put_u8(out, TAG_AUTH);
         put_opt_str(out, &self.auth);
     }
@@ -646,30 +629,9 @@ impl WireMessage for HelloFrame {
     fn decode_binary(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         r.tag(TAG_VERSION, "hello.version")?;
         let version = read_version(r)?;
-        r.tag(TAG_CODECS, "hello.codecs")?;
-        let codecs = match r.u8("hello.codecs presence")? {
-            0 => None,
-            1 => {
-                let n = r.count(4, "hello.codecs")?;
-                let mut names = Vec::with_capacity(n);
-                for _ in 0..n {
-                    names.push(r.str("hello.codec name")?);
-                }
-                Some(names)
-            }
-            other => {
-                return Err(WireError::new(format!(
-                    "invalid option presence byte {other}"
-                )))
-            }
-        };
         r.tag(TAG_AUTH, "hello.auth")?;
         let auth = read_opt_str(r, "hello.auth")?;
-        Ok(Self {
-            version,
-            codecs,
-            auth,
-        })
+        Ok(Self { version, auth })
     }
 }
 
@@ -682,7 +644,6 @@ impl WireMessage for HelloReply {
                 version,
                 grid,
                 prior,
-                codec,
                 auth,
             } => {
                 put_u8(out, 0);
@@ -695,8 +656,6 @@ impl WireMessage for HelloReply {
                 put_f64(out, grid.leaf_spacing_km);
                 put_u8(out, TAG_PRIOR);
                 put_f64_run(out, prior.probs());
-                put_u8(out, TAG_CODEC);
-                put_opt_str(out, codec);
                 put_u8(out, TAG_AUTH);
                 put_opt_str(out, auth);
             }
@@ -721,8 +680,6 @@ impl WireMessage for HelloReply {
                     .map_err(|e| WireError::new(format!("grid.center: {e}")))?;
                 r.tag(TAG_PRIOR, "reply.prior")?;
                 let prior = PriorDistribution::from_probs(r.f64_run("reply.prior")?);
-                r.tag(TAG_CODEC, "reply.codec")?;
-                let codec = read_opt_str(r, "reply.codec")?;
                 r.tag(TAG_AUTH, "reply.auth")?;
                 let auth = read_opt_str(r, "reply.auth")?;
                 Ok(HelloReply::Accepted {
@@ -733,7 +690,6 @@ impl WireMessage for HelloReply {
                         leaf_spacing_km,
                     },
                     prior,
-                    codec,
                     auth,
                 })
             }
@@ -975,7 +931,6 @@ impl WireMessage for StatsReport {
             t.connections_accepted,
             t.connections_closed,
             t.binary_connections,
-            t.json_connections,
             t.frames_in,
             t.frames_out,
             t.bytes_in,
@@ -1017,7 +972,6 @@ impl WireMessage for StatsReport {
             connections_accepted: r.u64("transport.connections_accepted")?,
             connections_closed: r.u64("transport.connections_closed")?,
             binary_connections: r.u64("transport.binary_connections")?,
-            json_connections: r.u64("transport.json_connections")?,
             frames_in: r.u64("transport.frames_in")?,
             frames_out: r.u64("transport.frames_out")?,
             bytes_in: r.u64("transport.bytes_in")?,
@@ -1071,34 +1025,22 @@ impl WireMessage for StatsReport {
 impl WireCodec {
     /// Encode `message` as one complete frame — header and payload in a
     /// single buffer.  The 7 header bytes are reserved up front and patched
-    /// in place once the payload length is known, so neither codec pays an
+    /// in place once the payload length is known, so there is no
     /// encode-then-copy double buffering step.
     pub fn encode_frame<M: WireMessage>(self, message: &M) -> Vec<u8> {
         let mut frame = vec![0u8; FRAME_HEADER_LEN];
-        match self {
-            WireCodec::Json => serde_json::to_vec_into(message, &mut frame),
-            WireCodec::Binary => message.encode_binary(&mut frame),
-        }
+        message.encode_binary(&mut frame);
         crate::transport::seal_frame(frame, M::KIND)
     }
 
     /// Decode a frame payload into a message, borrowing from the caller's
-    /// read buffer (no intermediate copy of the payload bytes).
+    /// read buffer (no intermediate copy of the payload bytes).  The payload
+    /// must hold exactly one message: trailing bytes are an error.
     pub fn decode_payload<M: WireMessage>(self, payload: &[u8]) -> Result<M, ServiceError> {
-        match self {
-            WireCodec::Json => {
-                let text = std::str::from_utf8(payload)
-                    .map_err(|e| ServiceError::transport(format!("payload is not utf-8: {e}")))?;
-                serde_json::from_str(text)
-                    .map_err(|e| ServiceError::transport(format!("malformed payload: {e:?}")))
-            }
-            WireCodec::Binary => {
-                let mut reader = WireReader::new(payload);
-                let message = M::decode_binary(&mut reader).map_err(ServiceError::from)?;
-                reader.finish().map_err(ServiceError::from)?;
-                Ok(message)
-            }
-        }
+        let mut reader = WireReader::new(payload);
+        let message = M::decode_binary(&mut reader)?;
+        reader.finish()?;
+        Ok(message)
     }
 }
 
@@ -1137,23 +1079,12 @@ mod tests {
         assert_eq!(kind, M::KIND);
         let back: M = WireCodec::Binary.decode_payload(&payload).unwrap();
         assert_eq!(&back, message);
-        // The JSON codec produces the same decoded message.
-        let json_frame = WireCodec::Json.encode_frame(message);
-        let mut buf = json_frame;
-        let (_, payload) = crate::transport::try_decode_frame(&mut buf, usize::MAX)
-            .unwrap()
-            .unwrap();
-        let from_json: M = WireCodec::Json.decode_payload(&payload).unwrap();
-        assert_eq!(&from_json, message);
     }
 
     #[test]
-    fn every_message_type_round_trips_in_both_codecs() {
+    fn every_message_type_round_trips() {
         binary_roundtrip(&RequestEnvelope::new(
-            // Large but exactly f64-representable, so the JSON leg of the
-            // equivalence check can carry it too (ids beyond 2^53 are
-            // binary-only; see the dedicated test below).
-            1 << 52,
+            u64::MAX,
             MatrixRequest {
                 privacy_level: 3,
                 delta: 7,
@@ -1182,21 +1113,12 @@ mod tests {
             }],
             elapsed_ms: 1234,
         });
-        binary_roundtrip(&HelloFrame {
-            version: PROTOCOL_VERSION,
-            codecs: Some(vec!["binary".into(), "json".into()]),
-            auth: None,
-        });
-        binary_roundtrip(&HelloFrame {
-            version: PROTOCOL_VERSION,
-            codecs: None,
-            auth: Some(crate::auth::AUTH_SCHEME.to_string()),
-        });
+        binary_roundtrip(&HelloFrame::current());
+        binary_roundtrip(&HelloFrame::current().authenticated());
         binary_roundtrip(&HelloReply::Accepted {
             version: PROTOCOL_VERSION,
             grid: HexGridConfig::san_francisco(),
             prior: PriorDistribution::from_probs(vec![0.25, 0.5, 0.25]),
-            codec: Some("binary".into()),
             auth: Some(crate::auth::AUTH_SCHEME.to_string()),
         });
         binary_roundtrip(&HelloReply::Rejected(ServiceError::unsupported_version(
@@ -1223,7 +1145,6 @@ mod tests {
                 connections_accepted: 3,
                 connections_closed: 1,
                 binary_connections: 2,
-                json_connections: 1,
                 frames_in: 100,
                 frames_out: 99,
                 bytes_in: 4096,
@@ -1303,9 +1224,7 @@ mod tests {
     #[test]
     fn request_ids_beyond_2_53_survive_binary_but_not_json_text() {
         // The JSON shim stores numbers as f64, so a u64 id beyond 2^53 cannot
-        // round-trip through JSON text — one more reason binary is the 1.2
-        // default.  (JSON peers never get that high: the client allocates ids
-        // sequentially from 1.)
+        // round-trip through JSON text — one more reason the wire is binary.
         let envelope = RequestEnvelope::new(
             (1u64 << 53) + 1,
             MatrixRequest {
@@ -1320,6 +1239,9 @@ mod tests {
             .unwrap();
         let back: RequestEnvelope = WireCodec::Binary.decode_payload(&payload).unwrap();
         assert_eq!(back.request_id, (1 << 53) + 1);
+        let text = serde_json::to_string(&envelope).unwrap();
+        let from_text: RequestEnvelope = serde_json::from_str(&text).unwrap();
+        assert_ne!(from_text.request_id, envelope.request_id);
     }
 
     #[test]
@@ -1400,7 +1322,7 @@ mod tests {
             .decode_payload::<RequestEnvelope>(&bad)
             .unwrap_err();
         assert!(err.message.contains("tag"), "{}", err.message);
-        // JSON bytes on a binary-negotiated connection: structured error too.
+        // JSON bytes (what a 1.x peer would send): structured error too.
         let err = WireCodec::Binary
             .decode_payload::<RequestEnvelope>(br#"{"request_id":1}"#)
             .unwrap_err();
@@ -1442,7 +1364,7 @@ mod tests {
     fn binary_forest_is_much_smaller_than_json() {
         let response = ResponseEnvelope::forest(1, Arc::new(sample_forest()));
         let binary = WireCodec::Binary.encode_frame(&response);
-        let json = WireCodec::Json.encode_frame(&response);
+        let json = serde_json::to_string(&response).unwrap();
         assert!(
             binary.len() * 2 < json.len(),
             "binary {}B should be well under half of JSON {}B",

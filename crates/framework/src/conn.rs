@@ -3,7 +3,7 @@
 //! Every outbound connection in the framework — a [`TcpTransport`] serving a
 //! device or a shard router, the router's liveness prober, a replication link
 //! streaming `WarmPush` frames and probes to a peer — is a [`Conn`] opened by
-//! [`Conn::open`], so version, codec and authentication negotiation exist
+//! [`Conn::open`], so the version and authentication handshake exists
 //! exactly once on the client side (the server side of the exchange lives in
 //! [`crate::transport`]).
 //!
@@ -28,8 +28,8 @@ use crate::messages::{
 };
 use crate::service::MatrixService;
 use crate::transport::{
-    encode_json_frame, parse_frame_header, parse_json_payload, peek_frame, sock_fd, FrameKind,
-    HelloFrame, HelloReply, TransportMetrics, TransportStats, FRAME_HEADER_LEN,
+    parse_frame_header, peek_frame, sock_fd, FrameKind, HelloFrame, HelloReply, TransportMetrics,
+    TransportStats, FRAME_HEADER_LEN,
 };
 use crate::warm::{DigestReply, DigestRequest, WarmReport, WarmRequest};
 use corgi_core::LocationTree;
@@ -51,10 +51,9 @@ pub struct ClientConfig {
     /// Socket read timeout per blocking receive; bounds how long a truncated
     /// or withheld response can stall a caller.  `None` waits forever.
     pub read_timeout: Option<Duration>,
-    /// Payload codecs to advertise in the hello.  The server picks by its
-    /// own preference among these; JSON is always accepted as the fallback.
-    /// The default honours `CORGI_WIRE_CODEC`
-    /// (see [`WireCodec::advertisement_from_env`]).
+    /// Never read: every connection speaks the binary codec since protocol
+    /// 2.0.  Kept so configs that still set it compile.
+    #[deprecated(note = "protocol 2.0 is binary-only; this field is never read")]
     pub codecs: Vec<WireCodec>,
     /// Cluster key for keyed frame authentication (protocol 1.4).  When set,
     /// the hello announces `hmac-sha256`, every post-handshake frame in both
@@ -70,11 +69,12 @@ pub struct ClientConfig {
 }
 
 impl Default for ClientConfig {
+    #[allow(deprecated)]
     fn default() -> Self {
         Self {
             max_frame: 64 * 1024 * 1024,
             read_timeout: Some(Duration::from_secs(600)),
-            codecs: WireCodec::advertisement_from_env(),
+            codecs: Vec::new(),
             cluster_key: ClusterKey::from_env(),
             fault_plan: None,
         }
@@ -89,11 +89,10 @@ pub(crate) struct ServerHello {
     pub(crate) prior: PriorDistribution,
 }
 
-/// A negotiated (post-hello) client connection; see the module docs.
+/// An established (post-hello) client connection; see the module docs.
 pub(crate) struct Conn {
     stream: TcpStream,
-    codec: WireCodec,
-    /// Frame-authentication key negotiated in the hello (`None` means plain
+    /// Frame-authentication key agreed in the hello (`None` means plain
     /// frames): outbound frames are sealed, inbound frames are verified and
     /// stripped.
     auth: Option<ClusterKey>,
@@ -108,12 +107,9 @@ pub(crate) struct Conn {
 }
 
 impl Conn {
-    /// Connect and run the hello exchange: advertise our codecs (and the
-    /// `hmac-sha256` scheme when keyed), then validate the server's choice.
-    ///
-    /// The hello itself always travels as JSON — it carries the codec and
-    /// authentication negotiation, so it must be legible before any
-    /// agreement.  The socket keeps `config.read_timeout` for blocking use.
+    /// Connect and run the hello exchange: announce our protocol version
+    /// (and the `hmac-sha256` scheme when keyed), then validate the reply.
+    /// The socket keeps `config.read_timeout` for blocking use.
     pub(crate) fn open(
         addr: impl ToSocketAddrs,
         config: &ClientConfig,
@@ -141,11 +137,15 @@ impl Conn {
             .set_read_timeout(config.read_timeout)
             .map_err(|e| ServiceError::transport(format!("setting read timeout: {e}")))?;
         TransportMetrics::add(&metrics.connections_accepted, 1);
-        let mut hello = HelloFrame::advertising(&config.codecs);
+        let mut hello = HelloFrame::current();
         if config.cluster_key.is_some() {
             hello = hello.authenticated();
         }
-        send_frame_blocking(&mut stream, &encode_json_frame(&hello), &metrics)?;
+        send_frame_blocking(
+            &mut stream,
+            &WireCodec::Binary.encode_frame(&hello),
+            &metrics,
+        )?;
         let (kind, header, mut payload) =
             read_frame_blocking_raw(&mut stream, config.max_frame, &metrics)?;
         if kind != FrameKind::HelloReply {
@@ -157,11 +157,9 @@ impl Conn {
             // An accepted reply from a keyed server is itself sealed; the
             // only *plain* reply a keyed client accepts is a structured
             // rejection — that is how a key mismatch stays a legible error
-            // instead of a MAC failure.  (A pre-1.4 server would also reply
-            // plain, having ignored the unknown `auth` hello field: caught
-            // here rather than desynchronizing on the first sealed request.)
+            // instead of a MAC failure.
             if key.open_split(&header, &mut payload).is_err() {
-                return match parse_json_payload::<HelloReply>(&payload) {
+                return match WireCodec::Binary.decode_payload::<HelloReply>(&payload) {
                     Ok(HelloReply::Rejected(error)) => Err(error),
                     _ => Err(ServiceError::unauthenticated(
                         "server did not authenticate its hello reply; it holds no (or a \
@@ -170,17 +168,16 @@ impl Conn {
                 };
             }
         }
-        let (version, grid, prior, codec, auth) = match parse_json_payload::<HelloReply>(&payload)?
-        {
-            HelloReply::Accepted {
-                version,
-                grid,
-                prior,
-                codec,
-                auth,
-            } => (version, grid, prior, codec, auth),
-            HelloReply::Rejected(error) => return Err(error),
-        };
+        let (version, grid, prior, auth) =
+            match WireCodec::Binary.decode_payload::<HelloReply>(&payload)? {
+                HelloReply::Accepted {
+                    version,
+                    grid,
+                    prior,
+                    auth,
+                } => (version, grid, prior, auth),
+                HelloReply::Rejected(error) => return Err(error),
+            };
         match (&config.cluster_key, auth.as_deref()) {
             (Some(_), Some(AUTH_SCHEME)) | (None, None) => {}
             (Some(_), _) => {
@@ -190,28 +187,14 @@ impl Conn {
             }
             (None, Some(scheme)) => {
                 return Err(ServiceError::unauthenticated(format!(
-                    "server negotiated {scheme:?} frame authentication this client did not \
+                    "server confirmed {scheme:?} frame authentication this client did not \
                      announce"
                 )))
             }
         }
-        // The server must pick something we advertised (absent means the
-        // JSON fallback, which every client accepts).
-        let codec = match codec {
-            None => WireCodec::Json,
-            Some(name) => match WireCodec::from_name(&name) {
-                Some(codec) if codec == WireCodec::Json || config.codecs.contains(&codec) => codec,
-                _ => {
-                    return Err(ServiceError::transport(format!(
-                        "server selected codec {name:?}, which this client did not offer"
-                    )))
-                }
-            },
-        };
-        metrics.count_codec(codec);
+        TransportMetrics::add(&metrics.binary_connections, 1);
         let conn = Self {
             stream,
-            codec,
             auth: config.cluster_key.clone(),
             max_frame: config.max_frame,
             metrics,
@@ -227,11 +210,6 @@ impl Conn {
                 prior,
             },
         ))
-    }
-
-    /// Payload codec negotiated for this connection.
-    pub(crate) fn codec(&self) -> WireCodec {
-        self.codec
     }
 
     /// Append the MAC trailer when the connection is keyed.
@@ -411,8 +389,6 @@ pub struct TcpTransport {
     tree: Arc<LocationTree>,
     prior: Arc<PriorDistribution>,
     server_version: ProtocolVersion,
-    /// Payload codec negotiated for this connection.
-    codec: WireCodec,
     next_request_id: AtomicU64,
     metrics: Arc<TransportMetrics>,
 }
@@ -421,10 +397,10 @@ pub struct TcpTransport {
 struct ClientConn {
     conn: Conn,
     /// Set after a transport-level failure (timeout, truncated or
-    /// uncorrelated frame) or a codec desync: the request/response stream may
-    /// be desynchronized — a late response could be mistaken for the next
-    /// call's reply — so every further call fails fast until the caller
-    /// reconnects.
+    /// uncorrelated frame) or an undecodable reply: the request/response
+    /// stream may be desynchronized — a late response could be mistaken for
+    /// the next call's reply — so every further call fails fast until the
+    /// caller reconnects.
     poisoned: bool,
     /// Fault injection hook ([`ClientConfig::fault_plan`]); `None` in
     /// production.
@@ -498,7 +474,6 @@ impl TcpTransport {
             ServiceError::transport(format!("server sent an invalid grid config: {e}"))
         })?;
         Ok(Self {
-            codec: conn.codec(),
             conn: Mutex::new(ClientConn {
                 conn,
                 poisoned: false,
@@ -512,14 +487,15 @@ impl TcpTransport {
         })
     }
 
-    /// Protocol version the server negotiated.
+    /// Protocol version the server announced in its hello reply.
     pub fn server_version(&self) -> ProtocolVersion {
         self.server_version
     }
 
-    /// Payload codec negotiated for this connection.
+    /// Payload codec of this connection: [`WireCodec::Binary`], the only
+    /// codec since protocol 2.0 (kept for callers that print it).
     pub fn codec(&self) -> WireCodec {
-        self.codec
+        WireCodec::Binary
     }
 
     /// A point-in-time snapshot of this connection's transport counters.
@@ -532,17 +508,17 @@ impl TcpTransport {
     }
 
     /// One exchange whose reply is an `R`.  Anything else — an undecodable
-    /// reply (a codec desync), a `Response` frame (the server refused at the
+    /// reply (a stream desync), a `Response` frame (the server refused at the
     /// transport level and is closing) or another kind — is an error that
     /// poisons the connection.
     fn call<M: WireMessage, R: WireMessage>(&self, message: &M) -> Result<R, ServiceError> {
-        let frame = self.codec.encode_frame(message);
+        let frame = WireCodec::Binary.encode_frame(message);
         let mut conn = self.lock();
         let (kind, payload) = conn.exchange(frame)?;
         let reply = if kind == R::KIND {
-            self.codec.decode_payload(&payload)
+            WireCodec::Binary.decode_payload(&payload)
         } else if kind == FrameKind::Response {
-            self.codec
+            WireCodec::Binary
                 .decode_payload::<ResponseEnvelope>(&payload)
                 .and_then(|envelope| {
                     Err(envelope
@@ -615,7 +591,7 @@ impl MatrixService for TcpTransport {
     ) -> Result<Arc<PrivacyForestResponse>, ServiceError> {
         let request_id = self.next_request_id.fetch_add(1, Ordering::Relaxed);
         let envelope = RequestEnvelope::new(request_id, request);
-        let frame = self.codec.encode_frame(&envelope);
+        let frame = WireCodec::Binary.encode_frame(&envelope);
         let mut conn = self.lock();
         let (kind, payload) = conn.exchange(frame)?;
         if kind != FrameKind::Response {
@@ -624,11 +600,11 @@ impl MatrixService for TcpTransport {
                 "expected a Response frame, got {kind:?}"
             )));
         }
-        let reply: ResponseEnvelope = match self.codec.decode_payload(&payload) {
+        let reply: ResponseEnvelope = match WireCodec::Binary.decode_payload(&payload) {
             Ok(reply) => reply,
             Err(e) => {
-                // Undecodable response: codec desync, poison like any other
-                // stream desynchronization.
+                // Undecodable response: poison like any other stream
+                // desynchronization.
                 conn.poison();
                 return Err(e);
             }

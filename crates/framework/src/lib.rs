@@ -41,9 +41,9 @@
 //! reactor    transport::{AcceptTask, ConnectionTask} — nonblocking std::net
 //!    │        sockets parked on readiness, bounded per-connection write queues
 //! transport  length-prefixed frames carrying the versioned envelopes of
-//!    │        [`messages`] in the negotiated [`WireCodec`] (binary between
-//!    │        1.2 peers, JSON fallback); version + codec negotiation on
-//!    │        connect ([`mod@codec`] holds the binary encoding)
+//!    │        [`messages`] in the binary [`WireCodec`] of [`mod@codec`]
+//!    │        (the only wire encoding, the hello included); version and
+//!    │        authentication checked in the hello on connect
 //! service    Arc<dyn MatrixService> — requests dispatched to a ThreadPool,
 //!             responses re-entering the event loop as oneshot futures
 //! ```
@@ -70,7 +70,7 @@
 //!   fire-and-forget `WarmPush` frames over bounded drop-oldest queues, so a
 //!   miss on shard A becomes a warm hit on shard B without a second LP solve;
 //! * [`mod@auth`] — hand-rolled SHA-256/HMAC frame authentication
-//!   ([`ClusterKey`]) negotiated at `Hello` time, appending a truncated MAC
+//!   ([`ClusterKey`]) agreed at `Hello` time, appending a truncated MAC
 //!   trailer to every frame of a keyed cluster;
 //! * wire-level observability — a `Stats` frame returns a [`StatsReport`]
 //!   (transport + cache + cluster counters) without touching in-process

@@ -13,12 +13,10 @@
 //! a caller-chosen `request_id` correlates a response with its request over any
 //! transport that reorders replies.
 //!
-//! How an envelope is *encoded* on the wire is a per-connection property: the
-//! [`WireCodec`] negotiated during the transport handshake selects between
-//! JSON text (universal, debuggable) and the compact binary encoding of
-//! [`crate::codec`] (protocol 1.2+, the default between upgraded
-//! peers — matrices travel as raw little-endian `f64` runs instead of
-//! formatted decimal text).
+//! On the wire every envelope travels in the binary encoding of
+//! [`crate::codec`] ([`WireCodec`]): matrices are raw little-endian `f64`
+//! runs, not formatted decimal text.  The serde derives remain for tooling
+//! that prints messages as JSON for a human reader; no peer reads JSON.
 
 use corgi_core::{CorgiError, ObfuscationMatrix};
 use corgi_hexgrid::CellId;
@@ -80,26 +78,29 @@ pub struct ProtocolVersion {
 ///
 /// History: 1.0 introduced the envelopes; 1.1 added the [`Transport`]
 /// error kind and the framed TCP handshake of [`crate::transport`]; 1.2
-/// added codec negotiation and the binary frame codec ([`WireCodec`]);
-/// 1.3 added the [`Overloaded`] error kind, replied by a server whose
-/// admission control sheds a request instead of queueing it unboundedly;
-/// 1.4 added the cluster tier of [`crate::cluster`] — the `WarmPush`
-/// peer-replication frame, the `Stats`/`StatsReply` counter frames, HMAC
-/// frame authentication negotiated in the hello exchange
-/// ([`crate::auth`]), and the [`Unauthenticated`] error kind; 1.5 added
-/// the cluster resilience layer — `Ping`/`Pong` liveness probe frames
-/// driving the per-peer health state machine, `Digest`/`DigestReply`
-/// anti-entropy frames (a recovering shard re-warms its cache from peer
-/// digests instead of re-solving), and the dual-key HMAC rotation window
-/// (`CORGI_CLUSTER_KEY_PREVIOUS`).  Every step is additive, so 1.0–1.4
-/// peers still interoperate (a 1.5 side falls back to JSON frames for
-/// pre-1.2 peers; the new frame kinds and the auth handshake fields are
-/// only ever used between peers that negotiated them).
+/// added the binary frame codec ([`WireCodec`]); 1.3 added the
+/// [`Overloaded`] error kind, replied by a server whose admission control
+/// sheds a request instead of queueing it unboundedly; 1.4 added the
+/// cluster tier of [`crate::cluster`] — the `WarmPush` peer-replication
+/// frame, the `Stats`/`StatsReply` counter frames, HMAC frame
+/// authentication agreed in the hello exchange ([`crate::auth`]), and the
+/// [`Unauthenticated`] error kind; 1.5 added the cluster resilience layer —
+/// `Ping`/`Pong` liveness probe frames driving the per-peer health state
+/// machine, `Digest`/`DigestReply` anti-entropy frames (a recovering shard
+/// re-warms its cache from peer digests instead of re-solving), and the
+/// dual-key HMAC rotation window (`CORGI_CLUSTER_KEY_PREVIOUS`).
+///
+/// 2.0 is the first breaking change: the wire is binary-only.  The JSON
+/// codec is gone, the `Hello`/`HelloReply` exchange travels in the binary
+/// encoding like every other frame, and the hello lost its codec fields.  A
+/// 1.x peer's JSON hello is refused with a structured
+/// [`UnsupportedVersion`] rejection and the connection is closed.
 ///
 /// [`Transport`]: ServiceErrorKind::Transport
 /// [`Overloaded`]: ServiceErrorKind::Overloaded
 /// [`Unauthenticated`]: ServiceErrorKind::Unauthenticated
-pub const PROTOCOL_VERSION: ProtocolVersion = ProtocolVersion { major: 1, minor: 5 };
+/// [`UnsupportedVersion`]: ServiceErrorKind::UnsupportedVersion
+pub const PROTOCOL_VERSION: ProtocolVersion = ProtocolVersion { major: 2, minor: 0 };
 
 impl ProtocolVersion {
     /// Whether an envelope carrying `other` can be served by this version.
@@ -114,84 +115,34 @@ impl fmt::Display for ProtocolVersion {
     }
 }
 
-/// Payload encoding of the framed wire protocol (negotiated per connection
-/// since protocol 1.2).
+/// Payload encoding of the framed wire protocol.
 ///
-/// The frame *header* (`"CG"` + kind + length) is codec-independent; the
-/// codec only governs how the payload bytes inside a frame are produced:
-///
-/// * [`Json`](WireCodec::Json) — the UTF-8 JSON text of the serde types in
-///   this module.  Every protocol version speaks it; it remains the format of
-///   the `Hello`/`HelloReply` bootstrap frames and the fallback whenever a
-///   peer predates 1.2 (or forces it, e.g. for debugging with `tcpdump`).
-/// * [`Binary`](WireCodec::Binary) — the compact tag-prefixed encoding of
-///   [`crate::codec`]: little-endian fixed-width scalars, packed
-///   cell ids, and matrices as length-prefixed raw `f64` runs copied straight
-///   from (and into) the in-memory representation.  No per-element float
-///   formatting or parsing, which is what makes a warm cache hit cost
-///   microseconds instead of milliseconds.
-///
-/// Which codec a connection uses is agreed during the hello exchange: the
-/// client advertises the codecs it speaks, the server picks the first of its
-/// own codecs the client also listed, and JSON is the mandatory fallback both
-/// sides always accept.  See the module docs of [`crate::transport`] for the
-/// negotiation matrix.
+/// Since protocol 2.0 there is exactly one: the compact tag-prefixed binary
+/// encoding of [`crate::codec`] — little-endian fixed-width scalars, packed
+/// cell ids, and matrices as length-prefixed raw `f64` runs copied straight
+/// from (and into) the in-memory representation.  Every frame uses it, the
+/// `Hello`/`HelloReply` bootstrap included, so nothing is agreed per
+/// connection.  [`WireCodec::encode_frame`] and [`WireCodec::decode_payload`]
+/// are the single encode/decode entry point of the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WireCodec {
-    /// UTF-8 JSON payloads (protocol 1.0+; mandatory fallback).
-    Json,
-    /// Compact binary payloads (protocol 1.2+; preferred when both sides
-    /// support it).
+    /// Compact binary payloads (protocol 1.2+, the only codec since 2.0).
     #[default]
     Binary,
 }
 
 impl WireCodec {
-    /// The name used to advertise this codec in `Hello`/`HelloReply` frames.
+    /// Alias of [`Binary`](WireCodec::Binary), kept so code written against
+    /// the removed JSON codec still compiles: protocol 2.0 has no JSON wire.
+    #[deprecated(note = "protocol 2.0 is binary-only; this alias is `WireCodec::Binary`")]
+    #[allow(non_upper_case_globals)]
+    pub const Json: WireCodec = WireCodec::Binary;
+
+    /// The codec's name, as printed in logs and benchmark headers.
     pub const fn name(self) -> &'static str {
         match self {
-            WireCodec::Json => "json",
             WireCodec::Binary => "binary",
         }
-    }
-
-    /// Parse an advertised codec name (unknown names are simply not ours —
-    /// the negotiation skips them, it does not fail).
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "json" => Some(WireCodec::Json),
-            "binary" => Some(WireCodec::Binary),
-            _ => None,
-        }
-    }
-
-    /// The codec list this process advertises (and accepts), honouring the
-    /// `CORGI_WIRE_CODEC` environment variable: unset (or any other value)
-    /// advertises `[binary, json]` in preference order, `json` forces
-    /// JSON-only (useful in CI to keep the JSON interop path exercised and
-    /// when debugging with a packet capture), `binary` advertises binary
-    /// first but — like every peer — still accepts the JSON fallback.
-    pub fn advertisement_from_env() -> Vec<WireCodec> {
-        match std::env::var("CORGI_WIRE_CODEC").as_deref() {
-            Ok("json") => vec![WireCodec::Json],
-            _ => vec![WireCodec::Binary, WireCodec::Json],
-        }
-    }
-
-    /// Server-side codec choice: the first of `ours` (in preference order)
-    /// that the peer advertised.  A peer that advertised nothing is a
-    /// pre-1.2 peer and speaks JSON; JSON is also the fallback when the
-    /// advertised sets do not intersect, since every protocol version
-    /// accepts it.
-    pub fn negotiate(ours: &[WireCodec], advertised: Option<&[String]>) -> WireCodec {
-        let theirs: Vec<WireCodec> = match advertised {
-            None => vec![WireCodec::Json],
-            Some(names) => names.iter().filter_map(|n| Self::from_name(n)).collect(),
-        };
-        ours.iter()
-            .copied()
-            .find(|codec| theirs.contains(codec))
-            .unwrap_or(WireCodec::Json)
     }
 }
 
@@ -505,27 +456,10 @@ mod tests {
     }
 
     #[test]
-    fn codec_names_round_trip_and_negotiation_prefers_binary() {
-        assert_eq!(WireCodec::from_name("binary"), Some(WireCodec::Binary));
-        assert_eq!(WireCodec::from_name("json"), Some(WireCodec::Json));
-        assert_eq!(WireCodec::from_name("msgpack"), None);
+    fn codec_name_is_binary() {
+        assert_eq!(WireCodec::default(), WireCodec::Binary);
+        assert_eq!(WireCodec::Binary.name(), "binary");
         assert_eq!(WireCodec::Binary.to_string(), "binary");
-
-        let ours = [WireCodec::Binary, WireCodec::Json];
-        // A 1.2 peer advertising both gets binary.
-        let both = ["binary".to_string(), "json".to_string()];
-        assert_eq!(WireCodec::negotiate(&ours, Some(&both)), WireCodec::Binary);
-        // A pre-1.2 peer advertises nothing and speaks JSON.
-        assert_eq!(WireCodec::negotiate(&ours, None), WireCodec::Json);
-        // Unknown codec names are skipped, JSON is the universal fallback.
-        let exotic = ["msgpack".to_string()];
-        assert_eq!(WireCodec::negotiate(&ours, Some(&exotic)), WireCodec::Json);
-        // A JSON-only server never picks binary, whatever the client says.
-        let json_only = [WireCodec::Json];
-        assert_eq!(
-            WireCodec::negotiate(&json_only, Some(&both)),
-            WireCodec::Json
-        );
     }
 
     #[test]

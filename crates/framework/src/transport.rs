@@ -9,58 +9,43 @@
 //! Every message is one *frame*:
 //!
 //! ```text
-//! +----------+---------+----------------+-------------------------------+
-//! | magic 2B | kind 1B | length 4B (BE) | payload (negotiated WireCodec) |
-//! +----------+---------+----------------+-------------------------------+
+//! +----------+---------+----------------+------------------------+
+//! | magic 2B | kind 1B | length 4B (BE) | payload (binary codec) |
+//! +----------+---------+----------------+------------------------+
 //! ```
 //!
 //! The payload of a `Request`/`Response` frame is the *versioned envelope* of
 //! [`crate::messages`] unchanged — the transport frames the existing protocol
-//! rather than inventing a second one.  How the payload bytes are produced is
-//! the connection's negotiated [`WireCodec`]: JSON text (every protocol
-//! version) or the binary encoding of [`crate::codec`] (protocol 1.2+, the
-//! default between upgraded peers).  Frames are built in a single buffer —
-//! the 7 header bytes are reserved up front and the length patched in place
-//! once the payload is serialized, so neither codec pays an encode-then-copy
-//! step — and decoded payloads borrow from the connection's read buffer.
+//! rather than inventing a second one.  Every payload, the hello exchange
+//! included, is the binary encoding of [`crate::codec`] ([`WireCodec`]).
+//! Frames are built in a single buffer — the 7 header bytes are reserved up
+//! front and the length patched in place once the payload is serialized, so
+//! there is no encode-then-copy step — and decoded payloads borrow from the
+//! connection's read buffer.
 //!
-//! `Hello`/`HelloReply` frames negotiate the [`ProtocolVersion`] **and** the
-//! codec on connect; they themselves always travel as JSON, since they must
-//! be legible before any negotiation has happened.  The client's `Hello`
-//! advertises the codec names it speaks (`codecs`, absent for pre-1.2
-//! peers); the accepted reply names the server's choice (`codec`, where
-//! absent and `null` both mean JSON — pre-1.2 servers omit the field, this
-//! build writes an explicit `null`) — the first entry of the server's own
-//! preference list that the client also advertised, with JSON as the
-//! mandatory fallback:
-//!
-//! | client advertises | server accepts | negotiated |
-//! |---|---|---|
-//! | `[binary, json]` (1.2 default) | `[binary, json]` | binary |
-//! | — (1.0/1.1 peer)               | `[binary, json]` | json |
-//! | `[json]` (forced)              | `[binary, json]` | json |
-//! | `[binary, json]`               | `[json]` (forced) | json |
-//!
-//! A major-version mismatch is refused with a structured [`ServiceError`],
-//! not a decode failure, and the accepted reply carries the grid
+//! `Hello`/`HelloReply` frames agree on the [`ProtocolVersion`] (and on
+//! frame authentication, below) on connect.  A major-version mismatch is
+//! refused with a structured [`ServiceError`], not a decode failure: the
+//! hello opens with its version in every major, and the JSON hello of a 1.x
+//! peer is recognised and refused as an unsupported version.  A hello that
+//! is truncated, carries trailing bytes or claims an impossible length is
+//! refused with a [`ServiceErrorKind::Transport`] error.  Either way the
+//! server closes after the rejection.  The accepted reply carries the grid
 //! configuration and public prior so a remote client can rebuild the
 //! location tree without an out-of-band channel (step ② of Fig. 1).
 //! `Warm`/`WarmReply` frames carry the [`WarmRequest`] /
-//! [`WarmReport`](crate::warm::WarmReport) of [`mod@crate::warm`] in the
-//! negotiated codec.  Setting `CORGI_WIRE_CODEC=json`
-//! forces the JSON fallback process-wide (handy for CI interop runs and
-//! packet-capture debugging).
+//! [`WarmReport`](crate::warm::WarmReport) of [`mod@crate::warm`].
 //!
 //! Protocol 1.4 adds the cluster tier: `WarmPush` frames replicate freshly
 //! solved cache entries between peer servers, `Stats`/`StatsReply` expose a
 //! server's runtime counters over the wire, and the hello exchange
-//! additionally negotiates keyed HMAC frame authentication.  When both sides
+//! additionally agrees on keyed HMAC frame authentication.  When both sides
 //! hold the cluster key ([`crate::auth`]), every post-handshake frame carries
 //! a 16-byte MAC trailer (counted in the header length) and a tampered,
 //! unauthenticated or wrongly-keyed frame is rejected with a structured
 //! [`ServiceErrorKind::Unauthenticated`] error before the connection drains.
-//! The hello exchange itself stays unauthenticated JSON so a key mismatch is
-//! always a *legible* rejection.  See [`crate::cluster`] for the shard router
+//! A rejected hello travels without a MAC so a key mismatch is always a
+//! *legible* rejection.  See [`crate::cluster`] for the shard router
 //! and peer-replication layer built on these frames.
 //!
 //! Protocol 1.5 adds the resilience layer: `Ping`/`Pong` frames carry
@@ -70,15 +55,13 @@
 //! restarted server asks each peer for a bounded summary of its resident
 //! `(privacy_level, δ)` cache keys and pulls the forests it is missing
 //! ([`TcpServer::rewarm_from_peers`]), so a rejoin costs network transfer
-//! instead of repeating the LP solves.  All four kinds are append-only: a
-//! 1.4 peer that never sends them never sees them.  For deterministic
+//! instead of repeating the LP solves.  For deterministic
 //! failure testing, an optional [`FaultPlan`] threads through the send and
 //! connect paths (see [`crate::fault`] and `tests/chaos.rs`).
 //!
 //! Malformed input never hangs or kills the server: a bad magic, an unknown
-//! frame kind, an oversized length prefix or an unparsable payload (in either
-//! codec — a peer that negotiated binary and then sends JSON bytes is a codec
-//! desync and fails the same way) each produce a `Response` frame carrying a
+//! frame kind, an oversized length prefix or an unparsable payload (JSON
+//! bytes after the hello included) each produce a `Response` frame carrying a
 //! [`ServiceErrorKind::Transport`] error (request id 0, since no request was
 //! decodable) after which the connection drains and closes; a half-sent frame
 //! is bounded by the handshake/read deadline.  Connection-level behaviour is
@@ -194,9 +177,9 @@ pub const FRAME_HEADER_LEN: usize = 7;
 /// Frame kinds of the wire protocol (the third header byte).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameKind {
-    /// Client → server: version negotiation opener ([`HelloFrame`]).
+    /// Client → server: the handshake opener ([`HelloFrame`]).
     Hello = 0,
-    /// Server → client: negotiation outcome ([`HelloReply`]).
+    /// Server → client: the handshake outcome ([`HelloReply`]).
     HelloReply = 1,
     /// Client → server: a [`RequestEnvelope`].
     Request = 2,
@@ -300,7 +283,7 @@ pub fn encode_frame(kind: FrameKind, payload: &[u8]) -> Vec<u8> {
 
 /// Patch the frame header into a buffer whose first [`FRAME_HEADER_LEN`]
 /// bytes were reserved before the payload was serialized in place — the
-/// single-buffer frame construction used by both codecs.
+/// single-buffer frame construction of [`WireCodec::encode_frame`].
 pub(crate) fn seal_frame(mut frame: Vec<u8>, kind: FrameKind) -> Vec<u8> {
     let payload_len = frame.len() - FRAME_HEADER_LEN;
     frame[0..2].copy_from_slice(&FRAME_MAGIC);
@@ -372,45 +355,25 @@ pub fn try_decode_frame(
     }
 }
 
-/// Encode a hello-exchange message as a JSON frame.  The hello exchange
-/// always travels as JSON — it bootstraps the codec negotiation, so it must
-/// stay legible to every protocol version; the framing itself is the shared
-/// single-buffer path of [`WireCodec::encode_frame`].
-pub(crate) fn encode_json_frame<M: crate::codec::WireMessage>(message: &M) -> Vec<u8> {
-    WireCodec::Json.encode_frame(message)
-}
-
-/// Decode a hello-exchange payload as JSON (see [`encode_json_frame`]).
-pub(crate) fn parse_json_payload<M: crate::codec::WireMessage>(
-    payload: &[u8],
-) -> Result<M, ServiceError> {
-    WireCodec::Json.decode_payload(payload)
-}
-
 /// Payload of a [`FrameKind::Hello`] frame.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HelloFrame {
     /// Protocol version the connecting client speaks.
     pub version: ProtocolVersion,
-    /// Codec names the client can decode, in no particular order (the server
-    /// applies its own preference).  Absent for pre-1.2 peers, which speak
-    /// JSON only — the server treats `None` exactly like `Some(["json"])`.
-    pub codecs: Option<Vec<String>>,
     /// Frame-authentication scheme the client announces (protocol 1.4):
     /// `Some("hmac-sha256")` means every post-handshake frame the client
     /// sends will carry a MAC trailer and the client expects the same from
-    /// the server.  Absent (pre-1.4 peers and unkeyed clients) means plain
-    /// frames; a keyed server rejects such a hello with a structured
+    /// the server.  `None` (unkeyed clients) means plain frames; a keyed
+    /// server rejects such a hello with a structured
     /// [`Unauthenticated`](ServiceErrorKind::Unauthenticated) error.
     pub auth: Option<String>,
 }
 
 impl HelloFrame {
-    /// A hello at the current [`PROTOCOL_VERSION`] advertising `codecs`.
-    pub fn advertising(codecs: &[WireCodec]) -> Self {
+    /// An unkeyed hello at the current [`PROTOCOL_VERSION`].
+    pub fn current() -> Self {
         Self {
             version: PROTOCOL_VERSION,
-            codecs: Some(codecs.iter().map(|c| c.name().to_string()).collect()),
             auth: None,
         }
     }
@@ -436,19 +399,14 @@ pub enum HelloReply {
         grid: HexGridConfig,
         /// Public prior distribution over leaf cells.
         prior: PriorDistribution,
-        /// Codec the server selected for every subsequent frame on this
-        /// connection.  `None` means JSON, whether the field was absent (as
-        /// from pre-1.2 servers, which never emit it) or an explicit `null`
-        /// (as this build's serde shim writes `None`).
-        codec: Option<String>,
-        /// Echo of the negotiated frame-authentication scheme (protocol
-        /// 1.4): `Some("hmac-sha256")` confirms the MAC trailer is active in
-        /// both directions — this accepted reply itself already carries one.
-        /// `None`/absent means plain frames.
+        /// Echo of the agreed frame-authentication scheme (protocol 1.4):
+        /// `Some("hmac-sha256")` confirms the MAC trailer is active in both
+        /// directions — this accepted reply itself already carries one.
+        /// `None` means plain frames.
         auth: Option<String>,
     },
-    /// The versions are incompatible (or the hello was malformed); the server
-    /// closes after sending this.
+    /// The versions are incompatible, authentication does not match, or the
+    /// hello was malformed; the server closes after sending this.
     Rejected(ServiceError),
 }
 
@@ -499,7 +457,7 @@ pub struct TransportConfig {
     /// How long a fresh connection may take to complete the hello exchange
     /// (also bounds how long a truncated frame can sit half-read).
     pub handshake_timeout: Duration,
-    /// Read-idle deadline for negotiated connections: a connection that
+    /// Read-idle deadline for established connections: a connection that
     /// produces no complete inbound frame for this long — with nothing in
     /// flight and nothing queued to write — is answered with a structured
     /// [`Transport`](ServiceErrorKind::Transport) error and drained,
@@ -513,10 +471,9 @@ pub struct TransportConfig {
     pub max_warm_keys: usize,
     /// Warming plan solved on the dispatch pool as soon as the server starts.
     pub warm_on_start: Option<WarmRequest>,
-    /// Payload codecs this server accepts, in preference order; each
-    /// connection uses the first entry its client also advertised (JSON is
-    /// the mandatory fallback).  The default honours `CORGI_WIRE_CODEC`
-    /// (see [`WireCodec::advertisement_from_env`]).
+    /// Never read: every connection speaks the binary codec since protocol
+    /// 2.0.  Kept so configs that still set it compile.
+    #[deprecated(note = "protocol 2.0 is binary-only; this field is never read")]
     pub codecs: Vec<WireCodec>,
     /// Cluster key for keyed frame authentication (protocol 1.4).  When set,
     /// every client must announce `hmac-sha256` in its hello and every
@@ -540,6 +497,7 @@ pub struct TransportConfig {
 }
 
 impl Default for TransportConfig {
+    #[allow(deprecated)]
     fn default() -> Self {
         Self {
             max_inbound_frame: 64 * 1024,
@@ -554,7 +512,7 @@ impl Default for TransportConfig {
             read_idle_timeout: None,
             max_warm_keys: 1024,
             warm_on_start: None,
-            codecs: WireCodec::advertisement_from_env(),
+            codecs: Vec::new(),
             cluster_key: ClusterKey::from_env(),
             replication: None,
             fault_plan: None,
@@ -582,7 +540,7 @@ impl TransportConfig {
 /// counters — the wire-layer analogue of [`crate::ServiceStats`].
 ///
 /// [`TcpServer::stats`] fills every field; [`TcpTransport::stats`] describes
-/// its single client connection (the accept/negotiation counters count that
+/// its single client connection (the accept/handshake counters count that
 /// one connection, and `poisoned_connections` is 0 or 1).  Serializable since
 /// protocol 1.4, where it travels inside a [`StatsReport`] frame.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -591,10 +549,9 @@ pub struct TransportStats {
     pub connections_accepted: u64,
     /// Connections that have fully closed.
     pub connections_closed: u64,
-    /// Connections that negotiated the binary codec.
+    /// Connections that completed the hello exchange (all of them speak the
+    /// binary codec).
     pub binary_connections: u64,
-    /// Connections that negotiated (or defaulted to) the JSON codec.
-    pub json_connections: u64,
     /// Complete frames decoded from peers.
     pub frames_in: u64,
     /// Frames queued for (client: written to) the wire.
@@ -617,7 +574,7 @@ pub struct TransportStats {
     /// the observable face of the inbound memory bound (one maximal frame
     /// plus a read chunk of slack per connection, never more).
     pub read_buffer_high_water: u64,
-    /// Transport-level protocol failures (malformed frames, codec desyncs,
+    /// Transport-level protocol failures (malformed frames, stream desyncs,
     /// oversized payloads) answered with a structured error.
     pub transport_errors: u64,
     /// Client connections poisoned by a stream desynchronization (every
@@ -629,13 +586,11 @@ impl TransportStats {
     /// Fold another snapshot into this one: counters add, the read-buffer
     /// high-water mark takes the maximum.  This is how per-shard snapshots
     /// aggregate into the server-wide view of [`TcpServer::stats`] and the
-    /// wire `Stats` frame — no new wire fields, so protocol 1.4 peers decode
-    /// the aggregate unchanged.
+    /// wire `Stats` frame, with no wire fields of its own.
     pub fn merge(&mut self, other: &TransportStats) {
         self.connections_accepted += other.connections_accepted;
         self.connections_closed += other.connections_closed;
         self.binary_connections += other.binary_connections;
-        self.json_connections += other.json_connections;
         self.frames_in += other.frames_in;
         self.frames_out += other.frames_out;
         self.bytes_in += other.bytes_in;
@@ -666,7 +621,6 @@ pub(crate) struct TransportMetrics {
     pub(crate) connections_accepted: AtomicU64,
     pub(crate) connections_closed: AtomicU64,
     pub(crate) binary_connections: AtomicU64,
-    pub(crate) json_connections: AtomicU64,
     pub(crate) frames_in: AtomicU64,
     pub(crate) frames_out: AtomicU64,
     pub(crate) bytes_in: AtomicU64,
@@ -689,19 +643,11 @@ impl TransportMetrics {
             .fetch_max(bytes, Ordering::Relaxed);
     }
 
-    pub(crate) fn count_codec(&self, codec: WireCodec) {
-        match codec {
-            WireCodec::Binary => Self::add(&self.binary_connections, 1),
-            WireCodec::Json => Self::add(&self.json_connections, 1),
-        }
-    }
-
     pub(crate) fn snapshot(&self) -> TransportStats {
         TransportStats {
             connections_accepted: self.connections_accepted.load(Ordering::Relaxed),
             connections_closed: self.connections_closed.load(Ordering::Relaxed),
             binary_connections: self.binary_connections.load(Ordering::Relaxed),
-            json_connections: self.json_connections.load(Ordering::Relaxed),
             frames_in: self.frames_in.load(Ordering::Relaxed),
             frames_out: self.frames_out.load(Ordering::Relaxed),
             bytes_in: self.bytes_in.load(Ordering::Relaxed),
@@ -1062,8 +1008,7 @@ impl Future for AcceptTask {
                         write_queue: VecDeque::new(),
                         write_pos: 0,
                         pending: Vec::new(),
-                        codec: WireCodec::Json,
-                        negotiated: false,
+                        established: false,
                         draining: false,
                         eof: false,
                         stalled: false,
@@ -1108,7 +1053,7 @@ struct ConnectionTask {
     /// Every shard's counters, for the server-wide `Stats` frame aggregate.
     shard_metrics: Arc<[Arc<TransportMetrics>]>,
     cluster: Arc<ClusterMetrics>,
-    /// Frame-authentication key, active from the moment the hello negotiates
+    /// Frame-authentication key, active from the moment the hello agrees on
     /// it (the accepted reply is already sealed with it); `None` means plain
     /// frames for the life of the connection.
     auth: Option<ClusterKey>,
@@ -1118,10 +1063,8 @@ struct ConnectionTask {
     write_queue: VecDeque<Vec<u8>>,
     write_pos: usize,
     pending: Vec<PendingReply>,
-    /// Payload codec negotiated in the hello exchange (JSON until, and
-    /// unless, the client advertises something better).
-    codec: WireCodec,
-    negotiated: bool,
+    /// Set once the hello exchange has been accepted.
+    established: bool,
     /// Once set, the connection stops reading and closes after the queue
     /// flushes (used after transport-level errors and hello rejection).
     draining: bool,
@@ -1130,11 +1073,11 @@ struct ConnectionTask {
     /// (tracked so the stall counter counts edges, not polls).
     stalled: bool,
     /// Handshake deadline, re-armed by [`ConnectionTask::begin_drain`] to cap
-    /// the final flush; between negotiation and drain the connection lives
+    /// the final flush; between the hello and drain the connection lives
     /// until EOF.
     deadline: Sleep,
     /// Read-idle deadline ([`TransportConfig::read_idle_timeout`]): armed
-    /// after negotiation, re-armed whenever a frame is consumed, `None` when
+    /// after the hello, re-armed whenever a frame is consumed, `None` when
     /// reaping is off.  A connection whose timer fires with nothing in
     /// flight and nothing to write is reaped with a structured error.
     idle: Option<Sleep>,
@@ -1218,7 +1161,7 @@ impl ConnectionTask {
 
     /// Queue an encoded frame for the wire — the single outbound choke
     /// point, so with authentication active every frame (including the
-    /// accepted hello reply queued right after negotiation) gets its MAC
+    /// accepted hello reply queued right after the hello) gets its MAC
     /// trailer here.
     fn queue_frame(&mut self, frame: Vec<u8>) {
         TransportMetrics::add(&self.metrics.frames_out, 1);
@@ -1260,10 +1203,8 @@ impl ConnectionTask {
     fn queue_transport_error(&mut self, error: ServiceError) {
         TransportMetrics::add(&self.metrics.transport_errors, 1);
         // No request id was decodable; 0 is the documented "no request" id.
-        // The error frame is encoded in the connection's negotiated codec —
-        // the peer negotiated it, so it can decode it.
         let envelope = ResponseEnvelope::error(0, error);
-        self.queue_frame(self.codec.encode_frame(&envelope));
+        self.queue_frame(WireCodec::Binary.encode_frame(&envelope));
         self.begin_drain();
     }
 
@@ -1278,7 +1219,7 @@ impl ConnectionTask {
             0,
             ServiceError::unauthenticated(format!("frame failed authentication: {error}")),
         );
-        self.queue_frame(self.codec.encode_frame(&envelope));
+        self.queue_frame(WireCodec::Binary.encode_frame(&envelope));
         self.begin_drain();
     }
 
@@ -1332,10 +1273,9 @@ impl ConnectionTask {
     }
 
     fn handle_frame(&mut self, kind: FrameKind, payload: &[u8]) {
-        let codec = self.codec;
         match kind {
             FrameKind::Request => {
-                let envelope: RequestEnvelope = match codec.decode_payload(payload) {
+                let envelope: RequestEnvelope = match WireCodec::Binary.decode_payload(payload) {
                     Ok(envelope) => envelope,
                     Err(e) => {
                         self.queue_transport_error(e);
@@ -1357,7 +1297,7 @@ impl ConnectionTask {
                             self.config.max_dispatch_backlog
                         )),
                     );
-                    self.queue_frame(codec.encode_frame(&reply));
+                    self.queue_frame(WireCodec::Binary.encode_frame(&reply));
                     return;
                 }
                 TransportMetrics::add(&self.metrics.requests_admitted, 1);
@@ -1371,11 +1311,11 @@ impl ConnectionTask {
                     // Envelope version check, service stack, serialization:
                     // all off the reactor thread.
                     let reply = service.handle_envelope(&envelope);
-                    let _ = tx.send(codec.encode_frame(&reply));
+                    let _ = tx.send(WireCodec::Binary.encode_frame(&reply));
                 });
             }
             FrameKind::Warm => {
-                let plan: WarmRequest = match codec.decode_payload(payload) {
+                let plan: WarmRequest = match WireCodec::Binary.decode_payload(payload) {
                     Ok(plan) => plan,
                     Err(e) => {
                         self.queue_transport_error(e);
@@ -1399,11 +1339,11 @@ impl ConnectionTask {
                 let service = Arc::clone(&self.service);
                 self.dispatch.execute(move || {
                     let report = warm(service.as_ref(), &plan);
-                    let _ = tx.send(codec.encode_frame(&report));
+                    let _ = tx.send(WireCodec::Binary.encode_frame(&report));
                 });
             }
             FrameKind::WarmPush => {
-                let push: WarmPush = match codec.decode_payload(payload) {
+                let push: WarmPush = match WireCodec::Binary.decode_payload(payload) {
                     Ok(push) => push,
                     Err(e) => {
                         self.queue_transport_error(e);
@@ -1435,7 +1375,7 @@ impl ConnectionTask {
                 }
             }
             FrameKind::Stats => {
-                if let Err(e) = codec.decode_payload::<StatsRequest>(payload) {
+                if let Err(e) = WireCodec::Binary.decode_payload::<StatsRequest>(payload) {
                     self.queue_transport_error(e);
                     return;
                 }
@@ -1447,26 +1387,26 @@ impl ConnectionTask {
                     cache: self.service.cache_stats(),
                     cluster: Some(self.cluster.snapshot(self.config.replication.as_deref())),
                 };
-                self.queue_frame(codec.encode_frame(&report));
+                self.queue_frame(WireCodec::Binary.encode_frame(&report));
             }
             FrameKind::Ping => {
                 // Liveness probe (protocol 1.5): echo the nonce back.  The
                 // reply is queued inline on the reactor — a server that can
                 // still run its event loop is, by definition, alive.
-                let ping: Ping = match codec.decode_payload(payload) {
+                let ping: Ping = match WireCodec::Binary.decode_payload(payload) {
                     Ok(ping) => ping,
                     Err(e) => {
                         self.queue_transport_error(e);
                         return;
                     }
                 };
-                self.queue_frame(codec.encode_frame(&Pong { nonce: ping.nonce }));
+                self.queue_frame(WireCodec::Binary.encode_frame(&Pong { nonce: ping.nonce }));
             }
             FrameKind::Digest => {
                 // Anti-entropy exchange (protocol 1.5): a summary of resident
                 // cache keys, or one pulled forest.  Both are answered from
                 // the cache alone — a digest never schedules a solve.
-                let request: DigestRequest = match codec.decode_payload(payload) {
+                let request: DigestRequest = match WireCodec::Binary.decode_payload(payload) {
                     Ok(request) => request,
                     Err(e) => {
                         self.queue_transport_error(e);
@@ -1499,7 +1439,7 @@ impl ConnectionTask {
                         }
                     }
                 };
-                self.queue_frame(codec.encode_frame(&reply));
+                self.queue_frame(WireCodec::Binary.encode_frame(&reply));
             }
             // A second hello, or a server-to-client kind from a client: the
             // peer is confused; tell it so and hang up.
@@ -1511,7 +1451,7 @@ impl ConnectionTask {
             | FrameKind::Pong
             | FrameKind::DigestReply => {
                 self.queue_transport_error(ServiceError::transport(format!(
-                    "unexpected {kind:?} frame after negotiation"
+                    "unexpected {kind:?} frame after the hello"
                 )));
             }
         }
@@ -1534,7 +1474,7 @@ impl ConnectionTask {
                             "request handler panicked on the dispatch pool",
                         ),
                     );
-                    completed.push((index, self.codec.encode_frame(&envelope)));
+                    completed.push((index, WireCodec::Binary.encode_frame(&envelope)));
                 }
                 Poll::Pending => {}
             }
@@ -1568,89 +1508,73 @@ impl ConnectionTask {
             }
             Ok(Some((FrameKind::Hello, payload))) => {
                 TransportMetrics::add(&self.metrics.frames_in, 1);
-                match parse_json_payload::<HelloFrame>(&payload) {
+                match WireCodec::Binary.decode_payload::<HelloFrame>(&payload) {
                     Ok(hello) if PROTOCOL_VERSION.is_compatible_with(&hello.version) => {
-                        // Authentication negotiation comes first: a key
-                        // mismatch must surface as a legible structured
-                        // rejection (always plain JSON), never a MAC failure.
+                        // Authentication comes first: a key mismatch must
+                        // surface as a legible structured rejection (always
+                        // without a MAC), never a MAC failure.
                         match (&self.config.cluster_key, hello.auth.as_deref()) {
                             (Some(key), Some(AUTH_SCHEME)) => self.auth = Some(key.clone()),
                             (Some(_), announced) => {
                                 self.cluster.count_auth_rejection();
-                                let reply = HelloReply::Rejected(ServiceError::unauthenticated(
-                                    match announced {
-                                        None => "server requires authenticated frames \
-                                                 (hmac-sha256); configure the cluster key"
-                                            .to_string(),
-                                        Some(other) => format!(
-                                            "server requires the hmac-sha256 frame-authentication \
-                                             scheme, client announced {other:?}"
-                                        ),
-                                    },
-                                ));
-                                self.queue_frame(encode_json_frame(&reply));
-                                self.begin_drain();
+                                self.reject_hello(ServiceError::unauthenticated(match announced {
+                                    None => "server requires authenticated frames \
+                                             (hmac-sha256); configure the cluster key"
+                                        .to_string(),
+                                    Some(other) => format!(
+                                        "server requires the hmac-sha256 frame-authentication \
+                                         scheme, client announced {other:?}"
+                                    ),
+                                }));
                                 return None;
                             }
                             (None, Some(scheme)) => {
                                 self.cluster.count_auth_rejection();
-                                let reply =
-                                    HelloReply::Rejected(ServiceError::unauthenticated(format!(
-                                        "client announced {scheme:?} frame authentication but \
-                                         this server has no cluster key"
-                                    )));
-                                self.queue_frame(encode_json_frame(&reply));
-                                self.begin_drain();
+                                self.reject_hello(ServiceError::unauthenticated(format!(
+                                    "client announced {scheme:?} frame authentication but this \
+                                     server has no cluster key"
+                                )));
                                 return None;
                             }
                             (None, None) => {}
                         }
-                        // Codec negotiation: first of our codecs the client
-                        // also advertised; a pre-1.2 hello (no codec list)
-                        // negotiates the JSON fallback.
-                        let codec =
-                            WireCodec::negotiate(&self.config.codecs, hello.codecs.as_deref());
-                        self.codec = codec;
-                        self.metrics.count_codec(codec);
+                        TransportMetrics::add(&self.metrics.binary_connections, 1);
                         let reply = HelloReply::Accepted {
                             version: PROTOCOL_VERSION,
                             grid: *self.service.tree().grid().config(),
                             prior: (*self.service.prior()).clone(),
-                            codec: match codec {
-                                // `None`/`null`/absent all mean JSON, which
-                                // is also all a pre-1.2 server can mean (its
-                                // replies simply lack the field; this serde
-                                // shim writes `None` as `"codec":null`).
-                                WireCodec::Json => None,
-                                WireCodec::Binary => Some(codec.name().to_string()),
-                            },
                             auth: self.auth.as_ref().map(|_| AUTH_SCHEME.to_string()),
                         };
                         // queue_frame seals the accepted reply when auth just
                         // became active — the client verifies it on arrival.
-                        self.queue_frame(encode_json_frame(&reply));
-                        self.negotiated = true;
+                        self.queue_frame(WireCodec::Binary.encode_frame(&reply));
+                        self.established = true;
                         self.idle = self
                             .config
                             .read_idle_timeout
                             .map(|timeout| self.handle.sleep(timeout));
                         None // fall through into the serving loop
                     }
+                    // A version mismatch is a well-formed exchange, visible
+                    // as an accepted-then-closed connection, not a transport
+                    // error — and so is the JSON hello of a 1.x peer.
                     Ok(hello) => {
-                        let reply =
-                            HelloReply::Rejected(ServiceError::unsupported_version(hello.version));
-                        self.queue_frame(encode_json_frame(&reply));
-                        self.begin_drain();
+                        self.reject_hello(ServiceError::unsupported_version(hello.version));
+                        None
+                    }
+                    Err(_) if payload.first() == Some(&b'{') => {
+                        self.reject_hello(ServiceError::new(
+                            ServiceErrorKind::UnsupportedVersion,
+                            format!(
+                                "JSON hello from a protocol 1.x peer; protocol \
+                                 {PROTOCOL_VERSION} frames are binary"
+                            ),
+                        ));
                         None
                     }
                     Err(e) => {
-                        // Handshake-phase transport failures count like any
-                        // other (the version rejection above does not: it is
-                        // a well-formed exchange, visible as an accepted-then-
-                        // closed connection, not a transport error).
                         TransportMetrics::add(&self.metrics.transport_errors, 1);
-                        self.queue_frame(encode_json_frame(&HelloReply::Rejected(e)));
-                        self.begin_drain();
+                        self.reject_hello(e);
                         None
                     }
                 }
@@ -1658,19 +1582,24 @@ impl ConnectionTask {
             Ok(Some((kind, _))) => {
                 TransportMetrics::add(&self.metrics.frames_in, 1);
                 TransportMetrics::add(&self.metrics.transport_errors, 1);
-                self.queue_frame(encode_json_frame(&HelloReply::Rejected(
-                    ServiceError::transport(format!("expected a Hello frame, got {kind:?}")),
+                self.reject_hello(ServiceError::transport(format!(
+                    "expected a Hello frame, got {kind:?}"
                 )));
-                self.draining = true;
                 None
             }
             Err(e) => {
                 TransportMetrics::add(&self.metrics.transport_errors, 1);
-                self.queue_frame(encode_json_frame(&HelloReply::Rejected(e.into())));
-                self.draining = true;
+                self.reject_hello(e.into());
                 None
             }
         }
+    }
+
+    /// Refuse the hello with a structured rejection and close once it has
+    /// been written.
+    fn reject_hello(&mut self, error: ServiceError) {
+        self.queue_frame(WireCodec::Binary.encode_frame(&HelloReply::Rejected(error)));
+        self.begin_drain();
     }
 }
 
@@ -1682,7 +1611,7 @@ impl Future for ConnectionTask {
         if this.handle.is_shutdown() {
             return Poll::Ready(());
         }
-        if !this.negotiated && !this.draining {
+        if !this.established && !this.draining {
             if let Some(poll) = this.handshake_step(cx) {
                 return poll;
             }
@@ -1855,20 +1784,14 @@ mod tests {
 
     #[test]
     fn hello_frames_roundtrip_through_json() {
-        let hello = HelloFrame::advertising(&[WireCodec::Binary, WireCodec::Json]);
+        // The serde derives stay for tooling that prints frames as JSON.
+        let hello = HelloFrame::current();
         let json = serde_json::to_string(&hello).unwrap();
         let back: HelloFrame = serde_json::from_str(&json).unwrap();
         assert_eq!(back, hello);
 
-        // A pre-1.2 hello has no codec list (and no auth scheme); the
-        // fields decode as None.
-        let legacy = r#"{"version":{"major":1,"minor":1}}"#;
-        let back: HelloFrame = serde_json::from_str(legacy).unwrap();
-        assert_eq!(back.codecs, None);
-        assert_eq!(back.auth, None);
-
         // An authenticated hello round-trips its scheme.
-        let keyed = HelloFrame::advertising(&[WireCodec::Json]).authenticated();
+        let keyed = HelloFrame::current().authenticated();
         let json = serde_json::to_string(&keyed).unwrap();
         let back: HelloFrame = serde_json::from_str(&json).unwrap();
         assert_eq!(back.auth.as_deref(), Some(crate::auth::AUTH_SCHEME));

@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ));
     let server = TcpServer::bind("127.0.0.1:0", stack, TransportConfig::default())?;
 
-    // 4. The user device connects over TCP: the hello exchange negotiates the
+    // 4. The user device connects over TCP: the hello exchange checks the
     //    protocol version and mirrors the server's public tree + prior, and
     //    the transport is itself a MatrixService, so the client code is
     //    identical to the in-process deployment.

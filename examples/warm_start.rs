@@ -97,7 +97,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Connection-level view of the same traffic: frames and bytes that
-    // crossed the wire, the codec each side negotiated, and whether any
+    // crossed the wire, the codec they travelled in, and whether any
     // backpressure or transport errors occurred.
     let client_stats = transport.stats();
     let server_stats = server.stats();

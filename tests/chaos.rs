@@ -19,7 +19,7 @@ use corgi::framework::{
     rendezvous_rank, CachingService, ClientConfig, ClusterKey, FaultAction, FaultPlan, FaultSite,
     ForestGenerator, HealthConfig, MatrixService, PeerHealthState, ReplicatingService,
     ReplicationConfig, Replicator, RouterConfig, ServerConfig, ServiceErrorKind, ShardRouter,
-    TcpServer, TcpTransport, TransportConfig, WireCodec,
+    TcpServer, TcpTransport, TransportConfig,
 };
 use corgi::hexgrid::{HexGrid, HexGridConfig};
 use std::net::ToSocketAddrs;
@@ -52,7 +52,6 @@ fn fast_health() -> HealthConfig {
 
 fn client_config() -> ClientConfig {
     ClientConfig {
-        codecs: vec![WireCodec::Binary, WireCodec::Json],
         read_timeout: Some(Duration::from_secs(30)),
         ..ClientConfig::default()
     }
@@ -76,8 +75,6 @@ fn boot_shard(
 ) -> Shard {
     let replicator = Replicator::new(ReplicationConfig {
         health,
-        // Deterministic negotiation regardless of CORGI_WIRE_CODEC.
-        codecs: vec![WireCodec::Binary, WireCodec::Json],
         ..ReplicationConfig::default()
     });
     let service = Arc::new(CachingService::with_defaults(ReplicatingService::new(
@@ -88,7 +85,6 @@ fn boot_shard(
         replication: Some(Arc::clone(&replicator)),
         // Payload pushes and digest pulls carry a whole encoded forest.
         max_inbound_frame: 8 * 1024 * 1024,
-        codecs: vec![WireCodec::Binary, WireCodec::Json],
         ..TransportConfig::default()
     };
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -310,7 +306,6 @@ fn a_peer_that_stops_answering_pings_is_condemned() {
         ))) as Arc<dyn MatrixService>,
         TransportConfig {
             fault_plan: Some(mute_plan),
-            codecs: vec![WireCodec::Binary, WireCodec::Json],
             ..TransportConfig::default()
         },
     )
@@ -447,7 +442,6 @@ fn scripted_faults_surface_structured_errors_and_never_hang() {
         TransportConfig {
             cluster_key: Some(key.clone()),
             fault_plan: Some(Arc::clone(&server_plan)),
-            codecs: vec![WireCodec::Binary, WireCodec::Json],
             ..TransportConfig::default()
         },
     )
@@ -455,7 +449,6 @@ fn scripted_faults_surface_structured_errors_and_never_hang() {
     let addr = server.local_addr();
     let client = |plan: Option<Arc<FaultPlan>>, read_timeout: Duration| ClientConfig {
         cluster_key: Some(key.clone()),
-        codecs: vec![WireCodec::Json],
         read_timeout: Some(read_timeout),
         fault_plan: plan,
         ..ClientConfig::default()

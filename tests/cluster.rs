@@ -7,7 +7,7 @@
 use corgi::core::LocationTree;
 use corgi::datagen::{GowallaLikeConfig, GowallaLikeGenerator, PriorDistribution};
 use corgi::framework::messages::{MatrixRequest, RequestEnvelope, ResponseEnvelope};
-use corgi::framework::transport::{encode_frame, FrameKind, HelloFrame, HelloReply};
+use corgi::framework::transport::{FrameKind, HelloFrame, HelloReply};
 use corgi::framework::{
     rendezvous_rank, CachingService, ClientConfig, ClusterKey, ForestGenerator, MatrixService,
     ReplicatingService, ReplicationConfig, Replicator, RouterConfig, ServerConfig, ServiceError,
@@ -15,7 +15,7 @@ use corgi::framework::{
 };
 use corgi::hexgrid::{HexGrid, HexGridConfig};
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -43,8 +43,6 @@ fn start_cluster(n: usize, key: Option<ClusterKey>) -> Vec<Shard> {
         .map(|_| {
             let replicator = Replicator::new(ReplicationConfig {
                 cluster_key: key.clone(),
-                // Deterministic negotiation regardless of CORGI_WIRE_CODEC.
-                codecs: vec![WireCodec::Binary, WireCodec::Json],
                 ..ReplicationConfig::default()
             });
             let service = Arc::new(CachingService::with_defaults(ReplicatingService::new(
@@ -59,7 +57,6 @@ fn start_cluster(n: usize, key: Option<ClusterKey>) -> Vec<Shard> {
                     replication: Some(Arc::clone(&replicator)),
                     // Payload pushes carry a whole encoded forest.
                     max_inbound_frame: 8 * 1024 * 1024,
-                    codecs: vec![WireCodec::Binary, WireCodec::Json],
                     ..TransportConfig::default()
                 },
             )
@@ -89,26 +86,26 @@ fn endpoints_of(shards: &[Shard]) -> Vec<String> {
         .collect()
 }
 
-fn keyed_client(key: Option<ClusterKey>, codec: WireCodec) -> ClientConfig {
+fn keyed_client(key: Option<ClusterKey>) -> ClientConfig {
     ClientConfig {
         cluster_key: key,
-        codecs: vec![codec],
         read_timeout: Some(Duration::from_secs(30)),
         ..ClientConfig::default()
     }
 }
 
-/// The tentpole contract, parameterized by payload codec: a cold miss routed
-/// to its owner shard must become a warm hit on every peer — confirmed over
-/// the wire via `Stats` frames — without the peers ever running an LP solve.
-fn replication_contract(codec: WireCodec) {
+/// The replication contract: a cold miss routed to its owner shard must
+/// become a warm hit on every peer — confirmed over the wire via `Stats`
+/// frames — without the peers ever running an LP solve.
+#[test]
+fn replication_makes_peer_hits_without_peer_solves_binary() {
     let key = ClusterKey::from_secret(b"cluster-test-key");
     let shards = start_cluster(3, Some(key.clone()));
     let endpoints = endpoints_of(&shards);
     let router = ShardRouter::connect(
         endpoints.iter().cloned(),
         RouterConfig {
-            client: keyed_client(Some(key.clone()), codec),
+            client: keyed_client(Some(key.clone())),
             ..RouterConfig::default()
         },
     )
@@ -126,11 +123,8 @@ fn replication_contract(codec: WireCodec) {
     let stats: Vec<TcpTransport> = shards
         .iter()
         .map(|s| {
-            TcpTransport::connect_with(
-                s.server.local_addr(),
-                keyed_client(Some(key.clone()), codec),
-            )
-            .expect("stats connection")
+            TcpTransport::connect_with(s.server.local_addr(), keyed_client(Some(key.clone())))
+                .expect("stats connection")
         })
         .collect();
 
@@ -191,16 +185,6 @@ fn replication_contract(codec: WireCodec) {
 }
 
 #[test]
-fn replication_makes_peer_hits_without_peer_solves_binary() {
-    replication_contract(WireCodec::Binary);
-}
-
-#[test]
-fn replication_makes_peer_hits_without_peer_solves_json() {
-    replication_contract(WireCodec::Json);
-}
-
-#[test]
 fn push_queue_is_bounded_and_drops_oldest_when_a_peer_stalls() {
     // A peer that is down must not let the queue grow: the bound evicts the
     // oldest push and counts the drop.
@@ -211,13 +195,12 @@ fn push_queue_is_bounded_and_drops_oldest_when_a_peer_stalls() {
         queue_depth: 3,
         ..ReplicationConfig::default()
     });
-    // A port that was live once and is now closed: connects fail fast, so the
-    // flusher keeps backing off while offers keep arriving.
-    let dead = {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        listener.local_addr().unwrap()
-    };
-    replicator.add_peer(dead.to_string());
+    // A closed port: connects are refused at once, so the flusher keeps
+    // backing off while offers keep arriving.  Port 1 lies below the
+    // ephemeral range, so no server the other tests bind in parallel can be
+    // handed it (a freed ephemeral port could be, and then the "dead" peer
+    // answers).
+    replicator.add_peer("127.0.0.1:1".to_string());
     let service = Arc::new(CachingService::with_defaults(ReplicatingService::new(
         ForestGenerator::new(
             LocationTree::new(grid),
@@ -265,9 +248,7 @@ fn push_queue_is_bounded_and_drops_oldest_when_a_peer_stalls() {
     // The drop counter must also be visible to an operator over the wire —
     // the `Stats` frame carries the same per-peer row the in-process
     // accessor does.
-    let stats_conn =
-        TcpTransport::connect_with(server.local_addr(), keyed_client(None, WireCodec::Json))
-            .unwrap();
+    let stats_conn = TcpTransport::connect_with(server.local_addr(), keyed_client(None)).unwrap();
     let wire = stats_conn.server_stats().unwrap().cluster.unwrap();
     let wire_peer = &wire.peers[0];
     assert!(
@@ -292,7 +273,7 @@ fn key_rotation_window_accepts_either_generation() {
 
     // Old-primary client against new-primary server: full handshake plus a
     // sealed request/response round trip.
-    let conn = TcpTransport::connect_with(addr, keyed_client(Some(old_client), WireCodec::Json))
+    let conn = TcpTransport::connect_with(addr, keyed_client(Some(old_client)))
         .expect("rotation window accepts the previous key");
     conn.privacy_forest(MatrixRequest {
         privacy_level: 1,
@@ -301,16 +282,13 @@ fn key_rotation_window_accepts_either_generation() {
     .expect("sealed request verifies under the rotation window");
 
     // A client already on the new primary keeps working throughout.
-    TcpTransport::connect_with(addr, keyed_client(Some(new_server), WireCodec::Json))
+    TcpTransport::connect_with(addr, keyed_client(Some(new_server)))
         .expect("the new primary still handshakes");
 
     // A key from outside the window is still rejected.
     match TcpTransport::connect_with(
         addr,
-        keyed_client(
-            Some(ClusterKey::from_secret(b"rotation-unrelated")),
-            WireCodec::Json,
-        ),
+        keyed_client(Some(ClusterKey::from_secret(b"rotation-unrelated"))),
     ) {
         Ok(_) => panic!("an unrelated key must not handshake"),
         Err(error) => assert_eq!(error.kind, ServiceErrorKind::Unauthenticated, "{error}"),
@@ -339,20 +317,14 @@ fn tampered_frames_are_rejected_with_a_structured_error() {
     let shards = start_cluster(1, Some(key.clone()));
     let addr = shards[0].server.local_addr();
 
-    // Handshake by hand: a plain-JSON hello announcing hmac-sha256 (hellos
-    // are never MAC'd — the reply proves the server holds the key).
+    // Handshake by hand: a hello announcing hmac-sha256 (hellos are never
+    // MAC'd — the reply proves the server holds the key).
     let mut stream = TcpStream::connect(addr).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
-    let hello = serde_json::to_string(&HelloFrame {
-        version: corgi::framework::messages::PROTOCOL_VERSION,
-        codecs: None, // JSON payloads
-        auth: Some(corgi::framework::auth::AUTH_SCHEME.to_string()),
-    })
-    .unwrap();
     stream
-        .write_all(&encode_frame(FrameKind::Hello, hello.as_bytes()))
+        .write_all(&WireCodec::Binary.encode_frame(&HelloFrame::current().authenticated()))
         .unwrap();
     let (kind, reply_frame) = read_raw_frame(&mut stream);
     assert_eq!(kind, FrameKind::HelloReply as u8);
@@ -360,7 +332,7 @@ fn tampered_frames_are_rejected_with_a_structured_error() {
     let payload = key
         .open(&reply_frame)
         .expect("the keyed server authenticates its hello reply");
-    let reply: HelloReply = serde_json::from_str(std::str::from_utf8(payload).unwrap()).unwrap();
+    let reply: HelloReply = WireCodec::Binary.decode_payload(payload).unwrap();
     match reply {
         HelloReply::Accepted { auth, .. } => {
             assert_eq!(auth.as_deref(), Some(corgi::framework::auth::AUTH_SCHEME));
@@ -376,16 +348,12 @@ fn tampered_frames_are_rejected_with_a_structured_error() {
             delta: 0,
         },
     );
-    let frame = key.seal(encode_frame(
-        FrameKind::Request,
-        serde_json::to_string(&envelope).unwrap().as_bytes(),
-    ));
+    let frame = key.seal(WireCodec::Binary.encode_frame(&envelope));
     stream.write_all(&frame).unwrap();
     let (kind, reply_frame) = read_raw_frame(&mut stream);
     assert_eq!(kind, FrameKind::Response as u8);
     let payload = key.open(&reply_frame).expect("sealed response");
-    let reply: ResponseEnvelope =
-        serde_json::from_str(std::str::from_utf8(payload).unwrap()).unwrap();
+    let reply: ResponseEnvelope = WireCodec::Binary.decode_payload(payload).unwrap();
     assert_eq!(reply.request_id, 1);
     reply.into_result().expect("valid sealed request succeeds");
 
@@ -398,10 +366,7 @@ fn tampered_frames_are_rejected_with_a_structured_error() {
             delta: 1,
         },
     );
-    let mut frame = key.seal(encode_frame(
-        FrameKind::Request,
-        serde_json::to_string(&envelope).unwrap().as_bytes(),
-    ));
+    let mut frame = key.seal(WireCodec::Binary.encode_frame(&envelope));
     frame[FRAME_HEADER_LEN] ^= 0x01;
     stream.write_all(&frame).unwrap();
     let (kind, reply_frame) = read_raw_frame(&mut stream);
@@ -409,15 +374,13 @@ fn tampered_frames_are_rejected_with_a_structured_error() {
     let payload = key
         .open(&reply_frame)
         .expect("the rejection itself is authenticated");
-    let reply: ResponseEnvelope =
-        serde_json::from_str(std::str::from_utf8(payload).unwrap()).unwrap();
+    let reply: ResponseEnvelope = WireCodec::Binary.decode_payload(payload).unwrap();
     let error = reply.into_result().expect_err("tampered frame is rejected");
     assert_eq!(error.kind, ServiceErrorKind::Unauthenticated);
     assert!(!error.is_retryable(), "auth failures are terminal");
 
     // The server counted the rejection (visible over the wire too).
-    let stats_conn =
-        TcpTransport::connect_with(addr, keyed_client(Some(key.clone()), WireCodec::Json)).unwrap();
+    let stats_conn = TcpTransport::connect_with(addr, keyed_client(Some(key.clone()))).unwrap();
     let cluster = stats_conn.server_stats().unwrap().cluster.unwrap();
     assert!(cluster.auth_rejections >= 1, "{cluster:?}");
 
@@ -437,23 +400,16 @@ fn keyed_cluster_rejects_unkeyed_and_wrong_key_clients() {
         Err(error) => assert_eq!(error.kind, ServiceErrorKind::Unauthenticated, "{error}"),
     };
     // No key: the server rejects the hello outright.
-    expect_unauthenticated(TcpTransport::connect_with(
-        addr,
-        keyed_client(None, WireCodec::Json),
-    ));
+    expect_unauthenticated(TcpTransport::connect_with(addr, keyed_client(None)));
     // Wrong key: the server's (correctly) sealed reply fails to open on the
     // client, which refuses to desync.
     expect_unauthenticated(TcpTransport::connect_with(
         addr,
-        keyed_client(
-            Some(ClusterKey::from_secret(b"not-the-same-key")),
-            WireCodec::Json,
-        ),
+        keyed_client(Some(ClusterKey::from_secret(b"not-the-same-key"))),
     ));
     assert!(shards[0].server.cluster_stats().auth_rejections >= 1);
     // And the right key connects fine.
-    TcpTransport::connect_with(addr, keyed_client(Some(key), WireCodec::Json))
-        .expect("matching keys handshake");
+    TcpTransport::connect_with(addr, keyed_client(Some(key))).expect("matching keys handshake");
     for shard in shards {
         shard.server.shutdown();
     }
@@ -463,10 +419,7 @@ fn keyed_cluster_rejects_unkeyed_and_wrong_key_clients() {
     let unkeyed = start_cluster(1, None);
     expect_unauthenticated(TcpTransport::connect_with(
         unkeyed[0].server.local_addr(),
-        keyed_client(
-            Some(ClusterKey::from_secret(b"client-only-key")),
-            WireCodec::Json,
-        ),
+        keyed_client(Some(ClusterKey::from_secret(b"client-only-key"))),
     ));
     for shard in unkeyed {
         shard.server.shutdown();

@@ -15,15 +15,14 @@ use corgi::framework::transport::{
     encode_frame, FrameKind, HelloFrame, HelloReply, FRAME_HEADER_LEN, FRAME_MAGIC,
 };
 use corgi::framework::{
-    CachingService, ClientConfig, CorgiClient, ForestGenerator, MatrixService,
-    MetadataAttributeProvider, ServerConfig, TcpServer, TcpTransport, TransportConfig, WarmRequest,
-    WireCodec,
+    CachingService, CorgiClient, ForestGenerator, MatrixService, MetadataAttributeProvider,
+    ServerConfig, TcpServer, TcpTransport, TransportConfig, WarmRequest, WireCodec,
 };
 use corgi::hexgrid::{HexGrid, HexGridConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -47,17 +46,6 @@ fn start_server(service: Arc<dyn MatrixService>) -> TcpServer {
         .expect("binding a loopback server")
 }
 
-/// A server that accepts both codecs regardless of `CORGI_WIRE_CODEC`, so the
-/// negotiation-matrix assertions are deterministic under the forced-JSON CI
-/// run (which only forces the *default* advertisement).
-fn start_dual_codec_server(service: Arc<dyn MatrixService>) -> TcpServer {
-    let config = TransportConfig {
-        codecs: vec![WireCodec::Binary, WireCodec::Json],
-        ..TransportConfig::default()
-    };
-    TcpServer::bind("127.0.0.1:0", service, config).expect("binding a loopback server")
-}
-
 /// Blocking frame receive used by the raw-socket tests.
 fn read_frame(stream: &mut TcpStream) -> std::io::Result<(u8, Vec<u8>)> {
     let mut header = [0u8; FRAME_HEADER_LEN];
@@ -69,30 +57,30 @@ fn read_frame(stream: &mut TcpStream) -> std::io::Result<(u8, Vec<u8>)> {
     Ok((header[2], payload))
 }
 
-/// Raw hello exchange.  `codecs: None` mimics a pre-1.2 peer (JSON only);
-/// the raw-socket tests below keep speaking JSON after it, which is exactly
-/// the 1.1 interop path.
-fn send_hello_advertising(
-    stream: &mut TcpStream,
-    version: ProtocolVersion,
-    codecs: Option<Vec<String>>,
-) -> HelloReply {
-    let hello = serde_json::to_string(&HelloFrame {
-        version,
-        codecs,
-        auth: None,
-    })
-    .unwrap();
-    stream
-        .write_all(&encode_frame(FrameKind::Hello, hello.as_bytes()))
-        .unwrap();
+/// The next frame must be a `HelloReply`; decode it.
+fn read_hello_reply(stream: &mut TcpStream) -> HelloReply {
     let (kind, payload) = read_frame(stream).unwrap();
     assert_eq!(kind, FrameKind::HelloReply as u8);
-    serde_json::from_str(std::str::from_utf8(&payload).unwrap()).unwrap()
+    WireCodec::Binary.decode_payload(&payload).unwrap()
 }
 
+/// The next frame must be a `Response`; decode its envelope.
+fn read_response(stream: &mut TcpStream) -> ResponseEnvelope {
+    let (kind, payload) = read_frame(stream).unwrap();
+    assert_eq!(kind, FrameKind::Response as u8);
+    WireCodec::Binary.decode_payload(&payload).unwrap()
+}
+
+/// Raw unkeyed hello exchange, for the tests that speak frames by hand.
 fn send_hello(stream: &mut TcpStream, version: ProtocolVersion) -> HelloReply {
-    send_hello_advertising(stream, version, None)
+    let hello = HelloFrame {
+        version,
+        auth: None,
+    };
+    stream
+        .write_all(&WireCodec::Binary.encode_frame(&hello))
+        .unwrap();
+    read_hello_reply(stream)
 }
 
 #[test]
@@ -164,18 +152,14 @@ fn sixty_four_inflight_requests_through_one_reactor_thread() {
                             delta: key_of(conn, slot),
                         },
                     );
-                    let json = serde_json::to_string(&envelope).unwrap();
                     stream
-                        .write_all(&encode_frame(FrameKind::Request, json.as_bytes()))
+                        .write_all(&WireCodec::Binary.encode_frame(&envelope))
                         .unwrap();
                 }
                 // Responses arrive in completion order; collect and match by id.
                 let mut seen = vec![false; per_connection];
                 for _ in 0..per_connection {
-                    let (kind, payload) = read_frame(&mut stream).unwrap();
-                    assert_eq!(kind, FrameKind::Response as u8);
-                    let reply: ResponseEnvelope =
-                        serde_json::from_str(std::str::from_utf8(&payload).unwrap()).unwrap();
+                    let reply = read_response(&mut stream);
                     let id = reply.request_id as usize;
                     assert!((1..=per_connection).contains(&id), "unknown id {id}");
                     assert!(!seen[id - 1], "duplicate response for id {id}");
@@ -236,123 +220,36 @@ fn warming_over_the_wire_makes_steady_state_solve_free() {
     let stats = caching.cache_stats().unwrap();
     assert_eq!(stats.hits, 3, "all steady-state requests were hits");
     assert_eq!(stats.misses, warmed.misses, "no post-warm generations");
-    server.shutdown();
-}
 
-#[test]
-fn codec_negotiation_matrix_across_real_sockets() {
-    let caching = caching_stack();
-    let server = start_dual_codec_server(caching.clone() as Arc<dyn MatrixService>);
-    let addr = server.local_addr();
-    let request = MatrixRequest {
-        privacy_level: 1,
-        delta: 0,
-    };
-
-    // Default 1.2 client vs default 1.2 server: whatever the environment
-    // advertises first (binary unless CORGI_WIRE_CODEC=json forces the
-    // fallback) is what gets negotiated — and the full request path works.
-    let expected = WireCodec::advertisement_from_env()[0];
-    let transport = TcpTransport::connect(addr).unwrap();
-    assert_eq!(transport.codec(), expected);
-    assert_eq!(transport.privacy_forest(request).unwrap().entries.len(), 49);
-    let stats = transport.stats();
-    assert_eq!(stats.connections_accepted, 1);
-    assert!(stats.frames_out >= 2, "hello + request: {stats:?}");
-    assert!(stats.frames_in >= 2, "hello reply + response: {stats:?}");
-    assert!(stats.bytes_in > stats.bytes_out, "forests dwarf requests");
-    assert_eq!(stats.poisoned_connections, 0);
-
-    // A client that only offers JSON gets JSON, whatever the server prefers.
-    let json_client = TcpTransport::connect_with(
-        addr,
-        ClientConfig {
-            codecs: vec![WireCodec::Json],
-            ..ClientConfig::default()
-        },
-    )
-    .unwrap();
-    assert_eq!(json_client.codec(), WireCodec::Json);
+    // Both ends count the one connection and its frames.
+    let client = transport.stats();
+    assert_eq!(client.connections_accepted, 1);
+    assert_eq!(client.binary_connections, 1);
     assert_eq!(
-        json_client.privacy_forest(request).unwrap().entries.len(),
-        49
+        client.frames_out, 5,
+        "hello + warm + 3 requests: {client:?}"
     );
-
-    // A pre-1.2 hello (no codec list) negotiates JSON: the reply does not
-    // name a codec and subsequent JSON framing is served as JSON.
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(120)))
-        .unwrap();
-    match send_hello(&mut stream, ProtocolVersion { major: 1, minor: 1 }) {
-        HelloReply::Accepted { codec, .. } => assert_eq!(codec, None),
-        HelloReply::Rejected(e) => panic!("1.1 hello rejected: {e}"),
-    }
-    let envelope = RequestEnvelope::new(5, request);
-    let json = serde_json::to_string(&envelope).unwrap();
-    stream
-        .write_all(&encode_frame(FrameKind::Request, json.as_bytes()))
-        .unwrap();
-    let (kind, payload) = read_frame(&mut stream).unwrap();
-    assert_eq!(kind, FrameKind::Response as u8);
-    assert_eq!(
-        payload[0], b'{',
-        "a JSON-negotiated peer gets JSON payloads"
-    );
-    let reply: ResponseEnvelope =
-        serde_json::from_str(std::str::from_utf8(&payload).unwrap()).unwrap();
-    assert_eq!(reply.request_id, 5);
-    assert_eq!(reply.into_result().unwrap().entries.len(), 49);
-
-    // An explicitly binary-advertising hello negotiates binary: the reply
-    // names it and subsequent payloads are not JSON text.
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(120)))
-        .unwrap();
-    match send_hello_advertising(
-        &mut stream,
-        PROTOCOL_VERSION,
-        Some(vec!["binary".into(), "json".into()]),
-    ) {
-        HelloReply::Accepted { codec, .. } => assert_eq!(codec.as_deref(), Some("binary")),
-        HelloReply::Rejected(e) => panic!("binary hello rejected: {e}"),
-    }
-    let frame = WireCodec::Binary.encode_frame(&RequestEnvelope::new(9, request));
-    stream.write_all(&frame).unwrap();
-    let (kind, payload) = read_frame(&mut stream).unwrap();
-    assert_eq!(kind, FrameKind::Response as u8);
-    assert_ne!(payload[0], b'{', "binary payloads are not JSON text");
-    let reply: ResponseEnvelope = WireCodec::Binary.decode_payload(&payload).unwrap();
-    assert_eq!(reply.request_id, 9);
-    assert_eq!(reply.into_result().unwrap().entries.len(), 49);
-
-    // Server-side counters saw all four connections and both codecs.
+    assert_eq!(client.frames_in, 5, "hello reply + report + 3 forests");
+    assert!(client.bytes_in > client.bytes_out, "forests dwarf requests");
+    assert_eq!(client.poisoned_connections, 0);
     let server_stats = server.stats();
-    assert_eq!(server_stats.connections_accepted, 4);
-    assert_eq!(
-        server_stats.binary_connections + server_stats.json_connections,
-        4
-    );
-    assert!(
-        server_stats.json_connections >= 2,
-        "the forced-JSON and 1.1 peers negotiated JSON: {server_stats:?}"
-    );
+    assert_eq!(server_stats.connections_accepted, 1);
+    assert_eq!(server_stats.binary_connections, 1);
     server.shutdown();
 }
 
 #[test]
-fn json_after_binary_negotiation_is_a_poisoning_codec_desync() {
-    // A peer that negotiates binary and then sends JSON bytes has
-    // desynchronized its codec: the server answers with a structured
-    // Transport error (in the negotiated codec) and closes — never a hang.
-    let server = start_dual_codec_server(caching_stack() as Arc<dyn MatrixService>);
+fn json_after_the_hello_is_a_poisoning_desync() {
+    // A peer that sends JSON bytes after the binary hello has desynchronized
+    // its stream: the server answers with a structured Transport error and
+    // closes — never a hang.
+    let server = start_server(caching_stack() as Arc<dyn MatrixService>);
     let mut stream = TcpStream::connect(server.local_addr()).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
         .unwrap();
-    match send_hello_advertising(&mut stream, PROTOCOL_VERSION, Some(vec!["binary".into()])) {
-        HelloReply::Accepted { codec, .. } => assert_eq!(codec.as_deref(), Some("binary")),
+    match send_hello(&mut stream, PROTOCOL_VERSION) {
+        HelloReply::Accepted { .. } => {}
         HelloReply::Rejected(e) => panic!("hello rejected: {e}"),
     }
     let envelope = RequestEnvelope::new(
@@ -366,9 +263,7 @@ fn json_after_binary_negotiation_is_a_poisoning_codec_desync() {
     stream
         .write_all(&encode_frame(FrameKind::Request, json.as_bytes()))
         .unwrap();
-    let (kind, payload) = read_frame(&mut stream).unwrap();
-    assert_eq!(kind, FrameKind::Response as u8);
-    let reply: ResponseEnvelope = WireCodec::Binary.decode_payload(&payload).unwrap();
+    let reply = read_response(&mut stream);
     assert_eq!(reply.request_id, 0, "no request id was decodable");
     let error = reply.into_result().unwrap_err();
     assert_eq!(error.kind, ServiceErrorKind::Transport);
@@ -376,25 +271,68 @@ fn json_after_binary_negotiation_is_a_poisoning_codec_desync() {
     assert_eq!(stream.read_to_end(&mut rest).unwrap(), 0, "server closed");
     assert!(server.stats().transport_errors >= 1);
 
-    // A corrupted *binary* frame fails the same structured way.
+    // A corrupted binary frame fails the same structured way.
     let mut stream = TcpStream::connect(server.local_addr()).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
         .unwrap();
-    match send_hello_advertising(&mut stream, PROTOCOL_VERSION, Some(vec!["binary".into()])) {
+    match send_hello(&mut stream, PROTOCOL_VERSION) {
         HelloReply::Accepted { .. } => {}
         HelloReply::Rejected(e) => panic!("hello rejected: {e}"),
     }
     let mut frame = WireCodec::Binary.encode_frame(&envelope);
     frame[7] ^= 0xff; // first payload byte: the leading field tag
     stream.write_all(&frame).unwrap();
-    let (kind, payload) = read_frame(&mut stream).unwrap();
-    assert_eq!(kind, FrameKind::Response as u8);
-    let reply: ResponseEnvelope = WireCodec::Binary.decode_payload(&payload).unwrap();
-    let error = reply.into_result().unwrap_err();
+    let error = read_response(&mut stream).into_result().unwrap_err();
     assert_eq!(error.kind, ServiceErrorKind::Transport);
     let mut rest = Vec::new();
     assert_eq!(stream.read_to_end(&mut rest).unwrap(), 0, "server closed");
+
+    // The client side of the same desync: a server that accepts the hello
+    // and then answers in JSON poisons the client's connection, so every
+    // further call fails fast instead of reading a stale reply.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let stack = caching_stack();
+    let accepted = HelloReply::Accepted {
+        version: PROTOCOL_VERSION,
+        grid: *stack.tree().grid().config(),
+        prior: (*stack.prior()).clone(),
+        auth: None,
+    };
+    let peer = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let (kind, _) = read_frame(&mut stream).unwrap();
+        assert_eq!(kind, FrameKind::Hello as u8);
+        stream
+            .write_all(&WireCodec::Binary.encode_frame(&accepted))
+            .unwrap();
+        let (kind, _) = read_frame(&mut stream).unwrap();
+        assert_eq!(kind, FrameKind::Request as u8);
+        let json = serde_json::to_string(&ResponseEnvelope::error(
+            1,
+            ServiceError::new(ServiceErrorKind::Internal, "JSON text"),
+        ))
+        .unwrap();
+        stream
+            .write_all(&encode_frame(FrameKind::Response, json.as_bytes()))
+            .unwrap();
+        // Hold the socket open until the client hangs up.
+        let _ = stream.read_to_end(&mut Vec::new());
+    });
+    let client = TcpTransport::connect(addr).unwrap();
+    let request = MatrixRequest {
+        privacy_level: 1,
+        delta: 0,
+    };
+    let error = client.privacy_forest(request).unwrap_err();
+    assert_eq!(error.kind, ServiceErrorKind::Transport);
+    assert!(error.message.contains("malformed"), "{}", error.message);
+    assert_eq!(client.stats().poisoned_connections, 1);
+    let error = client.privacy_forest(request).unwrap_err();
+    assert!(error.message.contains("poisoned"), "{}", error.message);
+    drop(client);
+    peer.join().expect("fake server thread");
     server.shutdown();
 }
 
@@ -435,9 +373,7 @@ fn version_mismatch_is_refused_with_a_structured_error() {
     stream
         .write_all(&encode_frame(FrameKind::Request, b"{}"))
         .unwrap();
-    let (kind, payload) = read_frame(&mut stream).unwrap();
-    assert_eq!(kind, FrameKind::HelloReply as u8);
-    match serde_json::from_str::<HelloReply>(std::str::from_utf8(&payload).unwrap()).unwrap() {
+    match read_hello_reply(&mut stream) {
         HelloReply::Rejected(error) => assert_eq!(error.kind, ServiceErrorKind::Transport),
         HelloReply::Accepted { .. } => panic!("a Request before Hello must be refused"),
     }
@@ -460,10 +396,7 @@ fn malformed_frames_return_transport_errors_and_close() {
         stream
             .set_read_timeout(Some(Duration::from_secs(30)))
             .unwrap();
-        let (kind, payload) = read_frame(&mut stream).unwrap();
-        assert_eq!(kind, FrameKind::Response as u8);
-        let reply: ResponseEnvelope =
-            serde_json::from_str(std::str::from_utf8(&payload).unwrap()).unwrap();
+        let reply = read_response(&mut stream);
         assert_eq!(reply.request_id, 0, "no request id was decodable");
         let error = reply.into_result().unwrap_err();
         assert_eq!(error.kind, ServiceErrorKind::Transport);
@@ -521,6 +454,59 @@ fn malformed_frames_return_transport_errors_and_close() {
     let error = expect_transport_error(stream);
     assert!(error.message.contains("malformed"), "{}", error.message);
 
+    // Hostile hellos: each gets a structured rejection and a close within
+    // the handshake deadline.
+    let handshake_timeout = TransportConfig::default().handshake_timeout;
+    let expect_hello_rejection = |hello_payload: &[u8]| {
+        let started = Instant::now();
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        stream
+            .write_all(&encode_frame(FrameKind::Hello, hello_payload))
+            .unwrap();
+        let error = match read_hello_reply(&mut stream) {
+            HelloReply::Rejected(error) => error,
+            HelloReply::Accepted { .. } => panic!("a hostile hello must be refused"),
+        };
+        let mut rest = Vec::new();
+        assert_eq!(stream.read_to_end(&mut rest).unwrap(), 0, "server closed");
+        assert!(started.elapsed() < handshake_timeout);
+        error
+    };
+    let hello = WireCodec::Binary.encode_frame(&HelloFrame::current());
+    let hello = &hello[FRAME_HEADER_LEN..];
+
+    // A protocol 1.x peer's JSON hello: refused as an unsupported version.
+    let error = expect_hello_rejection(br#"{"version":{"major":1,"minor":5}}"#);
+    assert_eq!(error.kind, ServiceErrorKind::UnsupportedVersion);
+    assert!(error.message.contains("JSON"), "{}", error.message);
+
+    // A binary hello cut short inside its last field.
+    let error = expect_hello_rejection(&hello[..hello.len() - 1]);
+    assert_eq!(error.kind, ServiceErrorKind::Transport);
+    assert!(error.message.contains("truncated"), "{}", error.message);
+
+    // A valid hello followed by trailing bytes inside the same frame.
+    let error = expect_hello_rejection(&[hello, b"junk"].concat());
+    assert_eq!(error.kind, ServiceErrorKind::Transport);
+    assert!(error.message.contains("trailing"), "{}", error.message);
+
+    // A hello whose auth scheme claims u32::MAX bytes: the count is checked
+    // against the bytes present, so nothing is allocated for it.
+    let mut huge = hello.to_vec();
+    huge.pop(); // the auth presence byte (0: absent) …
+    huge.push(1); // … now present,
+    huge.extend_from_slice(&u32::MAX.to_le_bytes()); // with a huge length.
+    let error = expect_hello_rejection(&huge);
+    assert_eq!(error.kind, ServiceErrorKind::Transport);
+    assert!(error.message.contains("count"), "{}", error.message);
+
+    // Every malformed frame and hostile binary hello was counted; the JSON
+    // hello is a version refusal, which is not a transport error.
+    assert_eq!(server.stats().transport_errors, 6);
+
     // After all that abuse the server still serves a healthy client.
     let transport = TcpTransport::connect(addr).unwrap();
     let forest = transport
@@ -562,13 +548,7 @@ fn shutdown_closes_the_listener_and_open_connections() {
     // refused outright or the socket is dead (no HelloReply ever comes).
     if let Ok(mut late) = TcpStream::connect(addr) {
         late.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        let hello = serde_json::to_string(&HelloFrame {
-            version: PROTOCOL_VERSION,
-            codecs: None,
-            auth: None,
-        })
-        .unwrap();
-        let _ = late.write_all(&encode_frame(FrameKind::Hello, hello.as_bytes()));
+        let _ = late.write_all(&WireCodec::Binary.encode_frame(&HelloFrame::current()));
         let mut buf = [0u8; 1];
         assert!(
             !matches!(late.read(&mut buf), Ok(n) if n > 0),
@@ -750,12 +730,7 @@ fn soak_connection_churn_with_aborts_and_malformed_peers() {
                                 HelloReply::Accepted { .. }
                             ));
                             stream.write_all(b"XXXXXXXXXXXXXXXX").unwrap();
-                            let (kind, payload) = read_frame(&mut stream).unwrap();
-                            assert_eq!(kind, FrameKind::Response as u8);
-                            let reply: ResponseEnvelope =
-                                serde_json::from_str(std::str::from_utf8(&payload).unwrap())
-                                    .unwrap();
-                            let error = reply.into_result().unwrap_err();
+                            let error = read_response(&mut stream).into_result().unwrap_err();
                             assert_eq!(error.kind, ServiceErrorKind::Transport);
                             malformed += 1;
                         }
@@ -851,10 +826,7 @@ fn mute_connections_are_reaped_at_the_read_idle_deadline() {
 
     // By now the mute connection crossed its deadline: a structured Transport
     // error naming the policy, then EOF — not a silent drop, never a hang.
-    let (kind, payload) = read_frame(&mut mute).unwrap();
-    assert_eq!(kind, FrameKind::Response as u8);
-    let reply: ResponseEnvelope =
-        serde_json::from_str(std::str::from_utf8(&payload).unwrap()).unwrap();
+    let reply = read_response(&mut mute);
     assert_eq!(reply.request_id, 0, "no request was in flight");
     let error = reply.into_result().unwrap_err();
     assert_eq!(error.kind, ServiceErrorKind::Transport);

@@ -1,7 +1,8 @@
-//! Property tests of the 1.2 wire codecs: for randomized envelopes the binary
-//! and JSON codecs must decode to the *same* message, and the binary codec
-//! must round-trip every `f64` bit pattern exactly (NaN payloads, ±0,
-//! subnormals — values JSON text cannot always carry).
+//! Property tests of the binary wire codec: randomized envelopes decode to
+//! the message that was encoded — the same message the JSON text of the
+//! serde derives (the reference implementation the perf gate compares
+//! against) decodes to — and every `f64` bit pattern round-trips exactly
+//! (NaN payloads, ±0, subnormals — values JSON text cannot always carry).
 
 use corgi::core::ObfuscationMatrix;
 use corgi::framework::messages::{
@@ -43,20 +44,35 @@ fn forest_from(values: &[f64], subtrees: usize, request: MatrixRequest) -> Priva
     }
 }
 
-fn decode_frame<M: corgi::framework::WireMessage>(codec: WireCodec, frame: Vec<u8>) -> (M, usize) {
-    let mut buf = frame;
+/// Encode `message` as a binary frame and decode it back, returning the
+/// decoded message and the payload length.
+fn round_trip<M: corgi::framework::WireMessage>(message: &M) -> (M, usize) {
+    let mut buf = WireCodec::Binary.encode_frame(message);
     let (kind, payload) = try_decode_frame(&mut buf, usize::MAX).unwrap().unwrap();
     assert_eq!(kind, M::KIND);
     assert!(buf.is_empty(), "frame length must cover the whole payload");
-    (codec.decode_payload(&payload).unwrap(), payload.len())
+    (
+        WireCodec::Binary.decode_payload(&payload).unwrap(),
+        payload.len(),
+    )
+}
+
+/// The JSON text reference: serialize and parse back through the serde
+/// derives, returning the decoded message and the text length.
+fn json_round_trip<M>(message: &M) -> (M, usize)
+where
+    M: serde::Serialize + for<'de> serde::Deserialize<'de>,
+{
+    let text = serde_json::to_string(message).unwrap();
+    (serde_json::from_str(&text).unwrap(), text.len())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Binary and JSON agree on randomized (finite-valued) response
-    /// envelopes: the same decoded message from either codec, and binary is
-    /// always the smaller wire image.
+    /// Binary and the JSON text reference agree on randomized
+    /// (finite-valued) response envelopes: the same decoded message from
+    /// either, and binary is always the smaller image.
     #[test]
     fn binary_and_json_decode_the_same_envelope(
         values in proptest::collection::vec(-1.0e12f64..1.0e12, 1..24),
@@ -69,10 +85,8 @@ proptest! {
         let envelope =
             ResponseEnvelope::forest(request_id, Arc::new(forest_from(&values, subtrees, request)));
 
-        let (from_binary, binary_len): (ResponseEnvelope, usize) =
-            decode_frame(WireCodec::Binary, WireCodec::Binary.encode_frame(&envelope));
-        let (from_json, json_len): (ResponseEnvelope, usize) =
-            decode_frame(WireCodec::Json, WireCodec::Json.encode_frame(&envelope));
+        let (from_binary, binary_len) = round_trip(&envelope);
+        let (from_json, json_len) = json_round_trip(&envelope);
 
         prop_assert_eq!(&from_binary, &envelope);
         prop_assert_eq!(&from_json, &envelope);
@@ -80,7 +94,7 @@ proptest! {
         prop_assert!(binary_len < json_len, "binary {} >= json {}", binary_len, json_len);
     }
 
-    /// Request envelopes and warm plans agree across codecs too.
+    /// Request envelopes and warm plans agree with the reference too.
     #[test]
     fn small_messages_decode_the_same_from_either_codec(
         request_id in 0u64..(1 << 53),
@@ -90,10 +104,8 @@ proptest! {
         deltas in proptest::collection::vec(0usize..64, 1..5),
     ) {
         let envelope = RequestEnvelope::new(request_id, MatrixRequest { privacy_level, delta });
-        let (bin, _): (RequestEnvelope, usize) =
-            decode_frame(WireCodec::Binary, WireCodec::Binary.encode_frame(&envelope));
-        let (json, _): (RequestEnvelope, usize) =
-            decode_frame(WireCodec::Json, WireCodec::Json.encode_frame(&envelope));
+        let (bin, _) = round_trip(&envelope);
+        let (json, _) = json_round_trip(&envelope);
         prop_assert_eq!(bin, envelope);
         prop_assert_eq!(json, envelope);
 
@@ -101,10 +113,8 @@ proptest! {
             privacy_levels: levels.iter().map(|&l| l as u8).collect(),
             deltas,
         };
-        let (bin, _): (WarmRequest, usize) =
-            decode_frame(WireCodec::Binary, WireCodec::Binary.encode_frame(&plan));
-        let (json, _): (WarmRequest, usize) =
-            decode_frame(WireCodec::Json, WireCodec::Json.encode_frame(&plan));
+        let (bin, _) = round_trip(&plan);
+        let (json, _) = json_round_trip(&plan);
         prop_assert_eq!(&bin, &plan);
         prop_assert_eq!(&json, &plan);
     }
@@ -121,8 +131,7 @@ proptest! {
         let values: Vec<f64> = bits.iter().map(|&b| f64::from_bits(b)).collect();
         let request = MatrixRequest { privacy_level: 1, delta: 0 };
         let envelope = ResponseEnvelope::forest(7, Arc::new(forest_from(&values, 2, request)));
-        let (back, _): (ResponseEnvelope, usize) =
-            decode_frame(WireCodec::Binary, WireCodec::Binary.encode_frame(&envelope));
+        let (back, _) = round_trip(&envelope);
         let forest = back.into_result().unwrap();
         for (entry, original) in forest.entries.iter().zip(
             match &envelope.payload {
