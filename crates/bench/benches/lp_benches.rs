@@ -16,23 +16,13 @@
 
 use corgi_bench::{ExperimentContext, DEFAULT_EPSILON};
 use corgi_core::robust::reserved_privacy_budget_approx;
-use corgi_core::ObfuscationMatrix;
+use corgi_core::{generate_robust_matrix_warm, ObfuscationMatrix, RobustConfig, SolverKind};
 use corgi_lp::{
     bench_support, BlockAngularSolver, DenseMatrix, InteriorPointOptions, KernelStrategy,
-    LpProblem, LpSolver, WarmStart,
+    LpProblem, LpSolver,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::{rngs::StdRng, Rng, SeedableRng};
-
-/// Worker count for the warm-vs-cold pair: both sides honour
-/// `CORGI_LP_THREADS` (the knob the serving stack reads) so the gated ratio
-/// isolates warm-starting from parallelism.
-fn env_threads() -> usize {
-    std::env::var("CORGI_LP_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(1)
-}
 
 /// Deterministic SPD matrix `A = BᵀB + n·I` of size `n`, shaped like a
 /// late-iteration Newton block (strongly diagonally dominant).
@@ -201,12 +191,14 @@ fn bench_warm_vs_cold_ipm(c: &mut Criterion) {
     // chain (one base solve plus `robust_iterations = 10` reserved-budget
     // refinements, the serving default — eleven LP solves per key).
     //
-    // "cold" replays the pre-incremental engine: every solve from scratch at
-    // full tolerance.  "warm" is the shipped incremental engine
-    // (`generate_robust_matrix_warm`): every solve seeds from the previous
-    // converged iterate, and intermediate refinements — whose matrices only
-    // feed the Eq. 14 reserved-budget approximation — run at the relaxed
-    // refinement tolerance, with the final shipped LP at full tolerance.
+    // "cold" replays the pre-incremental engine: every solve rebuilds and
+    // re-prepares its LP and starts from scratch at full tolerance.  "warm"
+    // calls the shipped incremental engine (`generate_robust_matrix_warm`):
+    // the LP is built and prepared once and each refinement rewrites its
+    // Geo-Ind bounds in place, every solve seeds from the previous converged
+    // iterate, and intermediate refinements — whose matrices only feed the
+    // Eq. 14 reserved-budget approximation — run at the relaxed refinement
+    // tolerance, with the final shipped LP at full tolerance.
     // The perf gate holds warm/cold under a hard cap; the measured ratio is
     // the per-key speedup of whole-grid warming (every key of a grid sweep
     // pays this chain).
@@ -214,14 +206,10 @@ fn bench_warm_vs_cold_ipm(c: &mut Criterion) {
     const DELTA: usize = 2;
     let ctx = ExperimentContext::standard();
     let problem = ctx.problem_for_n_locations(49, DEFAULT_EPSILON, true);
-    let full = InteriorPointOptions {
-        threads: env_threads(),
-        ..InteriorPointOptions::default()
-    };
-    let relaxed = InteriorPointOptions {
-        tolerance: 1e-4,
-        ..full
-    };
+    // The serving options, as `generate_robust_matrix_warm` reads them
+    // (`CORGI_LP_THREADS` included), so the gated ratio isolates the
+    // incremental engine from parallelism.
+    let full = problem.solver_options();
     let matrix_of = |x: Vec<f64>| {
         ObfuscationMatrix::from_lp_solution(problem.cells().to_vec(), x).expect("valid matrix")
     };
@@ -253,27 +241,13 @@ fn bench_warm_vs_cold_ipm(c: &mut Criterion) {
             iterations
         });
     });
+    let config = RobustConfig {
+        delta: DELTA,
+        iterations: REFINEMENTS,
+        solver: SolverKind::Auto,
+    };
     group.bench_function("k49/warm", |b| {
-        b.iter(|| {
-            let (lp, blocks) = problem.build_lp(None).expect("base LP builds");
-            let s = BlockAngularSolver::new(blocks, relaxed)
-                .solve(&lp)
-                .expect("relaxed base solve");
-            let mut iterations = s.iterations;
-            let mut warm: Option<WarmStart> = s.warm;
-            let mut matrix = matrix_of(s.x);
-            for t in 1..=REFINEMENTS {
-                let (lp, blocks) = next_lp(&matrix);
-                let opts = if t == REFINEMENTS { full } else { relaxed };
-                let s = BlockAngularSolver::new(blocks, opts)
-                    .solve_with_warm(&lp, warm.as_ref())
-                    .expect("warm refinement");
-                iterations += s.iterations;
-                warm = s.warm.or(warm);
-                matrix = matrix_of(s.x);
-            }
-            iterations
-        });
+        b.iter(|| generate_robust_matrix_warm(&problem, &config, None).expect("robust chain"));
     });
     group.finish();
 }

@@ -14,15 +14,23 @@
 //! neighboring peers of the 12-neighbor mobility graph; otherwise all ordered
 //! pairs are constrained.  The per-pair budget `ε_{i,j}` is the full ε for the
 //! non-robust problem (Eq. 8) and `ε − ε′_{i,j}` for the robust problem (Eq. 16).
+//!
+//! The block-angular solve goes through a [`PreparedLp`]: the LP is built and
+//! prepared once (`prepare_lp`), and a new reserved budget rewrites only the
+//! `|pairs| · K` Geo-Ind bounds in place (`write_reserved_budget`), which is
+//! how Algorithm 1 re-solves without rebuilding.
+//! [`ObfuscationProblem::build_lp`] serves the simplex and generic
+//! interior-point oracles.
 
 use crate::{utility, CorgiError, LocationTree, ObfuscationMatrix, Result, Subtree};
 use corgi_graph::HexMobilityGraph;
 use corgi_hexgrid::CellId;
 use corgi_lp::{
-    BlockAngularSolver, ConstraintSense, InteriorPointOptions, InteriorPointSolver, LpProblem,
-    LpSolver, SimplexSolver, SolveStatus, WarmStart,
+    ConstraintSense, InteriorPointOptions, InteriorPointSolver, LpProblem, LpSolution, LpSolver,
+    PreparedLp, SimplexSolver, SolveStatus, WarmStart,
 };
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// Which LP solver to use for matrix generation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -51,6 +59,8 @@ pub struct ObfuscationProblem {
     constrained_pairs: Vec<(usize, usize)>,
     /// Whether the graph approximation is in effect (affects reporting only).
     graph_approximation: bool,
+    /// [`ObfuscationProblem::cost_matrix`], computed on first use.
+    costs: OnceLock<Vec<f64>>,
 }
 
 impl ObfuscationProblem {
@@ -163,6 +173,7 @@ impl ObfuscationProblem {
             epsilon,
             constrained_pairs,
             graph_approximation: use_graph_approximation,
+            costs: OnceLock::new(),
         })
     }
 
@@ -213,9 +224,15 @@ impl ObfuscationProblem {
         self.constrained_pairs.len() * self.size()
     }
 
-    /// The linear cost coefficient `c_{k,l}` of entry `z_{k,l}`:
+    /// The linear cost coefficients `c_{k,l}` of entries `z_{k,l}` (row-major):
     /// `Pr(X = v_k) · Σ_q Pr(Q = v_q) · |d(v_k, v_q) − d(v_l, v_q)|`.
-    pub fn cost_matrix(&self) -> Vec<f64> {
+    ///
+    /// Computed once per problem, on first use.
+    pub fn cost_matrix(&self) -> &[f64] {
+        self.costs.get_or_init(|| self.compute_cost_matrix())
+    }
+
+    fn compute_cost_matrix(&self) -> Vec<f64> {
         let k = self.size();
         let mut costs = vec![0.0; k * k];
         for real in 0..k {
@@ -257,7 +274,7 @@ impl ObfuscationProblem {
         let k = self.size();
         let var = |real: usize, reported: usize| real * k + reported;
         let mut lp = LpProblem::new(k * k);
-        lp.set_objective_vector(self.cost_matrix())
+        lp.set_objective_vector(self.cost_matrix().to_vec())
             .map_err(CorgiError::from)?;
 
         // Row-stochasticity (Eq. 5).
@@ -269,9 +286,7 @@ impl ObfuscationProblem {
 
         // Geo-Ind constraints (Eq. 4 with the effective budget of Eq. 13/15).
         for &(i, j) in &self.constrained_pairs {
-            let eps_reserved = rpb.map_or(0.0, |m| m[i][j]);
-            let effective = effective_epsilon(self.epsilon, eps_reserved);
-            let bound = (effective * self.distances[i][j]).exp();
+            let bound = self.geo_ind_bound(i, j, rpb.map_or(0.0, |m| m[i][j]));
             for l in 0..k {
                 lp.add_constraint(
                     vec![(var(i, l), 1.0), (var(j, l), -bound)],
@@ -287,6 +302,42 @@ impl ObfuscationProblem {
             .map(|l| (0..k).map(|i| var(i, l)).collect())
             .collect();
         Ok((lp, blocks))
+    }
+
+    /// The Geo-Ind bound `e^{(ε − ε′)·d_{i,j}}` of pair `(i, j)` under the
+    /// reserved budget `ε′` (Eq. 4 / 16).
+    fn geo_ind_bound(&self, i: usize, j: usize, reserved: f64) -> f64 {
+        (effective_epsilon(self.epsilon, reserved) * self.distances[i][j]).exp()
+    }
+
+    /// [`ObfuscationProblem::build_lp`], prepared once for the block-angular
+    /// solver so a chain of solves can rewrite its bounds in place.
+    pub(crate) fn prepare_lp(&self, rpb: Option<&[Vec<f64>]>) -> Result<PreparedLp> {
+        let (lp, blocks) = self.build_lp(rpb)?;
+        PreparedLp::new(lp, &blocks).map_err(CorgiError::from)
+    }
+
+    /// Rewrite the Geo-Ind bounds of an LP from `prepare_lp` for the reserved
+    /// budget `rpb`: the result equals `prepare_lp(Some(rpb))` without
+    /// rebuilding anything.
+    pub(crate) fn write_reserved_budget(
+        &self,
+        lp: &mut PreparedLp,
+        rpb: &[Vec<f64>],
+    ) -> Result<()> {
+        let k = self.size();
+        // The K row-stochasticity equalities come first, then the Geo-Ind
+        // rows in `build_lp` order.
+        let mut row = k;
+        for &(i, j) in &self.constrained_pairs {
+            let bound = self.geo_ind_bound(i, j, rpb[i][j]);
+            for l in 0..k {
+                lp.update_row(row, &[(i * k + l, 1.0), (j * k + l, -bound)])
+                    .map_err(CorgiError::from)?;
+                row += 1;
+            }
+        }
+        Ok(())
     }
 
     /// Interior-point options tuned for this problem's block structure.
@@ -348,17 +399,45 @@ impl ObfuscationProblem {
         options: InteriorPointOptions,
         warm: Option<&WarmStart>,
     ) -> Result<(ObfuscationMatrix, Option<WarmStart>)> {
-        let (lp, blocks) = self.build_lp(rpb)?;
-        let mut solution = match solver {
-            SolverKind::Simplex => SimplexSolver::new().solve(&lp),
-            SolverKind::InteriorPoint => {
-                InteriorPointSolver::new(options).solve_with_warm(&lp, warm)
-            }
-            SolverKind::Auto | SolverKind::BlockAngular => {
-                BlockAngularSolver::new(blocks, options).solve_with_warm(&lp, warm)
-            }
+        if matches!(solver, SolverKind::Auto | SolverKind::BlockAngular) {
+            return self.solve_prepared(&self.prepare_lp(rpb)?, options, warm);
+        }
+        // The simplex and generic interior-point oracles solve the plain LP.
+        let (lp, _) = self.build_lp(rpb)?;
+        let solution = if solver == SolverKind::Simplex {
+            SimplexSolver::new().solve(&lp)
+        } else {
+            InteriorPointSolver::new(options).solve_with_warm(&lp, warm)
         }
         .map_err(CorgiError::from)?;
+        self.matrix_from_solution(&lp, solution, options)
+    }
+
+    /// Solve an LP from `prepare_lp` with the block-angular interior-point
+    /// method; returns the same as
+    /// [`ObfuscationProblem::solve_with_options_warm`].
+    pub(crate) fn solve_prepared(
+        &self,
+        lp: &PreparedLp,
+        options: InteriorPointOptions,
+        warm: Option<&WarmStart>,
+    ) -> Result<(ObfuscationMatrix, Option<WarmStart>)> {
+        let solution = lp
+            .solve_with_warm(&options, warm)
+            .map_err(CorgiError::from)?;
+        self.matrix_from_solution(lp.problem(), solution, options)
+    }
+
+    /// Turn a solution of `lp` into the obfuscation matrix, repairing it
+    /// towards the uniform matrix when the solver stopped short of
+    /// feasibility.  Returns the converged iterate only when no repair was
+    /// needed.
+    pub(crate) fn matrix_from_solution(
+        &self,
+        lp: &LpProblem,
+        mut solution: LpSolution,
+        options: InteriorPointOptions,
+    ) -> Result<(ObfuscationMatrix, Option<WarmStart>)> {
         if !solution.is_usable() {
             return Err(CorgiError::Solver(match solution.status {
                 SolveStatus::Infeasible => "obfuscation LP is infeasible".to_string(),
@@ -383,7 +462,7 @@ impl ObfuscationProblem {
             // A repaired point is no longer the solver's converged iterate;
             // seeding a neighbour from it could poison that solve.
             warm_out = None;
-            x = self.repair_towards_uniform(&lp, x)?;
+            x = self.repair_towards_uniform(lp, x)?;
         }
         let matrix = ObfuscationMatrix::from_lp_solution(self.cells.clone(), x)?;
         Ok((matrix, warm_out))

@@ -7,6 +7,13 @@
 //! by the efficient approximation of Eq. 14.  Algorithm 1 alternates between
 //! computing the reserved budget from the current matrix and re-solving the
 //! tightened LP until convergence.
+//!
+//! Between refinements only the Geo-Ind bounds `e^{(ε−ε′)·d}` change: the
+//! variables, sparsity pattern, row-stochastic equalities and objective stay
+//! fixed.  So with the block-angular solver a chain builds and prepares its LP
+//! once, and every refinement rewrites the bounds in place and re-solves warm
+//! from the previous iterate — the same floating-point work, bit for bit, as
+//! rebuilding the LP for every solve.
 
 use crate::{formulation::SolverKind, CorgiError, ObfuscationMatrix, ObfuscationProblem, Result};
 use corgi_lp::{InteriorPointOptions, WarmStart};
@@ -230,6 +237,10 @@ pub fn generate_robust_matrix(
 /// changes only the reserved-budget tightening of some constraints, so each
 /// LP is a small perturbation of the last).  A solve that does not produce a
 /// reusable iterate falls back to the best one seen so far.
+///
+/// With the block-angular solver ([`SolverKind::Auto`],
+/// [`SolverKind::BlockAngular`]) the LP is built and prepared once for the
+/// whole chain, and each refinement rewrites its Geo-Ind bounds in place.
 pub fn generate_robust_matrix_warm(
     problem: &ObfuscationProblem,
     config: &RobustConfig,
@@ -258,9 +269,25 @@ pub fn generate_robust_matrix_warm(
         ..options
     };
     let init_options = if refinements > 0 { relaxed } else { options };
+    // One LP for the whole chain; the simplex and generic interior-point
+    // oracles rebuild theirs for every solve.
+    let mut prepared = match config.solver {
+        SolverKind::Auto | SolverKind::BlockAngular => Some(problem.prepare_lp(None)?),
+        SolverKind::Simplex | SolverKind::InteriorPoint => None,
+    };
+    let mut solve = |rpb: Option<&[Vec<f64>]>,
+                     options: InteriorPointOptions,
+                     warm: Option<&WarmStart>| match prepared.as_mut() {
+        Some(lp) => {
+            if let Some(rpb) = rpb {
+                problem.write_reserved_budget(lp, rpb)?;
+            }
+            problem.solve_prepared(lp, options, warm)
+        }
+        None => problem.solve_with_options_warm(rpb, config.solver, options, warm),
+    };
     // Step 4: the initial matrix from the plain LP (Eq. 8).
-    let (mut matrix, mut warm_state) =
-        problem.solve_with_options_warm(None, config.solver, init_options, warm)?;
+    let (mut matrix, mut warm_state) = solve(None, init_options, warm)?;
     let mut objectives = vec![problem.quality_loss(&matrix)];
     let mut rpb = vec![vec![0.0; problem.size()]; problem.size()];
 
@@ -284,12 +311,7 @@ pub fn generate_robust_matrix_warm(
             config.delta,
         );
         let step_options = if t == refinements { options } else { relaxed };
-        let (m, w) = problem.solve_with_options_warm(
-            Some(&rpb),
-            config.solver,
-            step_options,
-            warm_state.as_ref(),
-        )?;
+        let (m, w) = solve(Some(&rpb), step_options, warm_state.as_ref())?;
         matrix = m;
         warm_state = w.or(warm_state);
         objectives.push(problem.quality_loss(&matrix));
@@ -308,6 +330,7 @@ mod tests {
     use super::*;
     use crate::{geoind, prune::prune_matrix, LocationTree};
     use corgi_hexgrid::{HexGrid, HexGridConfig};
+    use corgi_lp::BlockAngularSolver;
     use rand::prelude::*;
 
     fn small_problem() -> (LocationTree, ObfuscationProblem) {
@@ -317,6 +340,121 @@ mod tests {
         let targets = vec![0usize, 2, 5];
         let p = ObfuscationProblem::new(&tree, &subtree, &prior, &targets, 15.0, true).unwrap();
         (tree, p)
+    }
+
+    /// Algorithm 1 replayed with the LP rebuilt through `build_lp` and
+    /// prepared afresh by `BlockAngularSolver::solve_with_warm` for every
+    /// solve — the chain as it ran before the LP was prepared once.
+    fn replay_with_rebuilds(
+        problem: &ObfuscationProblem,
+        delta: usize,
+        iterations: usize,
+        seed: Option<&WarmStart>,
+    ) -> RobustRun {
+        let options = problem.solver_options();
+        let relaxed = InteriorPointOptions {
+            tolerance: options.tolerance.max(1e-4),
+            ..options
+        };
+        let solve = |rpb: Option<&[Vec<f64>]>, opts, warm: Option<&WarmStart>| {
+            let (lp, blocks) = problem.build_lp(rpb).unwrap();
+            let solution = BlockAngularSolver::new(blocks, opts)
+                .solve_with_warm(&lp, warm)
+                .unwrap();
+            problem.matrix_from_solution(&lp, solution, opts).unwrap()
+        };
+        let refinements = if delta == 0 { 0 } else { iterations };
+        let init = if refinements > 0 { relaxed } else { options };
+        let (mut matrix, mut warm) = solve(None, init, seed);
+        let mut objectives = vec![problem.quality_loss(&matrix)];
+        let mut rpb = vec![vec![0.0; problem.size()]; problem.size()];
+        for t in 1..=refinements {
+            rpb = reserved_privacy_budget_approx(
+                &matrix,
+                problem.distances(),
+                problem.epsilon(),
+                delta,
+            );
+            let opts = if t == refinements { options } else { relaxed };
+            let (m, w) = solve(Some(&rpb), opts, warm.as_ref());
+            matrix = m;
+            warm = w.or(warm);
+            objectives.push(problem.quality_loss(&matrix));
+        }
+        RobustRun {
+            matrix,
+            objective_per_iteration: objectives,
+            final_rpb: rpb,
+            warm,
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The shipped chain (LP prepared once, bounds rewritten in place) against
+    /// the rebuild replay at δ ∈ {0, 1, 5, 40}, each δ seeded from the
+    /// previous one's iterate as the serving warm plan does: matrix,
+    /// objectives, reserved budget and iterate must agree bit for bit.
+    fn assert_prepared_chain_matches_rebuilds(level: u8) {
+        let tree = LocationTree::new(HexGrid::new(HexGridConfig::san_francisco()).unwrap());
+        let subtree = tree.privacy_forest(level).unwrap()[0].clone();
+        let k = subtree.leaf_count();
+        let prior: Vec<f64> = (0..k).map(|i| 1.0 + (i % 5) as f64).collect();
+        let targets: Vec<usize> = (0..k).step_by(3).collect();
+        let p = ObfuscationProblem::new(&tree, &subtree, &prior, &targets, 15.0, true).unwrap();
+        let mut seed: Option<WarmStart> = None;
+        for delta in [0usize, 1, 5, 40] {
+            let config = RobustConfig {
+                delta,
+                iterations: 10,
+                solver: SolverKind::Auto,
+            };
+            let shipped = generate_robust_matrix_warm(&p, &config, seed.as_ref()).unwrap();
+            let replay = replay_with_rebuilds(&p, delta, 10, seed.as_ref());
+            let context = format!("level {level}, delta {delta}");
+            assert_eq!(
+                bits(shipped.matrix.data()),
+                bits(replay.matrix.data()),
+                "{context}: matrix"
+            );
+            assert_eq!(
+                bits(&shipped.objective_per_iteration),
+                bits(&replay.objective_per_iteration),
+                "{context}: objectives"
+            );
+            assert_eq!(
+                shipped
+                    .final_rpb
+                    .iter()
+                    .map(|r| bits(r))
+                    .collect::<Vec<_>>(),
+                replay.final_rpb.iter().map(|r| bits(r)).collect::<Vec<_>>(),
+                "{context}: reserved budget"
+            );
+            let warm_bits = |w: &Option<WarmStart>| {
+                w.as_ref()
+                    .map(|w| (bits(&w.x), bits(&w.y), bits(&w.s), w.mu.to_bits()))
+            };
+            assert!(shipped.warm.is_some(), "{context}: no iterate to seed from");
+            assert_eq!(
+                warm_bits(&shipped.warm),
+                warm_bits(&replay.warm),
+                "{context}: iterate"
+            );
+            seed = shipped.warm;
+        }
+    }
+
+    #[test]
+    fn prepared_chain_is_bit_identical_to_rebuilds_level1() {
+        assert_prepared_chain_matches_rebuilds(1);
+    }
+
+    #[test]
+    fn prepared_chain_is_bit_identical_to_rebuilds_level2() {
+        assert_prepared_chain_matches_rebuilds(2);
     }
 
     #[test]

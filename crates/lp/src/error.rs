@@ -25,6 +25,25 @@ pub enum LpError {
     },
     /// A numerical factorization failed (matrix not positive definite / singular).
     NumericalFailure(String),
+    /// A constraint index ≥ the number of constraints.
+    ConstraintOutOfRange {
+        /// Offending constraint index.
+        index: usize,
+        /// Number of constraints in the problem.
+        num_constraints: usize,
+    },
+    /// A prepared-LP row update addressed an equality row (equality rows
+    /// shape the static Schur coupling and cannot change in place).
+    EqualityRowUpdate {
+        /// Index of the equality constraint.
+        constraint: usize,
+    },
+    /// A prepared-LP row update named different variables than the row has
+    /// (only the coefficient values may change in place, not the pattern).
+    RowPatternMismatch {
+        /// Index of the constraint.
+        constraint: usize,
+    },
 }
 
 impl fmt::Display for LpError {
@@ -46,6 +65,23 @@ impl fmt::Display for LpError {
                 )
             }
             LpError::NumericalFailure(msg) => write!(f, "numerical failure: {msg}"),
+            LpError::ConstraintOutOfRange {
+                index,
+                num_constraints,
+            } => write!(
+                f,
+                "constraint index {index} out of range (problem has {num_constraints} constraints)"
+            ),
+            LpError::EqualityRowUpdate { constraint } => {
+                write!(
+                    f,
+                    "constraint {constraint} is an equality and cannot be updated in place"
+                )
+            }
+            LpError::RowPatternMismatch { constraint } => write!(
+                f,
+                "update of constraint {constraint} changes its sparsity pattern"
+            ),
         }
     }
 }

@@ -22,6 +22,20 @@
 //! the standard infeasible-start formulation (see Wright, *Primal–Dual
 //! Interior-Point Methods*, 1997).
 //!
+//! # Preparation and re-solves
+//!
+//! Before the first iteration a problem is *prepared*: every row is
+//! equilibrated to unit max-absolute coefficient, split into the inequality
+//! (`G`) and equality (`E`) sets, which are stored flat as CSR (row pointers
+//! plus one index and one value array), and the inequality rows are grouped by
+//! block with the coupling columns of the Schur complement extracted.
+//! [`BlockAngularSolver::solve_with_warm`] prepares and then runs the one IPM
+//! loop.  [`PreparedLp`] keeps the prepared form across solves: Algorithm 1's
+//! refinements change only inequality coefficients, which
+//! [`PreparedLp::update_row`] rewrites in place with the same equilibration
+//! arithmetic, so a chain of re-solves skips the rebuild and still runs
+//! exactly the floating-point operations of a fresh preparation.
+//!
 //! # Kernel strategies
 //!
 //! Two interchangeable linear-algebra backends drive the Newton systems (see
@@ -31,14 +45,15 @@
 //!   the per-block Newton matrices plus a *structure-aware* Schur-complement
 //!   assembly.  The coupling blocks `E_b` (the slice of the equality rows that
 //!   touches block `b`) are stored as sparse columns, analyzed **once** per
-//!   solve — the sparsity pattern is static across interior-point iterations,
-//!   only the numeric values of the Newton matrix change.  Each iteration then
-//!   computes `V = E_b L_b⁻ᵀ` with sparse-aware forward substitutions (leading
-//!   zeros of each coupling column are skipped) and accumulates only the lower
-//!   triangle of `S += V Vᵀ` with contiguous row dot products, instead of
-//!   forming the dense `n_b × m_eq` product `M_b⁻¹ E_bᵀ` and a dense
-//!   `m_eq² · n_b` triple loop.  All per-block factor and scratch buffers live
-//!   in a workspace that is allocated once and recycled across iterations.
+//!   preparation — the sparsity pattern is static across interior-point
+//!   iterations, only the numeric values of the Newton matrix change.  Each
+//!   iteration then computes `V = E_b L_b⁻ᵀ` with sparse-aware forward
+//!   substitutions (leading zeros of each coupling column are skipped) and
+//!   accumulates only the lower triangle of `S += V Vᵀ` with contiguous row
+//!   dot products, instead of forming the dense `n_b × m_eq` product
+//!   `M_b⁻¹ E_bᵀ` and a dense `m_eq² · n_b` triple loop.  All per-block factor
+//!   and scratch buffers live in a workspace that is allocated once and
+//!   recycled across iterations.
 //! * [`KernelStrategy::Reference`] — the original scalar kernels (textbook
 //!   left-looking Cholesky, per-column multi-RHS solves, dense Schur
 //!   accumulation), kept verbatim so the perf-gated benchmarks can measure the
@@ -177,6 +192,9 @@ impl LpSolver for InteriorPointSolver {
     }
 }
 
+/// [`LpSolver::name`] of the block-angular solver (and of [`PreparedLp`]).
+const BLOCK_ANGULAR_NAME: &str = "block-angular-ipm";
+
 /// Interior-point solver exploiting a block-angular structure.
 ///
 /// `blocks` is a partition of the variable indices.  Every *inequality*
@@ -215,7 +233,7 @@ impl LpSolver for BlockAngularSolver {
     }
 
     fn name(&self) -> &'static str {
-        "block-angular-ipm"
+        BLOCK_ANGULAR_NAME
     }
 }
 
@@ -244,34 +262,103 @@ fn validate_blocks(blocks: &[Vec<usize>], num_vars: usize) -> Result<(), LpError
     Ok(())
 }
 
-/// Sparse row: (variable indices, coefficients).
-struct SparseRow {
+/// Sparse rows stored flat (CSR): row `r` owns the entries
+/// `ptr[r]..ptr[r + 1]` of `idx` (variable indices) and `val` (coefficients).
+struct SparseRows {
+    ptr: Vec<usize>,
     idx: Vec<usize>,
     val: Vec<f64>,
 }
 
-impl SparseRow {
-    fn dot(&self, x: &[f64]) -> f64 {
-        self.idx
+impl SparseRows {
+    fn new() -> Self {
+        Self {
+            ptr: vec![0],
+            idx: Vec::new(),
+            val: Vec::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.ptr.len() - 1
+    }
+
+    fn range(&self, r: usize) -> std::ops::Range<usize> {
+        self.ptr[r]..self.ptr[r + 1]
+    }
+
+    fn idx(&self, r: usize) -> &[usize] {
+        &self.idx[self.range(r)]
+    }
+
+    fn val(&self, r: usize) -> &[f64] {
+        &self.val[self.range(r)]
+    }
+
+    /// Append a row with the given variable indices and zero coefficients;
+    /// returns the coefficient slice for the caller to fill.
+    fn push_pattern(&mut self, coeffs: &[(usize, f64)]) -> &mut [f64] {
+        let start = self.idx.len();
+        self.idx.extend(coeffs.iter().map(|&(j, _)| j));
+        self.val.resize(self.idx.len(), 0.0);
+        self.ptr.push(self.idx.len());
+        &mut self.val[start..]
+    }
+
+    fn dot(&self, r: usize, x: &[f64]) -> f64 {
+        self.idx(r)
             .iter()
-            .zip(self.val.iter())
+            .zip(self.val(r).iter())
             .map(|(&j, &a)| a * x[j])
             .sum()
     }
 
     /// y[idx] += alpha * val
-    fn axpy_into(&self, alpha: f64, y: &mut [f64]) {
-        for (&j, &a) in self.idx.iter().zip(self.val.iter()) {
+    fn axpy_into(&self, r: usize, alpha: f64, y: &mut [f64]) {
+        for (&j, &a) in self.idx(r).iter().zip(self.val(r).iter()) {
             y[j] += alpha * a;
         }
+    }
+}
+
+/// Write the equilibrated coefficients of a constraint row into `out` (in
+/// `coeffs` order) and return its equilibrated right-hand side, with `≥` rows
+/// negated into `≤` form.
+///
+/// Row equilibration scales every constraint row to unit max-absolute
+/// coefficient.  The feasible set is unchanged but the Newton systems stay
+/// well-conditioned even when coefficients span many orders of magnitude (the
+/// Geo-Ind bounds e^{ε·d} easily reach 10⁶ and beyond).  [`prepare`] and
+/// [`PreparedLp::update_row`] both go through here, so an updated row holds
+/// exactly the values a fresh preparation would.
+fn equilibrate_row(
+    coeffs: &[(usize, f64)],
+    sense: ConstraintSense,
+    rhs: f64,
+    out: &mut [f64],
+) -> f64 {
+    let max_abs = coeffs.iter().fold(0.0f64, |m, &(_, a)| m.max(a.abs()));
+    let scale = if max_abs > 0.0 { 1.0 / max_abs } else { 1.0 };
+    let rhs = rhs * scale;
+    if sense == ConstraintSense::Ge {
+        for (v, &(_, a)) in out.iter_mut().zip(coeffs) {
+            *v = -(a * scale);
+        }
+        -rhs
+    } else {
+        for (v, &(_, a)) in out.iter_mut().zip(coeffs) {
+            *v = a * scale;
+        }
+        rhs
     }
 }
 
 /// One column of the coupling matrix `E_bᵀ` of a block: the nonzeros (in
 /// block-local coordinates) that one equality row contributes to the block.
 ///
-/// Extracted once per solve — the pattern is static across interior-point
-/// iterations — and consumed by the sparse Schur assembly every iteration.
+/// Extracted once per preparation — the pattern is static across
+/// interior-point iterations — and consumed by the sparse Schur assembly
+/// every iteration.
 struct CouplingColumn {
     /// Smallest local index with a nonzero (forward solves start here).
     first: usize,
@@ -282,9 +369,9 @@ struct CouplingColumn {
 struct Prepared {
     n: usize,
     c: Vec<f64>,
-    g: Vec<SparseRow>,
+    g: SparseRows,
     h: Vec<f64>,
-    e: Vec<SparseRow>,
+    e: SparseRows,
     f: Vec<f64>,
     /// block id of every variable
     var_block: Vec<usize>,
@@ -293,12 +380,15 @@ struct Prepared {
     blocks: Vec<Vec<usize>>,
     /// inequality rows grouped by block
     g_by_block: Vec<Vec<usize>>,
-    /// block-local variable indices of every inequality row (parallel to `g`)
-    g_local: Vec<Vec<usize>>,
+    /// block-local variable index of every inequality coefficient (parallel
+    /// to `g.idx`)
+    g_local: Vec<usize>,
     /// equality rows touching each block (for the Schur assembly)
     eq_by_block: Vec<Vec<usize>>,
     /// sparse columns of `E_bᵀ` per block (parallel to `eq_by_block[b]`)
     coupling_by_block: Vec<Vec<CouplingColumn>>,
+    /// position of every constraint among the `g` or `e` rows (by its sense)
+    slot: Vec<usize>,
 }
 
 fn prepare(problem: &LpProblem, blocks: &[Vec<usize>]) -> Result<Prepared, LpError> {
@@ -315,46 +405,27 @@ fn prepare(problem: &LpProblem, blocks: &[Vec<usize>]) -> Result<Prepared, LpErr
         }
     }
 
-    let mut g = Vec::new();
+    let mut g = SparseRows::new();
     let mut h = Vec::new();
-    let mut e = Vec::new();
+    let mut e = SparseRows::new();
     let mut f = Vec::new();
+    let mut slot = Vec::with_capacity(problem.num_constraints());
     for cons in problem.constraints() {
-        let (idx, mut val): (Vec<usize>, Vec<f64>) = cons.coeffs.iter().copied().unzip();
-        // Row equilibration: scale every constraint row to unit max-absolute
-        // coefficient.  The feasible set is unchanged but the Newton systems stay
-        // well-conditioned even when coefficients span many orders of magnitude
-        // (the Geo-Ind bounds e^{ε·d} easily reach 10⁶ and beyond).
-        let max_abs = val.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-        let scale = if max_abs > 0.0 { 1.0 / max_abs } else { 1.0 };
-        for v in val.iter_mut() {
-            *v *= scale;
-        }
-        let rhs = cons.rhs * scale;
-        match cons.sense {
-            ConstraintSense::Le => {
-                g.push(SparseRow { idx, val });
-                h.push(rhs);
-            }
-            ConstraintSense::Ge => {
-                let val = val.into_iter().map(|a| -a).collect();
-                g.push(SparseRow { idx, val });
-                h.push(-rhs);
-            }
-            ConstraintSense::Eq => {
-                e.push(SparseRow { idx, val });
-                f.push(rhs);
-            }
-        }
+        let (rows, rhs) = match cons.sense {
+            ConstraintSense::Le | ConstraintSense::Ge => (&mut g, &mut h),
+            ConstraintSense::Eq => (&mut e, &mut f),
+        };
+        slot.push(rows.len());
+        let out = rows.push_pattern(&cons.coeffs);
+        rhs.push(equilibrate_row(&cons.coeffs, cons.sense, cons.rhs, out));
     }
 
     // Group inequality rows by block and reject rows spanning blocks; cache the
     // block-local index of every row coefficient (static across iterations).
     let mut g_by_block = vec![Vec::new(); blocks.len()];
-    let mut g_local = Vec::with_capacity(g.len());
-    for (ri, row) in g.iter().enumerate() {
+    for ri in 0..g.len() {
         let mut row_block: Option<usize> = None;
-        for &j in &row.idx {
+        for &j in g.idx(ri) {
             let b = var_block[j];
             match row_block {
                 None => row_block = Some(b),
@@ -366,14 +437,14 @@ fn prepare(problem: &LpProblem, blocks: &[Vec<usize>]) -> Result<Prepared, LpErr
         }
         // Rows with no variables are vacuous; attach to block 0.
         g_by_block[row_block.unwrap_or(0)].push(ri);
-        g_local.push(row.idx.iter().map(|&v| var_local[v]).collect());
     }
+    let g_local = g.idx.iter().map(|&v| var_local[v]).collect();
 
     // Equality rows touching each block, plus the sparse coupling columns.
     let mut eq_by_block = vec![Vec::new(); blocks.len()];
-    for (ri, row) in e.iter().enumerate() {
+    for ri in 0..e.len() {
         let mut touched = vec![false; blocks.len()];
-        for &j in &row.idx {
+        for &j in e.idx(ri) {
             touched[var_block[j]] = true;
         }
         for (b, t) in touched.iter().enumerate() {
@@ -389,11 +460,10 @@ fn prepare(problem: &LpProblem, blocks: &[Vec<usize>]) -> Result<Prepared, LpErr
             active
                 .iter()
                 .map(|&eq_row| {
-                    let row = &e[eq_row];
-                    let entries: Vec<(usize, f64)> = row
-                        .idx
+                    let entries: Vec<(usize, f64)> = e
+                        .idx(eq_row)
                         .iter()
-                        .zip(row.val.iter())
+                        .zip(e.val(eq_row).iter())
                         .filter(|(&v, _)| var_block[v] == b)
                         .map(|(&v, &a)| (var_local[v], a))
                         .collect();
@@ -418,7 +488,84 @@ fn prepare(problem: &LpProblem, blocks: &[Vec<usize>]) -> Result<Prepared, LpErr
         g_local,
         eq_by_block,
         coupling_by_block,
+        slot,
     })
+}
+
+/// A block-angular LP prepared once for a chain of solves that differ only in
+/// inequality coefficients (Algorithm 1's reserved-budget refinements).
+///
+/// Owns the [`LpProblem`] together with its prepared form: rows equilibrated
+/// and split into inequality and equality sets (stored flat), inequality rows
+/// grouped by block, the coupling columns of the Schur complement extracted.
+/// [`PreparedLp::update_row`] rewrites one inequality row in both at once,
+/// with exactly the arithmetic of a fresh preparation, so
+/// [`PreparedLp::solve_with_warm`] after any sequence of updates runs the same
+/// floating-point operations as [`BlockAngularSolver::solve_with_warm`] on
+/// the rebuilt problem — and returns the same solution bit for bit.
+pub struct PreparedLp {
+    problem: LpProblem,
+    prep: Prepared,
+}
+
+impl PreparedLp {
+    /// Validate the block partition and prepare `problem` under it.
+    pub fn new(problem: LpProblem, blocks: &[Vec<usize>]) -> Result<Self, LpError> {
+        validate_blocks(blocks, problem.num_vars())?;
+        let prep = prepare(&problem, blocks)?;
+        Ok(Self { problem, prep })
+    }
+
+    /// The problem in its current (updated) form.
+    pub fn problem(&self) -> &LpProblem {
+        &self.problem
+    }
+
+    /// Replace the coefficient values of inequality constraint `constraint`.
+    ///
+    /// `coeffs` must name the row's variables in the row's order; only the
+    /// values change.  An equality row ([`LpError::EqualityRowUpdate`]), a
+    /// different pattern ([`LpError::RowPatternMismatch`]), an index out of
+    /// range or a non-finite value is refused and leaves the LP unchanged.
+    pub fn update_row(
+        &mut self,
+        constraint: usize,
+        coeffs: &[(usize, f64)],
+    ) -> Result<(), LpError> {
+        let Some(cons) = self.problem.constraints().get(constraint) else {
+            return Err(LpError::ConstraintOutOfRange {
+                index: constraint,
+                num_constraints: self.problem.num_constraints(),
+            });
+        };
+        if cons.sense == ConstraintSense::Eq {
+            return Err(LpError::EqualityRowUpdate { constraint });
+        }
+        if cons.coeffs.len() != coeffs.len()
+            || cons.coeffs.iter().zip(coeffs).any(|(a, b)| a.0 != b.0)
+        {
+            return Err(LpError::RowPatternMismatch { constraint });
+        }
+        if coeffs.iter().any(|(_, a)| !a.is_finite()) {
+            return Err(LpError::NonFiniteCoefficient);
+        }
+        let row = self.prep.slot[constraint];
+        let range = self.prep.g.range(row);
+        self.prep.h[row] =
+            equilibrate_row(coeffs, cons.sense, cons.rhs, &mut self.prep.g.val[range]);
+        self.problem.overwrite_coefficients(constraint, coeffs);
+        Ok(())
+    }
+
+    /// Solve the prepared problem with the block-angular interior-point
+    /// method, optionally warm-started (see [`BlockAngularSolver::solve_with_warm`]).
+    pub fn solve_with_warm(
+        &self,
+        options: &InteriorPointOptions,
+        warm: Option<&WarmStart>,
+    ) -> Result<LpSolution, LpError> {
+        run_ipm(&self.problem, &self.prep, options, BLOCK_ANGULAR_NAME, warm)
+    }
 }
 
 fn inf_norm(v: &[f64]) -> f64 {
@@ -499,10 +646,10 @@ fn assemble_block_matrix(
 ) {
     mb.fill(0.0);
     for &ri in &prep.g_by_block[b] {
-        let row = &prep.g[ri];
+        let range = prep.g.range(ri);
         mb.add_scaled_outer_sparse_lower(
-            &prep.g_local[ri],
-            &row.val,
+            &prep.g_local[range.clone()],
+            &prep.g.val[range],
             barrier_weight(lam[ri], w[ri]),
         );
     }
@@ -734,8 +881,8 @@ fn newton_solve_blocked(
     }
     // rhs_schur = E t − r_p2
     let mut rhs_schur = vec![0.0; m_eq];
-    for (ri, row) in prep.e.iter().enumerate() {
-        rhs_schur[ri] = row.dot(&t) - r_p2[ri];
+    for (ri, rhs) in rhs_schur.iter_mut().enumerate() {
+        *rhs = prep.e.dot(ri, &t) - r_p2[ri];
     }
     let dmu = ws.schur.cholesky_solve(&rhs_schur);
     // dx = M⁻¹ (rhs1 − Eᵀ dmu), blockwise: scatter E_bᵀ dmu through the sparse
@@ -803,8 +950,8 @@ fn newton_solve_blocked_parallel(
     }
     // rhs_schur = E t − r_p2
     let mut rhs_schur = vec![0.0; m_eq];
-    for (ri, row) in prep.e.iter().enumerate() {
-        rhs_schur[ri] = row.dot(&t) - r_p2[ri];
+    for (ri, rhs) in rhs_schur.iter_mut().enumerate() {
+        *rhs = prep.e.dot(ri, &t) - r_p2[ri];
     }
     let dmu = ws.schur.cholesky_solve(&rhs_schur);
     // dx = M⁻¹ (rhs1 − Eᵀ dmu), blockwise: scatter E_bᵀ dmu through the
@@ -866,9 +1013,8 @@ fn factor_reference(
         let nb = block.len();
         let mut mb = DenseMatrix::zeros(nb, nb);
         for &ri in &prep.g_by_block[b] {
-            let row = &prep.g[ri];
-            let local_idx: Vec<usize> = row.idx.iter().map(|&v| prep.var_local[v]).collect();
-            mb.add_scaled_outer_sparse(&local_idx, &row.val, barrier_weight(lam[ri], w[ri]));
+            let local_idx: Vec<usize> = prep.g.idx(ri).iter().map(|&v| prep.var_local[v]).collect();
+            mb.add_scaled_outer_sparse(&local_idx, prep.g.val(ri), barrier_weight(lam[ri], w[ri]));
         }
         for (local, &v) in block.iter().enumerate() {
             mb.add_diagonal(local, (s[v] / x[v]).min(1e10));
@@ -887,8 +1033,7 @@ fn factor_reference(
             let active = &prep.eq_by_block[b];
             let mut ebt = DenseMatrix::zeros(nb, active.len());
             for (a_pos, &eq_row) in active.iter().enumerate() {
-                let row = &prep.e[eq_row];
-                for (&v, &a) in row.idx.iter().zip(row.val.iter()) {
+                for (&v, &a) in prep.e.idx(eq_row).iter().zip(prep.e.val(eq_row).iter()) {
                     if prep.var_block[v] == b {
                         ebt[(prep.var_local[v], a_pos)] = a;
                     }
@@ -948,8 +1093,8 @@ fn newton_solve_reference(
     }
     // rhs_schur = E t − r_p2
     let mut rhs_schur = vec![0.0; m_eq];
-    for (ri, row) in prep.e.iter().enumerate() {
-        rhs_schur[ri] = row.dot(&t) - r_p2[ri];
+    for (ri, rhs) in rhs_schur.iter_mut().enumerate() {
+        *rhs = prep.e.dot(ri, &t) - r_p2[ri];
     }
     let dmu = factors
         .schur_factor
@@ -993,6 +1138,7 @@ impl Factorization<'_> {
     }
 }
 
+/// Prepare `problem` under `blocks`, then run the interior-point method.
 fn solve_ipm(
     problem: &LpProblem,
     blocks: &[Vec<usize>],
@@ -1000,7 +1146,18 @@ fn solve_ipm(
     solver_name: &'static str,
     warm: Option<&WarmStart>,
 ) -> Result<LpSolution, LpError> {
-    let prep = prepare(problem, blocks)?;
+    run_ipm(problem, &prepare(problem, blocks)?, opts, solver_name, warm)
+}
+
+/// The interior-point method on a prepared problem (`prep` must be the
+/// prepared form of `problem`, which supplies only the reported objective).
+fn run_ipm(
+    problem: &LpProblem,
+    prep: &Prepared,
+    opts: &InteriorPointOptions,
+    solver_name: &'static str,
+    warm: Option<&WarmStart>,
+) -> Result<LpSolution, LpError> {
     let n = prep.n;
     let m_in = prep.g.len();
     let m_eq = prep.e.len();
@@ -1061,9 +1218,9 @@ fn solve_ipm(
             // iterate back inside.
             let mut raw_w = vec![0.0; m_in];
             let mut violation = 0.0f64;
-            for (ri, row) in prep.g.iter().enumerate() {
-                raw_w[ri] = prep.h[ri] - row.dot(&x);
-                violation = violation.max(-raw_w[ri]);
+            for (ri, raw) in raw_w.iter_mut().enumerate() {
+                *raw = prep.h[ri] - prep.g.dot(ri, &x);
+                violation = violation.max(-*raw);
             }
             let mu0 = warm
                 .mu
@@ -1091,7 +1248,7 @@ fn solve_ipm(
     }
 
     let mut workspace = match opts.kernels {
-        KernelStrategy::Blocked => Some(BlockedWorkspace::new(&prep)),
+        KernelStrategy::Blocked => Some(BlockedWorkspace::new(prep)),
         KernelStrategy::Reference => None,
     };
 
@@ -1115,20 +1272,20 @@ fn solve_ipm(
 
         // Residuals.
         let mut r_p1 = vec![0.0; m_in]; // h − Gx − w
-        for (ri, row) in prep.g.iter().enumerate() {
-            r_p1[ri] = prep.h[ri] - row.dot(&x) - w[ri];
+        for (ri, r) in r_p1.iter_mut().enumerate() {
+            *r = prep.h[ri] - prep.g.dot(ri, &x) - w[ri];
         }
         let mut r_p2 = vec![0.0; m_eq]; // f − Ex
-        for (ri, row) in prep.e.iter().enumerate() {
-            r_p2[ri] = prep.f[ri] - row.dot(&x);
+        for (ri, r) in r_p2.iter_mut().enumerate() {
+            *r = prep.f[ri] - prep.e.dot(ri, &x);
         }
         // resid_dual = c + Gᵀλ + Eᵀμ − s
         let mut resid_dual = prep.c.clone();
-        for (ri, row) in prep.g.iter().enumerate() {
-            row.axpy_into(lam[ri], &mut resid_dual);
+        for (ri, &l) in lam.iter().enumerate() {
+            prep.g.axpy_into(ri, l, &mut resid_dual);
         }
-        for (ri, row) in prep.e.iter().enumerate() {
-            row.axpy_into(mu_eq[ri], &mut resid_dual);
+        for (ri, &m) in mu_eq.iter().enumerate() {
+            prep.e.axpy_into(ri, m, &mut resid_dual);
         }
         for j in 0..n {
             resid_dual[j] -= s[j];
@@ -1170,11 +1327,11 @@ fn solve_ipm(
         let factorization = match opts.kernels {
             KernelStrategy::Blocked => {
                 let ws = workspace.as_mut().expect("blocked workspace exists");
-                factor_blocked(&prep, opts, ws, workers, &x, &s, &w, &lam)?;
+                factor_blocked(prep, opts, ws, workers, &x, &s, &w, &lam)?;
                 Factorization::Blocked(workspace.as_ref().expect("blocked workspace exists"))
             }
             KernelStrategy::Reference => {
-                Factorization::Reference(factor_reference(&prep, opts, &x, &s, &w, &lam)?)
+                Factorization::Reference(factor_reference(prep, opts, &x, &s, &w, &lam)?)
             }
         };
 
@@ -1185,9 +1342,9 @@ fn solve_ipm(
         let build_rhs1 = |rc1: &[f64], rc2: &[f64]| -> Vec<f64> {
             let mut rhs1 = rd3.clone();
             // + Gᵀ((λ/w)·r_p1 − rc2/w)
-            for (ri, row) in prep.g.iter().enumerate() {
+            for ri in 0..m_in {
                 let u = (lam[ri] / w[ri]) * r_p1[ri] - rc2[ri] / w[ri];
-                row.axpy_into(u, &mut rhs1);
+                prep.g.axpy_into(ri, u, &mut rhs1);
             }
             // + rc1/x
             for j in 0..n {
@@ -1199,11 +1356,11 @@ fn solve_ipm(
         let rc1_aff: Vec<f64> = x.iter().zip(s.iter()).map(|(xi, si)| -xi * si).collect();
         let rc2_aff: Vec<f64> = w.iter().zip(lam.iter()).map(|(wi, li)| -wi * li).collect();
         let rhs1_aff = build_rhs1(&rc1_aff, &rc2_aff);
-        let (dx_aff, _) = factorization.newton_solve(&prep, workers, &rhs1_aff, &r_p2);
+        let (dx_aff, _) = factorization.newton_solve(prep, workers, &rhs1_aff, &r_p2);
         let mut dw_aff = vec![0.0; m_in];
         let mut dlam_aff = vec![0.0; m_in];
-        for (ri, row) in prep.g.iter().enumerate() {
-            dw_aff[ri] = r_p1[ri] - row.dot(&dx_aff);
+        for ri in 0..m_in {
+            dw_aff[ri] = r_p1[ri] - prep.g.dot(ri, &dx_aff);
             dlam_aff[ri] = (rc2_aff[ri] - lam[ri] * dw_aff[ri]) / w[ri];
         }
         let mut ds_aff = vec![0.0; n];
@@ -1255,11 +1412,11 @@ fn solve_ipm(
             .map(|ri| target_mu - w[ri] * lam[ri] - dw_aff[ri] * dlam_aff[ri])
             .collect();
         let rhs1 = build_rhs1(&rc1, &rc2);
-        let (mut dx, mut dmu) = factorization.newton_solve(&prep, workers, &rhs1, &r_p2);
+        let (mut dx, mut dmu) = factorization.newton_solve(prep, workers, &rhs1, &r_p2);
         let mut dw = vec![0.0; m_in];
         let mut dlam = vec![0.0; m_in];
-        for (ri, row) in prep.g.iter().enumerate() {
-            dw[ri] = r_p1[ri] - row.dot(&dx);
+        for ri in 0..m_in {
+            dw[ri] = r_p1[ri] - prep.g.dot(ri, &dx);
             dlam[ri] = (rc2[ri] - lam[ri] * dw[ri]) / w[ri];
         }
         let mut ds = vec![0.0; n];
@@ -1338,19 +1495,19 @@ fn solve_ipm(
             // Newton system with zero residual blocks and the band violations
             // as the complementarity targets.
             let mut rhs1_c = vec![0.0; n];
-            for (ri, row) in prep.g.iter().enumerate() {
-                if t2[ri] != 0.0 {
-                    row.axpy_into(-t2[ri] / w[ri], &mut rhs1_c);
+            for (ri, &t) in t2.iter().enumerate() {
+                if t != 0.0 {
+                    prep.g.axpy_into(ri, -t / w[ri], &mut rhs1_c);
                 }
             }
             for j in 0..n {
                 rhs1_c[j] += t1[j] / x[j];
             }
-            let (ddx, ddmu) = factorization.newton_solve(&prep, workers, &rhs1_c, &zeros_eq);
+            let (ddx, ddmu) = factorization.newton_solve(prep, workers, &rhs1_c, &zeros_eq);
             let mut dwc = dw.clone();
             let mut dlamc = dlam.clone();
-            for (ri, row) in prep.g.iter().enumerate() {
-                let ddw = -row.dot(&ddx);
+            for ri in 0..m_in {
+                let ddw = -prep.g.dot(ri, &ddx);
                 dwc[ri] += ddw;
                 dlamc[ri] += (t2[ri] - lam[ri] * ddw) / w[ri];
             }
@@ -1918,6 +2075,119 @@ mod tests {
             "warm {} vs cold {}",
             warm.objective,
             cold.objective
+        );
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn assert_bit_identical(a: &LpSolution, b: &LpSolution) {
+        assert_eq!(a.status, b.status);
+        assert_eq!(a.iterations, b.iterations);
+        assert_eq!(a.solver, b.solver);
+        assert_eq!(a.objective.to_bits(), b.objective.to_bits());
+        assert_eq!(bits(&a.x), bits(&b.x));
+        let warm_bits = |w: &Option<WarmStart>| {
+            w.as_ref()
+                .map(|w| (bits(&w.x), bits(&w.y), bits(&w.s), w.mu.to_bits()))
+        };
+        assert_eq!(warm_bits(&a.warm), warm_bits(&b.warm));
+    }
+
+    /// Rewrite every inequality row of `prepared` to the coefficients of
+    /// `target` (same pattern).
+    fn update_inequalities(prepared: &mut PreparedLp, target: &LpProblem) {
+        for (ci, cons) in target.constraints().iter().enumerate() {
+            if cons.sense != ConstraintSense::Eq {
+                prepared.update_row(ci, &cons.coeffs).unwrap();
+            }
+        }
+        assert_eq!(prepared.problem(), target);
+    }
+
+    #[test]
+    fn prepared_lp_update_matches_fresh_prepare() {
+        // Prepare at one Geo-Ind-like factor, rewrite every ratio row to a
+        // tighter one, then solve cold and warm: each solve must equal a
+        // fresh preparation of the rebuilt problem bit for bit.
+        let opts = InteriorPointOptions::default();
+        let (loose, blocks) = stochastic_problem(5, 0.8f64.exp());
+        let (tight, _) = stochastic_problem(5, 0.5f64.exp());
+        let solver = BlockAngularSolver::new(blocks.clone(), opts);
+        let mut prepared = PreparedLp::new(loose.clone(), &blocks).unwrap();
+        let loose_sol = prepared.solve_with_warm(&opts, None).unwrap();
+        assert_bit_identical(&loose_sol, &solver.solve(&loose).unwrap());
+
+        update_inequalities(&mut prepared, &tight);
+        assert_bit_identical(
+            &prepared.solve_with_warm(&opts, None).unwrap(),
+            &solver.solve(&tight).unwrap(),
+        );
+        let warm = loose_sol.warm.as_ref();
+        assert_bit_identical(
+            &prepared.solve_with_warm(&opts, warm).unwrap(),
+            &solver.solve_with_warm(&tight, warm).unwrap(),
+        );
+
+        // A `≥` row goes through the negated branch of the equilibration.
+        let build = |a: f64, b: f64| {
+            let mut p = LpProblem::new(4);
+            p.set_objective_vector(vec![1.0, 2.0, 3.0, 1.0]).unwrap();
+            p.add_constraint(vec![(0, 1.0), (1, 1.0)], ConstraintSense::Le, 4.0)
+                .unwrap();
+            p.add_constraint(vec![(2, a), (3, b)], ConstraintSense::Ge, 1.5)
+                .unwrap();
+            p.add_constraint(vec![(0, 1.0), (2, 1.0)], ConstraintSense::Eq, 3.0)
+                .unwrap();
+            p
+        };
+        let blocks = vec![vec![0, 1], vec![2, 3]];
+        let mut prepared = PreparedLp::new(build(1.0, 2.0), &blocks).unwrap();
+        update_inequalities(&mut prepared, &build(3.0, -0.5));
+        assert_bit_identical(
+            &prepared.solve_with_warm(&opts, None).unwrap(),
+            &BlockAngularSolver::new(blocks, opts)
+                .solve(&build(3.0, -0.5))
+                .unwrap(),
+        );
+    }
+
+    #[test]
+    fn prepared_lp_refuses_equality_and_pattern_updates() {
+        let (p, blocks) = stochastic_problem(3, 0.5f64.exp());
+        let mut prepared = PreparedLp::new(p.clone(), &blocks).unwrap();
+        // Rows 0..3 are the row-sum equalities; row 3 is the first ratio row.
+        assert_eq!(
+            prepared.update_row(0, &p.constraints()[0].coeffs),
+            Err(LpError::EqualityRowUpdate { constraint: 0 })
+        );
+        let row = p.constraints()[3].coeffs.clone();
+        let mismatch = Err(LpError::RowPatternMismatch { constraint: 3 });
+        let swapped = vec![row[1], row[0]];
+        assert_eq!(prepared.update_row(3, &swapped), mismatch);
+        assert_eq!(prepared.update_row(3, &row[..1]), mismatch);
+        let moved = vec![row[0], (row[1].0 + 1, row[1].1)];
+        assert_eq!(prepared.update_row(3, &moved), mismatch);
+        let nan = vec![row[0], (row[1].0, f64::NAN)];
+        assert_eq!(
+            prepared.update_row(3, &nan),
+            Err(LpError::NonFiniteCoefficient)
+        );
+        let count = p.num_constraints();
+        assert_eq!(
+            prepared.update_row(count, &row),
+            Err(LpError::ConstraintOutOfRange {
+                index: count,
+                num_constraints: count
+            })
+        );
+        // Every refusal left the LP as it was.
+        assert_eq!(prepared.problem(), &p);
+        let opts = InteriorPointOptions::default();
+        assert_bit_identical(
+            &prepared.solve_with_warm(&opts, None).unwrap(),
+            &BlockAngularSolver::new(blocks, opts).solve(&p).unwrap(),
         );
     }
 

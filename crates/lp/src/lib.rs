@@ -22,8 +22,14 @@
 //!   a K = 49…343 location instance solvable in seconds.  (The paper lists this
 //!   kind of optimization decomposition as future work, Section 5.3.)
 //!
+//! * [`PreparedLp`] — a block-angular problem prepared once (rows
+//!   equilibrated, grouped by block, stored flat) whose inequality
+//!   coefficients can be rewritten in place between solves.  Algorithm 1's
+//!   reserved-budget refinements change only the Geo-Ind bounds, so each
+//!   refinement re-solves the same prepared LP instead of rebuilding it.
+//!
 //! The [`LpProblem`] builder plus the [`LpSolver`] trait give the rest of the
-//! workspace a solver-agnostic API; [`solve_auto`] picks a sensible default.
+//! workspace a solver-agnostic API.
 
 #![warn(missing_docs)]
 
@@ -39,6 +45,7 @@ pub use dense::{DenseMatrix, DEFAULT_CHOLESKY_BLOCK, FLUSH_THRESHOLD};
 pub use error::LpError;
 pub use interior::{
     bench_support, BlockAngularSolver, InteriorPointOptions, InteriorPointSolver, KernelStrategy,
+    PreparedLp,
 };
 pub use problem::{Constraint, ConstraintSense, LpProblem};
 pub use simplex::SimplexSolver;
@@ -51,19 +58,4 @@ pub trait LpSolver {
 
     /// Short human-readable name of the solver (used in experiment reports).
     fn name(&self) -> &'static str;
-}
-
-/// Solve a problem with a sensible default solver.
-///
-/// Small problems (tableau below ~250 000 entries) are solved exactly with the
-/// simplex method; larger ones fall back to the interior-point method.
-pub fn solve_auto(problem: &LpProblem) -> Result<LpSolution, LpError> {
-    let rows = problem.num_constraints();
-    let cols = problem.num_vars();
-    let tableau_entries = (rows + 2) * (rows + cols + 2);
-    if tableau_entries <= 250_000 {
-        SimplexSolver::new().solve(problem)
-    } else {
-        InteriorPointSolver::new(InteriorPointOptions::default()).solve(problem)
-    }
 }

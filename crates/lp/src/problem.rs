@@ -181,6 +181,14 @@ impl LpProblem {
         &self.constraints
     }
 
+    /// Overwrite the coefficient values of constraint `index` with those of
+    /// `coeffs`, which the caller has checked against the row's pattern.
+    pub(crate) fn overwrite_coefficients(&mut self, index: usize, coeffs: &[(usize, f64)]) {
+        for (slot, &(_, a)) in self.constraints[index].coeffs.iter_mut().zip(coeffs) {
+            slot.1 = a;
+        }
+    }
+
     /// Objective value `cᵀx` at a point.
     pub fn objective_value(&self, x: &[f64]) -> f64 {
         self.objective
