@@ -1,7 +1,8 @@
 //! Perf-gated benchmarks of the `corgi-lp` linear-algebra core: Cholesky
-//! factorization (blocked vs. scalar reference), fused multi-RHS triangular
-//! solves (vs. the per-column allocating reference), and the block-angular
-//! interior-point method on the paper's obfuscation LPs at K ∈ {49, 343}.
+//! factorization (blocked vs. scalar reference), one blocked factorization
+//! of a K = 343 Newton system (block Cholesky plus Schur accumulation), and
+//! the block-angular interior-point method on the paper's obfuscation LPs at
+//! K ∈ {49, 343}.
 //!
 //! The K = 343 comparison caps the iteration count: both kernel strategies
 //! perform the same per-iteration arithmetic (they agree to rounding, see
@@ -84,35 +85,6 @@ fn bench_cholesky_factorize(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_cholesky_multi_rhs(c: &mut Criterion) {
-    // 343 right-hand sides against a 343×343 factor: the exact shape of the
-    // reference path's `M_b⁻¹ E_bᵀ` panel in the full-tree regime.  The fused
-    // kernel solves in place with row sweeps; the per-column reference
-    // allocates a fresh Vec per RHS column.
-    let n = 343;
-    let mut factor = random_spd(n, 11);
-    factor.cholesky_in_place(1e-10).expect("SPD");
-    let mut rng = StdRng::seed_from_u64(13);
-    let rhs_rows: Vec<Vec<f64>> = (0..n)
-        .map(|_| (0..n).map(|_| rng.gen_range(-2.0..2.0)).collect())
-        .collect();
-    let rhs = DenseMatrix::from_rows(&rhs_rows);
-    let mut group = c.benchmark_group("cholesky_multi_rhs");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements((n * n) as u64));
-    group.bench_function("fused_in_place", |b| {
-        let mut out = rhs.clone();
-        b.iter(|| {
-            out.clone_from(&rhs);
-            factor.cholesky_solve_matrix_into(&mut out);
-        });
-    });
-    group.bench_function("per_column", |b| {
-        b.iter(|| factor.cholesky_solve_matrix_per_column(&rhs));
-    });
-    group.finish();
-}
-
 fn bench_forest_generation_k49(c: &mut Criterion) {
     let ctx = ExperimentContext::standard();
     let (lp, blocks) = obfuscation_lp(&ctx, 49);
@@ -162,27 +134,20 @@ fn bench_forest_generation_k343(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_block_factorize_parallel(c: &mut Criterion) {
+fn bench_block_factorize(c: &mut Criterion) {
+    // One assembly + factorization of the K = 343 Newton system at a
+    // perturbed mid-path iterate: the 343 per-block Cholesky factorizations
+    // and the sparse Schur accumulation, the cold path's largest kernels.
     let ctx = ExperimentContext::standard();
     let (lp, blocks) = obfuscation_lp(&ctx, 343);
-    let mut group = c.benchmark_group("block_factorize_parallel");
+    let mut group = c.benchmark_group("block_factorize");
     group.sample_size(10);
     group.throughput(Throughput::Elements((343 * 343) as u64));
-    // threads = 0 resolves to the machine's available parallelism; on a
-    // single-core box both sides run the identical serial path and the gate
-    // relaxes the ratio cap (see perf_gate).
-    for (name, threads) in [("1_thread", 1usize), ("n_threads", 0)] {
-        let opts = InteriorPointOptions {
-            threads,
-            ..InteriorPointOptions::default()
-        };
-        let mut bench =
-            bench_support::FactorizationBench::new(&lp, &blocks, opts).expect("bench state");
-        bench.perturb_state(17);
-        group.bench_function(name, |b| {
-            b.iter(|| bench.factor().expect("factorization succeeds"));
-        });
-    }
+    let mut bench = bench_support::FactorizationBench::new(&lp, &blocks).expect("bench state");
+    bench.perturb_state(17);
+    group.bench_function("k343", |b| {
+        b.iter(|| bench.factor().expect("factorization succeeds"));
+    });
     group.finish();
 }
 
@@ -206,10 +171,9 @@ fn bench_warm_vs_cold_ipm(c: &mut Criterion) {
     const DELTA: usize = 2;
     let ctx = ExperimentContext::standard();
     let problem = ctx.problem_for_n_locations(49, DEFAULT_EPSILON, true);
-    // The serving options, as `generate_robust_matrix_warm` reads them
-    // (`CORGI_LP_THREADS` included), so the gated ratio isolates the
-    // incremental engine from parallelism.
-    let full = problem.solver_options();
+    // The serving options, as `generate_robust_matrix_warm` uses them, so the
+    // gated ratio isolates the incremental engine.
+    let full = InteriorPointOptions::default();
     let matrix_of = |x: Vec<f64>| {
         ObfuscationMatrix::from_lp_solution(problem.cells().to_vec(), x).expect("valid matrix")
     };
@@ -244,7 +208,7 @@ fn bench_warm_vs_cold_ipm(c: &mut Criterion) {
     let config = RobustConfig {
         delta: DELTA,
         iterations: REFINEMENTS,
-        solver: SolverKind::Auto,
+        solver: SolverKind::BlockAngular,
     };
     group.bench_function("k49/warm", |b| {
         b.iter(|| generate_robust_matrix_warm(&problem, &config, None).expect("robust chain"));
@@ -255,10 +219,9 @@ fn bench_warm_vs_cold_ipm(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_cholesky_factorize,
-    bench_cholesky_multi_rhs,
     bench_forest_generation_k49,
     bench_forest_generation_k343,
-    bench_block_factorize_parallel,
+    bench_block_factorize,
     bench_warm_vs_cold_ipm
 );
 criterion_main!(benches);

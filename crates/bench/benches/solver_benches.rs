@@ -31,7 +31,7 @@ fn bench_graph_approximation(c: &mut Criterion) {
     for (name, approx) in [("with_approx", true), ("without_approx", false)] {
         let problem = ctx.problem_for_n_locations(49, DEFAULT_EPSILON, approx);
         group.bench_with_input(BenchmarkId::from_parameter(name), &problem, |b, p| {
-            b.iter(|| p.solve(None, SolverKind::Auto).expect("solve"));
+            b.iter(|| p.solve(None, SolverKind::BlockAngular).expect("solve"));
         });
     }
     group.finish();
@@ -44,7 +44,7 @@ fn bench_problem_sizes(c: &mut Criterion) {
     for &n in &[7usize, 21, 49] {
         let problem = ctx.problem_for_n_locations(n, DEFAULT_EPSILON, true);
         group.bench_with_input(BenchmarkId::from_parameter(n), &problem, |b, p| {
-            b.iter(|| p.solve(None, SolverKind::Auto).expect("solve"));
+            b.iter(|| p.solve(None, SolverKind::BlockAngular).expect("solve"));
         });
     }
     group.finish();

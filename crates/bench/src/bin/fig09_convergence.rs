@@ -46,7 +46,7 @@ fn main() {
                 &RobustConfig {
                     delta,
                     iterations,
-                    solver: SolverKind::Auto,
+                    solver: SolverKind::BlockAngular,
                 },
             )
             .expect("robust generation");

@@ -15,7 +15,8 @@ fn main() {
     let mut json = Vec::new();
     for &eps in &PAPER_EPSILONS {
         let problem = ctx.problem_for_subtree(&subtree, eps, true);
-        let nonrobust = generate_nonrobust_matrix(&problem, SolverKind::Auto).expect("baseline");
+        let nonrobust =
+            generate_nonrobust_matrix(&problem, SolverKind::BlockAngular).expect("baseline");
         let q_nonrobust = problem.quality_loss(&nonrobust);
         let mut row = vec![format!("{eps}"), format!("{q_nonrobust:.4}")];
         let mut entry = serde_json::json!({ "epsilon": eps, "non_robust": q_nonrobust });
@@ -25,7 +26,7 @@ fn main() {
                 &RobustConfig {
                     delta,
                     iterations,
-                    solver: SolverKind::Auto,
+                    solver: SolverKind::BlockAngular,
                 },
             )
             .expect("robust generation");

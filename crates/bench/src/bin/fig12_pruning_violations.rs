@@ -69,13 +69,14 @@ fn run_panel(
     json: &mut Vec<serde_json::Value>,
 ) {
     let problem = ctx.problem_for_n_locations(locations, DEFAULT_EPSILON, true);
-    let nonrobust = generate_nonrobust_matrix(&problem, SolverKind::Auto).expect("baseline");
+    let nonrobust =
+        generate_nonrobust_matrix(&problem, SolverKind::BlockAngular).expect("baseline");
     let robust = generate_robust_matrix(
         &problem,
         &RobustConfig {
             delta,
             iterations,
-            solver: SolverKind::Auto,
+            solver: SolverKind::BlockAngular,
         },
     )
     .expect("robust generation")

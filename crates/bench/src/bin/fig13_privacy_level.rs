@@ -37,7 +37,7 @@ fn main() {
                 &RobustConfig {
                     delta: 1,
                     iterations,
-                    solver: SolverKind::Auto,
+                    solver: SolverKind::BlockAngular,
                 },
             )
             .expect("robust generation");
@@ -76,7 +76,7 @@ fn main() {
                 &RobustConfig {
                     delta,
                     iterations,
-                    solver: SolverKind::Auto,
+                    solver: SolverKind::BlockAngular,
                 },
             )
             .expect("robust generation");

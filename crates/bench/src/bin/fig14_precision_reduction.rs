@@ -85,7 +85,7 @@ fn measure(ctx: &ExperimentContext, n: usize, delta: usize, iterations: usize) -
         &RobustConfig {
             delta,
             iterations,
-            solver: SolverKind::Auto,
+            solver: SolverKind::BlockAngular,
         },
     )
     .expect("robust generation")
@@ -99,7 +99,7 @@ fn measure(ctx: &ExperimentContext, n: usize, delta: usize, iterations: usize) -
         &RobustConfig {
             delta,
             iterations,
-            solver: SolverKind::Auto,
+            solver: SolverKind::BlockAngular,
         },
     )
     .expect("recalculation");

@@ -13,7 +13,7 @@
 //! tolerance so wide it misses real regressions.  The default mode therefore
 //! gates on **within-run ratios**: each optimized bench is paired with the
 //! reference implementation measured in the *same* run (`…/blocked/…` vs
-//! `…/reference/…`, `fused_in_place` vs `per_column`), and the gate fails when
+//! `…/reference/…`, `k49/warm` vs `k49/cold`), and the gate fails when
 //! `optimized/reference` grows by more than the tolerance relative to the
 //! baseline's ratio.  Losing an optimized kernel path is a 2–7× ratio jump
 //! and is caught on any hardware; uniform machine slowdowns cancel out.
@@ -26,10 +26,9 @@
 //!
 //! A few pairs additionally carry a **hard cap on the current-run ratio**
 //! (see `RATIO_CAPS`): the warm-chained refinement engine must stay ≤ 0.75×
-//! its cold sibling on any machine, the parallel block factorization must
-//! stay ≤ 0.85× its serial sibling wherever a second core exists, and the
-//! hardware SHA-256 kernel must seal a frame in ≤ 0.4× the scalar kernel's
-//! time wherever the CPU has the SHA extensions.  On a host that lacks what
+//! its cold sibling on any machine, and the hardware SHA-256 kernel must seal
+//! a frame in ≤ 0.4× the scalar kernel's time wherever the CPU has the SHA
+//! extensions.  On a host that lacks what
 //! a cap needs, both sides execute the identical fallback path: the cap
 //! relaxes to parity plus the tolerance and is the pair's only gate, since
 //! drift against a baseline from a capable host would measure the host, not
@@ -87,7 +86,6 @@ use std::process::ExitCode;
 /// ~50-100× ratio jump).
 const RATIO_PAIRS: &[(&str, &str, f64)] = &[
     ("/blocked", "/reference", 1.0),
-    ("fused_in_place", "per_column", 1.0),
     ("pooled", "serial", 1.0),
     ("/binary", "/json", 3.0),
     // The readiness backend vs the 500 µs poll tick it replaced, measured on
@@ -99,14 +97,9 @@ const RATIO_PAIRS: &[(&str, &str, f64)] = &[
     ("/epoll", "/tick", 3.0),
     // The incremental refinement engine (warm-chained, tolerance ladder) vs
     // eleven independent full-tolerance cold solves of the same chain, same
-    // run, same thread count: losing warm capture or application collapses
+    // run: losing warm capture or application collapses
     // the ratio toward 1.0.
     ("k49/warm", "k49/cold", 1.0),
-    // Parallel block factorization vs the serial path in the same run.  The
-    // multicore cap below is what catches a lost parallel path; on a
-    // single-core runner both sides execute the identical serial code and
-    // only that cap's parity fallback gates the pair.
-    ("/n_threads", "/1_thread", 1.0),
     // The SHA-extensions kernel vs the scalar one sealing the same frame in
     // the same run.  The two sides run on different execution units whose
     // relative speed varies across CPU generations: 3× tolerance.
@@ -134,8 +127,6 @@ struct RatioCap {
 enum HostNeed {
     /// Binds on any machine.
     Nothing,
-    /// A second core for the parallel kernels.
-    Multicore,
     /// The x86-64 SHA extensions for the hardware SHA-256 kernel.
     ShaExtensions,
 }
@@ -144,9 +135,6 @@ impl HostNeed {
     fn met(self) -> bool {
         match self {
             HostNeed::Nothing => true,
-            HostNeed::Multicore => std::thread::available_parallelism()
-                .map(|n| n.get() >= 2)
-                .unwrap_or(false),
             HostNeed::ShaExtensions => corgi_framework::auth::has_sha_extensions(),
         }
     }
@@ -160,12 +148,6 @@ const RATIO_CAPS: &[RatioCap] = &[
         optimized: "k49/warm",
         max_ratio: 0.75,
         needs: HostNeed::Nothing,
-    },
-    // Parallel factorization must beat serial wherever a second core exists.
-    RatioCap {
-        optimized: "/n_threads",
-        max_ratio: 0.85,
-        needs: HostNeed::Multicore,
     },
     // Hashing on the SHA extensions must beat the scalar rounds outright
     // (about 0.12× where measured) wherever the CPU has them.
@@ -577,9 +559,8 @@ mod tests {
         for name in [
             "cholesky_factorize/blocked/49",
             "cholesky_factorize/reference/49",
-            "cholesky_multi_rhs/fused_in_place",
-            "cholesky_multi_rhs/per_column",
             "forest_generation_k343_2iters/blocked",
+            "block_factorize/k343",
         ] {
             names.insert(name.to_string(), serde_json::json!({"median_ns": 1.0}));
         }
@@ -587,15 +568,13 @@ mod tests {
             reference_sibling("cholesky_factorize/blocked/49", &names).as_deref(),
             Some("cholesky_factorize/reference/49")
         );
-        assert_eq!(
-            reference_sibling("cholesky_multi_rhs/fused_in_place", &names).as_deref(),
-            Some("cholesky_multi_rhs/per_column")
-        );
-        // Optimized bench without a measured reference: unpaired, not gated.
+        // Optimized benches without a measured reference: unpaired, gated on
+        // their absolute medians.
         assert_eq!(
             reference_sibling("forest_generation_k343_2iters/blocked", &names),
             None
         );
+        assert_eq!(reference_sibling("block_factorize/k343", &names), None);
         // Reference benches never pair onto themselves.
         assert_eq!(
             reference_sibling("cholesky_factorize/reference/49", &names),
@@ -618,26 +597,23 @@ mod tests {
             reference_pair("warm_vs_cold_ipm/k49/warm", &names),
             Some(("warm_vs_cold_ipm/k49/cold".to_string(), 1.0))
         );
+        // The cold side is a reference point, never paired.
+        assert_eq!(reference_sibling("warm_vs_cold_ipm/k49/cold", &names), None);
+        // Kernel-thread benches neither pair nor carry a cap: the LP kernels
+        // are serial, so a results file that still names them gates nothing
+        // by ratio.
         assert_eq!(
             reference_pair("block_factorize_parallel/n_threads", &names),
-            Some(("block_factorize_parallel/1_thread".to_string(), 1.0))
-        );
-        // The cold and serial sides are reference points, never paired.
-        assert_eq!(reference_sibling("warm_vs_cold_ipm/k49/cold", &names), None);
-        assert_eq!(
-            reference_sibling("block_factorize_parallel/1_thread", &names),
             None
         );
 
-        // Caps: warm binds everywhere; parallel binds only with ≥ 2 cores.
+        // Caps: warm binds everywhere.
         let warm = ratio_cap("warm_vs_cold_ipm/k49/warm").expect("warm cap");
         assert_eq!(warm.needs, HostNeed::Nothing);
         assert!(warm.needs.met());
         assert_eq!(enforced_cap(warm, true, 0.2), 0.75);
-        let par = ratio_cap("block_factorize_parallel/n_threads").expect("parallel cap");
-        assert_eq!(par.needs, HostNeed::Multicore);
-        assert_eq!(enforced_cap(par, true, 0.2), 0.85);
-        assert!((enforced_cap(par, false, 0.2) - 1.2).abs() < 1e-12);
+        assert!(ratio_cap("block_factorize_parallel/n_threads").is_none());
+        assert!(ratio_cap("block_factorize/k343").is_none());
         // Uncapped benches stay uncapped.
         assert!(ratio_cap("cholesky_factorize/blocked/49").is_none());
     }

@@ -35,14 +35,14 @@ use std::sync::OnceLock;
 /// Which LP solver to use for matrix generation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SolverKind {
-    /// Pick automatically: the block-angular interior-point method, which is the
-    /// right choice for every realistic problem size.
-    Auto,
     /// Dense two-phase simplex (exact; only for small K).
     Simplex,
     /// General dense interior-point method (ignores the block structure).
     InteriorPoint,
-    /// Block-angular interior-point method (exploits the per-column structure).
+    /// Block-angular interior-point method (exploits the per-column
+    /// structure).  The default in [`crate::RobustConfig`]: the right choice
+    /// for every realistic problem size, and the only solver the serving path
+    /// runs.
     BlockAngular,
 }
 
@@ -340,24 +340,6 @@ impl ObfuscationProblem {
         Ok(())
     }
 
-    /// Interior-point options tuned for this problem's block structure.
-    ///
-    /// The library defaults (blocked Cholesky kernels, sparse Schur assembly)
-    /// are right for every K the paper exercises.  The worker count of the
-    /// parallel block kernels is read from the `CORGI_LP_THREADS` environment
-    /// variable: unset or `1` keeps the bit-exact serial path, `0` uses all
-    /// available cores, any other number is a literal thread count.
-    pub fn solver_options(&self) -> InteriorPointOptions {
-        let mut options = InteriorPointOptions::default();
-        if let Some(threads) = std::env::var("CORGI_LP_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-        {
-            options.threads = threads;
-        }
-        options
-    }
-
     /// Solve the LP and return the resulting obfuscation matrix.
     ///
     /// The uniform matrix is strictly feasible for every obfuscation LP (all
@@ -366,7 +348,7 @@ impl ObfuscationProblem {
     /// the uniform matrix just enough to restore feasibility — trading a small,
     /// measured amount of optimality for a guaranteed ε-Geo-Ind matrix.
     pub fn solve(&self, rpb: Option<&[Vec<f64>]>, solver: SolverKind) -> Result<ObfuscationMatrix> {
-        self.solve_with_options(rpb, solver, self.solver_options())
+        self.solve_with_options(rpb, solver, InteriorPointOptions::default())
     }
 
     /// [`ObfuscationProblem::solve`] with explicit interior-point options, for
@@ -399,7 +381,7 @@ impl ObfuscationProblem {
         options: InteriorPointOptions,
         warm: Option<&WarmStart>,
     ) -> Result<(ObfuscationMatrix, Option<WarmStart>)> {
-        if matches!(solver, SolverKind::Auto | SolverKind::BlockAngular) {
+        if solver == SolverKind::BlockAngular {
             return self.solve_prepared(&self.prepare_lp(rpb)?, options, warm);
         }
         // The simplex and generic interior-point oracles solve the plain LP.
@@ -574,7 +556,7 @@ mod tests {
     #[test]
     fn solved_matrix_is_stochastic_and_geo_ind() {
         let (_t, p) = problem(1, true);
-        let matrix = p.solve(None, SolverKind::Auto).unwrap();
+        let matrix = p.solve(None, SolverKind::BlockAngular).unwrap();
         matrix.check_stochastic(1e-6).unwrap();
         // The graph approximation is sufficient for all-pairs Geo-Ind (Theorem 4.1).
         let report = geoind::check_all_pairs(&matrix, p.distances(), p.epsilon(), 1e-6);
@@ -624,7 +606,7 @@ mod tests {
     fn quality_loss_matches_lp_objective() {
         let (_t, p) = problem(1, true);
         let (lp, _) = p.build_lp(None).unwrap();
-        let matrix = p.solve(None, SolverKind::Auto).unwrap();
+        let matrix = p.solve(None, SolverKind::BlockAngular).unwrap();
         let from_lp = lp.objective_value(matrix.data());
         let from_quality = p.quality_loss(&matrix);
         assert!((from_lp - from_quality).abs() < 1e-9);
@@ -642,7 +624,7 @@ mod tests {
             .iter()
             .map(|&eps| {
                 let p = ObfuscationProblem::new(&t, &subtree, &prior, &targets, eps, true).unwrap();
-                let m = p.solve(None, SolverKind::Auto).unwrap();
+                let m = p.solve(None, SolverKind::BlockAngular).unwrap();
                 p.quality_loss(&m)
             })
             .collect();

@@ -36,7 +36,7 @@ impl Default for RobustConfig {
         Self {
             delta: 3,
             iterations: 10,
-            solver: SolverKind::Auto,
+            solver: SolverKind::BlockAngular,
         }
     }
 }
@@ -238,15 +238,15 @@ pub fn generate_robust_matrix(
 /// LP is a small perturbation of the last).  A solve that does not produce a
 /// reusable iterate falls back to the best one seen so far.
 ///
-/// With the block-angular solver ([`SolverKind::Auto`],
-/// [`SolverKind::BlockAngular`]) the LP is built and prepared once for the
-/// whole chain, and each refinement rewrites its Geo-Ind bounds in place.
+/// With the block-angular solver ([`SolverKind::BlockAngular`]) the LP is
+/// built and prepared once for the whole chain, and each refinement rewrites
+/// its Geo-Ind bounds in place.
 pub fn generate_robust_matrix_warm(
     problem: &ObfuscationProblem,
     config: &RobustConfig,
     warm: Option<&WarmStart>,
 ) -> Result<RobustRun> {
-    let options = problem.solver_options();
+    let options = InteriorPointOptions::default();
     // Tolerance ladder: intermediate iterations only exist to feed the
     // reserved-budget recomputation (Eq. 14) — itself an upper-bound
     // *approximation* whose error dwarfs 1e-4 — and the fixed point they
@@ -272,7 +272,7 @@ pub fn generate_robust_matrix_warm(
     // One LP for the whole chain; the simplex and generic interior-point
     // oracles rebuild theirs for every solve.
     let mut prepared = match config.solver {
-        SolverKind::Auto | SolverKind::BlockAngular => Some(problem.prepare_lp(None)?),
+        SolverKind::BlockAngular => Some(problem.prepare_lp(None)?),
         SolverKind::Simplex | SolverKind::InteriorPoint => None,
     };
     let mut solve = |rpb: Option<&[Vec<f64>]>,
@@ -351,7 +351,7 @@ mod tests {
         iterations: usize,
         seed: Option<&WarmStart>,
     ) -> RobustRun {
-        let options = problem.solver_options();
+        let options = InteriorPointOptions::default();
         let relaxed = InteriorPointOptions {
             tolerance: options.tolerance.max(1e-4),
             ..options
@@ -409,7 +409,7 @@ mod tests {
             let config = RobustConfig {
                 delta,
                 iterations: 10,
-                solver: SolverKind::Auto,
+                solver: SolverKind::BlockAngular,
             };
             let shipped = generate_robust_matrix_warm(&p, &config, seed.as_ref()).unwrap();
             let replay = replay_with_rebuilds(&p, delta, 10, seed.as_ref());
@@ -467,7 +467,7 @@ mod tests {
     #[test]
     fn rpb_is_nonnegative_and_grows_with_delta() {
         let (_tree, p) = small_problem();
-        let matrix = p.solve(None, SolverKind::Auto).unwrap();
+        let matrix = p.solve(None, SolverKind::BlockAngular).unwrap();
         let rpb1 = reserved_privacy_budget_approx(&matrix, p.distances(), p.epsilon(), 1);
         let rpb3 = reserved_privacy_budget_approx(&matrix, p.distances(), p.epsilon(), 3);
         let k = p.size();
@@ -483,7 +483,7 @@ mod tests {
     fn exact_rpb_bounded_by_approximation() {
         // Proposition 4.5: ε_{i,j} ≤ ε′_{i,j}, i.e. the approximation is an upper bound.
         let (_tree, p) = small_problem();
-        let matrix = p.solve(None, SolverKind::Auto).unwrap();
+        let matrix = p.solve(None, SolverKind::BlockAngular).unwrap();
         let exact = reserved_privacy_budget_exact(&matrix, p.distances(), p.epsilon(), 2).unwrap();
         let approx = reserved_privacy_budget_approx(&matrix, p.distances(), p.epsilon(), 2);
         let k = p.size();
@@ -504,7 +504,7 @@ mod tests {
     #[test]
     fn exact_rpb_guards_against_explosion() {
         let (_tree, p) = small_problem();
-        let matrix = p.solve(None, SolverKind::Auto).unwrap();
+        let matrix = p.solve(None, SolverKind::BlockAngular).unwrap();
         // δ = 7 over 7 cells is fine (2^7 subsets), but a fake huge δ over a huge K
         // is rejected; simulate by calling count guard directly.
         assert!(reserved_privacy_budget_exact(&matrix, p.distances(), p.epsilon(), 3).is_ok());
@@ -514,13 +514,13 @@ mod tests {
     #[test]
     fn robust_matrix_costs_more_quality_than_nonrobust() {
         let (_tree, p) = small_problem();
-        let nonrobust = generate_nonrobust_matrix(&p, SolverKind::Auto).unwrap();
+        let nonrobust = generate_nonrobust_matrix(&p, SolverKind::BlockAngular).unwrap();
         let robust = generate_robust_matrix(
             &p,
             &RobustConfig {
                 delta: 2,
                 iterations: 4,
-                solver: SolverKind::Auto,
+                solver: SolverKind::BlockAngular,
             },
         )
         .unwrap();
@@ -542,7 +542,7 @@ mod tests {
             &RobustConfig {
                 delta: 2,
                 iterations: 8,
-                solver: SolverKind::Auto,
+                solver: SolverKind::BlockAngular,
             },
         )
         .unwrap();
@@ -562,12 +562,12 @@ mod tests {
             &RobustConfig {
                 delta: 0,
                 iterations: 5,
-                solver: SolverKind::Auto,
+                solver: SolverKind::BlockAngular,
             },
         )
         .unwrap();
         assert_eq!(run.objective_per_iteration.len(), 1);
-        let nonrobust = generate_nonrobust_matrix(&p, SolverKind::Auto).unwrap();
+        let nonrobust = generate_nonrobust_matrix(&p, SolverKind::BlockAngular).unwrap();
         let diff = (p.quality_loss(&run.matrix) - p.quality_loss(&nonrobust)).abs();
         assert!(diff < 1e-9);
     }
@@ -578,13 +578,13 @@ mod tests {
         // the robust matrix violates far fewer Geo-Ind constraints.
         let (_tree, p) = small_problem();
         let delta = 2usize;
-        let nonrobust = generate_nonrobust_matrix(&p, SolverKind::Auto).unwrap();
+        let nonrobust = generate_nonrobust_matrix(&p, SolverKind::BlockAngular).unwrap();
         let robust = generate_robust_matrix(
             &p,
             &RobustConfig {
                 delta,
                 iterations: 6,
-                solver: SolverKind::Auto,
+                solver: SolverKind::BlockAngular,
             },
         )
         .unwrap()

@@ -183,9 +183,6 @@ pub struct ClusterStats {
     pub pushes_received: u64,
     /// Received pushes whose key was already resident (dedup hits).
     pub pushes_deduped: u64,
-    /// Key-only pushes shed because the dispatch pool was saturated (a push
-    /// is advisory and never competes with live requests).
-    pub pushes_ignored: u64,
     /// Frames or hellos rejected by authentication (missing announcement,
     /// wrong key, tampered bytes).
     pub auth_rejections: u64,
@@ -239,7 +236,6 @@ pub struct PeerStats {
 pub(crate) struct ClusterMetrics {
     pushes_received: AtomicU64,
     pushes_deduped: AtomicU64,
-    pushes_ignored: AtomicU64,
     auth_rejections: AtomicU64,
     probes_sent: AtomicU64,
     peers_down: AtomicU64,
@@ -254,10 +250,6 @@ impl ClusterMetrics {
 
     pub(crate) fn count_push_deduped(&self) {
         self.pushes_deduped.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn count_push_ignored(&self) {
-        self.pushes_ignored.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn count_auth_rejection(&self) {
@@ -284,7 +276,6 @@ impl ClusterMetrics {
         ClusterStats {
             pushes_received: self.pushes_received.load(Ordering::Relaxed),
             pushes_deduped: self.pushes_deduped.load(Ordering::Relaxed),
-            pushes_ignored: self.pushes_ignored.load(Ordering::Relaxed),
             auth_rejections: self.auth_rejections.load(Ordering::Relaxed),
             failovers: 0,
             rank_memo_hits: 0,
@@ -474,13 +465,6 @@ pub struct ReplicationConfig {
     /// most likely to ask the peer for next); the eviction is counted in
     /// [`PeerStats::pushes_dropped`].
     pub queue_depth: usize,
-    /// Ship the solved forest in the push (`true`, the default) so the peer
-    /// inserts it without solving, or only the key (`false`) so the peer
-    /// re-solves on its own dispatch pool — one duplicate solve instead of a
-    /// forest-sized frame.  Payload pushes need the peers'
-    /// [`max_inbound_frame`](crate::TransportConfig::max_inbound_frame)
-    /// raised above the encoded forest size.
-    pub push_payloads: bool,
     /// Never read: every peer link speaks the binary codec since protocol
     /// 2.0.  Kept so configs that still set it compile.
     #[deprecated(note = "protocol 2.0 is binary-only; this field is never read")]
@@ -516,7 +500,6 @@ impl Default for ReplicationConfig {
     fn default() -> Self {
         Self {
             queue_depth: 64,
-            push_payloads: true,
             codecs: Vec::new(),
             cluster_key: ClusterKey::from_env(),
             connect_timeout: Duration::from_secs(5),
@@ -617,7 +600,6 @@ impl fmt::Debug for Replicator {
         f.debug_struct("Replicator")
             .field("peers", &self.links().len())
             .field("queue_depth", &self.config.queue_depth)
-            .field("push_payloads", &self.config.push_payloads)
             .finish()
     }
 }
@@ -679,7 +661,7 @@ impl Replicator {
         let push = WarmPush {
             privacy_level: request.privacy_level,
             delta: request.delta,
-            forest: self.config.push_payloads.then(|| Arc::clone(forest)),
+            forest: Arc::clone(forest),
         };
         for link in links {
             link.offer(push.clone(), self.config.queue_depth);
@@ -1580,29 +1562,43 @@ mod tests {
     fn replication_queue_is_bounded_and_drops_oldest() {
         let replicator = Replicator::new(ReplicationConfig {
             queue_depth: 2,
-            push_payloads: false,
             ..ReplicationConfig::default()
         });
         replicator.add_peer("127.0.0.1:1");
-        for delta in 0..5usize {
-            let link = &replicator.links()[0];
-            link.offer(
-                WarmPush {
-                    privacy_level: 1,
-                    delta,
-                    forest: None,
-                },
-                2,
-            );
+        let grid =
+            corgi_hexgrid::HexGrid::new(corgi_hexgrid::HexGridConfig::san_francisco()).unwrap();
+        let root = grid.cells_at_level(1)[0];
+        let forests: Vec<Arc<PrivacyForestResponse>> = (0..5usize)
+            .map(|delta| {
+                Arc::new(PrivacyForestResponse {
+                    request: MatrixRequest {
+                        privacy_level: 1,
+                        delta,
+                    },
+                    epsilon: 15.0,
+                    entries: vec![crate::messages::ForestEntry {
+                        subtree_root: root,
+                        matrix: corgi_core::ObfuscationMatrix::uniform(root.descendant_leaves())
+                            .unwrap(),
+                    }],
+                })
+            })
+            .collect();
+        for forest in &forests {
+            replicator.offer(forest.request, forest);
         }
         let stats = replicator.peer_stats();
         assert_eq!(stats.len(), 1);
         assert_eq!(stats[0].queue_depth, 2);
         assert_eq!(stats[0].pushes_dropped, 3);
-        // The survivors are the *newest* pushes.
+        // The survivors are the *newest* pushes, each sharing its forest
+        // with the pushing cache instead of copying it.
         let link = &replicator.links()[0];
-        assert_eq!(link.pop().unwrap().delta, 3);
-        assert_eq!(link.pop().unwrap().delta, 4);
+        for delta in [3, 4] {
+            let push = link.pop().unwrap();
+            assert_eq!(push.delta, delta);
+            assert!(Arc::ptr_eq(&push.forest, &forests[delta]));
+        }
         assert!(link.pop().is_none());
     }
 
@@ -1699,7 +1695,6 @@ mod tests {
         let stats = ClusterStats {
             pushes_received: 7,
             pushes_deduped: 3,
-            pushes_ignored: 1,
             auth_rejections: 2,
             failovers: 4,
             rank_memo_hits: 6,

@@ -43,11 +43,11 @@
 //!   accepted        = T₁ version T₁₂ lat(f64) lng(f64) height(u8) spacing(f64)
 //!                     T₁₃ n(u32) prob(f64)×n T₁₅ present(u8) [scheme(str)]
 //!   rejected        = error
-//! WarmPush          = T₃ request T₁₆ present(u8) [forest body]
+//! WarmPush          = T₃ request T₁₆ present(u8 = 1) forest body
 //! StatsRequest      = (empty payload)
 //! StatsReport       = T₁₇ transport(u64×13) T₁₈ present(u8) [cache(u64×5)]
 //!                     T₁₉ present(u8) [cluster]
-//!   cluster         = counters(u64×10) n(u32) peer×n
+//!   cluster         = counters(u64×9) n(u32) peer×n
 //!   peer            = endpoint(str) counters(u64×6)
 //! Ping              = T₂₀ nonce(u64)
 //! Pong              = T₂₀ nonce(u64)
@@ -57,10 +57,14 @@
 //! ```
 //!
 //! Tags 0x0B and 0x0E are retired: they marked the hello's codec list and
-//! the reply's codec choice, which protocol 2.0 removed.  The fixed-width
-//! counter runs change in place (1.5 appended four cluster counters, 2.0
-//! dropped the JSON connection count from the transport run): both ends of
-//! a connection run the same build of this module.
+//! the reply's codec choice, which protocol 2.0 removed.  A `WarmPush`
+//! always carries its forest: the presence byte stays on the wire so a
+//! payload push is byte-identical to earlier 2.0 builds, and a key-only push
+//! (presence byte 0) is malformed.  The fixed-width counter runs change in
+//! place (1.5 appended four cluster counters, 2.0 dropped the JSON
+//! connection count from the transport run and the key-only push counter
+//! from the cluster run): both ends of a connection run the same build of
+//! this module.
 //!
 //! The hello opens with the tagged version in every protocol major, so a
 //! server can always read what a peer claims to speak; a 1.x peer's JSON
@@ -708,13 +712,8 @@ impl WireMessage for WarmPush {
         put_u8(out, TAG_REQUEST);
         put_matrix_request(out, &self.request());
         put_u8(out, TAG_FOREST);
-        match &self.forest {
-            None => put_u8(out, 0),
-            Some(forest) => {
-                put_u8(out, 1);
-                put_forest(out, forest);
-            }
-        }
+        put_u8(out, 1);
+        put_forest(out, &self.forest);
     }
 
     fn decode_binary(r: &mut WireReader<'_>) -> Result<Self, WireError> {
@@ -722,8 +721,8 @@ impl WireMessage for WarmPush {
         let request = read_matrix_request(r)?;
         r.tag(TAG_FOREST, "push.forest")?;
         let forest = match r.u8("push.forest presence")? {
-            0 => None,
-            1 => Some(Arc::new(read_forest(r)?)),
+            1 => Arc::new(read_forest(r)?),
+            0 => return Err(WireError::new("push carries no forest")),
             other => {
                 return Err(WireError::new(format!(
                     "invalid option presence byte {other}"
@@ -861,7 +860,6 @@ impl WireMessage for DigestReply {
 fn put_cluster_stats(out: &mut Vec<u8>, c: &ClusterStats) {
     put_u64(out, c.pushes_received);
     put_u64(out, c.pushes_deduped);
-    put_u64(out, c.pushes_ignored);
     put_u64(out, c.auth_rejections);
     put_u64(out, c.failovers);
     put_u64(out, c.rank_memo_hits);
@@ -884,7 +882,6 @@ fn put_cluster_stats(out: &mut Vec<u8>, c: &ClusterStats) {
 fn read_cluster_stats(r: &mut WireReader<'_>) -> Result<ClusterStats, WireError> {
     let pushes_received = r.u64("cluster.pushes_received")?;
     let pushes_deduped = r.u64("cluster.pushes_deduped")?;
-    let pushes_ignored = r.u64("cluster.pushes_ignored")?;
     let auth_rejections = r.u64("cluster.auth_rejections")?;
     let failovers = r.u64("cluster.failovers")?;
     let rank_memo_hits = r.u64("cluster.rank_memo_hits")?;
@@ -909,7 +906,6 @@ fn read_cluster_stats(r: &mut WireReader<'_>) -> Result<ClusterStats, WireError>
     Ok(ClusterStats {
         pushes_received,
         pushes_deduped,
-        pushes_ignored,
         auth_rejections,
         failovers,
         rank_memo_hits,
@@ -1130,14 +1126,9 @@ mod tests {
         ));
         // Protocol 1.4 cluster messages.
         binary_roundtrip(&WarmPush {
-            privacy_level: 2,
-            delta: 3,
-            forest: None,
-        });
-        binary_roundtrip(&WarmPush {
             privacy_level: 1,
             delta: 0,
-            forest: Some(Arc::new(sample_forest())),
+            forest: Arc::new(sample_forest()),
         });
         binary_roundtrip(&StatsRequest {});
         binary_roundtrip(&StatsReport {
@@ -1166,7 +1157,6 @@ mod tests {
             cluster: Some(ClusterStats {
                 pushes_received: 5,
                 pushes_deduped: 2,
-                pushes_ignored: 1,
                 auth_rejections: 4,
                 failovers: 0,
                 rank_memo_hits: 8,

@@ -366,7 +366,7 @@ fn solve_subtree(
             } else {
                 config.robust_iterations
             },
-            solver: SolverKind::Auto,
+            solver: SolverKind::BlockAngular,
         },
         seed.as_ref(),
     )?;

@@ -1350,28 +1350,11 @@ impl ConnectionTask {
                         return;
                     }
                 };
+                // Adopt the peer's solved forest directly: a push never
+                // schedules a solve.
                 self.cluster.count_push_received();
-                match push.forest {
-                    // Payload push: adopt the peer's solved forest directly.
-                    Some(forest) => {
-                        if self.service.warm_insert(forest) == WarmInsertOutcome::AlreadyResident {
-                            self.cluster.count_push_deduped();
-                        }
-                    }
-                    // Key-only push: solve locally, fire-and-forget.  A push
-                    // is advisory, so a saturated dispatch pool sheds it
-                    // silently instead of competing with live requests.
-                    None => {
-                        if self.dispatch.backlog() >= self.config.max_dispatch_backlog {
-                            self.cluster.count_push_ignored();
-                        } else {
-                            let service = Arc::clone(&self.service);
-                            let request = push.request();
-                            self.dispatch.execute(move || {
-                                let _ = service.privacy_forest(request);
-                            });
-                        }
-                    }
+                if self.service.warm_insert(push.forest) == WarmInsertOutcome::AlreadyResident {
+                    self.cluster.count_push_deduped();
                 }
             }
             FrameKind::Stats => {

@@ -101,16 +101,13 @@ impl WarmRequest {
 }
 
 /// Asynchronous peer-to-peer cache replication (protocol 1.4): after a cold
-/// miss completes on one shard, the shard pushes the key — and usually the
-/// solved forest itself — to its peers so the *same* key is a warm hit
-/// cluster-wide without a second LP solve.
+/// miss completes on one shard, the shard pushes the key and the solved
+/// forest to its peers so the *same* key is a warm hit cluster-wide without a
+/// second LP solve.
 ///
 /// A push is advisory and fire-and-forget: there is no reply frame, a peer
 /// that already holds the key counts a dedup and drops it, and a peer without
-/// a caching layer ignores it.  When `forest` is `None` the receiving peer
-/// solves the key itself on its dispatch pool (trading one duplicate solve for
-/// not shipping the ~70 KB payload); see
-/// [`ReplicationConfig::push_payloads`](crate::cluster::ReplicationConfig).
+/// a caching layer ignores it.  A push never makes the receiving peer solve.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WarmPush {
     /// Privacy level of the replicated cache key.
@@ -118,8 +115,8 @@ pub struct WarmPush {
     /// δ of the replicated cache key.
     pub delta: usize,
     /// The solved forest, shared (not deep-copied) with the pushing shard's
-    /// cache; `None` replicates the key only.
-    pub forest: Option<Arc<PrivacyForestResponse>>,
+    /// cache.
+    pub forest: Arc<PrivacyForestResponse>,
 }
 
 impl WarmPush {
@@ -363,21 +360,23 @@ mod tests {
         let back: WarmReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, report);
 
-        // A key-only push round-trips with its forest absent.
+        // A push round-trips with its forest.
+        let request = MatrixRequest {
+            privacy_level: 1,
+            delta: 2,
+        };
         let push = WarmPush {
             privacy_level: 1,
             delta: 2,
-            forest: None,
+            forest: Arc::new(PrivacyForestResponse {
+                request,
+                epsilon: 15.0,
+                entries: Vec::new(),
+            }),
         };
         let json = serde_json::to_string(&push).unwrap();
         let back: WarmPush = serde_json::from_str(&json).unwrap();
         assert_eq!(back, push);
-        assert_eq!(
-            back.request(),
-            MatrixRequest {
-                privacy_level: 1,
-                delta: 2
-            }
-        );
+        assert_eq!(back.request(), request);
     }
 }

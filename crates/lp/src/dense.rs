@@ -33,12 +33,11 @@
 //! in the order floating-point operations are accumulated, so their factors
 //! agree to machine-precision rounding (asserted by property tests below).
 //!
-//! Multi-right-hand-side solves ([`DenseMatrix::cholesky_solve_matrix_into`])
-//! are *fused*: the forward and backward substitutions sweep all RHS columns at
-//! once with contiguous row AXPYs instead of extracting one column at a time,
-//! and solve in place — no per-column allocation
-//! ([`DenseMatrix::cholesky_solve_matrix_per_column`] preserves the allocating
-//! reference for the benchmark that proves the win).
+//! Triangular solves come in the shapes the solvers run: one right-hand side
+//! in place ([`DenseMatrix::cholesky_solve_into`]), a forward substitution
+//! that skips leading zeros ([`DenseMatrix::forward_solve_from`], the blocked
+//! Schur assembly's kernel), and the reference path's per-column multi-RHS
+//! solve ([`DenseMatrix::cholesky_solve_matrix_per_column`]).
 
 use crate::LpError;
 use serde::{Deserialize, Serialize};
@@ -47,8 +46,8 @@ use serde::{Deserialize, Serialize};
 ///
 /// 64 columns × 8 bytes = 512 bytes per row panel: a handful of cache lines,
 /// small enough that the panel rows of both operands of the trailing update
-/// stay L1-resident, large enough to amortize the loop overhead.  Tunable per
-/// solve via `InteriorPointOptions::cholesky_block_size`.
+/// stay L1-resident, large enough to amortize the loop overhead.  The blocked
+/// interior-point kernels factorize at this width.
 pub const DEFAULT_CHOLESKY_BLOCK: usize = 64;
 
 /// Dot product with four independent accumulators.
@@ -76,15 +75,6 @@ pub(crate) fn dot(a: &[f64], b: &[f64]) -> f64 {
         .map(|(x, y)| x * y)
         .sum();
     (s0 + s1) + (s2 + s3) + tail
-}
-
-/// `y += alpha · x` over contiguous slices.
-#[inline]
-fn axpy(y: &mut [f64], alpha: f64, x: &[f64]) {
-    debug_assert_eq!(y.len(), x.len());
-    for (yi, xi) in y.iter_mut().zip(x.iter()) {
-        *yi += alpha * *xi;
-    }
 }
 
 /// Magnitudes below this are flushed to exact zero by the blocked kernels.
@@ -177,20 +167,6 @@ impl DenseMatrix {
     /// across interior-point iterations instead of reallocating).
     pub fn fill(&mut self, value: f64) {
         self.data.fill(value);
-    }
-
-    /// Element-wise `self += other` (shapes must match).
-    ///
-    /// This is the reduction step of the parallel Schur accumulation: each
-    /// worker sums its blocks' `V_b V_bᵀ` contributions into a private partial
-    /// matrix, and the partials are folded into the shared Schur matrix in
-    /// worker order at the join barrier.
-    pub fn add_assign(&mut self, other: &Self) {
-        assert_eq!(self.rows, other.rows, "row count mismatch");
-        assert_eq!(self.cols, other.cols, "column count mismatch");
-        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a += b;
-        }
     }
 
     /// Multiply by a vector: `self · x`.
@@ -423,70 +399,9 @@ impl DenseMatrix {
         }
     }
 
-    /// Solve for multiple right-hand sides given as columns of `rhs`
-    /// (`rhs` has `self.rows()` rows); returns the solution matrix.
-    ///
-    /// One allocation for the output; the substitutions themselves run fused
-    /// and in place (see [`DenseMatrix::cholesky_solve_matrix_into`]).
-    pub fn cholesky_solve_matrix(&self, rhs: &DenseMatrix) -> DenseMatrix {
-        let mut out = rhs.clone();
-        self.cholesky_solve_matrix_into(&mut out);
-        out
-    }
-
-    /// Fused in-place multi-RHS solve: overwrite `rhs` with `(L Lᵀ)⁻¹ rhs`.
-    ///
-    /// Both substitutions sweep *all* columns of a row at once: the forward
-    /// pass applies `row_i −= L[i,k] · row_k` as contiguous AXPYs (the target
-    /// row stays L1-resident across the inner loop), the backward pass the
-    /// transposed analogue.  Compared to the per-column reference
-    /// ([`DenseMatrix::cholesky_solve_matrix_per_column`]) this removes one
-    /// `Vec` allocation *per RHS column* and turns strided column gathers into
-    /// streaming row operations.
-    pub fn cholesky_solve_matrix_into(&self, rhs: &mut DenseMatrix) {
-        assert_eq!(self.rows, self.cols);
-        assert_eq!(rhs.rows, self.rows);
-        let n = self.rows;
-        let m = rhs.cols;
-        // Forward: L Y = B.
-        for i in 0..n {
-            let ri = i * self.cols;
-            let (before, current) = rhs.data.split_at_mut(i * m);
-            let row_i = &mut current[..m];
-            for k in 0..i {
-                let l = self.data[ri + k];
-                if l != 0.0 {
-                    axpy(row_i, -l, &before[k * m..(k + 1) * m]);
-                }
-            }
-            let inv = 1.0 / self.data[ri + i];
-            for v in row_i.iter_mut() {
-                *v *= inv;
-            }
-        }
-        // Backward: Lᵀ X = Y.
-        for i in (0..n).rev() {
-            let (current, after) = rhs.data.split_at_mut((i + 1) * m);
-            let row_i = &mut current[i * m..];
-            for k in (i + 1)..n {
-                let l = self.data[k * self.cols + i];
-                if l != 0.0 {
-                    axpy(row_i, -l, &after[(k - i - 1) * m..(k - i) * m]);
-                }
-            }
-            let inv = 1.0 / self.data[i * self.cols + i];
-            for v in row_i.iter_mut() {
-                *v *= inv;
-            }
-        }
-    }
-
-    /// Reference multi-RHS solve: extract every column into a fresh `Vec`,
-    /// solve it, scatter it back.
-    ///
-    /// Kept verbatim as the pre-fusing baseline — the `cholesky_multi_rhs`
-    /// benchmark pits it against [`DenseMatrix::cholesky_solve_matrix_into`] to
-    /// lock in the allocation win.  Prefer the fused kernels in new code.
+    /// Multi-RHS solve for the columns of `rhs` (`rhs` has `self.rows()`
+    /// rows): extract every column into a scratch `Vec`, solve it, scatter it
+    /// back.  The reference kernels use it to form `M_b⁻¹ E_bᵀ`.
     pub fn cholesky_solve_matrix_per_column(&self, rhs: &DenseMatrix) -> DenseMatrix {
         assert_eq!(rhs.rows, self.rows);
         let mut out = DenseMatrix::zeros(rhs.rows, rhs.cols);
@@ -521,17 +436,6 @@ impl std::ops::IndexMut<(usize, usize)> for DenseMatrix {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    #[test]
-    fn add_assign_sums_elementwise() {
-        let mut a = DenseMatrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        let b = DenseMatrix::from_rows(&[vec![0.5, -2.0], vec![1.0, 10.0]]);
-        a.add_assign(&b);
-        assert_eq!(a[(0, 0)], 1.5);
-        assert_eq!(a[(0, 1)], 0.0);
-        assert_eq!(a[(1, 0)], 4.0);
-        assert_eq!(a[(1, 1)], 14.0);
-    }
 
     /// Random SPD matrix `A = BᵀB + I` of size `n` built from `n²` seed values.
     fn random_spd(seed_vals: &[f64], n: usize) -> DenseMatrix {
@@ -610,7 +514,7 @@ mod tests {
         let mut a = DenseMatrix::from_rows(&[vec![2.0, 0.0], vec![0.0, 8.0]]);
         a.cholesky_in_place(1e-14).unwrap();
         let rhs = DenseMatrix::from_rows(&[vec![2.0, 4.0], vec![8.0, 16.0]]);
-        let x = a.cholesky_solve_matrix(&rhs);
+        let x = a.cholesky_solve_matrix_per_column(&rhs);
         assert!((x[(0, 0)] - 1.0).abs() < 1e-12);
         assert!((x[(0, 1)] - 2.0).abs() < 1e-12);
         assert!((x[(1, 0)] - 1.0).abs() < 1e-12);
@@ -725,34 +629,6 @@ mod tests {
                     prop_assert!(
                         (x - y).abs() < 1e-9 * (1.0 + y.abs()),
                         "nb={} entry ({},{}): {} vs {}", nb, i, j, x, y
-                    );
-                }
-            }
-        }
-
-        /// The fused multi-RHS solve agrees with the per-column reference
-        /// bitwise: per column, both run the identical substitution sequence.
-        #[test]
-        fn prop_fused_multi_rhs_matches_per_column(
-            seed_vals in proptest::collection::vec(-2.0f64..2.0, 16),
-            rhs_vals in proptest::collection::vec(-3.0f64..3.0, 12),
-        ) {
-            let mut f = random_spd(&seed_vals, 4);
-            f.cholesky_in_place_unblocked(1e-12).unwrap();
-            let rhs = DenseMatrix::from_rows(&[
-                rhs_vals[0..3].to_vec(),
-                rhs_vals[3..6].to_vec(),
-                rhs_vals[6..9].to_vec(),
-                rhs_vals[9..12].to_vec(),
-            ]);
-            let fused = f.cholesky_solve_matrix(&rhs);
-            let reference = f.cholesky_solve_matrix_per_column(&rhs);
-            for i in 0..4 {
-                for j in 0..3 {
-                    prop_assert!(
-                        (fused[(i, j)] - reference[(i, j)]).abs()
-                            < 1e-12 * (1.0 + reference[(i, j)].abs()),
-                        "entry ({},{})", i, j
                     );
                 }
             }

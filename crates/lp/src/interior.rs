@@ -64,11 +64,33 @@
 //! blocks, K row-stochasticity equalities) the reference Schur assembly alone
 //! costs `K⁴` multiply-adds per iteration; the sparse path reduces it to `K³/3`
 //! because every coupling column has exactly one nonzero.
+//!
+//! Both strategies run every kernel on the calling thread.  The caller owns
+//! the parallelism: the serving stack solves one LP per subtree and spreads
+//! those independent solves over a pool with one worker per core, so a
+//! second fan-out inside each solve would only oversubscribe the cores.
 
 use crate::{
-    dense::{dot, DenseMatrix, DEFAULT_CHOLESKY_BLOCK, FLUSH_THRESHOLD},
-    par, ConstraintSense, LpError, LpProblem, LpSolution, LpSolver, SolveStatus, WarmStart,
+    dense::{dot, DenseMatrix, FLUSH_THRESHOLD},
+    ConstraintSense, LpError, LpProblem, LpSolution, LpSolver, SolveStatus, WarmStart,
 };
+
+/// Diagonal regularization added to keep Cholesky factorizations stable.
+const REGULARIZATION: f64 = 1e-10;
+
+/// Fraction of the distance to the boundary taken by each step (0 < τ < 1).
+const STEP_FRACTION: f64 = 0.995;
+
+/// Maximum Gondzio centrality correctors per iteration.
+///
+/// The obfuscation LPs are heavily degenerate: near the optimum a handful of
+/// complementarity products sit far below the barrier average and truncate
+/// the Mehrotra step to α ≈ 0.1–0.4, so residuals shrink by only (1 − α) per
+/// iteration and the tail grinds.  Each corrector reuses the existing
+/// factorization (back/forward solves only — no refactorization) to lift the
+/// outlier products toward the central path, then keeps the enlarged
+/// direction only if the step length actually improved.
+const MAX_CENTRALITY_CORRECTORS: usize = 2;
 
 /// Linear-algebra backend used for the Newton systems (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,39 +109,8 @@ pub struct InteriorPointOptions {
     pub max_iterations: usize,
     /// Relative tolerance on primal/dual residuals and the complementarity gap.
     pub tolerance: f64,
-    /// Diagonal regularization added to keep Cholesky factorizations stable.
-    pub regularization: f64,
-    /// Fraction of the distance to the boundary taken by each step (0 < τ < 1).
-    pub step_fraction: f64,
     /// Which linear-algebra kernels drive the Newton systems.
     pub kernels: KernelStrategy,
-    /// Column-panel width of the blocked Cholesky factorization (ignored by
-    /// [`KernelStrategy::Reference`]).
-    pub cholesky_block_size: usize,
-    /// Worker threads for the parallel block kernels: per-block Cholesky
-    /// factorizations, block triangular solves and the Schur accumulation fan
-    /// out over this many [`std::thread::scope`] workers per operation.
-    ///
-    /// `1` (the default) never spawns and preserves the serial code path
-    /// bit-exactly; `0` resolves to all available cores
-    /// ([`crate::par::resolve_threads`]).  Only the [`KernelStrategy::Blocked`]
-    /// kernels parallelize; the reference kernels stay serial by design.
-    /// Results are deterministic for a fixed thread count (per-worker partial
-    /// Schur buffers are reduced in worker order), and per-block factors are
-    /// bit-identical to the serial path at any thread count — only the Schur
-    /// reduction order (and thus its last ~1 ulp) depends on the setting.
-    pub threads: usize,
-    /// Maximum Gondzio centrality correctors per iteration.
-    ///
-    /// The obfuscation LPs are heavily degenerate: near the optimum a handful
-    /// of complementarity products sit far below the barrier average and
-    /// truncate the Mehrotra step to α ≈ 0.1–0.4, so residuals shrink by only
-    /// (1 − α) per iteration and the tail grinds.  Each corrector reuses the
-    /// existing factorization (back/forward solves only — no refactorization)
-    /// to lift the outlier products toward the central path, then keeps the
-    /// enlarged direction only if the step length actually improved.  `0`
-    /// disables the mechanism (plain predictor–corrector).
-    pub max_centrality_correctors: usize,
 }
 
 impl Default for InteriorPointOptions {
@@ -127,12 +118,7 @@ impl Default for InteriorPointOptions {
         Self {
             max_iterations: 200,
             tolerance: 1e-8,
-            regularization: 1e-10,
-            step_fraction: 0.995,
             kernels: KernelStrategy::Blocked,
-            cholesky_block_size: DEFAULT_CHOLESKY_BLOCK,
-            threads: 1,
-            max_centrality_correctors: 2,
         }
     }
 }
@@ -659,7 +645,8 @@ fn assemble_block_matrix(
 }
 
 /// Accumulate block `b`'s Schur contribution `V_b V_bᵀ` (lower triangle, with
-/// `V_b = E_b L_b⁻ᵀ`) into `schur`, using the caller-provided `V`-row scratch.
+/// `V_b = E_b L_b⁻ᵀ`) into the workspace's Schur matrix, using its `V`-row
+/// scratch.
 ///
 /// Each row of `V_b` solves `L_b v = (coupling column)`, a forward
 /// substitution started at the column's first nonzero.  The geometric tail of
@@ -667,19 +654,19 @@ fn assemble_block_matrix(
 /// recorded: flushed entries square to exactly zero in the `V Vᵀ` products,
 /// and leaving them in would (a) pay the subnormal microcode penalty per
 /// multiply and (b) force every row pair into a full-length dot product.
-/// The rank-k update then touches only the lower triangle of `schur` with
-/// contiguous row dots trimmed to the overlap of the two rows' bands.
-#[allow(clippy::too_many_arguments)]
-fn accumulate_schur_block(
-    prep: &Prepared,
-    b: usize,
-    factor: &DenseMatrix,
-    v_data: &mut [f64],
-    v_stride: usize,
-    v_first: &mut [usize],
-    v_last: &mut [usize],
-    schur: &mut DenseMatrix,
-) {
+/// The rank-k update then touches only the lower triangle of the Schur matrix
+/// with contiguous row dots trimmed to the overlap of the two rows' bands.
+fn accumulate_schur_block(prep: &Prepared, b: usize, ws: &mut BlockedWorkspace) {
+    let BlockedWorkspace {
+        factors,
+        schur,
+        v_data,
+        v_stride,
+        v_first,
+        v_last,
+        ..
+    } = ws;
+    let v_stride = *v_stride;
     let nb = prep.blocks[b].len();
     let active = &prep.eq_by_block[b];
     let coupling = &prep.coupling_by_block[b];
@@ -689,7 +676,7 @@ fn accumulate_schur_block(
         for &(local, coeff) in &col.entries {
             row[local] = coeff;
         }
-        factor.forward_solve_from(row, col.first);
+        factors[b].forward_solve_from(row, col.first);
         let mut last = nb;
         while last > col.first && row[last - 1].abs() < FLUSH_THRESHOLD {
             last -= 1;
@@ -718,43 +705,21 @@ fn accumulate_schur_block(
     }
 }
 
-/// Regularize and factorize the fully accumulated Schur complement.
-fn finalize_schur(
-    schur: &mut DenseMatrix,
-    m_eq: usize,
-    opts: &InteriorPointOptions,
-) -> Result<(), LpError> {
-    for i in 0..m_eq {
-        schur.add_diagonal(i, opts.regularization.max(1e-12));
-    }
-    schur.cholesky_in_place_blocked(opts.regularization, opts.cholesky_block_size)
-}
-
 /// Assemble and factorize the block-diagonal Newton matrix and the Schur
 /// complement with the blocked kernels, reusing the workspace buffers.
-///
-/// `workers > 1` dispatches to [`factor_blocked_parallel`]; `workers == 1`
-/// runs the serial path with exactly the pre-parallel operation order
-/// (bit-exact with historical results).
-#[allow(clippy::too_many_arguments)]
 fn factor_blocked(
     prep: &Prepared,
-    opts: &InteriorPointOptions,
     ws: &mut BlockedWorkspace,
-    workers: usize,
     x: &[f64],
     s: &[f64],
     w: &[f64],
     lam: &[f64],
 ) -> Result<(), LpError> {
-    if workers > 1 && prep.blocks.len() > 1 {
-        return factor_blocked_parallel(prep, opts, ws, workers, x, s, w, lam);
-    }
     // Per-block Newton matrices, assembled lower-triangle-only.
     for b in 0..prep.blocks.len() {
         let mb = &mut ws.factors[b];
         assemble_block_matrix(prep, b, mb, x, s, w, lam);
-        mb.cholesky_in_place_blocked(opts.regularization, opts.cholesky_block_size)?;
+        mb.cholesky_in_place(REGULARIZATION)?;
     }
 
     if !ws.has_eq {
@@ -762,105 +727,25 @@ fn factor_blocked(
     }
 
     // Sparse Schur assembly: S = Σ_b E_b M_b⁻¹ E_bᵀ = Σ_b V_b V_bᵀ.
-    let m_eq = prep.e.len();
     ws.schur.fill(0.0);
     for b in 0..prep.blocks.len() {
-        accumulate_schur_block(
-            prep,
-            b,
-            &ws.factors[b],
-            &mut ws.v_data,
-            ws.v_stride,
-            &mut ws.v_first,
-            &mut ws.v_last,
-            &mut ws.schur,
-        );
+        accumulate_schur_block(prep, b, ws);
     }
-    finalize_schur(&mut ws.schur, m_eq, opts)
-}
-
-/// Parallel variant of [`factor_blocked`]: the blocks are spread over
-/// `workers` scoped threads.
-///
-/// Each block's assembly + factorization is arithmetic-identical to the
-/// serial path, so the per-block factors are **bit-exact** for any worker
-/// count.  The Schur complement is accumulated into per-worker partial
-/// matrices (each worker owns a contiguous block range) and reduced in
-/// worker order at the join barrier — deterministic for a fixed worker
-/// count, and within reduction-rounding (≤1e-10 relative) of the serial sum
-/// because only the summation parenthesization changes.
-#[allow(clippy::too_many_arguments)]
-fn factor_blocked_parallel(
-    prep: &Prepared,
-    opts: &InteriorPointOptions,
-    ws: &mut BlockedWorkspace,
-    workers: usize,
-    x: &[f64],
-    s: &[f64],
-    w: &[f64],
-    lam: &[f64],
-) -> Result<(), LpError> {
-    let m_eq = prep.e.len();
-    let has_eq = ws.has_eq;
-    let v_stride = ws.v_stride;
-    let max_active = prep.eq_by_block.iter().map(Vec::len).max().unwrap_or(0);
-    let partials = par::fan_out_mut(workers, &mut ws.factors, |start, factors| {
-        // Per-worker V scratch: the shared workspace panel cannot be split
-        // safely across workers, and the allocation is once per fan-out, not
-        // per block.
-        let mut v_data = vec![0.0; v_stride * max_active];
-        let mut v_first = vec![0usize; max_active];
-        let mut v_last = vec![0usize; max_active];
-        let mut partial = has_eq.then(|| DenseMatrix::zeros(m_eq, m_eq));
-        for (off, mb) in factors.iter_mut().enumerate() {
-            let b = start + off;
-            assemble_block_matrix(prep, b, mb, x, s, w, lam);
-            mb.cholesky_in_place_blocked(opts.regularization, opts.cholesky_block_size)?;
-            if let Some(partial) = partial.as_mut() {
-                accumulate_schur_block(
-                    prep,
-                    b,
-                    mb,
-                    &mut v_data,
-                    v_stride,
-                    &mut v_first,
-                    &mut v_last,
-                    partial,
-                );
-            }
-        }
-        Ok::<_, LpError>(partial)
-    });
-    if !has_eq {
-        for partial in partials {
-            partial?;
-        }
-        return Ok(());
+    for i in 0..prep.e.len() {
+        ws.schur.add_diagonal(i, REGULARIZATION.max(1e-12));
     }
-    ws.schur.fill(0.0);
-    for partial in partials {
-        if let Some(partial) = partial? {
-            ws.schur.add_assign(&partial);
-        }
-    }
-    finalize_schur(&mut ws.schur, m_eq, opts)
+    ws.schur.cholesky_in_place(REGULARIZATION)
 }
 
 /// Newton solve against the blocked factorization.
 ///
-/// Returns `(dx, dmu)`.  `workers > 1` dispatches to
-/// [`newton_solve_blocked_parallel`], which is bit-exact with this serial
-/// path (the per-block solves are identical and scatter to disjoint indices).
+/// Returns `(dx, dmu)`.
 fn newton_solve_blocked(
     prep: &Prepared,
     ws: &BlockedWorkspace,
-    workers: usize,
     rhs1: &[f64],
     r_p2: &[f64],
 ) -> (Vec<f64>, Vec<f64>) {
-    if workers > 1 && prep.blocks.len() > 1 {
-        return newton_solve_blocked_parallel(prep, ws, workers, rhs1, r_p2);
-    }
     let m_eq = prep.e.len();
     // t = M⁻¹ rhs1, blockwise, in-place solves on a reused local buffer.
     let mut t = vec![0.0; prep.n];
@@ -911,80 +796,6 @@ fn newton_solve_blocked(
     (dx, dmu)
 }
 
-/// Parallel variant of [`newton_solve_blocked`]: both blockwise solve sweeps
-/// (the `t = M⁻¹ rhs1` gather/solve/scatter and the `dx` coupling-correction
-/// solve) fan out over the blocks.
-///
-/// Every per-block solve performs the same arithmetic as the serial path on a
-/// fresh exact-size local buffer, and the scattered index sets of distinct
-/// blocks are disjoint — so the result is **bit-exact** regardless of the
-/// worker count (the Schur solve for `dmu` stays serial; it is `m_eq`-sized,
-/// far smaller than the block sweeps).
-fn newton_solve_blocked_parallel(
-    prep: &Prepared,
-    ws: &BlockedWorkspace,
-    workers: usize,
-    rhs1: &[f64],
-    r_p2: &[f64],
-) -> (Vec<f64>, Vec<f64>) {
-    let m_eq = prep.e.len();
-    let nblocks = prep.blocks.len();
-    // t = M⁻¹ rhs1: per-worker local solves, scattered after the join.
-    let chunks = par::fan_out(workers, nblocks, |range| {
-        let mut out = Vec::with_capacity(range.len());
-        for b in range {
-            let mut local: Vec<f64> = prep.blocks[b].iter().map(|&v| rhs1[v]).collect();
-            ws.factors[b].cholesky_solve_into(&mut local);
-            out.push(local);
-        }
-        out
-    });
-    let mut t = vec![0.0; prep.n];
-    for (b, local) in chunks.into_iter().flatten().enumerate() {
-        for (l, &v) in prep.blocks[b].iter().enumerate() {
-            t[v] = local[l];
-        }
-    }
-    if m_eq == 0 {
-        return (t, Vec::new());
-    }
-    // rhs_schur = E t − r_p2
-    let mut rhs_schur = vec![0.0; m_eq];
-    for (ri, rhs) in rhs_schur.iter_mut().enumerate() {
-        *rhs = prep.e.dot(ri, &t) - r_p2[ri];
-    }
-    let dmu = ws.schur.cholesky_solve(&rhs_schur);
-    // dx = M⁻¹ (rhs1 − Eᵀ dmu), blockwise: scatter E_bᵀ dmu through the
-    // sparse coupling columns, one solve per block, fanned out the same way.
-    let chunks = par::fan_out(workers, nblocks, |range| {
-        let mut out = Vec::with_capacity(range.len());
-        for b in range {
-            let nb = prep.blocks[b].len();
-            let active = &prep.eq_by_block[b];
-            let coupling = &prep.coupling_by_block[b];
-            let mut u = vec![0.0; nb];
-            for (a_pos, col) in coupling.iter().enumerate() {
-                let d = dmu[active[a_pos]];
-                if d != 0.0 {
-                    for &(l, coeff) in &col.entries {
-                        u[l] += coeff * d;
-                    }
-                }
-            }
-            ws.factors[b].cholesky_solve_into(&mut u);
-            out.push(u);
-        }
-        out
-    });
-    let mut dx = vec![0.0; prep.n];
-    for (b, u) in chunks.into_iter().flatten().enumerate() {
-        for (l, &v) in prep.blocks[b].iter().enumerate() {
-            dx[v] = t[v] - u[l];
-        }
-    }
-    (dx, dmu)
-}
-
 // ---------------------------------------------------------------------------
 // Reference kernels (pre-optimization), kept for benchmarks and agreement.
 // ---------------------------------------------------------------------------
@@ -1001,7 +812,6 @@ struct ReferenceFactors {
 /// every iteration, dense Schur accumulation) — the measurable baseline.
 fn factor_reference(
     prep: &Prepared,
-    opts: &InteriorPointOptions,
     x: &[f64],
     s: &[f64],
     w: &[f64],
@@ -1019,7 +829,7 @@ fn factor_reference(
         for (local, &v) in block.iter().enumerate() {
             mb.add_diagonal(local, (s[v] / x[v]).min(1e10));
         }
-        mb.cholesky_in_place_unblocked(opts.regularization)?;
+        mb.cholesky_in_place_unblocked(REGULARIZATION)?;
         block_factors.push(mb);
     }
 
@@ -1053,9 +863,9 @@ fn factor_reference(
             block_ez.push(z);
         }
         for i in 0..m_eq {
-            schur.add_diagonal(i, opts.regularization.max(1e-12));
+            schur.add_diagonal(i, REGULARIZATION.max(1e-12));
         }
-        schur.cholesky_in_place_unblocked(opts.regularization)?;
+        schur.cholesky_in_place_unblocked(REGULARIZATION)?;
         schur_factor = Some(schur);
     } else {
         for block in &prep.blocks {
@@ -1124,15 +934,9 @@ enum Factorization<'a> {
 }
 
 impl Factorization<'_> {
-    fn newton_solve(
-        &self,
-        prep: &Prepared,
-        workers: usize,
-        rhs1: &[f64],
-        r_p2: &[f64],
-    ) -> (Vec<f64>, Vec<f64>) {
+    fn newton_solve(&self, prep: &Prepared, rhs1: &[f64], r_p2: &[f64]) -> (Vec<f64>, Vec<f64>) {
         match self {
-            Factorization::Blocked(ws) => newton_solve_blocked(prep, ws, workers, rhs1, r_p2),
+            Factorization::Blocked(ws) => newton_solve_blocked(prep, ws, rhs1, r_p2),
             Factorization::Reference(factors) => newton_solve_reference(prep, factors, rhs1, r_p2),
         }
     }
@@ -1161,10 +965,6 @@ fn run_ipm(
     let n = prep.n;
     let m_in = prep.g.len();
     let m_eq = prep.e.len();
-
-    // Worker count for the blocked kernels, clamped to the block count —
-    // extra threads would only idle.
-    let workers = par::resolve_threads(opts.threads).min(prep.blocks.len().max(1));
 
     // Primal and dual iterates, all strictly positive where required.
     let mut x = vec![1.0; n];
@@ -1327,11 +1127,11 @@ fn run_ipm(
         let factorization = match opts.kernels {
             KernelStrategy::Blocked => {
                 let ws = workspace.as_mut().expect("blocked workspace exists");
-                factor_blocked(prep, opts, ws, workers, &x, &s, &w, &lam)?;
+                factor_blocked(prep, ws, &x, &s, &w, &lam)?;
                 Factorization::Blocked(workspace.as_ref().expect("blocked workspace exists"))
             }
             KernelStrategy::Reference => {
-                Factorization::Reference(factor_reference(prep, opts, &x, &s, &w, &lam)?)
+                Factorization::Reference(factor_reference(prep, &x, &s, &w, &lam)?)
             }
         };
 
@@ -1356,7 +1156,7 @@ fn run_ipm(
         let rc1_aff: Vec<f64> = x.iter().zip(s.iter()).map(|(xi, si)| -xi * si).collect();
         let rc2_aff: Vec<f64> = w.iter().zip(lam.iter()).map(|(wi, li)| -wi * li).collect();
         let rhs1_aff = build_rhs1(&rc1_aff, &rc2_aff);
-        let (dx_aff, _) = factorization.newton_solve(prep, workers, &rhs1_aff, &r_p2);
+        let (dx_aff, _) = factorization.newton_solve(prep, &rhs1_aff, &r_p2);
         let mut dw_aff = vec![0.0; m_in];
         let mut dlam_aff = vec![0.0; m_in];
         for ri in 0..m_in {
@@ -1412,7 +1212,7 @@ fn run_ipm(
             .map(|ri| target_mu - w[ri] * lam[ri] - dw_aff[ri] * dlam_aff[ri])
             .collect();
         let rhs1 = build_rhs1(&rc1, &rc2);
-        let (mut dx, mut dmu) = factorization.newton_solve(prep, workers, &rhs1, &r_p2);
+        let (mut dx, mut dmu) = factorization.newton_solve(prep, &rhs1, &r_p2);
         let mut dw = vec![0.0; m_in];
         let mut dlam = vec![0.0; m_in];
         for ri in 0..m_in {
@@ -1424,12 +1224,10 @@ fn run_ipm(
             ds[j] = (rc1[j] - s[j] * dx[j]) / x[j];
         }
 
-        let mut alpha_p = (opts.step_fraction
-            * step_to_boundary(&x, &dx).min(step_to_boundary(&w, &dw)))
-        .min(1.0);
-        let mut alpha_d = (opts.step_fraction
-            * step_to_boundary(&s, &ds).min(step_to_boundary(&lam, &dlam)))
-        .min(1.0);
+        let mut alpha_p =
+            (STEP_FRACTION * step_to_boundary(&x, &dx).min(step_to_boundary(&w, &dw))).min(1.0);
+        let mut alpha_d =
+            (STEP_FRACTION * step_to_boundary(&s, &ds).min(step_to_boundary(&lam, &dlam))).min(1.0);
 
         // ---- Gondzio centrality correctors. ----
         //
@@ -1449,9 +1247,9 @@ fn run_ipm(
         // How far past the currently-achievable step each corrector probes.
         const TRIAL_ENLARGE: f64 = 0.1;
         let zeros_eq = vec![0.0; m_eq];
-        for _ in 0..opts.max_centrality_correctors {
-            let trial_p = (alpha_p / opts.step_fraction + TRIAL_ENLARGE * (1.0 - alpha_p)).min(1.0);
-            let trial_d = (alpha_d / opts.step_fraction + TRIAL_ENLARGE * (1.0 - alpha_d)).min(1.0);
+        for _ in 0..MAX_CENTRALITY_CORRECTORS {
+            let trial_p = (alpha_p / STEP_FRACTION + TRIAL_ENLARGE * (1.0 - alpha_p)).min(1.0);
+            let trial_d = (alpha_d / STEP_FRACTION + TRIAL_ENLARGE * (1.0 - alpha_d)).min(1.0);
             let lo = BETA_MIN * target_mu;
             let hi = BETA_MAX * target_mu;
             let band = |v: f64| {
@@ -1503,7 +1301,7 @@ fn run_ipm(
             for j in 0..n {
                 rhs1_c[j] += t1[j] / x[j];
             }
-            let (ddx, ddmu) = factorization.newton_solve(prep, workers, &rhs1_c, &zeros_eq);
+            let (ddx, ddmu) = factorization.newton_solve(prep, &rhs1_c, &zeros_eq);
             let mut dwc = dw.clone();
             let mut dlamc = dlam.clone();
             for ri in 0..m_in {
@@ -1515,10 +1313,9 @@ fn run_ipm(
             let dsc: Vec<f64> = (0..n)
                 .map(|j| ds[j] + (t1[j] - s[j] * ddx[j]) / x[j])
                 .collect();
-            let ap = (opts.step_fraction
-                * step_to_boundary(&x, &dxc).min(step_to_boundary(&w, &dwc)))
-            .min(1.0);
-            let ad = (opts.step_fraction
+            let ap = (STEP_FRACTION * step_to_boundary(&x, &dxc).min(step_to_boundary(&w, &dwc)))
+                .min(1.0);
+            let ad = (STEP_FRACTION
                 * step_to_boundary(&s, &dsc).min(step_to_boundary(&lam, &dlamc)))
             .min(1.0);
             let finite = dxc.iter().all(|v| v.is_finite())
@@ -1596,20 +1393,18 @@ fn run_ipm(
     })
 }
 
-/// Benchmark and agreement-test support: drives the blocked factorization
-/// kernels on a prepared problem directly, without full IPM iterations.
+/// Benchmark support: drives the blocked factorization kernels on a prepared
+/// problem directly, without full IPM iterations.
 ///
-/// `lp_benches` uses this to time the `block_factorize_parallel/{1_thread,
-/// n_threads}` pair on the same assembled Newton system, and the agreement
-/// tests compare the resulting factors/Schur complement across thread counts.
+/// `lp_benches` uses this to time `block_factorize/k343`: the per-block
+/// Cholesky factorizations and the Schur accumulation of one Newton system.
 pub mod bench_support {
     use super::*;
 
     /// A prepared block-angular problem plus the blocked-kernel workspace,
-    /// ready to factorize repeatedly under different thread counts.
+    /// ready to factorize repeatedly.
     pub struct FactorizationBench {
         prep: Prepared,
-        options: InteriorPointOptions,
         ws: BlockedWorkspace,
         x: Vec<f64>,
         s: Vec<f64>,
@@ -1618,13 +1413,8 @@ pub mod bench_support {
     }
 
     impl FactorizationBench {
-        /// Prepare `problem` under the given block partition and options
-        /// (`options.threads` selects the worker count of [`Self::factor`]).
-        pub fn new(
-            problem: &LpProblem,
-            blocks: &[Vec<usize>],
-            options: InteriorPointOptions,
-        ) -> Result<Self, LpError> {
+        /// Prepare `problem` under the given block partition.
+        pub fn new(problem: &LpProblem, blocks: &[Vec<usize>]) -> Result<Self, LpError> {
             validate_blocks(blocks, problem.num_vars())?;
             let prep = prepare(problem, blocks)?;
             let ws = BlockedWorkspace::new(&prep);
@@ -1632,7 +1422,6 @@ pub mod bench_support {
             let m_in = prep.g.len();
             Ok(Self {
                 prep,
-                options,
                 ws,
                 x: vec![1.0; n],
                 s: vec![1.0; n],
@@ -1664,31 +1453,16 @@ pub mod bench_support {
         }
 
         /// Assemble and factorize all block Newton matrices and the Schur
-        /// complement under `options.threads` workers — the timed kernel.
+        /// complement — the timed kernel.
         pub fn factor(&mut self) -> Result<(), LpError> {
-            let workers =
-                par::resolve_threads(self.options.threads).min(self.prep.blocks.len().max(1));
             factor_blocked(
                 &self.prep,
-                &self.options,
                 &mut self.ws,
-                workers,
                 &self.x,
                 &self.s,
                 &self.w,
                 &self.lam,
             )
-        }
-
-        /// The per-block Cholesky factors of the last [`Self::factor`] call.
-        pub fn factors(&self) -> &[DenseMatrix] {
-            &self.ws.factors
-        }
-
-        /// The factored, regularized Schur complement of the last
-        /// [`Self::factor`] call.
-        pub fn schur(&self) -> &DenseMatrix {
-            &self.ws.schur
         }
     }
 }
@@ -1962,94 +1736,6 @@ mod tests {
         assert_eq!(blocked.status, SolveStatus::Optimal);
         assert_eq!(reference.status, SolveStatus::Optimal);
         assert!((blocked.objective - reference.objective).abs() < 1e-7);
-    }
-
-    #[test]
-    fn tiny_cholesky_panels_still_converge() {
-        // cholesky_block_size = 1 degenerates the blocked factorization to a
-        // rank-1 right-looking (outer-product) form; the solver must be
-        // unaffected beyond rounding.
-        let (p, blocks) = stochastic_problem(4, 0.6f64.exp());
-        let opts = InteriorPointOptions {
-            cholesky_block_size: 1,
-            ..InteriorPointOptions::default()
-        };
-        let s = BlockAngularSolver::new(blocks, opts).solve(&p).unwrap();
-        let spx = SimplexSolver::new().solve(&p).unwrap();
-        assert_eq!(s.status, SolveStatus::Optimal);
-        assert!((s.objective - spx.objective).abs() < 1e-4);
-    }
-
-    #[test]
-    fn parallel_factorization_matches_serial() {
-        // Per-block factors must be bit-exact for any worker count; the Schur
-        // complement may differ only by the partial-sum reduction order.
-        let (p, blocks) = stochastic_problem(6, 0.7f64.exp());
-        let mut serial =
-            bench_support::FactorizationBench::new(&p, &blocks, InteriorPointOptions::default())
-                .unwrap();
-        serial.perturb_state(42);
-        serial.factor().unwrap();
-        for threads in [2usize, 3, 5] {
-            let opts = InteriorPointOptions {
-                threads,
-                ..InteriorPointOptions::default()
-            };
-            let mut parallel = bench_support::FactorizationBench::new(&p, &blocks, opts).unwrap();
-            parallel.perturb_state(42);
-            parallel.factor().unwrap();
-            for (b, (fs, fp)) in serial
-                .factors()
-                .iter()
-                .zip(parallel.factors().iter())
-                .enumerate()
-            {
-                let nb = blocks[b].len();
-                for i in 0..nb {
-                    for j in 0..=i {
-                        assert_eq!(
-                            fs[(i, j)],
-                            fp[(i, j)],
-                            "threads={threads} block={b} ({i},{j}) not bit-exact"
-                        );
-                    }
-                }
-            }
-            let m_eq = 6; // one row-sum equality per row
-            for i in 0..m_eq {
-                for j in 0..=i {
-                    let a = serial.schur()[(i, j)];
-                    let b = parallel.schur()[(i, j)];
-                    let tol = 1e-10 * a.abs().max(1.0);
-                    assert!(
-                        (a - b).abs() <= tol,
-                        "threads={threads} schur ({i},{j}): {a} vs {b}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_solver_agrees_with_serial() {
-        let (p, blocks) = stochastic_problem(5, 0.8f64.exp());
-        let serial = BlockAngularSolver::new(blocks.clone(), InteriorPointOptions::default())
-            .solve(&p)
-            .unwrap();
-        let opts = InteriorPointOptions {
-            threads: 3,
-            ..InteriorPointOptions::default()
-        };
-        let parallel = BlockAngularSolver::new(blocks, opts).solve(&p).unwrap();
-        assert_eq!(serial.status, SolveStatus::Optimal);
-        assert_eq!(parallel.status, SolveStatus::Optimal);
-        assert_eq!(serial.iterations, parallel.iterations);
-        assert!(
-            (serial.objective - parallel.objective).abs() < 1e-8,
-            "serial {} vs parallel {}",
-            serial.objective,
-            parallel.objective
-        );
     }
 
     #[test]

@@ -29,14 +29,15 @@
 //!   refinement re-solves the same prepared LP instead of rebuilding it.
 //!
 //! The [`LpProblem`] builder plus the [`LpSolver`] trait give the rest of the
-//! workspace a solver-agnostic API.
+//! workspace a solver-agnostic API.  Every solve runs on the calling thread;
+//! callers with many independent LPs (one per subtree of a privacy forest)
+//! parallelize across solves, not inside them.
 
 #![warn(missing_docs)]
 
 mod dense;
 mod error;
 mod interior;
-pub mod par;
 mod problem;
 mod simplex;
 mod solution;

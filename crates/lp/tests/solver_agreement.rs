@@ -289,43 +289,6 @@ fn full_tree_k343_blocked_converges() {
     assert!(p.is_feasible(&s.x, 1e-5));
 }
 
-/// The parallel block kernels must not change what the solver computes: with
-/// `threads > 1` the per-block factorizations are bit-exact and the Schur
-/// reduction differs only in summation grouping, so iteration counts match
-/// and objectives agree to solver tolerance.
-#[test]
-fn parallel_blocked_solver_matches_serial_on_full_tree_shape() {
-    let (p, blocks) = full_tree_shaped_problem(12);
-    let serial_opts = InteriorPointOptions {
-        threads: 1,
-        ..InteriorPointOptions::default()
-    };
-    let parallel_opts = InteriorPointOptions {
-        threads: 3,
-        ..InteriorPointOptions::default()
-    };
-    let serial = BlockAngularSolver::new(blocks.clone(), serial_opts)
-        .solve(&p)
-        .unwrap();
-    let parallel = BlockAngularSolver::new(blocks, parallel_opts)
-        .solve(&p)
-        .unwrap();
-    assert_eq!(serial.status, SolveStatus::Optimal);
-    assert_eq!(parallel.status, SolveStatus::Optimal);
-    assert_eq!(
-        serial.iterations, parallel.iterations,
-        "parallel kernels changed the iterate path"
-    );
-    let scale = 1.0 + serial.objective.abs();
-    assert!(
-        (serial.objective - parallel.objective).abs() / scale < 1e-8,
-        "serial {} vs parallel {}",
-        serial.objective,
-        parallel.objective
-    );
-    assert!(p.is_feasible(&parallel.x, 1e-6));
-}
-
 /// Warm-start contract on the K = 49 full-tree shape: re-solving from the
 /// converged iterate reaches the same optimum in strictly fewer iterations.
 #[test]
@@ -380,29 +343,6 @@ proptest! {
         prop_assert_eq!(spx.status, SolveStatus::Optimal);
         prop_assert_eq!(ipm.status, SolveStatus::Optimal);
         prop_assert!((spx.objective - ipm.objective).abs() < 1e-5);
-    }
-
-    /// Any worker count produces the serial iterate path on a block-angular
-    /// solve: same status, same iteration count, same objective.
-    #[test]
-    fn prop_thread_count_never_changes_the_solve(threads in 2usize..5, k in 4usize..8) {
-        let (p, blocks) = full_tree_shaped_problem(k);
-        let serial = BlockAngularSolver::new(
-            blocks.clone(),
-            InteriorPointOptions { threads: 1, ..InteriorPointOptions::default() },
-        )
-        .solve(&p)
-        .unwrap();
-        let parallel = BlockAngularSolver::new(
-            blocks,
-            InteriorPointOptions { threads, ..InteriorPointOptions::default() },
-        )
-        .solve(&p)
-        .unwrap();
-        prop_assert_eq!(serial.status, parallel.status);
-        prop_assert_eq!(serial.iterations, parallel.iterations);
-        let scale = 1.0 + serial.objective.abs();
-        prop_assert!((serial.objective - parallel.objective).abs() / scale < 1e-8);
     }
 
     /// Random transportation problems (always feasible and bounded): agreement.

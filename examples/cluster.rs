@@ -78,7 +78,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             TransportConfig {
                 cluster_key: Some(key.clone()),
                 replication: Some(Arc::clone(&replicator)),
-                // Payload pushes carry a whole encoded forest; raise the
+                // Pushes carry a whole encoded forest; raise the
                 // inbound bound above the request-sized default.
                 max_inbound_frame: 8 * 1024 * 1024,
                 ..TransportConfig::default()

@@ -50,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build();
     let generator = ForestGenerator::new(tree, prior, config);
     let problem = generator.problem_for_subtree(&subtree)?;
-    let nonrobust = generate_nonrobust_matrix(&problem, SolverKind::Auto)?;
+    let nonrobust = generate_nonrobust_matrix(&problem, SolverKind::BlockAngular)?;
 
     // The robust matrix arrives through the serving trait: warm the level-2
     // key up front (as a production deployment would at startup), then the

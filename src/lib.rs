@@ -40,7 +40,7 @@
 //! let targets: Vec<usize> = (0..k).collect();
 //! let epsilon = 15.0; // 1/km
 //! let problem = ObfuscationProblem::new(&tree, &subtree, &prior, &targets, epsilon, true)?;
-//! let matrix = problem.solve(None, SolverKind::Auto)?;
+//! let matrix = problem.solve(None, SolverKind::BlockAngular)?;
 //!
 //! // 4. Report: the matrix is row-stochastic and satisfies ε-Geo-Ind on
 //! //    every ordered pair of cells (Definition 2.1).

@@ -83,7 +83,7 @@ fn boot_shard(
     )));
     let transport_config = || TransportConfig {
         replication: Some(Arc::clone(&replicator)),
-        // Payload pushes and digest pulls carry a whole encoded forest.
+        // Pushes and digest pulls carry a whole encoded forest.
         max_inbound_frame: 8 * 1024 * 1024,
         ..TransportConfig::default()
     };

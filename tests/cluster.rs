@@ -2,16 +2,20 @@
 //! shard becomes a warm hit on its peers with zero LP solves of their own,
 //! observed purely over the wire), bounded drop-oldest push queues under peer
 //! stall, HMAC frame authentication (handshake rejection and post-handshake
-//! tamper detection), and router failover when a shard dies mid-run.
+//! tamper detection), forest-less pushes refused without a solve, and router
+//! failover when a shard dies mid-run.
 
-use corgi::core::LocationTree;
+use corgi::core::{LocationTree, ObfuscationMatrix};
 use corgi::datagen::{GowallaLikeConfig, GowallaLikeGenerator, PriorDistribution};
-use corgi::framework::messages::{MatrixRequest, RequestEnvelope, ResponseEnvelope};
+use corgi::framework::messages::{
+    ForestEntry, MatrixRequest, PrivacyForestResponse, RequestEnvelope, ResponseEnvelope,
+};
 use corgi::framework::transport::{FrameKind, HelloFrame, HelloReply};
 use corgi::framework::{
     rendezvous_rank, CachingService, ClientConfig, ClusterKey, ForestGenerator, MatrixService,
     ReplicatingService, ReplicationConfig, Replicator, RouterConfig, ServerConfig, ServiceError,
-    ServiceErrorKind, ShardRouter, TcpServer, TcpTransport, TransportConfig, WireCodec,
+    ServiceErrorKind, ShardRouter, TcpServer, TcpTransport, TransportConfig, WarmPush,
+    WarmSeedStats, WireCodec,
 };
 use corgi::hexgrid::{HexGrid, HexGridConfig};
 use std::io::{Read, Write};
@@ -55,7 +59,7 @@ fn start_cluster(n: usize, key: Option<ClusterKey>) -> Vec<Shard> {
                 TransportConfig {
                     cluster_key: key.clone(),
                     replication: Some(Arc::clone(&replicator)),
-                    // Payload pushes carry a whole encoded forest.
+                    // Pushes carry a whole encoded forest.
                     max_inbound_frame: 8 * 1024 * 1024,
                     ..TransportConfig::default()
                 },
@@ -387,6 +391,103 @@ fn tampered_frames_are_rejected_with_a_structured_error() {
     for shard in shards {
         shard.server.shutdown();
     }
+}
+
+/// A `WarmPush` must carry its forest: a forest-less push is a malformed
+/// frame, answered with a structured `Transport` error and a drained
+/// connection, and it never schedules a solve on the receiving shard.
+#[test]
+fn forest_less_push_is_rejected_without_a_solve() {
+    let grid = HexGrid::new(HexGridConfig::san_francisco()).unwrap();
+    let (dataset, _) = GowallaLikeGenerator::new(GowallaLikeConfig::small_test()).generate(&grid);
+    let prior = PriorDistribution::from_dataset(&grid, &dataset, 0.5);
+    let generator = Arc::new(ForestGenerator::new(
+        LocationTree::new(grid.clone()),
+        prior,
+        ServerConfig::builder()
+            .robust_iterations(1)
+            .targets_per_subtree(3)
+            .worker_threads(2)
+            .build(),
+    ));
+    let server = TcpServer::bind(
+        "127.0.0.1:0",
+        Arc::new(CachingService::with_defaults(Arc::clone(&generator))) as Arc<dyn MatrixService>,
+        TransportConfig::default(),
+    )
+    .unwrap();
+    let addr = server.local_addr();
+
+    // An unkeyed handshake by hand.
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream
+        .write_all(&WireCodec::Binary.encode_frame(&HelloFrame::current()))
+        .unwrap();
+    let (kind, reply_frame) = read_raw_frame(&mut stream);
+    assert_eq!(kind, FrameKind::HelloReply as u8);
+    let reply: HelloReply = WireCodec::Binary
+        .decode_payload(&reply_frame[FRAME_HEADER_LEN..])
+        .unwrap();
+    assert!(matches!(reply, HelloReply::Accepted { .. }), "{reply:?}");
+
+    // A valid push of a (tiny) forest, cut after the forest's presence byte
+    // and that byte flipped to 0: exactly the key-only push earlier builds
+    // sent.  The payload opens with tag(1) level(1) delta(8) tag(1).
+    let root = grid.cells_at_level(1)[0];
+    let request = MatrixRequest {
+        privacy_level: 1,
+        delta: 0,
+    };
+    let push = WarmPush {
+        privacy_level: request.privacy_level,
+        delta: request.delta,
+        forest: Arc::new(PrivacyForestResponse {
+            request,
+            epsilon: 15.0,
+            entries: vec![ForestEntry {
+                subtree_root: root,
+                matrix: ObfuscationMatrix::uniform(root.descendant_leaves()).unwrap(),
+            }],
+        }),
+    };
+    let presence = FRAME_HEADER_LEN + 11;
+    let mut frame = WireCodec::Binary.encode_frame(&push);
+    assert_eq!(frame[presence], 1, "a valid push marks its forest present");
+    frame.truncate(presence);
+    frame.push(0);
+    let len = (frame.len() - FRAME_HEADER_LEN) as u32;
+    frame[3..7].copy_from_slice(&len.to_be_bytes());
+    stream.write_all(&frame).unwrap();
+
+    let (kind, reply_frame) = read_raw_frame(&mut stream);
+    assert_eq!(kind, FrameKind::Response as u8);
+    let reply: ResponseEnvelope = WireCodec::Binary
+        .decode_payload(&reply_frame[FRAME_HEADER_LEN..])
+        .unwrap();
+    let error = reply
+        .into_result()
+        .expect_err("a forest-less push is malformed");
+    assert_eq!(error.kind, ServiceErrorKind::Transport, "{error}");
+    // The connection is drained: the server closes it after the error.
+    let mut rest = Vec::new();
+    stream.read_to_end(&mut rest).unwrap();
+    assert!(rest.is_empty(), "no frame follows the error");
+
+    let stats = TcpTransport::connect_with(addr, keyed_client(None))
+        .unwrap()
+        .server_stats()
+        .unwrap();
+    assert_eq!(stats.transport.transport_errors, 1, "{stats:?}");
+    assert_eq!(stats.cache.unwrap().entries, 0, "nothing was inserted");
+    assert_eq!(
+        generator.warm_stats(),
+        WarmSeedStats::default(),
+        "the push scheduled no solve"
+    );
+    server.shutdown();
 }
 
 #[test]

@@ -162,13 +162,13 @@ fn robust_matrix_beats_nonrobust_after_pruning_end_to_end() {
             .unwrap();
 
     let delta = 3;
-    let nonrobust = generate_nonrobust_matrix(&problem, SolverKind::Auto).unwrap();
+    let nonrobust = generate_nonrobust_matrix(&problem, SolverKind::BlockAngular).unwrap();
     let robust = generate_robust_matrix(
         &problem,
         &RobustConfig {
             delta,
             iterations: 4,
-            solver: SolverKind::Auto,
+            solver: SolverKind::BlockAngular,
         },
     )
     .unwrap()

@@ -24,7 +24,7 @@ fn precision_reduction_is_much_faster_than_recalculation() {
     let config = RobustConfig {
         delta: 1,
         iterations: 3,
-        solver: SolverKind::Auto,
+        solver: SolverKind::BlockAngular,
     };
 
     // The leaf-level robust matrix the user already received.
