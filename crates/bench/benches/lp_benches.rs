@@ -17,7 +17,7 @@
 
 use corgi_bench::{ExperimentContext, DEFAULT_EPSILON};
 use corgi_core::robust::reserved_privacy_budget_approx;
-use corgi_core::{generate_robust_matrix_warm, ObfuscationMatrix, RobustConfig, SolverKind};
+use corgi_core::{generate_robust_matrix_warm, ObfuscationMatrix, RobustConfig};
 use corgi_lp::{
     bench_support, BlockAngularSolver, DenseMatrix, InteriorPointOptions, KernelStrategy,
     LpProblem, LpSolver,
@@ -208,7 +208,6 @@ fn bench_warm_vs_cold_ipm(c: &mut Criterion) {
     let config = RobustConfig {
         delta: DELTA,
         iterations: REFINEMENTS,
-        solver: SolverKind::BlockAngular,
     };
     group.bench_function("k49/warm", |b| {
         b.iter(|| generate_robust_matrix_warm(&problem, &config, None).expect("robust chain"));

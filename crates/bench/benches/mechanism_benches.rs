@@ -8,7 +8,6 @@ use corgi_core::{
     laplace::PlanarLaplace,
     precision_reduction, prune_matrix,
     robust::{reserved_privacy_budget_approx, reserved_privacy_budget_exact},
-    SolverKind,
 };
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -17,7 +16,7 @@ use rand::SeedableRng;
 fn bench_rpb(c: &mut Criterion) {
     let ctx = ExperimentContext::standard();
     let problem = ctx.problem_for_n_locations(49, DEFAULT_EPSILON, true);
-    let matrix = generate_nonrobust_matrix(&problem, SolverKind::BlockAngular).expect("matrix");
+    let matrix = generate_nonrobust_matrix(&problem).expect("matrix");
     let mut group = c.benchmark_group("reserved_privacy_budget_49");
     group.sample_size(10);
     group.bench_function("approx_eq14_delta3", |b| {
@@ -35,7 +34,7 @@ fn bench_rpb(c: &mut Criterion) {
 fn bench_customization(c: &mut Criterion) {
     let ctx = ExperimentContext::standard();
     let problem = ctx.problem_for_subtree(&ctx.level2_subtree(), DEFAULT_EPSILON, true);
-    let matrix = generate_nonrobust_matrix(&problem, SolverKind::BlockAngular).expect("matrix");
+    let matrix = generate_nonrobust_matrix(&problem).expect("matrix");
     let prune_cells: Vec<_> = matrix.cells().iter().copied().take(5).collect();
     let priors: Vec<f64> = matrix
         .cells()

@@ -4,21 +4,29 @@
 //! graph approximation on solve time.
 
 use corgi_bench::{ExperimentContext, DEFAULT_EPSILON};
-use corgi_core::SolverKind;
+use corgi_lp::{
+    BlockAngularSolver, InteriorPointOptions, InteriorPointSolver, LpSolver, SimplexSolver,
+};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn bench_solver_kinds(c: &mut Criterion) {
     let ctx = ExperimentContext::standard();
     let problem = ctx.problem_for_n_locations(7, 3.0, true);
+    // Every solver times the same built LP.
+    let (lp, blocks) = problem.build_lp(None).expect("LP builds");
+    let simplex = SimplexSolver::new();
+    let interior_point = InteriorPointSolver::default();
+    let block_angular = BlockAngularSolver::new(blocks, InteriorPointOptions::default());
+    let solvers: [(&str, &dyn LpSolver); 3] = [
+        ("simplex", &simplex),
+        ("interior_point", &interior_point),
+        ("block_angular", &block_angular),
+    ];
     let mut group = c.benchmark_group("obfuscation_lp_7_locations");
     group.sample_size(10);
-    for (name, kind) in [
-        ("simplex", SolverKind::Simplex),
-        ("interior_point", SolverKind::InteriorPoint),
-        ("block_angular", SolverKind::BlockAngular),
-    ] {
+    for (name, solver) in solvers {
         group.bench_function(name, |b| {
-            b.iter(|| problem.solve(None, kind).expect("solve"));
+            b.iter(|| solver.solve(&lp).expect("solve"));
         });
     }
     group.finish();
@@ -31,7 +39,7 @@ fn bench_graph_approximation(c: &mut Criterion) {
     for (name, approx) in [("with_approx", true), ("without_approx", false)] {
         let problem = ctx.problem_for_n_locations(49, DEFAULT_EPSILON, approx);
         group.bench_with_input(BenchmarkId::from_parameter(name), &problem, |b, p| {
-            b.iter(|| p.solve(None, SolverKind::BlockAngular).expect("solve"));
+            b.iter(|| p.solve(None).expect("solve"));
         });
     }
     group.finish();
@@ -44,7 +52,7 @@ fn bench_problem_sizes(c: &mut Criterion) {
     for &n in &[7usize, 21, 49] {
         let problem = ctx.problem_for_n_locations(n, DEFAULT_EPSILON, true);
         group.bench_with_input(BenchmarkId::from_parameter(n), &problem, |b, p| {
-            b.iter(|| p.solve(None, SolverKind::BlockAngular).expect("solve"));
+            b.iter(|| p.solve(None).expect("solve"));
         });
     }
     group.finish();

@@ -7,7 +7,7 @@
 //! `--full` uses 10).
 
 use corgi_bench::{print_table, spread_targets, write_json, ExperimentContext, DEFAULT_EPSILON};
-use corgi_core::{generate_robust_matrix, ObfuscationProblem, RobustConfig, SolverKind};
+use corgi_core::{generate_robust_matrix, ObfuscationProblem, RobustConfig};
 
 fn main() {
     let ctx = ExperimentContext::standard();
@@ -41,15 +41,8 @@ fn main() {
                 true,
             )
             .expect("problem");
-            let run = generate_robust_matrix(
-                &problem,
-                &RobustConfig {
-                    delta,
-                    iterations,
-                    solver: SolverKind::BlockAngular,
-                },
-            )
-            .expect("robust generation");
+            let run = generate_robust_matrix(&problem, &RobustConfig { delta, iterations })
+                .expect("robust generation");
             for (i, v) in run.objective_per_iteration.iter().enumerate() {
                 sums[i] += v;
             }

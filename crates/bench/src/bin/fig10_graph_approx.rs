@@ -6,7 +6,7 @@
 //!   for 7..49 locations.
 
 use corgi_bench::{print_table, write_json, ExperimentContext, DEFAULT_EPSILON};
-use corgi_core::{generate_robust_matrix, RobustConfig, SolverKind};
+use corgi_core::{generate_robust_matrix, RobustConfig};
 use std::time::Instant;
 
 fn main() {
@@ -28,15 +28,8 @@ fn main() {
         for &graph_approx in &[false, true] {
             let problem = ctx.problem_for_subtree(&subtree, DEFAULT_EPSILON, graph_approx);
             let start = Instant::now();
-            let _ = generate_robust_matrix(
-                &problem,
-                &RobustConfig {
-                    delta,
-                    iterations,
-                    solver: SolverKind::BlockAngular,
-                },
-            )
-            .expect("robust generation");
+            let _ = generate_robust_matrix(&problem, &RobustConfig { delta, iterations })
+                .expect("robust generation");
             times.push(start.elapsed().as_secs_f64());
         }
         json_a.push(serde_json::json!({

@@ -2,7 +2,7 @@
 //! δ on quality loss, CORGI vs the non-robust baseline.
 
 use corgi_bench::{print_table, write_json, ExperimentContext, PAPER_EPSILONS};
-use corgi_core::{generate_nonrobust_matrix, generate_robust_matrix, RobustConfig, SolverKind};
+use corgi_core::{generate_nonrobust_matrix, generate_robust_matrix, RobustConfig};
 
 fn main() {
     let ctx = ExperimentContext::standard();
@@ -15,21 +15,13 @@ fn main() {
     let mut json = Vec::new();
     for &eps in &PAPER_EPSILONS {
         let problem = ctx.problem_for_subtree(&subtree, eps, true);
-        let nonrobust =
-            generate_nonrobust_matrix(&problem, SolverKind::BlockAngular).expect("baseline");
+        let nonrobust = generate_nonrobust_matrix(&problem).expect("baseline");
         let q_nonrobust = problem.quality_loss(&nonrobust);
         let mut row = vec![format!("{eps}"), format!("{q_nonrobust:.4}")];
         let mut entry = serde_json::json!({ "epsilon": eps, "non_robust": q_nonrobust });
         for &delta in &deltas {
-            let run = generate_robust_matrix(
-                &problem,
-                &RobustConfig {
-                    delta,
-                    iterations,
-                    solver: SolverKind::BlockAngular,
-                },
-            )
-            .expect("robust generation");
+            let run = generate_robust_matrix(&problem, &RobustConfig { delta, iterations })
+                .expect("robust generation");
             let q = problem.quality_loss(&run.matrix);
             row.push(format!("{q:.4}"));
             entry[format!("corgi_delta_{delta}")] = serde_json::json!(q);

@@ -12,7 +12,7 @@
 use corgi_bench::{print_table, write_json, ExperimentContext, DEFAULT_EPSILON};
 use corgi_core::{
     generate_nonrobust_matrix, generate_robust_matrix, geoind, prune_matrix, ObfuscationMatrix,
-    ObfuscationProblem, RobustConfig, SolverKind,
+    ObfuscationProblem, RobustConfig,
 };
 use rand::prelude::*;
 
@@ -69,18 +69,10 @@ fn run_panel(
     json: &mut Vec<serde_json::Value>,
 ) {
     let problem = ctx.problem_for_n_locations(locations, DEFAULT_EPSILON, true);
-    let nonrobust =
-        generate_nonrobust_matrix(&problem, SolverKind::BlockAngular).expect("baseline");
-    let robust = generate_robust_matrix(
-        &problem,
-        &RobustConfig {
-            delta,
-            iterations,
-            solver: SolverKind::BlockAngular,
-        },
-    )
-    .expect("robust generation")
-    .matrix;
+    let nonrobust = generate_nonrobust_matrix(&problem).expect("baseline");
+    let robust = generate_robust_matrix(&problem, &RobustConfig { delta, iterations })
+        .expect("robust generation")
+        .matrix;
 
     let mut rng = StdRng::seed_from_u64(42);
     let mut rows = Vec::new();

@@ -7,7 +7,7 @@
 //! cost; `--full` runs the paper-scale 2-vs-3 comparison.
 
 use corgi_bench::{print_table, write_json, ExperimentContext, PAPER_EPSILONS};
-use corgi_core::{generate_robust_matrix, RobustConfig, SolverKind};
+use corgi_core::{generate_robust_matrix, RobustConfig};
 
 fn main() {
     let ctx = ExperimentContext::standard();
@@ -37,7 +37,6 @@ fn main() {
                 &RobustConfig {
                     delta: 1,
                     iterations,
-                    solver: SolverKind::BlockAngular,
                 },
             )
             .expect("robust generation");
@@ -71,15 +70,8 @@ fn main() {
         for &level in &levels {
             let problem =
                 ctx.problem_for_subtree(&subtree_for(level), corgi_bench::DEFAULT_EPSILON, true);
-            let run = generate_robust_matrix(
-                &problem,
-                &RobustConfig {
-                    delta,
-                    iterations,
-                    solver: SolverKind::BlockAngular,
-                },
-            )
-            .expect("robust generation");
+            let run = generate_robust_matrix(&problem, &RobustConfig { delta, iterations })
+                .expect("robust generation");
             let q = problem.quality_loss(&run.matrix);
             row.push(format!("{q:.4}"));
             entry[format!("privacy_level_{level}")] = serde_json::json!(q);

@@ -3,7 +3,7 @@
 //! and of δ (b).
 
 use corgi_bench::{print_table, write_json, ExperimentContext, DEFAULT_EPSILON};
-use corgi_core::{generate_robust_matrix, precision_reduction, RobustConfig, SolverKind};
+use corgi_core::{generate_robust_matrix, precision_reduction, RobustConfig};
 use std::time::Instant;
 
 fn main() {
@@ -80,29 +80,15 @@ fn main() {
 fn measure(ctx: &ExperimentContext, n: usize, delta: usize, iterations: usize) -> (f64, f64) {
     // The leaf-level matrix the user received.
     let problem = ctx.problem_for_n_locations(n, DEFAULT_EPSILON, true);
-    let leaf_matrix = generate_robust_matrix(
-        &problem,
-        &RobustConfig {
-            delta,
-            iterations,
-            solver: SolverKind::BlockAngular,
-        },
-    )
-    .expect("robust generation")
-    .matrix;
+    let leaf_matrix = generate_robust_matrix(&problem, &RobustConfig { delta, iterations })
+        .expect("robust generation")
+        .matrix;
 
     // Recalculation: generate a fresh robust matrix (what the server would have
     // to do if the user changed the precision level and no reduction existed).
     let start = Instant::now();
-    let _ = generate_robust_matrix(
-        &problem,
-        &RobustConfig {
-            delta,
-            iterations,
-            solver: SolverKind::BlockAngular,
-        },
-    )
-    .expect("recalculation");
+    let _ = generate_robust_matrix(&problem, &RobustConfig { delta, iterations })
+        .expect("recalculation");
     let recalc = start.elapsed().as_secs_f64();
 
     // Precision reduction of the already-delivered leaf matrix to level 1.

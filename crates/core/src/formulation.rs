@@ -15,36 +15,21 @@
 //! pairs are constrained.  The per-pair budget `ε_{i,j}` is the full ε for the
 //! non-robust problem (Eq. 8) and `ε − ε′_{i,j}` for the robust problem (Eq. 16).
 //!
-//! The block-angular solve goes through a [`PreparedLp`]: the LP is built and
-//! prepared once (`prepare_lp`), and a new reserved budget rewrites only the
-//! `|pairs| · K` Geo-Ind bounds in place (`write_reserved_budget`), which is
-//! how Algorithm 1 re-solves without rebuilding.
-//! [`ObfuscationProblem::build_lp`] serves the simplex and generic
-//! interior-point oracles.
+//! Every solve is block-angular and goes through a [`PreparedLp`]: the LP is
+//! built and prepared once (`prepare_lp`), and a new reserved budget rewrites
+//! only the `|pairs| · K` Geo-Ind bounds in place (`write_reserved_budget`),
+//! which is how Algorithm 1 re-solves without rebuilding.
+//! [`ObfuscationProblem::build_lp`] returns the plain LP, which tests and the
+//! ablation bench hand to the simplex and generic interior-point oracles.
 
 use crate::{utility, CorgiError, LocationTree, ObfuscationMatrix, Result, Subtree};
 use corgi_graph::HexMobilityGraph;
 use corgi_hexgrid::CellId;
 use corgi_lp::{
-    ConstraintSense, InteriorPointOptions, InteriorPointSolver, LpProblem, LpSolution, LpSolver,
-    PreparedLp, SimplexSolver, SolveStatus, WarmStart,
+    ConstraintSense, InteriorPointOptions, LpProblem, LpSolution, PreparedLp, SolveStatus,
+    WarmStart,
 };
-use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
-
-/// Which LP solver to use for matrix generation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SolverKind {
-    /// Dense two-phase simplex (exact; only for small K).
-    Simplex,
-    /// General dense interior-point method (ignores the block structure).
-    InteriorPoint,
-    /// Block-angular interior-point method (exploits the per-column
-    /// structure).  The default in [`crate::RobustConfig`]: the right choice
-    /// for every realistic problem size, and the only solver the serving path
-    /// runs.
-    BlockAngular,
-}
 
 /// An instance of the obfuscation-matrix generation problem for one subtree.
 #[derive(Debug, Clone)]
@@ -340,64 +325,29 @@ impl ObfuscationProblem {
         Ok(())
     }
 
-    /// Solve the LP and return the resulting obfuscation matrix.
+    /// Solve the LP with the block-angular interior-point method and return
+    /// the resulting obfuscation matrix.
     ///
     /// The uniform matrix is strictly feasible for every obfuscation LP (all
     /// Geo-Ind bounds exceed 1), so if the iterative solver stops short of full
     /// feasibility the result is repaired by blending the returned point towards
     /// the uniform matrix just enough to restore feasibility — trading a small,
     /// measured amount of optimality for a guaranteed ε-Geo-Ind matrix.
-    pub fn solve(&self, rpb: Option<&[Vec<f64>]>, solver: SolverKind) -> Result<ObfuscationMatrix> {
-        self.solve_with_options(rpb, solver, InteriorPointOptions::default())
-    }
-
-    /// [`ObfuscationProblem::solve`] with explicit interior-point options, for
-    /// callers that need a non-default kernel strategy, iteration limit or
-    /// tolerance — e.g. capped-iteration perf comparisons between
-    /// `KernelStrategy::Blocked` and `KernelStrategy::Reference`.  (The
-    /// simplex path ignores the options.)
-    pub fn solve_with_options(
-        &self,
-        rpb: Option<&[Vec<f64>]>,
-        solver: SolverKind,
-        options: InteriorPointOptions,
-    ) -> Result<ObfuscationMatrix> {
-        self.solve_with_options_warm(rpb, solver, options, None)
+    pub fn solve(&self, rpb: Option<&[Vec<f64>]>) -> Result<ObfuscationMatrix> {
+        let lp = self.prepare_lp(rpb)?;
+        self.solve_prepared(&lp, InteriorPointOptions::default(), None)
             .map(|(matrix, _)| matrix)
     }
 
-    /// [`ObfuscationProblem::solve_with_options`], warm-started from a
-    /// converged iterate of a nearby solve (a grid-adjacent `(privacy_level,
-    /// δ)` problem, or the previous refinement iteration of Algorithm 1).
+    /// Solve an LP from `prepare_lp` with the block-angular interior-point
+    /// method, optionally warm-started from a converged iterate of a nearby
+    /// solve (a grid-adjacent `(privacy_level, δ)` problem, or the previous
+    /// refinement iteration of Algorithm 1).
     ///
     /// Returns the matrix together with this solve's own converged iterate
-    /// (`None` when the solver is the simplex, the solve did not reach
-    /// `Optimal`, or the point needed repair).  An unusable warm start — wrong
-    /// problem shape, non-finite entries — silently degrades to a cold solve.
-    pub fn solve_with_options_warm(
-        &self,
-        rpb: Option<&[Vec<f64>]>,
-        solver: SolverKind,
-        options: InteriorPointOptions,
-        warm: Option<&WarmStart>,
-    ) -> Result<(ObfuscationMatrix, Option<WarmStart>)> {
-        if solver == SolverKind::BlockAngular {
-            return self.solve_prepared(&self.prepare_lp(rpb)?, options, warm);
-        }
-        // The simplex and generic interior-point oracles solve the plain LP.
-        let (lp, _) = self.build_lp(rpb)?;
-        let solution = if solver == SolverKind::Simplex {
-            SimplexSolver::new().solve(&lp)
-        } else {
-            InteriorPointSolver::new(options).solve_with_warm(&lp, warm)
-        }
-        .map_err(CorgiError::from)?;
-        self.matrix_from_solution(&lp, solution, options)
-    }
-
-    /// Solve an LP from `prepare_lp` with the block-angular interior-point
-    /// method; returns the same as
-    /// [`ObfuscationProblem::solve_with_options_warm`].
+    /// (`None` when the solve did not reach `Optimal` or the point needed
+    /// repair).  An unusable warm start — wrong problem shape, non-finite
+    /// entries — silently degrades to a cold solve.
     pub(crate) fn solve_prepared(
         &self,
         lp: &PreparedLp,
@@ -484,9 +434,20 @@ mod tests {
     use super::*;
     use crate::geoind;
     use corgi_hexgrid::{HexGrid, HexGridConfig};
+    use corgi_lp::{InteriorPointSolver, LpSolver, SimplexSolver};
 
     fn tree() -> LocationTree {
         LocationTree::new(HexGrid::new(HexGridConfig::san_francisco()).unwrap())
+    }
+
+    /// The plain LP of `p` (Eq. 8) solved by an oracle solver, post-processed
+    /// like a served solve.
+    fn oracle_solve(p: &ObfuscationProblem, solver: &dyn LpSolver) -> ObfuscationMatrix {
+        let (lp, _) = p.build_lp(None).unwrap();
+        let solution = solver.solve(&lp).unwrap();
+        p.matrix_from_solution(&lp, solution, InteriorPointOptions::default())
+            .unwrap()
+            .0
     }
 
     fn problem(k_level: u8, graph_approx: bool) -> (LocationTree, ObfuscationProblem) {
@@ -556,7 +517,7 @@ mod tests {
     #[test]
     fn solved_matrix_is_stochastic_and_geo_ind() {
         let (_t, p) = problem(1, true);
-        let matrix = p.solve(None, SolverKind::BlockAngular).unwrap();
+        let matrix = p.solve(None).unwrap();
         matrix.check_stochastic(1e-6).unwrap();
         // The graph approximation is sufficient for all-pairs Geo-Ind (Theorem 4.1).
         let report = geoind::check_all_pairs(&matrix, p.distances(), p.epsilon(), 1e-6);
@@ -582,9 +543,9 @@ mod tests {
         let prior: Vec<f64> = (0..7).map(|i| 1.0 + (i % 5) as f64).collect();
         let targets: Vec<usize> = (0..7).step_by(3).collect();
         let p = ObfuscationProblem::new(&t, &subtree, &prior, &targets, 3.0, true).unwrap();
-        let simplex = p.solve(None, SolverKind::Simplex).unwrap();
-        let block = p.solve(None, SolverKind::BlockAngular).unwrap();
-        let general = p.solve(None, SolverKind::InteriorPoint).unwrap();
+        let simplex = oracle_solve(&p, &SimplexSolver::new());
+        let block = p.solve(None).unwrap();
+        let general = oracle_solve(&p, &InteriorPointSolver::default());
         let q_s = p.quality_loss(&simplex);
         let q_b = p.quality_loss(&block);
         let q_g = p.quality_loss(&general);
@@ -595,8 +556,8 @@ mod tests {
     #[test]
     fn interior_point_paths_agree_at_paper_epsilon() {
         let (_t, p) = problem(1, true);
-        let block = p.solve(None, SolverKind::BlockAngular).unwrap();
-        let general = p.solve(None, SolverKind::InteriorPoint).unwrap();
+        let block = p.solve(None).unwrap();
+        let general = oracle_solve(&p, &InteriorPointSolver::default());
         let q_b = p.quality_loss(&block);
         let q_g = p.quality_loss(&general);
         assert!((q_b - q_g).abs() < 1e-3 * (1.0 + q_b), "{q_b} vs {q_g}");
@@ -606,7 +567,7 @@ mod tests {
     fn quality_loss_matches_lp_objective() {
         let (_t, p) = problem(1, true);
         let (lp, _) = p.build_lp(None).unwrap();
-        let matrix = p.solve(None, SolverKind::BlockAngular).unwrap();
+        let matrix = p.solve(None).unwrap();
         let from_lp = lp.objective_value(matrix.data());
         let from_quality = p.quality_loss(&matrix);
         assert!((from_lp - from_quality).abs() < 1e-9);
@@ -624,7 +585,7 @@ mod tests {
             .iter()
             .map(|&eps| {
                 let p = ObfuscationProblem::new(&t, &subtree, &prior, &targets, eps, true).unwrap();
-                let m = p.solve(None, SolverKind::BlockAngular).unwrap();
+                let m = p.solve(None).unwrap();
                 p.quality_loss(&m)
             })
             .collect();

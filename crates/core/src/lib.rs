@@ -35,9 +35,9 @@ pub mod robust;
 pub mod tree;
 pub mod utility;
 
-pub use corgi_lp::{InteriorPointOptions, KernelStrategy, WarmStart};
+pub use corgi_lp::WarmStart;
 pub use error::CorgiError;
-pub use formulation::{ObfuscationProblem, SolverKind};
+pub use formulation::ObfuscationProblem;
 pub use geoind::GeoIndReport;
 pub use matrix::ObfuscationMatrix;
 pub use policy::{AttributeProvider, AttributeValue, ComparisonOp, Policy, Predicate};

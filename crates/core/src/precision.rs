@@ -106,7 +106,7 @@ pub fn precision_reduction(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{geoind, ObfuscationProblem, SolverKind};
+    use crate::{geoind, ObfuscationProblem};
     use corgi_hexgrid::{HexGrid, HexGridConfig};
 
     fn tree() -> LocationTree {
@@ -135,7 +135,7 @@ mod tests {
     #[test]
     fn reduction_shrinks_dimensions_by_aperture() {
         let (t, p, prior) = level2_problem();
-        let matrix = p.solve(None, SolverKind::BlockAngular).unwrap();
+        let matrix = p.solve(None).unwrap();
         let reduced = precision_reduction(&matrix, &t, 1, &prior).unwrap();
         assert_eq!(matrix.size(), 49);
         assert_eq!(reduced.size(), 7);
@@ -145,7 +145,7 @@ mod tests {
     #[test]
     fn proposition_4_6_row_stochasticity_preserved() {
         let (t, p, prior) = level2_problem();
-        let matrix = p.solve(None, SolverKind::BlockAngular).unwrap();
+        let matrix = p.solve(None).unwrap();
         let reduced = precision_reduction(&matrix, &t, 1, &prior).unwrap();
         reduced.check_stochastic(1e-9).unwrap();
     }
@@ -155,7 +155,7 @@ mod tests {
         // The leaf matrix satisfies ε-Geo-Ind (by construction); the reduced matrix
         // must satisfy it too, with distances between the level-1 cell centers.
         let (t, p, prior) = level2_problem();
-        let matrix = p.solve(None, SolverKind::BlockAngular).unwrap();
+        let matrix = p.solve(None).unwrap();
         let leaf_report = geoind::check_all_pairs(&matrix, p.distances(), p.epsilon(), 1e-6);
         assert!(leaf_report.is_satisfied());
 
@@ -210,7 +210,7 @@ mod tests {
     #[test]
     fn invalid_inputs_rejected() {
         let (t, p, prior) = level2_problem();
-        let matrix = p.solve(None, SolverKind::BlockAngular).unwrap();
+        let matrix = p.solve(None).unwrap();
         assert!(matches!(
             precision_reduction(&matrix, &t, 9, &prior),
             Err(CorgiError::InvalidPolicy(_))

@@ -10,12 +10,12 @@
 //!
 //! Between refinements only the Geo-Ind bounds `e^{(ε−ε′)·d}` change: the
 //! variables, sparsity pattern, row-stochastic equalities and objective stay
-//! fixed.  So with the block-angular solver a chain builds and prepares its LP
-//! once, and every refinement rewrites the bounds in place and re-solves warm
-//! from the previous iterate — the same floating-point work, bit for bit, as
-//! rebuilding the LP for every solve.
+//! fixed.  So a chain builds and prepares its LP once, and every refinement
+//! rewrites the bounds in place and re-solves warm from the previous iterate —
+//! the same floating-point work, bit for bit, as rebuilding the LP for every
+//! solve.
 
-use crate::{formulation::SolverKind, CorgiError, ObfuscationMatrix, ObfuscationProblem, Result};
+use crate::{CorgiError, ObfuscationMatrix, ObfuscationProblem, Result};
 use corgi_lp::{InteriorPointOptions, WarmStart};
 use serde::{Deserialize, Serialize};
 
@@ -27,8 +27,6 @@ pub struct RobustConfig {
     /// Number of refinement iterations `t` (the paper observes convergence in
     /// about 4 iterations and uses 10).
     pub iterations: usize,
-    /// LP solver to use for every iteration.
-    pub solver: SolverKind,
 }
 
 impl Default for RobustConfig {
@@ -36,7 +34,6 @@ impl Default for RobustConfig {
         Self {
             delta: 3,
             iterations: 10,
-            solver: SolverKind::BlockAngular,
         }
     }
 }
@@ -52,9 +49,9 @@ pub struct RobustRun {
     /// The reserved-privacy-budget matrix of the final iteration.
     pub final_rpb: Vec<Vec<f64>>,
     /// The converged interior-point iterate of the last LP solved (`None` when
-    /// the solver was the simplex or the last solve needed repair).  Feed it
-    /// to [`generate_robust_matrix_warm`] for a grid-adjacent `(privacy_level,
-    /// δ)` problem to skip most of that run's interior-point work.
+    /// the last solve needed repair).  Feed it to
+    /// [`generate_robust_matrix_warm`] for a grid-adjacent `(privacy_level, δ)`
+    /// problem to skip most of that run's interior-point work.
     pub warm: Option<WarmStart>,
 }
 
@@ -211,11 +208,8 @@ fn enumerate_subsets(k: usize, delta: usize) -> Vec<Vec<usize>> {
 /// Generate the non-robust baseline matrix (the LP of Eq. 8; this is the
 /// "non-robust" comparator used throughout the paper's evaluation, equivalent to
 /// δ = 0).
-pub fn generate_nonrobust_matrix(
-    problem: &ObfuscationProblem,
-    solver: SolverKind,
-) -> Result<ObfuscationMatrix> {
-    problem.solve(None, solver)
+pub fn generate_nonrobust_matrix(problem: &ObfuscationProblem) -> Result<ObfuscationMatrix> {
+    problem.solve(None)
 }
 
 /// Algorithm 1: generate a δ-prunable robust obfuscation matrix.
@@ -238,9 +232,8 @@ pub fn generate_robust_matrix(
 /// LP is a small perturbation of the last).  A solve that does not produce a
 /// reusable iterate falls back to the best one seen so far.
 ///
-/// With the block-angular solver ([`SolverKind::BlockAngular`]) the LP is
-/// built and prepared once for the whole chain, and each refinement rewrites
-/// its Geo-Ind bounds in place.
+/// The LP is built and prepared once for the whole chain, and each
+/// refinement rewrites its Geo-Ind bounds in place.
 pub fn generate_robust_matrix_warm(
     problem: &ObfuscationProblem,
     config: &RobustConfig,
@@ -269,25 +262,10 @@ pub fn generate_robust_matrix_warm(
         ..options
     };
     let init_options = if refinements > 0 { relaxed } else { options };
-    // One LP for the whole chain; the simplex and generic interior-point
-    // oracles rebuild theirs for every solve.
-    let mut prepared = match config.solver {
-        SolverKind::BlockAngular => Some(problem.prepare_lp(None)?),
-        SolverKind::Simplex | SolverKind::InteriorPoint => None,
-    };
-    let mut solve = |rpb: Option<&[Vec<f64>]>,
-                     options: InteriorPointOptions,
-                     warm: Option<&WarmStart>| match prepared.as_mut() {
-        Some(lp) => {
-            if let Some(rpb) = rpb {
-                problem.write_reserved_budget(lp, rpb)?;
-            }
-            problem.solve_prepared(lp, options, warm)
-        }
-        None => problem.solve_with_options_warm(rpb, config.solver, options, warm),
-    };
+    // One LP for the whole chain.
+    let mut lp = problem.prepare_lp(None)?;
     // Step 4: the initial matrix from the plain LP (Eq. 8).
-    let (mut matrix, mut warm_state) = solve(None, init_options, warm)?;
+    let (mut matrix, mut warm_state) = problem.solve_prepared(&lp, init_options, warm)?;
     let mut objectives = vec![problem.quality_loss(&matrix)];
     let mut rpb = vec![vec![0.0; problem.size()]; problem.size()];
 
@@ -311,7 +289,8 @@ pub fn generate_robust_matrix_warm(
             config.delta,
         );
         let step_options = if t == refinements { options } else { relaxed };
-        let (m, w) = solve(Some(&rpb), step_options, warm_state.as_ref())?;
+        problem.write_reserved_budget(&mut lp, &rpb)?;
+        let (m, w) = problem.solve_prepared(&lp, step_options, warm_state.as_ref())?;
         matrix = m;
         warm_state = w.or(warm_state);
         objectives.push(problem.quality_loss(&matrix));
@@ -409,7 +388,6 @@ mod tests {
             let config = RobustConfig {
                 delta,
                 iterations: 10,
-                solver: SolverKind::BlockAngular,
             };
             let shipped = generate_robust_matrix_warm(&p, &config, seed.as_ref()).unwrap();
             let replay = replay_with_rebuilds(&p, delta, 10, seed.as_ref());
@@ -467,7 +445,7 @@ mod tests {
     #[test]
     fn rpb_is_nonnegative_and_grows_with_delta() {
         let (_tree, p) = small_problem();
-        let matrix = p.solve(None, SolverKind::BlockAngular).unwrap();
+        let matrix = p.solve(None).unwrap();
         let rpb1 = reserved_privacy_budget_approx(&matrix, p.distances(), p.epsilon(), 1);
         let rpb3 = reserved_privacy_budget_approx(&matrix, p.distances(), p.epsilon(), 3);
         let k = p.size();
@@ -483,7 +461,7 @@ mod tests {
     fn exact_rpb_bounded_by_approximation() {
         // Proposition 4.5: ε_{i,j} ≤ ε′_{i,j}, i.e. the approximation is an upper bound.
         let (_tree, p) = small_problem();
-        let matrix = p.solve(None, SolverKind::BlockAngular).unwrap();
+        let matrix = p.solve(None).unwrap();
         let exact = reserved_privacy_budget_exact(&matrix, p.distances(), p.epsilon(), 2).unwrap();
         let approx = reserved_privacy_budget_approx(&matrix, p.distances(), p.epsilon(), 2);
         let k = p.size();
@@ -504,7 +482,7 @@ mod tests {
     #[test]
     fn exact_rpb_guards_against_explosion() {
         let (_tree, p) = small_problem();
-        let matrix = p.solve(None, SolverKind::BlockAngular).unwrap();
+        let matrix = p.solve(None).unwrap();
         // δ = 7 over 7 cells is fine (2^7 subsets), but a fake huge δ over a huge K
         // is rejected; simulate by calling count guard directly.
         assert!(reserved_privacy_budget_exact(&matrix, p.distances(), p.epsilon(), 3).is_ok());
@@ -514,13 +492,12 @@ mod tests {
     #[test]
     fn robust_matrix_costs_more_quality_than_nonrobust() {
         let (_tree, p) = small_problem();
-        let nonrobust = generate_nonrobust_matrix(&p, SolverKind::BlockAngular).unwrap();
+        let nonrobust = generate_nonrobust_matrix(&p).unwrap();
         let robust = generate_robust_matrix(
             &p,
             &RobustConfig {
                 delta: 2,
                 iterations: 4,
-                solver: SolverKind::BlockAngular,
             },
         )
         .unwrap();
@@ -542,7 +519,6 @@ mod tests {
             &RobustConfig {
                 delta: 2,
                 iterations: 8,
-                solver: SolverKind::BlockAngular,
             },
         )
         .unwrap();
@@ -562,12 +538,11 @@ mod tests {
             &RobustConfig {
                 delta: 0,
                 iterations: 5,
-                solver: SolverKind::BlockAngular,
             },
         )
         .unwrap();
         assert_eq!(run.objective_per_iteration.len(), 1);
-        let nonrobust = generate_nonrobust_matrix(&p, SolverKind::BlockAngular).unwrap();
+        let nonrobust = generate_nonrobust_matrix(&p).unwrap();
         let diff = (p.quality_loss(&run.matrix) - p.quality_loss(&nonrobust)).abs();
         assert!(diff < 1e-9);
     }
@@ -578,13 +553,12 @@ mod tests {
         // the robust matrix violates far fewer Geo-Ind constraints.
         let (_tree, p) = small_problem();
         let delta = 2usize;
-        let nonrobust = generate_nonrobust_matrix(&p, SolverKind::BlockAngular).unwrap();
+        let nonrobust = generate_nonrobust_matrix(&p).unwrap();
         let robust = generate_robust_matrix(
             &p,
             &RobustConfig {
                 delta,
                 iterations: 6,
-                solver: SolverKind::BlockAngular,
             },
         )
         .unwrap()

@@ -414,14 +414,6 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
     hasher.finalize()
 }
 
-/// HMAC-SHA-256 over the concatenation of `parts` (RFC 2104).
-///
-/// Taking the message as parts lets callers MAC a frame header and payload
-/// that live in separate buffers without copying them together first.
-pub fn hmac_sha256(key: &[u8], parts: &[&[u8]]) -> [u8; 32] {
-    HmacKey::new(key).mac(Kernel::detect(), parts)
-}
-
 /// An HMAC-SHA-256 key with its two pad blocks already absorbed: the SHA-256
 /// states after `key ⊕ ipad` and after `key ⊕ opad`, so each MAC starts from
 /// them instead of compressing both blocks again.

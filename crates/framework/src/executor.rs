@@ -700,7 +700,7 @@ impl Executor {
 /// Run a single future to completion on the calling thread, parking it between
 /// polls.  Used by tests and small tools; the serving reactor uses
 /// [`Executor::run`] instead.
-pub fn block_on<F: Future>(mut future: F) -> F::Output {
+pub fn block_on<F: Future>(future: F) -> F::Output {
     struct ThreadWaker {
         thread: std::thread::Thread,
         notified: AtomicBool,
@@ -715,9 +715,7 @@ pub fn block_on<F: Future>(mut future: F) -> F::Output {
         }
     }
 
-    // SAFETY-free pinning: the future lives on this stack frame for the whole
-    // call and is never moved after the first poll.
-    let mut future = unsafe { Pin::new_unchecked(&mut future) };
+    let mut future = std::pin::pin!(future);
     let thread_waker = Arc::new(ThreadWaker {
         thread: std::thread::current(),
         notified: AtomicBool::new(false),
@@ -1298,5 +1296,54 @@ mod tests {
         }));
         executor.run();
         assert!(polls.load(Ordering::SeqCst) >= 5);
+    }
+
+    #[test]
+    fn epoll_backend_rewakes_futures_parked_on_the_io_poll_set() {
+        use std::os::fd::AsRawFd;
+
+        // A regular file cannot join an epoll set, so `park_socket` falls
+        // back to `park_io`; the epoll run loop must still re-wake the future
+        // or it would hang.
+        let executor = Executor::with_backend(ReactorBackend::Epoll, Duration::from_micros(500));
+        if executor.backend() != ReactorBackend::Epoll {
+            return;
+        }
+        let file = std::fs::File::open(std::env::current_exe().unwrap()).unwrap();
+        let fd = file.as_raw_fd();
+        let handle = executor.handle();
+        let polls = Arc::new(AtomicUsize::new(0));
+        let polls_in = Arc::clone(&polls);
+        let parker = handle.clone();
+        handle.spawn(std::future::poll_fn(move |cx| {
+            let n = polls_in.fetch_add(1, Ordering::SeqCst) + 1;
+            if n >= 5 {
+                parker.shutdown();
+                Poll::Ready(())
+            } else {
+                parker.park_socket(fd, true, false, cx.waker());
+                Poll::Pending
+            }
+        }));
+        // Turn a stranded future into a failure instead of a hang.
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+        let watchdog_handle = handle.clone();
+        let watchdog = std::thread::spawn(move || {
+            if done_rx.recv_timeout(Duration::from_secs(10)).is_err() {
+                watchdog_handle.shutdown();
+            }
+        });
+        executor.run();
+        let _ = done_tx.send(());
+        watchdog.join().unwrap();
+        assert!(
+            polls.load(Ordering::SeqCst) >= 5,
+            "io-parked future was not re-woken"
+        );
+        let poller = executor.shared.poller.as_ref().expect("epoll backend");
+        assert!(
+            !poller.waiters.lock().unwrap().contains_key(&fd),
+            "a regular file must not be registered for readiness"
+        );
     }
 }

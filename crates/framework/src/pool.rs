@@ -12,16 +12,15 @@
 //!
 //! A panicking job can never shrink the pool of a long-lived server:
 //!
-//! * jobs submitted through [`ThreadPool::run_ordered`] /
-//!   [`ThreadPool::try_run_ordered`] are unwound at the job boundary and the
-//!   panic is surfaced to the submitter — re-raised by the former, returned as
-//!   a structured [`JobPanic`] by the latter;
+//! * jobs submitted through [`ThreadPool::try_run_ordered`] are unwound at
+//!   the job boundary and the panic is returned to the submitter as a
+//!   structured [`JobPanic`];
 //! * a raw [`ThreadPool::execute`] job that panics unwinds its worker thread,
 //!   and a drop guard immediately spawns a replacement
 //!   ([`ThreadPool::respawned_workers`] counts these), so capacity recovers
 //!   without any silent swallowing of the panic.
 
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
@@ -164,27 +163,9 @@ impl ThreadPool {
             .expect("workers outlive the sender");
     }
 
-    /// Run a batch of tasks across the pool and return their results in task
-    /// order.  Blocks the calling thread until every task has finished; if a
-    /// task panics, the panic is re-raised here (remaining tasks still drain
-    /// on the workers, their results are discarded).
-    pub fn run_ordered<T, F>(&self, tasks: Vec<F>) -> Vec<T>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        self.try_run_ordered(tasks)
-            .into_iter()
-            .map(|slot| match slot {
-                Ok(value) => value,
-                Err(panic) => resume_unwind(Box::new(panic.message)),
-            })
-            .collect()
-    }
-
     /// Run a batch of tasks across the pool, returning each task's outcome in
     /// task order with panics captured as [`JobPanic`] errors instead of
-    /// unwinding — the panic-safe entry point for long-lived servers.
+    /// unwinding.  Blocks the calling thread until every task has finished.
     pub fn try_run_ordered<T, F>(&self, tasks: Vec<F>) -> Vec<Result<T, JobPanic>>
     where
         T: Send + 'static,
@@ -323,12 +304,12 @@ mod tests {
     }
 
     #[test]
-    fn run_ordered_preserves_task_order() {
+    fn try_run_ordered_preserves_task_order() {
         let pool = ThreadPool::new(3);
         let tasks: Vec<_> = (0..50).map(|i| move || i * i).collect();
         assert_eq!(
-            pool.run_ordered(tasks),
-            (0..50).map(|i| i * i).collect::<Vec<_>>()
+            pool.try_run_ordered(tasks),
+            (0..50).map(|i| Ok(i * i)).collect::<Vec<_>>()
         );
     }
 
@@ -336,20 +317,7 @@ mod tests {
     fn zero_threads_falls_back_to_available_parallelism() {
         let pool = ThreadPool::new(0);
         assert!(pool.threads() >= 1);
-        assert_eq!(pool.run_ordered(vec![|| 7]), vec![7]);
-    }
-
-    #[test]
-    fn run_ordered_reraises_task_panics() {
-        let pool = ThreadPool::new(1);
-        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.run_ordered(vec![|| panic!("bad subtree")])
-        }));
-        assert!(caught.is_err(), "task panic must reach the caller");
-        // The worker survived (no respawn needed: the unwind was contained at
-        // the job boundary) and the pool still runs batches.
-        assert_eq!(pool.run_ordered(vec![|| 1, || 2]), vec![1, 2]);
-        assert_eq!(pool.respawned_workers(), 0);
+        assert_eq!(pool.try_run_ordered(vec![|| 7]), vec![Ok(7)]);
     }
 
     #[test]
@@ -366,6 +334,10 @@ mod tests {
         assert!(err.message.contains("LP solver exploded"), "{err}");
         assert!(err.to_string().contains("pool job panicked"));
         assert_eq!(outcomes[2], Ok(3));
+        // The workers survived (no respawn needed: the unwind was contained
+        // at the job boundary) and the pool still runs batches.
+        assert_eq!(pool.try_run_ordered(vec![|| 1, || 2]), vec![Ok(1), Ok(2)]);
+        assert_eq!(pool.respawned_workers(), 0);
     }
 
     #[test]
@@ -380,7 +352,7 @@ mod tests {
         }
         assert_eq!(pool.respawned_workers(), 1, "replacement worker spawned");
         // The replacement processes subsequent work: the pool self-healed.
-        assert_eq!(pool.run_ordered(vec![|| 40, || 2]), vec![40, 2]);
+        assert_eq!(pool.try_run_ordered(vec![|| 40, || 2]), vec![Ok(40), Ok(2)]);
     }
 
     #[test]
@@ -422,8 +394,8 @@ mod tests {
         let pool = ThreadPool::new(2);
         for round in 0..5u64 {
             let tasks: Vec<_> = (0..8u64).map(|i| move || round + i).collect();
-            let out = pool.run_ordered(tasks);
-            assert_eq!(out, (0..8).map(|i| round + i).collect::<Vec<_>>());
+            let out = pool.try_run_ordered(tasks);
+            assert_eq!(out, (0..8).map(|i| Ok(round + i)).collect::<Vec<_>>());
         }
     }
 }

@@ -24,7 +24,7 @@ use crate::pool::ThreadPool;
 use crate::server::ServerConfig;
 use corgi_core::{
     generate_robust_matrix_warm, CorgiError, LocationTree, ObfuscationProblem, RobustConfig,
-    SolverKind, Subtree, WarmStart,
+    Subtree, WarmStart,
 };
 use corgi_datagen::PriorDistribution;
 use rand::rngs::StdRng;
@@ -366,7 +366,6 @@ fn solve_subtree(
             } else {
                 config.robust_iterations
             },
-            solver: SolverKind::BlockAngular,
         },
         seed.as_ref(),
     )?;

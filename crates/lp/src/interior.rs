@@ -145,20 +145,6 @@ impl InteriorPointSolver {
     pub fn new(options: InteriorPointOptions) -> Self {
         Self { options }
     }
-
-    /// [`LpSolver::solve`], optionally seeded with a [`WarmStart`] captured
-    /// from a previous `Optimal` solve of the same or a nearby problem.
-    ///
-    /// An unusable warm start (wrong lengths, non-finite entries, `mu ≤ 0`)
-    /// is ignored and the solve falls back to the cold start.
-    pub fn solve_with_warm(
-        &self,
-        problem: &LpProblem,
-        warm: Option<&WarmStart>,
-    ) -> Result<LpSolution, LpError> {
-        let blocks = vec![(0..problem.num_vars()).collect::<Vec<_>>()];
-        solve_ipm(problem, &blocks, &self.options, self.name(), warm)
-    }
 }
 
 impl Default for InteriorPointSolver {

@@ -31,14 +31,6 @@ impl SimplexSolver {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Create a solver with a custom pivot limit.
-    pub fn with_max_iterations(max_iterations: usize) -> Self {
-        Self {
-            max_iterations,
-            ..Self::default()
-        }
-    }
 }
 
 struct Tableau {

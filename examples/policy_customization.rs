@@ -11,7 +11,7 @@
 //!
 //! Run with: `cargo run --release --example policy_customization`
 
-use corgi::core::{generate_nonrobust_matrix, geoind, prune_matrix, LocationTree, SolverKind};
+use corgi::core::{generate_nonrobust_matrix, geoind, prune_matrix, LocationTree};
 use corgi::datagen::{GowallaLikeConfig, GowallaLikeGenerator, PriorDistribution};
 use corgi::framework::messages::MatrixRequest;
 use corgi::framework::{
@@ -50,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build();
     let generator = ForestGenerator::new(tree, prior, config);
     let problem = generator.problem_for_subtree(&subtree)?;
-    let nonrobust = generate_nonrobust_matrix(&problem, SolverKind::BlockAngular)?;
+    let nonrobust = generate_nonrobust_matrix(&problem)?;
 
     // The robust matrix arrives through the serving trait: warm the level-2
     // key up front (as a production deployment would at startup), then the

@@ -7,7 +7,7 @@
 //! | [`geo`] | `corgi-geo` | Validated coordinates, haversine distances, local projections |
 //! | [`hexgrid`] | `corgi-hexgrid` | Aperture-7 hexagonal hierarchical spatial index (H3-like) |
 //! | [`graph`] | `corgi-graph` | Mobility-graph approximation of the Geo-Ind constraint set (§4.2) |
-//! | [`lp`] | `corgi-lp` | From-scratch LP solvers: simplex, interior point, block-angular |
+//! | [`lp`] | `corgi-lp` | From-scratch LP solvers: the block-angular interior point behind every matrix; simplex and generic interior point as test oracles |
 //! | [`core`] | `corgi-core` | Location tree, policies, LP formulation, robust matrices, precision reduction |
 //! | [`datagen`] | `corgi-datagen` | Synthetic Gowalla-like check-ins, priors and location metadata |
 //! | [`framework`] | `corgi-framework` | Serving stack (`MatrixService`: generator → cache → instrumentation), versioned wire protocol, on-device customization (§5) |
@@ -19,7 +19,7 @@
 //!
 //! ```
 //! use corgi::core::geoind::check_all_pairs;
-//! use corgi::core::{LocationTree, ObfuscationProblem, SolverKind};
+//! use corgi::core::{LocationTree, ObfuscationProblem};
 //! use corgi::geo::LatLng;
 //! use corgi::hexgrid::{HexGrid, HexGridConfig};
 //!
@@ -40,7 +40,7 @@
 //! let targets: Vec<usize> = (0..k).collect();
 //! let epsilon = 15.0; // 1/km
 //! let problem = ObfuscationProblem::new(&tree, &subtree, &prior, &targets, epsilon, true)?;
-//! let matrix = problem.solve(None, SolverKind::BlockAngular)?;
+//! let matrix = problem.solve(None)?;
 //!
 //! // 4. Report: the matrix is row-stochastic and satisfies ε-Geo-Ind on
 //! //    every ordered pair of cells (Definition 2.1).

@@ -3,7 +3,7 @@
 //! end to end through the client/server framework.
 
 use corgi::core::{generate_nonrobust_matrix, generate_robust_matrix, RobustConfig};
-use corgi::core::{geoind, prune_matrix, LocationTree, Policy, Predicate, SolverKind};
+use corgi::core::{geoind, prune_matrix, LocationTree, Policy, Predicate};
 use corgi::datagen::{
     GowallaLikeConfig, GowallaLikeGenerator, LocationMetadata, PriorDistribution,
 };
@@ -162,13 +162,12 @@ fn robust_matrix_beats_nonrobust_after_pruning_end_to_end() {
             .unwrap();
 
     let delta = 3;
-    let nonrobust = generate_nonrobust_matrix(&problem, SolverKind::BlockAngular).unwrap();
+    let nonrobust = generate_nonrobust_matrix(&problem).unwrap();
     let robust = generate_robust_matrix(
         &problem,
         &RobustConfig {
             delta,
             iterations: 4,
-            solver: SolverKind::BlockAngular,
         },
     )
     .unwrap()

@@ -5,7 +5,7 @@
 
 use corgi::core::{
     generate_robust_matrix, geoind, precision_reduction, LocationTree, ObfuscationProblem,
-    RobustConfig, SolverKind,
+    RobustConfig,
 };
 use corgi::hexgrid::{HexGrid, HexGridConfig};
 use std::time::Instant;
@@ -24,7 +24,6 @@ fn precision_reduction_is_much_faster_than_recalculation() {
     let config = RobustConfig {
         delta: 1,
         iterations: 3,
-        solver: SolverKind::BlockAngular,
     };
 
     // The leaf-level robust matrix the user already received.
