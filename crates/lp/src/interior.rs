@@ -723,20 +723,36 @@ fn factor_blocked(
     ws.schur.cholesky_in_place(REGULARIZATION)
 }
 
-/// Newton solve against the blocked factorization.
-///
-/// Returns `(dx, dmu)`.
+/// Scratch of the blocked Newton solve, allocated once per solve: the
+/// intermediate `t = M⁻¹ rhs1` and one block-local right-hand side.
+struct NewtonScratch {
+    t: Vec<f64>,
+    local: Vec<f64>,
+}
+
+impl NewtonScratch {
+    fn new(prep: &Prepared) -> Self {
+        let max_nb = prep.blocks.iter().map(Vec::len).max().unwrap_or(0);
+        Self {
+            t: vec![0.0; prep.n],
+            local: vec![0.0; max_nb],
+        }
+    }
+}
+
+/// Newton solve against the blocked factorization, writing `dx` (length `n`)
+/// and `dmu` (length `m_eq`) in place.
 fn newton_solve_blocked(
     prep: &Prepared,
     ws: &BlockedWorkspace,
+    scratch: &mut NewtonScratch,
     rhs1: &[f64],
     r_p2: &[f64],
-) -> (Vec<f64>, Vec<f64>) {
-    let m_eq = prep.e.len();
-    // t = M⁻¹ rhs1, blockwise, in-place solves on a reused local buffer.
-    let mut t = vec![0.0; prep.n];
-    let max_nb = ws.v_stride;
-    let mut local = vec![0.0; max_nb];
+    dx: &mut [f64],
+    dmu: &mut [f64],
+) {
+    let NewtonScratch { t, local } = scratch;
+    // t = M⁻¹ rhs1, blockwise, in-place solves on the block-local buffer.
     for (b, block) in prep.blocks.iter().enumerate() {
         let nb = block.len();
         for (l, &v) in block.iter().enumerate() {
@@ -747,19 +763,18 @@ fn newton_solve_blocked(
             t[v] = local[l];
         }
     }
-    if m_eq == 0 {
-        return (t, Vec::new());
+    if prep.e.len() == 0 {
+        dx.copy_from_slice(t);
+        return;
     }
-    // rhs_schur = E t − r_p2
-    let mut rhs_schur = vec![0.0; m_eq];
-    for (ri, rhs) in rhs_schur.iter_mut().enumerate() {
-        *rhs = prep.e.dot(ri, &t) - r_p2[ri];
+    // dmu = S⁻¹ (E t − r_p2)
+    for (ri, d) in dmu.iter_mut().enumerate() {
+        *d = prep.e.dot(ri, t) - r_p2[ri];
     }
-    let dmu = ws.schur.cholesky_solve(&rhs_schur);
+    ws.schur.cholesky_solve_into(dmu);
     // dx = M⁻¹ (rhs1 − Eᵀ dmu), blockwise: scatter E_bᵀ dmu through the sparse
     // coupling columns, one solve per block — the dense `M_b⁻¹ E_bᵀ` product of
     // the reference path is never materialized.
-    let mut dx = vec![0.0; prep.n];
     for (b, block) in prep.blocks.iter().enumerate() {
         let nb = block.len();
         let active = &prep.eq_by_block[b];
@@ -779,7 +794,6 @@ fn newton_solve_blocked(
             dx[v] = t[v] - u[l];
         }
     }
-    (dx, dmu)
 }
 
 // ---------------------------------------------------------------------------
@@ -920,11 +934,55 @@ enum Factorization<'a> {
 }
 
 impl Factorization<'_> {
-    fn newton_solve(&self, prep: &Prepared, rhs1: &[f64], r_p2: &[f64]) -> (Vec<f64>, Vec<f64>) {
+    /// Solve one Newton system, writing `dx` and `dmu` in place.
+    fn newton_solve_into(
+        &self,
+        prep: &Prepared,
+        scratch: &mut NewtonScratch,
+        rhs1: &[f64],
+        r_p2: &[f64],
+        dx: &mut [f64],
+        dmu: &mut [f64],
+    ) {
         match self {
-            Factorization::Blocked(ws) => newton_solve_blocked(prep, ws, rhs1, r_p2),
-            Factorization::Reference(factors) => newton_solve_reference(prep, factors, rhs1, r_p2),
+            Factorization::Blocked(ws) => {
+                newton_solve_blocked(prep, ws, scratch, rhs1, r_p2, dx, dmu)
+            }
+            Factorization::Reference(factors) => {
+                let (x, mu) = newton_solve_reference(prep, factors, rhs1, r_p2);
+                dx.copy_from_slice(&x);
+                dmu.copy_from_slice(&mu);
+            }
         }
+    }
+}
+
+/// A Newton direction in the primal (`x`, `w`) and dual (`lam`, `s`)
+/// barrier variables; the equality multipliers' part is kept beside it.
+struct Direction {
+    x: Vec<f64>,
+    w: Vec<f64>,
+    lam: Vec<f64>,
+    s: Vec<f64>,
+}
+
+impl Direction {
+    fn zeros(n: usize, m_in: usize) -> Self {
+        Self {
+            x: vec![0.0; n],
+            w: vec![0.0; m_in],
+            lam: vec![0.0; m_in],
+            s: vec![0.0; n],
+        }
+    }
+}
+
+/// Shrink `alpha` to the largest step along `dv` that keeps `v + alpha·dv`
+/// non-negative (one element of a step-to-boundary minimum).
+#[inline]
+fn shrink_step(alpha: &mut f64, v: f64, dv: f64) {
+    if dv < 0.0 {
+        *alpha = alpha.min(-v / dv);
     }
 }
 
@@ -1053,22 +1111,38 @@ fn run_ipm(
     // convergence (it is then the converged complementarity gap).
     let mut mu_gap_final = f64::INFINITY;
 
+    // Every per-iteration vector is allocated once here and overwritten in
+    // place each iteration.
+    let mut r_p1 = vec![0.0; m_in]; // h − Gx − w
+    let mut r_p2 = vec![0.0; m_eq]; // f − Ex
+    let mut resid_dual = vec![0.0; n]; // c + Gᵀλ + Eᵀμ − s
+    let mut rhs1 = vec![0.0; n];
+    let mut rc1 = vec![0.0; n];
+    let mut rc2 = vec![0.0; m_in];
+    let mut t1 = vec![0.0; n];
+    let mut t2 = vec![0.0; m_in];
+    // The search direction, and a trial one: first the affine predictor, then
+    // each Gondzio candidate, swapped in when accepted.
+    let mut dir = Direction::zeros(n, m_in);
+    let mut trial = Direction::zeros(n, m_in);
+    let mut ddx = vec![0.0; n];
+    let mut dmu = vec![0.0; m_eq];
+    let mut ddmu = vec![0.0; m_eq];
+    let zeros_eq = vec![0.0; m_eq];
+    let mut scratch = NewtonScratch::new(prep);
+
     for iter in 0..opts.max_iterations {
         iterations = iter + 1;
 
-        // Residuals.
-        let mut r_p1 = vec![0.0; m_in]; // h − Gx − w
-        for (ri, r) in r_p1.iter_mut().enumerate() {
-            *r = prep.h[ri] - prep.g.dot(ri, &x) - w[ri];
+        // Residuals, each inequality row read once for both `r_p1` and the
+        // `Gᵀλ` scatter.
+        resid_dual.copy_from_slice(&prep.c);
+        for ri in 0..m_in {
+            r_p1[ri] = prep.h[ri] - prep.g.dot(ri, &x) - w[ri];
+            prep.g.axpy_into(ri, lam[ri], &mut resid_dual);
         }
-        let mut r_p2 = vec![0.0; m_eq]; // f − Ex
         for (ri, r) in r_p2.iter_mut().enumerate() {
             *r = prep.f[ri] - prep.e.dot(ri, &x);
-        }
-        // resid_dual = c + Gᵀλ + Eᵀμ − s
-        let mut resid_dual = prep.c.clone();
-        for (ri, &l) in lam.iter().enumerate() {
-            prep.g.axpy_into(ri, l, &mut resid_dual);
         }
         for (ri, &m) in mu_eq.iter().enumerate() {
             prep.e.axpy_into(ri, m, &mut resid_dual);
@@ -1121,58 +1195,59 @@ fn run_ipm(
             }
         };
 
-        // rd3 = −resid_dual
-        let rd3: Vec<f64> = resid_dual.iter().map(|v| -v).collect();
-
-        // ---- Affine (predictor) direction: σ = 0, no corrector. ----
-        let build_rhs1 = |rc1: &[f64], rc2: &[f64]| -> Vec<f64> {
-            let mut rhs1 = rd3.clone();
-            // + Gᵀ((λ/w)·r_p1 − rc2/w)
+        // rhs1 = −resid_dual + Gᵀ((λ/w)·r_p1 − rc2/w) + rc1/x
+        let build_rhs1 = |rc1: &[f64], rc2: &[f64], rhs1: &mut [f64]| {
+            for (r, &v) in rhs1.iter_mut().zip(&resid_dual) {
+                *r = -v;
+            }
             for ri in 0..m_in {
                 let u = (lam[ri] / w[ri]) * r_p1[ri] - rc2[ri] / w[ri];
-                prep.g.axpy_into(ri, u, &mut rhs1);
+                prep.g.axpy_into(ri, u, rhs1);
             }
-            // + rc1/x
             for j in 0..n {
                 rhs1[j] += rc1[j] / x[j];
             }
-            rhs1
         };
-
-        let rc1_aff: Vec<f64> = x.iter().zip(s.iter()).map(|(xi, si)| -xi * si).collect();
-        let rc2_aff: Vec<f64> = w.iter().zip(lam.iter()).map(|(wi, li)| -wi * li).collect();
-        let rhs1_aff = build_rhs1(&rc1_aff, &rc2_aff);
-        let (dx_aff, _) = factorization.newton_solve(prep, &rhs1_aff, &r_p2);
-        let mut dw_aff = vec![0.0; m_in];
-        let mut dlam_aff = vec![0.0; m_in];
-        for ri in 0..m_in {
-            dw_aff[ri] = r_p1[ri] - prep.g.dot(ri, &dx_aff);
-            dlam_aff[ri] = (rc2_aff[ri] - lam[ri] * dw_aff[ri]) / w[ri];
-        }
-        let mut ds_aff = vec![0.0; n];
-        for j in 0..n {
-            ds_aff[j] = (rc1_aff[j] - s[j] * dx_aff[j]) / x[j];
-        }
-
-        let step_to_boundary = |v: &[f64], dv: &[f64]| -> f64 {
-            let mut alpha = 1.0f64;
-            for (vi, di) in v.iter().zip(dv.iter()) {
-                if *di < 0.0 {
-                    alpha = alpha.min(-vi / di);
-                }
+        // Complete a direction from its `dx`: dw = r_p1 − G·dx,
+        // dlam = (rc2 − λ∘dw)/w and ds = (rc1 − s∘dx)/x, each row read once
+        // for both its entries and the steps to the boundary.  Returns the
+        // largest primal and dual steps that keep the iterate non-negative.
+        let complete_direction = |rc1: &[f64], rc2: &[f64], d: &mut Direction| {
+            let (mut step_x, mut step_w, mut step_lam, mut step_s) = (1.0, 1.0, 1.0, 1.0);
+            for j in 0..n {
+                d.s[j] = (rc1[j] - s[j] * d.x[j]) / x[j];
+                shrink_step(&mut step_x, x[j], d.x[j]);
+                shrink_step(&mut step_s, s[j], d.s[j]);
             }
-            alpha
+            for ri in 0..m_in {
+                d.w[ri] = r_p1[ri] - prep.g.dot(ri, &d.x);
+                d.lam[ri] = (rc2[ri] - lam[ri] * d.w[ri]) / w[ri];
+                shrink_step(&mut step_w, w[ri], d.w[ri]);
+                shrink_step(&mut step_lam, lam[ri], d.lam[ri]);
+            }
+            (f64::min(step_x, step_w), f64::min(step_s, step_lam))
         };
-        let alpha_p_aff = step_to_boundary(&x, &dx_aff).min(step_to_boundary(&w, &dw_aff));
-        let alpha_d_aff = step_to_boundary(&s, &ds_aff).min(step_to_boundary(&lam, &dlam_aff));
+
+        // ---- Affine (predictor) direction: σ = 0, no corrector. ----
+        for j in 0..n {
+            rc1[j] = -x[j] * s[j];
+        }
+        for ri in 0..m_in {
+            rc2[ri] = -w[ri] * lam[ri];
+        }
+        build_rhs1(&rc1, &rc2, &mut rhs1);
+        // The affine direction's `dmu` is never used; `ddmu` takes it.
+        factorization.newton_solve_into(prep, &mut scratch, &rhs1, &r_p2, &mut trial.x, &mut ddmu);
+        let (alpha_p_aff, alpha_d_aff) = complete_direction(&rc1, &rc2, &mut trial);
+        let aff = &trial;
 
         // Mehrotra centering parameter.
         let mut gap_aff = 0.0;
         for j in 0..n {
-            gap_aff += (x[j] + alpha_p_aff * dx_aff[j]) * (s[j] + alpha_d_aff * ds_aff[j]);
+            gap_aff += (x[j] + alpha_p_aff * aff.x[j]) * (s[j] + alpha_d_aff * aff.s[j]);
         }
         for ri in 0..m_in {
-            gap_aff += (w[ri] + alpha_p_aff * dw_aff[ri]) * (lam[ri] + alpha_d_aff * dlam_aff[ri]);
+            gap_aff += (w[ri] + alpha_p_aff * aff.w[ri]) * (lam[ri] + alpha_d_aff * aff.lam[ri]);
         }
         let mu_aff = gap_aff / denom;
         let sigma = if mu_gap > 0.0 {
@@ -1191,29 +1266,17 @@ fn run_ipm(
         let target_mu = (sigma * mu_gap).max((0.05 * opts.tolerance * scale).min(mu_gap));
 
         // ---- Corrector direction. ----
-        let rc1: Vec<f64> = (0..n)
-            .map(|j| target_mu - x[j] * s[j] - dx_aff[j] * ds_aff[j])
-            .collect();
-        let rc2: Vec<f64> = (0..m_in)
-            .map(|ri| target_mu - w[ri] * lam[ri] - dw_aff[ri] * dlam_aff[ri])
-            .collect();
-        let rhs1 = build_rhs1(&rc1, &rc2);
-        let (mut dx, mut dmu) = factorization.newton_solve(prep, &rhs1, &r_p2);
-        let mut dw = vec![0.0; m_in];
-        let mut dlam = vec![0.0; m_in];
-        for ri in 0..m_in {
-            dw[ri] = r_p1[ri] - prep.g.dot(ri, &dx);
-            dlam[ri] = (rc2[ri] - lam[ri] * dw[ri]) / w[ri];
-        }
-        let mut ds = vec![0.0; n];
         for j in 0..n {
-            ds[j] = (rc1[j] - s[j] * dx[j]) / x[j];
+            rc1[j] = target_mu - x[j] * s[j] - aff.x[j] * aff.s[j];
         }
-
-        let mut alpha_p =
-            (STEP_FRACTION * step_to_boundary(&x, &dx).min(step_to_boundary(&w, &dw))).min(1.0);
-        let mut alpha_d =
-            (STEP_FRACTION * step_to_boundary(&s, &ds).min(step_to_boundary(&lam, &dlam))).min(1.0);
+        for ri in 0..m_in {
+            rc2[ri] = target_mu - w[ri] * lam[ri] - aff.w[ri] * aff.lam[ri];
+        }
+        build_rhs1(&rc1, &rc2, &mut rhs1);
+        factorization.newton_solve_into(prep, &mut scratch, &rhs1, &r_p2, &mut dir.x, &mut dmu);
+        let (step_p, step_d) = complete_direction(&rc1, &rc2, &mut dir);
+        let mut alpha_p = (STEP_FRACTION * step_p).min(1.0);
+        let mut alpha_d = (STEP_FRACTION * step_d).min(1.0);
 
         // ---- Gondzio centrality correctors. ----
         //
@@ -1232,7 +1295,6 @@ fn run_ipm(
         const BETA_MAX: f64 = 10.0;
         // How far past the currently-achievable step each corrector probes.
         const TRIAL_ENLARGE: f64 = 0.1;
-        let zeros_eq = vec![0.0; m_eq];
         for _ in 0..MAX_CENTRALITY_CORRECTORS {
             let trial_p = (alpha_p / STEP_FRACTION + TRIAL_ENLARGE * (1.0 - alpha_p)).min(1.0);
             let trial_d = (alpha_d / STEP_FRACTION + TRIAL_ENLARGE * (1.0 - alpha_d)).min(1.0);
@@ -1252,69 +1314,67 @@ fn run_ipm(
             // boundary pair would inject an enormous (possibly overflowing)
             // right-hand side for a product that legitimately sits at zero.
             const BOUNDARY: f64 = 1e-12;
-            let mut any_outlier = false;
-            let t1: Vec<f64> = (0..n)
-                .map(|j| {
-                    if x[j] <= BOUNDARY {
-                        return 0.0;
-                    }
-                    let t = band((x[j] + trial_p * dx[j]) * (s[j] + trial_d * ds[j]));
-                    any_outlier |= t != 0.0;
-                    t
-                })
-                .collect();
-            let t2: Vec<f64> = (0..m_in)
-                .map(|ri| {
-                    if w[ri] <= BOUNDARY {
-                        return 0.0;
-                    }
-                    let t = band((w[ri] + trial_p * dw[ri]) * (lam[ri] + trial_d * dlam[ri]));
-                    any_outlier |= t != 0.0;
-                    t
-                })
-                .collect();
-            if !any_outlier {
-                break;
-            }
             // Newton system with zero residual blocks and the band violations
-            // as the complementarity targets.
-            let mut rhs1_c = vec![0.0; n];
-            for (ri, &t) in t2.iter().enumerate() {
-                if t != 0.0 {
-                    prep.g.axpy_into(ri, -t / w[ri], &mut rhs1_c);
+            // as the complementarity targets: each inequality's band term is
+            // scattered into `rhs1` as soon as it is measured.
+            let mut any_outlier = false;
+            rhs1.fill(0.0);
+            for ri in 0..m_in {
+                t2[ri] = if w[ri] <= BOUNDARY {
+                    0.0
+                } else {
+                    band((w[ri] + trial_p * dir.w[ri]) * (lam[ri] + trial_d * dir.lam[ri]))
+                };
+                if t2[ri] != 0.0 {
+                    any_outlier = true;
+                    prep.g.axpy_into(ri, -t2[ri] / w[ri], &mut rhs1);
                 }
             }
             for j in 0..n {
-                rhs1_c[j] += t1[j] / x[j];
+                t1[j] = if x[j] <= BOUNDARY {
+                    0.0
+                } else {
+                    band((x[j] + trial_p * dir.x[j]) * (s[j] + trial_d * dir.s[j]))
+                };
+                any_outlier |= t1[j] != 0.0;
+                rhs1[j] += t1[j] / x[j];
             }
-            let (ddx, ddmu) = factorization.newton_solve(prep, &rhs1_c, &zeros_eq);
-            let mut dwc = dw.clone();
-            let mut dlamc = dlam.clone();
+            if !any_outlier {
+                break;
+            }
+            factorization.newton_solve_into(
+                prep,
+                &mut scratch,
+                &rhs1,
+                &zeros_eq,
+                &mut ddx,
+                &mut ddmu,
+            );
+            // The enlarged candidate, with its steps and finiteness measured
+            // in the same pass.
+            let (mut step_x, mut step_w, mut step_lam, mut step_s) = (1.0, 1.0, 1.0, 1.0);
+            let mut finite = true;
+            for j in 0..n {
+                trial.x[j] = dir.x[j] + ddx[j];
+                trial.s[j] = dir.s[j] + (t1[j] - s[j] * ddx[j]) / x[j];
+                shrink_step(&mut step_x, x[j], trial.x[j]);
+                shrink_step(&mut step_s, s[j], trial.s[j]);
+                finite &= trial.x[j].is_finite() && trial.s[j].is_finite();
+            }
             for ri in 0..m_in {
                 let ddw = -prep.g.dot(ri, &ddx);
-                dwc[ri] += ddw;
-                dlamc[ri] += (t2[ri] - lam[ri] * ddw) / w[ri];
+                trial.w[ri] = dir.w[ri] + ddw;
+                trial.lam[ri] = dir.lam[ri] + (t2[ri] - lam[ri] * ddw) / w[ri];
+                shrink_step(&mut step_w, w[ri], trial.w[ri]);
+                shrink_step(&mut step_lam, lam[ri], trial.lam[ri]);
+                finite &= trial.w[ri].is_finite() && trial.lam[ri].is_finite();
             }
-            let dxc: Vec<f64> = dx.iter().zip(&ddx).map(|(a, b)| a + b).collect();
-            let dsc: Vec<f64> = (0..n)
-                .map(|j| ds[j] + (t1[j] - s[j] * ddx[j]) / x[j])
-                .collect();
-            let ap = (STEP_FRACTION * step_to_boundary(&x, &dxc).min(step_to_boundary(&w, &dwc)))
-                .min(1.0);
-            let ad = (STEP_FRACTION
-                * step_to_boundary(&s, &dsc).min(step_to_boundary(&lam, &dlamc)))
-            .min(1.0);
-            let finite = dxc.iter().all(|v| v.is_finite())
-                && dsc.iter().all(|v| v.is_finite())
-                && dwc.iter().all(|v| v.is_finite())
-                && dlamc.iter().all(|v| v.is_finite());
+            let ap = (STEP_FRACTION * f64::min(step_x, step_w)).min(1.0);
+            let ad = (STEP_FRACTION * f64::min(step_s, step_lam)).min(1.0);
             if !finite || ap + ad < alpha_p + alpha_d + 0.02 {
                 break;
             }
-            dx = dxc;
-            dw = dwc;
-            ds = dsc;
-            dlam = dlamc;
+            std::mem::swap(&mut dir, &mut trial);
             for (a, b) in dmu.iter_mut().zip(&ddmu) {
                 *a += b;
             }
@@ -1332,12 +1392,12 @@ fn run_ipm(
         // converges to an active bound and underflows).
         const FLOOR: f64 = 1e-30;
         for j in 0..n {
-            x[j] = (x[j] + alpha_p * dx[j]).max(FLOOR);
-            s[j] = (s[j] + alpha_d * ds[j]).max(FLOOR);
+            x[j] = (x[j] + alpha_p * dir.x[j]).max(FLOOR);
+            s[j] = (s[j] + alpha_d * dir.s[j]).max(FLOOR);
         }
         for ri in 0..m_in {
-            w[ri] = (w[ri] + alpha_p * dw[ri]).max(FLOOR);
-            lam[ri] = (lam[ri] + alpha_d * dlam[ri]).max(FLOOR);
+            w[ri] = (w[ri] + alpha_p * dir.w[ri]).max(FLOOR);
+            lam[ri] = (lam[ri] + alpha_d * dir.lam[ri]).max(FLOOR);
         }
         for (ri, d) in dmu.iter().enumerate() {
             mu_eq[ri] += alpha_d * d;
