@@ -71,7 +71,7 @@
 //! second fan-out inside each solve would only oversubscribe the cores.
 
 use crate::{
-    dense::{dot, DenseMatrix, FLUSH_THRESHOLD},
+    dense::{DenseMatrix, FLUSH_THRESHOLD},
     ConstraintSense, LpError, LpProblem, LpSolution, LpSolver, SolveStatus, WarmStart,
 };
 
@@ -325,17 +325,79 @@ fn equilibrate_row(
     }
 }
 
-/// One column of the coupling matrix `E_bᵀ` of a block: the nonzeros (in
-/// block-local coordinates) that one equality row contributes to the block.
+/// The coupling matrix `B_b = E_bᵀ` of one block: the slice of the equality
+/// rows that touches block `b`, as `n_b × m_b` with one column per such row.
 ///
 /// Extracted once per preparation — the pattern is static across
-/// interior-point iterations — and consumed by the sparse Schur assembly
-/// every iteration.
-struct CouplingColumn {
-    /// Smallest local index with a nonzero (forward solves start here).
-    first: usize,
-    /// `(local index, coefficient)` nonzeros.
+/// interior-point iterations — and consumed every iteration by the Schur
+/// kernel and the Newton solve.  The columns are ordered by their first
+/// nonzero, so the columns that have started by local row `i` are a prefix
+/// of length `started[i]`, and the row-oriented solve `L_b⁻¹ B_b` touches
+/// only that prefix.  The nonzeros are stored by row (CSR over local rows).
+struct CouplingBlock {
+    /// Equality row of each column, in column order.
+    eq_rows: Vec<usize>,
+    /// Number of columns whose first nonzero sits at a local row `≤ i`.
+    started: Vec<usize>,
+    /// Row `i` owns `entries[ptr[i]..ptr[i + 1]]`.
+    ptr: Vec<usize>,
+    /// `(column, coefficient)` nonzeros, ascending by column within a row.
     entries: Vec<(usize, f64)>,
+}
+
+impl CouplingBlock {
+    /// Extract block `b`'s coupling matrix from the equality rows `active`
+    /// that touch it.
+    fn new(
+        e: &SparseRows,
+        active: &[usize],
+        b: usize,
+        nb: usize,
+        var_block: &[usize],
+        var_local: &[usize],
+    ) -> Self {
+        let columns: Vec<Vec<(usize, f64)>> = active
+            .iter()
+            .map(|&eq_row| {
+                e.idx(eq_row)
+                    .iter()
+                    .zip(e.val(eq_row))
+                    .filter(|(&v, _)| var_block[v] == b)
+                    .map(|(&v, &a)| (var_local[v], a))
+                    .collect()
+            })
+            .collect();
+        let first = |col: &[(usize, f64)]| col.iter().map(|&(l, _)| l).min().unwrap_or(0);
+        let mut order: Vec<usize> = (0..active.len()).collect();
+        order.sort_by_key(|&a| first(&columns[a]));
+        let mut started = vec![0; nb];
+        let mut rows = vec![Vec::new(); nb];
+        for (p, &a) in order.iter().enumerate() {
+            started[first(&columns[a])] += 1;
+            for &(l, coeff) in &columns[a] {
+                rows[l].push((p, coeff));
+            }
+        }
+        for i in 1..nb {
+            started[i] += started[i - 1];
+        }
+        let mut ptr = vec![0];
+        let mut entries = Vec::new();
+        for row in rows {
+            entries.extend(row);
+            ptr.push(entries.len());
+        }
+        Self {
+            eq_rows: order.iter().map(|&a| active[a]).collect(),
+            started,
+            ptr,
+            entries,
+        }
+    }
+
+    fn row(&self, i: usize) -> &[(usize, f64)] {
+        &self.entries[self.ptr[i]..self.ptr[i + 1]]
+    }
 }
 
 struct Prepared {
@@ -355,10 +417,10 @@ struct Prepared {
     /// block-local variable index of every inequality coefficient (parallel
     /// to `g.idx`)
     g_local: Vec<usize>,
-    /// equality rows touching each block (for the Schur assembly)
+    /// equality rows touching each block, ascending (reference kernels)
     eq_by_block: Vec<Vec<usize>>,
-    /// sparse columns of `E_bᵀ` per block (parallel to `eq_by_block[b]`)
-    coupling_by_block: Vec<Vec<CouplingColumn>>,
+    /// coupling matrix `E_bᵀ` of each block (blocked kernels)
+    coupling_by_block: Vec<CouplingBlock>,
     /// position of every constraint among the `g` or `e` rows (by its sense)
     slot: Vec<usize>,
 }
@@ -425,24 +487,11 @@ fn prepare(problem: &LpProblem, blocks: &[Vec<usize>]) -> Result<Prepared, LpErr
             }
         }
     }
-    let coupling_by_block: Vec<Vec<CouplingColumn>> = eq_by_block
+    let coupling_by_block = eq_by_block
         .iter()
         .enumerate()
         .map(|(b, active)| {
-            active
-                .iter()
-                .map(|&eq_row| {
-                    let entries: Vec<(usize, f64)> = e
-                        .idx(eq_row)
-                        .iter()
-                        .zip(e.val(eq_row).iter())
-                        .filter(|(&v, _)| var_block[v] == b)
-                        .map(|(&v, &a)| (var_local[v], a))
-                        .collect();
-                    let first = entries.iter().map(|&(l, _)| l).min().unwrap_or(0);
-                    CouplingColumn { first, entries }
-                })
-                .collect()
+            CouplingBlock::new(&e, active, b, blocks[b].len(), &var_block, &var_local)
         })
         .collect();
 
@@ -558,12 +607,15 @@ fn barrier_weight(lam: f64, w: f64) -> f64 {
 // Blocked kernels: workspace, factorization, Newton solve.
 // ---------------------------------------------------------------------------
 
+/// Rows of `X` the Schur kernel streams per pass (see [`accumulate_schur_block`]).
+const ROW_GROUP: usize = 4;
+
 /// Per-solve scratch of the blocked kernel strategy.
 ///
 /// Allocated once before the first iteration and recycled: the factor storage,
-/// the Schur matrix and the `V = E_b L_b⁻ᵀ` scratch panel are zeroed and
-/// refilled each iteration instead of reallocated (the reference path, kept
-/// for comparison, reallocates ~2·n² doubles per iteration).
+/// the Schur matrix and the Schur kernel's two panels are overwritten each
+/// iteration instead of reallocated (the reference path, kept for
+/// comparison, reallocates ~2·n² doubles per iteration).
 struct BlockedWorkspace {
     /// Cholesky factors of the per-block Newton matrices (persistent storage).
     factors: Vec<DenseMatrix>,
@@ -571,23 +623,17 @@ struct BlockedWorkspace {
     schur: DenseMatrix,
     /// Whether equality rows exist (i.e. `schur` is meaningful).
     has_eq: bool,
-    /// Flat scratch for the rows of `V = E_b L_b⁻ᵀ`, stride `v_stride`.
-    v_data: Vec<f64>,
-    v_stride: usize,
-    /// First nonzero of each currently held `V` row.
-    v_first: Vec<usize>,
-    /// One-past-the-last nonzero of each currently held `V` row (the rows of a
-    /// forward solve against a diagonally dominant factor decay geometrically,
-    /// so after flushing they are effectively banded; the Schur accumulation
-    /// skips row pairs whose bands do not overlap).
-    v_last: Vec<usize>,
+    /// Row-major `X = L_b⁻¹ B_b` of the current block, row stride `m_b`.
+    x_panel: Vec<f64>,
+    /// Lower triangle of the current block's `XᵀX`, row-major `m_b × m_b`.
+    s_local: Vec<f64>,
 }
 
 impl BlockedWorkspace {
     fn new(prep: &Prepared) -> Self {
         let m_eq = prep.e.len();
         let max_nb = prep.blocks.iter().map(Vec::len).max().unwrap_or(0);
-        let max_active = prep.eq_by_block.iter().map(Vec::len).max().unwrap_or(0);
+        let max_m = prep.eq_by_block.iter().map(Vec::len).max().unwrap_or(0);
         Self {
             factors: prep
                 .blocks
@@ -596,10 +642,8 @@ impl BlockedWorkspace {
                 .collect(),
             schur: DenseMatrix::zeros(m_eq, m_eq),
             has_eq: m_eq > 0,
-            v_data: vec![0.0; max_active * max_nb],
-            v_stride: max_nb,
-            v_first: vec![0; max_active],
-            v_last: vec![0; max_active],
+            x_panel: vec![0.0; max_nb * max_m],
+            s_local: vec![0.0; max_m * max_m],
         }
     }
 }
@@ -630,63 +674,124 @@ fn assemble_block_matrix(
     }
 }
 
-/// Accumulate block `b`'s Schur contribution `V_b V_bᵀ` (lower triangle, with
-/// `V_b = E_b L_b⁻ᵀ`) into the workspace's Schur matrix, using its `V`-row
-/// scratch.
+/// Accumulate block `b`'s Schur contribution `B_bᵀ M_b⁻¹ B_b = XᵀX`, with
+/// `X = L_b⁻¹ B_b`, into the lower triangle of the workspace's Schur matrix.
 ///
-/// Each row of `V_b` solves `L_b v = (coupling column)`, a forward
-/// substitution started at the column's first nonzero.  The geometric tail of
-/// every solve is flushed below [`FLUSH_THRESHOLD`] and the effective band
-/// recorded: flushed entries square to exactly zero in the `V Vᵀ` products,
-/// and leaving them in would (a) pay the subnormal microcode penalty per
-/// multiply and (b) force every row pair into a full-length dot product.
-/// The rank-k update then touches only the lower triangle of the Schur matrix
-/// with contiguous row dots trimmed to the overlap of the two rows' bands.
+/// 1. **Batched triangular solve.**  `X` is solved row by row for all
+///    coupling columns at once.  The columns are ordered by first nonzero
+///    ([`CouplingBlock`]), so row `i` of `X` is nonzero only in its first
+///    `started[i]` columns, and `X[i,:] = (B[i,:] − Σ_{k<i} L[i,k]·X[k,:]) /
+///    L[i,i]` is a sequence of contiguous axpys over those prefixes.  Entries
+///    below [`FLUSH_THRESHOLD`] are flushed to exact zero as each row is
+///    finished: factors of diagonally dominant Newton matrices decay
+///    geometrically, and subnormal operands would take the CPU's slow
+///    microcoded path in every later row.
+/// 2. **Rank-1 accumulation.**  `S_loc += X[i,:]ᵀ X[i,:]` for every row,
+///    lower triangle only, as contiguous axpys into the block's `m_b × m_b`
+///    buffer.
+/// 3. **Scatter.**  `S_loc` is added into the Schur matrix through the
+///    columns' equality rows.
 fn accumulate_schur_block(prep: &Prepared, b: usize, ws: &mut BlockedWorkspace) {
-    let BlockedWorkspace {
-        factors,
-        schur,
-        v_data,
-        v_stride,
-        v_first,
-        v_last,
-        ..
-    } = ws;
-    let v_stride = *v_stride;
-    let nb = prep.blocks[b].len();
-    let active = &prep.eq_by_block[b];
     let coupling = &prep.coupling_by_block[b];
-    for (a_pos, col) in coupling.iter().enumerate() {
-        let row = &mut v_data[a_pos * v_stride..a_pos * v_stride + nb];
-        row.fill(0.0);
-        for &(local, coeff) in &col.entries {
-            row[local] = coeff;
+    let m = coupling.eq_rows.len();
+    if m == 0 {
+        return;
+    }
+    let nb = prep.blocks[b].len();
+    let started = &coupling.started;
+    let l = &ws.factors[b];
+    let x = &mut ws.x_panel[..nb * m];
+    // Rows above the first column's first nonzero are zero in X and never
+    // stored; every stored row is zero past its started prefix, so a group
+    // of rows may share the longest prefix of the group.
+    let top = started.iter().position(|&st| st > 0).unwrap_or(nb);
+    for i in top..nb {
+        let (solved, rest) = x.split_at_mut(i * m);
+        let xi = &mut rest[..m];
+        xi.fill(0.0);
+        for &(p, coeff) in coupling.row(i) {
+            xi[p] = coeff;
         }
-        factors[b].forward_solve_from(row, col.first);
-        let mut last = nb;
-        while last > col.first && row[last - 1].abs() < FLUSH_THRESHOLD {
-            last -= 1;
+        let li = l.row(i);
+        // Four rows of X per pass over `xi`, subtracted in row order.
+        let mut k = top;
+        while k + ROW_GROUP <= i {
+            let (l0, l1, l2, l3) = (li[k], li[k + 1], li[k + 2], li[k + 3]);
+            if l0 != 0.0 || l1 != 0.0 || l2 != 0.0 || l3 != 0.0 {
+                let len = started[k + 3];
+                let row = |r: usize| &solved[r * m..r * m + len];
+                let (y0, y1, y2, y3) = (row(k), row(k + 1), row(k + 2), row(k + 3));
+                for ((((v, &a0), &a1), &a2), &a3) in
+                    xi[..len].iter_mut().zip(y0).zip(y1).zip(y2).zip(y3)
+                {
+                    *v = *v - l0 * a0 - l1 * a1 - l2 * a2 - l3 * a3;
+                }
+            }
+            k += ROW_GROUP;
         }
-        for v in row[col.first..last].iter_mut() {
+        for k in k..i {
+            let lik = li[k];
+            if lik != 0.0 {
+                let len = started[k];
+                for (v, &y) in xi[..len].iter_mut().zip(&solved[k * m..k * m + len]) {
+                    *v -= lik * y;
+                }
+            }
+        }
+        let d = li[i];
+        for v in xi[..started[i]].iter_mut() {
+            *v /= d;
             if v.abs() < FLUSH_THRESHOLD {
                 *v = 0.0;
             }
         }
-        row[last..nb].fill(0.0);
-        v_first[a_pos] = col.first;
-        v_last[a_pos] = last;
     }
-    for (a_pos, &eq_a) in active.iter().enumerate() {
-        for (b_pos, &eq_b) in active.iter().enumerate().take(a_pos + 1) {
-            // `active` is ascending, so eq_a ≥ eq_b: lower triangle only.
-            let start = v_first[a_pos].max(v_first[b_pos]);
-            let end = v_last[a_pos].min(v_last[b_pos]);
-            if start >= end {
-                continue; // bands do not overlap: the dot is exactly zero
+
+    // Rank-4 updates of the lower triangle: each entry still accumulates
+    // its row products one row at a time, in row order.
+    let s_local = &mut ws.s_local[..m * m];
+    s_local.fill(0.0);
+    let mut i = top;
+    while i + ROW_GROUP <= nb {
+        let len = started[i + 3];
+        let row = |r: usize| &x[r * m..r * m + len];
+        let (y0, y1, y2, y3) = (row(i), row(i + 1), row(i + 2), row(i + 3));
+        for a in 0..len {
+            let (c0, c1, c2, c3) = (y0[a], y1[a], y2[a], y3[a]);
+            if c0 == 0.0 && c1 == 0.0 && c2 == 0.0 && c3 == 0.0 {
+                continue;
             }
-            let va = &v_data[a_pos * v_stride + start..a_pos * v_stride + end];
-            let vb = &v_data[b_pos * v_stride + start..b_pos * v_stride + end];
-            schur[(eq_a, eq_b)] += dot(va, vb);
+            let end = a + 1;
+            for ((((v, &a0), &a1), &a2), &a3) in s_local[a * m..a * m + end]
+                .iter_mut()
+                .zip(&y0[..end])
+                .zip(&y1[..end])
+                .zip(&y2[..end])
+                .zip(&y3[..end])
+            {
+                *v = *v + c0 * a0 + c1 * a1 + c2 * a2 + c3 * a3;
+            }
+        }
+        i += ROW_GROUP;
+    }
+    for i in i..nb {
+        let xi = &x[i * m..i * m + started[i]];
+        for (a, &xa) in xi.iter().enumerate() {
+            if xa != 0.0 {
+                for (v, &y) in s_local[a * m..a * m + a + 1].iter_mut().zip(&xi[..=a]) {
+                    *v += xa * y;
+                }
+            }
+        }
+    }
+    for (a, &eq_a) in coupling.eq_rows.iter().enumerate() {
+        for (c, &eq_c) in coupling.eq_rows[..=a].iter().enumerate() {
+            let (r, col) = if eq_a >= eq_c {
+                (eq_a, eq_c)
+            } else {
+                (eq_c, eq_a)
+            };
+            ws.schur[(r, col)] += s_local[a * m + c];
         }
     }
 }
@@ -772,21 +877,16 @@ fn newton_solve_blocked(
         *d = prep.e.dot(ri, t) - r_p2[ri];
     }
     ws.schur.cholesky_solve_into(dmu);
-    // dx = M⁻¹ (rhs1 − Eᵀ dmu), blockwise: scatter E_bᵀ dmu through the sparse
-    // coupling columns, one solve per block — the dense `M_b⁻¹ E_bᵀ` product of
-    // the reference path is never materialized.
+    // dx = M⁻¹ (rhs1 − Eᵀ dmu), blockwise: B_b·dmu through the sparse coupling
+    // rows, one solve per block — the dense `M_b⁻¹ E_bᵀ` product of the
+    // reference path is never materialized.
     for (b, block) in prep.blocks.iter().enumerate() {
-        let nb = block.len();
-        let active = &prep.eq_by_block[b];
         let coupling = &prep.coupling_by_block[b];
-        let u = &mut local[..nb];
-        u.fill(0.0);
-        for (a_pos, col) in coupling.iter().enumerate() {
-            let d = dmu[active[a_pos]];
-            if d != 0.0 {
-                for &(l, coeff) in &col.entries {
-                    u[l] += coeff * d;
-                }
+        let u = &mut local[..block.len()];
+        for (l, v) in u.iter_mut().enumerate() {
+            *v = 0.0;
+            for &(p, coeff) in coupling.row(l) {
+                *v += coeff * dmu[coupling.eq_rows[p]];
             }
         }
         ws.factors[b].cholesky_solve_into(u);
@@ -979,11 +1079,14 @@ impl Direction {
 
 /// Shrink `alpha` to the largest step along `dv` that keeps `v + alpha·dv`
 /// non-negative (one element of a step-to-boundary minimum).
+///
+/// Written as a select rather than a branch: the sign of `dv` is
+/// unpredictable along a direction, and `alpha.min(∞)` leaves `alpha` as it
+/// is.
 #[inline]
 fn shrink_step(alpha: &mut f64, v: f64, dv: f64) {
-    if dv < 0.0 {
-        *alpha = alpha.min(-v / dv);
-    }
+    let limit = if dv < 0.0 { -v / dv } else { f64::INFINITY };
+    *alpha = alpha.min(limit);
 }
 
 /// Prepare `problem` under `blocks`, then run the interior-point method.
@@ -1359,7 +1462,7 @@ fn run_ipm(
                 trial.s[j] = dir.s[j] + (t1[j] - s[j] * ddx[j]) / x[j];
                 shrink_step(&mut step_x, x[j], trial.x[j]);
                 shrink_step(&mut step_s, s[j], trial.s[j]);
-                finite &= trial.x[j].is_finite() && trial.s[j].is_finite();
+                finite &= trial.x[j].is_finite() & trial.s[j].is_finite();
             }
             for ri in 0..m_in {
                 let ddw = -prep.g.dot(ri, &ddx);
@@ -1367,7 +1470,7 @@ fn run_ipm(
                 trial.lam[ri] = dir.lam[ri] + (t2[ri] - lam[ri] * ddw) / w[ri];
                 shrink_step(&mut step_w, w[ri], trial.w[ri]);
                 shrink_step(&mut step_lam, lam[ri], trial.lam[ri]);
-                finite &= trial.w[ri].is_finite() && trial.lam[ri].is_finite();
+                finite &= trial.w[ri].is_finite() & trial.lam[ri].is_finite();
             }
             let ap = (STEP_FRACTION * f64::min(step_x, step_w)).min(1.0);
             let ad = (STEP_FRACTION * f64::min(step_s, step_lam)).min(1.0);
