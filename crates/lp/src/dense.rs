@@ -34,10 +34,10 @@
 //! agree to machine-precision rounding (asserted by property tests below).
 //!
 //! Triangular solves come in the shapes the solvers run: one right-hand side
-//! in place ([`DenseMatrix::cholesky_solve_into`]), a forward substitution
-//! that skips leading zeros ([`DenseMatrix::forward_solve_from`], the blocked
-//! Schur assembly's kernel), and the reference path's per-column multi-RHS
-//! solve ([`DenseMatrix::cholesky_solve_matrix_per_column`]).
+//! in place ([`DenseMatrix::cholesky_solve_into`]), whose forward and
+//! backward substitutions both read the row-major factor by contiguous rows,
+//! and the reference path's per-column multi-RHS solve
+//! ([`DenseMatrix::cholesky_solve_matrix_per_column`]).
 
 use crate::LpError;
 use serde::{Deserialize, Serialize};
@@ -360,42 +360,38 @@ impl DenseMatrix {
     /// In-place variant of [`DenseMatrix::cholesky_solve`]: `b` is overwritten
     /// with the solution, no allocation.
     pub fn cholesky_solve_into(&self, b: &mut [f64]) {
-        self.forward_solve_from(b, 0);
+        self.forward_solve(b);
         self.backward_solve(b);
     }
 
-    /// Forward-substitute `L y = b` in place, assuming `b[..start] == 0`.
-    ///
-    /// The leading zeros let the substitution begin at row `start`: for a
-    /// right-hand side whose first nonzero sits at row `i₀`, the solution is
-    /// also zero above `i₀`, so rows `0..i₀` are skipped entirely.  The sparse
-    /// Schur assembly exploits this: the coupling columns `E_bᵀ` of the
-    /// block-angular LP have a single nonzero each, which on average halves
-    /// (and for the obfuscation LP's staircase pattern, cuts to a third) the
-    /// triangular-solve work.
-    pub fn forward_solve_from(&self, b: &mut [f64], start: usize) {
+    /// Forward-substitute `L y = b` in place: row `i` of `L` is read
+    /// contiguously, `y_i = (b_i − L[i, ..i]·y[..i]) / L_ii`.
+    pub fn forward_solve(&self, b: &mut [f64]) {
         assert_eq!(self.rows, self.cols);
         assert_eq!(b.len(), self.rows);
-        debug_assert!(b[..start].iter().all(|&v| v == 0.0));
-        let n = self.rows;
-        for i in start..n {
+        for i in 0..self.rows {
             let ri = i * self.cols;
-            let s = dot(&self.data[ri + start..ri + i], &b[start..i]);
+            let s = dot(&self.data[ri..ri + i], &b[..i]);
             b[i] = (b[i] - s) / self.data[ri + i];
         }
     }
 
     /// Back-substitute `Lᵀ x = y` in place.
+    ///
+    /// Column `i` of `Lᵀ` is row `i` of `L`, so the column-oriented form of
+    /// the substitution reads the row-major factor contiguously, like
+    /// [`DenseMatrix::forward_solve`]: from the last row up,
+    /// `x_i = b_i / L_ii`, then `b[..i] −= L[i, ..i]·x_i` as one axpy.
     pub fn backward_solve(&self, b: &mut [f64]) {
         assert_eq!(self.rows, self.cols);
         assert_eq!(b.len(), self.rows);
-        let n = self.rows;
-        for i in (0..n).rev() {
-            let mut v = b[i];
-            for k in (i + 1)..n {
-                v -= self.data[k * self.cols + i] * b[k];
+        for i in (0..self.rows).rev() {
+            let ri = i * self.cols;
+            let xi = b[i] / self.data[ri + i];
+            b[i] = xi;
+            for (v, &l) in b[..i].iter_mut().zip(&self.data[ri..ri + i]) {
+                *v -= l * xi;
             }
-            b[i] = v / self.data[i * self.cols + i];
         }
     }
 
@@ -522,24 +518,6 @@ mod tests {
     }
 
     #[test]
-    fn forward_solve_from_skips_leading_zeros() {
-        let seeds: Vec<f64> = (0..25)
-            .map(|i| ((i * 7 + 3) % 11) as f64 / 5.0 - 1.0)
-            .collect();
-        let mut l = random_spd(&seeds, 5);
-        l.cholesky_in_place(1e-12).unwrap();
-        // RHS with first nonzero at row 2.
-        let rhs = vec![0.0, 0.0, 1.5, -0.5, 2.0];
-        let mut full = rhs.clone();
-        l.forward_solve_from(&mut full, 0);
-        let mut skipped = rhs.clone();
-        l.forward_solve_from(&mut skipped, 2);
-        for (a, b) in full.iter().zip(skipped.iter()) {
-            assert!((a - b).abs() < 1e-14, "{a} vs {b}");
-        }
-    }
-
-    #[test]
     fn blocked_handles_tiny_panels_and_degenerate_sizes() {
         for &(n, nb) in &[
             (1usize, 1usize),
@@ -594,6 +572,28 @@ mod tests {
         }
     }
 
+    /// The textbook scalar substitutions on a factor `L`: forward by row
+    /// sums, backward by walking column `i` of `L` with stride `n`.
+    fn scalar_cholesky_solve(l: &DenseMatrix, b: &[f64]) -> Vec<f64> {
+        let n = l.rows();
+        let mut y = b.to_vec();
+        for i in 0..n {
+            let mut v = y[i];
+            for k in 0..i {
+                v -= l[(i, k)] * y[k];
+            }
+            y[i] = v / l[(i, i)];
+        }
+        for i in (0..n).rev() {
+            let mut v = y[i];
+            for k in (i + 1)..n {
+                v -= l[(k, i)] * y[k];
+            }
+            y[i] = v / l[(i, i)];
+        }
+        y
+    }
+
     proptest! {
         /// Cholesky solve inverts A·x for randomly generated SPD matrices A = BᵀB + I.
         #[test]
@@ -606,6 +606,41 @@ mod tests {
             let x = f.cholesky_solve(&rhs);
             for i in 0..3 {
                 prop_assert!((x[i] - x_true[i]).abs() < 1e-6);
+            }
+        }
+
+        /// The row-contiguous substitutions of `cholesky_solve_into` match the
+        /// scalar ones on the unblocked factor of a random SPD matrix, and on
+        /// the same factor with some below-diagonal entries flushed to exact
+        /// zero, as the blocked kernels leave them.  `n = 0` is the empty
+        /// solve.
+        #[test]
+        fn prop_cholesky_solve_into_matches_scalar_solve(
+            n in 0usize..=12,
+            seed_vals in proptest::collection::vec(-2.0f64..2.0, 144),
+            rhs in proptest::collection::vec(-5.0f64..5.0, 12),
+            flush_every in 2usize..5,
+        ) {
+            let mut l = random_spd(&seed_vals[..n * n], n);
+            l.cholesky_in_place_unblocked(1e-12).unwrap();
+            let mut flushed = l.clone();
+            for i in 0..n {
+                for j in 0..i {
+                    if (i + j) % flush_every == 0 {
+                        flushed[(i, j)] = 0.0;
+                    }
+                }
+            }
+            for factor in [&l, &flushed] {
+                let expected = scalar_cholesky_solve(factor, &rhs[..n]);
+                let mut got = rhs[..n].to_vec();
+                factor.cholesky_solve_into(&mut got);
+                for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
+                    prop_assert!(
+                        (g - e).abs() <= 1e-9 * (1.0 + e.abs()),
+                        "n={} entry {}: {} vs {}", n, i, g, e
+                    );
+                }
             }
         }
 
