@@ -367,7 +367,7 @@ fn solve_subtree(
                 config.robust_iterations
             },
         },
-        seed.as_ref(),
+        seed.as_deref(),
     )?;
     if let Some(warm) = run.warm {
         seeds.insert(request.privacy_level, root.pack(), request.delta, warm);
@@ -415,8 +415,9 @@ fn problem_for_subtree(
 const MAX_SEEDS_PER_KEY: usize = 4;
 
 /// Stored iterates per `(privacy_level, subtree)` key, each tagged with the
-/// δ it converged at.
-type SeedsByDelta = Mutex<HashMap<(u8, u64), Vec<(usize, WarmStart)>>>;
+/// δ it converged at.  Shared, so a lookup under the lock is a refcount bump
+/// rather than a copy of the iterate (~24k doubles at K = 49).
+type SeedsByDelta = Mutex<HashMap<(u8, u64), Vec<(usize, Arc<WarmStart>)>>>;
 
 /// Cross-request store of converged interior-point iterates, keyed by
 /// `(privacy_level, packed subtree root)` and tagged with the δ they solved.
@@ -451,13 +452,13 @@ pub struct WarmSeedStats {
 impl WarmSeedStore {
     /// The stored iterate nearest (by `|Δδ|`) to `delta` for this subtree,
     /// counting the outcome in the warm/cold counters.
-    fn nearest(&self, level: u8, root: u64, delta: usize) -> Option<WarmStart> {
+    fn nearest(&self, level: u8, root: u64, delta: usize) -> Option<Arc<WarmStart>> {
         let seeds = self.seeds.lock().expect("warm seed store poisoned");
         let found = seeds.get(&(level, root)).and_then(|entries| {
             entries
                 .iter()
                 .min_by_key(|(d, _)| (d.abs_diff(delta), *d))
-                .map(|(_, warm)| warm.clone())
+                .map(|(_, warm)| Arc::clone(warm))
         });
         drop(seeds);
         if found.is_some() {
@@ -469,6 +470,7 @@ impl WarmSeedStore {
     }
 
     fn insert(&self, level: u8, root: u64, delta: usize, warm: WarmStart) {
+        let warm = Arc::new(warm);
         let mut seeds = self.seeds.lock().expect("warm seed store poisoned");
         let entries = seeds.entry((level, root)).or_default();
         if let Some(slot) = entries.iter_mut().find(|(d, _)| *d == delta) {
