@@ -1887,6 +1887,152 @@ mod tests {
         assert!((blocked.objective - reference.objective).abs() < 1e-7);
     }
 
+    /// A random feasible, bounded block-angular LP whose equality rows make
+    /// the blocked Schur kernel take its general path: blocks are scattered
+    /// over the variable indices, equality rows touch non-contiguous sets of
+    /// blocks and a block in several variables, and in block 0 the coupling
+    /// column of equality row 1 starts before that of row 0.
+    fn random_block_angular_lp(seed: u64) -> (LpProblem, Vec<Vec<usize>>) {
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let sizes: Vec<usize> = (0..rng.gen_range(3..=5))
+            .map(|_| rng.gen_range(3..=6))
+            .collect();
+        let n = sizes.iter().sum();
+        let mut vars: Vec<usize> = (0..n).collect();
+        vars.shuffle(&mut rng);
+        let mut blocks = Vec::new();
+        let mut next = 0;
+        for &nb in &sizes {
+            blocks.push(vars[next..next + nb].to_vec());
+            next += nb;
+        }
+        let last = blocks.len() - 1;
+        // Every constraint holds strictly at x0.
+        let x0: Vec<f64> = (0..n).map(|_| rng.gen_range(0.2..1.0)).collect();
+        let mut p = LpProblem::new(n);
+        p.set_objective_vector((0..n).map(|_| rng.gen_range(-1.0..1.0)).collect())
+            .unwrap();
+        let coeff = |rng: &mut StdRng| {
+            let a = rng.gen_range(0.5..2.0);
+            if rng.gen_bool(0.3) {
+                -a
+            } else {
+                a
+            }
+        };
+        let random_locals = |rng: &mut StdRng, nb: usize, count: usize| {
+            let mut locals: Vec<usize> = (0..nb).collect();
+            locals.shuffle(rng);
+            locals.truncate(count);
+            locals
+        };
+        let lhs_at_x0 = |row: &[(usize, f64)]| row.iter().map(|&(j, a)| a * x0[j]).sum::<f64>();
+
+        let mut eq_rows: Vec<Vec<(usize, usize)>> = vec![
+            // Row 0: block 0 through its last two variables, and block 2.
+            vec![(0, sizes[0] - 2), (0, sizes[0] - 1)],
+            // Row 1: block 0 through its first two variables, block 1 and
+            // the last block.
+            vec![(0, 0), (0, 1)],
+        ];
+        eq_rows[0].extend(
+            random_locals(&mut rng, sizes[2], 2)
+                .into_iter()
+                .map(|l| (2, l)),
+        );
+        eq_rows[1].extend(
+            random_locals(&mut rng, sizes[1], 2)
+                .into_iter()
+                .map(|l| (1, l)),
+        );
+        eq_rows[1].extend(
+            random_locals(&mut rng, sizes[last], 1)
+                .into_iter()
+                .map(|l| (last, l)),
+        );
+        for _ in 0..rng.gen_range(0..=2) {
+            let mut row = Vec::new();
+            for (b, &nb) in sizes.iter().enumerate() {
+                if rng.gen_bool(0.5) || (b == last && row.is_empty()) {
+                    let count = rng.gen_range(1..=nb);
+                    row.extend(
+                        random_locals(&mut rng, nb, count)
+                            .into_iter()
+                            .map(|l| (b, l)),
+                    );
+                }
+            }
+            eq_rows.push(row);
+        }
+        for row in eq_rows {
+            let row: Vec<(usize, f64)> = row
+                .into_iter()
+                .map(|(b, l)| (blocks[b][l], coeff(&mut rng)))
+                .collect();
+            let rhs = lhs_at_x0(&row);
+            p.add_constraint(row, ConstraintSense::Eq, rhs).unwrap();
+        }
+        for (b, block) in blocks.iter().enumerate() {
+            // A cap on the block's sum keeps the LP bounded.
+            let cap: Vec<(usize, f64)> = block.iter().map(|&v| (v, 1.0)).collect();
+            let rhs = lhs_at_x0(&cap) + rng.gen_range(0.5..1.5);
+            p.add_constraint(cap, ConstraintSense::Le, rhs).unwrap();
+            for _ in 0..rng.gen_range(1..=2) {
+                let count = rng.gen_range(1..=sizes[b]);
+                let row: Vec<(usize, f64)> = random_locals(&mut rng, sizes[b], count)
+                    .into_iter()
+                    .map(|l| (block[l], coeff(&mut rng)))
+                    .collect();
+                let slack = rng.gen_range(0.2..1.0);
+                if rng.gen_bool(0.5) {
+                    let rhs = lhs_at_x0(&row) + slack;
+                    p.add_constraint(row, ConstraintSense::Le, rhs).unwrap();
+                } else {
+                    let rhs = lhs_at_x0(&row) - slack;
+                    p.add_constraint(row, ConstraintSense::Ge, rhs).unwrap();
+                }
+            }
+        }
+        (p, blocks)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// The blocked kernels agree with the reference kernels on random
+        /// block-angular LPs whose coupling is general (see
+        /// `random_block_angular_lp`).
+        #[test]
+        fn prop_blocked_kernels_match_reference_on_general_coupling(seed in 0u64..u64::MAX) {
+            let (p, blocks) = random_block_angular_lp(seed);
+            let prep = prepare(&p, &blocks).unwrap();
+            // In block 0, equality row 0's two-entry column sorts after row 1's.
+            let block0 = &prep.coupling_by_block[0];
+            let column = |eq_row: usize| block0.eq_rows.iter().position(|&r| r == eq_row).unwrap();
+            proptest::prop_assert!(column(1) < column(0));
+            let row0_entries = block0.entries.iter().filter(|&&(c, _)| c == column(0)).count();
+            proptest::prop_assert_eq!(row0_entries, 2);
+
+            let blocked = BlockAngularSolver::new(blocks.clone(), InteriorPointOptions::default())
+                .solve(&p)
+                .unwrap();
+            let reference =
+                BlockAngularSolver::new(blocks, InteriorPointOptions::reference_kernels())
+                    .solve(&p)
+                    .unwrap();
+            proptest::prop_assert_eq!(blocked.status, SolveStatus::Optimal);
+            proptest::prop_assert_eq!(reference.status, SolveStatus::Optimal);
+            proptest::prop_assert!(
+                (blocked.objective - reference.objective).abs() < 1e-6,
+                "seed {}: blocked {} vs reference {}", seed, blocked.objective, reference.objective
+            );
+            for (j, (a, b)) in blocked.x.iter().zip(&reference.x).enumerate() {
+                proptest::prop_assert!((a - b).abs() < 1e-6, "seed {} x[{}]: {} vs {}", seed, j, a, b);
+            }
+        }
+    }
+
     #[test]
     fn warm_start_reconverges_in_fewer_iterations() {
         let (p, blocks) = stochastic_problem(5, 0.8f64.exp());
