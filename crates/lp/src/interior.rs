@@ -43,17 +43,19 @@
 //!
 //! * [`KernelStrategy::Blocked`] (default) — blocked Cholesky factorization of
 //!   the per-block Newton matrices plus a *structure-aware* Schur-complement
-//!   assembly.  The coupling blocks `E_b` (the slice of the equality rows that
-//!   touches block `b`) are stored as sparse columns, analyzed **once** per
-//!   preparation — the sparsity pattern is static across interior-point
-//!   iterations, only the numeric values of the Newton matrix change.  Each
-//!   iteration then computes `V = E_b L_b⁻ᵀ` with sparse-aware forward
-//!   substitutions (leading zeros of each coupling column are skipped) and
-//!   accumulates only the lower triangle of `S += V Vᵀ` with contiguous row
-//!   dot products, instead of forming the dense `n_b × m_eq` product
+//!   assembly.  The coupling matrix `B_b = E_bᵀ` of each block (the slice of
+//!   the equality rows that touches block `b`) is extracted **once** per
+//!   preparation, its columns ordered by first nonzero — the sparsity pattern
+//!   is static across interior-point iterations, only the numeric values of
+//!   the Newton matrix change.  Each iteration then solves `X = L_b⁻¹ B_b` row
+//!   by row for all coupling columns at once (row `i` touches only the prefix
+//!   of columns already started), accumulates the lower triangle of `XᵀX`
+//!   into a per-block buffer with contiguous rank updates, and scatter-adds it
+//!   into the Schur matrix — instead of forming the dense `n_b × m_eq` product
 //!   `M_b⁻¹ E_bᵀ` and a dense `m_eq² · n_b` triple loop.  All per-block factor
 //!   and scratch buffers live in a workspace that is allocated once and
-//!   recycled across iterations.
+//!   recycled across iterations, and so does every vector of the iteration
+//!   itself.
 //! * [`KernelStrategy::Reference`] — the original scalar kernels (textbook
 //!   left-looking Cholesky, per-column multi-RHS solves, dense Schur
 //!   accumulation), kept verbatim so the perf-gated benchmarks can measure the
@@ -61,9 +63,12 @@
 //!   same solutions.
 //!
 //! For the paper's K-location obfuscation LP (K² variables, K per-column
-//! blocks, K row-stochasticity equalities) the reference Schur assembly alone
-//! costs `K⁴` multiply-adds per iteration; the sparse path reduces it to `K³/3`
-//! because every coupling column has exactly one nonzero.
+//! blocks, K row-stochasticity equalities) the reference Schur assembly costs
+//! about `2·K³` multiply-adds per block and iteration: a full solve per
+//! coupling column plus the dense triple loop.  The batched kernel costs about
+//! `K³/3` — `K³/6` for the triangular solve and `K³/6` for the lower triangle
+//! of `XᵀX` — because every coupling column has exactly one nonzero, one row
+//! below the previous column's, so `X` is lower triangular.
 //!
 //! Both strategies run every kernel on the calling thread.  The caller owns
 //! the parallelism: the serving stack solves one LP per subtree and spreads
@@ -681,16 +686,19 @@ fn assemble_block_matrix(
 ///    coupling columns at once.  The columns are ordered by first nonzero
 ///    ([`CouplingBlock`]), so row `i` of `X` is nonzero only in its first
 ///    `started[i]` columns, and `X[i,:] = (B[i,:] − Σ_{k<i} L[i,k]·X[k,:]) /
-///    L[i,i]` is a sequence of contiguous axpys over those prefixes.  Entries
-///    below [`FLUSH_THRESHOLD`] are flushed to exact zero as each row is
-///    finished: factors of diagonally dominant Newton matrices decay
-///    geometrically, and subnormal operands would take the CPU's slow
-///    microcoded path in every later row.
-/// 2. **Rank-1 accumulation.**  `S_loc += X[i,:]ᵀ X[i,:]` for every row,
-///    lower triangle only, as contiguous axpys into the block's `m_b × m_b`
-///    buffer.
+///    L[i,i]` is a sequence of contiguous axpys over those prefixes, four rows
+///    `k` per pass over `X[i,:]`.  Entries below [`FLUSH_THRESHOLD`] are
+///    flushed to exact zero as each row is finished: factors of diagonally
+///    dominant Newton matrices decay geometrically, and subnormal operands
+///    would take the CPU's slow microcoded path in every later row.
+/// 2. **Rank accumulation.**  `S_loc += X[i,:]ᵀ X[i,:]` over the rows,
+///    lower triangle only, as contiguous updates of the block's `m_b × m_b`
+///    buffer, four rows per pass over it.
 /// 3. **Scatter.**  `S_loc` is added into the Schur matrix through the
 ///    columns' equality rows.
+///
+/// Grouping rows changes memory traffic, not arithmetic: every entry still
+/// accumulates its terms one row at a time, in row order.
 fn accumulate_schur_block(prep: &Prepared, b: usize, ws: &mut BlockedWorkspace) {
     let coupling = &prep.coupling_by_block[b];
     let m = coupling.eq_rows.len();
@@ -713,7 +721,6 @@ fn accumulate_schur_block(prep: &Prepared, b: usize, ws: &mut BlockedWorkspace) 
             xi[p] = coeff;
         }
         let li = l.row(i);
-        // Four rows of X per pass over `xi`, subtracted in row order.
         let mut k = top;
         while k + ROW_GROUP <= i {
             let (l0, l1, l2, l3) = (li[k], li[k + 1], li[k + 2], li[k + 3]);
@@ -747,8 +754,6 @@ fn accumulate_schur_block(prep: &Prepared, b: usize, ws: &mut BlockedWorkspace) 
         }
     }
 
-    // Rank-4 updates of the lower triangle: each entry still accumulates
-    // its row products one row at a time, in row order.
     let s_local = &mut ws.s_local[..m * m];
     s_local.fill(0.0);
     let mut i = top;
@@ -817,7 +822,7 @@ fn factor_blocked(
         return Ok(());
     }
 
-    // Sparse Schur assembly: S = Σ_b E_b M_b⁻¹ E_bᵀ = Σ_b V_b V_bᵀ.
+    // Batched Schur assembly: S = Σ_b E_b M_b⁻¹ E_bᵀ = Σ_b X_bᵀ X_b.
     ws.schur.fill(0.0);
     for b in 0..prep.blocks.len() {
         accumulate_schur_block(prep, b, ws);
