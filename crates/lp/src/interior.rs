@@ -612,9 +612,6 @@ fn barrier_weight(lam: f64, w: f64) -> f64 {
 // Blocked kernels: workspace, factorization, Newton solve.
 // ---------------------------------------------------------------------------
 
-/// Rows of `X` the Schur kernel streams per pass (see [`accumulate_schur_block`]).
-const ROW_GROUP: usize = 4;
-
 /// Per-solve scratch of the blocked kernel strategy.
 ///
 /// Allocated once before the first iteration and recycled: the factor storage,
@@ -722,7 +719,7 @@ fn accumulate_schur_block(prep: &Prepared, b: usize, ws: &mut BlockedWorkspace) 
         }
         let li = l.row(i);
         let mut k = top;
-        while k + ROW_GROUP <= i {
+        while k + 4 <= i {
             let (l0, l1, l2, l3) = (li[k], li[k + 1], li[k + 2], li[k + 3]);
             if l0 != 0.0 || l1 != 0.0 || l2 != 0.0 || l3 != 0.0 {
                 let len = started[k + 3];
@@ -734,7 +731,7 @@ fn accumulate_schur_block(prep: &Prepared, b: usize, ws: &mut BlockedWorkspace) 
                     *v = *v - l0 * a0 - l1 * a1 - l2 * a2 - l3 * a3;
                 }
             }
-            k += ROW_GROUP;
+            k += 4;
         }
         for k in k..i {
             let lik = li[k];
@@ -757,7 +754,7 @@ fn accumulate_schur_block(prep: &Prepared, b: usize, ws: &mut BlockedWorkspace) 
     let s_local = &mut ws.s_local[..m * m];
     s_local.fill(0.0);
     let mut i = top;
-    while i + ROW_GROUP <= nb {
+    while i + 4 <= nb {
         let len = started[i + 3];
         let row = |r: usize| &x[r * m..r * m + len];
         let (y0, y1, y2, y3) = (row(i), row(i + 1), row(i + 2), row(i + 3));
@@ -777,7 +774,7 @@ fn accumulate_schur_block(prep: &Prepared, b: usize, ws: &mut BlockedWorkspace) 
                 *v = *v + c0 * a0 + c1 * a1 + c2 * a2 + c3 * a3;
             }
         }
-        i += ROW_GROUP;
+        i += 4;
     }
     for i in i..nb {
         let xi = &x[i * m..i * m + started[i]];
