@@ -52,6 +52,7 @@
 //! [`TcpServer`]: crate::TcpServer
 
 use crate::auth::ClusterKey;
+use crate::codec::ForestBody;
 use crate::conn::{ClientConfig, Conn, TcpTransport};
 use crate::executor::{oneshot, Handle, Sleep};
 use crate::fault::{FaultAction, FaultPlan, FaultSite};
@@ -730,6 +731,10 @@ impl<S: MatrixService> MatrixService for ReplicatingService<S> {
 
     fn resident(&self, request: MatrixRequest) -> Option<Arc<PrivacyForestResponse>> {
         self.inner.resident(request)
+    }
+
+    fn encoded_hit(&self, request: MatrixRequest) -> Option<ForestBody> {
+        self.inner.encoded_hit(request)
     }
 
     fn cache_generation(&self) -> u64 {

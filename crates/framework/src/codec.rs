@@ -72,10 +72,11 @@
 //!
 //! [`CellId::pack`]: corgi_hexgrid::CellId::pack
 
+use crate::auth::MAC_LEN;
 use crate::cluster::{ClusterStats, PeerStats, Ping, Pong, StatsReport, StatsRequest};
 use crate::messages::{
     ForestEntry, MatrixRequest, PrivacyForestResponse, ProtocolVersion, RequestEnvelope,
-    ResponseEnvelope, ResponsePayload, ServiceError, ServiceErrorKind, WireCodec,
+    ResponseEnvelope, ResponsePayload, ServiceError, ServiceErrorKind, WireCodec, PROTOCOL_VERSION,
 };
 use crate::service::CacheStats;
 use crate::transport::{FrameKind, HelloFrame, HelloReply, TransportStats, FRAME_HEADER_LEN};
@@ -415,6 +416,49 @@ fn put_forest(out: &mut Vec<u8>, f: &PrivacyForestResponse) {
     }
 }
 
+/// The binary encoding of one privacy forest: the `forest body` of the
+/// layouts above, encoded once and shared.
+///
+/// A caching layer keeps one beside each resident forest, so the reply to a
+/// hit is a per-request envelope head plus a copy of these bytes
+/// ([`WireCodec::encode_forest_reply`]) instead of a re-encode of every
+/// matrix.  Cloning shares the bytes.  Only this crate's caching layer
+/// makes one ([`MatrixService::encoded_hit`]); a wrapping service forwards
+/// it.
+///
+/// [`MatrixService::encoded_hit`]: crate::MatrixService::encoded_hit
+#[derive(Clone, PartialEq, Eq)]
+pub struct ForestBody(Arc<[u8]>);
+
+impl ForestBody {
+    /// Encode `forest` exactly as a `Response` frame's forest payload carries
+    /// it.
+    pub(crate) fn encode(forest: &PrivacyForestResponse) -> Self {
+        let mut out = Vec::new();
+        put_forest(&mut out, forest);
+        Self(out.into())
+    }
+}
+
+impl fmt::Debug for ForestBody {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "ForestBody({} bytes)", self.0.len())
+    }
+}
+
+/// The head every `ResponseEnvelope` payload opens with, up to and including
+/// the payload tag: `T₁ version T₂ request_id T₄`.
+fn put_response_head(out: &mut Vec<u8>, version: &ProtocolVersion, request_id: u64) {
+    put_u8(out, TAG_VERSION);
+    put_version(out, version);
+    put_u8(out, TAG_REQUEST_ID);
+    put_u64(out, request_id);
+    put_u8(out, TAG_PAYLOAD);
+}
+
+/// Bytes of [`put_response_head`] plus the payload discriminant.
+const RESPONSE_HEAD_LEN: usize = 1 + 4 + 1 + 8 + 1 + 1;
+
 fn read_forest(r: &mut WireReader<'_>) -> Result<PrivacyForestResponse, WireError> {
     r.tag(TAG_REQUEST, "forest.request")?;
     let request = read_matrix_request(r)?;
@@ -498,11 +542,7 @@ impl WireMessage for ResponseEnvelope {
     const KIND: FrameKind = FrameKind::Response;
 
     fn encode_binary(&self, out: &mut Vec<u8>) {
-        put_u8(out, TAG_VERSION);
-        put_version(out, &self.version);
-        put_u8(out, TAG_REQUEST_ID);
-        put_u64(out, self.request_id);
-        put_u8(out, TAG_PAYLOAD);
+        put_response_head(out, &self.version, self.request_id);
         match &self.payload {
             ResponsePayload::Forest(forest) => {
                 put_u8(out, 0);
@@ -1029,6 +1069,23 @@ impl WireCodec {
         crate::transport::seal_frame(frame, M::KIND)
     }
 
+    /// The `Response` frame answering `request_id` with an already-encoded
+    /// forest: byte for byte
+    /// `self.encode_frame(&ResponseEnvelope::forest(request_id, forest))` for
+    /// the forest `body` was encoded from, without re-encoding a matrix.
+    /// Capacity for a MAC trailer is reserved, so sealing the frame on a
+    /// keyed connection never reallocates it.
+    pub fn encode_forest_reply(self, request_id: u64, body: &ForestBody) -> Vec<u8> {
+        let body = &body.0;
+        let mut frame =
+            Vec::with_capacity(FRAME_HEADER_LEN + RESPONSE_HEAD_LEN + body.len() + MAC_LEN);
+        frame.resize(FRAME_HEADER_LEN, 0);
+        put_response_head(&mut frame, &PROTOCOL_VERSION, request_id);
+        put_u8(&mut frame, 0);
+        frame.extend_from_slice(body);
+        crate::transport::seal_frame(frame, FrameKind::Response)
+    }
+
     /// Decode a frame payload into a message, borrowing from the caller's
     /// read buffer (no intermediate copy of the payload bytes).  The payload
     /// must hold exactly one message: trailing bytes are an error.
@@ -1043,7 +1100,6 @@ impl WireCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::messages::PROTOCOL_VERSION;
 
     fn sample_forest() -> PrivacyForestResponse {
         let grid = corgi_hexgrid::HexGrid::new(HexGridConfig::san_francisco()).unwrap();
@@ -1275,6 +1331,79 @@ mod tests {
         assert_eq!(got.len(), data.len());
         for (g, want) in got.iter().zip(&data) {
             assert_eq!(g.to_bits(), want.to_bits(), "bit-exact f64 round trip");
+        }
+    }
+
+    #[test]
+    fn forest_reply_from_a_stored_body_matches_the_envelope_frame() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // Bit patterns the codec must copy, never normalize: NaNs with and
+        // without payloads, both zeros, subnormals and infinities.
+        const SPECIAL: [u64; 8] = [
+            0x7ff8_0000_0000_0000,
+            0xfff8_0000_dead_beef,
+            0x0000_0000_0000_0000,
+            0x8000_0000_0000_0000,
+            0x0000_0000_0000_0001,
+            0x800f_ffff_ffff_ffff,
+            0x7ff0_0000_0000_0000,
+            0xfff0_0000_0000_0000,
+        ];
+        let grid = corgi_hexgrid::HexGrid::new(HexGridConfig::san_francisco()).unwrap();
+        let key = crate::auth::ClusterKey::from_secret(b"forest-body-parity");
+        let mut rng = StdRng::seed_from_u64(0x00c0_261b);
+        for case in 0..24u64 {
+            // Alternate level-1 (49 subtrees of 7 cells) and level-2
+            // (7 subtrees of 49 cells) shapes, keeping a random prefix.
+            let level = 1 + (case % 2) as u8;
+            let roots = grid.cells_at_level(level);
+            let keep = rng.gen_range(1..=roots.len());
+            let value = |rng: &mut StdRng| {
+                if rng.gen_range(0..4) == 0 {
+                    f64::from_bits(SPECIAL[rng.gen_range(0..SPECIAL.len())])
+                } else {
+                    rng.gen::<f64>()
+                }
+            };
+            let entries = roots[..keep]
+                .iter()
+                .map(|&root| {
+                    let cells = root.descendant_leaves();
+                    let data = (0..cells.len() * cells.len())
+                        .map(|_| value(&mut rng))
+                        .collect();
+                    ForestEntry {
+                        subtree_root: root,
+                        matrix: ObfuscationMatrix::from_wire_parts(cells, data).unwrap(),
+                    }
+                })
+                .collect();
+            let forest = PrivacyForestResponse {
+                request: MatrixRequest {
+                    privacy_level: level,
+                    delta: rng.gen_range(0..=usize::MAX),
+                },
+                epsilon: value(&mut rng),
+                entries,
+            };
+            // Ids past 2^53 (where JSON numbers lose precision) and the ends
+            // of the range.
+            let id = match case % 4 {
+                0 => (1u64 << 53) + rng.gen_range(1..1_000_000u64),
+                1 => u64::MAX - rng.gen_range(0..1_000u64),
+                2 => 0,
+                _ => rng.gen::<u64>(),
+            };
+            let body = ForestBody::encode(&forest);
+            let inline = WireCodec::Binary.encode_forest_reply(id, &body);
+            let envelope =
+                WireCodec::Binary.encode_frame(&ResponseEnvelope::forest(id, Arc::new(forest)));
+            assert!(inline == envelope, "case {case}: frames differ");
+            assert!(
+                key.seal(inline) == key.seal(envelope),
+                "case {case}: sealed frames differ"
+            );
         }
     }
 

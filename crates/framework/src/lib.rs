@@ -117,7 +117,7 @@ pub use cluster::{
     ReplicatingService, ReplicationConfig, Replicator, RouterConfig, ShardRouter, StatsReport,
     StatsRequest,
 };
-pub use codec::{WireMessage, WireReader};
+pub use codec::{ForestBody, WireMessage, WireReader};
 pub use executor::ReactorBackend;
 pub use fault::{FaultAction, FaultPlan, FaultSite};
 pub use messages::{ServiceError, ServiceErrorKind, WireCodec};

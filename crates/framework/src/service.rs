@@ -16,6 +16,7 @@
 //! A production stack composes them inside an `Arc<dyn MatrixService>`:
 //! `InstrumentedService<CachingService<ForestGenerator>>`.
 
+use crate::codec::ForestBody;
 use crate::messages::{
     ForestEntry, MatrixRequest, PrivacyForestResponse, RequestEnvelope, ResponseEnvelope,
     ServiceError, PROTOCOL_VERSION,
@@ -137,8 +138,26 @@ pub trait MatrixService: Send + Sync {
     ///
     /// Digest pulls use this so serving anti-entropy traffic never perturbs
     /// the cache counters or recency order.  The default (`None`) marks a
-    /// stack without a caching layer.
+    /// stack without a caching layer.  Serving a user's request from the
+    /// cache is [`MatrixService::encoded_hit`], which counts.
     fn resident(&self, request: MatrixRequest) -> Option<Arc<PrivacyForestResponse>> {
+        let _ = request;
+        None
+    }
+
+    /// Serve `request` as a cache hit, returned as the forest's binary body
+    /// encoded once when it was cached; `None` when the key is not resident.
+    ///
+    /// A `Some` is a user request served: every layer counts it exactly as
+    /// it counts a [`MatrixService::privacy_forest`] hit (cache hits,
+    /// [`ServiceStats::requests`], the LRU touch).  A `None` counts nothing,
+    /// since the caller then serves the request through `privacy_forest`,
+    /// which counts the miss.  The server answers resident hits on its
+    /// reactor thread this way, framing the body with
+    /// [`WireCodec::encode_forest_reply`](crate::WireCodec::encode_forest_reply).
+    /// Unlike [`MatrixService::resident`], this is not a peek.  The default
+    /// (`None`) marks a stack without a caching layer.
+    fn encoded_hit(&self, request: MatrixRequest) -> Option<ForestBody> {
         let _ = request;
         None
     }
@@ -198,6 +217,10 @@ impl<S: MatrixService + ?Sized> MatrixService for Arc<S> {
 
     fn resident(&self, request: MatrixRequest) -> Option<Arc<PrivacyForestResponse>> {
         (**self).resident(request)
+    }
+
+    fn encoded_hit(&self, request: MatrixRequest) -> Option<ForestBody> {
+        (**self).encoded_hit(request)
     }
 
     fn cache_generation(&self) -> u64 {
@@ -545,9 +568,17 @@ pub struct CacheStats {
 }
 
 struct CacheShard {
-    entries: HashMap<CacheKey, (Arc<PrivacyForestResponse>, u64)>,
+    entries: HashMap<CacheKey, CacheEntry>,
     tick: u64,
     capacity: usize,
+}
+
+/// One resident forest: the shared response, its binary body (encoded once,
+/// at insert) and the tick of its last use.
+struct CacheEntry {
+    forest: Arc<PrivacyForestResponse>,
+    body: ForestBody,
+    last_used: u64,
 }
 
 /// State of one in-flight generation, shared between the leader computing it
@@ -594,6 +625,9 @@ impl Flight {
 ///   one leader to run the inner generation; followers block on the shared
 ///   flight record and receive the *same* `Arc` the leader produced.  Errors
 ///   are delivered to all waiters but never cached.
+/// * **Encoded once** — each entry keeps its forest's binary body beside the
+///   `Arc`, encoded on insert before the shard lock is taken, so
+///   [`MatrixService::encoded_hit`] serves a hit without re-encoding.
 pub struct CachingService<S> {
     inner: S,
     shards: Vec<Mutex<CacheShard>>,
@@ -672,32 +706,43 @@ impl<S: MatrixService> CachingService<S> {
         &self.shards[(hasher.finish() as usize) % self.shards.len()]
     }
 
-    fn cache_get(&self, key: &CacheKey) -> Option<Arc<PrivacyForestResponse>> {
+    /// Touch `key`'s entry as most recently used and take what `pick`
+    /// reads from it.  Counts nothing; the callers count the hit.
+    fn cache_get<T>(&self, key: &CacheKey, pick: impl FnOnce(&CacheEntry) -> T) -> Option<T> {
         let mut shard = self
             .shard_for(key)
             .lock()
             .unwrap_or_else(|e| e.into_inner());
         shard.tick += 1;
         let tick = shard.tick;
-        let (response, last_used) = shard.entries.get_mut(key)?;
-        *last_used = tick;
-        Some(Arc::clone(response))
+        let entry = shard.entries.get_mut(key)?;
+        entry.last_used = tick;
+        Some(pick(entry))
     }
 
-    fn cache_insert(&self, key: CacheKey, response: Arc<PrivacyForestResponse>) {
+    fn cache_insert(&self, key: CacheKey, forest: Arc<PrivacyForestResponse>) {
+        // Encode outside the shard lock: a level-2 body is tens of µs.
+        let body = ForestBody::encode(&forest);
         self.generation.fetch_add(1, Ordering::Relaxed);
         let mut shard = self
             .shard_for(&key)
             .lock()
             .unwrap_or_else(|e| e.into_inner());
         shard.tick += 1;
-        let tick = shard.tick;
-        shard.entries.insert(key, (response, tick));
+        let last_used = shard.tick;
+        shard.entries.insert(
+            key,
+            CacheEntry {
+                forest,
+                body,
+                last_used,
+            },
+        );
         while shard.entries.len() > shard.capacity {
             let lru = shard
                 .entries
                 .iter()
-                .min_by_key(|(_, (_, used))| *used)
+                .min_by_key(|(_, entry)| entry.last_used)
                 .map(|(k, _)| *k)
                 .expect("non-empty shard has an LRU entry");
             shard.entries.remove(&lru);
@@ -712,7 +757,7 @@ impl<S: MatrixService> MatrixService for CachingService<S> {
         request: MatrixRequest,
     ) -> Result<Arc<PrivacyForestResponse>, ServiceError> {
         let key = (request.privacy_level, request.delta);
-        if let Some(hit) = self.cache_get(&key) {
+        if let Some(hit) = self.cache_get(&key, |entry| Arc::clone(&entry.forest)) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(hit);
         }
@@ -727,7 +772,7 @@ impl<S: MatrixService> MatrixService for CachingService<S> {
                     // have published and retired its flight between our miss
                     // above and now; electing a second leader here would redo
                     // the whole generation and break the Arc-sharing guarantee.
-                    if let Some(hit) = self.cache_get(&key) {
+                    if let Some(hit) = self.cache_get(&key, |entry| Arc::clone(&entry.forest)) {
                         self.hits.fetch_add(1, Ordering::Relaxed);
                         return Ok(hit);
                     }
@@ -829,7 +874,14 @@ impl<S: MatrixService> MatrixService for CachingService<S> {
         shard
             .entries
             .get(&key)
-            .map(|(forest, _)| Arc::clone(forest))
+            .map(|entry| Arc::clone(&entry.forest))
+    }
+
+    fn encoded_hit(&self, request: MatrixRequest) -> Option<ForestBody> {
+        let key = (request.privacy_level, request.delta);
+        let body = self.cache_get(&key, |entry| entry.body.clone())?;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(body)
     }
 
     fn cache_generation(&self) -> u64 {
@@ -891,6 +943,17 @@ impl<S: MatrixService> InstrumentedService<S> {
         &self.inner
     }
 
+    /// Count one served request that started at `start`.
+    fn record(&self, start: Instant, failed: bool) {
+        let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        self.requests.fetch_add(1, Ordering::Relaxed);
+        if failed {
+            self.errors.fetch_add(1, Ordering::Relaxed);
+        }
+        self.total_latency_nanos.fetch_add(nanos, Ordering::Relaxed);
+        self.max_latency_nanos.fetch_max(nanos, Ordering::Relaxed);
+    }
+
     /// A point-in-time snapshot of the counters.
     pub fn stats(&self) -> ServiceStats {
         ServiceStats {
@@ -909,13 +972,7 @@ impl<S: MatrixService> MatrixService for InstrumentedService<S> {
     ) -> Result<Arc<PrivacyForestResponse>, ServiceError> {
         let start = Instant::now();
         let result = self.inner.privacy_forest(request);
-        let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        if result.is_err() {
-            self.errors.fetch_add(1, Ordering::Relaxed);
-        }
-        self.total_latency_nanos.fetch_add(nanos, Ordering::Relaxed);
-        self.max_latency_nanos.fetch_max(nanos, Ordering::Relaxed);
+        self.record(start, result.is_err());
         result
     }
 
@@ -941,6 +998,13 @@ impl<S: MatrixService> MatrixService for InstrumentedService<S> {
 
     fn resident(&self, request: MatrixRequest) -> Option<Arc<PrivacyForestResponse>> {
         self.inner.resident(request)
+    }
+
+    fn encoded_hit(&self, request: MatrixRequest) -> Option<ForestBody> {
+        let start = Instant::now();
+        let body = self.inner.encoded_hit(request)?;
+        self.record(start, false);
+        Some(body)
     }
 
     fn cache_generation(&self) -> u64 {
@@ -1160,6 +1224,85 @@ mod tests {
         let bare = generator();
         assert!(bare.resident_keys().is_empty());
         assert_eq!(bare.cache_generation(), 0);
+    }
+
+    /// A one-entry forest for `(1, delta)`, cached through `warm_insert` so
+    /// the counter tests below run no solve.
+    fn canned(delta: usize) -> Arc<PrivacyForestResponse> {
+        let grid = HexGrid::new(HexGridConfig::san_francisco()).unwrap();
+        let root = grid.cells_at_level(1)[0];
+        Arc::new(PrivacyForestResponse {
+            request: request(1, delta),
+            epsilon: 15.0,
+            entries: vec![ForestEntry {
+                subtree_root: root,
+                matrix: corgi_core::ObfuscationMatrix::uniform(root.descendant_leaves()).unwrap(),
+            }],
+        })
+    }
+
+    type Stack = InstrumentedService<CachingService<ForestGenerator>>;
+
+    /// Cache `(1, 0)` then `(1, 1)` in a two-slot cache, read `(1, 0)` with
+    /// `read`, then cache `(1, 2)`, evicting the least recently used key.
+    /// Returns the cache counters, the served-request count and the keys
+    /// left resident.
+    fn lru_story(read: impl Fn(&Stack, MatrixRequest) -> bool) -> (CacheStats, u64, Vec<usize>) {
+        let service = InstrumentedService::new(CachingService::new(
+            generator(),
+            CacheConfig {
+                capacity: 2,
+                shards: 1,
+            },
+        ));
+        service.warm_insert(canned(0));
+        service.warm_insert(canned(1));
+        assert!(read(&service, request(1, 0)), "(1, 0) is resident");
+        service.warm_insert(canned(2));
+        let mut deltas: Vec<usize> = service.resident_keys().iter().map(|k| k.delta).collect();
+        deltas.sort_unstable();
+        (
+            service.cache_stats().unwrap(),
+            service.stats().requests,
+            deltas,
+        )
+    }
+
+    #[test]
+    fn encoded_hit_counts_like_a_forest_hit_and_the_peek_counts_nothing() {
+        let via_forest = lru_story(|s, r| s.privacy_forest(r).is_ok());
+        let via_body = lru_story(|s, r| s.encoded_hit(r).is_some());
+        let via_peek = lru_story(|s, r| s.resident(r).is_some());
+
+        // One hit, one served request, and the touched key outlives (1, 1).
+        assert_eq!(via_forest.0.hits, 1, "{via_forest:?}");
+        assert_eq!(via_forest.0.misses, 0, "{via_forest:?}");
+        assert_eq!(via_forest.1, 1);
+        assert_eq!(via_forest.2, vec![0, 2]);
+        assert_eq!(via_body, via_forest, "encoded_hit must count like a hit");
+
+        // The peek moves nothing: no hit, no request, no LRU touch, so the
+        // untouched order evicts (1, 0).
+        assert_eq!((via_peek.0.hits, via_peek.0.misses), (0, 0));
+        assert_eq!(via_peek.1, 0);
+        assert_eq!(via_peek.2, vec![1, 2]);
+
+        // A non-resident key counts nothing here: the caller serves it
+        // through privacy_forest, which counts the miss.
+        let service = InstrumentedService::new(CachingService::with_defaults(generator()));
+        assert!(service.encoded_hit(request(1, 0)).is_none());
+        assert_eq!(service.stats().requests, 0);
+        assert_eq!(service.cache_stats().unwrap(), CacheStats::default());
+
+        // The body is the forest's encoding, made once at insert.
+        let forest = canned(0);
+        service.warm_insert(Arc::clone(&forest));
+        assert_eq!(
+            service.encoded_hit(request(1, 0)),
+            Some(ForestBody::encode(&forest))
+        );
+        // A bare generator has no body to serve.
+        assert!(generator().encoded_hit(request(1, 0)).is_none());
     }
 
     #[test]

@@ -75,10 +75,12 @@
 //! client sockets ──► reactor shard 0:  Executor::run        ("corgi-reactor-0")
 //!                      ├─ AcceptTask   nonblocking accept ──round-robin──┐
 //!                      └─ ConnectionTask ×N read frames → decode envelopes
-//!                             │  ▲                           │           │
+//!                             │  ▲                      miss │           │
 //!                             │  └── oneshot completions ◄── ▼           │
 //!                             │      (wake the task)   dispatch ThreadPool
-//!                             └─ bounded write queue ──► service.handle_envelope
+//!                             │                        service.handle_envelope
+//!                             └─ bounded write queue ◄── resident hit:   │
+//!                                  service.encoded_hit body + head       │
 //!                    reactor shard 1..S-1: Executor::run  ◄──────────────┘
 //!                      └─ ConnectionTask ×N   (same loop, own poll set
 //!                                              and TransportStats shard)
@@ -93,13 +95,20 @@
 //! [`TcpServer::stats`] and the wire `Stats` frame report the aggregate,
 //! [`TcpServer::shard_stats`] the per-shard breakdown.
 //!
-//! A reactor thread never computes: each decoded envelope is handed to the
-//! dispatch [`ThreadPool`] (shared by all shards, so admission control stays
-//! server-wide), where the service stack (cache → generator → LP solver pool)
-//! runs, and the encoded response re-enters the event loop through a
-//! [`oneshot`] future.  Responses are therefore delivered in *completion*
-//! order, correlated by `request_id` — pipelining N requests on one
-//! connection keeps N solves in flight.  Per-connection backpressure is a
+//! A reactor thread never solves and never encodes a forest.  A request whose
+//! key is resident is answered inline: [`MatrixService::encoded_hit`] counts
+//! the hit and hands back the forest body the cache encoded once, and the
+//! reply is that body behind a per-request envelope head
+//! ([`WireCodec::encode_forest_reply`]), byte-identical to the dispatch
+//! path's frame and queued through the same sealing and fault-injection
+//! choke point.  Every other envelope (a miss, or an incompatible version)
+//! is handed to the dispatch [`ThreadPool`] (shared by all shards, so
+//! admission control stays server-wide), where the service stack (cache →
+//! generator → LP solver pool) runs, and the encoded response re-enters the
+//! event loop through a [`oneshot`] future.  Responses are therefore
+//! delivered in *completion* order, correlated by `request_id` — pipelining
+//! N requests on one connection keeps N solves in flight, and a hit
+//! pipelined behind a miss overtakes it.  Per-connection backpressure is a
 //! bounded write queue plus an in-flight cap: a connection at either bound
 //! stops being read until it drains.
 //!
@@ -116,9 +125,12 @@
 //! request's own id — instead of queued.  Shedding is not a protocol failure:
 //! the connection stays open and synchronized, the client sees a retryable
 //! error (see [`ServiceError::is_retryable`]), and the requests the server
-//! *does* admit complete at bounded latency.  `Warm` frames are exempt: their
-//! key count is already bounded by [`TransportConfig::max_warm_keys`] and
-//! warming is an explicit operator action, not open-loop traffic.  Shed and
+//! *does* admit complete at bounded latency.  Resident hits are never shed:
+//! they are answered on the reactor and add nothing to the backlog, so a
+//! pool pinned by cold solves still serves every cached key.  `Warm` frames
+//! are exempt too: their key count is already bounded by
+//! [`TransportConfig::max_warm_keys`] and warming is an explicit operator
+//! action, not open-loop traffic.  Shed and
 //! admitted counts are visible as [`TransportStats::requests_shed`] /
 //! [`TransportStats::requests_admitted`], and the read-side memory bound as
 //! [`TransportStats::read_buffer_high_water`].
@@ -563,8 +575,8 @@ pub struct TransportStats {
     /// Times a connection hit a backpressure bound (write queue or in-flight
     /// cap) and reading from it was suspended until it drained.
     pub backpressure_stalls: u64,
-    /// Requests accepted past admission control and queued on the dispatch
-    /// pool (server only).
+    /// Requests accepted past admission control: resident hits answered on
+    /// the reactor plus requests queued on the dispatch pool (server only).
     pub requests_admitted: u64,
     /// Requests shed by admission control with an
     /// [`ServiceErrorKind::Overloaded`] reply because the dispatch backlog was
@@ -1282,6 +1294,19 @@ impl ConnectionTask {
                         return;
                     }
                 };
+                // A resident hit is answered here, from the forest body the
+                // cache encoded once: no dispatch hop, no re-encode, and
+                // never shed, since it adds nothing to the dispatch backlog.
+                // The frame is byte-identical to the dispatch path's reply.
+                if PROTOCOL_VERSION.is_compatible_with(&envelope.version) {
+                    if let Some(body) = self.service.encoded_hit(envelope.request) {
+                        TransportMetrics::add(&self.metrics.requests_admitted, 1);
+                        self.queue_frame(
+                            WireCodec::Binary.encode_forest_reply(envelope.request_id, &body),
+                        );
+                        return;
+                    }
+                }
                 // Admission control: a saturated dispatch pool sheds instead
                 // of queueing.  The reply echoes the request's own id so the
                 // client correlates it like any other response — the

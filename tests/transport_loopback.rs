@@ -15,8 +15,9 @@ use corgi::framework::transport::{
     encode_frame, FrameKind, HelloFrame, HelloReply, FRAME_HEADER_LEN, FRAME_MAGIC,
 };
 use corgi::framework::{
-    CachingService, CorgiClient, ForestGenerator, MatrixService, MetadataAttributeProvider,
-    ServerConfig, TcpServer, TcpTransport, TransportConfig, WarmRequest, WireCodec,
+    CachingService, ClientConfig, CorgiClient, ForestGenerator, MatrixService,
+    MetadataAttributeProvider, ServerConfig, TcpServer, TcpTransport, TransportConfig, WarmRequest,
+    WireCodec,
 };
 use corgi::hexgrid::{HexGrid, HexGridConfig};
 use rand::rngs::StdRng;
@@ -868,5 +869,159 @@ fn truncated_frame_is_bounded_by_the_handshake_deadline() {
         0,
         "server must close the half-open connection at the deadline"
     );
+    server.shutdown();
+}
+
+/// A generator whose solves wait at a gate: stacked *under* the cache, it
+/// lets a cold miss pin a dispatch thread while resident keys stay servable.
+struct GatedGenerator {
+    inner: ForestGenerator,
+    gate: Arc<(Mutex<GateState>, Condvar)>,
+}
+
+#[derive(Default)]
+struct GateState {
+    closed: bool,
+    waiting: usize,
+}
+
+impl MatrixService for GatedGenerator {
+    fn privacy_forest(
+        &self,
+        request: MatrixRequest,
+    ) -> Result<Arc<PrivacyForestResponse>, ServiceError> {
+        let (lock, cvar) = &*self.gate;
+        let mut state = lock.lock().unwrap();
+        state.waiting += 1;
+        cvar.notify_all();
+        while state.closed {
+            state = cvar.wait(state).unwrap();
+        }
+        state.waiting -= 1;
+        drop(state);
+        self.inner.privacy_forest(request)
+    }
+    fn tree(&self) -> Arc<LocationTree> {
+        self.inner.tree()
+    }
+    fn prior(&self) -> Arc<PriorDistribution> {
+        self.inner.prior()
+    }
+}
+
+#[test]
+fn resident_hits_are_answered_while_a_cold_solve_holds_the_dispatch_pool() {
+    let grid = HexGrid::new(HexGridConfig::san_francisco()).unwrap();
+    let (dataset, _) = GowallaLikeGenerator::new(GowallaLikeConfig::small_test()).generate(&grid);
+    let prior = PriorDistribution::from_dataset(&grid, &dataset, 0.5);
+    let gate = Arc::new((Mutex::new(GateState::default()), Condvar::new()));
+    let stack = Arc::new(CachingService::with_defaults(GatedGenerator {
+        inner: ForestGenerator::new(
+            LocationTree::new(grid),
+            prior,
+            ServerConfig::builder()
+                .robust_iterations(1)
+                .targets_per_subtree(3)
+                .worker_threads(2)
+                .build(),
+        ),
+        gate: Arc::clone(&gate),
+    }));
+    let key = |delta| MatrixRequest {
+        privacy_level: 1,
+        delta,
+    };
+    // (1, 0) is resident before the server starts: one miss.
+    let resident = stack.privacy_forest(key(0)).unwrap();
+    gate.0.lock().unwrap().closed = true;
+
+    // One dispatch thread, backlog limit 1: a single cold solve saturates it.
+    let config = TransportConfig {
+        dispatch_threads: 1,
+        max_dispatch_backlog: 1,
+        ..TransportConfig::default()
+    };
+    let server = TcpServer::bind(
+        "127.0.0.1:0",
+        stack.clone() as Arc<dyn MatrixService>,
+        config,
+    )
+    .expect("binding a loopback server");
+    let addr = server.local_addr();
+    let client = || ClientConfig {
+        read_timeout: Some(Duration::from_secs(10)),
+        ..ClientConfig::default()
+    };
+
+    // A cold (1, 1) takes the only dispatch thread and parks at the gate.
+    let blocker = TcpTransport::connect_with(addr, client()).unwrap();
+    let blocked = std::thread::spawn(move || blocker.privacy_forest(key(1)));
+    {
+        let (lock, cvar) = &*gate;
+        let mut state = lock.lock().unwrap();
+        while state.waiting == 0 {
+            let (next, timeout) = cvar.wait_timeout(state, Duration::from_secs(10)).unwrap();
+            assert!(
+                !timeout.timed_out(),
+                "the cold solve never reached the gate"
+            );
+            state = next;
+        }
+    }
+
+    // Resident hits on another connection are answered, not shed and not
+    // queued behind the solve: the gate is still closed when they return.
+    // Two are pipelined, with an id past 2^53, and the bytes on the wire
+    // are exactly the dispatch path's frame for the cached forest.
+    let mut probe = TcpStream::connect(addr).unwrap();
+    probe
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    assert!(matches!(
+        send_hello(&mut probe, PROTOCOL_VERSION),
+        HelloReply::Accepted { .. }
+    ));
+    let ids = [(1u64 << 53) + 1, 7];
+    for id in ids {
+        probe
+            .write_all(&WireCodec::Binary.encode_frame(&RequestEnvelope::new(id, key(0))))
+            .unwrap();
+    }
+    for id in ids {
+        let (kind, payload) = read_frame(&mut probe).expect("a resident hit is answered");
+        let expected =
+            WireCodec::Binary.encode_frame(&ResponseEnvelope::forest(id, Arc::clone(&resident)));
+        assert_eq!(kind, FrameKind::Response as u8);
+        assert!(
+            payload == expected[FRAME_HEADER_LEN..],
+            "inline reply to {id} differs from the dispatch frame"
+        );
+    }
+    let transport = TcpTransport::connect_with(addr, client()).unwrap();
+    let forest = transport
+        .privacy_forest(key(0))
+        .expect("a hit is never shed");
+    assert_eq!(*forest, *resident);
+    assert!(
+        gate.0.lock().unwrap().closed,
+        "answered while the solve held the pool"
+    );
+
+    // A key that is not resident still meets admission control.
+    let error = transport.privacy_forest(key(2)).unwrap_err();
+    assert_eq!(error.kind, ServiceErrorKind::Overloaded, "{error:?}");
+    assert_eq!(transport.stats().poisoned_connections, 0);
+
+    // Release the gate; the cold solve completes normally.
+    gate.0.lock().unwrap().closed = false;
+    gate.1.notify_all();
+    let forest = blocked.join().expect("blocker thread").unwrap();
+    assert_eq!(forest.request, key(1));
+
+    let cache = stack.cache_stats().unwrap();
+    assert_eq!((cache.hits, cache.misses), (3, 2), "{cache:?}");
+    let stats = server.stats();
+    assert_eq!(stats.requests_admitted, 4, "blocker + 3 hits: {stats:?}");
+    assert_eq!(stats.requests_shed, 1, "{stats:?}");
     server.shutdown();
 }
