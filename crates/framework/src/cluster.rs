@@ -458,6 +458,13 @@ impl PeerHealth {
 // Replication
 // ---------------------------------------------------------------------------
 
+/// Blocking connect/handshake budget per peer-link dial (also the link's
+/// socket read timeout during the hello).
+const PEER_CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Cap on a peer link's doubled reconnect backoff.
+const PEER_MAX_BACKOFF: Duration = Duration::from_secs(2);
+
 /// Tunables of a [`Replicator`]'s peer links.
 #[derive(Debug, Clone)]
 pub struct ReplicationConfig {
@@ -474,17 +481,9 @@ pub struct ReplicationConfig {
     /// key.  The default reads `CORGI_CLUSTER_KEY`
     /// (see [`ClusterKey::from_env`]).
     pub cluster_key: Option<ClusterKey>,
-    /// Blocking connect/handshake budget per attempt (also the link's socket
-    /// read timeout during the hello).
-    pub connect_timeout: Duration,
     /// Backoff before the first reconnect attempt after a link failure;
-    /// doubles per consecutive failure.
+    /// doubles per consecutive failure, up to 2 s.
     pub retry_backoff: Duration,
-    /// Cap on the doubled reconnect backoff.
-    pub max_backoff: Duration,
-    /// Largest accepted frame on the peer link (the accepted hello reply
-    /// carries the peer's grid and prior).
-    pub max_frame: usize,
     /// Enable liveness probing of the peers (protocol 1.5): every peer link
     /// stays connected and carries a `Ping` each probe interval, driving the
     /// peer's [`PeerHealthState`].  `None` (the default) disables probing —
@@ -503,10 +502,7 @@ impl Default for ReplicationConfig {
             queue_depth: 64,
             codecs: Vec::new(),
             cluster_key: ClusterKey::from_env(),
-            connect_timeout: Duration::from_secs(5),
             retry_backoff: Duration::from_millis(50),
-            max_backoff: Duration::from_secs(2),
-            max_frame: 64 * 1024 * 1024,
             health: None,
             fault_plan: None,
         }
@@ -841,8 +837,8 @@ impl LinkEnv {
 /// The task is fully event-driven: offers and new peers wake it through the
 /// replicator's flush waker, streaming sockets park on kernel readiness
 /// ([`Handle::park_socket`]), and backoffs and probe deadlines sit in the
-/// timer wheel — it never asks for tick service, so an idle cluster reactor
-/// stays blocked.
+/// executor's deadline heap — it never asks for tick service, so an idle
+/// cluster reactor stays blocked until its next deadline.
 struct ReplicationTask {
     env: LinkEnv,
     shard_index: usize,
@@ -981,7 +977,7 @@ impl LinkDriver {
             None => self.backoff,
         };
         self.state = LinkState::Idle(env.handle.sleep(wait));
-        self.backoff = (self.backoff * 2).min(config.max_backoff);
+        self.backoff = (self.backoff * 2).min(PEER_MAX_BACKOFF);
     }
 }
 
@@ -1073,11 +1069,10 @@ fn dial_peer(endpoint: &str, config: &ReplicationConfig) -> Result<Conn, Service
         }
     }
     let timeout = match &config.health {
-        Some(health) => health.probe_timeout.min(config.connect_timeout),
-        None => config.connect_timeout,
+        Some(health) => health.probe_timeout.min(PEER_CONNECT_TIMEOUT),
+        None => PEER_CONNECT_TIMEOUT,
     };
     let client = ClientConfig {
-        max_frame: config.max_frame,
         read_timeout: Some(timeout),
         cluster_key: config.cluster_key.clone(),
         fault_plan: config.fault_plan.clone(),
@@ -1092,15 +1087,17 @@ fn dial_peer(endpoint: &str, config: &ReplicationConfig) -> Result<Conn, Service
 // Shard router
 // ---------------------------------------------------------------------------
 
+/// Rounds over the ranked shard list before a routed request gives up.
+const ROUTER_RETRY_ROUNDS: usize = 3;
+
 /// Tunables of a [`ShardRouter`].
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
     /// Per-shard connection config (timeouts, cluster key).
     pub client: ClientConfig,
-    /// Rounds over the ranked shard list before giving up; backoff applies
-    /// between rounds, not between shards within a round.
-    pub retry_rounds: usize,
-    /// Backoff before round *n* (doubling: `retry_backoff << (n - 1)`).
+    /// Backoff before round *n* of the three rounds over the ranked shard
+    /// list (doubling: `retry_backoff << (n - 1)`); backoff applies between
+    /// rounds, not between shards within a round.
     pub retry_backoff: Duration,
     /// Enable health tracking (protocol 1.5): a prober thread pings every
     /// shard each interval over a connection it holds open (redialing only
@@ -1114,7 +1111,6 @@ impl Default for RouterConfig {
     fn default() -> Self {
         Self {
             client: ClientConfig::default(),
-            retry_rounds: 3,
             retry_backoff: Duration::from_millis(25),
             health: None,
         }
@@ -1414,7 +1410,7 @@ impl MatrixService for ShardRouter {
         let order = self.ranked_shards(request.privacy_level, request.delta);
         let mut last_error = ServiceError::transport("no shards configured");
         let mut first_attempt = true;
-        for round in 0..self.config.retry_rounds.max(1) {
+        for round in 0..ROUTER_RETRY_ROUNDS {
             if round > 0 {
                 let exponent = u32::try_from(round - 1).unwrap_or(16).min(16);
                 std::thread::sleep(self.config.retry_backoff * (1u32 << exponent));

@@ -41,13 +41,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
+/// Largest accepted frame payload from a server or peer.  Responses carry
+/// whole privacy forests (and an accepted hello the grid and prior), so this
+/// is generous.
+const MAX_FRAME: usize = 64 * 1024 * 1024;
+
 /// Tunables of a client connection: a [`TcpTransport`], or a shard router's
 /// connections ([`RouterConfig::client`](crate::RouterConfig::client)).
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
-    /// Largest accepted frame payload from the server.  Responses carry whole
-    /// privacy forests, so this is generous by default (64 MiB).
-    pub max_frame: usize,
     /// Socket read timeout per blocking receive; bounds how long a truncated
     /// or withheld response can stall a caller.  `None` waits forever.
     pub read_timeout: Option<Duration>,
@@ -72,7 +74,6 @@ impl Default for ClientConfig {
     #[allow(deprecated)]
     fn default() -> Self {
         Self {
-            max_frame: 64 * 1024 * 1024,
             read_timeout: Some(Duration::from_secs(600)),
             codecs: Vec::new(),
             cluster_key: ClusterKey::from_env(),
@@ -96,7 +97,6 @@ pub(crate) struct Conn {
     /// frames): outbound frames are sealed, inbound frames are verified and
     /// stripped.
     auth: Option<ClusterKey>,
-    max_frame: usize,
     metrics: Arc<TransportMetrics>,
     /// Nonblocking mode: inbound bytes that do not yet form a whole frame.
     read_buf: Vec<u8>,
@@ -147,7 +147,7 @@ impl Conn {
             &metrics,
         )?;
         let (kind, header, mut payload) =
-            read_frame_blocking_raw(&mut stream, config.max_frame, &metrics)?;
+            read_frame_blocking_raw(&mut stream, MAX_FRAME, &metrics)?;
         if kind != FrameKind::HelloReply {
             return Err(ServiceError::transport(format!(
                 "expected a HelloReply frame, got {kind:?}"
@@ -196,7 +196,6 @@ impl Conn {
         let conn = Self {
             stream,
             auth: config.cluster_key.clone(),
-            max_frame: config.max_frame,
             metrics,
             read_buf: Vec::new(),
             write_buf: Vec::new(),
@@ -229,7 +228,7 @@ impl Conn {
     /// and stripping its MAC trailer when keyed.
     pub(crate) fn recv(&mut self) -> Result<(FrameKind, Vec<u8>), ServiceError> {
         let (kind, header, mut payload) =
-            read_frame_blocking_raw(&mut self.stream, self.max_frame, &self.metrics)?;
+            read_frame_blocking_raw(&mut self.stream, MAX_FRAME, &self.metrics)?;
         if let Some(key) = &self.auth {
             key.open_split(&header, &mut payload).map_err(|e| {
                 ServiceError::unauthenticated(format!("peer frame failed authentication: {e}"))
@@ -308,7 +307,7 @@ impl Conn {
         }
         let mut frames = Vec::new();
         let mut consumed = 0;
-        while let Some((kind, range)) = peek_frame(&self.read_buf[consumed..], self.max_frame)? {
+        while let Some((kind, range)) = peek_frame(&self.read_buf[consumed..], MAX_FRAME)? {
             let frame = &self.read_buf[consumed..consumed + range.end];
             let payload = match &self.auth {
                 Some(key) => key.open(frame).map_err(|e| {

@@ -9,20 +9,24 @@
 //!   `Arc`; the task *is* its own waker (`std::task::Wake`), and an atomic
 //!   state machine (idle → scheduled → running → rescheduled) makes wakes
 //!   from any thread race-free without ever double-queueing a task.
-//! * **Timer wheel** — a coarse hashed wheel ([`TimerWheel`]) backs the
-//!   [`sleep_until`](Handle::sleep_until) future used for handshake and read
-//!   timeouts; the run loop advances it from a monotonic clock.
-//! * **Readiness backends** — the reactor blocks in one of two ways,
-//!   selected by [`ReactorBackend`]:
-//!   [`Epoll`](ReactorBackend::Epoll) parks the run loop in `epoll_pwait`
-//!   (via the raw bindings in [`crate::sys`]) with per-fd interest registered
-//!   through [`Handle::park_socket`], cross-thread wakes delivered over an
-//!   eventfd and the timer wheel's next deadline as the wait timeout — idle
-//!   connections cost nothing and a readable socket wakes its future in
-//!   microseconds; [`Tick`](ReactorBackend::Tick) is the portable fallback
-//!   where futures blocked on non-blocking sockets register their waker in a
-//!   poll set ([`Handle::park_io`]) and the run loop re-wakes the whole set
-//!   once per *tick* (the configured poll interval).
+//! * **Deadline heap** — every pending [`sleep`](Handle::sleep) (handshake,
+//!   read-idle, backoff and probe deadlines) is one `(deadline, seq, waker)`
+//!   entry in a binary min-heap; each pass of the run loop pops and wakes
+//!   every entry that is due, and the earliest remaining deadline bounds how
+//!   long the loop may block.  A sleep never fires before its deadline.
+//! * **One run loop** — [`Executor::run`] advances the timers, polls every
+//!   scheduled task to quiescence, then blocks until the next deadline, an
+//!   external wake or — while the [`Handle::park_io`] set is non-empty — one
+//!   poll interval, and afterwards re-wakes that set.  Only the blocking
+//!   step depends on the [`ReactorBackend`]:
+//!   [`Epoll`](ReactorBackend::Epoll) parks in `epoll_pwait` (via the raw
+//!   bindings in [`crate::sys`]) on per-fd interest registered through
+//!   [`Handle::park_socket`], with cross-thread wakes delivered over an
+//!   eventfd — idle connections cost nothing and a readable socket wakes its
+//!   future in microseconds; [`Tick`](ReactorBackend::Tick), the portable
+//!   fallback, waits on a condvar, and futures blocked on non-blocking
+//!   sockets sit in the park_io set, so they retry once per *tick* (the poll
+//!   interval).
 //! * **Oneshot channels** — [`oneshot`] lets CPU-bound work on the
 //!   [`crate::ThreadPool`] complete a future back inside the event loop: the
 //!   pool thread calls [`oneshot::Sender::send`], which wakes the awaiting
@@ -35,10 +39,12 @@
 //! several executors (see `transport`), never tasks across threads.
 
 use crate::sys;
-use std::collections::{HashMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::task::{Context, Poll, Wake, Waker};
 use std::time::{Duration, Instant};
@@ -56,11 +62,12 @@ type BoxFuture = Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReactorBackend {
     /// Block in `epoll_pwait` on real kernel readiness: per-fd interest via
-    /// [`Handle::park_socket`], cross-thread wakes via eventfd, timer-wheel
-    /// deadlines as the wait timeout.  Linux x86-64/aarch64 only.
+    /// [`Handle::park_socket`], cross-thread wakes via eventfd, the next
+    /// timer deadline as the wait timeout.  Linux x86-64/aarch64 only.
     Epoll,
-    /// The portable timed re-poll: sleep at most one `io_poll_interval`, then
-    /// re-wake every parked I/O future so it retries its socket.
+    /// The portable timed re-poll: wait on a condvar for at most one poll
+    /// interval (500 µs in [`crate::TcpServer`]), then re-wake every parked
+    /// I/O future so it retries its socket.
     Tick,
 }
 
@@ -193,15 +200,18 @@ struct Shared {
     ready: Mutex<VecDeque<Arc<Task>>>,
     wakeup: Condvar,
     io_parked: Mutex<Vec<Waker>>,
-    timer: TimerWheel,
+    timers: Timers,
     shutdown: AtomicBool,
-    live_tasks: AtomicUsize,
     /// `Some` on the epoll backend, `None` on tick.
     poller: Option<Poller>,
     /// The thread currently inside [`Executor::run`], so same-thread wakes
     /// (a task polled on the reactor scheduling another) skip the eventfd
     /// write — the run loop re-checks the ready queue before blocking.
     reactor_thread: Mutex<Option<std::thread::ThreadId>>,
+    /// Times the run loop has blocked, so tests can tell a loop that waits
+    /// from one that spins.
+    #[cfg(test)]
+    blocks: std::sync::atomic::AtomicUsize,
 }
 
 impl Shared {
@@ -260,7 +270,6 @@ impl Handle {
             state: AtomicU8::new(IDLE),
             shared: Arc::clone(&self.shared),
         });
-        self.shared.live_tasks.fetch_add(1, Ordering::AcqRel);
         task.schedule();
     }
 
@@ -370,18 +379,13 @@ impl Handle {
         }
     }
 
-    /// A future that resolves once the monotonic clock reaches `deadline`.
-    pub fn sleep_until(&self, deadline: Instant) -> Sleep {
+    /// A future that resolves once `duration` has elapsed, never earlier.
+    pub fn sleep(&self, duration: Duration) -> Sleep {
         Sleep {
-            deadline,
+            deadline: Instant::now() + duration,
             shared: Arc::clone(&self.shared),
             registered: false,
         }
-    }
-
-    /// A future that resolves after `duration` has elapsed.
-    pub fn sleep(&self, duration: Duration) -> Sleep {
-        self.sleep_until(Instant::now() + duration)
     }
 
     /// Ask the run loop to exit; pending tasks are dropped.  Idempotent and
@@ -399,9 +403,10 @@ impl Handle {
         self.shared.shutdown.load(Ordering::Acquire)
     }
 
-    /// Number of spawned tasks that have not yet completed.
-    pub fn live_tasks(&self) -> usize {
-        self.shared.live_tasks.load(Ordering::Acquire)
+    /// Timer entries currently queued on this executor.
+    #[cfg(test)]
+    pub(crate) fn pending_timers(&self) -> usize {
+        self.shared.timers.len()
     }
 }
 
@@ -412,17 +417,12 @@ pub struct Executor {
 }
 
 impl Executor {
-    /// Create a tick-backend executor whose I/O poll set is re-woken every
-    /// `io_poll_interval` (the reactor *tick*).
-    pub fn new(io_poll_interval: Duration) -> Self {
-        Self::with_backend(ReactorBackend::Tick, io_poll_interval)
-    }
-
     /// Create an executor on the given backend (after
     /// [`ReactorBackend::resolve`]-style fallback: an epoll request silently
-    /// degrades to tick if the poll set cannot be created).  On epoll,
-    /// `io_poll_interval` only bounds the wait while legacy
-    /// [`park_io`](Handle::park_io) waiters exist.
+    /// degrades to tick if the poll set cannot be created).
+    /// `io_poll_interval` is the reactor *tick*: the longest the run loop
+    /// blocks while any future sits in the [`park_io`](Handle::park_io) set,
+    /// which on tick holds every future waiting on a socket.
     pub fn with_backend(backend: ReactorBackend, io_poll_interval: Duration) -> Self {
         let poller = match backend.resolve() {
             ReactorBackend::Epoll => Poller::new().ok(),
@@ -433,11 +433,12 @@ impl Executor {
                 ready: Mutex::new(VecDeque::new()),
                 wakeup: Condvar::new(),
                 io_parked: Mutex::new(Vec::new()),
-                timer: TimerWheel::new(Duration::from_millis(1), 256),
+                timers: Timers::default(),
                 shutdown: AtomicBool::new(false),
-                live_tasks: AtomicUsize::new(0),
                 poller,
                 reactor_thread: Mutex::new(None),
+                #[cfg(test)]
+                blocks: Default::default(),
             }),
             io_poll_interval: io_poll_interval.max(Duration::from_micros(50)),
         }
@@ -457,21 +458,41 @@ impl Executor {
 
     /// Drive all tasks until [`Handle::shutdown`] is called.
     ///
-    /// Each iteration: expire due timers, poll every scheduled task to
-    /// quiescence, then block until something can change — in `epoll_pwait`
-    /// on fd readiness/eventfd with the next timer deadline as timeout
-    /// (epoll backend), or on the condvar until the earliest of (next timer,
-    /// next I/O tick, an external wake) and then re-wake the whole I/O poll
-    /// set (tick backend).
+    /// Each pass: wake due timers, poll every scheduled task to quiescence,
+    /// block until something can change (the only backend-specific step),
+    /// then re-wake the whole [`park_io`](Handle::park_io) set.
     pub fn run(&self) {
         *self
             .shared
             .reactor_thread
             .lock()
             .unwrap_or_else(|e| e.into_inner()) = Some(std::thread::current().id());
-        match &self.shared.poller {
-            Some(poller) => self.run_epoll(poller),
-            None => self.run_inner(),
+        let mut events = vec![sys::EpollEvent::default(); 128];
+        'run: while !self.shared.shutdown.load(Ordering::Acquire) {
+            self.shared.timers.advance(Instant::now());
+
+            while let Some(task) = self.shared.pop_ready() {
+                self.poll_task(&task);
+                if self.shared.shutdown.load(Ordering::Acquire) {
+                    break 'run;
+                }
+            }
+
+            self.block(self.next_wait(), &mut events);
+
+            // Give every future in the park_io set another shot at its
+            // socket (the wait above was bounded by the poll interval
+            // whenever any were parked).
+            let parked: Vec<Waker> = std::mem::take(
+                &mut *self
+                    .shared
+                    .io_parked
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner()),
+            );
+            for waker in parked {
+                waker.wake();
+            }
         }
         *self
             .shared
@@ -479,6 +500,89 @@ impl Executor {
             .lock()
             .unwrap_or_else(|e| e.into_inner()) = None;
         self.purge();
+    }
+
+    /// How long the run loop may block: until the next timer deadline,
+    /// capped at one poll interval while the park_io set is non-empty.
+    fn next_wait(&self) -> Duration {
+        let has_io = !self
+            .shared
+            .io_parked
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .is_empty();
+        let until_timer = self
+            .shared
+            .timers
+            .next_deadline()
+            .map(|d| d.saturating_duration_since(Instant::now()));
+        match (has_io, until_timer) {
+            (true, Some(t)) => t.min(self.io_poll_interval),
+            (true, None) => self.io_poll_interval,
+            (false, Some(t)) => t,
+            // Fully quiescent: only an external wake (spawn, oneshot
+            // completion, readiness, shutdown) can change anything; the cap
+            // just bounds how long a missed notify could ever stall us.
+            (false, None) => Duration::from_millis(100),
+        }
+    }
+
+    /// Block for at most `wait` — the only step of the run loop that
+    /// depends on the backend.  On epoll: `epoll_pwait` with the wait
+    /// rounded up to whole milliseconds, then disarm and wake every fd that
+    /// fired.  On tick: the condvar, with a 10 µs floor.
+    ///
+    /// Nothing is runnable when this is called, and a cross-thread push
+    /// landing after the run loop's drain is never lost: on epoll it has
+    /// already written the eventfd, whose level-triggered readability makes
+    /// the wait return at once; on tick either the ready-queue check under
+    /// the condvar's lock sees it or its notify ends the wait.  Same-thread
+    /// pushes cannot happen here (the loop ran them to quiescence).
+    fn block(&self, wait: Duration, events: &mut [sys::EpollEvent]) {
+        #[cfg(test)]
+        self.shared.blocks.fetch_add(1, Ordering::Relaxed);
+        let Some(poller) = &self.shared.poller else {
+            let ready = self.shared.ready.lock().unwrap_or_else(|e| e.into_inner());
+            if ready.is_empty() && !self.shared.shutdown.load(Ordering::Acquire) {
+                let _ = self
+                    .shared
+                    .wakeup
+                    .wait_timeout(ready, wait.max(Duration::from_micros(10)))
+                    .unwrap_or_else(|e| e.into_inner());
+            }
+            return;
+        };
+        // Ceil to whole milliseconds so a sub-ms timer wait does not
+        // degenerate into a timeout-0 busy spin.
+        let timeout_ms = wait.as_nanos().div_ceil(1_000_000).min(60_000) as i32;
+        let n = poller.epoll.wait(events, timeout_ms).unwrap_or(0);
+
+        let wakeup_fd = poller.wakeup.as_raw_fd();
+        let mut fired = Vec::new();
+        {
+            let mut waiters = poller.waiters.lock().unwrap_or_else(|e| e.into_inner());
+            for event in &events[..n] {
+                let fd = event.tag() as RawFd;
+                if fd == wakeup_fd {
+                    poller.wakeup.drain();
+                    continue;
+                }
+                if let Some(entry) = waiters.get_mut(&fd) {
+                    // Disarm before waking: level-triggered readiness must
+                    // not be re-delivered to a future that has stopped
+                    // consuming it (backpressure, inflight cap); the future
+                    // re-arms its current interest on its next park_socket.
+                    if entry.interest != 0 {
+                        let _ = poller.epoll.modify(fd, 0);
+                        entry.interest = 0;
+                    }
+                    fired.push(entry.waker.clone());
+                }
+            }
+        }
+        for waker in fired {
+            waker.wake();
+        }
     }
 
     /// Break the `Shared` → `Task` → future → `Handle` → `Shared` reference
@@ -506,163 +610,11 @@ impl Executor {
                 .unwrap_or_else(|e| e.into_inner()),
         );
         drop(parked);
-        self.shared.timer.clear();
+        self.shared.timers.clear();
         if let Some(poller) = &self.shared.poller {
             let waiters =
                 std::mem::take(&mut *poller.waiters.lock().unwrap_or_else(|e| e.into_inner()));
             drop(waiters);
-        }
-    }
-
-    /// The epoll run loop: identical task scheduling to the tick loop, but
-    /// the idle wait is a real readiness wait instead of a timed re-poll.
-    fn run_epoll(&self, poller: &Poller) {
-        let mut events = vec![sys::EpollEvent::default(); 128];
-        let wakeup_fd = poller.wakeup.as_raw_fd();
-        loop {
-            if self.shared.shutdown.load(Ordering::Acquire) {
-                return;
-            }
-            self.shared.timer.advance(Instant::now());
-
-            while let Some(task) = self.shared.pop_ready() {
-                self.poll_task(&task);
-                if self.shared.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-            }
-
-            // Nothing runnable: block on readiness.  A cross-thread push
-            // landing after the drain above has already written the eventfd,
-            // whose level-triggered readability makes the wait below return
-            // immediately — same-thread pushes cannot happen here (the loop
-            // above ran them to quiescence).
-            let now = Instant::now();
-            let has_legacy = !self
-                .shared
-                .io_parked
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .is_empty();
-            let until_timer = self
-                .shared
-                .timer
-                .next_deadline()
-                .map(|d| d.saturating_duration_since(now));
-            let wait = match (has_legacy, until_timer) {
-                (true, Some(t)) => t.min(self.io_poll_interval),
-                (true, None) => self.io_poll_interval,
-                (false, Some(t)) => t,
-                // Fully readiness-driven: the cap only bounds how long a
-                // hypothetically missed eventfd write could ever stall us.
-                (false, None) => Duration::from_millis(100),
-            };
-            // Ceil to whole milliseconds so a sub-ms timer wait does not
-            // degenerate into a timeout-0 busy spin.
-            let timeout_ms = wait.as_nanos().div_ceil(1_000_000).min(60_000) as i32;
-            let n = poller.epoll.wait(&mut events, timeout_ms).unwrap_or(0);
-
-            let mut fired = Vec::new();
-            {
-                let mut waiters = poller.waiters.lock().unwrap_or_else(|e| e.into_inner());
-                for event in &events[..n] {
-                    let fd = event.tag() as RawFd;
-                    if fd == wakeup_fd {
-                        poller.wakeup.drain();
-                        continue;
-                    }
-                    if let Some(entry) = waiters.get_mut(&fd) {
-                        // Disarm before waking: level-triggered readiness
-                        // must not be re-delivered to a future that has
-                        // stopped consuming it (backpressure, inflight cap);
-                        // the future re-arms its current interest on its
-                        // next park_socket.
-                        if entry.interest != 0 {
-                            let _ = poller.epoll.modify(fd, 0);
-                            entry.interest = 0;
-                        }
-                        fired.push(entry.waker.clone());
-                    }
-                }
-            }
-            for waker in fired {
-                waker.wake();
-            }
-
-            // Legacy park_io futures still get tick service (the wait above
-            // was bounded by io_poll_interval whenever any were parked).
-            let parked: Vec<Waker> = std::mem::take(
-                &mut *self
-                    .shared
-                    .io_parked
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner()),
-            );
-            for waker in parked {
-                waker.wake();
-            }
-        }
-    }
-
-    fn run_inner(&self) {
-        loop {
-            if self.shared.shutdown.load(Ordering::Acquire) {
-                return;
-            }
-            self.shared.timer.advance(Instant::now());
-
-            while let Some(task) = self.shared.pop_ready() {
-                self.poll_task(&task);
-                if self.shared.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-            }
-
-            // Nothing runnable: sleep until something can change.
-            let now = Instant::now();
-            let has_io = !self
-                .shared
-                .io_parked
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .is_empty();
-            let until_timer = self
-                .shared
-                .timer
-                .next_deadline()
-                .map(|d| d.saturating_duration_since(now));
-            let mut wait = match (has_io, until_timer) {
-                (true, Some(t)) => t.min(self.io_poll_interval),
-                (true, None) => self.io_poll_interval,
-                (false, Some(t)) => t,
-                // Fully quiescent: only an external wake (spawn, oneshot
-                // completion, shutdown) can change anything; the cap just
-                // bounds how long a missed notify could ever stall us.
-                (false, None) => Duration::from_millis(100),
-            };
-            wait = wait.max(Duration::from_micros(10));
-            {
-                let ready = self.shared.ready.lock().unwrap_or_else(|e| e.into_inner());
-                if ready.is_empty() && !self.shared.shutdown.load(Ordering::Acquire) {
-                    let _ = self
-                        .shared
-                        .wakeup
-                        .wait_timeout(ready, wait)
-                        .unwrap_or_else(|e| e.into_inner());
-                }
-            }
-
-            // Tick: give every I/O-parked future another shot at its socket.
-            let parked: Vec<Waker> = std::mem::take(
-                &mut *self
-                    .shared
-                    .io_parked
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner()),
-            );
-            for waker in parked {
-                waker.wake();
-            }
         }
     }
 
@@ -677,7 +629,6 @@ impl Executor {
         match future.as_mut().poll(&mut cx) {
             Poll::Ready(()) => {
                 *slot = None;
-                self.shared.live_tasks.fetch_sub(1, Ordering::AcqRel);
                 task.state.store(IDLE, Ordering::Release);
             }
             Poll::Pending => {
@@ -697,186 +648,119 @@ impl Executor {
     }
 }
 
-/// Run a single future to completion on the calling thread, parking it between
-/// polls.  Used by tests and small tools; the serving reactor uses
-/// [`Executor::run`] instead.
-pub fn block_on<F: Future>(future: F) -> F::Output {
-    struct ThreadWaker {
-        thread: std::thread::Thread,
-        notified: AtomicBool,
-    }
-    impl Wake for ThreadWaker {
-        fn wake(self: Arc<Self>) {
-            self.wake_by_ref();
-        }
-        fn wake_by_ref(self: &Arc<Self>) {
-            self.notified.store(true, Ordering::Release);
-            self.thread.unpark();
-        }
-    }
-
-    let mut future = std::pin::pin!(future);
-    let thread_waker = Arc::new(ThreadWaker {
-        thread: std::thread::current(),
-        notified: AtomicBool::new(false),
-    });
-    let waker = Waker::from(Arc::clone(&thread_waker));
-    let mut cx = Context::from_waker(&waker);
-    loop {
-        match future.as_mut().poll(&mut cx) {
-            Poll::Ready(value) => return value,
-            Poll::Pending => {
-                // Bounded park, then re-poll even without a wake: a `Sleep`
-                // polled outside an `Executor` has no wheel-advancing run
-                // loop, so only a periodic re-poll can observe its deadline.
-                if !thread_waker.notified.swap(false, Ordering::AcqRel) {
-                    std::thread::park_timeout(Duration::from_millis(1));
-                    thread_waker.notified.store(false, Ordering::Release);
-                }
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Timer wheel
+// Deadline heap
 // ---------------------------------------------------------------------------
 
+/// One pending sleep.  Entries order by `(deadline, seq)`: earliest first,
+/// and registration order among equal deadlines.
 struct TimerEntry {
-    expires_tick: u64,
+    deadline: Instant,
+    seq: u64,
     waker: Waker,
 }
 
-struct WheelInner {
-    slots: Vec<Vec<TimerEntry>>,
-    current_tick: u64,
+impl PartialEq for TimerEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
 }
 
-/// A coarse hashed timer wheel: deadlines are quantized to a tick granularity
-/// and hashed into `slots.len()` buckets by tick index, so registering and
-/// expiring timers is O(1) amortized regardless of how far out they are.
-///
-/// Firing is strictly *not early*: a waker registered for tick `t` is only
-/// woken once the wheel has advanced past `t`, and at most `granularity` late
-/// plus the run loop's sleep quantum.
-pub struct TimerWheel {
-    inner: Mutex<WheelInner>,
-    granularity: Duration,
-    epoch: Instant,
+impl Eq for TimerEntry {}
+
+impl PartialOrd for TimerEntry {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
-impl TimerWheel {
-    fn new(granularity: Duration, slots: usize) -> Self {
-        Self {
-            inner: Mutex::new(WheelInner {
-                slots: (0..slots.max(1)).map(|_| Vec::new()).collect(),
-                current_tick: 0,
-            }),
-            granularity: granularity.max(Duration::from_micros(100)),
-            epoch: Instant::now(),
-        }
+impl Ord for TimerEntry {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (self.deadline, self.seq).cmp(&(other.deadline, other.seq))
     }
+}
 
-    fn tick_of(&self, deadline: Instant) -> u64 {
-        let since = deadline.saturating_duration_since(self.epoch);
-        // Round up: never fire before the deadline.
-        (since.as_nanos() / self.granularity.as_nanos()) as u64 + 1
-    }
+/// The executor's pending sleeps: a min-heap on deadline behind one mutex.
+/// A reactor holds a handful of timers (a handshake or read-idle deadline
+/// per connection, a backoff or probe deadline per peer link), so a heap's
+/// O(log n) push and pop and its O(1) peek beat any bucketed structure.
+#[derive(Default)]
+struct Timers {
+    inner: Mutex<TimerHeap>,
+}
 
+#[derive(Default)]
+struct TimerHeap {
+    entries: BinaryHeap<Reverse<TimerEntry>>,
+    next_seq: u64,
+}
+
+impl Timers {
     fn register(&self, deadline: Instant, waker: Waker) {
-        let expires_tick = self.tick_of(deadline);
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let slot = (expires_tick % inner.slots.len() as u64) as usize;
-        inner.slots[slot].push(TimerEntry {
-            expires_tick,
+        let seq = inner.next_seq;
+        inner.next_seq += 1;
+        inner.entries.push(Reverse(TimerEntry {
+            deadline,
+            seq,
             waker,
-        });
+        }));
     }
 
-    /// Advance the wheel to `now`, waking every timer whose tick has passed.
+    /// Wake every timer whose deadline is at or before `now`, in deadline
+    /// order.  Due entries are popped under the lock and woken (and dropped)
+    /// only after it is released: waker destructors can run task teardown
+    /// code that takes other reactor locks.
     fn advance(&self, now: Instant) {
-        let now_tick = (now.saturating_duration_since(self.epoch).as_nanos()
-            / self.granularity.as_nanos()) as u64;
-        // Due entries are *moved out* of the wheel and woken (and dropped)
-        // only after the lock is released: waker destructors can run task
-        // teardown code that takes other reactor locks.
-        let mut fired: Vec<TimerEntry> = Vec::new();
+        let mut fired: Vec<Waker> = Vec::new();
         {
             let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-            if now_tick <= inner.current_tick {
-                return;
+            while let Some(top) = inner.entries.peek_mut() {
+                if top.0.deadline > now {
+                    break;
+                }
+                fired.push(PeekMut::pop(top).0.waker);
             }
-            let span = now_tick - inner.current_tick;
-            let slot_count = inner.slots.len() as u64;
-            let expire_slot = |slot: &mut Vec<TimerEntry>, fired: &mut Vec<TimerEntry>| {
-                let mut index = 0;
-                while index < slot.len() {
-                    if slot[index].expires_tick <= now_tick {
-                        fired.push(slot.swap_remove(index));
-                    } else {
-                        index += 1;
-                    }
-                }
-            };
-            if span >= slot_count {
-                // Swept the whole wheel: expire everything due, slot by slot.
-                for slot in inner.slots.iter_mut() {
-                    expire_slot(slot, &mut fired);
-                }
-            } else {
-                for tick in (inner.current_tick + 1)..=now_tick {
-                    let slot = (tick % slot_count) as usize;
-                    expire_slot(&mut inner.slots[slot], &mut fired);
-                }
-            }
-            inner.current_tick = now_tick;
         }
-        for entry in fired {
-            entry.waker.wake();
+        for waker in fired {
+            waker.wake();
         }
     }
 
-    /// Drop every registered entry (and the task wakers they hold).  Entries
-    /// are moved out before dropping: waker destructors can run arbitrary
-    /// task-teardown code and must not run under the wheel's lock.
+    /// Earliest registered deadline, if any (sizes the run loop's wait).
+    fn next_deadline(&self) -> Option<Instant> {
+        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        inner.entries.peek().map(|top| top.0.deadline)
+    }
+
+    /// Drop every registered entry (and the task wakers they hold), outside
+    /// the lock for the same reason as [`advance`](Self::advance).
     fn clear(&self) {
-        let mut drained: Vec<Vec<TimerEntry>> = Vec::new();
-        {
-            let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-            for slot in inner.slots.iter_mut() {
-                drained.push(std::mem::take(slot));
-            }
-        }
+        let drained =
+            std::mem::take(&mut self.inner.lock().unwrap_or_else(|e| e.into_inner()).entries);
         drop(drained);
     }
 
-    /// Earliest registered deadline, if any (used to size the run loop sleep).
-    fn next_deadline(&self) -> Option<Instant> {
-        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let min_tick = inner.slots.iter().flatten().map(|e| e.expires_tick).min()?;
-        // Full u64 tick math: a u32 cast would wrap after ~49 days of uptime
-        // at the 1 ms granularity and park the run loop on a past deadline.
-        let offset = Duration::from_nanos(
-            u64::try_from(self.granularity.as_nanos())
-                .unwrap_or(u64::MAX)
-                .saturating_mul(min_tick),
-        );
-        Some(self.epoch + offset)
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.inner
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .entries
+            .len()
     }
 }
 
-/// Future returned by [`Handle::sleep_until`] / [`Handle::sleep`].
+/// Future returned by [`Handle::sleep`].
+///
+/// It registers one heap entry on its first pending poll.  Dropping it early
+/// leaves that entry queued until its deadline, when it wakes the task once
+/// for nothing; a future that re-arms a deadline should keep one `Sleep` and
+/// replace it only after it fires.
 pub struct Sleep {
     deadline: Instant,
     shared: Arc<Shared>,
     registered: bool,
-}
-
-impl Sleep {
-    /// The instant this sleep resolves at.
-    pub fn deadline(&self) -> Instant {
-        self.deadline
-    }
 }
 
 impl Future for Sleep {
@@ -887,12 +771,12 @@ impl Future for Sleep {
         if Instant::now() >= this.deadline {
             Poll::Ready(())
         } else {
-            // Register with the wheel once: a task re-polled for other
+            // Register with the heap once: a task re-polled for other
             // reasons (I/O ticks) must not pile up duplicate entries, and the
             // task's waker is stable so the original entry stays valid.
             if !this.registered {
                 this.shared
-                    .timer
+                    .timers
                     .register(this.deadline, cx.waker().clone());
                 this.registered = true;
             }
@@ -1007,19 +891,6 @@ pub mod oneshot {
         }
     }
 
-    impl<T> Receiver<T> {
-        /// Non-blocking probe: `Ok(Some(v))` once sent, `Ok(None)` while
-        /// pending, `Err(Canceled)` after the sender dropped without sending.
-        pub fn try_recv(&self) -> Result<Option<T>, Canceled> {
-            let mut state = self.inner.state.lock().unwrap_or_else(|e| e.into_inner());
-            match state.value.take() {
-                Some(value) => Ok(Some(value)),
-                None if state.closed => Err(Canceled),
-                None => Ok(None),
-            }
-        }
-    }
-
     impl<T> Future for Receiver<T> {
         type Output = Result<T, Canceled>;
 
@@ -1044,54 +915,65 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
 
-    #[test]
-    fn block_on_runs_a_future_to_completion() {
-        assert_eq!(block_on(async { 6 * 7 }), 42);
+    /// Both backends where the readiness syscalls exist, tick alone
+    /// elsewhere: every test below that takes a backend runs on each.
+    fn backends() -> Vec<ReactorBackend> {
+        let mut backends = vec![ReactorBackend::Tick];
+        if ReactorBackend::Epoll.resolve() == ReactorBackend::Epoll {
+            backends.push(ReactorBackend::Epoll);
+        }
+        backends
     }
 
-    #[test]
-    fn block_on_completes_timer_futures_without_a_run_loop() {
-        // Regression: block_on used to park until a wake arrived, but a Sleep
-        // polled outside Executor::run has no wheel-advancing loop to wake it
-        // — only the periodic re-poll can observe the deadline.
-        let executor = Executor::new(Duration::from_micros(200));
+    /// Run `future` on a fresh executor until it completes and return its
+    /// output.
+    fn run_to_completion<T: Send + 'static>(
+        backend: ReactorBackend,
+        future: impl Future<Output = T> + Send + 'static,
+    ) -> T {
+        let executor = Executor::with_backend(backend, Duration::from_micros(200));
         let handle = executor.handle();
-        let start = Instant::now();
-        block_on(handle.sleep(Duration::from_millis(10)));
-        assert!(start.elapsed() >= Duration::from_millis(10));
+        let output = Arc::new(Mutex::new(None));
+        let slot = Arc::clone(&output);
+        let stopper = handle.clone();
+        handle.spawn(async move {
+            let value = future.await;
+            *slot.lock().unwrap() = Some(value);
+            stopper.shutdown();
+        });
+        executor.run();
+        let value = output.lock().unwrap().take();
+        value.expect("the future completed before shutdown")
     }
 
     #[test]
     fn oneshot_delivers_across_threads() {
-        let (tx, rx) = oneshot::channel::<u32>();
-        std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
-            tx.send(99).unwrap();
-        });
-        assert_eq!(block_on(rx), Ok(99));
+        for backend in backends() {
+            let (tx, rx) = oneshot::channel::<u32>();
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(20));
+                tx.send(99).unwrap();
+            });
+            assert_eq!(run_to_completion(backend, rx), Ok(99), "{backend:?}");
+        }
     }
 
     #[test]
     fn oneshot_sender_drop_cancels() {
-        let (tx, rx) = oneshot::channel::<u32>();
-        drop(tx);
-        assert_eq!(block_on(rx), Err(oneshot::Canceled));
-    }
-
-    #[test]
-    fn oneshot_try_recv_observes_all_states() {
-        let (tx, rx) = oneshot::channel::<u32>();
-        assert_eq!(rx.try_recv(), Ok(None));
-        tx.send(5).unwrap();
-        assert_eq!(rx.try_recv(), Ok(Some(5)));
-        let (tx, rx) = oneshot::channel::<u32>();
-        drop(tx);
-        assert_eq!(rx.try_recv(), Err(oneshot::Canceled));
+        for backend in backends() {
+            let (tx, rx) = oneshot::channel::<u32>();
+            drop(tx);
+            assert_eq!(
+                run_to_completion(backend, rx),
+                Err(oneshot::Canceled),
+                "{backend:?}"
+            );
+        }
     }
 
     #[test]
     fn executor_runs_spawned_tasks_and_shuts_down() {
-        let executor = Executor::new(Duration::from_micros(200));
+        let executor = Executor::with_backend(ReactorBackend::Tick, Duration::from_micros(200));
         let handle = executor.handle();
         let counter = Arc::new(AtomicUsize::new(0));
         for _ in 0..10 {
@@ -1111,12 +993,12 @@ mod tests {
         });
         executor.run();
         assert_eq!(counter.load(Ordering::SeqCst), 10);
-        assert_eq!(handle.live_tasks(), 0);
+        assert_eq!(handle.pending_timers(), 0, "purge empties the heap");
     }
 
     #[test]
     fn sleep_respects_its_deadline() {
-        let executor = Executor::new(Duration::from_micros(200));
+        let executor = Executor::with_backend(ReactorBackend::Tick, Duration::from_micros(200));
         let handle = executor.handle();
         let start = Instant::now();
         let woke_after = Arc::new(Mutex::new(None));
@@ -1140,32 +1022,115 @@ mod tests {
     }
 
     #[test]
+    fn heap_timers_fire_in_deadline_order_and_never_early() {
+        // 200 sleeps registered in shuffled order, two per deadline, spread
+        // over 20–317 ms (past 256 ms, where a 256-slot 1 ms hashed wheel
+        // wraps), plus one sleep registered and dropped before its
+        // deadline.  Every sleep must wake at or after its deadline, in
+        // deadline order, without the run loop hanging or spinning.
+        for backend in backends() {
+            let executor = Executor::with_backend(backend, Duration::from_micros(500));
+            let handle = executor.handle();
+            let base = Instant::now() + Duration::from_millis(20);
+            let mut deadlines: Vec<Instant> = (0..200u64)
+                .map(|i| base + Duration::from_millis(3 * (i / 2)))
+                .collect();
+            // Fisher–Yates with a fixed LCG, so the order is shuffled but
+            // reproducible.
+            let mut state = 0x2545_f491_4f6c_dd1du64;
+            for i in (1..deadlines.len()).rev() {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                deadlines.swap(i, (state >> 33) as usize % (i + 1));
+            }
+            let sleep_until = |deadline: Instant| Sleep {
+                deadline,
+                shared: Arc::clone(&handle.shared),
+                registered: false,
+            };
+
+            let woken: Arc<Mutex<Vec<(Instant, Instant)>>> = Arc::default();
+            for &deadline in &deadlines {
+                let sleep = sleep_until(deadline);
+                let woken = Arc::clone(&woken);
+                let stopper = handle.clone();
+                handle.spawn(async move {
+                    sleep.await;
+                    let mut woken = woken.lock().unwrap();
+                    woken.push((deadline, Instant::now()));
+                    if woken.len() == 200 {
+                        stopper.shutdown();
+                    }
+                });
+            }
+            // Registered, then dropped long before its deadline: its entry
+            // wakes a finished task once, which must change nothing.
+            let mut dropped = sleep_until(base + Duration::from_millis(150));
+            handle.spawn(std::future::poll_fn(move |cx| {
+                assert!(Pin::new(&mut dropped).poll(cx).is_pending());
+                Poll::Ready(())
+            }));
+
+            // Turn a hang into a failure.
+            let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+            let watchdog_handle = handle.clone();
+            let watchdog = std::thread::spawn(move || {
+                if done_rx.recv_timeout(Duration::from_secs(10)).is_err() {
+                    watchdog_handle.shutdown();
+                }
+            });
+            executor.run();
+            let _ = done_tx.send(());
+            watchdog.join().unwrap();
+
+            let woken = woken.lock().unwrap();
+            assert_eq!(woken.len(), 200, "{backend:?}: a sleep never woke");
+            for (deadline, at) in woken.iter() {
+                assert!(at >= deadline, "{backend:?}: a sleep fired early");
+            }
+            assert!(
+                woken.windows(2).all(|pair| pair[0].0 <= pair[1].0),
+                "{backend:?}: sleeps woke out of deadline order"
+            );
+            // 100 distinct deadlines 3 ms apart take a few hundred blocking
+            // waits; a loop that spins instead blocks tens of thousands of
+            // times (or, on epoll, waits with timeout 0).
+            let blocks = executor.shared.blocks.load(Ordering::Relaxed);
+            assert!(
+                blocks < 2_000,
+                "{backend:?}: run loop blocked {blocks} times over ~320 ms"
+            );
+        }
+    }
+
+    #[test]
     fn pool_results_reenter_the_event_loop() {
         // The exact shape the transport uses: a blocking pool job completing a
         // oneshot that a task on the executor is awaiting.
         let pool = crate::ThreadPool::new(2);
-        let executor = Executor::new(Duration::from_micros(200));
+        let executor = Executor::with_backend(ReactorBackend::Tick, Duration::from_micros(200));
         let handle = executor.handle();
         let total = Arc::new(AtomicUsize::new(0));
+        let done = Arc::new(AtomicUsize::new(0));
         for i in 0..8usize {
             let (tx, rx) = oneshot::channel::<usize>();
             pool.execute(move || {
                 let _ = tx.send(i * i);
             });
             let total = Arc::clone(&total);
+            let done = Arc::clone(&done);
+            let stopper = handle.clone();
             handle.spawn(async move {
                 let value = rx.await.expect("pool job completes");
                 total.fetch_add(value, Ordering::SeqCst);
+                if done.fetch_add(1, Ordering::SeqCst) + 1 == 8 {
+                    stopper.shutdown();
+                }
             });
         }
-        let stopper = handle.clone();
-        handle.spawn(async move {
-            while stopper.live_tasks() > 1 {
-                stopper.sleep(Duration::from_millis(1)).await;
-            }
-            stopper.shutdown();
-        });
         executor.run();
+        assert_eq!(done.load(Ordering::SeqCst), 8);
         assert_eq!(total.load(Ordering::SeqCst), (0..8).map(|i| i * i).sum());
     }
 
@@ -1183,7 +1148,7 @@ mod tests {
         }
         assert_eq!(ReactorBackend::Tick.resolve(), ReactorBackend::Tick);
         assert_eq!(
-            Executor::new(Duration::from_micros(500)).backend(),
+            Executor::with_backend(ReactorBackend::Tick, Duration::from_micros(500)).backend(),
             ReactorBackend::Tick
         );
     }
@@ -1191,7 +1156,7 @@ mod tests {
     #[test]
     fn epoll_backend_runs_tasks_timers_and_oneshots() {
         // The full scheduling surface on the readiness backend: plain tasks,
-        // timer-wheel sleeps, and cross-thread oneshot completions.
+        // heap-timer sleeps, and cross-thread oneshot completions.
         let executor = Executor::with_backend(ReactorBackend::Epoll, Duration::from_micros(500));
         if executor.backend() != ReactorBackend::Epoll {
             return; // no readiness syscalls on this target/kernel
@@ -1279,7 +1244,7 @@ mod tests {
 
     #[test]
     fn io_parked_wakers_are_rewoken_each_tick() {
-        let executor = Executor::new(Duration::from_micros(200));
+        let executor = Executor::with_backend(ReactorBackend::Tick, Duration::from_micros(200));
         let handle = executor.handle();
         let polls = Arc::new(AtomicUsize::new(0));
         let polls_in = Arc::clone(&polls);

@@ -36,8 +36,9 @@
 //!
 //! ```text
 //! executor   executor::Executor — single-threaded future runner: atomic-state
-//!    │        wakers, hashed timer wheel, oneshot completions, epoll
-//!    │        readiness (a timed poll loop where epoll is unavailable)
+//!    │        wakers, a deadline heap, oneshot completions and one run loop
+//!    │        that blocks in epoll (a 500 µs timed poll where it is
+//!    │        unavailable)
 //! reactor    transport::{AcceptTask, ConnectionTask} — nonblocking std::net
 //!    │        sockets parked on readiness, bounded per-connection write queues
 //! transport  length-prefixed frames carrying the versioned envelopes of

@@ -128,10 +128,10 @@
 //! *does* admit complete at bounded latency.  Resident hits are never shed:
 //! they are answered on the reactor and add nothing to the backlog, so a
 //! pool pinned by cold solves still serves every cached key.  `Warm` frames
-//! are exempt too: their key count is already bounded by
-//! [`TransportConfig::max_warm_keys`] and warming is an explicit operator
-//! action, not open-loop traffic.  Shed and
-//! admitted counts are visible as [`TransportStats::requests_shed`] /
+//! are exempt too: their key count is already bounded (1024 keys per
+//! frame) and warming is an explicit operator action, not open-loop
+//! traffic.  Shed and admitted counts are visible as
+//! [`TransportStats::requests_shed`] /
 //! [`TransportStats::requests_admitted`], and the read-side memory bound as
 //! [`TransportStats::read_buffer_high_water`].
 //!
@@ -167,7 +167,7 @@ use std::pin::Pin;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The raw descriptor of a socket, for readiness registration with
 /// [`Handle::park_socket`]; `-1` on targets without raw fds, where the
@@ -426,18 +426,31 @@ pub enum HelloReply {
 // Server
 // ---------------------------------------------------------------------------
 
+/// Reactor tick: how often the [`Tick`](ReactorBackend::Tick) backend
+/// re-polls sockets parked on `WouldBlock`.  On epoll it only bounds the wait
+/// while a future sits in the executor's `park_io` set.
+const IO_POLL_INTERVAL: Duration = Duration::from_micros(500);
+
+/// Encoded response frames a connection may queue before the reactor stops
+/// reading from it (write-side backpressure).
+const WRITE_QUEUE_DEPTH: usize = 64;
+
+/// Decoded requests a connection may have in flight on the dispatch pool
+/// before the reactor stops reading from it (compute backpressure).
+const MAX_INFLIGHT_PER_CONNECTION: usize = 128;
+
+/// Largest `(privacy_level, δ)` key count accepted in one `Warm` frame, and
+/// the length a digest reply is truncated to.  Each key is a full forest
+/// generation, so an unbounded plan would let a single small frame pin the
+/// dispatch pool for hours.
+const MAX_WARM_KEYS: usize = 1024;
+
 /// Tunables of the serving reactor and its transport.
 #[derive(Debug, Clone)]
 pub struct TransportConfig {
     /// Largest accepted inbound frame payload, in bytes.  Requests are tiny;
     /// the default (64 KiB) rejects runaway length prefixes outright.
     pub max_inbound_frame: usize,
-    /// Encoded response frames a connection may queue before the reactor
-    /// stops reading from it (write-side backpressure).
-    pub write_queue_depth: usize,
-    /// Decoded requests a connection may have in flight on the dispatch pool
-    /// before the reactor stops reading from it (compute backpressure).
-    pub max_inflight_per_connection: usize,
     /// Threads of the dispatch pool running the service stack.  This bounds
     /// server-wide concurrent generations; the LP fan-out below it is sized by
     /// [`crate::ServerConfig::worker_threads`].
@@ -451,16 +464,12 @@ pub struct TransportConfig {
     /// rest".  The default (64) keeps worst-case queueing delay at
     /// `64 / dispatch_threads` service times.
     pub max_dispatch_backlog: usize,
-    /// Reactor tick: how often sockets parked on `WouldBlock` are re-polled
-    /// on the [`Tick`](ReactorBackend::Tick) backend.  On epoll it only
-    /// bounds the wait for futures parked via the legacy poll set.
-    pub io_poll_interval: Duration,
     /// How the reactor threads block between bursts of work.  The default
     /// honours `CORGI_REACTOR_BACKEND` and requests
     /// [`Epoll`](ReactorBackend::Epoll), which degrades to
-    /// [`Tick`](ReactorBackend::Tick) wherever the readiness syscalls are
-    /// unavailable (non-Linux, seccomp); [`TcpServer::backend`] reports what
-    /// actually runs.
+    /// [`Tick`](ReactorBackend::Tick) (a 500 µs re-poll tick) wherever the
+    /// readiness syscalls are unavailable (non-Linux, seccomp);
+    /// [`TcpServer::backend`] reports what actually runs.
     pub reactor_backend: ReactorBackend,
     /// Reactor threads accepted connections are sharded across, round-robin.
     /// `0` (the default) sizes to available parallelism, capped at 8; any
@@ -477,10 +486,6 @@ pub struct TransportConfig {
     /// deadline re-arms on every consumed frame.  `None` (the default) keeps
     /// the pre-1.5 behaviour: an idle connection lives until EOF.
     pub read_idle_timeout: Option<Duration>,
-    /// Largest `(privacy_level, δ)` key count accepted in one `Warm` frame.
-    /// Each key is a full forest generation, so an unbounded plan would let a
-    /// single small frame pin the dispatch pool for hours.
-    pub max_warm_keys: usize,
     /// Warming plan solved on the dispatch pool as soon as the server starts.
     pub warm_on_start: Option<WarmRequest>,
     /// Never read: every connection speaks the binary codec since protocol
@@ -513,16 +518,12 @@ impl Default for TransportConfig {
     fn default() -> Self {
         Self {
             max_inbound_frame: 64 * 1024,
-            write_queue_depth: 64,
-            max_inflight_per_connection: 128,
             dispatch_threads: 4,
             max_dispatch_backlog: 64,
-            io_poll_interval: Duration::from_micros(500),
             reactor_backend: ReactorBackend::from_env(),
             reactor_shards: 0,
             handshake_timeout: Duration::from_secs(5),
             read_idle_timeout: None,
-            max_warm_keys: 1024,
             warm_on_start: None,
             codecs: Vec::new(),
             cluster_key: ClusterKey::from_env(),
@@ -737,7 +738,7 @@ impl TcpServer {
         let local_addr = listener.local_addr()?;
         let shard_count = config.resolved_shards();
         let executors: Vec<Executor> = (0..shard_count)
-            .map(|_| Executor::with_backend(config.reactor_backend, config.io_poll_interval))
+            .map(|_| Executor::with_backend(config.reactor_backend, IO_POLL_INTERVAL))
             .collect();
         // All shards resolve identically (the probe is cached), so shard 0
         // speaks for the server.
@@ -1026,6 +1027,7 @@ impl Future for AcceptTask {
                         stalled: false,
                         deadline,
                         idle: None,
+                        last_progress: Instant::now(),
                     });
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -1089,10 +1091,16 @@ struct ConnectionTask {
     /// until EOF.
     deadline: Sleep,
     /// Read-idle deadline ([`TransportConfig::read_idle_timeout`]): armed
-    /// after the hello, re-armed whenever a frame is consumed, `None` when
-    /// reaping is off.  A connection whose timer fires with nothing in
-    /// flight and nothing to write is reaped with a structured error.
+    /// after the hello, `None` when reaping is off.  It stays armed while
+    /// frames flow and is replaced only when it fires: a connection quiet
+    /// for the whole timeout, with nothing in flight and nothing to write,
+    /// is reaped with a structured error; any other is re-armed at
+    /// `last_progress + timeout`.  One timer entry per connection, however
+    /// many frames it carries.
     idle: Option<Sleep>,
+    /// When the serving loop last made progress (read bytes, consumed a
+    /// frame or collected a completion).
+    last_progress: Instant,
 }
 
 impl Drop for ConnectionTask {
@@ -1114,8 +1122,8 @@ enum ReadOutcome {
 impl ConnectionTask {
     /// Whether backpressure bounds forbid taking on more input right now.
     fn at_capacity(&self) -> bool {
-        self.pending.len() >= self.config.max_inflight_per_connection
-            || self.write_queue.len() >= self.config.write_queue_depth
+        self.pending.len() >= MAX_INFLIGHT_PER_CONNECTION
+            || self.write_queue.len() >= WRITE_QUEUE_DEPTH
     }
 
     /// High-water mark for buffered inbound bytes: one maximal frame plus a
@@ -1247,8 +1255,8 @@ impl ConnectionTask {
         let mut consumed = 0usize;
         let mut any = false;
         while !self.draining
-            && self.pending.len() < self.config.max_inflight_per_connection
-            && self.write_queue.len() < self.config.write_queue_depth
+            && self.pending.len() < MAX_INFLIGHT_PER_CONNECTION
+            && self.write_queue.len() < WRITE_QUEUE_DEPTH
         {
             match peek_frame(&buf[consumed..], self.config.max_inbound_frame) {
                 Ok(None) => break,
@@ -1352,10 +1360,9 @@ impl ConnectionTask {
                 // otherwise schedule hours of solves).  The deduplicated
                 // request list is the actual work, not the raw product.
                 let keys = plan.requests().len();
-                if keys > self.config.max_warm_keys {
+                if keys > MAX_WARM_KEYS {
                     self.queue_transport_error(ServiceError::transport(format!(
-                        "warm plan names {keys} keys, exceeding the {}-key limit",
-                        self.config.max_warm_keys
+                        "warm plan names {keys} keys, exceeding the {MAX_WARM_KEYS}-key limit"
                     )));
                     return;
                 }
@@ -1427,7 +1434,7 @@ impl ConnectionTask {
                         // warm-key limit is truncated, not refused — a
                         // shorter summary just re-warms less.
                         let mut keys = self.service.resident_keys();
-                        keys.truncate(self.config.max_warm_keys);
+                        keys.truncate(MAX_WARM_KEYS);
                         DigestReply {
                             generation: self.service.cache_generation(),
                             keys,
@@ -1557,6 +1564,7 @@ impl ConnectionTask {
                         // became active — the client verifies it on arrival.
                         self.queue_frame(WireCodec::Binary.encode_frame(&reply));
                         self.established = true;
+                        self.last_progress = Instant::now();
                         self.idle = self
                             .config
                             .read_idle_timeout
@@ -1665,12 +1673,19 @@ impl Future for ConnectionTask {
             progress |= this.process_frames();
             if let Some(timeout) = this.config.read_idle_timeout {
                 if progress {
-                    // Any consumed frame (or completed dispatch) re-arms the
-                    // read-idle deadline.
-                    this.idle = Some(this.handle.sleep(timeout));
+                    // Any consumed frame (or completed dispatch) moves the
+                    // read-idle deadline; the armed sleep catches up with it
+                    // when it fires.
+                    this.last_progress = Instant::now();
                 } else if let Some(idle) = this.idle.as_mut() {
                     if Pin::new(idle).poll(cx).is_ready() {
-                        if this.pending.is_empty() && this.write_queue.is_empty() && !this.eof {
+                        let now = Instant::now();
+                        let quiet = now.saturating_duration_since(this.last_progress) >= timeout;
+                        if quiet
+                            && this.pending.is_empty()
+                            && this.write_queue.is_empty()
+                            && !this.eof
+                        {
                             // Connected but mute: reclaim the connection with
                             // a structured goodbye instead of holding its
                             // buffers and fd forever.
@@ -1679,9 +1694,14 @@ impl Future for ConnectionTask {
                                  closing",
                             )));
                         } else {
-                            // In-flight work or queued output keeps the
-                            // connection alive; give it a fresh window.
-                            this.idle = Some(this.handle.sleep(timeout));
+                            if quiet {
+                                // In-flight work or queued output keeps the
+                                // connection alive; give it a fresh window.
+                                this.last_progress = now;
+                            }
+                            let deadline = this.last_progress + timeout;
+                            this.idle =
+                                Some(this.handle.sleep(deadline.saturating_duration_since(now)));
                         }
                         progress = true;
                     }
@@ -1811,5 +1831,43 @@ mod tests {
         let json = serde_json::to_string(&rejected).unwrap();
         let back: HelloReply = serde_json::from_str(&json).unwrap();
         assert_eq!(back, rejected);
+    }
+
+    #[test]
+    fn read_idle_deadline_keeps_one_timer_per_connection() {
+        // The read-idle deadline stays one timer entry however many frames
+        // flow.  A fresh sleep per frame would leave one entry queued per
+        // frame until its deadline, each later waking the connection for
+        // nothing.
+        use corgi_core::LocationTree;
+        use corgi_datagen::{GowallaLikeConfig, GowallaLikeGenerator};
+        use corgi_hexgrid::HexGrid;
+
+        let grid = HexGrid::new(HexGridConfig::san_francisco()).unwrap();
+        let (dataset, _) =
+            GowallaLikeGenerator::new(GowallaLikeConfig::small_test()).generate(&grid);
+        let prior = PriorDistribution::from_dataset(&grid, &dataset, 0.5);
+        let service: Arc<dyn MatrixService> = Arc::new(crate::ForestGenerator::new(
+            LocationTree::new(grid),
+            prior,
+            crate::ServerConfig::default(),
+        ));
+        let config = TransportConfig {
+            reactor_shards: 1,
+            read_idle_timeout: Some(Duration::from_secs(30)),
+            ..TransportConfig::default()
+        };
+        let server = TcpServer::bind("127.0.0.1:0", service, config).unwrap();
+        let client = TcpTransport::connect(server.local_addr()).unwrap();
+        for _ in 0..3000 {
+            client.ping().expect("a ping round trip");
+        }
+        // The handshake deadline and the one armed read-idle sleep.
+        let timers = server.shards[0].handle.pending_timers();
+        assert!(
+            timers <= 3,
+            "{timers} timer entries queued for one connection after 3000 frames"
+        );
+        server.shutdown();
     }
 }

@@ -150,9 +150,9 @@ pub struct DigestRequest {
 /// Reply to a [`DigestRequest`]: a summary of resident cache keys, or one
 /// pulled forest.
 ///
-/// Bounded like `Warm` frames: a server truncates `keys` to its
-/// `max_warm_keys` (a digest is advisory — a truncated one just re-warms
-/// less, it never breaks correctness).
+/// Bounded like `Warm` frames: a server truncates `keys` to its 1024-key
+/// warm limit (a digest is advisory — a truncated one just re-warms less, it
+/// never breaks correctness).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DigestReply {
     /// The replying cache's generation counter: it advances on every insert,

@@ -153,7 +153,6 @@ fn probes_mark_a_killed_shard_down_and_probation_readmits_it() {
             client: client_config(),
             retry_backoff: Duration::from_millis(5),
             health: Some(fast_health()),
-            ..RouterConfig::default()
         },
     )
     .expect("router connects");

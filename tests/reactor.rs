@@ -34,7 +34,7 @@ fn caching_stack() -> Arc<CachingService<ForestGenerator>> {
 /// Each sampled request is preceded by a few milliseconds of idle time, so
 /// the reactor has drained its ready queue and is blocking when the frame
 /// lands — exactly the case where the tick backend pays up to a full
-/// `io_poll_interval` before it even notices the socket.
+/// 500 µs tick before it even notices the socket.
 fn median_idle_latency(
     backend: ReactorBackend,
     service: Arc<dyn MatrixService>,
