@@ -240,17 +240,19 @@ pub fn generate_robust_matrix_warm(
     warm: Option<&WarmStart>,
 ) -> Result<RobustRun> {
     let options = InteriorPointOptions::default();
-    // Tolerance ladder: intermediate iterations only exist to feed the
-    // reserved-budget recomputation (Eq. 14) — itself an upper-bound
-    // *approximation* whose error dwarfs 1e-4 — and the fixed point they
-    // chase oscillates rather than converging to machine precision.  Solving
-    // them to 1e-8 buys nothing but interior-point tail iterations (the slow
-    // final grind dominates each solve), so every solve except the last runs
-    // at a relaxed tolerance; the final LP — the one whose solution ships as
-    // the obfuscation matrix — always solves at the caller's full tolerance.
-    // Combined with the warm chaining below, this is what turns Algorithm 1
-    // from `iterations + 1` full cold solves into one cold solve plus cheap
-    // refinements.
+    // Tolerance ladder: every solve except the last stops at a relaxed
+    // tolerance; the final LP — the one whose solution ships as the
+    // obfuscation matrix — always solves at the caller's full tolerance.
+    // The relaxed stop is not free.  The interior-point stop is a
+    // mean-complementarity test (`run_ipm` in corgi-lp's `interior.rs`),
+    // so the total duality gap it allows grows with the number of
+    // constraint pairs: on the plain Eq. 8 LP at K = 49 a 1e-4 stop returns
+    // an objective 4.25× the 1e-8 one, and a relaxed refinement takes about
+    // 2 IPM iterations and barely moves.  So the matrices that feed Eq. 14's
+    // reserved-budget recomputation are not the LP optima Algorithm 1
+    // specifies; what it costs and how to fix it is ROADMAP item 1.  Combined
+    // with the warm chaining below, the ladder is what makes a chain one
+    // cold solve plus cheap refinements.
     const REFINEMENT_TOLERANCE: f64 = 1e-4;
     let refinements = if config.delta == 0 {
         0

@@ -52,7 +52,6 @@
 //! [`TcpServer`]: crate::TcpServer
 
 use crate::auth::ClusterKey;
-use crate::codec::ForestBody;
 use crate::conn::{ClientConfig, Conn, TcpTransport};
 use crate::executor::{oneshot, Handle, Sleep};
 use crate::fault::{FaultAction, FaultPlan, FaultSite};
@@ -60,7 +59,7 @@ use crate::messages::{
     MatrixRequest, PrivacyForestResponse, ServiceError, ServiceErrorKind, WireCodec,
 };
 use crate::pool::ThreadPool;
-use crate::service::{CacheStats, MatrixService, WarmInsertOutcome};
+use crate::service::{CacheStats, ForestCache, MatrixService};
 use crate::transport::{FrameKind, TransportStats};
 use crate::warm::WarmPush;
 use corgi_core::LocationTree;
@@ -713,28 +712,8 @@ impl<S: MatrixService> MatrixService for ReplicatingService<S> {
         self.inner.prior()
     }
 
-    fn warm_insert(&self, forest: Arc<PrivacyForestResponse>) -> WarmInsertOutcome {
-        self.inner.warm_insert(forest)
-    }
-
-    fn cache_stats(&self) -> Option<CacheStats> {
-        self.inner.cache_stats()
-    }
-
-    fn resident_keys(&self) -> Vec<MatrixRequest> {
-        self.inner.resident_keys()
-    }
-
-    fn resident(&self, request: MatrixRequest) -> Option<Arc<PrivacyForestResponse>> {
-        self.inner.resident(request)
-    }
-
-    fn encoded_hit(&self, request: MatrixRequest) -> Option<ForestBody> {
-        self.inner.encoded_hit(request)
-    }
-
-    fn cache_generation(&self) -> u64 {
-        self.inner.cache_generation()
+    fn cache(&self) -> Option<&ForestCache> {
+        self.inner.cache()
     }
 }
 

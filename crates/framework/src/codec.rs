@@ -419,14 +419,14 @@ fn put_forest(out: &mut Vec<u8>, f: &PrivacyForestResponse) {
 /// The binary encoding of one privacy forest: the `forest body` of the
 /// layouts above, encoded once and shared.
 ///
-/// A caching layer keeps one beside each resident forest, so the reply to a
-/// hit is a per-request envelope head plus a copy of these bytes
+/// The [`ForestCache`] keeps one beside each resident forest, so the reply to
+/// a hit is a per-request envelope head plus a copy of these bytes
 /// ([`WireCodec::encode_forest_reply`]) instead of a re-encode of every
-/// matrix.  Cloning shares the bytes.  Only this crate's caching layer
-/// makes one ([`MatrixService::encoded_hit`]); a wrapping service forwards
-/// it.
+/// matrix.  Cloning shares the bytes.  Only the cache makes one, and
+/// [`ForestCache::encoded_hit`] hands it out.
 ///
-/// [`MatrixService::encoded_hit`]: crate::MatrixService::encoded_hit
+/// [`ForestCache`]: crate::ForestCache
+/// [`ForestCache::encoded_hit`]: crate::ForestCache::encoded_hit
 #[derive(Clone, PartialEq, Eq)]
 pub struct ForestBody(Arc<[u8]>);
 

@@ -573,13 +573,21 @@ impl TcpTransport {
 
     /// Pull one resident forest from the server's cache (protocol 1.5).
     /// `Ok(None)` means the key was not resident (e.g. evicted since the
-    /// digest was taken) — the server never solves to answer a pull.
+    /// digest was taken) — the server never solves to answer a pull.  A
+    /// forest for any other key is refused with a
+    /// [`Transport`](crate::ServiceErrorKind::Transport) error.
     pub fn pull_resident(
         &self,
         key: MatrixRequest,
     ) -> Result<Option<Arc<PrivacyForestResponse>>, ServiceError> {
-        self.call::<_, DigestReply>(&DigestRequest { pull: Some(key) })
-            .map(|reply| reply.forest)
+        let reply: DigestReply = self.call(&DigestRequest { pull: Some(key) })?;
+        match reply.forest {
+            Some(forest) if forest.request != key => Err(ServiceError::transport(format!(
+                "pull of ({}, {}) answered with the forest for ({}, {})",
+                key.privacy_level, key.delta, forest.request.privacy_level, forest.request.delta
+            ))),
+            forest => Ok(forest),
+        }
     }
 }
 

@@ -14,20 +14,24 @@
 //!
 //! # The serving stack
 //!
-//! The server side is organized around the [`MatrixService`] trait with three
-//! implementations layered by composition:
+//! The server side is organized around the [`MatrixService`] trait with two
+//! implementations layered by composition and one cache:
 //!
 //! | Layer | Responsibility |
 //! |---|---|
 //! | [`ForestGenerator`] | Raw compute: per-subtree LP solves fanned out over a fixed-size [`ThreadPool`] |
-//! | [`CachingService`] | Sharded, capacity-bounded LRU over `(privacy_level, δ)` keys with single-flight deduplication |
-//! | [`InstrumentedService`] | Per-request latency / error counters ([`ServiceStats`]) |
+//! | [`CachingService`] | Serves the inner service through its [`ForestCache`] |
+//! | [`ForestCache`] | Sharded, capacity-bounded LRU over `(privacy_level, δ)` keys with single-flight deduplication and each forest's body encoded once; counters in [`CacheStats`] |
 //!
-//! A typical deployment composes all three behind a trait object:
+//! A typical deployment composes them behind a trait object:
 //!
 //! ```text
-//! Arc<dyn MatrixService> = InstrumentedService<CachingService<ForestGenerator>>
+//! Arc<dyn MatrixService> = CachingService<ForestGenerator>
+//!                          └─ cache() ──► ForestCache
 //! ```
+//!
+//! The server reaches the cache only through [`MatrixService::cache`]:
+//! inline resident hits, `WarmPush` replication, digests and re-warm.
 //!
 //! # The event-driven serving core
 //!
@@ -126,8 +130,8 @@ pub use pool::{JobPanic, ThreadPool};
 pub use provider::MetadataAttributeProvider;
 pub use server::{ServerConfig, ServerConfigBuilder};
 pub use service::{
-    CacheConfig, CacheStats, CachingService, ForestGenerator, InstrumentedService, MatrixService,
-    ServiceStats, WarmInsertOutcome, WarmSeedStats,
+    CacheConfig, CacheStats, CachingService, ForestCache, ForestGenerator, MatrixService,
+    WarmInsertOutcome, WarmSeedStats,
 };
 pub use transport::{ClientConfig, TcpServer, TcpTransport, TransportConfig, TransportStats};
 pub use warm::{

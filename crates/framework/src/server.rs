@@ -1,9 +1,11 @@
 //! Server configuration.
 //!
-//! The serving stack itself lives in [`crate::service`]: compose
-//! [`ForestGenerator`](crate::ForestGenerator) with
-//! [`CachingService`](crate::CachingService) (and optionally
-//! [`crate::InstrumentedService`]) behind an `Arc<dyn MatrixService>`.
+//! The serving stack itself lives in [`crate::service`]: wrap
+//! [`ForestGenerator`](crate::ForestGenerator) in
+//! [`CachingService`](crate::CachingService) behind an
+//! `Arc<dyn MatrixService>`.  The stack's one
+//! [`ForestCache`](crate::ForestCache) is what the server reaches through
+//! [`MatrixService::cache`](crate::MatrixService::cache).
 
 use serde::{Deserialize, Serialize};
 
@@ -197,14 +199,14 @@ mod tests {
         let a = srv.privacy_forest(req).unwrap();
         let b = srv.privacy_forest(req).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "second call must hit the cache");
-        assert_eq!(srv.len(), 1);
+        assert_eq!(srv.cache_stats().unwrap().entries, 1);
         let _ = srv
             .privacy_forest(MatrixRequest {
                 privacy_level: 1,
                 delta: 2,
             })
             .unwrap();
-        assert_eq!(srv.len(), 2);
+        assert_eq!(srv.cache_stats().unwrap().entries, 2);
     }
 
     #[test]

@@ -66,8 +66,7 @@
 //! decodable) after which the connection drains and closes; a half-sent frame
 //! is bounded by the handshake/read deadline.  Connection-level behaviour is
 //! observable as a [`TransportStats`] snapshot ([`TcpServer::stats`] /
-//! [`TcpTransport::stats`]), the transport-layer analogue of
-//! [`crate::ServiceStats`].
+//! [`TcpTransport::stats`]), beside the cache's [`CacheStats`].
 //!
 //! # Server architecture
 //!
@@ -80,7 +79,7 @@
 //!                             │      (wake the task)   dispatch ThreadPool
 //!                             │                        service.handle_envelope
 //!                             └─ bounded write queue ◄── resident hit:   │
-//!                                  service.encoded_hit body + head       │
+//!                                  cache().encoded_hit body + head       │
 //!                    reactor shard 1..S-1: Executor::run  ◄──────────────┘
 //!                      └─ ConnectionTask ×N   (same loop, own poll set
 //!                                              and TransportStats shard)
@@ -96,8 +95,9 @@
 //! [`TcpServer::shard_stats`] the per-shard breakdown.
 //!
 //! A reactor thread never solves and never encodes a forest.  A request whose
-//! key is resident is answered inline: [`MatrixService::encoded_hit`] counts
-//! the hit and hands back the forest body the cache encoded once, and the
+//! key is resident is answered inline: the stack's [`ForestCache`], reached
+//! through [`MatrixService::cache`], counts the hit and hands back the forest
+//! body it encoded once ([`ForestCache::encoded_hit`]), and the
 //! reply is that body behind a per-request envelope head
 //! ([`WireCodec::encode_forest_reply`]), byte-identical to the dispatch
 //! path's frame and queued through the same sealing and fault-injection
@@ -138,6 +138,7 @@
 //! [`ProtocolVersion`]: crate::messages::ProtocolVersion
 //! [`ServiceErrorKind::Transport`]: crate::messages::ServiceErrorKind::Transport
 //! [`oneshot`]: crate::executor::oneshot
+//! [`CacheStats`]: crate::CacheStats
 
 pub use crate::conn::{ClientConfig, TcpTransport};
 
@@ -152,7 +153,7 @@ use crate::messages::{
     RequestEnvelope, ResponseEnvelope, ServiceError, ServiceErrorKind, PROTOCOL_VERSION,
 };
 use crate::pool::ThreadPool;
-use crate::service::{MatrixService, WarmInsertOutcome};
+use crate::service::{ForestCache, MatrixService, WarmInsertOutcome};
 use crate::warm::{
     warm, DigestReply, DigestRequest, RewarmReport, WarmFailure, WarmPush, WarmRequest,
 };
@@ -550,7 +551,7 @@ impl TransportConfig {
 }
 
 /// A point-in-time snapshot of a transport endpoint's connection-level
-/// counters — the wire-layer analogue of [`crate::ServiceStats`].
+/// counters.
 ///
 /// [`TcpServer::stats`] fills every field; [`TcpTransport::stats`] describes
 /// its single client connection (the accept/handshake counters count that
@@ -861,9 +862,13 @@ impl TcpServer {
     /// concurrently — pulled keys become hits as they land.  Unreachable
     /// peers and failed pulls are reported, not fatal: re-warming is an
     /// optimization, and every key it misses is simply solved on first
-    /// request like any cold miss.  Pulled keys count as
-    /// [`ClusterStats::rewarm_keys_pulled`]; each answered pull counts as
-    /// [`ClusterStats::pushes_repaired`] on the serving peer.
+    /// request like any cold miss.  Keys the cache took count as
+    /// [`ClusterStats::rewarm_keys_pulled`]; a key that became resident
+    /// while its pull was in flight counts as already resident instead, and
+    /// a peer answering a pull with another key's forest is a failure.  Each
+    /// answered pull counts as [`ClusterStats::pushes_repaired`] on the
+    /// serving peer.  A stack without a cache pulls nothing and reports one
+    /// failure.
     pub fn rewarm_from_peers(&self, peers: &[String], config: ClientConfig) -> RewarmReport {
         let start = std::time::Instant::now();
         let mut report = RewarmReport {
@@ -874,11 +879,21 @@ impl TcpServer {
             failures: Vec::new(),
             elapsed_ms: 0,
         };
+        let Some(cache) = self.service.cache() else {
+            report.failures.push(WarmFailure {
+                privacy_level: 0,
+                delta: 0,
+                error: ServiceError::new(
+                    ServiceErrorKind::InvalidRequest,
+                    "this server's stack has no cache to re-warm",
+                ),
+            });
+            return report;
+        };
         // Keys counted once across the whole run, so a key named by several
         // peers' digests is pulled from the first and counted resident for
         // the rest.
-        let mut counted: std::collections::HashSet<(u8, usize)> = self
-            .service
+        let mut counted: std::collections::HashSet<(u8, usize)> = cache
             .resident_keys()
             .into_iter()
             .map(|key| (key.privacy_level, key.delta))
@@ -917,11 +932,18 @@ impl TcpServer {
                 }
                 report.missing += 1;
                 match transport.pull_resident(key) {
-                    Ok(Some(forest)) => {
-                        self.service.warm_insert(forest);
-                        self.cluster.count_rewarm_pulled();
-                        report.pulled += 1;
-                    }
+                    // Live traffic may have cached the key while the pull
+                    // was in flight: then nothing was pulled into the cache.
+                    Ok(Some(forest)) => match cache.warm_insert(forest) {
+                        WarmInsertOutcome::Inserted => {
+                            self.cluster.count_rewarm_pulled();
+                            report.pulled += 1;
+                        }
+                        WarmInsertOutcome::AlreadyResident => {
+                            report.missing -= 1;
+                            report.already_resident += 1;
+                        }
+                    },
                     // Evicted between digest and pull: not an error, just a
                     // key the run cannot repair (and a later peer may).
                     Ok(None) => {
@@ -1307,7 +1329,11 @@ impl ConnectionTask {
                 // never shed, since it adds nothing to the dispatch backlog.
                 // The frame is byte-identical to the dispatch path's reply.
                 if PROTOCOL_VERSION.is_compatible_with(&envelope.version) {
-                    if let Some(body) = self.service.encoded_hit(envelope.request) {
+                    let hit = self
+                        .service
+                        .cache()
+                        .and_then(|c| c.encoded_hit(envelope.request));
+                    if let Some(body) = hit {
                         TransportMetrics::add(&self.metrics.requests_admitted, 1);
                         self.queue_frame(
                             WireCodec::Binary.encode_forest_reply(envelope.request_id, &body),
@@ -1383,9 +1409,10 @@ impl ConnectionTask {
                     }
                 };
                 // Adopt the peer's solved forest directly: a push never
-                // schedules a solve.
+                // schedules a solve.  A stack without a cache drops it.
                 self.cluster.count_push_received();
-                if self.service.warm_insert(push.forest) == WarmInsertOutcome::AlreadyResident {
+                let outcome = self.service.cache().map(|c| c.warm_insert(push.forest));
+                if outcome == Some(WarmInsertOutcome::AlreadyResident) {
                     self.cluster.count_push_deduped();
                 }
             }
@@ -1428,27 +1455,31 @@ impl ConnectionTask {
                         return;
                     }
                 };
+                // A stack without a cache answers an empty digest at
+                // generation 0 and no pulled forest.
+                let cache = self.service.cache();
+                let generation = cache.map_or(0, ForestCache::generation);
                 let reply = match request.pull {
                     None => {
                         // Bounded like Warm frames: a digest larger than the
                         // warm-key limit is truncated, not refused — a
                         // shorter summary just re-warms less.
-                        let mut keys = self.service.resident_keys();
+                        let mut keys = cache.map(ForestCache::resident_keys).unwrap_or_default();
                         keys.truncate(MAX_WARM_KEYS);
                         DigestReply {
-                            generation: self.service.cache_generation(),
+                            generation,
                             keys,
                             forest: None,
                         }
                     }
                     Some(key) => {
-                        let forest = self.service.resident(key);
+                        let forest = cache.and_then(|c| c.resident(key));
                         if forest.is_some() {
                             // One cache entry repaired into a rejoining peer.
                             self.cluster.count_push_repaired();
                         }
                         DigestReply {
-                            generation: self.service.cache_generation(),
+                            generation,
                             keys: Vec::new(),
                             forest,
                         }

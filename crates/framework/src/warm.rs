@@ -135,8 +135,9 @@ impl WarmPush {
 /// A restarted shard rejoins warm by sending an empty request (`pull: None`)
 /// to each healthy peer, diffing the returned key summary against its own
 /// cache, and pulling each missing key with `pull: Some(key)` — the reply
-/// then carries the peer's resident forest, inserted locally via
-/// [`MatrixService::warm_insert`].  The whole flow is cache-only on both
+/// then carries the peer's resident forest, inserted into the local
+/// [`ForestCache`](crate::ForestCache) (reached through
+/// [`MatrixService::cache`]).  The whole flow is cache-only on both
 /// sides: re-joining costs network transfer, never an LP solve.  See
 /// [`TcpServer::rewarm_from_peers`](crate::TcpServer::rewarm_from_peers).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -172,15 +173,19 @@ pub struct DigestReply {
 pub struct RewarmReport {
     /// Peers whose digest was fetched successfully.
     pub peers_reached: usize,
-    /// Distinct keys the digests named that were missing locally.
+    /// Distinct keys the digests named that were missing locally.  A key
+    /// the peer evicted before the pull, or that became resident locally
+    /// while its pull was in flight, leaves this count.
     pub missing: usize,
     /// Keys pulled and inserted into the local cache.
     pub pulled: usize,
-    /// Keys named by a digest but already resident locally (including keys
-    /// pulled from an earlier peer in the same run).
+    /// Keys named by a digest but already resident locally: before the run,
+    /// pulled from an earlier peer in the same run, or cached by live
+    /// traffic while their pull was in flight.
     pub already_resident: usize,
-    /// Keys that could not be pulled (peer evicted the key mid-run, pull
-    /// failed, or the local insert was rejected), with their errors.
+    /// What failed, with its error: a peer that could not be reached or
+    /// digested (recorded under key `(0, 0)`), a pull that failed, or a pull
+    /// the peer answered with another key's forest.
     pub failures: Vec<WarmFailure>,
     /// Wall-clock duration of the run in milliseconds.
     pub elapsed_ms: u64,
@@ -291,14 +296,14 @@ mod tests {
         assert!(report.is_complete(), "failures: {:?}", report.failures);
         assert_eq!(report.requested, 4);
         assert_eq!(report.warmed, 4);
-        let after_warm = service.cache_stats();
+        let after_warm = service.cache_stats().unwrap();
         assert_eq!(after_warm.entries, 4);
 
         // Steady state: every key of the grid is now a pure cache hit.
         for request in plan.requests() {
             service.privacy_forest(request).unwrap();
         }
-        let stats = service.cache_stats();
+        let stats = service.cache_stats().unwrap();
         assert_eq!(stats.hits, 4);
         assert_eq!(stats.misses, after_warm.misses, "no new generations");
     }
@@ -316,7 +321,7 @@ mod tests {
         assert_eq!(report.failures.len(), 1);
         assert_eq!(report.failures[0].privacy_level, 9);
         assert!(!report.is_complete());
-        assert_eq!(service.cache_stats().entries, 1);
+        assert_eq!(service.cache_stats().unwrap().entries, 1);
     }
 
     #[test]

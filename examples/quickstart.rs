@@ -1,7 +1,7 @@
 //! Quickstart: obfuscate a single location with CORGI — across a real socket.
 //!
 //! Builds a location tree over San Francisco, composes the serving stack
-//! (`InstrumentedService<CachingService<ForestGenerator>>`) behind the
+//! (`CachingService<ForestGenerator>`) behind the
 //! event-driven TCP server, and runs the trusted client flow (Algorithm 4)
 //! over loopback: the client mirrors the server's tree through the version
 //! handshake, then policy evaluation → privacy-forest request (framed
@@ -15,8 +15,8 @@ use corgi::datagen::{
     GowallaLikeConfig, GowallaLikeGenerator, LocationMetadata, PriorDistribution,
 };
 use corgi::framework::{
-    CachingService, CorgiClient, ForestGenerator, InstrumentedService, MatrixService,
-    MetadataAttributeProvider, ServerConfig, TcpServer, TcpTransport, TransportConfig,
+    CachingService, CorgiClient, ForestGenerator, MatrixService, MetadataAttributeProvider,
+    ServerConfig, TcpServer, TcpTransport, TransportConfig,
 };
 use corgi::geo::LatLng;
 use corgi::hexgrid::{HexGrid, HexGridConfig};
@@ -41,17 +41,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let metadata = LocationMetadata::from_dataset(&grid, &dataset, 0.9);
 
     // 3. The untrusted server: the raw Algorithm-3 compute path wrapped in a
-    //    bounded cache and request instrumentation, served by the one-thread
-    //    reactor over framed TCP.
+    //    bounded cache, served by the reactor over framed TCP.
     let config = ServerConfig::builder()
         .epsilon(15.0)
         .robust_iterations(5)
         .targets_per_subtree(20)
         .build();
-    let stack: Arc<dyn MatrixService> = Arc::new(InstrumentedService::new(
-        CachingService::with_defaults(ForestGenerator::new(tree, prior, config)),
-    ));
-    let server = TcpServer::bind("127.0.0.1:0", stack, TransportConfig::default())?;
+    let stack = Arc::new(CachingService::with_defaults(ForestGenerator::new(
+        tree, prior, config,
+    )));
+    let server = TcpServer::bind(
+        "127.0.0.1:0",
+        stack.clone() as Arc<dyn MatrixService>,
+        TransportConfig::default(),
+    )?;
 
     // 4. The user device connects over TCP: the hello exchange checks the
     //    protocol version and mirrors the server's public tree + prior, and
@@ -90,6 +93,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "Second report (cache hit on the server): {}",
         again.report.reported_cell
+    );
+    let cache = stack.cache_stats().expect("the stack caches");
+    println!(
+        "Server cache: {} hits / {} misses / {} resident forests",
+        cache.hits, cache.misses, cache.entries
     );
     server.shutdown();
     Ok(())

@@ -14,8 +14,8 @@ use corgi::datagen::{
     GowallaLikeConfig, GowallaLikeGenerator, LocationMetadata, PriorDistribution,
 };
 use corgi::framework::{
-    CachingService, CorgiClient, ForestGenerator, InstrumentedService, MatrixService,
-    MetadataAttributeProvider, ServerConfig, TcpServer, TcpTransport, TransportConfig, WarmRequest,
+    CachingService, CorgiClient, ForestGenerator, MatrixService, MetadataAttributeProvider,
+    ServerConfig, TcpServer, TcpTransport, TransportConfig, WarmRequest,
 };
 use corgi::hexgrid::{HexGrid, HexGridConfig};
 use rand::rngs::StdRng;
@@ -29,20 +29,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let prior = PriorDistribution::from_dataset(&grid, &dataset, 0.5);
     let epsilon = 15.0;
 
-    // The dispatch server (untrusted): generator → bounded cache → counters,
-    // behind the one-thread reactor.  The (privacy_level 1, δ) grid riders hit
+    // The dispatch server (untrusted): generator → bounded cache, behind the
+    // reactor.  The (privacy_level 1, δ) grid riders hit
     // is warmed on the dispatch pool while the listener already accepts.
     let config = ServerConfig::builder()
         .epsilon(epsilon)
         .robust_iterations(4)
         .targets_per_subtree(20)
         .build();
-    let instrumented = Arc::new(InstrumentedService::new(CachingService::with_defaults(
-        ForestGenerator::new(LocationTree::new(grid.clone()), prior.clone(), config),
+    let stack = Arc::new(CachingService::with_defaults(ForestGenerator::new(
+        LocationTree::new(grid.clone()),
+        prior.clone(),
+        config,
     )));
     let server = TcpServer::bind(
         "127.0.0.1:0",
-        instrumented.clone() as Arc<dyn MatrixService>,
+        stack.clone() as Arc<dyn MatrixService>,
         TransportConfig {
             warm_on_start: Some(WarmRequest::level(1, 6)),
             ..TransportConfig::default()
@@ -120,17 +122,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Serving-side telemetry: many riders, few distinct (privacy_l, δ) keys —
     // and thanks to the startup warm, rider requests are cache hits.
-    let stats = instrumented.stats();
-    let cache = instrumented.inner().cache_stats();
+    let cache = stack.cache_stats().expect("the stack caches");
     println!(
-        "\nServer stats: {} requests ({} errors, incl. warming), mean latency {:?}, max {:?}; cache {} hits / {} misses / {} resident forests.",
-        stats.requests,
-        stats.errors,
-        stats.mean_latency(),
-        stats.max_latency,
-        cache.hits,
-        cache.misses,
-        cache.entries
+        "\nServer cache (incl. warming): {} hits / {} misses / {} coalesced / {} resident forests.",
+        cache.hits, cache.misses, cache.coalesced, cache.entries
     );
     server.shutdown();
     Ok(())

@@ -50,7 +50,7 @@ fn full_tree_request_completes_through_the_caching_stack() {
     // The repeat request is answered from the cache with the same Arc.
     let again = service.privacy_forest(request).unwrap();
     assert!(Arc::ptr_eq(&response, &again));
-    assert_eq!(service.cache_stats().hits, 1);
+    assert_eq!(service.cache_stats().unwrap().hits, 1);
 }
 
 /// Test double: counts how many times the wrapped generator actually runs and
@@ -177,7 +177,7 @@ fn cache_evicts_above_its_configured_capacity() {
             })
             .unwrap();
     }
-    let stats = service.cache_stats();
+    let stats = service.cache_stats().unwrap();
     // The capacity is split exactly across shards (2 + 1 here), so total
     // residency never exceeds the configured bound — and something was evicted.
     assert!(

@@ -1,23 +1,24 @@
 //! Loopback TCP integration tests of the event-driven serving core: the full
 //! client flow across a real socket, ≥ 64 concurrent in-flight requests
-//! through one reactor thread, cache warming over the wire, and the
-//! malformed-input paths of the frame protocol.
+//! through one reactor thread, cache warming over the wire, re-warm from a
+//! peer, a stack without a cache, and the malformed-input paths of the frame
+//! protocol.
 
-use corgi::core::{LocationTree, Policy};
+use corgi::core::{LocationTree, ObfuscationMatrix, Policy};
 use corgi::datagen::{
     GowallaLikeConfig, GowallaLikeGenerator, LocationMetadata, PriorDistribution,
 };
 use corgi::framework::messages::{
-    MatrixRequest, PrivacyForestResponse, ProtocolVersion, RequestEnvelope, ResponseEnvelope,
-    ServiceError, ServiceErrorKind, PROTOCOL_VERSION,
+    ForestEntry, MatrixRequest, PrivacyForestResponse, ProtocolVersion, RequestEnvelope,
+    ResponseEnvelope, ServiceError, ServiceErrorKind, PROTOCOL_VERSION,
 };
 use corgi::framework::transport::{
     encode_frame, FrameKind, HelloFrame, HelloReply, FRAME_HEADER_LEN, FRAME_MAGIC,
 };
 use corgi::framework::{
-    CachingService, ClientConfig, CorgiClient, ForestGenerator, MatrixService,
-    MetadataAttributeProvider, ServerConfig, TcpServer, TcpTransport, TransportConfig, WarmRequest,
-    WireCodec,
+    CachingService, ClientConfig, CorgiClient, DigestReply, DigestRequest, ForestGenerator,
+    MatrixService, MetadataAttributeProvider, ServerConfig, TcpServer, TcpTransport,
+    TransportConfig, WarmPush, WarmRequest, WireCodec,
 };
 use corgi::hexgrid::{HexGrid, HexGridConfig};
 use rand::rngs::StdRng;
@@ -1023,5 +1024,191 @@ fn resident_hits_are_answered_while_a_cold_solve_holds_the_dispatch_pool() {
     let stats = server.stats();
     assert_eq!(stats.requests_admitted, 4, "blocker + 3 hits: {stats:?}");
     assert_eq!(stats.requests_shed, 1, "{stats:?}");
+    server.shutdown();
+}
+
+/// A one-entry forest for `(1, delta)` over `stack`'s grid: cheap to build,
+/// and distinguishable from a solved level-1 forest (49 entries).
+fn canned_forest(stack: &dyn MatrixService, delta: usize) -> Arc<PrivacyForestResponse> {
+    let root = stack.tree().grid().cells_at_level(1)[0];
+    Arc::new(PrivacyForestResponse {
+        request: MatrixRequest {
+            privacy_level: 1,
+            delta,
+        },
+        epsilon: 15.0,
+        entries: vec![ForestEntry {
+            subtree_root: root,
+            matrix: ObfuscationMatrix::uniform(root.descendant_leaves()).unwrap(),
+        }],
+    })
+}
+
+/// A fake cluster peer on a raw socket.  It accepts one connection, answers
+/// the hello and a digest naming `key`, then runs `before_reply` and answers
+/// the pull of `key` with `answer`.
+fn fake_digest_peer(
+    stack: &dyn MatrixService,
+    key: MatrixRequest,
+    answer: Arc<PrivacyForestResponse>,
+    before_reply: impl FnOnce() + Send + 'static,
+) -> (String, std::thread::JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let accepted = HelloReply::Accepted {
+        version: PROTOCOL_VERSION,
+        grid: *stack.tree().grid().config(),
+        prior: (*stack.prior()).clone(),
+        auth: None,
+    };
+    let peer = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let (kind, _) = read_frame(&mut stream).unwrap();
+        assert_eq!(kind, FrameKind::Hello as u8);
+        stream
+            .write_all(&WireCodec::Binary.encode_frame(&accepted))
+            .unwrap();
+        let digest_request = |stream: &mut TcpStream| {
+            let (kind, payload) = read_frame(stream).unwrap();
+            assert_eq!(kind, FrameKind::Digest as u8);
+            WireCodec::Binary
+                .decode_payload::<DigestRequest>(&payload)
+                .unwrap()
+                .pull
+        };
+        assert_eq!(digest_request(&mut stream), None, "the summary first");
+        let summary = DigestReply {
+            generation: 1,
+            keys: vec![key],
+            forest: None,
+        };
+        stream
+            .write_all(&WireCodec::Binary.encode_frame(&summary))
+            .unwrap();
+        assert_eq!(digest_request(&mut stream), Some(key), "then the pull");
+        before_reply();
+        let pulled = DigestReply {
+            generation: 1,
+            keys: Vec::new(),
+            forest: Some(answer),
+        };
+        stream
+            .write_all(&WireCodec::Binary.encode_frame(&pulled))
+            .unwrap();
+        // Hold the socket open until the puller hangs up.
+        let _ = stream.read_to_end(&mut Vec::new());
+    });
+    (addr, peer)
+}
+
+#[test]
+fn rewarm_counts_only_forests_the_cache_took() {
+    let key = MatrixRequest {
+        privacy_level: 1,
+        delta: 0,
+    };
+
+    // Live traffic caches the key while its pull is in flight: the pulled
+    // forest is not taken, so the key counts as already resident.
+    let stack = caching_stack();
+    let server = start_server(stack.clone() as Arc<dyn MatrixService>);
+    let forest = canned_forest(stack.as_ref(), 0);
+    let (addr, peer) = fake_digest_peer(stack.as_ref(), key, Arc::clone(&forest), {
+        let stack = Arc::clone(&stack);
+        move || {
+            stack.cache().unwrap().warm_insert(forest);
+        }
+    });
+    let report = server.rewarm_from_peers(&[addr], ClientConfig::default());
+    peer.join().expect("fake peer thread");
+    assert_eq!(
+        (report.peers_reached, report.missing, report.pulled),
+        (1, 0, 0),
+        "{report:?}"
+    );
+    assert_eq!(report.already_resident, 1, "{report:?}");
+    assert!(report.is_complete(), "{report:?}");
+    assert_eq!(server.cluster_stats().rewarm_keys_pulled, 0);
+    server.shutdown();
+
+    // The peer answers the pull of (1, 0) with (1, 1)'s forest: refused as
+    // a failure of the pulled key, and nothing is cached.
+    let stack = caching_stack();
+    let server = start_server(stack.clone() as Arc<dyn MatrixService>);
+    let wrong = canned_forest(stack.as_ref(), 1);
+    let (addr, peer) = fake_digest_peer(stack.as_ref(), key, wrong, || {});
+    let report = server.rewarm_from_peers(&[addr], ClientConfig::default());
+    peer.join().expect("fake peer thread");
+    assert_eq!(report.pulled, 0, "{report:?}");
+    assert_eq!(report.failures.len(), 1, "{report:?}");
+    let failure = &report.failures[0];
+    assert_eq!((failure.privacy_level, failure.delta), (1, 0));
+    assert_eq!(failure.error.kind, ServiceErrorKind::Transport);
+    assert!(!report.is_complete());
+    assert_eq!(stack.cache_stats().unwrap().entries, 0, "nothing cached");
+    assert_eq!(server.cluster_stats().rewarm_keys_pulled, 0);
+    server.shutdown();
+}
+
+#[test]
+fn a_cacheless_stack_serves_requests_and_answers_cache_frames_empty() {
+    // A bare generator: no layer of the stack caches.
+    let grid = HexGrid::new(HexGridConfig::san_francisco()).unwrap();
+    let (dataset, _) = GowallaLikeGenerator::new(GowallaLikeConfig::small_test()).generate(&grid);
+    let prior = PriorDistribution::from_dataset(&grid, &dataset, 0.5);
+    let stack: Arc<dyn MatrixService> = Arc::new(ForestGenerator::new(
+        LocationTree::new(grid),
+        prior,
+        ServerConfig::builder()
+            .robust_iterations(1)
+            .targets_per_subtree(3)
+            .worker_threads(2)
+            .build(),
+    ));
+    let server = start_server(Arc::clone(&stack));
+    let key = MatrixRequest {
+        privacy_level: 1,
+        delta: 0,
+    };
+
+    // The digest is empty at generation 0, and a pull finds nothing.
+    let transport = TcpTransport::connect(server.local_addr()).unwrap();
+    let digest = transport.cache_digest().unwrap();
+    assert_eq!(digest.generation, 0);
+    assert!(digest.keys.is_empty(), "{digest:?}");
+    assert!(transport.pull_resident(key).unwrap().is_none());
+
+    // Pushes are counted received, never deduped, and the connection stays
+    // open: a request behind them is dispatched and answered by a solve.
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    assert!(matches!(
+        send_hello(&mut stream, PROTOCOL_VERSION),
+        HelloReply::Accepted { .. }
+    ));
+    let push = WarmPush {
+        privacy_level: 1,
+        delta: 0,
+        forest: canned_forest(stack.as_ref(), 0),
+    };
+    for _ in 0..2 {
+        stream
+            .write_all(&WireCodec::Binary.encode_frame(&push))
+            .unwrap();
+    }
+    stream
+        .write_all(&WireCodec::Binary.encode_frame(&RequestEnvelope::new(5, key)))
+        .unwrap();
+    let reply = read_response(&mut stream);
+    assert_eq!(reply.request_id, 5);
+    assert_eq!(reply.into_result().unwrap().entries.len(), 49, "solved");
+    let cluster = server.cluster_stats();
+    assert_eq!((cluster.pushes_received, cluster.pushes_deduped), (2, 0));
+    assert_eq!(server.stats().requests_admitted, 1);
+
+    // The wire stats carry no cache snapshot.
+    assert!(transport.server_stats().unwrap().cache.is_none());
     server.shutdown();
 }
