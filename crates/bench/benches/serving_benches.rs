@@ -33,11 +33,12 @@ fn generator(worker_threads: usize) -> ForestGenerator {
     ForestGenerator::new(
         LocationTree::new(grid),
         prior,
-        ServerConfig::builder()
-            .robust_iterations(2)
-            .targets_per_subtree(5)
-            .worker_threads(worker_threads)
-            .build(),
+        ServerConfig {
+            robust_iterations: 2,
+            targets_per_subtree: 5,
+            worker_threads,
+            ..ServerConfig::default()
+        },
     )
 }
 

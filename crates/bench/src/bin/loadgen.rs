@@ -194,11 +194,12 @@ fn main() {
     let grid = HexGrid::new(HexGridConfig::san_francisco()).expect("static grid config is valid");
     let (dataset, _) = GowallaLikeGenerator::new(GowallaLikeConfig::small_test()).generate(&grid);
     let prior = PriorDistribution::from_dataset(&grid, &dataset, 0.5);
-    let server_config = ServerConfig::builder()
-        .robust_iterations(1)
-        .targets_per_subtree(3)
-        .worker_threads(2)
-        .build();
+    let server_config = ServerConfig {
+        robust_iterations: 1,
+        targets_per_subtree: 3,
+        worker_threads: 2,
+        ..ServerConfig::default()
+    };
     let warm_plan = WarmRequest {
         privacy_levels: profile.levels.clone(),
         deltas: (0..=profile.max_delta).collect(),

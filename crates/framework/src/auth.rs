@@ -621,7 +621,7 @@ impl ClusterKey {
     }
 
     fn seal_with(&self, kernel: Kernel, mut frame: Vec<u8>) -> Vec<u8> {
-        let header = crate::transport::FRAME_HEADER_LEN;
+        let header = crate::frame::FRAME_HEADER_LEN;
         debug_assert!(frame.len() >= header, "seal() takes a framed message");
         let body_len = (frame.len() - header + MAC_LEN) as u32;
         frame[header - 4..header].copy_from_slice(&body_len.to_be_bytes());
@@ -633,7 +633,7 @@ impl ClusterKey {
     /// Verify a complete authenticated frame (header + payload + trailer) and
     /// return the bare payload slice.
     pub fn open<'a>(&self, frame: &'a [u8]) -> Result<&'a [u8], AuthError> {
-        let header = crate::transport::FRAME_HEADER_LEN;
+        let header = crate::frame::FRAME_HEADER_LEN;
         if frame.len() < header + MAC_LEN {
             return Err(AuthError::Truncated);
         }

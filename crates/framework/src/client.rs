@@ -164,10 +164,11 @@ mod tests {
             Arc::new(CachingService::with_defaults(ForestGenerator::new(
                 LocationTree::new(grid.clone()),
                 prior,
-                ServerConfig::builder()
-                    .robust_iterations(2)
-                    .targets_per_subtree(5)
-                    .build(),
+                ServerConfig {
+                    robust_iterations: 2,
+                    targets_per_subtree: 5,
+                    ..ServerConfig::default()
+                },
             )));
         Setup {
             service,

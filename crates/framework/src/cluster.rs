@@ -55,12 +55,13 @@ use crate::auth::ClusterKey;
 use crate::conn::{ClientConfig, Conn, TcpTransport};
 use crate::executor::{oneshot, Handle, Sleep};
 use crate::fault::{FaultAction, FaultPlan, FaultSite};
+use crate::frame::{FrameKind, FrameStream};
 use crate::messages::{
     MatrixRequest, PrivacyForestResponse, ServiceError, ServiceErrorKind, WireCodec,
 };
 use crate::pool::ThreadPool;
 use crate::service::{CacheStats, ForestCache, MatrixService};
-use crate::transport::{FrameKind, TransportStats};
+use crate::transport::TransportStats;
 use crate::warm::WarmPush;
 use corgi_core::LocationTree;
 use corgi_datagen::PriorDistribution;
@@ -464,6 +465,11 @@ const PEER_CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
 /// Cap on a peer link's doubled reconnect backoff.
 const PEER_MAX_BACKOFF: Duration = Duration::from_secs(2);
 
+/// Largest frame a peer link accepts, the server's default
+/// `max_inbound_frame`: a link only ever receives `Pong` frames and error
+/// `Response` frames, so a longer header fails the link.
+const PEER_MAX_INBOUND_FRAME: usize = 64 * 1024;
+
 /// Tunables of a [`Replicator`]'s peer links.
 #[derive(Debug, Clone)]
 pub struct ReplicationConfig {
@@ -747,13 +753,13 @@ pub(crate) fn spawn_replication_shard(
 /// Per-link connection state: back off, dial off-reactor, stream.
 enum LinkState {
     Idle(Sleep),
-    Dialing(oneshot::Receiver<Result<Conn, ServiceError>>),
+    Dialing(oneshot::Receiver<Result<FrameStream, ServiceError>>),
     Streaming(Streaming),
 }
 
-/// An established peer link: the connection and what is in flight on it.
+/// An established peer link: its frame stream and what is in flight on it.
 struct Streaming {
-    conn: Conn,
+    io: FrameStream,
     /// Whether the queued bytes are a push, counted as sent once written.
     push_in_flight: bool,
     /// The probe loop riding this connection (`None` without a
@@ -802,10 +808,11 @@ impl LinkEnv {
 /// Reactor task driving the peer links of one [`Replicator`] shard.
 ///
 /// Blocking work (connect + hello) runs on the dispatch pool and returns via
-/// a oneshot; the reactor only ever does nonblocking reads and writes.  A
-/// link failure returns the driver to `Idle` with doubled backoff — queued
-/// pushes survive the outage (up to the drop-oldest bound) and flush once the
-/// peer is back.
+/// a oneshot as a [`FrameStream`]; the reactor only ever does nonblocking
+/// reads and writes through it.  A link failure (a dead socket, or an
+/// unexpected, malformed or oversized frame) returns the driver to `Idle`
+/// with doubled backoff — queued pushes survive the outage (up to the
+/// drop-oldest bound) and flush once the peer is back.
 ///
 /// With a [`ReplicationConfig::health`], every link stays connected and
 /// probes ride it: a `Ping` every probe interval, answered by a `Pong` within
@@ -870,9 +877,9 @@ impl Future for ReplicationTask {
         for (_, driver) in &this.drivers {
             if let LinkState::Streaming(streaming) = &driver.state {
                 this.env.handle.park_socket(
-                    streaming.conn.fd(),
+                    streaming.io.fd(),
                     true,
-                    !streaming.conn.is_flushed(),
+                    !streaming.io.is_flushed(),
                     cx.waker(),
                 );
             }
@@ -908,11 +915,11 @@ impl LinkDriver {
                 true
             }
             LinkState::Dialing(rx) => match Pin::new(rx).poll(cx) {
-                Poll::Ready(Ok(Ok(conn))) => {
+                Poll::Ready(Ok(Ok(io))) => {
                     link.connects.fetch_add(1, Ordering::Relaxed);
                     self.backoff = config.retry_backoff;
                     self.state = LinkState::Streaming(Streaming {
-                        conn,
+                        io,
                         push_in_flight: false,
                         // A fresh link probes at once: its first pong is what
                         // starts re-admitting a recovering peer.
@@ -948,7 +955,7 @@ impl LinkDriver {
         if let LinkState::Streaming(streaming) = &self.state {
             // The stream closes when the state is replaced below; drop its
             // readiness registration first (see ConnectionTask::drop).
-            env.handle.deregister_socket(streaming.conn.fd());
+            env.handle.deregister_socket(streaming.io.fd());
         }
         let config = env.config();
         let wait = match &config.health {
@@ -970,17 +977,20 @@ impl Streaming {
         cx: &mut Context<'_>,
     ) -> Result<bool, ServiceError> {
         let mut progress = false;
+        self.io.read_available()?;
         // Pongs are the only frames a peer sends on a link — apart from a
         // structured error right before it hangs up, which fails the link
-        // like any other unexpected frame.
-        for (kind, payload) in self.conn.read_frames()? {
+        // like any other unexpected frame.  An error drops the link, read
+        // buffer and all, so only a clean pass gives the buffer back.
+        let mut pass = self.io.begin_pass();
+        while let Some((kind, payload)) = self.io.next_frame(&mut pass)? {
             progress = true;
             if kind != FrameKind::Pong {
                 return Err(ServiceError::transport(format!(
                     "unexpected {kind:?} frame on a peer link"
                 )));
             }
-            let pong: Pong = WireCodec::Binary.decode_payload(&payload)?;
+            let pong: Pong = WireCodec::Binary.decode_payload(payload)?;
             let awaited = matches!(
                 &self.probe,
                 Some(LinkProbe::Awaiting { nonce, .. }) if *nonce == pong.nonce
@@ -991,6 +1001,7 @@ impl Streaming {
             env.observe(link, true);
             self.probe = Some(LinkProbe::Next(env.handle.sleep(health.probe_interval)));
         }
+        self.io.end_pass(pass);
         if let (Some(probe), Some(health)) = (&mut self.probe, &env.config().health) {
             match probe {
                 LinkProbe::Awaiting { deadline, .. } => {
@@ -1000,9 +1011,10 @@ impl Streaming {
                 }
                 // The ping waits for the socket to take any push in flight.
                 LinkProbe::Next(next) => {
-                    if self.conn.is_flushed() && Pin::new(next).poll(cx).is_ready() {
+                    if self.io.is_flushed() && Pin::new(next).poll(cx).is_ready() {
                         let ping = Ping::fresh();
-                        self.conn.queue(WireCodec::Binary.encode_frame(&ping));
+                        self.io
+                            .enqueue(self.io.seal(WireCodec::Binary.encode_frame(&ping)));
                         *probe = LinkProbe::Awaiting {
                             nonce: ping.nonce,
                             deadline: env.handle.sleep(health.probe_timeout),
@@ -1013,8 +1025,8 @@ impl Streaming {
             }
         }
         loop {
-            progress |= self.conn.flush()?;
-            if !self.conn.is_flushed() {
+            progress |= self.io.flush()?;
+            if !self.io.is_flushed() {
                 break;
             }
             if std::mem::take(&mut self.push_in_flight) {
@@ -1023,7 +1035,8 @@ impl Streaming {
             let Some(push) = link.pop() else {
                 break;
             };
-            self.conn.queue(WireCodec::Binary.encode_frame(&push));
+            self.io
+                .enqueue(self.io.seal(WireCodec::Binary.encode_frame(&push)));
             self.push_in_flight = true;
             progress = true;
         }
@@ -1034,8 +1047,8 @@ impl Streaming {
 /// Dial a peer link (blocking; runs on the dispatch pool): the client hello
 /// of [`Conn::open`], bounded by the connect timeout — or by the probe
 /// timeout, when shorter, since a probed link's dial is a probe — and handed
-/// back nonblocking for the reactor.
-fn dial_peer(endpoint: &str, config: &ReplicationConfig) -> Result<Conn, ServiceError> {
+/// back to the reactor as a [`FrameStream`].
+fn dial_peer(endpoint: &str, config: &ReplicationConfig) -> Result<FrameStream, ServiceError> {
     if let Some(plan) = &config.fault_plan {
         match plan.check(FaultSite::PeerConnect) {
             None => {}
@@ -1058,8 +1071,7 @@ fn dial_peer(endpoint: &str, config: &ReplicationConfig) -> Result<Conn, Service
         ..ClientConfig::default()
     };
     let (conn, _) = Conn::open(endpoint, &client, Arc::default())?;
-    conn.set_nonblocking()?;
-    Ok(conn)
+    conn.into_frame_stream(PEER_MAX_INBOUND_FRAME)
 }
 
 // ---------------------------------------------------------------------------

@@ -74,12 +74,13 @@
 
 use crate::auth::MAC_LEN;
 use crate::cluster::{ClusterStats, PeerStats, Ping, Pong, StatsReport, StatsRequest};
+use crate::frame::{seal_frame, FrameKind, HelloFrame, HelloReply, FRAME_HEADER_LEN};
 use crate::messages::{
     ForestEntry, MatrixRequest, PrivacyForestResponse, ProtocolVersion, RequestEnvelope,
     ResponseEnvelope, ResponsePayload, ServiceError, ServiceErrorKind, WireCodec, PROTOCOL_VERSION,
 };
 use crate::service::CacheStats;
-use crate::transport::{FrameKind, HelloFrame, HelloReply, TransportStats, FRAME_HEADER_LEN};
+use crate::transport::TransportStats;
 use crate::warm::{DigestReply, DigestRequest, WarmFailure, WarmPush, WarmReport, WarmRequest};
 use corgi_core::ObfuscationMatrix;
 use corgi_datagen::PriorDistribution;
@@ -1066,7 +1067,7 @@ impl WireCodec {
     pub fn encode_frame<M: WireMessage>(self, message: &M) -> Vec<u8> {
         let mut frame = vec![0u8; FRAME_HEADER_LEN];
         message.encode_binary(&mut frame);
-        crate::transport::seal_frame(frame, M::KIND)
+        seal_frame(frame, M::KIND)
     }
 
     /// The `Response` frame answering `request_id` with an already-encoded
@@ -1083,7 +1084,7 @@ impl WireCodec {
         put_response_head(&mut frame, &PROTOCOL_VERSION, request_id);
         put_u8(&mut frame, 0);
         frame.extend_from_slice(body);
-        crate::transport::seal_frame(frame, FrameKind::Response)
+        seal_frame(frame, FrameKind::Response)
     }
 
     /// Decode a frame payload into a message, borrowing from the caller's
@@ -1125,7 +1126,7 @@ mod tests {
     fn binary_roundtrip<M: WireMessage + PartialEq + std::fmt::Debug>(message: &M) {
         let frame = WireCodec::Binary.encode_frame(message);
         let mut buf = frame.clone();
-        let (kind, payload) = crate::transport::try_decode_frame(&mut buf, usize::MAX)
+        let (kind, payload) = crate::frame::try_decode_frame(&mut buf, usize::MAX)
             .unwrap()
             .unwrap();
         assert_eq!(kind, M::KIND);
@@ -1280,7 +1281,7 @@ mod tests {
         );
         let frame = WireCodec::Binary.encode_frame(&envelope);
         let mut buf = frame;
-        let (_, payload) = crate::transport::try_decode_frame(&mut buf, usize::MAX)
+        let (_, payload) = crate::frame::try_decode_frame(&mut buf, usize::MAX)
             .unwrap()
             .unwrap();
         let back: RequestEnvelope = WireCodec::Binary.decode_payload(&payload).unwrap();
@@ -1318,7 +1319,7 @@ mod tests {
         );
         let frame = WireCodec::Binary.encode_frame(&response);
         let mut buf = frame;
-        let (_, payload) = crate::transport::try_decode_frame(&mut buf, usize::MAX)
+        let (_, payload) = crate::frame::try_decode_frame(&mut buf, usize::MAX)
             .unwrap()
             .unwrap();
         let back: ResponseEnvelope = WireCodec::Binary.decode_payload(&payload).unwrap();

@@ -7,30 +7,28 @@
 //! exactly once on the client side (the server side of the exchange lives in
 //! [`crate::transport`]).
 //!
-//! A `Conn` is driven in one of two ways:
-//!
-//! * **blocking** — one sealed frame out, one verified frame back, bounded by
-//!   the socket read timeout ([`Conn::send_sealed`] / [`Conn::recv`]); this is
-//!   how [`TcpTransport`] runs its request/response exchanges;
-//! * **nonblocking** — a reactor task queues frames ([`Conn::queue`]), writes
-//!   them as the socket accepts bytes ([`Conn::flush`]) and decodes inbound
-//!   frames as they complete ([`Conn::read_frames`]); this is how the
-//!   replication link of [`crate::cluster`] streams pushes and pings without
-//!   ever blocking its reactor.
+//! A `Conn` itself is blocking: one sealed frame out, one verified frame
+//! back, bounded by the socket read timeout ([`Conn::send_sealed`] /
+//! [`Conn::recv`]), each reply read with one `read_exact` into its final
+//! buffer.  This is how [`TcpTransport`] runs its request/response
+//! exchanges.  A reactor task that must never block — the replication link
+//! of [`crate::cluster`] — turns its opened `Conn` into a nonblocking
+//! [`FrameStream`] ([`Conn::into_frame_stream`]), the same frame loop the
+//! server's connections run on.
 
 use crate::auth::{ClusterKey, AUTH_SCHEME};
 use crate::cluster::{Ping, Pong, StatsReport, StatsRequest};
 use crate::codec::WireMessage;
 use crate::fault::{FaultAction, FaultPlan, FaultSite};
+use crate::frame::{
+    parse_frame_header, FrameKind, FrameStream, HelloFrame, HelloReply, FRAME_HEADER_LEN,
+};
 use crate::messages::{
     MatrixRequest, PrivacyForestResponse, ProtocolVersion, RequestEnvelope, ResponseEnvelope,
     ServiceError, WireCodec,
 };
 use crate::service::MatrixService;
-use crate::transport::{
-    parse_frame_header, peek_frame, sock_fd, FrameKind, HelloFrame, HelloReply, TransportMetrics,
-    TransportStats, FRAME_HEADER_LEN,
-};
+use crate::transport::{TransportMetrics, TransportStats};
 use crate::warm::{DigestReply, DigestRequest, WarmReport, WarmRequest};
 use corgi_core::LocationTree;
 use corgi_datagen::PriorDistribution;
@@ -98,12 +96,6 @@ pub(crate) struct Conn {
     /// stripped.
     auth: Option<ClusterKey>,
     metrics: Arc<TransportMetrics>,
-    /// Nonblocking mode: inbound bytes that do not yet form a whole frame.
-    read_buf: Vec<u8>,
-    /// Nonblocking mode: the sealed frame being written, and how much of it
-    /// the socket has taken.
-    write_buf: Vec<u8>,
-    write_pos: usize,
 }
 
 impl Conn {
@@ -197,9 +189,6 @@ impl Conn {
             stream,
             auth: config.cluster_key.clone(),
             metrics,
-            read_buf: Vec::new(),
-            write_buf: Vec::new(),
-            write_pos: 0,
         };
         Ok((
             conn,
@@ -242,85 +231,19 @@ impl Conn {
         let _ = self.stream.shutdown(std::net::Shutdown::Both);
     }
 
-    /// Switch to nonblocking mode for a reactor task.
-    pub(crate) fn set_nonblocking(&self) -> Result<(), ServiceError> {
+    /// Hand the connection to a reactor task: the socket goes nonblocking
+    /// and keeps the agreed authentication, and inbound frames are bounded
+    /// at `max_payload` bytes.
+    pub(crate) fn into_frame_stream(self, max_payload: usize) -> Result<FrameStream, ServiceError> {
         self.stream
             .set_nonblocking(true)
-            .map_err(|e| ServiceError::transport(format!("setting the stream nonblocking: {e}")))
-    }
-
-    /// The socket's raw descriptor, for readiness registration.
-    pub(crate) fn fd(&self) -> i32 {
-        sock_fd(&self.stream)
-    }
-
-    /// Nonblocking: whether every queued byte has reached the socket.
-    pub(crate) fn is_flushed(&self) -> bool {
-        self.write_pos == self.write_buf.len()
-    }
-
-    /// Nonblocking: seal an encoded frame and queue it for [`Conn::flush`].
-    /// One frame at a time: call only once the previous one is flushed.
-    pub(crate) fn queue(&mut self, frame: Vec<u8>) {
-        debug_assert!(self.is_flushed(), "queued over an unflushed frame");
-        self.write_buf = self.seal(frame);
-        self.write_pos = 0;
-        TransportMetrics::add(&self.metrics.frames_out, 1);
-    }
-
-    /// Nonblocking: write queued bytes until the socket would block.  Returns
-    /// whether any byte was written; an error means the peer is gone.
-    pub(crate) fn flush(&mut self) -> Result<bool, ServiceError> {
-        let mut progress = false;
-        while !self.is_flushed() {
-            match self.stream.write(&self.write_buf[self.write_pos..]) {
-                Ok(0) => return Err(ServiceError::transport("peer stopped accepting bytes")),
-                Ok(n) => {
-                    self.write_pos += n;
-                    TransportMetrics::add(&self.metrics.bytes_out, n as u64);
-                    progress = true;
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(ServiceError::transport(format!("send failed: {e}"))),
-            }
-        }
-        Ok(progress)
-    }
-
-    /// Nonblocking: read whatever the socket holds and decode every complete
-    /// frame, verifying MACs when keyed.  An error — EOF, a socket failure, a
-    /// malformed or unauthenticated frame — means the connection is done.
-    pub(crate) fn read_frames(&mut self) -> Result<Vec<(FrameKind, Vec<u8>)>, ServiceError> {
-        let mut chunk = [0u8; 4096];
-        loop {
-            match self.stream.read(&mut chunk) {
-                Ok(0) => return Err(ServiceError::transport("peer closed the connection")),
-                Ok(n) => {
-                    self.read_buf.extend_from_slice(&chunk[..n]);
-                    TransportMetrics::add(&self.metrics.bytes_in, n as u64);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(ServiceError::transport(format!("receive failed: {e}"))),
-            }
-        }
-        let mut frames = Vec::new();
-        let mut consumed = 0;
-        while let Some((kind, range)) = peek_frame(&self.read_buf[consumed..], MAX_FRAME)? {
-            let frame = &self.read_buf[consumed..consumed + range.end];
-            let payload = match &self.auth {
-                Some(key) => key.open(frame).map_err(|e| {
-                    ServiceError::unauthenticated(format!("peer frame failed authentication: {e}"))
-                })?,
-                None => &frame[range.start..],
-            };
-            TransportMetrics::add(&self.metrics.frames_in, 1);
-            frames.push((kind, payload.to_vec()));
-            consumed += range.end;
-        }
-        self.read_buf.drain(..consumed);
-        Ok(frames)
+            .map_err(|e| ServiceError::transport(format!("setting the stream nonblocking: {e}")))?;
+        Ok(FrameStream::new(
+            self.stream,
+            self.auth,
+            max_payload,
+            self.metrics,
+        ))
     }
 }
 

@@ -44,11 +44,13 @@
 //!    │        that blocks in epoll (a 500 µs timed poll where it is
 //!    │        unavailable)
 //! reactor    transport::{AcceptTask, ConnectionTask} — nonblocking std::net
-//!    │        sockets parked on readiness, bounded per-connection write queues
-//! transport  length-prefixed frames carrying the versioned envelopes of
-//!    │        [`messages`] in the binary [`WireCodec`] of [`mod@codec`]
-//!    │        (the only wire encoding, the hello included); version and
-//!    │        authentication checked in the hello on connect
+//!    │        sockets parked on readiness, each driven through a
+//!    │        FrameStream: bounded read buffer, frame walk, write queue
+//! transport  frame.rs: length-prefixed frames carrying the versioned
+//!    │        envelopes of [`messages`] in the binary [`WireCodec`] of
+//!    │        [`mod@codec`] (the only wire encoding, the hello included);
+//!    │        version and authentication checked in the hello, the first
+//!    │        frame of the walk
 //! service    Arc<dyn MatrixService> — requests dispatched to a ThreadPool,
 //!             responses re-entering the event loop as oneshot futures
 //! ```
@@ -57,7 +59,8 @@
 //! [`TransportConfig::reactor_shards`] reactor threads, one executor each.
 //! On the client side every connection — [`TcpTransport`], the
 //! [`ShardRouter`]'s shard and probe connections, the replication links
-//! between peers — is one connection type opened by one hello exchange.
+//! between peers — is one connection type opened by one hello exchange,
+//! and the replication links run on the server's frame stream.
 //! [`TcpTransport`] is itself a [`MatrixService`], so [`CorgiClient`] works
 //! unchanged over a process boundary.  The [`mod@warm`] subsystem precomputes
 //! the `(privacy_level, δ)` key grid through whatever caching layer the stack
@@ -106,6 +109,7 @@ pub mod codec;
 mod conn;
 pub mod executor;
 pub mod fault;
+mod frame;
 pub mod messages;
 mod pool;
 mod provider;
@@ -128,7 +132,7 @@ pub use fault::{FaultAction, FaultPlan, FaultSite};
 pub use messages::{ServiceError, ServiceErrorKind, WireCodec};
 pub use pool::{JobPanic, ThreadPool};
 pub use provider::MetadataAttributeProvider;
-pub use server::{ServerConfig, ServerConfigBuilder};
+pub use server::ServerConfig;
 pub use service::{
     CacheConfig, CacheStats, CachingService, ForestCache, ForestGenerator, MatrixService,
     WarmInsertOutcome, WarmSeedStats,

@@ -11,17 +11,18 @@ use serde::{Deserialize, Serialize};
 
 /// Server-side configuration (set once for all users, footnote 6 of the paper).
 ///
-/// Construct with [`ServerConfig::builder`] — the builder reads better than a
-/// struct literal and keeps call sites stable as fields are added:
+/// Construct with a struct literal over the paper's defaults, which keeps
+/// call sites stable as fields are added:
 ///
 /// ```
 /// use corgi_framework::ServerConfig;
 ///
-/// let config = ServerConfig::builder()
-///     .epsilon(15.0)
-///     .robust_iterations(4)
-///     .targets_per_subtree(20)
-///     .build();
+/// let config = ServerConfig {
+///     epsilon: 15.0,
+///     robust_iterations: 4,
+///     targets_per_subtree: 20,
+///     ..ServerConfig::default()
+/// };
 /// assert_eq!(config.epsilon, 15.0);
 /// assert!(config.graph_approximation);
 /// ```
@@ -57,64 +58,6 @@ impl Default for ServerConfig {
     }
 }
 
-impl ServerConfig {
-    /// Start building a configuration from the defaults.
-    pub fn builder() -> ServerConfigBuilder {
-        ServerConfigBuilder {
-            config: Self::default(),
-        }
-    }
-}
-
-/// Builder for [`ServerConfig`]; every setter has the paper's default.
-#[derive(Debug, Clone)]
-pub struct ServerConfigBuilder {
-    config: ServerConfig,
-}
-
-impl ServerConfigBuilder {
-    /// Privacy budget ε in 1/km.
-    pub fn epsilon(mut self, epsilon: f64) -> Self {
-        self.config.epsilon = epsilon;
-        self
-    }
-
-    /// Number of Algorithm-1 refinement iterations.
-    pub fn robust_iterations(mut self, iterations: usize) -> Self {
-        self.config.robust_iterations = iterations;
-        self
-    }
-
-    /// Number of target locations per subtree.
-    pub fn targets_per_subtree(mut self, targets: usize) -> Self {
-        self.config.targets_per_subtree = targets;
-        self
-    }
-
-    /// Enable or disable the Section-4.2 graph approximation.
-    pub fn graph_approximation(mut self, enabled: bool) -> Self {
-        self.config.graph_approximation = enabled;
-        self
-    }
-
-    /// Seed for the per-subtree target selection.
-    pub fn target_seed(mut self, seed: u64) -> Self {
-        self.config.target_seed = seed;
-        self
-    }
-
-    /// Worker threads for the per-subtree LP solves (0 = available cores).
-    pub fn worker_threads(mut self, threads: usize) -> Self {
-        self.config.worker_threads = threads;
-        self
-    }
-
-    /// Finish building.
-    pub fn build(self) -> ServerConfig {
-        self.config
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,30 +79,12 @@ mod tests {
         CachingService::with_defaults(ForestGenerator::new(
             tree,
             prior,
-            ServerConfig::builder()
-                .robust_iterations(2)
-                .targets_per_subtree(5)
-                .build(),
+            ServerConfig {
+                robust_iterations: 2,
+                targets_per_subtree: 5,
+                ..ServerConfig::default()
+            },
         ))
-    }
-
-    #[test]
-    fn builder_defaults_match_default_config() {
-        assert_eq!(ServerConfig::builder().build(), ServerConfig::default());
-        let custom = ServerConfig::builder()
-            .epsilon(17.0)
-            .robust_iterations(3)
-            .targets_per_subtree(9)
-            .graph_approximation(false)
-            .target_seed(99)
-            .worker_threads(2)
-            .build();
-        assert_eq!(custom.epsilon, 17.0);
-        assert_eq!(custom.robust_iterations, 3);
-        assert_eq!(custom.targets_per_subtree, 9);
-        assert!(!custom.graph_approximation);
-        assert_eq!(custom.target_seed, 99);
-        assert_eq!(custom.worker_threads, 2);
     }
 
     #[test]

@@ -59,7 +59,8 @@ use std::sync::{Arc, Condvar, Mutex};
 /// let (dataset, _) =
 ///     GowallaLikeGenerator::new(GowallaLikeConfig::small_test()).generate(&grid);
 /// let prior = PriorDistribution::from_dataset(&grid, &dataset, 0.5);
-/// let config = ServerConfig::builder().epsilon(15.0).targets_per_subtree(5).build();
+/// let config =
+///     ServerConfig { epsilon: 15.0, targets_per_subtree: 5, ..ServerConfig::default() };
 ///
 /// // Compose the serving stack behind the trait object.
 /// let service: Arc<dyn MatrixService> = Arc::new(CachingService::with_defaults(
@@ -886,11 +887,12 @@ mod tests {
         let (dataset, _) =
             GowallaLikeGenerator::new(GowallaLikeConfig::small_test()).generate(&grid);
         let prior = PriorDistribution::from_dataset(&grid, &dataset, 0.5);
-        let config = ServerConfig::builder()
-            .robust_iterations(2)
-            .targets_per_subtree(5)
-            .worker_threads(3)
-            .build();
+        let config = ServerConfig {
+            robust_iterations: 2,
+            targets_per_subtree: 5,
+            worker_threads: 3,
+            ..ServerConfig::default()
+        };
         ForestGenerator::new(LocationTree::new(grid), prior, config)
     }
 

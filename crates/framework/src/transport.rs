@@ -1,8 +1,10 @@
 //! Cross-process envelope transport: length-prefixed frames over TCP, served
 //! by a non-blocking reactor on the hand-rolled executor.  This module holds
-//! the frames and the server; the client side — one connection type behind
+//! the server.  The frame format, the hello payloads and the nonblocking
+//! frame stream that both the server's connections and the peer links run
+//! on live in `frame.rs`; the client side — one connection type behind
 //! [`TcpTransport`], the shard router and the peer links — lives in
-//! `conn.rs` and is re-exported here.
+//! `conn.rs`.  Both are re-exported here.
 //!
 //! # Wire format
 //!
@@ -20,8 +22,8 @@
 //! included, is the binary encoding of [`crate::codec`] ([`WireCodec`]).
 //! Frames are built in a single buffer — the 7 header bytes are reserved up
 //! front and the length patched in place once the payload is serialized, so
-//! there is no encode-then-copy step — and decoded payloads borrow from the
-//! connection's read buffer.
+//! there is no encode-then-copy step — and the reactor decodes payloads
+//! borrowed from the connection's read buffer.
 //!
 //! `Hello`/`HelloReply` frames agree on the [`ProtocolVersion`] (and on
 //! frame authentication, below) on connect.  A major-version mismatch is
@@ -141,14 +143,20 @@
 //! [`CacheStats`]: crate::CacheStats
 
 pub use crate::conn::{ClientConfig, TcpTransport};
+pub use crate::frame::{
+    encode_frame, peek_frame, try_decode_frame, FrameError, FrameKind, HelloFrame, HelloReply,
+    FRAME_HEADER_LEN, FRAME_MAGIC,
+};
 
 use crate::auth::{ClusterKey, AUTH_SCHEME};
 use crate::cluster::{
     ClusterMetrics, ClusterStats, Ping, Pong, Replicator, StatsReport, StatsRequest,
 };
+use crate::codec::WireMessage;
 use crate::executor::{oneshot, Executor, Handle, ReactorBackend, Sleep};
 use crate::fault::{FaultAction, FaultPlan, FaultSite};
-use crate::messages::{ProtocolVersion, WireCodec};
+use crate::frame::{sock_fd, FrameStream};
+use crate::messages::WireCodec;
 use crate::messages::{
     RequestEnvelope, ResponseEnvelope, ServiceError, ServiceErrorKind, PROTOCOL_VERSION,
 };
@@ -157,271 +165,15 @@ use crate::service::{ForestCache, MatrixService, WarmInsertOutcome};
 use crate::warm::{
     warm, DigestReply, DigestRequest, RewarmReport, WarmFailure, WarmPush, WarmRequest,
 };
-use corgi_datagen::PriorDistribution;
-use corgi_hexgrid::HexGridConfig;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::future::Future;
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io;
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::pin::Pin;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll};
 use std::time::{Duration, Instant};
-
-/// The raw descriptor of a socket, for readiness registration with
-/// [`Handle::park_socket`]; `-1` on targets without raw fds, where the
-/// executor is on the tick backend and ignores the value anyway.
-#[cfg(unix)]
-pub(crate) fn sock_fd<T: std::os::fd::AsRawFd>(sock: &T) -> i32 {
-    sock.as_raw_fd()
-}
-#[cfg(not(unix))]
-pub(crate) fn sock_fd<T>(_sock: &T) -> i32 {
-    -1
-}
-
-/// First two bytes of every frame.
-pub const FRAME_MAGIC: [u8; 2] = *b"CG";
-/// Bytes before the payload: magic (2) + kind (1) + big-endian length (4).
-pub const FRAME_HEADER_LEN: usize = 7;
-
-/// Frame kinds of the wire protocol (the third header byte).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrameKind {
-    /// Client → server: the handshake opener ([`HelloFrame`]).
-    Hello = 0,
-    /// Server → client: the handshake outcome ([`HelloReply`]).
-    HelloReply = 1,
-    /// Client → server: a [`RequestEnvelope`].
-    Request = 2,
-    /// Server → client: a [`ResponseEnvelope`].
-    Response = 3,
-    /// Client → server: a [`WarmRequest`] to precompute the cache.
-    Warm = 4,
-    /// Server → client: the [`WarmReport`](crate::warm::WarmReport)
-    /// answering a `Warm` frame.
-    WarmReply = 5,
-    /// Peer → peer: a [`WarmPush`] replicating a freshly solved cache entry
-    /// (protocol 1.4).  Fire-and-forget: no reply frame.
-    WarmPush = 6,
-    /// Client → server: a [`StatsRequest`] asking for the runtime counters
-    /// (protocol 1.4).
-    Stats = 7,
-    /// Server → client: the [`StatsReport`] answering a `Stats` frame
-    /// (protocol 1.4).
-    StatsReply = 8,
-    /// Peer → peer: a liveness probe carrying a [`Ping`] nonce
-    /// (protocol 1.5).
-    Ping = 9,
-    /// Peer → peer: the [`Pong`] echoing a probe's nonce (protocol 1.5).
-    Pong = 10,
-    /// Peer → peer: a [`DigestRequest`] asking for the summary of resident
-    /// cache keys, or pulling one key's forest (protocol 1.5).
-    Digest = 11,
-    /// Peer → peer: the [`DigestReply`] answering a `Digest` frame
-    /// (protocol 1.5).
-    DigestReply = 12,
-}
-
-impl FrameKind {
-    fn from_byte(byte: u8) -> Option<Self> {
-        match byte {
-            0 => Some(Self::Hello),
-            1 => Some(Self::HelloReply),
-            2 => Some(Self::Request),
-            3 => Some(Self::Response),
-            4 => Some(Self::Warm),
-            5 => Some(Self::WarmReply),
-            6 => Some(Self::WarmPush),
-            7 => Some(Self::Stats),
-            8 => Some(Self::StatsReply),
-            9 => Some(Self::Ping),
-            10 => Some(Self::Pong),
-            11 => Some(Self::Digest),
-            12 => Some(Self::DigestReply),
-            _ => None,
-        }
-    }
-}
-
-/// Why a frame could not be decoded.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FrameError {
-    /// The first two bytes were not [`FRAME_MAGIC`].
-    BadMagic([u8; 2]),
-    /// The kind byte named no known [`FrameKind`].
-    UnknownKind(u8),
-    /// The length prefix exceeded the configured maximum.
-    Oversized {
-        /// Length the peer announced.
-        len: usize,
-        /// Maximum this side accepts.
-        max: usize,
-    },
-}
-
-impl std::fmt::Display for FrameError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FrameError::BadMagic(bytes) => write!(f, "bad frame magic {bytes:02x?}"),
-            FrameError::UnknownKind(kind) => write!(f, "unknown frame kind {kind}"),
-            FrameError::Oversized { len, max } => {
-                write!(f, "frame of {len} bytes exceeds the {max}-byte limit")
-            }
-        }
-    }
-}
-
-impl std::error::Error for FrameError {}
-
-impl From<FrameError> for ServiceError {
-    fn from(e: FrameError) -> Self {
-        ServiceError::transport(e.to_string())
-    }
-}
-
-/// Encode one frame from already-serialized payload bytes.
-///
-/// This copies `payload` into the frame; the serving paths avoid that copy by
-/// serializing straight into a header-reserved buffer (see
-/// [`WireCodec::encode_frame`]) — this entry point remains for raw-frame
-/// tests and hand-rolled peers.
-pub fn encode_frame(kind: FrameKind, payload: &[u8]) -> Vec<u8> {
-    let mut frame = vec![0u8; FRAME_HEADER_LEN];
-    frame.extend_from_slice(payload);
-    seal_frame(frame, kind)
-}
-
-/// Patch the frame header into a buffer whose first [`FRAME_HEADER_LEN`]
-/// bytes were reserved before the payload was serialized in place — the
-/// single-buffer frame construction of [`WireCodec::encode_frame`].
-pub(crate) fn seal_frame(mut frame: Vec<u8>, kind: FrameKind) -> Vec<u8> {
-    let payload_len = frame.len() - FRAME_HEADER_LEN;
-    frame[0..2].copy_from_slice(&FRAME_MAGIC);
-    frame[2] = kind as u8;
-    frame[3..7].copy_from_slice(&(payload_len as u32).to_be_bytes());
-    frame
-}
-
-/// Validate a frame header and return its kind and payload length — the one
-/// definition of the header rules, shared by the reactor's incremental
-/// decoder and the client's blocking receive.
-pub(crate) fn parse_frame_header(
-    header: &[u8; FRAME_HEADER_LEN],
-    max_payload: usize,
-) -> Result<(FrameKind, usize), FrameError> {
-    if header[0..2] != FRAME_MAGIC {
-        return Err(FrameError::BadMagic([header[0], header[1]]));
-    }
-    let kind = FrameKind::from_byte(header[2]).ok_or(FrameError::UnknownKind(header[2]))?;
-    let len = u32::from_be_bytes([header[3], header[4], header[5], header[6]]) as usize;
-    if len > max_payload {
-        return Err(FrameError::Oversized {
-            len,
-            max: max_payload,
-        });
-    }
-    Ok((kind, len))
-}
-
-/// Locate one complete frame at the front of `buf` without copying.
-///
-/// Returns the frame kind and the byte range of its payload within `buf`;
-/// the frame occupies `..range.end`.  `Ok(None)` means more bytes are needed
-/// (a truncated frame is simply incomplete — callers bound the wait with a
-/// deadline); a malformed header fails without consuming so the caller can
-/// report and close.  The reactor decodes payloads straight out of this
-/// borrowed range and consumes processed frames with one `drain` per poll.
-pub fn peek_frame(
-    buf: &[u8],
-    max_payload: usize,
-) -> Result<Option<(FrameKind, std::ops::Range<usize>)>, FrameError> {
-    if buf.len() < FRAME_HEADER_LEN {
-        return Ok(None);
-    }
-    let header: [u8; FRAME_HEADER_LEN] = buf[..FRAME_HEADER_LEN]
-        .try_into()
-        .expect("slice length checked above");
-    let (kind, len) = parse_frame_header(&header, max_payload)?;
-    if buf.len() < FRAME_HEADER_LEN + len {
-        return Ok(None);
-    }
-    Ok(Some((kind, FRAME_HEADER_LEN..FRAME_HEADER_LEN + len)))
-}
-
-/// Try to decode one complete frame from the front of `buf`, consuming it on
-/// success.  A copying convenience over [`peek_frame`] for blocking callers
-/// and tests.
-pub fn try_decode_frame(
-    buf: &mut Vec<u8>,
-    max_payload: usize,
-) -> Result<Option<(FrameKind, Vec<u8>)>, FrameError> {
-    match peek_frame(buf, max_payload)? {
-        None => Ok(None),
-        Some((kind, range)) => {
-            let payload = buf[range.clone()].to_vec();
-            buf.drain(..range.end);
-            Ok(Some((kind, payload)))
-        }
-    }
-}
-
-/// Payload of a [`FrameKind::Hello`] frame.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct HelloFrame {
-    /// Protocol version the connecting client speaks.
-    pub version: ProtocolVersion,
-    /// Frame-authentication scheme the client announces (protocol 1.4):
-    /// `Some("hmac-sha256")` means every post-handshake frame the client
-    /// sends will carry a MAC trailer and the client expects the same from
-    /// the server.  `None` (unkeyed clients) means plain frames; a keyed
-    /// server rejects such a hello with a structured
-    /// [`Unauthenticated`](ServiceErrorKind::Unauthenticated) error.
-    pub auth: Option<String>,
-}
-
-impl HelloFrame {
-    /// An unkeyed hello at the current [`PROTOCOL_VERSION`].
-    pub fn current() -> Self {
-        Self {
-            version: PROTOCOL_VERSION,
-            auth: None,
-        }
-    }
-
-    /// Announce keyed frame authentication (the `hmac-sha256` scheme).
-    pub fn authenticated(mut self) -> Self {
-        self.auth = Some(AUTH_SCHEME.to_string());
-        self
-    }
-}
-
-/// Payload of a [`FrameKind::HelloReply`] frame.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum HelloReply {
-    /// The versions are compatible; the connection is open for envelopes.
-    /// Carries everything a remote client needs to mirror the server's public
-    /// state: the grid configuration (rebuilding the location tree is
-    /// deterministic) and the public prior over leaf cells.
-    Accepted {
-        /// Protocol version the server speaks.
-        version: ProtocolVersion,
-        /// Grid configuration; `HexGrid::new(grid)` reproduces the tree.
-        grid: HexGridConfig,
-        /// Public prior distribution over leaf cells.
-        prior: PriorDistribution,
-        /// Echo of the agreed frame-authentication scheme (protocol 1.4):
-        /// `Some("hmac-sha256")` confirms the MAC trailer is active in both
-        /// directions — this accepted reply itself already carries one.
-        /// `None` means plain frames.
-        auth: Option<String>,
-    },
-    /// The versions are incompatible, authentication does not match, or the
-    /// hello was malformed; the server closes after sending this.
-    Rejected(ServiceError),
-}
 
 // ---------------------------------------------------------------------------
 // Server
@@ -652,7 +404,7 @@ impl TransportMetrics {
         counter.fetch_add(n, Ordering::Relaxed);
     }
 
-    fn raise_high_water(&self, bytes: u64) {
+    pub(crate) fn raise_high_water(&self, bytes: u64) {
         self.read_buffer_high_water
             .fetch_max(bytes, Ordering::Relaxed);
     }
@@ -1030,7 +782,12 @@ impl Future for AcceptTask {
                     TransportMetrics::add(&target.metrics.connections_accepted, 1);
                     let deadline = target.handle.sleep(this.config.handshake_timeout);
                     target.handle.spawn(ConnectionTask {
-                        stream,
+                        io: FrameStream::new(
+                            stream,
+                            None,
+                            this.config.max_inbound_frame,
+                            Arc::clone(&target.metrics),
+                        ),
                         handle: target.handle.clone(),
                         service: Arc::clone(&this.service),
                         dispatch: Arc::clone(&this.dispatch),
@@ -1038,10 +795,6 @@ impl Future for AcceptTask {
                         metrics: Arc::clone(&target.metrics),
                         shard_metrics: Arc::clone(&this.shard_metrics),
                         cluster: Arc::clone(&this.cluster),
-                        auth: None,
-                        read_buf: Vec::new(),
-                        write_queue: VecDeque::new(),
-                        write_pos: 0,
                         pending: Vec::new(),
                         established: false,
                         draining: false,
@@ -1079,7 +832,9 @@ struct PendingReply {
 
 /// One client connection: a manually-written state machine future.
 struct ConnectionTask {
-    stream: TcpStream,
+    /// The socket and its buffers; keyed from the moment the hello agrees on
+    /// authentication (the accepted reply is already sealed).
+    io: FrameStream,
     handle: Handle,
     service: Arc<dyn MatrixService>,
     dispatch: Arc<ThreadPool>,
@@ -1089,15 +844,6 @@ struct ConnectionTask {
     /// Every shard's counters, for the server-wide `Stats` frame aggregate.
     shard_metrics: Arc<[Arc<TransportMetrics>]>,
     cluster: Arc<ClusterMetrics>,
-    /// Frame-authentication key, active from the moment the hello agrees on
-    /// it (the accepted reply is already sealed with it); `None` means plain
-    /// frames for the life of the connection.
-    auth: Option<ClusterKey>,
-    read_buf: Vec<u8>,
-    /// Encoded frames awaiting the socket; `write_pos` is the offset into the
-    /// front frame already written.
-    write_queue: VecDeque<Vec<u8>>,
-    write_pos: usize,
     pending: Vec<PendingReply>,
     /// Set once the hello exchange has been accepted.
     established: bool,
@@ -1130,75 +876,16 @@ impl Drop for ConnectionTask {
         // The stream closes when this task drops; release its readiness
         // registration first so the shard's fd → waker map cannot retain a
         // stale entry for a recycled descriptor number.
-        self.handle.deregister_socket(sock_fd(&self.stream));
+        self.handle.deregister_socket(self.io.fd());
         TransportMetrics::add(&self.metrics.connections_closed, 1);
     }
-}
-
-enum ReadOutcome {
-    Progress,
-    Idle,
-    Eof,
 }
 
 impl ConnectionTask {
     /// Whether backpressure bounds forbid taking on more input right now.
     fn at_capacity(&self) -> bool {
         self.pending.len() >= MAX_INFLIGHT_PER_CONNECTION
-            || self.write_queue.len() >= WRITE_QUEUE_DEPTH
-    }
-
-    /// High-water mark for buffered inbound bytes: one maximal frame plus a
-    /// read chunk of slack.  Beyond it we stop draining the socket so TCP
-    /// flow control pushes back on the peer instead of growing our heap.
-    fn read_buffer_limit(&self) -> usize {
-        self.config.max_inbound_frame + FRAME_HEADER_LEN + 4096
-    }
-
-    fn read_available(&mut self) -> ReadOutcome {
-        let mut chunk = [0u8; 4096];
-        let mut any = false;
-        while self.read_buf.len() < self.read_buffer_limit() {
-            match self.stream.read(&mut chunk) {
-                Ok(0) => return ReadOutcome::Eof,
-                Ok(n) => {
-                    self.read_buf.extend_from_slice(&chunk[..n]);
-                    TransportMetrics::add(&self.metrics.bytes_in, n as u64);
-                    self.metrics.raise_high_water(self.read_buf.len() as u64);
-                    any = true;
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => return ReadOutcome::Eof,
-            }
-        }
-        if any {
-            ReadOutcome::Progress
-        } else {
-            ReadOutcome::Idle
-        }
-    }
-
-    /// Write queued frames until the socket blocks.  Returns false when the
-    /// peer is gone.
-    fn flush(&mut self) -> bool {
-        while let Some(front) = self.write_queue.front() {
-            match self.stream.write(&front[self.write_pos..]) {
-                Ok(0) => return false,
-                Ok(n) => {
-                    self.write_pos += n;
-                    TransportMetrics::add(&self.metrics.bytes_out, n as u64);
-                    if self.write_pos == front.len() {
-                        self.write_queue.pop_front();
-                        self.write_pos = 0;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => return false,
-            }
-        }
-        true
+            || self.io.queued_frames() >= WRITE_QUEUE_DEPTH
     }
 
     /// Queue an encoded frame for the wire — the single outbound choke
@@ -1206,11 +893,7 @@ impl ConnectionTask {
     /// accepted hello reply queued right after the hello) gets its MAC
     /// trailer here.
     fn queue_frame(&mut self, frame: Vec<u8>) {
-        TransportMetrics::add(&self.metrics.frames_out, 1);
-        let mut frame = match &self.auth {
-            Some(key) => key.seal(frame),
-            None => frame,
-        };
+        let mut frame = self.io.seal(frame);
         if let Some(plan) = &self.config.fault_plan {
             match plan.check(FaultSite::ServerSend) {
                 None => {}
@@ -1220,8 +903,7 @@ impl ConnectionTask {
                 Some(FaultAction::CloseConnection) => {
                     self.eof = true;
                     self.draining = true;
-                    self.write_queue.clear();
-                    self.write_pos = 0;
+                    self.io.clear_queue();
                     return;
                 }
                 Some(FaultAction::CorruptMac) => {
@@ -1231,7 +913,7 @@ impl ConnectionTask {
                 }
             }
         }
-        self.write_queue.push_back(frame);
+        self.io.enqueue(frame);
     }
 
     /// Stop reading and close once the write queue flushes, with a fresh
@@ -1250,79 +932,55 @@ impl ConnectionTask {
         self.begin_drain();
     }
 
-    /// Reject a frame that failed MAC verification: count it, answer with a
-    /// structured `Unauthenticated` error (sealed with our own key — the
-    /// legitimate keyholder can read it, a forger learns nothing new) and
-    /// drain the connection.
-    fn queue_auth_error(&mut self, error: crate::auth::AuthError) {
-        self.cluster.count_auth_rejection();
-        TransportMetrics::add(&self.metrics.transport_errors, 1);
-        let envelope = ResponseEnvelope::error(
-            0,
-            ServiceError::unauthenticated(format!("frame failed authentication: {error}")),
-        );
-        self.queue_frame(WireCodec::Binary.encode_frame(&envelope));
-        self.begin_drain();
-    }
-
-    /// Decode and dispatch every complete frame in the read buffer.  Returns
-    /// true if any frame was consumed.
-    ///
-    /// Payloads are handled as borrowed slices of the read buffer (the buffer
-    /// is taken out of `self` for the duration, so `handle_frame` can still
-    /// take `&mut self`) and all processed frames are consumed with a single
-    /// `drain` — no per-frame payload copy, no per-frame memmove.
-    fn process_frames(&mut self) -> bool {
-        let buf = std::mem::take(&mut self.read_buf);
-        let mut consumed = 0usize;
-        let mut any = false;
-        while !self.draining
-            && self.pending.len() < MAX_INFLIGHT_PER_CONNECTION
-            && self.write_queue.len() < WRITE_QUEUE_DEPTH
-        {
-            match peek_frame(&buf[consumed..], self.config.max_inbound_frame) {
-                Ok(None) => break,
-                Ok(Some((kind, range))) => {
-                    any = true;
-                    TransportMetrics::add(&self.metrics.frames_in, 1);
-                    let frame_end = consumed + range.end;
-                    // With authentication active the MAC covers the whole
-                    // frame (header included) and the verified payload
-                    // excludes the trailer the header length counted.
-                    let payload = match &self.auth {
-                        Some(key) => key.open(&buf[consumed..frame_end]),
-                        None => Ok(&buf[consumed + range.start..frame_end]),
-                    };
-                    consumed = frame_end;
-                    match payload {
-                        Ok(payload) => self.handle_frame(kind, payload),
-                        Err(e) => {
-                            self.queue_auth_error(e);
-                            break;
-                        }
-                    }
-                }
-                Err(e) => {
-                    any = true;
-                    self.queue_transport_error(e.into());
-                    break;
-                }
+    /// Answer a frame whose payload does not decode with a transport error
+    /// and drain.
+    fn decode_or_refuse<M: WireMessage>(&mut self, payload: &[u8]) -> Option<M> {
+        match WireCodec::Binary.decode_payload(payload) {
+            Ok(message) => Some(message),
+            Err(e) => {
+                self.queue_transport_error(e);
+                None
             }
         }
-        self.read_buf = buf;
-        self.read_buf.drain(..consumed);
+    }
+
+    /// Handle every complete frame in the read buffer, the hello first on a
+    /// fresh connection.  Returns true if any frame was consumed.  Payloads
+    /// are borrowed from the read buffer and consumed with one `drain` per
+    /// pass (see [`FrameStream`]).
+    fn process_frames(&mut self) -> bool {
+        let mut pass = self.io.begin_pass();
+        let mut any = false;
+        while !self.draining && !self.at_capacity() {
+            match self.io.next_frame(&mut pass) {
+                Ok(None) => break,
+                Ok(Some((kind, payload))) if self.established => self.handle_frame(kind, payload),
+                Ok(Some((kind, payload))) => self.handle_hello(kind, payload),
+                // Keys are agreed in the hello, so only an established
+                // connection fails a MAC.  The error goes out sealed with our
+                // own key: the legitimate keyholder can read it, a forger
+                // learns nothing new.
+                Err(error) if error.kind == ServiceErrorKind::Unauthenticated => {
+                    self.cluster.count_auth_rejection();
+                    self.queue_transport_error(error);
+                }
+                Err(error) if self.established => self.queue_transport_error(error),
+                Err(error) => {
+                    TransportMetrics::add(&self.metrics.transport_errors, 1);
+                    self.reject_hello(error);
+                }
+            }
+            any = true;
+        }
+        self.io.end_pass(pass);
         any
     }
 
     fn handle_frame(&mut self, kind: FrameKind, payload: &[u8]) {
         match kind {
             FrameKind::Request => {
-                let envelope: RequestEnvelope = match WireCodec::Binary.decode_payload(payload) {
-                    Ok(envelope) => envelope,
-                    Err(e) => {
-                        self.queue_transport_error(e);
-                        return;
-                    }
+                let Some(envelope) = self.decode_or_refuse::<RequestEnvelope>(payload) else {
+                    return;
                 };
                 // A resident hit is answered here, from the forest body the
                 // cache encoded once: no dispatch hop, no re-encode, and
@@ -1374,12 +1032,8 @@ impl ConnectionTask {
                 });
             }
             FrameKind::Warm => {
-                let plan: WarmRequest = match WireCodec::Binary.decode_payload(payload) {
-                    Ok(plan) => plan,
-                    Err(e) => {
-                        self.queue_transport_error(e);
-                        return;
-                    }
+                let Some(plan) = self.decode_or_refuse::<WarmRequest>(payload) else {
+                    return;
                 };
                 // Every key is a full forest generation: refuse plans large
                 // enough to pin the dispatch pool (one small frame could
@@ -1401,12 +1055,8 @@ impl ConnectionTask {
                 });
             }
             FrameKind::WarmPush => {
-                let push: WarmPush = match WireCodec::Binary.decode_payload(payload) {
-                    Ok(push) => push,
-                    Err(e) => {
-                        self.queue_transport_error(e);
-                        return;
-                    }
+                let Some(push) = self.decode_or_refuse::<WarmPush>(payload) else {
+                    return;
                 };
                 // Adopt the peer's solved forest directly: a push never
                 // schedules a solve.  A stack without a cache drops it.
@@ -1417,8 +1067,7 @@ impl ConnectionTask {
                 }
             }
             FrameKind::Stats => {
-                if let Err(e) = WireCodec::Binary.decode_payload::<StatsRequest>(payload) {
-                    self.queue_transport_error(e);
+                if self.decode_or_refuse::<StatsRequest>(payload).is_none() {
                     return;
                 }
                 // Counter snapshots are cheap: answered inline on the
@@ -1435,12 +1084,8 @@ impl ConnectionTask {
                 // Liveness probe (protocol 1.5): echo the nonce back.  The
                 // reply is queued inline on the reactor — a server that can
                 // still run its event loop is, by definition, alive.
-                let ping: Ping = match WireCodec::Binary.decode_payload(payload) {
-                    Ok(ping) => ping,
-                    Err(e) => {
-                        self.queue_transport_error(e);
-                        return;
-                    }
+                let Some(ping) = self.decode_or_refuse::<Ping>(payload) else {
+                    return;
                 };
                 self.queue_frame(WireCodec::Binary.encode_frame(&Pong { nonce: ping.nonce }));
             }
@@ -1448,12 +1093,8 @@ impl ConnectionTask {
                 // Anti-entropy exchange (protocol 1.5): a summary of resident
                 // cache keys, or one pulled forest.  Both are answered from
                 // the cache alone — a digest never schedules a solve.
-                let request: DigestRequest = match WireCodec::Binary.decode_payload(payload) {
-                    Ok(request) => request,
-                    Err(e) => {
-                        self.queue_transport_error(e);
-                        return;
-                    }
+                let Some(request) = self.decode_or_refuse::<DigestRequest>(payload) else {
+                    return;
                 };
                 // A stack without a cache answers an empty digest at
                 // generation 0 and no pulled forest.
@@ -1533,113 +1174,108 @@ impl ConnectionTask {
         any
     }
 
+    /// Read and walk the first frames of a fresh connection.  Returns `None`
+    /// once the hello is answered (accepted or refused), for the serving
+    /// loop to take over.
     fn handshake_step(&mut self, cx: &mut Context<'_>) -> Option<Poll<()>> {
         // Bound the handshake (and any half-sent first frame) by the deadline.
         if Pin::new(&mut self.deadline).poll(cx).is_ready() {
             return Some(Poll::Ready(()));
         }
-        match self.read_available() {
-            ReadOutcome::Eof => return Some(Poll::Ready(())),
-            ReadOutcome::Progress | ReadOutcome::Idle => {}
+        if self.io.read_available().is_err() {
+            return Some(Poll::Ready(()));
         }
-        match try_decode_frame(&mut self.read_buf, self.config.max_inbound_frame) {
-            Ok(None) => {
-                self.handle.park_socket(
-                    sock_fd(&self.stream),
-                    true,
-                    !self.write_queue.is_empty(),
-                    cx.waker(),
-                );
-                Some(Poll::Pending)
+        self.process_frames();
+        if self.established || self.draining {
+            return None;
+        }
+        self.handle
+            .park_socket(self.io.fd(), true, !self.io.is_flushed(), cx.waker());
+        Some(Poll::Pending)
+    }
+
+    /// Answer the first frame of a connection: it must be a hello this
+    /// server accepts.
+    fn handle_hello(&mut self, kind: FrameKind, payload: &[u8]) {
+        if kind != FrameKind::Hello {
+            TransportMetrics::add(&self.metrics.transport_errors, 1);
+            self.reject_hello(ServiceError::transport(format!(
+                "expected a Hello frame, got {kind:?}"
+            )));
+            return;
+        }
+        let hello = match WireCodec::Binary.decode_payload::<HelloFrame>(payload) {
+            Ok(hello) if PROTOCOL_VERSION.is_compatible_with(&hello.version) => hello,
+            // A version mismatch is a well-formed exchange, visible as an
+            // accepted-then-closed connection, not a transport error — and
+            // so is the JSON hello of a 1.x peer.
+            Ok(hello) => {
+                self.reject_hello(ServiceError::unsupported_version(hello.version));
+                return;
             }
-            Ok(Some((FrameKind::Hello, payload))) => {
-                TransportMetrics::add(&self.metrics.frames_in, 1);
-                match WireCodec::Binary.decode_payload::<HelloFrame>(&payload) {
-                    Ok(hello) if PROTOCOL_VERSION.is_compatible_with(&hello.version) => {
-                        // Authentication comes first: a key mismatch must
-                        // surface as a legible structured rejection (always
-                        // without a MAC), never a MAC failure.
-                        match (&self.config.cluster_key, hello.auth.as_deref()) {
-                            (Some(key), Some(AUTH_SCHEME)) => self.auth = Some(key.clone()),
-                            (Some(_), announced) => {
-                                self.cluster.count_auth_rejection();
-                                self.reject_hello(ServiceError::unauthenticated(match announced {
-                                    None => "server requires authenticated frames \
-                                             (hmac-sha256); configure the cluster key"
-                                        .to_string(),
-                                    Some(other) => format!(
-                                        "server requires the hmac-sha256 frame-authentication \
-                                         scheme, client announced {other:?}"
-                                    ),
-                                }));
-                                return None;
-                            }
-                            (None, Some(scheme)) => {
-                                self.cluster.count_auth_rejection();
-                                self.reject_hello(ServiceError::unauthenticated(format!(
-                                    "client announced {scheme:?} frame authentication but this \
-                                     server has no cluster key"
-                                )));
-                                return None;
-                            }
-                            (None, None) => {}
-                        }
-                        TransportMetrics::add(&self.metrics.binary_connections, 1);
-                        let reply = HelloReply::Accepted {
-                            version: PROTOCOL_VERSION,
-                            grid: *self.service.tree().grid().config(),
-                            prior: (*self.service.prior()).clone(),
-                            auth: self.auth.as_ref().map(|_| AUTH_SCHEME.to_string()),
-                        };
-                        // queue_frame seals the accepted reply when auth just
-                        // became active — the client verifies it on arrival.
-                        self.queue_frame(WireCodec::Binary.encode_frame(&reply));
-                        self.established = true;
-                        self.last_progress = Instant::now();
-                        self.idle = self
-                            .config
-                            .read_idle_timeout
-                            .map(|timeout| self.handle.sleep(timeout));
-                        None // fall through into the serving loop
-                    }
-                    // A version mismatch is a well-formed exchange, visible
-                    // as an accepted-then-closed connection, not a transport
-                    // error — and so is the JSON hello of a 1.x peer.
-                    Ok(hello) => {
-                        self.reject_hello(ServiceError::unsupported_version(hello.version));
-                        None
-                    }
-                    Err(_) if payload.first() == Some(&b'{') => {
-                        self.reject_hello(ServiceError::new(
-                            ServiceErrorKind::UnsupportedVersion,
-                            format!(
-                                "JSON hello from a protocol 1.x peer; protocol \
-                                 {PROTOCOL_VERSION} frames are binary"
-                            ),
-                        ));
-                        None
-                    }
-                    Err(e) => {
-                        TransportMetrics::add(&self.metrics.transport_errors, 1);
-                        self.reject_hello(e);
-                        None
-                    }
-                }
-            }
-            Ok(Some((kind, _))) => {
-                TransportMetrics::add(&self.metrics.frames_in, 1);
-                TransportMetrics::add(&self.metrics.transport_errors, 1);
-                self.reject_hello(ServiceError::transport(format!(
-                    "expected a Hello frame, got {kind:?}"
-                )));
-                None
+            Err(_) if payload.first() == Some(&b'{') => {
+                self.reject_hello(ServiceError::new(
+                    ServiceErrorKind::UnsupportedVersion,
+                    format!(
+                        "JSON hello from a protocol 1.x peer; protocol \
+                         {PROTOCOL_VERSION} frames are binary"
+                    ),
+                ));
+                return;
             }
             Err(e) => {
                 TransportMetrics::add(&self.metrics.transport_errors, 1);
-                self.reject_hello(e.into());
-                None
+                self.reject_hello(e);
+                return;
             }
-        }
+        };
+        // Authentication comes first: a key mismatch must surface as a
+        // legible structured rejection (always without a MAC), never a MAC
+        // failure.
+        let keyed = match (&self.config.cluster_key, hello.auth.as_deref()) {
+            (Some(key), Some(AUTH_SCHEME)) => {
+                self.io.set_auth(key.clone());
+                true
+            }
+            (Some(_), announced) => {
+                self.cluster.count_auth_rejection();
+                self.reject_hello(ServiceError::unauthenticated(match announced {
+                    None => "server requires authenticated frames (hmac-sha256); configure \
+                             the cluster key"
+                        .to_string(),
+                    Some(other) => format!(
+                        "server requires the hmac-sha256 frame-authentication scheme, client \
+                         announced {other:?}"
+                    ),
+                }));
+                return;
+            }
+            (None, Some(scheme)) => {
+                self.cluster.count_auth_rejection();
+                self.reject_hello(ServiceError::unauthenticated(format!(
+                    "client announced {scheme:?} frame authentication but this server has no \
+                     cluster key"
+                )));
+                return;
+            }
+            (None, None) => false,
+        };
+        TransportMetrics::add(&self.metrics.binary_connections, 1);
+        let reply = HelloReply::Accepted {
+            version: PROTOCOL_VERSION,
+            grid: *self.service.tree().grid().config(),
+            prior: (*self.service.prior()).clone(),
+            auth: keyed.then(|| AUTH_SCHEME.to_string()),
+        };
+        // The stream seals the accepted reply when auth just became active —
+        // the client verifies it on arrival — and verifies every later frame.
+        self.queue_frame(WireCodec::Binary.encode_frame(&reply));
+        self.established = true;
+        self.last_progress = Instant::now();
+        self.idle = self
+            .config
+            .read_idle_timeout
+            .map(|timeout| self.handle.sleep(timeout));
     }
 
     /// Refuse the hello with a structured rejection and close once it has
@@ -1669,11 +1305,11 @@ impl Future for ConnectionTask {
             if !this.draining {
                 progress |= this.collect_completions(cx);
             }
-            if !this.flush() {
+            if this.io.flush().is_err() {
                 return Poll::Ready(()); // peer gone
             }
             if this.draining {
-                if this.write_queue.is_empty() {
+                if this.io.is_flushed() {
                     return Poll::Ready(());
                 }
                 // Bounded drain: begin_drain re-armed the deadline, capping
@@ -1684,15 +1320,14 @@ impl Future for ConnectionTask {
                 // Only the blocked write matters now; the deadline timer is
                 // the other wake source.
                 this.handle
-                    .park_socket(sock_fd(&this.stream), false, true, cx.waker());
+                    .park_socket(this.io.fd(), false, true, cx.waker());
                 return Poll::Pending;
             }
             if !this.eof && !this.at_capacity() {
                 this.stalled = false;
-                match this.read_available() {
-                    ReadOutcome::Eof => this.eof = true,
-                    ReadOutcome::Progress => progress = true,
-                    ReadOutcome::Idle => {}
+                match this.io.read_available() {
+                    Ok(read) => progress |= read,
+                    Err(_) => this.eof = true,
                 }
             } else if !this.eof && !this.stalled {
                 // Rising edge of a backpressure stall: the write queue or
@@ -1712,11 +1347,7 @@ impl Future for ConnectionTask {
                     if Pin::new(idle).poll(cx).is_ready() {
                         let now = Instant::now();
                         let quiet = now.saturating_duration_since(this.last_progress) >= timeout;
-                        if quiet
-                            && this.pending.is_empty()
-                            && this.write_queue.is_empty()
-                            && !this.eof
-                        {
+                        if quiet && this.pending.is_empty() && this.io.is_flushed() && !this.eof {
                             // Connected but mute: reclaim the connection with
                             // a structured goodbye instead of holding its
                             // buffers and fd forever.
@@ -1738,7 +1369,7 @@ impl Future for ConnectionTask {
                     }
                 }
             }
-            if this.eof && this.pending.is_empty() && this.write_queue.is_empty() {
+            if this.eof && this.pending.is_empty() && this.io.is_flushed() {
                 return Poll::Ready(());
             }
             if !progress {
@@ -1749,9 +1380,9 @@ impl Future for ConnectionTask {
                 // queued — a connection at capacity parks with no interest
                 // and is woken only by a completion draining it.
                 this.handle.park_socket(
-                    sock_fd(&this.stream),
+                    this.io.fd(),
                     !this.eof && !this.at_capacity(),
-                    !this.write_queue.is_empty(),
+                    !this.io.is_flushed(),
                     cx.waker(),
                 );
                 return Poll::Pending;
@@ -1763,70 +1394,9 @@ impl Future for ConnectionTask {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn frames_roundtrip_through_the_incremental_decoder() {
-        let payload = br#"{"hello":"world"}"#;
-        let mut buf = encode_frame(FrameKind::Request, payload);
-        // Arrives in two halves: first read yields nothing, second completes.
-        let tail = buf.split_off(5);
-        let mut incoming = buf;
-        assert_eq!(try_decode_frame(&mut incoming, 1024), Ok(None));
-        incoming.extend_from_slice(&tail);
-        let (kind, got) = try_decode_frame(&mut incoming, 1024).unwrap().unwrap();
-        assert_eq!(kind, FrameKind::Request);
-        assert_eq!(got, payload);
-        assert!(incoming.is_empty(), "frame bytes fully consumed");
-    }
-
-    #[test]
-    fn decoder_separates_back_to_back_frames() {
-        let mut buf = encode_frame(FrameKind::Request, b"one");
-        buf.extend_from_slice(&encode_frame(FrameKind::Warm, b"two"));
-        let (k1, p1) = try_decode_frame(&mut buf, 1024).unwrap().unwrap();
-        let (k2, p2) = try_decode_frame(&mut buf, 1024).unwrap().unwrap();
-        assert_eq!((k1, p1.as_slice()), (FrameKind::Request, b"one".as_slice()));
-        assert_eq!((k2, p2.as_slice()), (FrameKind::Warm, b"two".as_slice()));
-        assert_eq!(try_decode_frame(&mut buf, 1024), Ok(None));
-    }
-
-    #[test]
-    fn bad_magic_is_rejected() {
-        let mut buf = b"XX\x02\x00\x00\x00\x00".to_vec();
-        assert_eq!(
-            try_decode_frame(&mut buf, 1024),
-            Err(FrameError::BadMagic(*b"XX"))
-        );
-    }
-
-    #[test]
-    fn unknown_kind_is_rejected() {
-        let mut buf = encode_frame(FrameKind::Request, b"x");
-        buf[2] = 250;
-        assert_eq!(
-            try_decode_frame(&mut buf, 1024),
-            Err(FrameError::UnknownKind(250))
-        );
-    }
-
-    #[test]
-    fn oversized_length_prefix_is_rejected_before_buffering() {
-        // A 4 GiB length prefix must be refused from the 7 header bytes alone.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&FRAME_MAGIC);
-        buf.push(FrameKind::Request as u8);
-        buf.extend_from_slice(&u32::MAX.to_be_bytes());
-        let err = try_decode_frame(&mut buf, 64 * 1024).unwrap_err();
-        assert_eq!(
-            err,
-            FrameError::Oversized {
-                len: u32::MAX as usize,
-                max: 64 * 1024
-            }
-        );
-        let service_error: ServiceError = err.into();
-        assert_eq!(service_error.kind, ServiceErrorKind::Transport);
-    }
+    use crate::messages::ProtocolVersion;
+    use corgi_datagen::PriorDistribution;
+    use corgi_hexgrid::HexGridConfig;
 
     #[test]
     fn frame_errors_map_to_transport_service_errors() {

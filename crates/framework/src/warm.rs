@@ -277,11 +277,12 @@ mod tests {
         CachingService::with_defaults(ForestGenerator::new(
             corgi_core::LocationTree::new(grid),
             prior,
-            ServerConfig::builder()
-                .robust_iterations(1)
-                .targets_per_subtree(3)
-                .worker_threads(2)
-                .build(),
+            ServerConfig {
+                robust_iterations: 1,
+                targets_per_subtree: 3,
+                worker_threads: 2,
+                ..ServerConfig::default()
+            },
         ))
     }
 

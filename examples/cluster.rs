@@ -48,11 +48,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let grid = HexGrid::new(HexGridConfig::san_francisco())?;
     let (dataset, _) = GowallaLikeGenerator::new(GowallaLikeConfig::small_test()).generate(&grid);
     let prior = PriorDistribution::from_dataset(&grid, &dataset, 0.5);
-    let config = ServerConfig::builder()
-        .robust_iterations(1)
-        .targets_per_subtree(3)
-        .worker_threads(2)
-        .build();
+    let config = ServerConfig {
+        robust_iterations: 1,
+        targets_per_subtree: 3,
+        worker_threads: 2,
+        ..ServerConfig::default()
+    };
 
     // Boot the three shards.  The replicator is handed both to the service
     // stack (which offers every cold-miss solve to it) and to the transport

@@ -43,11 +43,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let delta = 4;
 
     // Server-side compute path; the same LP instance backs both matrices.
-    let config = ServerConfig::builder()
-        .epsilon(epsilon)
-        .robust_iterations(6)
-        .targets_per_subtree(25)
-        .build();
+    let config = ServerConfig {
+        epsilon,
+        robust_iterations: 6,
+        targets_per_subtree: 25,
+        ..ServerConfig::default()
+    };
     let generator = ForestGenerator::new(tree, prior, config);
     let problem = generator.problem_for_subtree(&subtree)?;
     let nonrobust = generate_nonrobust_matrix(&problem)?;

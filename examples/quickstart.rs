@@ -42,11 +42,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. The untrusted server: the raw Algorithm-3 compute path wrapped in a
     //    bounded cache, served by the reactor over framed TCP.
-    let config = ServerConfig::builder()
-        .epsilon(15.0)
-        .robust_iterations(5)
-        .targets_per_subtree(20)
-        .build();
+    let config = ServerConfig {
+        epsilon: 15.0,
+        robust_iterations: 5,
+        targets_per_subtree: 20,
+        ..ServerConfig::default()
+    };
     let stack = Arc::new(CachingService::with_defaults(ForestGenerator::new(
         tree, prior, config,
     )));

@@ -32,11 +32,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The dispatch server (untrusted): generator → bounded cache, behind the
     // reactor.  The (privacy_level 1, δ) grid riders hit
     // is warmed on the dispatch pool while the listener already accepts.
-    let config = ServerConfig::builder()
-        .epsilon(epsilon)
-        .robust_iterations(4)
-        .targets_per_subtree(20)
-        .build();
+    let config = ServerConfig {
+        epsilon,
+        robust_iterations: 4,
+        targets_per_subtree: 20,
+        ..ServerConfig::default()
+    };
     let stack = Arc::new(CachingService::with_defaults(ForestGenerator::new(
         LocationTree::new(grid.clone()),
         prior.clone(),

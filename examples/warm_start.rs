@@ -28,10 +28,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let caching = Arc::new(CachingService::with_defaults(ForestGenerator::new(
         LocationTree::new(grid),
         prior,
-        ServerConfig::builder()
-            .robust_iterations(2)
-            .targets_per_subtree(5)
-            .build(),
+        ServerConfig {
+            robust_iterations: 2,
+            targets_per_subtree: 5,
+            ..ServerConfig::default()
+        },
     )));
     let server = TcpServer::bind(
         "127.0.0.1:0",

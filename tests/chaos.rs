@@ -32,11 +32,12 @@ fn world() -> (HexGrid, PriorDistribution, ServerConfig) {
     let grid = HexGrid::new(HexGridConfig::san_francisco()).unwrap();
     let (dataset, _) = GowallaLikeGenerator::new(GowallaLikeConfig::small_test()).generate(&grid);
     let prior = PriorDistribution::from_dataset(&grid, &dataset, 0.5);
-    let config = ServerConfig::builder()
-        .robust_iterations(1)
-        .targets_per_subtree(3)
-        .worker_threads(2)
-        .build();
+    let config = ServerConfig {
+        robust_iterations: 1,
+        targets_per_subtree: 3,
+        worker_threads: 2,
+        ..ServerConfig::default()
+    };
     (grid, prior, config)
 }
 

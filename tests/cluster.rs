@@ -2,15 +2,17 @@
 //! shard becomes a warm hit on its peers with zero LP solves of their own,
 //! observed purely over the wire), bounded drop-oldest push queues under peer
 //! stall, HMAC frame authentication (handshake rejection and post-handshake
-//! tamper detection), forest-less pushes refused without a solve, and router
-//! failover when a shard dies mid-run.
+//! tamper detection), forest-less pushes refused without a solve, a peer
+//! link's bound on what it reads, and router failover when a shard dies
+//! mid-run.
 
 use corgi::core::{LocationTree, ObfuscationMatrix};
 use corgi::datagen::{GowallaLikeConfig, GowallaLikeGenerator, PriorDistribution};
+use corgi::framework::messages::PROTOCOL_VERSION;
 use corgi::framework::messages::{
     ForestEntry, MatrixRequest, PrivacyForestResponse, RequestEnvelope, ResponseEnvelope,
 };
-use corgi::framework::transport::{FrameKind, HelloFrame, HelloReply};
+use corgi::framework::transport::{FrameKind, HelloFrame, HelloReply, FRAME_MAGIC};
 use corgi::framework::{
     rendezvous_rank, CachingService, ClientConfig, ClusterKey, ForestGenerator, MatrixService,
     ReplicatingService, ReplicationConfig, Replicator, RouterConfig, ServerConfig, ServiceError,
@@ -19,7 +21,7 @@ use corgi::framework::{
 };
 use corgi::hexgrid::{HexGrid, HexGridConfig};
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -38,11 +40,12 @@ fn start_cluster(n: usize, key: Option<ClusterKey>) -> Vec<Shard> {
     let grid = HexGrid::new(HexGridConfig::san_francisco()).unwrap();
     let (dataset, _) = GowallaLikeGenerator::new(GowallaLikeConfig::small_test()).generate(&grid);
     let prior = PriorDistribution::from_dataset(&grid, &dataset, 0.5);
-    let config = ServerConfig::builder()
-        .robust_iterations(1)
-        .targets_per_subtree(3)
-        .worker_threads(2)
-        .build();
+    let config = ServerConfig {
+        robust_iterations: 1,
+        targets_per_subtree: 3,
+        worker_threads: 2,
+        ..ServerConfig::default()
+    };
     let shards: Vec<Shard> = (0..n)
         .map(|_| {
             let replicator = Replicator::new(ReplicationConfig {
@@ -209,11 +212,12 @@ fn push_queue_is_bounded_and_drops_oldest_when_a_peer_stalls() {
         ForestGenerator::new(
             LocationTree::new(grid),
             prior,
-            ServerConfig::builder()
-                .robust_iterations(1)
-                .targets_per_subtree(3)
-                .worker_threads(2)
-                .build(),
+            ServerConfig {
+                robust_iterations: 1,
+                targets_per_subtree: 3,
+                worker_threads: 2,
+                ..ServerConfig::default()
+            },
         ),
         Arc::clone(&replicator),
     )));
@@ -261,6 +265,91 @@ fn push_queue_is_bounded_and_drops_oldest_when_a_peer_stalls() {
     );
     assert_eq!(wire_peer.pushes_sent, 0, "{wire_peer:?}");
     server.shutdown();
+}
+
+#[test]
+fn a_peer_link_fails_on_a_frame_longer_than_a_link_accepts() {
+    // A link only ever receives pongs and error responses, so it bounds the
+    // frames it reads: a peer that accepts the hello and then announces a
+    // 1 MiB frame fails the link at the header, instead of leaving it waiting
+    // for a payload it would buffer whole.
+    let grid = HexGrid::new(HexGridConfig::san_francisco()).unwrap();
+    let (dataset, _) = GowallaLikeGenerator::new(GowallaLikeConfig::small_test()).generate(&grid);
+    let prior = PriorDistribution::from_dataset(&grid, &dataset, 0.5);
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let fake_peer = listener.local_addr().unwrap();
+    let accepted = HelloReply::Accepted {
+        version: PROTOCOL_VERSION,
+        grid: *grid.config(),
+        prior: prior.clone(),
+        auth: None,
+    };
+    let (done, until_done) = std::sync::mpsc::channel::<()>();
+    let peer = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let (kind, _) = read_raw_frame(&mut stream);
+        assert_eq!(kind, FrameKind::Hello as u8);
+        stream
+            .write_all(&WireCodec::Binary.encode_frame(&accepted))
+            .unwrap();
+        let mut header = FRAME_MAGIC.to_vec();
+        header.push(FrameKind::Pong as u8);
+        header.extend_from_slice(&(1u32 << 20).to_be_bytes());
+        stream.write_all(&header).unwrap();
+        // Hold the socket open, the payload never sent.  Dropping the
+        // listener at the end refuses the link's redials at once.
+        let _ = until_done.recv();
+    });
+
+    let replicator = Replicator::new(ReplicationConfig {
+        cluster_key: None,
+        health: None,
+        ..ReplicationConfig::default()
+    });
+    let server = TcpServer::bind(
+        "127.0.0.1:0",
+        Arc::new(ForestGenerator::new(
+            LocationTree::new(grid),
+            prior,
+            ServerConfig::default(),
+        )) as Arc<dyn MatrixService>,
+        TransportConfig {
+            cluster_key: None,
+            replication: Some(Arc::clone(&replicator)),
+            ..TransportConfig::default()
+        },
+    )
+    .unwrap();
+    replicator.add_peer(fake_peer.to_string());
+    // A queued push is what makes a link without probes dial.
+    let request = MatrixRequest {
+        privacy_level: 1,
+        delta: 0,
+    };
+    replicator.offer(
+        request,
+        &Arc::new(PrivacyForestResponse {
+            request,
+            epsilon: 15.0,
+            entries: Vec::new(),
+        }),
+    );
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while replicator.peer_stats()[0].link_errors == 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let stats = replicator.peer_stats()[0].clone();
+    done.send(()).unwrap();
+    peer.join().unwrap();
+    server.shutdown();
+    assert_eq!(
+        stats.connects, 1,
+        "the link dialled the fake peer: {stats:?}"
+    );
+    assert!(
+        stats.link_errors >= 1,
+        "a 1 MiB header must fail the link: {stats:?}"
+    );
 }
 
 #[test]
@@ -404,11 +493,12 @@ fn forest_less_push_is_rejected_without_a_solve() {
     let generator = Arc::new(ForestGenerator::new(
         LocationTree::new(grid.clone()),
         prior,
-        ServerConfig::builder()
-            .robust_iterations(1)
-            .targets_per_subtree(3)
-            .worker_threads(2)
-            .build(),
+        ServerConfig {
+            robust_iterations: 1,
+            targets_per_subtree: 3,
+            worker_threads: 2,
+            ..ServerConfig::default()
+        },
     ));
     let server = TcpServer::bind(
         "127.0.0.1:0",

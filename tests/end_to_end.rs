@@ -36,10 +36,11 @@ fn full_pipeline_produces_in_range_reports() {
     let caching = Arc::new(CachingService::with_defaults(ForestGenerator::new(
         LocationTree::new(grid.clone()),
         prior,
-        ServerConfig::builder()
-            .robust_iterations(2)
-            .targets_per_subtree(5)
-            .build(),
+        ServerConfig {
+            robust_iterations: 2,
+            targets_per_subtree: 5,
+            ..ServerConfig::default()
+        },
     )));
     let service: Arc<dyn MatrixService> = caching.clone();
     let mut rng = StdRng::seed_from_u64(9);
@@ -82,10 +83,11 @@ fn full_pipeline_over_the_tcp_transport() {
     let caching = Arc::new(CachingService::with_defaults(ForestGenerator::new(
         LocationTree::new(grid.clone()),
         prior,
-        ServerConfig::builder()
-            .robust_iterations(2)
-            .targets_per_subtree(5)
-            .build(),
+        ServerConfig {
+            robust_iterations: 2,
+            targets_per_subtree: 5,
+            ..ServerConfig::default()
+        },
     )));
     let server = TcpServer::bind(
         "127.0.0.1:0",

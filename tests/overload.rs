@@ -44,11 +44,12 @@ impl SlowService {
         let inner = ForestGenerator::new(
             LocationTree::new(grid),
             prior,
-            ServerConfig::builder()
-                .robust_iterations(1)
-                .targets_per_subtree(3)
-                .worker_threads(2)
-                .build(),
+            ServerConfig {
+                robust_iterations: 1,
+                targets_per_subtree: 3,
+                worker_threads: 2,
+                ..ServerConfig::default()
+            },
         );
         let canned = inner
             .privacy_forest(MatrixRequest {

@@ -21,11 +21,12 @@ fn caching_stack() -> Arc<CachingService<ForestGenerator>> {
     Arc::new(CachingService::with_defaults(ForestGenerator::new(
         LocationTree::new(grid),
         prior,
-        ServerConfig::builder()
-            .robust_iterations(1)
-            .targets_per_subtree(3)
-            .worker_threads(2)
-            .build(),
+        ServerConfig {
+            robust_iterations: 1,
+            targets_per_subtree: 3,
+            worker_threads: 2,
+            ..ServerConfig::default()
+        },
     )))
 }
 

@@ -35,11 +35,12 @@ fn caching_stack() -> Arc<CachingService<ForestGenerator>> {
     Arc::new(CachingService::with_defaults(ForestGenerator::new(
         LocationTree::new(grid),
         prior,
-        ServerConfig::builder()
-            .robust_iterations(1)
-            .targets_per_subtree(3)
-            .worker_threads(2)
-            .build(),
+        ServerConfig {
+            robust_iterations: 1,
+            targets_per_subtree: 3,
+            worker_threads: 2,
+            ..ServerConfig::default()
+        },
     )))
 }
 
@@ -920,11 +921,12 @@ fn resident_hits_are_answered_while_a_cold_solve_holds_the_dispatch_pool() {
         inner: ForestGenerator::new(
             LocationTree::new(grid),
             prior,
-            ServerConfig::builder()
-                .robust_iterations(1)
-                .targets_per_subtree(3)
-                .worker_threads(2)
-                .build(),
+            ServerConfig {
+                robust_iterations: 1,
+                targets_per_subtree: 3,
+                worker_threads: 2,
+                ..ServerConfig::default()
+            },
         ),
         gate: Arc::clone(&gate),
     }));
@@ -1159,11 +1161,12 @@ fn a_cacheless_stack_serves_requests_and_answers_cache_frames_empty() {
     let stack: Arc<dyn MatrixService> = Arc::new(ForestGenerator::new(
         LocationTree::new(grid),
         prior,
-        ServerConfig::builder()
-            .robust_iterations(1)
-            .targets_per_subtree(3)
-            .worker_threads(2)
-            .build(),
+        ServerConfig {
+            robust_iterations: 1,
+            targets_per_subtree: 3,
+            worker_threads: 2,
+            ..ServerConfig::default()
+        },
     ));
     let server = start_server(Arc::clone(&stack));
     let key = MatrixRequest {
