@@ -15,8 +15,10 @@
 //! quality losses (0.5–2 km).  To run in the regime the paper's numbers exhibit
 //! we set the leaf spacing so that `ε·d ≈ 1.8` for adjacent cells (0.12 km),
 //! i.e. a dense downtown grid; all qualitative shapes (who wins, monotonicity,
-//! crossovers) are produced in this regime.  This substitution is recorded in
-//! DESIGN.md and EXPERIMENTS.md.
+//! crossovers) are produced in this regime.  README's "Reproducing the
+//! paper's figures" section notes this substitution; ROADMAP item 4 records a
+//! leaf-spacing sweep of how far this regime sits from the paper's Fig. 11
+//! and Fig. 12 numbers.
 
 #![warn(missing_docs)]
 

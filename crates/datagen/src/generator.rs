@@ -142,7 +142,6 @@ impl GowallaLikeGenerator {
 
         // Check-ins.
         let mut checkins = Vec::with_capacity(cfg.num_checkins);
-        let mut outlier_visits: HashMap<u32, Vec<CellId>> = HashMap::new();
         let next_location_id = cfg.num_venues as u32;
         for _ in 0..cfg.num_checkins {
             let user = user_sampler.sample(&mut rng) as u32;
@@ -182,7 +181,6 @@ impl GowallaLikeGenerator {
                     let leaf_idx = rng.gen_range(0..grid.leaf_count());
                     let leaf = grid.leaves()[leaf_idx];
                     let hour = rng.gen_range(1..5) as u8;
-                    outlier_visits.entry(user).or_default().push(leaf);
                     (
                         leaf,
                         next_location_id + cfg.num_users as u32 * 2 + rng.gen_range(0..10_000),
@@ -203,7 +201,7 @@ impl GowallaLikeGenerator {
             });
         }
 
-        let anchors = UserAnchors::new(homes, offices, outlier_visits);
+        let anchors = UserAnchors::new(homes, offices);
         (CheckInDataset::new(checkins), anchors)
     }
 }

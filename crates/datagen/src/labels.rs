@@ -18,21 +18,12 @@ use std::collections::{HashMap, HashSet};
 pub struct UserAnchors {
     homes: HashMap<u32, CellId>,
     offices: HashMap<u32, CellId>,
-    outliers: HashMap<u32, Vec<CellId>>,
 }
 
 impl UserAnchors {
     /// Create anchors from explicit maps.
-    pub fn new(
-        homes: HashMap<u32, CellId>,
-        offices: HashMap<u32, CellId>,
-        outliers: HashMap<u32, Vec<CellId>>,
-    ) -> Self {
-        Self {
-            homes,
-            offices,
-            outliers,
-        }
+    pub fn new(homes: HashMap<u32, CellId>, offices: HashMap<u32, CellId>) -> Self {
+        Self { homes, offices }
     }
 
     /// True home cell of a user.
@@ -43,11 +34,6 @@ impl UserAnchors {
     /// True office cell of a user.
     pub fn office_of(&self, user: u32) -> Option<CellId> {
         self.offices.get(&user).copied()
-    }
-
-    /// Cells visited as outliers by a user.
-    pub fn outliers_of(&self, user: u32) -> &[CellId] {
-        self.outliers.get(&user).map_or(&[], Vec::as_slice)
     }
 }
 

@@ -21,7 +21,7 @@
 //! |---|---|
 //! | [`ForestGenerator`] | Raw compute: per-subtree LP solves fanned out over a fixed-size [`ThreadPool`] |
 //! | [`CachingService`] | Serves the inner service through its [`ForestCache`] |
-//! | [`ForestCache`] | Sharded, capacity-bounded LRU over `(privacy_level, δ)` keys with single-flight deduplication and each forest's body encoded once; counters in [`CacheStats`] |
+//! | [`ForestCache`] | Capacity-bounded LRU over `(privacy_level, δ)` keys, under one lock, with single-flight deduplication and each forest's body encoded once; the bound is exact, so the least recently used entry goes only when an insert would exceed it; counters in [`CacheStats`] |
 //!
 //! A typical deployment composes them behind a trait object:
 //!
@@ -134,8 +134,8 @@ pub use pool::{JobPanic, ThreadPool};
 pub use provider::MetadataAttributeProvider;
 pub use server::ServerConfig;
 pub use service::{
-    CacheConfig, CacheStats, CachingService, ForestCache, ForestGenerator, MatrixService,
-    WarmInsertOutcome, WarmSeedStats,
+    CacheStats, CachingService, ForestCache, ForestGenerator, MatrixService, WarmInsertOutcome,
+    WarmSeedStats,
 };
 pub use transport::{ClientConfig, TcpServer, TcpTransport, TransportConfig, TransportStats};
 pub use warm::{

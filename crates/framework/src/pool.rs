@@ -10,18 +10,16 @@
 //!
 //! # Panic safety
 //!
-//! A panicking job can never shrink the pool of a long-lived server:
+//! A panicking job can never shrink the pool of a long-lived server: each
+//! worker runs every job under `catch_unwind` and goes on to the next one.
 //!
-//! * jobs submitted through [`ThreadPool::try_run_ordered`] are unwound at
-//!   the job boundary and the panic is returned to the submitter as a
-//!   structured [`JobPanic`];
-//! * a raw [`ThreadPool::execute`] job that panics unwinds its worker thread,
-//!   and a drop guard immediately spawns a replacement
-//!   ([`ThreadPool::respawned_workers`] counts these), so capacity recovers
-//!   without any silent swallowing of the panic.
+//! * jobs submitted through [`ThreadPool::try_run_ordered`] return the panic
+//!   to the submitter as a structured [`JobPanic`];
+//! * a raw [`ThreadPool::execute`] job that panics is reported by the panic
+//!   hook as usual, then caught at the job boundary.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -55,44 +53,22 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// State shared by the pool handle and its workers; workers respawning
-/// replacements need it independently of the `ThreadPool` value.
+/// State shared by the pool handle and its workers.
 struct PoolShared {
     receiver: Mutex<Receiver<Job>>,
-    /// Handles of live workers, including respawned replacements; drained and
-    /// joined on drop.
-    handles: Mutex<Vec<JoinHandle<()>>>,
-    respawned: AtomicUsize,
-    shutting_down: AtomicBool,
-    worker_counter: AtomicUsize,
     /// Jobs submitted but not yet finished (queued + running); the signal
     /// admission control reads to decide whether the pool is saturated.
     outstanding: AtomicUsize,
 }
 
-impl PoolShared {
-    fn try_spawn_worker(self: &Arc<Self>) -> std::io::Result<()> {
-        let index = self.worker_counter.fetch_add(1, Ordering::Relaxed);
-        let shared = Arc::clone(self);
-        let handle = std::thread::Builder::new()
-            .name(format!("corgi-worker-{index}"))
-            .spawn(move || worker_loop(&shared))?;
-        self.handles
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(handle);
-        Ok(())
-    }
-}
-
 /// A fixed-size pool of worker threads executing boxed jobs from a shared queue.
 ///
-/// Dropping the pool closes the queue and joins every worker (including any
-/// respawned replacements), so pending jobs finish before the drop returns.
+/// Dropping the pool closes the queue and joins every worker, so pending jobs
+/// finish before the drop returns.
 pub struct ThreadPool {
     sender: Option<Sender<Job>>,
     shared: Arc<PoolShared>,
-    threads: usize,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl ThreadPool {
@@ -110,32 +86,27 @@ impl ThreadPool {
         let (sender, receiver) = channel::<Job>();
         let shared = Arc::new(PoolShared {
             receiver: Mutex::new(receiver),
-            handles: Mutex::new(Vec::with_capacity(threads)),
-            respawned: AtomicUsize::new(0),
-            shutting_down: AtomicBool::new(false),
-            worker_counter: AtomicUsize::new(0),
             outstanding: AtomicUsize::new(0),
         });
-        for _ in 0..threads {
-            shared
-                .try_spawn_worker()
-                .expect("spawning a pool worker thread");
-        }
+        let workers = (0..threads)
+            .map(|index| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("corgi-worker-{index}"))
+                    .spawn(move || worker_loop(&shared))
+                    .expect("spawning a pool worker thread")
+            })
+            .collect();
         Self {
             sender: Some(sender),
             shared,
-            threads,
+            workers,
         }
     }
 
     /// Number of worker threads the pool maintains.
     pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Workers respawned after a raw [`ThreadPool::execute`] job panicked.
-    pub fn respawned_workers(&self) -> usize {
-        self.shared.respawned.load(Ordering::Acquire)
+        self.workers.len()
     }
 
     /// Jobs submitted but not yet finished: queued plus currently running.
@@ -151,8 +122,8 @@ impl ThreadPool {
 
     /// Enqueue a job for execution on some worker.
     ///
-    /// If the job panics, the panic unwinds its worker (the panic message goes
-    /// to the panic hook as usual) and a replacement worker is spawned; use
+    /// If the job panics, the panic hook reports it as usual and the worker
+    /// catches the unwind and takes the next job; use
     /// [`ThreadPool::try_run_ordered`] when the submitter needs the outcome.
     pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
         self.shared.outstanding.fetch_add(1, Ordering::AcqRel);
@@ -202,83 +173,28 @@ impl ThreadPool {
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        // Stop replacements first so a panic racing the drop cannot spawn a
-        // worker we would miss, then close the queue so workers drain and exit.
-        self.shared.shutting_down.store(true, Ordering::Release);
+        // Close the queue so workers drain it and exit, then join them.
         drop(self.sender.take());
-        loop {
-            let drained: Vec<JoinHandle<()>> = {
-                let mut handles = self
-                    .shared
-                    .handles
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner());
-                handles.drain(..).collect()
-            };
-            if drained.is_empty() {
-                break;
-            }
-            for handle in drained {
-                let _ = handle.join();
-            }
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
         }
     }
 }
 
-/// Decrements the outstanding-job count when a job finishes, whether it
-/// returned or unwound.
-struct BacklogGuard {
-    shared: Arc<PoolShared>,
-}
-
-impl Drop for BacklogGuard {
-    fn drop(&mut self) {
-        self.shared.outstanding.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
-/// Spawns a replacement worker if the thread unwinds while holding it (i.e. a
-/// raw `execute` job panicked); does nothing on orderly exit or shutdown.
-struct RespawnGuard {
-    shared: Arc<PoolShared>,
-}
-
-impl Drop for RespawnGuard {
-    fn drop(&mut self) {
-        if std::thread::panicking() && !self.shared.shutting_down.load(Ordering::Acquire) {
-            // This Drop runs during an unwind: a panicking `.expect()` here
-            // would be a double panic and abort the process.  If the OS
-            // refuses a thread right now, accept the shrunken pool instead.
-            if self.shared.try_spawn_worker().is_ok() {
-                self.shared.respawned.fetch_add(1, Ordering::AcqRel);
-            }
-        }
-    }
-}
-
-fn worker_loop(shared: &Arc<PoolShared>) {
-    let _guard = RespawnGuard {
-        shared: Arc::clone(shared),
-    };
+fn worker_loop(shared: &PoolShared) {
     loop {
         // Hold the queue lock only while popping, never while running a job.
         let job = {
             let guard = shared.receiver.lock().unwrap_or_else(|e| e.into_inner());
             guard.recv()
         };
-        match job {
-            // A panicking job unwinds through here; the guard respawns us.
-            // The backlog decrement rides a drop guard so a panicking job
-            // cannot leak a phantom backlog entry (which would eventually
-            // wedge admission control into shedding everything).
-            Ok(job) => {
-                let _backlog = BacklogGuard {
-                    shared: Arc::clone(shared),
-                };
-                job();
-            }
-            Err(_) => return,
-        }
+        let Ok(job) = job else { return };
+        // The panic hook has already reported a panicking job; catching the
+        // unwind keeps the worker serving and the backlog decrement below
+        // unskipped (a phantom backlog entry would eventually wedge admission
+        // control into shedding everything).
+        let _ = catch_unwind(AssertUnwindSafe(job));
+        shared.outstanding.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -286,6 +202,7 @@ fn worker_loop(shared: &Arc<PoolShared>) {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Barrier;
     use std::time::{Duration, Instant};
 
     #[test]
@@ -334,25 +251,34 @@ mod tests {
         assert!(err.message.contains("LP solver exploded"), "{err}");
         assert!(err.to_string().contains("pool job panicked"));
         assert_eq!(outcomes[2], Ok(3));
-        // The workers survived (no respawn needed: the unwind was contained
-        // at the job boundary) and the pool still runs batches.
+        // The workers survived (the unwind was contained at the job
+        // boundary) and the pool still runs batches.
         assert_eq!(pool.try_run_ordered(vec![|| 1, || 2]), vec![Ok(1), Ok(2)]);
-        assert_eq!(pool.respawned_workers(), 0);
     }
 
     #[test]
-    fn panicking_execute_job_respawns_the_worker() {
-        // Regression: a raw `execute` job that panicked used to be swallowed
-        // silently; now the worker dies loudly and is replaced.
-        let pool = ThreadPool::new(1);
+    fn a_panicking_execute_job_leaves_every_worker_serving() {
+        // After a raw `execute` job panics, `threads()` jobs that meet at a
+        // barrier of that size can only all finish if every worker is still
+        // taking jobs.
+        let pool = ThreadPool::new(3);
         pool.execute(|| panic!("poison attempt"));
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while pool.respawned_workers() == 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
+        let barrier = Arc::new(Barrier::new(pool.threads()));
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        for _ in 0..pool.threads() {
+            let (barrier, done_tx) = (Arc::clone(&barrier), done_tx.clone());
+            pool.execute(move || {
+                barrier.wait();
+                let _ = done_tx.send(());
+            });
         }
-        assert_eq!(pool.respawned_workers(), 1, "replacement worker spawned");
-        // The replacement processes subsequent work: the pool self-healed.
-        assert_eq!(pool.try_run_ordered(vec![|| 40, || 2]), vec![Ok(40), Ok(2)]);
+        let all_finished =
+            (0..pool.threads()).all(|_| done_rx.recv_timeout(Duration::from_secs(10)).is_ok());
+        if !all_finished {
+            // Dropping the pool would join a worker stuck at the barrier.
+            std::mem::forget(pool);
+        }
+        assert!(all_finished, "a worker stopped taking jobs after a panic");
     }
 
     #[test]

@@ -10,12 +10,13 @@
 //! * [`CachingService`] — serves any inner service through a [`ForestCache`],
 //!   so N concurrent requests for the same key trigger exactly one
 //!   generation;
-//! * [`ForestCache`] — the one cache type: a sharded, capacity-bounded LRU
-//!   keyed by `(privacy_level, δ)` with single-flight deduplication, holding
-//!   each resident forest beside its binary body.  Everything that reads or
-//!   writes the cache from outside the stack — the server's inline resident
-//!   hits, `WarmPush` replication, anti-entropy digests and re-warm — reaches
-//!   it through [`MatrixService::cache`].
+//! * [`ForestCache`] — the one cache type: a capacity-bounded LRU keyed by
+//!   `(privacy_level, δ)` under one lock, with an exact bound and
+//!   single-flight deduplication, holding each resident forest beside its
+//!   binary body.  Everything that reads or writes the cache from outside
+//!   the stack — the server's inline resident hits, `WarmPush` replication,
+//!   anti-entropy digests and re-warm — reaches it through
+//!   [`MatrixService::cache`].
 //!
 //! A production stack composes them inside an `Arc<dyn MatrixService>`:
 //! `CachingService<ForestGenerator>`.
@@ -36,9 +37,8 @@ use rand::rngs::StdRng;
 use rand::{seq::SliceRandom, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// The abstract serving boundary of the CORGI server (step ④/⑤ of Fig. 1).
 ///
@@ -466,30 +466,10 @@ impl WarmSeedStore {
 }
 
 // ---------------------------------------------------------------------------
-// ForestCache — sharded bounded LRU + single-flight — and CachingService
+// ForestCache — bounded LRU + single-flight under one lock — and CachingService
 // ---------------------------------------------------------------------------
 
 type CacheKey = (u8, usize);
-
-/// Configuration of a [`ForestCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheConfig {
-    /// Maximum number of cached forests across all shards (≥ 1); the capacity
-    /// is split exactly over the shards, so total residency never exceeds it.
-    pub capacity: usize,
-    /// Number of independent shards the key space is hashed over (≥ 1; clamped
-    /// to `capacity` so no shard ends up with zero slots).
-    pub shards: usize,
-}
-
-impl Default for CacheConfig {
-    fn default() -> Self {
-        Self {
-            capacity: 64,
-            shards: 8,
-        }
-    }
-}
 
 /// Counters describing cache behaviour since construction.
 ///
@@ -509,10 +489,24 @@ pub struct CacheStats {
     pub entries: usize,
 }
 
-struct CacheShard {
+/// Everything the cache's one lock guards: the resident entries, the
+/// recency clock and the in-flight generations.
+#[derive(Default)]
+struct CacheState {
     entries: HashMap<CacheKey, CacheEntry>,
     tick: u64,
-    capacity: usize,
+    flights: HashMap<CacheKey, Arc<Flight>>,
+}
+
+impl CacheState {
+    /// Touch `key`'s entry as most recently used and take what `pick`
+    /// reads from it.  Counts nothing; the callers count the hit.
+    fn touch<T>(&mut self, key: &CacheKey, pick: impl FnOnce(&CacheEntry) -> T) -> Option<T> {
+        let entry = self.entries.get_mut(key)?;
+        self.tick += 1;
+        entry.last_used = self.tick;
+        Some(pick(entry))
+    }
 }
 
 /// One resident forest: the shared response, its binary body (encoded once,
@@ -555,27 +549,26 @@ impl Flight {
     }
 }
 
-/// The forest cache: a sharded, capacity-bounded LRU over `(privacy_level, δ)`
-/// keys with single-flight deduplication.
+/// The forest cache: a capacity-bounded LRU over `(privacy_level, δ)` keys
+/// with single-flight deduplication, all under one lock.
 ///
-/// * **Sharding** — keys hash onto independent shards so concurrent requests
-///   for different keys never contend on one lock.
-/// * **Bounded** — the capacity is split exactly across the shards (remainder
-///   slots go to the first shards); each shard evicts its least-recently-used
-///   entry beyond its share, so total residency never exceeds the capacity.
+/// * **Bounded** — the bound is exact: an insert that would take the cache
+///   past its capacity evicts the least recently used entry, and only then.
 /// * **Single-flight** — concurrent requests for the same uncached key elect
 ///   one leader to run the inner generation; followers block on the shared
-///   flight record and receive the *same* `Arc` the leader produced.  Errors
-///   are delivered to all waiters but never cached.
+///   flight record and receive the *same* `Arc` the leader produced.  A hit,
+///   joining a flight and starting one are one critical section, as are
+///   publishing a forest and retiring its flight.  Errors are delivered to
+///   all waiters but never cached.
 /// * **Encoded once** — each entry keeps its forest's binary body beside the
-///   `Arc`, encoded on insert before the shard lock is taken, so
+///   `Arc`, encoded on insert before the lock is taken, so
 ///   [`ForestCache::encoded_hit`] serves a hit without re-encoding.
 ///
 /// A [`CachingService`] owns one and answers requests through it; everything
 /// else reaches it through [`MatrixService::cache`].
 pub struct ForestCache {
-    shards: Vec<Mutex<CacheShard>>,
-    inflight: Mutex<HashMap<CacheKey, Arc<Flight>>>,
+    state: Mutex<CacheState>,
+    capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
     coalesced: AtomicU64,
@@ -585,21 +578,10 @@ pub struct ForestCache {
 }
 
 impl ForestCache {
-    fn new(config: CacheConfig) -> Self {
-        let capacity = config.capacity.max(1);
-        let shards = config.shards.clamp(1, capacity);
-        let (base, remainder) = (capacity / shards, capacity % shards);
+    fn new(capacity: usize) -> Self {
         Self {
-            shards: (0..shards)
-                .map(|i| {
-                    Mutex::new(CacheShard {
-                        entries: HashMap::new(),
-                        tick: 0,
-                        capacity: base + usize::from(i < remainder),
-                    })
-                })
-                .collect(),
-            inflight: Mutex::new(HashMap::new()),
+            state: Mutex::default(),
+            capacity: capacity.max(1),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
@@ -615,11 +597,7 @@ impl ForestCache {
             misses: self.misses.load(Ordering::Relaxed),
             coalesced: self.coalesced.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            entries: self
-                .shards
-                .iter()
-                .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).entries.len())
-                .sum(),
+            entries: self.lock().entries.len(),
         }
     }
 
@@ -628,18 +606,13 @@ impl ForestCache {
     /// its own `request` key.
     pub fn warm_insert(&self, forest: Arc<PrivacyForestResponse>) -> WarmInsertOutcome {
         let key = (forest.request.privacy_level, forest.request.delta);
-        {
-            let shard = self
-                .shard_for(&key)
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            if shard.entries.contains_key(&key) {
-                return WarmInsertOutcome::AlreadyResident;
-            }
+        if self.lock().entries.contains_key(&key) {
+            return WarmInsertOutcome::AlreadyResident;
         }
         // Benign race with a concurrent flight for the same key: both produce
         // a valid forest, the later insert simply replaces the earlier one.
-        self.insert(key, forest);
+        let body = ForestBody::encode(&forest);
+        self.insert(&mut self.lock(), key, forest, body);
         WarmInsertOutcome::Inserted
     }
 
@@ -650,19 +623,12 @@ impl ForestCache {
     /// peer compares a healthy shard's resident keys against its own and pulls
     /// the diff.
     pub fn resident_keys(&self) -> Vec<MatrixRequest> {
-        self.shards
-            .iter()
-            .flat_map(|shard| {
-                shard
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .entries
-                    .keys()
-                    .map(|&(privacy_level, delta)| MatrixRequest {
-                        privacy_level,
-                        delta,
-                    })
-                    .collect::<Vec<_>>()
+        self.lock()
+            .entries
+            .keys()
+            .map(|&(privacy_level, delta)| MatrixRequest {
+                privacy_level,
+                delta,
             })
             .collect()
     }
@@ -675,11 +641,7 @@ impl ForestCache {
     /// cache is [`ForestCache::encoded_hit`], which counts.
     pub fn resident(&self, request: MatrixRequest) -> Option<Arc<PrivacyForestResponse>> {
         let key = (request.privacy_level, request.delta);
-        let shard = self
-            .shard_for(&key)
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        shard
+        self.lock()
             .entries
             .get(&key)
             .map(|entry| Arc::clone(&entry.forest))
@@ -698,7 +660,7 @@ impl ForestCache {
     /// Unlike [`ForestCache::resident`], this is not a peek.
     pub fn encoded_hit(&self, request: MatrixRequest) -> Option<ForestBody> {
         let key = (request.privacy_level, request.delta);
-        let body = self.get(&key, |entry| entry.body.clone())?;
+        let body = self.lock().touch(&key, |entry| entry.body.clone())?;
         self.hits.fetch_add(1, Ordering::Relaxed);
         Some(body)
     }
@@ -718,27 +680,18 @@ impl ForestCache {
         solver: &S,
     ) -> Result<Arc<PrivacyForestResponse>, ServiceError> {
         let key = (request.privacy_level, request.delta);
-        if let Some(hit) = self.get(&key, |entry| Arc::clone(&entry.forest)) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(hit);
-        }
-
-        // Join or start the single flight for this key.
+        // Hit, or join or start the single flight for this key.
         let (flight, leader) = {
-            let mut inflight = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
-            match inflight.get(&key) {
+            let mut state = self.lock();
+            if let Some(hit) = state.touch(&key, |entry| Arc::clone(&entry.forest)) {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return Ok(hit);
+            }
+            match state.flights.get(&key) {
                 Some(flight) => (Arc::clone(flight), false),
                 None => {
-                    // Re-check the cache under the in-flight lock: a leader may
-                    // have published and retired its flight between our miss
-                    // above and now; electing a second leader here would redo
-                    // the whole generation and break the Arc-sharing guarantee.
-                    if let Some(hit) = self.get(&key, |entry| Arc::clone(&entry.forest)) {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        return Ok(hit);
-                    }
                     let flight = Arc::new(Flight::new());
-                    inflight.insert(key, Arc::clone(&flight));
+                    state.flights.insert(key, Arc::clone(&flight));
                     (flight, true)
                 }
             }
@@ -764,50 +717,41 @@ impl ForestCache {
                 ),
             ))
         });
-        if let Ok(response) = &result {
-            // Publish to the cache *before* retiring the flight so late callers
-            // always find either the cache entry or the in-flight generation.
-            self.insert(key, Arc::clone(response));
+        let published = result
+            .as_ref()
+            .ok()
+            .map(|forest| (Arc::clone(forest), ForestBody::encode(forest)));
+        {
+            // Publish and retire in one step, so a late caller finds either
+            // the cache entry or the in-flight generation.
+            let mut state = self.lock();
+            if let Some((forest, body)) = published {
+                self.insert(&mut state, key, forest, body);
+            }
+            state.flights.remove(&key);
         }
-        self.inflight
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(&key);
         flight.complete(result.clone());
         result
     }
 
-    fn shard_for(&self, key: &CacheKey) -> &Mutex<CacheShard> {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut hasher);
-        &self.shards[(hasher.finish() as usize) % self.shards.len()]
+    fn lock(&self) -> MutexGuard<'_, CacheState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Touch `key`'s entry as most recently used and take what `pick`
-    /// reads from it.  Counts nothing; the callers count the hit.
-    fn get<T>(&self, key: &CacheKey, pick: impl FnOnce(&CacheEntry) -> T) -> Option<T> {
-        let mut shard = self
-            .shard_for(key)
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        shard.tick += 1;
-        let tick = shard.tick;
-        let entry = shard.entries.get_mut(key)?;
-        entry.last_used = tick;
-        Some(pick(entry))
-    }
-
-    fn insert(&self, key: CacheKey, forest: Arc<PrivacyForestResponse>) {
-        // Encode outside the shard lock: a level-2 body is tens of µs.
-        let body = ForestBody::encode(&forest);
+    /// Cache `forest` under `key` with its encoded `body` (made before the
+    /// lock was taken: a level-2 body is tens of µs), evicting the least
+    /// recently used entry if the cache would exceed its capacity.
+    fn insert(
+        &self,
+        state: &mut CacheState,
+        key: CacheKey,
+        forest: Arc<PrivacyForestResponse>,
+        body: ForestBody,
+    ) {
         self.generation.fetch_add(1, Ordering::Relaxed);
-        let mut shard = self
-            .shard_for(&key)
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        shard.tick += 1;
-        let last_used = shard.tick;
-        shard.entries.insert(
+        state.tick += 1;
+        let last_used = state.tick;
+        state.entries.insert(
             key,
             CacheEntry {
                 forest,
@@ -815,14 +759,14 @@ impl ForestCache {
                 last_used,
             },
         );
-        while shard.entries.len() > shard.capacity {
-            let lru = shard
+        if state.entries.len() > self.capacity {
+            let lru = state
                 .entries
                 .iter()
                 .min_by_key(|(_, entry)| entry.last_used)
                 .map(|(k, _)| *k)
-                .expect("non-empty shard has an LRU entry");
-            shard.entries.remove(&lru);
+                .expect("a cache over capacity has an LRU entry");
+            state.entries.remove(&lru);
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -836,17 +780,18 @@ pub struct CachingService<S> {
 }
 
 impl<S: MatrixService> CachingService<S> {
-    /// Wrap a service in a bounded cache.
-    pub fn new(inner: S, config: CacheConfig) -> Self {
+    /// Wrap a service in a cache holding at most `capacity` forests
+    /// (clamped to at least 1).
+    pub fn new(inner: S, capacity: usize) -> Self {
         Self {
             inner,
-            cache: ForestCache::new(config),
+            cache: ForestCache::new(capacity),
         }
     }
 
-    /// Wrap a service with the default [`CacheConfig`].
+    /// Wrap a service in a cache of 64 forests.
     pub fn with_defaults(inner: S) -> Self {
-        Self::new(inner, CacheConfig::default())
+        Self::new(inner, 64)
     }
 
     /// The wrapped service.
@@ -970,13 +915,7 @@ mod tests {
 
     #[test]
     fn cache_evicts_least_recently_used_beyond_capacity() {
-        let service = CachingService::new(
-            generator(),
-            CacheConfig {
-                capacity: 2,
-                shards: 1,
-            },
-        );
+        let service = CachingService::new(generator(), 2);
         let first = service.privacy_forest(request(1, 0)).unwrap();
         service.privacy_forest(request(1, 1)).unwrap();
         // Touch the first key so (1, 1) is the LRU when the third key lands.
@@ -1092,13 +1031,13 @@ mod tests {
         assert!(generator().resident(request(1, 0)).is_none());
     }
 
-    /// A one-entry forest for `(1, delta)`, cached through `warm_insert` so
-    /// the counter tests below run no solve.
-    fn canned(delta: usize) -> Arc<PrivacyForestResponse> {
+    /// A one-entry forest for `(privacy_level, delta)`, cached through
+    /// `warm_insert` so the counter tests below run no solve.
+    fn canned(privacy_level: u8, delta: usize) -> Arc<PrivacyForestResponse> {
         let grid = HexGrid::new(HexGridConfig::san_francisco()).unwrap();
         let root = grid.cells_at_level(1)[0];
         Arc::new(PrivacyForestResponse {
-            request: request(1, delta),
+            request: request(privacy_level, delta),
             epsilon: 15.0,
             entries: vec![ForestEntry {
                 subtree_root: root,
@@ -1113,18 +1052,12 @@ mod tests {
     fn lru_story(
         read: impl Fn(&CachingService<ForestGenerator>, MatrixRequest) -> bool,
     ) -> (CacheStats, Vec<usize>) {
-        let service = CachingService::new(
-            generator(),
-            CacheConfig {
-                capacity: 2,
-                shards: 1,
-            },
-        );
+        let service = CachingService::new(generator(), 2);
         let cache = service.cache().unwrap();
-        cache.warm_insert(canned(0));
-        cache.warm_insert(canned(1));
+        cache.warm_insert(canned(1, 0));
+        cache.warm_insert(canned(1, 1));
         assert!(read(&service, request(1, 0)), "(1, 0) is resident");
-        cache.warm_insert(canned(2));
+        cache.warm_insert(canned(1, 2));
         let mut deltas: Vec<usize> = cache.resident_keys().iter().map(|k| k.delta).collect();
         deltas.sort_unstable();
         (cache.stats(), deltas)
@@ -1155,12 +1088,40 @@ mod tests {
         assert_eq!(cache.stats(), CacheStats::default());
 
         // The body is the forest's encoding, made once at insert.
-        let forest = canned(0);
+        let forest = canned(1, 0);
         cache.warm_insert(Arc::clone(&forest));
         assert_eq!(
             cache.encoded_hit(request(1, 0)),
             Some(ForestBody::encode(&forest))
         );
+    }
+
+    #[test]
+    fn default_cache_holds_its_full_capacity_and_evicts_only_the_lru_key() {
+        // The bound is exact and global: the 64 keys of levels 1-2 × δ 0..=31
+        // fill the default cache without an eviction, and a 65th key evicts
+        // exactly one entry, the least recently used.
+        let service = CachingService::with_defaults(generator());
+        let cache = service.cache().unwrap();
+        for level in 1..=2 {
+            for delta in 0..=31 {
+                assert_eq!(
+                    cache.warm_insert(canned(level, delta)),
+                    WarmInsertOutcome::Inserted
+                );
+            }
+        }
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.evictions), (64, 0), "{stats:?}");
+
+        // Touch the oldest key, so (1, 1) is the least recently used.
+        assert!(cache.encoded_hit(request(1, 0)).is_some());
+        cache.warm_insert(canned(1, 32));
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.evictions), (64, 1), "{stats:?}");
+        assert!(cache.resident(request(1, 1)).is_none(), "the LRU key goes");
+        assert!(cache.resident(request(1, 0)).is_some());
+        assert!(cache.resident(request(1, 32)).is_some());
     }
 
     #[test]

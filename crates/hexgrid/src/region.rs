@@ -201,11 +201,6 @@ impl HexGrid {
         }
     }
 
-    /// The cell at `level` containing a geographic point.
-    pub fn cell_containing(&self, point: &LatLng, level: u8) -> Result<CellId, HexGridError> {
-        Ok(self.leaf_containing(point)?.ancestor_at(level))
-    }
-
     /// Leaf cells that are immediate (distance `a`) neighbors of `cell` *within* the grid.
     pub fn leaf_neighbors(&self, cell: &CellId) -> Vec<CellId> {
         cell.center()

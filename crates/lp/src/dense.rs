@@ -158,11 +158,6 @@ impl DenseMatrix {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Row `i` as a mutable contiguous slice.
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
-        &mut self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
     /// Overwrite every entry with `value` (used to recycle workspace matrices
     /// across interior-point iterations instead of reallocating).
     pub fn fill(&mut self, value: f64) {

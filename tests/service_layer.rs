@@ -9,8 +9,7 @@ use corgi::framework::messages::{
     MatrixRequest, PrivacyForestResponse, RequestEnvelope, ResponseEnvelope,
 };
 use corgi::framework::{
-    warm, CacheConfig, CachingService, ForestGenerator, MatrixService, ServerConfig, ServiceError,
-    WarmRequest,
+    warm, CachingService, ForestGenerator, MatrixService, ServerConfig, ServiceError, WarmRequest,
 };
 use corgi::hexgrid::{HexGrid, HexGridConfig};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -163,13 +162,7 @@ fn warming_coalesces_with_concurrent_live_traffic() {
 
 #[test]
 fn cache_evicts_above_its_configured_capacity() {
-    let service = CachingService::new(
-        generator(0),
-        CacheConfig {
-            capacity: 3,
-            shards: 2,
-        },
-    );
+    let service = CachingService::new(generator(0), 3);
     for delta in 0..6usize {
         service
             .privacy_forest(MatrixRequest {
@@ -179,14 +172,10 @@ fn cache_evicts_above_its_configured_capacity() {
             .unwrap();
     }
     let stats = service.cache_stats().unwrap();
-    // The capacity is split exactly across shards (2 + 1 here), so total
-    // residency never exceeds the configured bound — and something was evicted.
-    assert!(
-        stats.entries <= 3,
-        "cache grew to {} entries despite capacity 3",
-        stats.entries
-    );
-    assert!(stats.evictions >= 3);
+    // The bound is exact: the cache fills to its capacity, and each key past
+    // it evicts exactly one entry.
+    assert_eq!(stats.entries, 3, "{stats:?}");
+    assert_eq!(stats.evictions, 3, "{stats:?}");
     assert_eq!(stats.misses, 6);
 }
 
