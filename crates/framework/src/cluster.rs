@@ -69,9 +69,10 @@ use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::future::Future;
+use std::io;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::task::{Context, Poll, Waker};
 use std::time::Duration;
 
@@ -232,59 +233,53 @@ pub struct PeerStats {
     pub requests: u64,
 }
 
-/// Server-side atomic counters behind the cluster half of a [`ClusterStats`].
+/// The atomic counters behind a [`ClusterStats`], one home for both sides of
+/// the tier: a server counts pushes, auth rejections, its links' probes and
+/// re-warm pulls; a [`ShardRouter`] (and its prober thread) counts failovers,
+/// memo hits and its own probes.  Counters a side never touches read zero.
 #[derive(Default)]
 pub(crate) struct ClusterMetrics {
-    pushes_received: AtomicU64,
-    pushes_deduped: AtomicU64,
-    auth_rejections: AtomicU64,
+    pub(crate) pushes_received: AtomicU64,
+    pub(crate) pushes_deduped: AtomicU64,
+    pub(crate) auth_rejections: AtomicU64,
+    failovers: AtomicU64,
+    rank_memo_hits: AtomicU64,
     probes_sent: AtomicU64,
     peers_down: AtomicU64,
-    rewarm_keys_pulled: AtomicU64,
-    pushes_repaired: AtomicU64,
+    pub(crate) rewarm_keys_pulled: AtomicU64,
+    pub(crate) pushes_repaired: AtomicU64,
 }
 
 impl ClusterMetrics {
-    pub(crate) fn count_push_received(&self) {
-        self.pushes_received.fetch_add(1, Ordering::Relaxed);
+    /// Count one event on `counter`.
+    pub(crate) fn count(counter: &AtomicU64) {
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn count_push_deduped(&self) {
-        self.pushes_deduped.fetch_add(1, Ordering::Relaxed);
+    /// Feed one outcome to a peer's health state, counting `peers_down` when
+    /// it takes the peer into `Down`.  Returns whether it did.
+    fn observe(&self, peer: &PeerHealth, ok: bool, config: &HealthConfig) -> bool {
+        let went_down = peer.observe(ok, config);
+        if went_down {
+            Self::count(&self.peers_down);
+        }
+        went_down
     }
 
-    pub(crate) fn count_auth_rejection(&self) {
-        self.auth_rejections.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn count_probe_sent(&self) {
-        self.probes_sent.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn count_peer_down(&self) {
-        self.peers_down.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn count_rewarm_pulled(&self) {
-        self.rewarm_keys_pulled.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn count_push_repaired(&self) {
-        self.pushes_repaired.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn snapshot(&self, replicator: Option<&Replicator>) -> ClusterStats {
+    /// The one place a [`ClusterStats`] is built from live counters; `peers`
+    /// are the per-link (server) or per-shard (router) rows.
+    pub(crate) fn snapshot(&self, peers: Vec<PeerStats>) -> ClusterStats {
         ClusterStats {
             pushes_received: self.pushes_received.load(Ordering::Relaxed),
             pushes_deduped: self.pushes_deduped.load(Ordering::Relaxed),
             auth_rejections: self.auth_rejections.load(Ordering::Relaxed),
-            failovers: 0,
-            rank_memo_hits: 0,
+            failovers: self.failovers.load(Ordering::Relaxed),
+            rank_memo_hits: self.rank_memo_hits.load(Ordering::Relaxed),
             probes_sent: self.probes_sent.load(Ordering::Relaxed),
             peers_down: self.peers_down.load(Ordering::Relaxed),
             rewarm_keys_pulled: self.rewarm_keys_pulled.load(Ordering::Relaxed),
             pushes_repaired: self.pushes_repaired.load(Ordering::Relaxed),
-            peers: replicator.map(Replicator::peer_stats).unwrap_or_default(),
+            peers,
         }
     }
 }
@@ -578,9 +573,15 @@ impl PeerLink {
 }
 
 /// The replication engine: per-peer bounded push queues, filled by a
-/// [`ReplicatingService`] and drained by a reactor task that
+/// [`ReplicatingService`] and drained by the one reactor task that
 /// [`TcpServer::bind`](crate::TcpServer::bind) spawns when the replicator is
 /// handed to it via [`TransportConfig::replication`].
+///
+/// A replicator drives the links of one live server at a time: `bind` claims
+/// it, a second `bind` while it is claimed fails, and
+/// [`TcpServer::shutdown`](crate::TcpServer::shutdown) (or dropping the
+/// server) releases the claim and, with it, the replication task and its
+/// peer connections.  The same replicator may then be bound again.
 ///
 /// Peers may be added before or after bind ([`Replicator::add_peer`]) — in a
 /// loopback cluster the servers must all be bound before any of them knows
@@ -590,11 +591,13 @@ impl PeerLink {
 pub struct Replicator {
     config: ReplicationConfig,
     links: Mutex<Vec<Arc<PeerLink>>>,
-    /// One waker slot per reactor flush task (indexed by shard), re-armed at
-    /// the top of every task poll and taken by [`offer`](Self::offer) /
-    /// [`add_peer`](Self::add_peer) — this is what lets an idle flush task
-    /// block indefinitely instead of polling its queues once per tick.
-    flush_wakers: Mutex<Vec<Option<Waker>>>,
+    /// The replication task's waker, re-armed at the top of every task poll
+    /// and taken by [`offer`](Self::offer) / [`add_peer`](Self::add_peer) —
+    /// this is what lets an idle task block indefinitely instead of polling
+    /// its queues once per tick.
+    flush_waker: Mutex<Option<Waker>>,
+    /// Whether a live server drives the links.
+    claimed: AtomicBool,
 }
 
 impl fmt::Debug for Replicator {
@@ -612,44 +615,62 @@ impl Replicator {
         Arc::new(Self {
             config,
             links: Mutex::new(Vec::new()),
-            flush_wakers: Mutex::new(Vec::new()),
+            flush_waker: Mutex::new(None),
+            claimed: AtomicBool::new(false),
         })
     }
 
-    /// Add a peer endpoint; the flush task owning its index (on every server
-    /// this replicator is bound to) is woken to pick it up immediately.
+    /// Add a peer endpoint; the replication task of the server this
+    /// replicator is bound to is woken to pick it up immediately.
     pub fn add_peer(&self, endpoint: impl Into<String>) {
         {
             let mut links = self.links.lock().unwrap_or_else(|e| e.into_inner());
             links.push(Arc::new(PeerLink::new(endpoint.into())));
         }
-        self.wake_flushers();
+        self.wake_flusher();
     }
 
-    /// Re-arm the flush waker for `slot`.  Called at the top of every flush
-    /// task poll, *before* the queues are inspected: an offer landing after
-    /// the registration wakes the task, one landing before is visible in the
-    /// queue check — no lost-wakeup window either way.
-    pub(crate) fn register_flush_waker(&self, slot: usize, waker: &Waker) {
-        let mut wakers = self.flush_wakers.lock().unwrap_or_else(|e| e.into_inner());
-        if wakers.len() <= slot {
-            wakers.resize(slot + 1, None);
+    /// Claim the replicator for one server; fails while another holds it.
+    pub(crate) fn claim(&self) -> io::Result<()> {
+        match self.claimed.swap(true, Ordering::AcqRel) {
+            false => Ok(()),
+            true => Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "this replicator already drives a live server's links",
+            )),
         }
-        wakers[slot] = Some(waker.clone());
     }
 
-    /// Wake (and disarm) every registered flush task.
-    fn wake_flushers(&self) {
-        let wakers: Vec<Waker> = self
-            .flush_wakers
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter_mut()
-            .filter_map(|slot| slot.take())
-            .collect();
-        for waker in wakers {
+    /// Release the claim once the owning server's reactors have stopped.
+    /// Dropping the stored waker drops the replication task it wakes (its
+    /// last reference once the reactor is gone), closing the peer links.
+    pub(crate) fn release(&self) {
+        drop(self.take_flush_waker());
+        self.claimed.store(false, Ordering::Release);
+    }
+
+    /// Re-arm the flush waker.  Called at the top of every replication task
+    /// poll, *before* the queues are inspected: an offer landing after the
+    /// registration wakes the task, one landing before is visible in the
+    /// queue check — no lost-wakeup window either way.
+    fn register_flush_waker(&self, waker: &Waker) {
+        *self.flush_waker.lock().unwrap_or_else(|e| e.into_inner()) = Some(waker.clone());
+    }
+
+    /// Wake (and disarm) the replication task.
+    fn wake_flusher(&self) {
+        if let Some(waker) = self.take_flush_waker() {
             waker.wake();
         }
+    }
+
+    /// Disarm the flush waker, handing it out of the lock: waking or
+    /// dropping it can run the task's destructor.
+    fn take_flush_waker(&self) -> Option<Waker> {
+        self.flush_waker
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .take()
     }
 
     /// Offer a freshly solved forest to every peer queue (drop-oldest at the
@@ -668,7 +689,7 @@ impl Replicator {
         for link in links {
             link.offer(push.clone(), self.config.queue_depth);
         }
-        self.wake_flushers();
+        self.wake_flusher();
     }
 
     /// Per-peer link counters.
@@ -723,18 +744,16 @@ impl<S: MatrixService> MatrixService for ReplicatingService<S> {
     }
 }
 
-/// Spawn one shard's replication task on that shard's reactor: the task
-/// drives every peer link whose index `i` satisfies
-/// `i % shard_count == shard_index` — pushes and liveness probes alike — so
-/// replication work shards with the connections instead of serializing on
-/// one reactor.
-pub(crate) fn spawn_replication_shard(
+/// Spawn a server's one replication task on `handle` (shard 0's reactor,
+/// beside the accept loop): it drives every peer link of `replicator`,
+/// pushes and liveness probes alike.  The caller has claimed the replicator;
+/// releasing the claim ([`Replicator::release`]) after the reactor stops is
+/// what ends the task.
+pub(crate) fn spawn_replication(
     handle: &Handle,
     replicator: Arc<Replicator>,
     dispatch: Arc<ThreadPool>,
     cluster: Arc<ClusterMetrics>,
-    shard_index: usize,
-    shard_count: usize,
 ) {
     handle.spawn(ReplicationTask {
         env: LinkEnv {
@@ -743,9 +762,6 @@ pub(crate) fn spawn_replication_shard(
             dispatch,
             cluster,
         },
-        shard_index,
-        shard_count: shard_count.max(1),
-        known_links: 0,
         drivers: Vec::new(),
     });
 }
@@ -797,15 +813,14 @@ impl LinkEnv {
     /// no-op without a health config).
     fn observe(&self, link: &PeerLink, ok: bool) {
         if let Some(health) = &self.config().health {
-            self.cluster.count_probe_sent();
-            if link.health.observe(ok, health) {
-                self.cluster.count_peer_down();
-            }
+            ClusterMetrics::count(&self.cluster.probes_sent);
+            self.cluster.observe(&link.health, ok, health);
         }
     }
 }
 
-/// Reactor task driving the peer links of one [`Replicator`] shard.
+/// Reactor task driving the peer links of one [`Replicator`]: driver `i` is
+/// link `i`, and a peer added after bind gets its driver on the next poll.
 ///
 /// Blocking work (connect + hello) runs on the dispatch pool and returns via
 /// a oneshot as a [`FrameStream`]; the reactor only ever does nonblocking
@@ -827,12 +842,7 @@ impl LinkEnv {
 /// cluster reactor stays blocked until its next deadline.
 struct ReplicationTask {
     env: LinkEnv,
-    shard_index: usize,
-    shard_count: usize,
-    /// Global link indexes examined so far (links only ever append).
-    known_links: usize,
-    /// Drivers for this shard's links, tagged with their global index.
-    drivers: Vec<(usize, LinkDriver)>,
+    drivers: Vec<LinkDriver>,
 }
 
 impl Future for ReplicationTask {
@@ -845,36 +855,27 @@ impl Future for ReplicationTask {
         }
         // Register for offer/add_peer wakes *before* inspecting any queue
         // (see register_flush_waker for the ordering argument).
-        this.env
-            .replicator
-            .register_flush_waker(this.shard_index, cx.waker());
+        this.env.replicator.register_flush_waker(cx.waker());
         let links = this.env.replicator.links();
-        while this.known_links < links.len() {
-            let index = this.known_links;
-            this.known_links += 1;
-            if index % this.shard_count == this.shard_index {
-                // A fresh link may dial immediately (zero-length backoff
-                // sleep).
-                this.drivers.push((
-                    index,
-                    LinkDriver {
-                        state: LinkState::Idle(this.env.handle.sleep(Duration::ZERO)),
-                        backoff: this.env.config().retry_backoff,
-                    },
-                ));
-            }
+        // Links only ever append.  A fresh link may dial immediately
+        // (zero-length backoff sleep).
+        while this.drivers.len() < links.len() {
+            this.drivers.push(LinkDriver {
+                state: LinkState::Idle(this.env.handle.sleep(Duration::ZERO)),
+                backoff: this.env.config().retry_backoff,
+            });
         }
         let mut progress = true;
         while progress {
             progress = false;
-            for (index, driver) in this.drivers.iter_mut() {
-                progress |= driver.step(&links[*index], &this.env, cx);
+            for (driver, link) in this.drivers.iter_mut().zip(&links) {
+                progress |= driver.step(link, &this.env, cx);
             }
         }
         // Streaming links park on their socket (read: pongs and EOF; write:
         // only while bytes are actually blocked).  Idle links wait on the
         // backoff timer or the flush waker, Dialing on its oneshot.
-        for (_, driver) in &this.drivers {
+        for driver in &this.drivers {
             if let LinkState::Streaming(streaming) = &driver.state {
                 this.env.handle.park_socket(
                     streaming.io.fd(),
@@ -1132,6 +1133,15 @@ impl ShardSlot {
         }
     }
 
+    /// Feed a probe or request outcome to the shard's health state; a fresh
+    /// `Down` also drops the cached connection, so no request ever reuses
+    /// the dead socket.
+    fn observe(&self, ok: bool, health: &HealthConfig, metrics: &ClusterMetrics) {
+        if metrics.observe(&self.health, ok, health) {
+            *self.conn.lock().unwrap_or_else(|e| e.into_inner()) = None;
+        }
+    }
+
     fn stats(&self) -> PeerStats {
         PeerStats {
             endpoint: self.endpoint.clone(),
@@ -1167,30 +1177,27 @@ pub struct ShardRouter {
     shards: Arc<Vec<ShardSlot>>,
     tree: Arc<LocationTree>,
     prior: Arc<PriorDistribution>,
-    failovers: AtomicU64,
     /// Memoized `(privacy_level, δ) → shard ranking`.  The endpoint set is
     /// fixed at connect time and the key space is a few hundred entries, so
     /// the cache never invalidates and is never evicted.
     rank_cache: RankCache,
-    rank_memo_hits: AtomicU64,
-    probes_sent: Arc<AtomicU64>,
-    peers_down: Arc<AtomicU64>,
-    /// Joined (via `Drop`) when the router goes away.
+    /// The router's counters, shared with the prober thread.
+    metrics: Arc<ClusterMetrics>,
     /// Held for its `Drop` (which stops and joins the thread); never read.
     _prober: Option<RouterProber>,
 }
 
-/// The router's background prober thread; stopping is edge-triggered through
-/// the shared flag and the thread sleeps in short slices, so dropping a
-/// router never stalls for a full probe interval.
+/// The router's background prober thread.  It waits out each probe interval
+/// on a stop channel, so dropping the router (which drops the sender) wakes
+/// it at once instead of after the interval.
 struct RouterProber {
-    stop: Arc<AtomicBool>,
+    stop: Option<mpsc::Sender<()>>,
     thread: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Drop for RouterProber {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        drop(self.stop.take());
         if let Some(thread) = self.thread.take() {
             let _ = thread.join();
         }
@@ -1201,11 +1208,9 @@ fn spawn_router_prober(
     shards: Arc<Vec<ShardSlot>>,
     config: &RouterConfig,
     health: HealthConfig,
-    probes_sent: Arc<AtomicU64>,
-    peers_down: Arc<AtomicU64>,
+    metrics: Arc<ClusterMetrics>,
 ) -> RouterProber {
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop_flag = Arc::clone(&stop);
+    let (stop, stopped) = mpsc::channel::<()>();
     let client = ClientConfig {
         read_timeout: Some(health.probe_timeout),
         ..config.client.clone()
@@ -1216,31 +1221,28 @@ fn spawn_router_prober(
             // One probe connection per shard, separate from the request
             // connections so a ping never queues behind a cold solve.
             let mut probe_conns: Vec<Option<TcpTransport>> = shards.iter().map(|_| None).collect();
-            while !stop_flag.load(Ordering::Relaxed) {
+            loop {
                 for (slot, conn) in shards.iter().zip(probe_conns.iter_mut()) {
-                    if stop_flag.load(Ordering::Relaxed) {
+                    // Nothing is ever sent: anything but `Empty` is the
+                    // router going away.
+                    if !matches!(stopped.try_recv(), Err(mpsc::TryRecvError::Empty)) {
                         return;
                     }
                     let ok = probe_shard(conn, &slot.endpoint, &client);
-                    probes_sent.fetch_add(1, Ordering::Relaxed);
-                    if slot.health.observe(ok, &health) {
-                        peers_down.fetch_add(1, Ordering::Relaxed);
-                        // Drop the cached connection so no request ever
-                        // reuses the dead socket.
-                        *slot.conn.lock().unwrap_or_else(|e| e.into_inner()) = None;
-                    }
+                    ClusterMetrics::count(&metrics.probes_sent);
+                    slot.observe(ok, &health, &metrics);
                 }
-                let mut slept = Duration::ZERO;
-                while slept < health.probe_interval && !stop_flag.load(Ordering::Relaxed) {
-                    let slice = Duration::from_millis(10).min(health.probe_interval - slept);
-                    std::thread::sleep(slice);
-                    slept += slice;
+                if !matches!(
+                    stopped.recv_timeout(health.probe_interval),
+                    Err(mpsc::RecvTimeoutError::Timeout)
+                ) {
+                    return;
                 }
             }
         })
         .expect("spawning the router probe thread");
     RouterProber {
-        stop,
+        stop: Some(stop),
         thread: Some(thread),
     }
 }
@@ -1293,16 +1295,9 @@ impl ShardRouter {
             return Err(last_error
                 .unwrap_or_else(|| ServiceError::transport("no shard endpoint reachable")));
         };
-        let probes_sent = Arc::new(AtomicU64::new(0));
-        let peers_down = Arc::new(AtomicU64::new(0));
+        let metrics = Arc::new(ClusterMetrics::default());
         let prober = config.health.clone().map(|health| {
-            spawn_router_prober(
-                Arc::clone(&shards),
-                &config,
-                health,
-                Arc::clone(&probes_sent),
-                Arc::clone(&peers_down),
-            )
+            spawn_router_prober(Arc::clone(&shards), &config, health, Arc::clone(&metrics))
         });
         Ok(Self {
             endpoints,
@@ -1310,11 +1305,8 @@ impl ShardRouter {
             shards,
             tree,
             prior,
-            failovers: AtomicU64::new(0),
             rank_cache: Mutex::new(HashMap::new()),
-            rank_memo_hits: AtomicU64::new(0),
-            probes_sent,
-            peers_down,
+            metrics,
             _prober: prober,
         })
     }
@@ -1327,14 +1319,8 @@ impl ShardRouter {
     /// Router-side cluster counters: total failovers plus per-shard request,
     /// connect and link-error counts.
     pub fn cluster_stats(&self) -> ClusterStats {
-        ClusterStats {
-            failovers: self.failovers.load(Ordering::Relaxed),
-            rank_memo_hits: self.rank_memo_hits.load(Ordering::Relaxed),
-            probes_sent: self.probes_sent.load(Ordering::Relaxed),
-            peers_down: self.peers_down.load(Ordering::Relaxed),
-            peers: self.shards.iter().map(ShardSlot::stats).collect(),
-            ..ClusterStats::default()
-        }
+        self.metrics
+            .snapshot(self.shards.iter().map(ShardSlot::stats).collect())
     }
 
     /// The health state of each shard, in endpoint order.  Every shard
@@ -1345,13 +1331,10 @@ impl ShardRouter {
     }
 
     /// Feed a request outcome into a slot's health cell (no-op without a
-    /// health config), counting a fresh `Down` transition.
+    /// health config).
     fn observe_slot(&self, slot: &ShardSlot, ok: bool) {
         if let Some(health) = &self.config.health {
-            if slot.health.observe(ok, health) {
-                self.peers_down.fetch_add(1, Ordering::Relaxed);
-                *slot.conn.lock().unwrap_or_else(|e| e.into_inner()) = None;
-            }
+            slot.observe(ok, health, &self.metrics);
         }
     }
 
@@ -1361,7 +1344,7 @@ impl ShardRouter {
     fn ranked_shards(&self, privacy_level: u8, delta: usize) -> Arc<Vec<usize>> {
         let mut cache = self.rank_cache.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(order) = cache.get(&(privacy_level, delta)) {
-            self.rank_memo_hits.fetch_add(1, Ordering::Relaxed);
+            ClusterMetrics::count(&self.metrics.rank_memo_hits);
             return Arc::clone(order);
         }
         let order = Arc::new(rendezvous_rank(&self.endpoints, privacy_level, delta));
@@ -1426,7 +1409,7 @@ impl MatrixService for ShardRouter {
             };
             for &index in &admitted {
                 if !first_attempt {
-                    self.failovers.fetch_add(1, Ordering::Relaxed);
+                    ClusterMetrics::count(&self.metrics.failovers);
                 }
                 first_attempt = false;
                 let slot = &self.shards[index];
@@ -1605,11 +1588,8 @@ mod tests {
             shards: Arc::new(endpoints.iter().cloned().map(ShardSlot::new).collect()),
             tree: Arc::new(corgi_core::LocationTree::new(grid)),
             prior: Arc::new(PriorDistribution::uniform(16)),
-            failovers: AtomicU64::new(0),
             rank_cache: Mutex::new(HashMap::new()),
-            rank_memo_hits: AtomicU64::new(0),
-            probes_sent: Arc::new(AtomicU64::new(0)),
-            peers_down: Arc::new(AtomicU64::new(0)),
+            metrics: Arc::default(),
             _prober: None,
         };
         for _ in 0..3 {

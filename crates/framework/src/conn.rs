@@ -34,7 +34,7 @@ use corgi_core::LocationTree;
 use corgi_datagen::PriorDistribution;
 use corgi_hexgrid::{HexGrid, HexGridConfig};
 use std::io::{self, Read, Write};
-use std::net::{TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
@@ -48,8 +48,10 @@ const MAX_FRAME: usize = 64 * 1024 * 1024;
 /// connections ([`RouterConfig::client`](crate::RouterConfig::client)).
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
-    /// Socket read timeout per blocking receive; bounds how long a truncated
-    /// or withheld response can stall a caller.  `None` waits forever.
+    /// Bounds each connect attempt and, as the socket read timeout, each
+    /// blocking receive: how long an unreachable peer (a full accept backlog,
+    /// a blackholed address) or a truncated or withheld response can stall a
+    /// caller.  `None` waits forever.
     pub read_timeout: Option<Duration>,
     /// Never read: every connection speaks the binary codec since protocol
     /// 2.0.  Kept so configs that still set it compile.
@@ -80,6 +82,26 @@ impl Default for ClientConfig {
     }
 }
 
+/// Connect to the first candidate that answers, each attempt bounded by
+/// `timeout` (`None` waits as long as the kernel does).
+fn connect(candidates: &[SocketAddr], timeout: Option<Duration>) -> io::Result<TcpStream> {
+    let mut last = io::Error::new(
+        io::ErrorKind::InvalidInput,
+        "could not resolve to any addresses",
+    );
+    for candidate in candidates {
+        let attempt = match timeout {
+            Some(timeout) => TcpStream::connect_timeout(candidate, timeout),
+            None => TcpStream::connect(candidate),
+        };
+        match attempt {
+            Ok(stream) => return Ok(stream),
+            Err(error) => last = error,
+        }
+    }
+    Err(last)
+}
+
 /// What an accepted hello told the client: everything it needs to mirror the
 /// server's public state.
 pub(crate) struct ServerHello {
@@ -101,20 +123,22 @@ pub(crate) struct Conn {
 impl Conn {
     /// Connect and run the hello exchange: announce our protocol version
     /// (and the `hmac-sha256` scheme when keyed), then validate the reply.
-    /// The socket keeps `config.read_timeout` for blocking use.
+    /// `config.read_timeout` bounds each connect attempt, and the socket
+    /// keeps it for blocking use.
     pub(crate) fn open(
         addr: impl ToSocketAddrs,
         config: &ClientConfig,
         metrics: Arc<TransportMetrics>,
     ) -> Result<(Self, ServerHello), ServiceError> {
+        let candidates: Vec<SocketAddr> = addr
+            .to_socket_addrs()
+            .map_err(|e| ServiceError::transport(format!("connect failed: {e}")))?
+            .collect();
         if let Some(plan) = &config.fault_plan {
             // Level-triggered partitions fail the connect fast, endpoint by
             // endpoint, exactly like an unreachable host would.
-            let partitioned = addr
-                .to_socket_addrs()
-                .ok()
-                .into_iter()
-                .flatten()
+            let partitioned = candidates
+                .iter()
                 .any(|candidate| plan.is_partitioned(&candidate.to_string()));
             if partitioned {
                 return Err(ServiceError::transport(
@@ -122,7 +146,7 @@ impl Conn {
                 ));
             }
         }
-        let mut stream = TcpStream::connect(addr)
+        let mut stream = connect(&candidates, config.read_timeout)
             .map_err(|e| ServiceError::transport(format!("connect failed: {e}")))?;
         let _ = stream.set_nodelay(true);
         stream

@@ -173,10 +173,16 @@ impl ThreadPool {
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        // Close the queue so workers drain it and exit, then join them.
+        // Close the queue so workers drain it and exit, then join them.  The
+        // last handle can drop inside a job (a reactor task it completes
+        // holds the pool); that worker exits once the job returns and cannot
+        // join itself.
         drop(self.sender.take());
+        let current = std::thread::current().id();
         for worker in self.workers.drain(..) {
-            let _ = worker.join();
+            if worker.thread().id() != current {
+                let _ = worker.join();
+            }
         }
     }
 }
@@ -218,6 +224,26 @@ mod tests {
         }
         drop(pool); // joins workers, so every job has run
         assert_eq!(counter.load(Ordering::SeqCst), 100);
+    }
+
+    #[test]
+    fn the_last_handle_may_drop_inside_a_job() {
+        // A reactor task completed by a job can hold the pool's last handle;
+        // dropping it there must not make the worker join itself.
+        let pool = Arc::new(ThreadPool::new(2));
+        let last = Arc::clone(&pool);
+        let (go, wait_for_go) = std::sync::mpsc::channel::<()>();
+        let (done, until_done) = std::sync::mpsc::channel::<()>();
+        pool.execute(move || {
+            wait_for_go.recv().unwrap();
+            drop(last);
+            done.send(()).unwrap();
+        });
+        drop(pool);
+        go.send(()).unwrap();
+        until_done
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the job ran past dropping the pool's last handle");
     }
 
     #[test]

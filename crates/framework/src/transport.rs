@@ -253,11 +253,14 @@ pub struct TransportConfig {
     /// reads `CORGI_CLUSTER_KEY` (see [`ClusterKey::from_env`]).
     pub cluster_key: Option<ClusterKey>,
     /// Peer-replication engine (protocol 1.4): when set, [`TcpServer::bind`]
-    /// spawns its flush task on the reactor so keys offered by a
-    /// [`crate::cluster::ReplicatingService`] stream to the configured peers
-    /// as `WarmPush` frames.  Build one with [`Replicator::new`], wrap the
-    /// generator, and add peers (before or after bind) with
-    /// [`Replicator::add_peer`].
+    /// claims it and spawns one replication task on shard 0's reactor, so
+    /// keys offered by a [`crate::cluster::ReplicatingService`] stream to the
+    /// configured peers as `WarmPush` frames.  A replicator drives one live
+    /// server at a time: binding one that another server holds fails with
+    /// [`InvalidInput`](io::ErrorKind::InvalidInput), and
+    /// [`TcpServer::shutdown`] releases it.  Build one with
+    /// [`Replicator::new`], wrap the generator, and add peers (before or
+    /// after bind) with [`Replicator::add_peer`].
     pub replication: Option<Arc<Replicator>>,
     /// Deterministic fault injection for the server's send path (protocol
     /// 1.5 chaos testing; see [`crate::fault`]).  `None` — the default, and
@@ -480,7 +483,11 @@ impl TcpServer {
     ///
     /// Returns as soon as the socket is listening; any
     /// [`TransportConfig::warm_on_start`] plan runs concurrently on the
-    /// dispatch pool while connections are already being accepted.
+    /// dispatch pool while connections are already being accepted.  With a
+    /// [`TransportConfig::replication`], shard 0 also runs the server's one
+    /// replication task; binding fails with
+    /// [`InvalidInput`](io::ErrorKind::InvalidInput) while another live
+    /// server holds that replicator.
     pub fn bind(
         addr: impl ToSocketAddrs,
         service: Arc<dyn MatrixService>,
@@ -489,6 +496,13 @@ impl TcpServer {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
+        // Claimed only once the listener is up, so a failed bind leaves the
+        // replicator free for a retry; from here on, dropping the half-built
+        // server below releases it.
+        let replication = config.replication.clone();
+        if let Some(replicator) = &replication {
+            replicator.claim()?;
+        }
         let shard_count = config.resolved_shards();
         let executors: Vec<Executor> = (0..shard_count)
             .map(|_| Executor::with_backend(config.reactor_backend, IO_POLL_INTERVAL))
@@ -507,21 +521,13 @@ impl TcpServer {
             .map(|_| Arc::new(TransportMetrics::default()))
             .collect();
         let cluster = Arc::new(ClusterMetrics::default());
-        let replication = config.replication.clone();
-        if let Some(replicator) = replication.clone() {
-            // Replication links shard with the reactors: each shard's task
-            // drives the peer links assigned to it by index, pushes and
-            // liveness probes alike.
-            for (index, executor) in executors.iter().enumerate() {
-                crate::cluster::spawn_replication_shard(
-                    &executor.handle(),
-                    Arc::clone(&replicator),
-                    Arc::clone(&dispatch),
-                    Arc::clone(&cluster),
-                    index,
-                    shard_count,
-                );
-            }
+        if let Some(replicator) = &replication {
+            crate::cluster::spawn_replication(
+                &executors[0].handle(),
+                Arc::clone(replicator),
+                Arc::clone(&dispatch),
+                Arc::clone(&cluster),
+            );
         }
         let targets: Vec<ShardTarget> = executors
             .iter()
@@ -542,26 +548,28 @@ impl TcpServer {
             shard_metrics: Arc::clone(&shard_metrics),
             cluster: Arc::clone(&cluster),
         });
-        let mut shards = Vec::with_capacity(shard_count);
-        for (index, executor) in executors.into_iter().enumerate() {
-            let handle = executor.handle();
-            let reactor = std::thread::Builder::new()
-                .name(format!("corgi-reactor-{index}"))
-                .spawn(move || executor.run())?;
-            shards.push(ShardRuntime {
-                handle,
-                reactor: Some(reactor),
-            });
-        }
-        Ok(Self {
+        let mut server = Self {
             local_addr,
-            shards,
+            shards: Vec::with_capacity(shard_count),
             shard_metrics,
             backend,
             cluster,
             replication,
             service,
-        })
+        };
+        for (index, executor) in executors.into_iter().enumerate() {
+            let handle = executor.handle();
+            // On failure `server` drops: the shards already running stop and
+            // the replicator's claim is released.
+            let reactor = std::thread::Builder::new()
+                .name(format!("corgi-reactor-{index}"))
+                .spawn(move || executor.run())?;
+            server.shards.push(ShardRuntime {
+                handle,
+                reactor: Some(reactor),
+            });
+        }
+        Ok(server)
     }
 
     /// The bound address (useful with port 0 in tests and examples).
@@ -600,7 +608,7 @@ impl TcpServer {
     /// replication pushes received/deduplicated, auth rejections, and — when
     /// a [`Replicator`] is configured — per-peer link state.
     pub fn cluster_stats(&self) -> ClusterStats {
-        self.cluster.snapshot(self.replication.as_deref())
+        cluster_snapshot(&self.cluster, self.replication.as_deref())
     }
 
     /// Anti-entropy re-warm (protocol 1.5): ask each peer for the digest of
@@ -688,7 +696,7 @@ impl TcpServer {
                     // was in flight: then nothing was pulled into the cache.
                     Ok(Some(forest)) => match cache.warm_insert(forest) {
                         WarmInsertOutcome::Inserted => {
-                            self.cluster.count_rewarm_pulled();
+                            ClusterMetrics::count(&self.cluster.rewarm_keys_pulled);
                             report.pulled += 1;
                         }
                         WarmInsertOutcome::AlreadyResident => {
@@ -718,7 +726,9 @@ impl TcpServer {
 
     /// Stop every reactor shard and join its thread.  Open connections are
     /// dropped; dispatch jobs already running finish first (the pool joins on
-    /// drop).
+    /// drop).  A [`Replicator`] handed in via
+    /// [`TransportConfig::replication`] is released: its replication task
+    /// ends, closing the peer links, and it may be bound again.
     pub fn shutdown(mut self) {
         self.stop();
     }
@@ -732,7 +742,16 @@ impl TcpServer {
                 let _ = reactor.join();
             }
         }
+        if let Some(replicator) = self.replication.take() {
+            replicator.release();
+        }
     }
+}
+
+/// A server's [`ClusterStats`]: its counters plus, when it replicates, one
+/// row per peer link.
+fn cluster_snapshot(cluster: &ClusterMetrics, replication: Option<&Replicator>) -> ClusterStats {
+    cluster.snapshot(replication.map(Replicator::peer_stats).unwrap_or_default())
 }
 
 impl Drop for TcpServer {
@@ -961,7 +980,7 @@ impl ConnectionTask {
                 // own key: the legitimate keyholder can read it, a forger
                 // learns nothing new.
                 Err(error) if error.kind == ServiceErrorKind::Unauthenticated => {
-                    self.cluster.count_auth_rejection();
+                    ClusterMetrics::count(&self.cluster.auth_rejections);
                     self.queue_transport_error(error);
                 }
                 Err(error) if self.established => self.queue_transport_error(error),
@@ -1060,10 +1079,10 @@ impl ConnectionTask {
                 };
                 // Adopt the peer's solved forest directly: a push never
                 // schedules a solve.  A stack without a cache drops it.
-                self.cluster.count_push_received();
+                ClusterMetrics::count(&self.cluster.pushes_received);
                 let outcome = self.service.cache().map(|c| c.warm_insert(push.forest));
                 if outcome == Some(WarmInsertOutcome::AlreadyResident) {
-                    self.cluster.count_push_deduped();
+                    ClusterMetrics::count(&self.cluster.pushes_deduped);
                 }
             }
             FrameKind::Stats => {
@@ -1076,7 +1095,10 @@ impl ConnectionTask {
                 let report = StatsReport {
                     transport: aggregate_stats(&self.shard_metrics),
                     cache: self.service.cache_stats(),
-                    cluster: Some(self.cluster.snapshot(self.config.replication.as_deref())),
+                    cluster: Some(cluster_snapshot(
+                        &self.cluster,
+                        self.config.replication.as_deref(),
+                    )),
                 };
                 self.queue_frame(WireCodec::Binary.encode_frame(&report));
             }
@@ -1117,7 +1139,7 @@ impl ConnectionTask {
                         let forest = cache.and_then(|c| c.resident(key));
                         if forest.is_some() {
                             // One cache entry repaired into a rejoining peer.
-                            self.cluster.count_push_repaired();
+                            ClusterMetrics::count(&self.cluster.pushes_repaired);
                         }
                         DigestReply {
                             generation,
@@ -1238,7 +1260,7 @@ impl ConnectionTask {
                 true
             }
             (Some(_), announced) => {
-                self.cluster.count_auth_rejection();
+                ClusterMetrics::count(&self.cluster.auth_rejections);
                 self.reject_hello(ServiceError::unauthenticated(match announced {
                     None => "server requires authenticated frames (hmac-sha256); configure \
                              the cluster key"
@@ -1251,7 +1273,7 @@ impl ConnectionTask {
                 return;
             }
             (None, Some(scheme)) => {
-                self.cluster.count_auth_rejection();
+                ClusterMetrics::count(&self.cluster.auth_rejections);
                 self.reject_hello(ServiceError::unauthenticated(format!(
                     "client announced {scheme:?} frame authentication but this server has no \
                      cluster key"

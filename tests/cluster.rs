@@ -3,8 +3,8 @@
 //! observed purely over the wire), bounded drop-oldest push queues under peer
 //! stall, HMAC frame authentication (handshake rejection and post-handshake
 //! tamper detection), forest-less pushes refused without a solve, a peer
-//! link's bound on what it reads, and router failover when a shard dies
-//! mid-run.
+//! link's bound on what it reads, a replicator's tie to the one live server
+//! that drives its links, and router failover when a shard dies mid-run.
 
 use corgi::core::{LocationTree, ObfuscationMatrix};
 use corgi::datagen::{GowallaLikeConfig, GowallaLikeGenerator, PriorDistribution};
@@ -14,10 +14,10 @@ use corgi::framework::messages::{
 };
 use corgi::framework::transport::{FrameKind, HelloFrame, HelloReply, FRAME_MAGIC};
 use corgi::framework::{
-    rendezvous_rank, CachingService, ClientConfig, ClusterKey, ForestGenerator, MatrixService,
-    ReplicatingService, ReplicationConfig, Replicator, RouterConfig, ServerConfig, ServiceError,
-    ServiceErrorKind, ShardRouter, TcpServer, TcpTransport, TransportConfig, WarmPush,
-    WarmSeedStats, WireCodec,
+    rendezvous_rank, CachingService, ClientConfig, ClusterKey, ForestGenerator, HealthConfig,
+    MatrixService, ReplicatingService, ReplicationConfig, Replicator, RouterConfig, ServerConfig,
+    ServiceError, ServiceErrorKind, ShardRouter, TcpServer, TcpTransport, TransportConfig,
+    WarmPush, WarmSeedStats, WireCodec,
 };
 use corgi::hexgrid::{HexGrid, HexGridConfig};
 use std::io::{Read, Write};
@@ -64,6 +64,10 @@ fn start_cluster(n: usize, key: Option<ClusterKey>) -> Vec<Shard> {
                     replication: Some(Arc::clone(&replicator)),
                     // Pushes carry a whole encoded forest.
                     max_inbound_frame: 8 * 1024 * 1024,
+                    // Several reactors whatever the host's core count, so the
+                    // 3-shard mesh drives two links from one server's task
+                    // beside reactors that serve only connections.
+                    reactor_shards: 3,
                     ..TransportConfig::default()
                 },
             )
@@ -350,6 +354,125 @@ fn a_peer_link_fails_on_a_frame_longer_than_a_link_accepts() {
         stats.link_errors >= 1,
         "a 1 MiB header must fail the link: {stats:?}"
     );
+}
+
+#[test]
+fn a_shut_down_server_closes_its_replication_links() {
+    // A pushes to B over its replication link.  Once A has shut down and
+    // every handle to it is gone, its replication task must go too, and B
+    // must see the link close instead of holding it open forever.
+    let mut shards = start_cluster(2, None);
+    let b = shards.pop().unwrap();
+    let a = shards.pop().unwrap();
+    let client = TcpTransport::connect_with(a.server.local_addr(), keyed_client(None)).unwrap();
+    client
+        .privacy_forest(MatrixRequest {
+            privacy_level: 1,
+            delta: 0,
+        })
+        .expect("A solves the key");
+    drop(client);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while b.server.cluster_stats().pushes_received == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "A's push did not reach B within 10s"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert!(b.server.stats().connections_accepted >= 1);
+
+    let Shard { server, replicator } = a;
+    server.shutdown();
+    drop(replicator);
+    let deadline = Instant::now() + Duration::from_secs(2);
+    loop {
+        let stats = b.server.stats();
+        if stats.connections_closed == stats.connections_accepted {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "B still holds A's link open 2 s after A shut down: {stats:?}"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    b.server.shutdown();
+}
+
+#[test]
+fn a_replicator_drives_one_live_server() {
+    // Two servers on one replicator would both drive every link; the second
+    // bind is refused until the first server lets go.
+    let grid = HexGrid::new(HexGridConfig::san_francisco()).unwrap();
+    let service: Arc<dyn MatrixService> = Arc::new(ForestGenerator::new(
+        LocationTree::new(grid),
+        PriorDistribution::uniform(16),
+        ServerConfig::default(),
+    ));
+    let replicator = Replicator::new(ReplicationConfig {
+        cluster_key: None,
+        ..ReplicationConfig::default()
+    });
+    let bind = || {
+        TcpServer::bind(
+            "127.0.0.1:0",
+            Arc::clone(&service),
+            TransportConfig {
+                cluster_key: None,
+                replication: Some(Arc::clone(&replicator)),
+                ..TransportConfig::default()
+            },
+        )
+    };
+    let first = bind().expect("the first bind claims the replicator");
+    match bind() {
+        Ok(_) => panic!("a second live server bound a claimed replicator"),
+        Err(error) => assert_eq!(error.kind(), std::io::ErrorKind::InvalidInput),
+    }
+    first.shutdown();
+    let second = bind().expect("shutdown releases the replicator");
+    drop(second);
+    bind()
+        .expect("dropping a server releases the replicator too")
+        .shutdown();
+}
+
+#[test]
+fn dropping_a_probing_router_returns_at_once() {
+    // The prober waits out its interval on a stop channel: dropping the
+    // router mid-interval must not wait for the next probe round.
+    let shards = start_cluster(1, None);
+    let router = ShardRouter::connect(
+        endpoints_of(&shards),
+        RouterConfig {
+            client: keyed_client(None),
+            health: Some(HealthConfig {
+                probe_interval: Duration::from_secs(60),
+                ..HealthConfig::default()
+            }),
+            ..RouterConfig::default()
+        },
+    )
+    .unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while router.cluster_stats().probes_sent == 0 {
+        assert!(Instant::now() < deadline, "the prober never probed");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // Dropped on its own thread, so a drop that hangs fails this test
+    // instead of hanging it.
+    let (dropped, until_dropped) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        drop(router);
+        let _ = dropped.send(());
+    });
+    until_dropped
+        .recv_timeout(Duration::from_secs(2))
+        .expect("dropping the router took more than 2 s");
+    for shard in shards {
+        shard.server.shutdown();
+    }
 }
 
 #[test]

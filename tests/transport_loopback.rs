@@ -1215,3 +1215,49 @@ fn a_cacheless_stack_serves_requests_and_answers_cache_frames_empty() {
     assert!(transport.server_stats().unwrap().cache.is_none());
     server.shutdown();
 }
+
+#[test]
+fn a_connect_to_a_full_accept_backlog_is_bounded_by_the_read_timeout() {
+    // A listener that never accepts: once its backlog is full the kernel
+    // drops further SYNs, and an unbounded connect waits out every SYN retry
+    // (minutes).  The client's read timeout must bound the connect as well.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let mut held = Vec::new();
+    let full =
+        (0..1000).any(
+            |_| match TcpStream::connect_timeout(&addr, Duration::from_millis(50)) {
+                Ok(stream) => {
+                    held.push(stream);
+                    false
+                }
+                Err(_) => true,
+            },
+        );
+    assert!(full, "1,000 connects never filled the accept backlog");
+    // On its own thread, so a connect that hangs fails this test instead of
+    // hanging it.
+    let (report, outcome) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let start = Instant::now();
+        let connected = TcpTransport::connect_with(
+            addr,
+            ClientConfig {
+                read_timeout: Some(Duration::from_millis(300)),
+                cluster_key: None,
+                ..ClientConfig::default()
+            },
+        );
+        let _ = report.send((connected.err().map(|e| e.kind), start.elapsed()));
+    });
+    let (error, elapsed) = outcome
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the connect was still blocked after 10 s");
+    assert_eq!(error, Some(ServiceErrorKind::Transport));
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "the connect took {elapsed:?} against a 300 ms read timeout"
+    );
+    drop(held);
+    drop(listener);
+}
