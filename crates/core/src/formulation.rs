@@ -255,6 +255,14 @@ impl ObfuscationProblem {
     ///
     /// Returns the problem plus the per-column variable blocks used by the
     /// block-angular solver.
+    ///
+    /// The K row-stochasticity equalities come first, then the Geo-Ind rows
+    /// pair-major and column-minor: pair `p`'s row for column `l` is
+    /// constraint `K + p·K + l`.  Consecutive columns shift both variables by
+    /// one and move to the next column block, so each pair's K rows form one
+    /// run that the solver sweeps as contiguous slices (see `corgi-lp`'s
+    /// `interior` module); `write_reserved_budget` rewrites them with one call
+    /// per pair.  Reordering these rows keeps the LP but loses that layout.
     pub fn build_lp(&self, rpb: Option<&[Vec<f64>]>) -> Result<(LpProblem, Vec<Vec<usize>>)> {
         let k = self.size();
         let var = |real: usize, reported: usize| real * k + reported;
@@ -312,15 +320,11 @@ impl ObfuscationProblem {
     ) -> Result<()> {
         let k = self.size();
         // The K row-stochasticity equalities come first, then the Geo-Ind
-        // rows in `build_lp` order.
-        let mut row = k;
-        for &(i, j) in &self.constrained_pairs {
+        // rows in `build_lp` order: the K copies of each pair, one write.
+        for (p, &(i, j)) in self.constrained_pairs.iter().enumerate() {
             let bound = self.geo_ind_bound(i, j, rpb[i][j]);
-            for l in 0..k {
-                lp.update_row(row, &[(i * k + l, 1.0), (j * k + l, -bound)])
-                    .map_err(CorgiError::from)?;
-                row += 1;
-            }
+            lp.update_shifted_rows(k + p * k, k, &[(i * k, 1.0), (j * k, -bound)])
+                .map_err(CorgiError::from)?;
         }
         Ok(())
     }
@@ -334,8 +338,8 @@ impl ObfuscationProblem {
     /// the uniform matrix just enough to restore feasibility — trading a small,
     /// measured amount of optimality for a guaranteed ε-Geo-Ind matrix.
     pub fn solve(&self, rpb: Option<&[Vec<f64>]>) -> Result<ObfuscationMatrix> {
-        let lp = self.prepare_lp(rpb)?;
-        self.solve_prepared(&lp, InteriorPointOptions::default(), None)
+        let mut lp = self.prepare_lp(rpb)?;
+        self.solve_prepared(&mut lp, InteriorPointOptions::default(), None)
             .map(|(matrix, _)| matrix)
     }
 
@@ -350,7 +354,7 @@ impl ObfuscationProblem {
     /// entries — silently degrades to a cold solve.
     pub(crate) fn solve_prepared(
         &self,
-        lp: &PreparedLp,
+        lp: &mut PreparedLp,
         options: InteriorPointOptions,
         warm: Option<&WarmStart>,
     ) -> Result<(ObfuscationMatrix, Option<WarmStart>)> {
@@ -591,6 +595,23 @@ mod tests {
             .collect();
         assert!(losses[0] >= losses[1] - 1e-6);
         assert!(losses[1] >= losses[2] - 1e-6);
+    }
+
+    /// The Geo-Ind rows of the K = 7 and K = 49 obfuscation LPs prepare into
+    /// exactly one run of K rows per constrained pair, in pair order, so the
+    /// solver sweeps each pair's K columns as contiguous slices.
+    #[test]
+    fn sweep_obfuscation_lp_prepares_one_run_per_pair() {
+        for (level, k) in [(1u8, 7usize), (2, 49)] {
+            let (_t, p) = problem(level, true);
+            assert_eq!(p.size(), k);
+            let lp = p.prepare_lp(None).unwrap();
+            let runs: Vec<_> = lp.inequality_runs().collect();
+            let expected: Vec<_> = (0..p.constrained_pairs().len())
+                .map(|pair| pair * k..(pair + 1) * k)
+                .collect();
+            assert_eq!(runs, expected, "level {level}");
+        }
     }
 
     #[test]

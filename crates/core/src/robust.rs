@@ -267,7 +267,7 @@ pub fn generate_robust_matrix_warm(
     // One LP for the whole chain.
     let mut lp = problem.prepare_lp(None)?;
     // Step 4: the initial matrix from the plain LP (Eq. 8).
-    let (mut matrix, mut warm_state) = problem.solve_prepared(&lp, init_options, warm)?;
+    let (mut matrix, mut warm_state) = problem.solve_prepared(&mut lp, init_options, warm)?;
     let mut objectives = vec![problem.quality_loss(&matrix)];
     let mut rpb = vec![vec![0.0; problem.size()]; problem.size()];
 
@@ -292,7 +292,7 @@ pub fn generate_robust_matrix_warm(
         );
         let step_options = if t == refinements { options } else { relaxed };
         problem.write_reserved_budget(&mut lp, &rpb)?;
-        let (m, w) = problem.solve_prepared(&lp, step_options, warm_state.as_ref())?;
+        let (m, w) = problem.solve_prepared(&mut lp, step_options, warm_state.as_ref())?;
         matrix = m;
         warm_state = w.or(warm_state);
         objectives.push(problem.quality_loss(&matrix));

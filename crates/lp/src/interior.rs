@@ -25,16 +25,43 @@
 //! # Preparation and re-solves
 //!
 //! Before the first iteration a problem is *prepared*: every row is
-//! equilibrated to unit max-absolute coefficient, split into the inequality
-//! (`G`) and equality (`E`) sets, which are stored flat as CSR (row pointers
-//! plus one index and one value array), and the inequality rows are grouped by
-//! block with the coupling columns of the Schur complement extracted.
-//! [`BlockAngularSolver::solve_with_warm`] prepares and then runs the one IPM
-//! loop.  [`PreparedLp`] keeps the prepared form across solves: Algorithm 1's
+//! equilibrated to unit max-absolute coefficient and split into the
+//! inequality (`G`) and equality (`E`) sets, and the coupling columns of the
+//! Schur complement are extracted.  [`BlockAngularSolver::solve_with_warm`]
+//! prepares and then runs the one IPM loop.  [`PreparedLp`] keeps the
+//! prepared form, and the IPM's buffers, across solves: Algorithm 1's
 //! refinements change only inequality coefficients, which
-//! [`PreparedLp::update_row`] rewrites in place with the same equilibration
-//! arithmetic, so a chain of re-solves skips the rebuild and still runs
-//! exactly the floating-point operations of a fresh preparation.
+//! [`PreparedLp::update_row`] and [`PreparedLp::update_shifted_rows`] rewrite
+//! in place with the same equilibration arithmetic, so a chain of re-solves
+//! skips the rebuild and still runs exactly the floating-point operations of
+//! a fresh preparation.
+//!
+//! # Inequality rows as runs
+//!
+//! The Geo-Ind constraints `z_{i,l} ≤ e^{ε·d_{i,j}}·z_{j,l}` repeat one bound
+//! for every reported column `l`: at K = 49 the 21,756 inequality rows are
+//! 444 constrained pairs, each repeated K times.  `G` is therefore stored as
+//! *runs*: a run is a stack of consecutive rows in which copy `c` repeats the
+//! first row's pattern with every variable index shifted by `c`, and lies in
+//! the block after copy `c − 1` at the same block-local positions.  A run
+//! keeps its variable indices, block-local positions and first block once,
+//! and its coefficients entry-major, so every pass over `G` — the residual
+//! with its `Gᵀλ` scatter, the Newton right-hand side, each direction's
+//! completion, the Gondzio band and candidate, the warm-start slacks and the
+//! block assembly — sweeps a run as contiguous slices: the K coefficients of
+//! one pattern entry against the K contiguous variables they multiply.  Any
+//! other row is a run of length one, so a generic LP has the same layout and
+//! the same code path.
+//!
+//! The sweeps are bit-identical to a row-by-row evaluation.  Each row's dot
+//! product still sums its terms in pattern order, and each row's arithmetic is
+//! unchanged.  A scatter must also add every variable's terms in row order,
+//! and it does: the copies of a run lie in distinct blocks, so they share no
+//! variable, and each variable takes at most one term per run while the runs
+//! are swept in row order.  The same holds for the block assembly, where a
+//! block holds at most one copy of each run.  Rows that repeat with shifted
+//! indices inside one block, whose copies would share variables, are runs of
+//! length one.
 //!
 //! # Kernel strategies
 //!
@@ -241,6 +268,7 @@ fn validate_blocks(blocks: &[Vec<usize>], num_vars: usize) -> Result<(), LpError
 
 /// Sparse rows stored flat (CSR): row `r` owns the entries
 /// `ptr[r]..ptr[r + 1]` of `idx` (variable indices) and `val` (coefficients).
+/// The layout of the equality rows `E`.
 struct SparseRows {
     ptr: Vec<usize>,
     idx: Vec<usize>,
@@ -294,6 +322,196 @@ impl SparseRows {
     fn axpy_into(&self, r: usize, alpha: f64, y: &mut [f64]) {
         for (&j, &a) in self.idx(r).iter().zip(self.val(r).iter()) {
             y[j] += alpha * a;
+        }
+    }
+}
+
+/// One run of inequality rows (see [`RowRuns`]).
+struct Run {
+    /// First row of the run, counted among the inequality rows.
+    first: usize,
+    /// Number of rows (copies) in the run.
+    len: usize,
+    /// The run's pattern is `idx[entries]`, with block-local positions
+    /// `local[entries]`.
+    entries: std::ops::Range<usize>,
+    /// Start of the run's `len · entries.len()` coefficients in `val`.
+    val: usize,
+    /// Block of the first copy; copy `c` lies in block `block + c`.
+    block: usize,
+}
+
+/// The inequality rows `G`, stored as runs (see the module docs): the `len`
+/// coefficients of a run's pattern entry `t` are one slice, multiplying the
+/// contiguous variables `x[idx[t]..idx[t] + len]`.
+struct RowRuns {
+    runs: Vec<Run>,
+    /// Variable index of each pattern entry in the run's first copy.
+    idx: Vec<usize>,
+    /// Block-local position of each pattern entry, shared by every copy.
+    local: Vec<usize>,
+    /// Coefficients, run by run, entry-major within a run.
+    val: Vec<f64>,
+}
+
+/// A borrowed run: the rows it covers, its pattern and its coefficients.
+struct RunRef<'a> {
+    rows: std::ops::Range<usize>,
+    idx: &'a [usize],
+    local: &'a [usize],
+    val: &'a [f64],
+    block: usize,
+}
+
+impl RunRef<'_> {
+    fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// The coefficients of pattern entry `t`, one per copy.
+    fn entry(&self, t: usize) -> &[f64] {
+        let len = self.len();
+        &self.val[t * len..(t + 1) * len]
+    }
+
+    /// `out[c] = (G x)[rows.start + c]`.  Each row sums its terms in
+    /// pattern order starting from −0.0, as `Iterator::sum` does, so every
+    /// value equals the row-by-row dot product bit for bit.
+    fn dot_into(&self, x: &[f64], out: &mut [f64]) {
+        let len = self.len();
+        let Some(&j) = self.idx.first() else {
+            out.fill(-0.0);
+            return;
+        };
+        // −0.0 + p is p for every p, so the first term initializes the sum.
+        for ((o, &a), &v) in out.iter_mut().zip(self.entry(0)).zip(&x[j..j + len]) {
+            *o = a * v;
+        }
+        for (t, &j) in self.idx.iter().enumerate().skip(1) {
+            for ((o, &a), &v) in out.iter_mut().zip(self.entry(t)).zip(&x[j..j + len]) {
+                *o += a * v;
+            }
+        }
+    }
+
+    /// `y += Gᵀ coef` over the run's rows (`coef[c]` weights copy `c`).
+    ///
+    /// The copies lie in distinct blocks, so no variable is shared between
+    /// them and each variable takes at most one term per run: sweeping the
+    /// runs in order adds every variable's terms in row order, as a
+    /// row-by-row scatter does.
+    fn scatter(&self, coef: &[f64], y: &mut [f64]) {
+        let len = self.len();
+        for (t, &j) in self.idx.iter().enumerate() {
+            for ((v, &a), &k) in y[j..j + len].iter_mut().zip(self.entry(t)).zip(coef) {
+                *v += k * a;
+            }
+        }
+    }
+}
+
+impl RowRuns {
+    fn new() -> Self {
+        Self {
+            runs: Vec::new(),
+            idx: Vec::new(),
+            local: Vec::new(),
+            val: Vec::new(),
+        }
+    }
+
+    /// Number of rows.
+    fn rows(&self) -> usize {
+        self.runs.last().map_or(0, |run| run.first + run.len)
+    }
+
+    /// Length of the longest run.
+    fn max_run(&self) -> usize {
+        self.runs.iter().map(|run| run.len).max().unwrap_or(0)
+    }
+
+    fn run(&self, q: usize) -> RunRef<'_> {
+        let run = &self.runs[q];
+        RunRef {
+            rows: run.first..run.first + run.len,
+            idx: &self.idx[run.entries.clone()],
+            local: &self.local[run.entries.clone()],
+            val: &self.val[run.val..run.val + run.len * run.entries.len()],
+            block: run.block,
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = RunRef<'_>> {
+        (0..self.runs.len()).map(|q| self.run(q))
+    }
+
+    /// Append the next row, with variables `idx`, coefficients `vals` and
+    /// lying in `block`.  It becomes the next copy of the last run when it
+    /// is one, else a run of its own.  `open` holds the last run's
+    /// coefficients row by row until [`RowRuns::close`] lays them out.
+    fn push(
+        &mut self,
+        open: &mut Vec<f64>,
+        idx: &[usize],
+        vals: &[f64],
+        block: usize,
+        var_local: &[usize],
+    ) {
+        let extends = self.runs.last().is_some_and(|run| {
+            let pattern = &self.idx[run.entries.clone()];
+            let local = &self.local[run.entries.clone()];
+            !idx.is_empty()
+                && idx.len() == pattern.len()
+                && block == run.block + run.len
+                && idx
+                    .iter()
+                    .zip(pattern)
+                    .zip(local)
+                    .all(|((&v, &p), &l)| v == p + run.len && var_local[v] == l)
+        });
+        if extends {
+            self.runs.last_mut().expect("a run to extend").len += 1;
+        } else {
+            self.close(open);
+            let start = self.idx.len();
+            self.idx.extend_from_slice(idx);
+            self.local.extend(idx.iter().map(|&v| var_local[v]));
+            self.runs.push(Run {
+                first: self.rows(),
+                len: 1,
+                entries: start..self.idx.len(),
+                val: self.val.len(),
+                block,
+            });
+        }
+        open.extend_from_slice(vals);
+    }
+
+    /// Lay out the last run's row-by-row coefficients `open` entry-major.
+    fn close(&mut self, open: &mut Vec<f64>) {
+        if let Some(run) = self.runs.last() {
+            let nnz = run.entries.len();
+            for t in 0..nnz {
+                self.val.extend(open.iter().skip(t).step_by(nnz));
+            }
+        }
+        open.clear();
+    }
+
+    /// Overwrite the coefficients of every row in `rows` with `vals`.
+    fn fill_rows(&mut self, rows: std::ops::Range<usize>, vals: &[f64]) {
+        let mut q = self
+            .runs
+            .partition_point(|run| run.first + run.len <= rows.start);
+        while q < self.runs.len() && self.runs[q].first < rows.end {
+            let run = &self.runs[q];
+            let copies = rows.start.max(run.first) - run.first
+                ..rows.end.min(run.first + run.len) - run.first;
+            for (t, &v) in vals.iter().enumerate() {
+                let base = run.val + t * run.len;
+                self.val[base + copies.start..base + copies.end].fill(v);
+            }
+            q += 1;
         }
     }
 }
@@ -408,7 +626,7 @@ impl CouplingBlock {
 struct Prepared {
     n: usize,
     c: Vec<f64>,
-    g: SparseRows,
+    g: RowRuns,
     h: Vec<f64>,
     e: SparseRows,
     f: Vec<f64>,
@@ -417,11 +635,6 @@ struct Prepared {
     /// local index of every variable inside its block
     var_local: Vec<usize>,
     blocks: Vec<Vec<usize>>,
-    /// inequality rows grouped by block
-    g_by_block: Vec<Vec<usize>>,
-    /// block-local variable index of every inequality coefficient (parallel
-    /// to `g.idx`)
-    g_local: Vec<usize>,
     /// equality rows touching each block, ascending (reference kernels)
     eq_by_block: Vec<Vec<usize>>,
     /// coupling matrix `E_bᵀ` of each block (blocked kernels)
@@ -444,40 +657,42 @@ fn prepare(problem: &LpProblem, blocks: &[Vec<usize>]) -> Result<Prepared, LpErr
         }
     }
 
-    let mut g = SparseRows::new();
+    // Inequality rows go into runs, each in the one block it touches (a row
+    // spanning blocks is refused; a row with no variables is vacuous and
+    // attached to block 0).
+    let mut g = RowRuns::new();
+    let mut open = Vec::new();
+    let mut row_idx = Vec::new();
+    let mut row_val = Vec::new();
     let mut h = Vec::new();
     let mut e = SparseRows::new();
     let mut f = Vec::new();
     let mut slot = Vec::with_capacity(problem.num_constraints());
     for cons in problem.constraints() {
-        let (rows, rhs) = match cons.sense {
-            ConstraintSense::Le | ConstraintSense::Ge => (&mut g, &mut h),
-            ConstraintSense::Eq => (&mut e, &mut f),
-        };
-        slot.push(rows.len());
-        let out = rows.push_pattern(&cons.coeffs);
-        rhs.push(equilibrate_row(&cons.coeffs, cons.sense, cons.rhs, out));
-    }
-
-    // Group inequality rows by block and reject rows spanning blocks; cache the
-    // block-local index of every row coefficient (static across iterations).
-    let mut g_by_block = vec![Vec::new(); blocks.len()];
-    for ri in 0..g.len() {
-        let mut row_block: Option<usize> = None;
-        for &j in g.idx(ri) {
-            let b = var_block[j];
-            match row_block {
-                None => row_block = Some(b),
-                Some(existing) if existing != b => {
-                    return Err(LpError::ConstraintSpansBlocks { constraint: ri });
-                }
-                _ => {}
-            }
+        if cons.sense == ConstraintSense::Eq {
+            slot.push(e.len());
+            let out = e.push_pattern(&cons.coeffs);
+            f.push(equilibrate_row(&cons.coeffs, cons.sense, cons.rhs, out));
+            continue;
         }
-        // Rows with no variables are vacuous; attach to block 0.
-        g_by_block[row_block.unwrap_or(0)].push(ri);
+        let ri = h.len();
+        slot.push(ri);
+        row_idx.clear();
+        row_idx.extend(cons.coeffs.iter().map(|&(j, _)| j));
+        let block = row_idx.first().map_or(0, |&j| var_block[j]);
+        if row_idx.iter().any(|&j| var_block[j] != block) {
+            return Err(LpError::ConstraintSpansBlocks { constraint: ri });
+        }
+        row_val.resize(row_idx.len(), 0.0);
+        h.push(equilibrate_row(
+            &cons.coeffs,
+            cons.sense,
+            cons.rhs,
+            &mut row_val,
+        ));
+        g.push(&mut open, &row_idx, &row_val, block, &var_local);
     }
-    let g_local = g.idx.iter().map(|&v| var_local[v]).collect();
+    g.close(&mut open);
 
     // Equality rows touching each block, plus the sparse coupling columns.
     let mut eq_by_block = vec![Vec::new(); blocks.len()];
@@ -510,8 +725,6 @@ fn prepare(problem: &LpProblem, blocks: &[Vec<usize>]) -> Result<Prepared, LpErr
         var_block,
         var_local,
         blocks: blocks.to_vec(),
-        g_by_block,
-        g_local,
         eq_by_block,
         coupling_by_block,
         slot,
@@ -521,17 +734,20 @@ fn prepare(problem: &LpProblem, blocks: &[Vec<usize>]) -> Result<Prepared, LpErr
 /// A block-angular LP prepared once for a chain of solves that differ only in
 /// inequality coefficients (Algorithm 1's reserved-budget refinements).
 ///
-/// Owns the [`LpProblem`] together with its prepared form: rows equilibrated
-/// and split into inequality and equality sets (stored flat), inequality rows
-/// grouped by block, the coupling columns of the Schur complement extracted.
-/// [`PreparedLp::update_row`] rewrites one inequality row in both at once,
-/// with exactly the arithmetic of a fresh preparation, so
-/// [`PreparedLp::solve_with_warm`] after any sequence of updates runs the same
-/// floating-point operations as [`BlockAngularSolver::solve_with_warm`] on
-/// the rebuilt problem — and returns the same solution bit for bit.
+/// Owns the [`LpProblem`] together with its prepared form (rows
+/// equilibrated, inequality rows stored as runs, the coupling columns of the
+/// Schur complement extracted) and the interior-point method's buffers,
+/// which every solve of the chain reuses.  [`PreparedLp::update_row`] and
+/// [`PreparedLp::update_shifted_rows`] rewrite inequality rows in the problem
+/// and the prepared form at once, with exactly the arithmetic of a fresh
+/// preparation, so [`PreparedLp::solve_with_warm`] after any sequence of
+/// updates runs the same floating-point operations as
+/// [`BlockAngularSolver::solve_with_warm`] on the rebuilt problem — and
+/// returns the same solution bit for bit.
 pub struct PreparedLp {
     problem: LpProblem,
     prep: Prepared,
+    buffers: IpmBuffers,
 }
 
 impl PreparedLp {
@@ -539,12 +755,24 @@ impl PreparedLp {
     pub fn new(problem: LpProblem, blocks: &[Vec<usize>]) -> Result<Self, LpError> {
         validate_blocks(blocks, problem.num_vars())?;
         let prep = prepare(&problem, blocks)?;
-        Ok(Self { problem, prep })
+        let buffers = IpmBuffers::new(&prep);
+        Ok(Self {
+            problem,
+            prep,
+            buffers,
+        })
     }
 
     /// The problem in its current (updated) form.
     pub fn problem(&self) -> &LpProblem {
         &self.problem
+    }
+
+    /// The runs the inequality rows are stored as: each range holds the
+    /// positions, among the inequality rows in constraint order, of one
+    /// run's rows (see the module docs).
+    pub fn inequality_runs(&self) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
+        self.prep.g.iter().map(|run| run.rows)
     }
 
     /// Replace the coefficient values of inequality constraint `constraint`.
@@ -558,39 +786,87 @@ impl PreparedLp {
         constraint: usize,
         coeffs: &[(usize, f64)],
     ) -> Result<(), LpError> {
-        let Some(cons) = self.problem.constraints().get(constraint) else {
-            return Err(LpError::ConstraintOutOfRange {
-                index: constraint,
-                num_constraints: self.problem.num_constraints(),
-            });
-        };
-        if cons.sense == ConstraintSense::Eq {
-            return Err(LpError::EqualityRowUpdate { constraint });
-        }
-        if cons.coeffs.len() != coeffs.len()
-            || cons.coeffs.iter().zip(coeffs).any(|(a, b)| a.0 != b.0)
-        {
-            return Err(LpError::RowPatternMismatch { constraint });
+        self.update_shifted_rows(constraint, 1, coeffs)
+    }
+
+    /// Replace the coefficient values of the `copies` inequality constraints
+    /// `first..first + copies`, where constraint `first + c` is `coeffs` with
+    /// every variable index shifted by `c` — the copies of one Geo-Ind pair,
+    /// one per reported column, that form one run.
+    ///
+    /// The row is equilibrated once and written to every copy; a copy whose
+    /// sense or right-hand side differs from the first copy's is equilibrated
+    /// on its own.  Each copy is checked as [`PreparedLp::update_row`] checks
+    /// its row, all before anything is written, so a refusal leaves the LP
+    /// unchanged.
+    pub fn update_shifted_rows(
+        &mut self,
+        first: usize,
+        copies: usize,
+        coeffs: &[(usize, f64)],
+    ) -> Result<(), LpError> {
+        let constraints = self.problem.constraints();
+        for c in 0..copies {
+            let constraint = first + c;
+            let Some(cons) = constraints.get(constraint) else {
+                return Err(LpError::ConstraintOutOfRange {
+                    index: constraint,
+                    num_constraints: constraints.len(),
+                });
+            };
+            if cons.sense == ConstraintSense::Eq {
+                return Err(LpError::EqualityRowUpdate { constraint });
+            }
+            if cons.coeffs.len() != coeffs.len()
+                || cons.coeffs.iter().zip(coeffs).any(|(a, b)| a.0 != b.0 + c)
+            {
+                return Err(LpError::RowPatternMismatch { constraint });
+            }
         }
         if coeffs.iter().any(|(_, a)| !a.is_finite()) {
             return Err(LpError::NonFiniteCoefficient);
         }
-        let row = self.prep.slot[constraint];
-        let range = self.prep.g.range(row);
-        self.prep.h[row] =
-            equilibrate_row(coeffs, cons.sense, cons.rhs, &mut self.prep.g.val[range]);
-        self.problem.overwrite_coefficients(constraint, coeffs);
+        if copies == 0 {
+            return Ok(());
+        }
+        let head = &constraints[first];
+        let (sense, rhs) = (head.sense, head.rhs);
+        let mut vals = vec![0.0; coeffs.len()];
+        let h = equilibrate_row(coeffs, sense, rhs, &mut vals);
+        let row = self.prep.slot[first];
+        self.prep.g.fill_rows(row..row + copies, &vals);
+        for c in 0..copies {
+            let cons = &constraints[first + c];
+            self.prep.h[row + c] = if cons.sense == sense && cons.rhs.to_bits() == rhs.to_bits() {
+                h
+            } else {
+                let mut own = vec![0.0; coeffs.len()];
+                let own_h = equilibrate_row(coeffs, cons.sense, cons.rhs, &mut own);
+                self.prep.g.fill_rows(row + c..row + c + 1, &own);
+                own_h
+            };
+        }
+        for c in 0..copies {
+            self.problem.overwrite_coefficients(first + c, coeffs);
+        }
         Ok(())
     }
 
     /// Solve the prepared problem with the block-angular interior-point
     /// method, optionally warm-started (see [`BlockAngularSolver::solve_with_warm`]).
     pub fn solve_with_warm(
-        &self,
+        &mut self,
         options: &InteriorPointOptions,
         warm: Option<&WarmStart>,
     ) -> Result<LpSolution, LpError> {
-        run_ipm(&self.problem, &self.prep, options, BLOCK_ANGULAR_NAME, warm)
+        run_ipm(
+            &self.problem,
+            &self.prep,
+            options,
+            BLOCK_ANGULAR_NAME,
+            warm,
+            &mut self.buffers,
+        )
     }
 }
 
@@ -612,12 +888,12 @@ fn barrier_weight(lam: f64, w: f64) -> f64 {
 // Blocked kernels: workspace, factorization, Newton solve.
 // ---------------------------------------------------------------------------
 
-/// Per-solve scratch of the blocked kernel strategy.
+/// Scratch of the blocked kernel strategy, one of the [`IpmBuffers`].
 ///
-/// Allocated once before the first iteration and recycled: the factor storage,
-/// the Schur matrix and the Schur kernel's two panels are overwritten each
-/// iteration instead of reallocated (the reference path, kept for
-/// comparison, reallocates ~2·n² doubles per iteration).
+/// Allocated once and recycled: the factor storage, the Schur matrix and the
+/// Schur kernel's two panels are overwritten each iteration instead of
+/// reallocated (the reference path, kept for comparison, reallocates ~2·n²
+/// doubles per iteration).
 struct BlockedWorkspace {
     /// Cholesky factors of the per-block Newton matrices (persistent storage).
     factors: Vec<DenseMatrix>,
@@ -629,6 +905,8 @@ struct BlockedWorkspace {
     x_panel: Vec<f64>,
     /// Lower triangle of the current block's `XᵀX`, row-major `m_b × m_b`.
     s_local: Vec<f64>,
+    /// Barrier weights of the rows of one run.
+    weights: Vec<f64>,
 }
 
 impl BlockedWorkspace {
@@ -646,33 +924,56 @@ impl BlockedWorkspace {
             has_eq: m_eq > 0,
             x_panel: vec![0.0; max_nb * max_m],
             s_local: vec![0.0; max_m * max_m],
+            weights: vec![0.0; prep.g.max_run()],
         }
     }
 }
 
-/// Assemble the lower triangle of block `b`'s Newton matrix
-/// `M_b = G_bᵀ diag(λ/w) G_b + diag(s/x)` into `mb` (zeroed first; the
-/// factorization never reads the upper triangle).
-fn assemble_block_matrix(
+/// Assemble every block's Newton matrix `M_b = G_bᵀ diag(λ/w) G_b +
+/// diag(s/x)` into `mats` (zeroed first), the lower triangle only when
+/// `lower` (the factorization never reads the upper one).
+///
+/// One sweep over the runs: a run's barrier weights are formed once, and
+/// each pair of its pattern entries updates one position of every copy's
+/// block, reading both entries' coefficients as contiguous slices.  A block
+/// holds at most one copy of each run, so its entries still take their
+/// terms row by row, in row order, each as `(λ/w · a_i) · a_j` — the
+/// arithmetic of a row-by-row assembly.  `weights` holds at least the
+/// longest run.
+fn assemble_block_matrices(
     prep: &Prepared,
-    b: usize,
-    mb: &mut DenseMatrix,
-    x: &[f64],
-    s: &[f64],
-    w: &[f64],
-    lam: &[f64],
+    it: &Point,
+    mats: &mut [DenseMatrix],
+    weights: &mut [f64],
+    lower: bool,
 ) {
-    mb.fill(0.0);
-    for &ri in &prep.g_by_block[b] {
-        let range = prep.g.range(ri);
-        mb.add_scaled_outer_sparse_lower(
-            &prep.g_local[range.clone()],
-            &prep.g.val[range],
-            barrier_weight(lam[ri], w[ri]),
-        );
+    for mb in mats.iter_mut() {
+        mb.fill(0.0);
     }
-    for (local, &v) in prep.blocks[b].iter().enumerate() {
-        mb.add_diagonal(local, (s[v] / x[v]).min(1e10));
+    for run in prep.g.iter() {
+        let rows = run.rows.clone();
+        let wt = &mut weights[..run.len()];
+        for ((v, &lam), &w) in wt.iter_mut().zip(&it.lam[rows.clone()]).zip(&it.w[rows]) {
+            *v = barrier_weight(lam, w);
+        }
+        let mats = &mut mats[run.block..run.block + run.len()];
+        for (a, &ia) in run.local.iter().enumerate() {
+            let va = run.entry(a);
+            for (b, &ib) in run.local.iter().enumerate() {
+                if lower && ib > ia {
+                    continue;
+                }
+                let vb = run.entry(b);
+                for (((mb, &k), &x), &y) in mats.iter_mut().zip(wt.iter()).zip(va).zip(vb) {
+                    mb[(ia, ib)] += (k * x) * y;
+                }
+            }
+        }
+    }
+    for (mb, block) in mats.iter_mut().zip(&prep.blocks) {
+        for (local, &v) in block.iter().enumerate() {
+            mb.add_diagonal(local, (it.s[v] / it.x[v]).min(1e10));
+        }
     }
 }
 
@@ -800,18 +1101,10 @@ fn accumulate_schur_block(prep: &Prepared, b: usize, ws: &mut BlockedWorkspace) 
 
 /// Assemble and factorize the block-diagonal Newton matrix and the Schur
 /// complement with the blocked kernels, reusing the workspace buffers.
-fn factor_blocked(
-    prep: &Prepared,
-    ws: &mut BlockedWorkspace,
-    x: &[f64],
-    s: &[f64],
-    w: &[f64],
-    lam: &[f64],
-) -> Result<(), LpError> {
+fn factor_blocked(prep: &Prepared, ws: &mut BlockedWorkspace, it: &Point) -> Result<(), LpError> {
     // Per-block Newton matrices, assembled lower-triangle-only.
-    for b in 0..prep.blocks.len() {
-        let mb = &mut ws.factors[b];
-        assemble_block_matrix(prep, b, mb, x, s, w, lam);
+    assemble_block_matrices(prep, it, &mut ws.factors, &mut ws.weights, true);
+    for mb in &mut ws.factors {
         mb.cholesky_in_place(REGULARIZATION)?;
     }
 
@@ -830,7 +1123,7 @@ fn factor_blocked(
     ws.schur.cholesky_in_place(REGULARIZATION)
 }
 
-/// Scratch of the blocked Newton solve, allocated once per solve: the
+/// Scratch of the blocked Newton solve, one of the [`IpmBuffers`]: the
 /// intermediate `t = M⁻¹ rhs1` and one block-local right-hand side.
 struct NewtonScratch {
     t: Vec<f64>,
@@ -912,27 +1205,17 @@ struct ReferenceFactors {
 
 /// Assemble and factorize with the original scalar kernels (fresh allocations
 /// every iteration, dense Schur accumulation) — the measurable baseline.
-fn factor_reference(
-    prep: &Prepared,
-    x: &[f64],
-    s: &[f64],
-    w: &[f64],
-    lam: &[f64],
-) -> Result<ReferenceFactors, LpError> {
+fn factor_reference(prep: &Prepared, it: &Point) -> Result<ReferenceFactors, LpError> {
     let m_eq = prep.e.len();
-    let mut block_factors = Vec::with_capacity(prep.blocks.len());
-    for (b, block) in prep.blocks.iter().enumerate() {
-        let nb = block.len();
-        let mut mb = DenseMatrix::zeros(nb, nb);
-        for &ri in &prep.g_by_block[b] {
-            let local_idx: Vec<usize> = prep.g.idx(ri).iter().map(|&v| prep.var_local[v]).collect();
-            mb.add_scaled_outer_sparse(&local_idx, prep.g.val(ri), barrier_weight(lam[ri], w[ri]));
-        }
-        for (local, &v) in block.iter().enumerate() {
-            mb.add_diagonal(local, (s[v] / x[v]).min(1e10));
-        }
+    let mut block_factors: Vec<DenseMatrix> = prep
+        .blocks
+        .iter()
+        .map(|block| DenseMatrix::zeros(block.len(), block.len()))
+        .collect();
+    let mut weights = vec![0.0; prep.g.max_run()];
+    assemble_block_matrices(prep, it, &mut block_factors, &mut weights, false);
+    for mb in &mut block_factors {
         mb.cholesky_in_place_unblocked(REGULARIZATION)?;
-        block_factors.push(mb);
     }
 
     // Precompute M_b⁻¹ E_bᵀ and the Schur complement S = E M⁻¹ Eᵀ (+ reg I).
@@ -1059,22 +1342,104 @@ impl Factorization<'_> {
     }
 }
 
-/// A Newton direction in the primal (`x`, `w`) and dual (`lam`, `s`)
-/// barrier variables; the equality multipliers' part is kept beside it.
-struct Direction {
+/// A point of — or a direction in — the primal (`x`, `w`) and dual (`lam`,
+/// `s`) barrier variables; the equality multipliers are kept beside it.
+struct Point {
     x: Vec<f64>,
     w: Vec<f64>,
     lam: Vec<f64>,
     s: Vec<f64>,
 }
 
-impl Direction {
-    fn zeros(n: usize, m_in: usize) -> Self {
+impl Point {
+    fn filled(n: usize, m_in: usize, value: f64) -> Self {
         Self {
+            x: vec![value; n],
+            w: vec![value; m_in],
+            lam: vec![value; m_in],
+            s: vec![value; n],
+        }
+    }
+}
+
+/// Primal and dual residuals of an iterate.
+struct Residuals {
+    /// `h − Gx − w`
+    p1: Vec<f64>,
+    /// `f − Ex`
+    p2: Vec<f64>,
+    /// `c + Gᵀλ + Eᵀμ − s`
+    dual: Vec<f64>,
+}
+
+/// Complementarity right-hand sides of one Newton system: one per `x`–`s`
+/// pair and one per `w`–`λ` pair.
+struct Targets {
+    x: Vec<f64>,
+    w: Vec<f64>,
+}
+
+/// Every vector and kernel buffer of the interior-point method, sized for
+/// one prepared problem.
+///
+/// A one-off solve allocates these once; a [`PreparedLp`] keeps them across
+/// the solves of its chain.  Each solve writes every buffer in full before
+/// reading it, so nothing of one solve reaches the next.
+struct IpmBuffers {
+    it: Point,
+    mu_eq: Vec<f64>,
+    best_x: Vec<f64>,
+    res: Residuals,
+    /// The predictor's and then the corrector's targets.
+    rc: Targets,
+    /// The Gondzio band targets.
+    band: Targets,
+    rhs1: Vec<f64>,
+    /// Scatter coefficients of the rows of one run.
+    coef: Vec<f64>,
+    /// The search direction, and a trial one: first the affine predictor,
+    /// then each Gondzio candidate, swapped in when accepted.
+    dir: Point,
+    trial: Point,
+    ddx: Vec<f64>,
+    dmu: Vec<f64>,
+    ddmu: Vec<f64>,
+    zeros_eq: Vec<f64>,
+    /// Created by the first solve with the blocked kernels.
+    workspace: Option<BlockedWorkspace>,
+    scratch: NewtonScratch,
+}
+
+impl IpmBuffers {
+    fn new(prep: &Prepared) -> Self {
+        let n = prep.n;
+        let m_in = prep.g.rows();
+        let m_eq = prep.e.len();
+        let targets = || Targets {
             x: vec![0.0; n],
             w: vec![0.0; m_in],
-            lam: vec![0.0; m_in],
-            s: vec![0.0; n],
+        };
+        Self {
+            it: Point::filled(n, m_in, 1.0),
+            mu_eq: vec![0.0; m_eq],
+            best_x: vec![0.0; n],
+            res: Residuals {
+                p1: vec![0.0; m_in],
+                p2: vec![0.0; m_eq],
+                dual: vec![0.0; n],
+            },
+            rc: targets(),
+            band: targets(),
+            rhs1: vec![0.0; n],
+            coef: vec![0.0; prep.g.max_run()],
+            dir: Point::filled(n, m_in, 0.0),
+            trial: Point::filled(n, m_in, 0.0),
+            ddx: vec![0.0; n],
+            dmu: vec![0.0; m_eq],
+            ddmu: vec![0.0; m_eq],
+            zeros_eq: vec![0.0; m_eq],
+            workspace: None,
+            scratch: NewtonScratch::new(prep),
         }
     }
 }
@@ -1091,6 +1456,258 @@ fn shrink_step(alpha: &mut f64, v: f64, dv: f64) {
     *alpha = alpha.min(limit);
 }
 
+/// Pairs whose primal side has converged to its bound are left out of the
+/// Gondzio correctors: the correction divides by that variable, so
+/// "lifting" a boundary pair would inject an enormous (possibly overflowing)
+/// right-hand side for a product that legitimately sits at zero.
+const BOUNDARY: f64 = 1e-12;
+
+/// The residuals of `it` with equality multipliers `mu_eq`.  Each run gives
+/// its rows' `p1` and their `Gᵀλ` scatter in one pass.
+fn compute_residuals(prep: &Prepared, it: &Point, mu_eq: &[f64], res: &mut Residuals) {
+    res.dual.copy_from_slice(&prep.c);
+    for run in prep.g.iter() {
+        let rows = run.rows.clone();
+        let p1 = &mut res.p1[rows.clone()];
+        run.dot_into(&it.x, p1);
+        for ((r, &h), &w) in p1
+            .iter_mut()
+            .zip(&prep.h[rows.clone()])
+            .zip(&it.w[rows.clone()])
+        {
+            *r = h - *r - w;
+        }
+        run.scatter(&it.lam[rows], &mut res.dual);
+    }
+    for (ri, r) in res.p2.iter_mut().enumerate() {
+        *r = prep.f[ri] - prep.e.dot(ri, &it.x);
+    }
+    for (ri, &m) in mu_eq.iter().enumerate() {
+        prep.e.axpy_into(ri, m, &mut res.dual);
+    }
+    for (d, &s) in res.dual.iter_mut().zip(&it.s) {
+        *d -= s;
+    }
+}
+
+/// `rhs1 = −dual + Gᵀ((λ/w)·p1 − rc.w/w) + rc.x/x`, one run's scatter
+/// coefficients at a time (`coef` holds at least the longest run).
+fn build_rhs1(
+    prep: &Prepared,
+    it: &Point,
+    res: &Residuals,
+    rc: &Targets,
+    coef: &mut [f64],
+    rhs1: &mut [f64],
+) {
+    for (r, &v) in rhs1.iter_mut().zip(&res.dual) {
+        *r = -v;
+    }
+    for run in prep.g.iter() {
+        let rows = run.rows.clone();
+        let coef = &mut coef[..run.len()];
+        for ((((u, &lam), &w), &p1), &t) in coef
+            .iter_mut()
+            .zip(&it.lam[rows.clone()])
+            .zip(&it.w[rows.clone()])
+            .zip(&res.p1[rows.clone()])
+            .zip(&rc.w[rows])
+        {
+            *u = (lam / w) * p1 - t / w;
+        }
+        run.scatter(coef, rhs1);
+    }
+    for ((r, &t), &x) in rhs1.iter_mut().zip(&rc.x).zip(&it.x) {
+        *r += t / x;
+    }
+}
+
+/// Complete a direction from its `dx`: `dw = p1 − G·dx`,
+/// `dlam = (rc.w − λ∘dw)/w` and `ds = (rc.x − s∘dx)/x`, each row's entries
+/// and both steps to the boundary in one pass.  Returns the largest primal
+/// and dual steps that keep the iterate non-negative.
+fn complete_direction(
+    prep: &Prepared,
+    it: &Point,
+    p1: &[f64],
+    rc: &Targets,
+    d: &mut Point,
+) -> (f64, f64) {
+    let (mut step_x, mut step_w, mut step_lam, mut step_s) = (1.0, 1.0, 1.0, 1.0);
+    for ((((ds, &dx), &t), &x), &s) in d.s.iter_mut().zip(&d.x).zip(&rc.x).zip(&it.x).zip(&it.s) {
+        *ds = (t - s * dx) / x;
+        shrink_step(&mut step_x, x, dx);
+        shrink_step(&mut step_s, s, *ds);
+    }
+    for run in prep.g.iter() {
+        let rows = run.rows.clone();
+        let dw = &mut d.w[rows.clone()];
+        run.dot_into(&d.x, dw);
+        for (((((dw, dlam), &p1), &t), &lam), &w) in dw
+            .iter_mut()
+            .zip(&mut d.lam[rows.clone()])
+            .zip(&p1[rows.clone()])
+            .zip(&rc.w[rows.clone()])
+            .zip(&it.lam[rows.clone()])
+            .zip(&it.w[rows])
+        {
+            *dw = p1 - *dw;
+            *dlam = (t - lam * *dw) / w;
+            shrink_step(&mut step_w, w, *dw);
+            shrink_step(&mut step_lam, lam, *dlam);
+        }
+    }
+    (f64::min(step_x, step_w), f64::min(step_s, step_lam))
+}
+
+/// The trial steps and the centrality band `[lo, hi]` of one Gondzio
+/// corrector.
+struct Band {
+    trial_p: f64,
+    trial_d: f64,
+    lo: f64,
+    hi: f64,
+}
+
+impl Band {
+    /// How far the product `(v + trial_p·dv)·(u + trial_d·du)` falls
+    /// outside the band (zero inside it).
+    fn violation(&self, v: f64, dv: f64, u: f64, du: f64) -> f64 {
+        let p = (v + self.trial_p * dv) * (u + self.trial_d * du);
+        if p < self.lo {
+            self.lo - p
+        } else if p > self.hi {
+            self.hi - p
+        } else {
+            0.0
+        }
+    }
+}
+
+/// The right-hand side of a Gondzio corrector: a Newton system with zero
+/// residual blocks and the band violations `t` of the products along `dir`
+/// as its complementarity targets, each inequality's term scattered into
+/// `rhs1` as soon as it is measured.  Returns whether any product lies
+/// outside the band.
+///
+/// A run with no outlier is not scattered; within a scattered run a row
+/// inside the band adds a zero term.  That leaves `rhs1` as skipping the row
+/// would: it starts at +0.0, and a sum is −0.0 only when both of its terms
+/// are, so no entry is ever −0.0 and adding ±0.0 changes none.
+fn band_rhs(
+    prep: &Prepared,
+    it: &Point,
+    dir: &Point,
+    band: &Band,
+    t: &mut Targets,
+    coef: &mut [f64],
+    rhs1: &mut [f64],
+) -> bool {
+    let mut any_outlier = false;
+    rhs1.fill(0.0);
+    for run in prep.g.iter() {
+        let rows = run.rows.clone();
+        let coef = &mut coef[..run.len()];
+        let mut outliers = false;
+        for (((((u, tw), &w), &dw), &lam), &dlam) in coef
+            .iter_mut()
+            .zip(&mut t.w[rows.clone()])
+            .zip(&it.w[rows.clone()])
+            .zip(&dir.w[rows.clone()])
+            .zip(&it.lam[rows.clone()])
+            .zip(&dir.lam[rows])
+        {
+            *tw = if w <= BOUNDARY {
+                0.0
+            } else {
+                band.violation(w, dw, lam, dlam)
+            };
+            *u = if *tw != 0.0 {
+                outliers = true;
+                -*tw / w
+            } else {
+                0.0
+            };
+        }
+        if outliers {
+            any_outlier = true;
+            run.scatter(coef, rhs1);
+        }
+    }
+    for (((((r, tx), &x), &dx), &s), &ds) in rhs1
+        .iter_mut()
+        .zip(&mut t.x)
+        .zip(&it.x)
+        .zip(&dir.x)
+        .zip(&it.s)
+        .zip(&dir.s)
+    {
+        *tx = if x <= BOUNDARY {
+            0.0
+        } else {
+            band.violation(x, dx, s, ds)
+        };
+        any_outlier |= *tx != 0.0;
+        *r += *tx / x;
+    }
+    any_outlier
+}
+
+/// The enlarged Gondzio candidate `trial = dir + (ddx, …)` for the band
+/// targets `t`, with its steps to the boundary and its finiteness measured in
+/// the same pass.  Returns the largest primal and dual steps and whether
+/// every entry is finite.
+fn enlarged_candidate(
+    prep: &Prepared,
+    it: &Point,
+    dir: &Point,
+    ddx: &[f64],
+    t: &Targets,
+    trial: &mut Point,
+) -> (f64, f64, bool) {
+    let (mut step_x, mut step_w, mut step_lam, mut step_s) = (1.0, 1.0, 1.0, 1.0);
+    let mut finite = true;
+    for (((((((tx, ts), &dx), &ds), &ddx), &t), &x), &s) in trial
+        .x
+        .iter_mut()
+        .zip(&mut trial.s)
+        .zip(&dir.x)
+        .zip(&dir.s)
+        .zip(ddx)
+        .zip(&t.x)
+        .zip(&it.x)
+        .zip(&it.s)
+    {
+        *tx = dx + ddx;
+        *ts = ds + (t - s * ddx) / x;
+        shrink_step(&mut step_x, x, *tx);
+        shrink_step(&mut step_s, s, *ts);
+        finite &= tx.is_finite() & ts.is_finite();
+    }
+    for run in prep.g.iter() {
+        let rows = run.rows.clone();
+        let tw = &mut trial.w[rows.clone()];
+        run.dot_into(ddx, tw);
+        for ((((((tw, tlam), &dw), &dlam), &t), &lam), &w) in tw
+            .iter_mut()
+            .zip(&mut trial.lam[rows.clone()])
+            .zip(&dir.w[rows.clone()])
+            .zip(&dir.lam[rows.clone()])
+            .zip(&t.w[rows.clone()])
+            .zip(&it.lam[rows.clone()])
+            .zip(&it.w[rows])
+        {
+            let ddw = -*tw;
+            *tw = dw + ddw;
+            *tlam = dlam + (t - lam * ddw) / w;
+            shrink_step(&mut step_w, w, *tw);
+            shrink_step(&mut step_lam, lam, *tlam);
+            finite &= tw.is_finite() & tlam.is_finite();
+        }
+    }
+    (f64::min(step_x, step_w), f64::min(step_s, step_lam), finite)
+}
+
 /// Prepare `problem` under `blocks`, then run the interior-point method.
 fn solve_ipm(
     problem: &LpProblem,
@@ -1099,28 +1716,49 @@ fn solve_ipm(
     solver_name: &'static str,
     warm: Option<&WarmStart>,
 ) -> Result<LpSolution, LpError> {
-    run_ipm(problem, &prepare(problem, blocks)?, opts, solver_name, warm)
+    let prep = prepare(problem, blocks)?;
+    let mut buffers = IpmBuffers::new(&prep);
+    run_ipm(problem, &prep, opts, solver_name, warm, &mut buffers)
 }
 
 /// The interior-point method on a prepared problem (`prep` must be the
-/// prepared form of `problem`, which supplies only the reported objective).
+/// prepared form of `problem`, which supplies only the reported objective),
+/// in `buffers` sized for it.
 fn run_ipm(
     problem: &LpProblem,
     prep: &Prepared,
     opts: &InteriorPointOptions,
     solver_name: &'static str,
     warm: Option<&WarmStart>,
+    buffers: &mut IpmBuffers,
 ) -> Result<LpSolution, LpError> {
     let n = prep.n;
-    let m_in = prep.g.len();
+    let m_in = prep.g.rows();
     let m_eq = prep.e.len();
+    let IpmBuffers {
+        it,
+        mu_eq,
+        best_x,
+        res,
+        rc,
+        band: t,
+        rhs1,
+        coef,
+        dir,
+        trial,
+        ddx,
+        dmu,
+        ddmu,
+        zeros_eq,
+        workspace,
+        scratch,
+    } = buffers;
 
     // Primal and dual iterates, all strictly positive where required.
-    let mut x = vec![1.0; n];
-    let mut w = vec![1.0; m_in];
-    let mut lam = vec![1.0; m_in];
-    let mut s = vec![1.0; n];
-    let mut mu_eq = vec![0.0; m_eq];
+    for v in [&mut it.x, &mut it.w, &mut it.lam, &mut it.s] {
+        v.fill(1.0);
+    }
+    mu_eq.fill(0.0);
 
     let scale = 1.0
         + inf_norm(&prep.c)
@@ -1152,8 +1790,8 @@ fn run_ipm(
             && warm.y.iter().all(|v| v.is_finite())
             && warm.s.iter().all(|v| v.is_finite());
         if usable {
-            for j in 0..n {
-                x[j] = warm.x[j].max(WARM_FLOOR);
+            for (x, &wx) in it.x.iter_mut().zip(&warm.x) {
+                *x = wx.max(WARM_FLOOR);
             }
             // Raw inequality slacks of the warm primal on the *new* problem,
             // and its worst violation.  A same-problem restart has violation
@@ -1164,42 +1802,52 @@ fn run_ipm(
             // macroscopic and every step toward feasibility is blocked by the
             // positivity clamp — so the restart barrier level must grow with
             // the violation, giving the first iterations room to walk the
-            // iterate back inside.
-            let mut raw_w = vec![0.0; m_in];
+            // iterate back inside.  The slacks are held in `p1`, which the
+            // first iteration overwrites.
+            let raw_w = &mut res.p1;
             let mut violation = 0.0f64;
-            for (ri, raw) in raw_w.iter_mut().enumerate() {
-                *raw = prep.h[ri] - prep.g.dot(ri, &x);
-                violation = violation.max(-*raw);
+            for run in prep.g.iter() {
+                let rows = run.rows.clone();
+                let raw_w = &mut raw_w[rows.clone()];
+                run.dot_into(&it.x, raw_w);
+                for (raw, &h) in raw_w.iter_mut().zip(&prep.h[rows]) {
+                    *raw = h - *raw;
+                    violation = violation.max(-*raw);
+                }
             }
             let mu0 = warm
                 .mu
                 .max(10.0 * opts.tolerance * scale)
                 .max(violation)
                 .min(scale);
-            for j in 0..n {
-                s[j] = warm.s[j].max(mu0 / x[j].max(1.0)).max(WARM_FLOOR);
+            for ((s, &ws), &x) in it.s.iter_mut().zip(&warm.s).zip(&it.x) {
+                *s = ws.max(mu0 / x.max(1.0)).max(WARM_FLOOR);
             }
             mu_eq.copy_from_slice(&warm.y[..m_eq]);
-            for ri in 0..m_in {
+            for (((w, lam), &raw), &y) in
+                it.w.iter_mut()
+                    .zip(&mut it.lam)
+                    .zip(raw_w.iter())
+                    .zip(&warm.y[m_eq..])
+            {
                 // Rows the warm point satisfies keep their exact slack (a
                 // legitimately active row's tiny w pairs with its large λ);
                 // violated or boundary rows restart at the barrier level —
                 // an interior, step-friendly slack whose residual the solver
                 // is built to drive out.
-                w[ri] = if raw_w[ri] >= WARM_FLOOR {
-                    raw_w[ri]
+                *w = if raw >= WARM_FLOOR {
+                    raw
                 } else {
                     mu0.max(WARM_FLOOR)
                 };
-                lam[ri] = warm.y[m_eq + ri].max(mu0 / w[ri].max(1.0)).max(WARM_FLOOR);
+                *lam = y.max(mu0 / w.max(1.0)).max(WARM_FLOOR);
             }
         }
     }
 
-    let mut workspace = match opts.kernels {
-        KernelStrategy::Blocked => Some(BlockedWorkspace::new(prep)),
-        KernelStrategy::Reference => None,
-    };
+    if opts.kernels == KernelStrategy::Blocked && workspace.is_none() {
+        *workspace = Some(BlockedWorkspace::new(prep));
+    }
 
     // Set CORGI_IPM_TRACE=1 to print per-iteration residuals to stderr
     // (diagnosing warm-start quality and convergence stalls).
@@ -1210,67 +1858,40 @@ fn run_ipm(
     // Track the best iterate seen so far (by a simple merit of residuals + gap);
     // if the path-following stalls or diverges later, return this point instead
     // of the last iterate.
-    let mut best_x = x.clone();
+    best_x.copy_from_slice(&it.x);
     let mut best_merit = f64::INFINITY;
     // μ of the last completed residual check — captured into the WarmStart on
     // convergence (it is then the converged complementarity gap).
     let mut mu_gap_final = f64::INFINITY;
 
-    // Every per-iteration vector is allocated once here and overwritten in
-    // place each iteration.
-    let mut r_p1 = vec![0.0; m_in]; // h − Gx − w
-    let mut r_p2 = vec![0.0; m_eq]; // f − Ex
-    let mut resid_dual = vec![0.0; n]; // c + Gᵀλ + Eᵀμ − s
-    let mut rhs1 = vec![0.0; n];
-    let mut rc1 = vec![0.0; n];
-    let mut rc2 = vec![0.0; m_in];
-    let mut t1 = vec![0.0; n];
-    let mut t2 = vec![0.0; m_in];
-    // The search direction, and a trial one: first the affine predictor, then
-    // each Gondzio candidate, swapped in when accepted.
-    let mut dir = Direction::zeros(n, m_in);
-    let mut trial = Direction::zeros(n, m_in);
-    let mut ddx = vec![0.0; n];
-    let mut dmu = vec![0.0; m_eq];
-    let mut ddmu = vec![0.0; m_eq];
-    let zeros_eq = vec![0.0; m_eq];
-    let mut scratch = NewtonScratch::new(prep);
-
     for iter in 0..opts.max_iterations {
         iterations = iter + 1;
 
-        // Residuals, each inequality row read once for both `r_p1` and the
-        // `Gᵀλ` scatter.
-        resid_dual.copy_from_slice(&prep.c);
-        for ri in 0..m_in {
-            r_p1[ri] = prep.h[ri] - prep.g.dot(ri, &x) - w[ri];
-            prep.g.axpy_into(ri, lam[ri], &mut resid_dual);
-        }
-        for (ri, r) in r_p2.iter_mut().enumerate() {
-            *r = prep.f[ri] - prep.e.dot(ri, &x);
-        }
-        for (ri, &m) in mu_eq.iter().enumerate() {
-            prep.e.axpy_into(ri, m, &mut resid_dual);
-        }
-        for j in 0..n {
-            resid_dual[j] -= s[j];
-        }
+        compute_residuals(prep, it, mu_eq, res);
 
-        let gap_terms = x.iter().zip(s.iter()).map(|(a, b)| a * b).sum::<f64>()
-            + w.iter().zip(lam.iter()).map(|(a, b)| a * b).sum::<f64>();
+        let gap_terms =
+            it.x.iter()
+                .zip(it.s.iter())
+                .map(|(a, b)| a * b)
+                .sum::<f64>()
+                + it.w
+                    .iter()
+                    .zip(it.lam.iter())
+                    .map(|(a, b)| a * b)
+                    .sum::<f64>();
         let denom = (n + m_in) as f64;
         let mu_gap = gap_terms / denom;
         mu_gap_final = mu_gap;
 
-        let primal_err = inf_norm(&r_p1).max(inf_norm(&r_p2));
-        let dual_err = inf_norm(&resid_dual);
+        let primal_err = inf_norm(&res.p1).max(inf_norm(&res.p2));
+        let dual_err = inf_norm(&res.dual);
         if trace {
             eprintln!("iter {iter}: primal {primal_err:.3e} dual {dual_err:.3e} mu {mu_gap:.3e}");
         }
         let merit = primal_err + dual_err + mu_gap;
         if merit.is_finite() && merit < best_merit {
             best_merit = merit;
-            best_x.copy_from_slice(&x);
+            best_x.copy_from_slice(&it.x);
         }
         if primal_err <= opts.tolerance * scale
             && dual_err <= opts.tolerance * scale
@@ -1292,67 +1913,33 @@ fn run_ipm(
         let factorization = match opts.kernels {
             KernelStrategy::Blocked => {
                 let ws = workspace.as_mut().expect("blocked workspace exists");
-                factor_blocked(prep, ws, &x, &s, &w, &lam)?;
-                Factorization::Blocked(workspace.as_ref().expect("blocked workspace exists"))
+                factor_blocked(prep, ws, it)?;
+                Factorization::Blocked(ws)
             }
-            KernelStrategy::Reference => {
-                Factorization::Reference(factor_reference(prep, &x, &s, &w, &lam)?)
-            }
-        };
-
-        // rhs1 = −resid_dual + Gᵀ((λ/w)·r_p1 − rc2/w) + rc1/x
-        let build_rhs1 = |rc1: &[f64], rc2: &[f64], rhs1: &mut [f64]| {
-            for (r, &v) in rhs1.iter_mut().zip(&resid_dual) {
-                *r = -v;
-            }
-            for ri in 0..m_in {
-                let u = (lam[ri] / w[ri]) * r_p1[ri] - rc2[ri] / w[ri];
-                prep.g.axpy_into(ri, u, rhs1);
-            }
-            for j in 0..n {
-                rhs1[j] += rc1[j] / x[j];
-            }
-        };
-        // Complete a direction from its `dx`: dw = r_p1 − G·dx,
-        // dlam = (rc2 − λ∘dw)/w and ds = (rc1 − s∘dx)/x, each row read once
-        // for both its entries and the steps to the boundary.  Returns the
-        // largest primal and dual steps that keep the iterate non-negative.
-        let complete_direction = |rc1: &[f64], rc2: &[f64], d: &mut Direction| {
-            let (mut step_x, mut step_w, mut step_lam, mut step_s) = (1.0, 1.0, 1.0, 1.0);
-            for j in 0..n {
-                d.s[j] = (rc1[j] - s[j] * d.x[j]) / x[j];
-                shrink_step(&mut step_x, x[j], d.x[j]);
-                shrink_step(&mut step_s, s[j], d.s[j]);
-            }
-            for ri in 0..m_in {
-                d.w[ri] = r_p1[ri] - prep.g.dot(ri, &d.x);
-                d.lam[ri] = (rc2[ri] - lam[ri] * d.w[ri]) / w[ri];
-                shrink_step(&mut step_w, w[ri], d.w[ri]);
-                shrink_step(&mut step_lam, lam[ri], d.lam[ri]);
-            }
-            (f64::min(step_x, step_w), f64::min(step_s, step_lam))
+            KernelStrategy::Reference => Factorization::Reference(factor_reference(prep, it)?),
         };
 
         // ---- Affine (predictor) direction: σ = 0, no corrector. ----
         for j in 0..n {
-            rc1[j] = -x[j] * s[j];
+            rc.x[j] = -it.x[j] * it.s[j];
         }
         for ri in 0..m_in {
-            rc2[ri] = -w[ri] * lam[ri];
+            rc.w[ri] = -it.w[ri] * it.lam[ri];
         }
-        build_rhs1(&rc1, &rc2, &mut rhs1);
+        build_rhs1(prep, it, res, rc, coef, rhs1);
         // The affine direction's `dmu` is never used; `ddmu` takes it.
-        factorization.newton_solve_into(prep, &mut scratch, &rhs1, &r_p2, &mut trial.x, &mut ddmu);
-        let (alpha_p_aff, alpha_d_aff) = complete_direction(&rc1, &rc2, &mut trial);
-        let aff = &trial;
+        factorization.newton_solve_into(prep, scratch, rhs1, &res.p2, &mut trial.x, ddmu);
+        let (alpha_p_aff, alpha_d_aff) = complete_direction(prep, it, &res.p1, rc, trial);
+        let aff = &*trial;
 
         // Mehrotra centering parameter.
         let mut gap_aff = 0.0;
         for j in 0..n {
-            gap_aff += (x[j] + alpha_p_aff * aff.x[j]) * (s[j] + alpha_d_aff * aff.s[j]);
+            gap_aff += (it.x[j] + alpha_p_aff * aff.x[j]) * (it.s[j] + alpha_d_aff * aff.s[j]);
         }
         for ri in 0..m_in {
-            gap_aff += (w[ri] + alpha_p_aff * aff.w[ri]) * (lam[ri] + alpha_d_aff * aff.lam[ri]);
+            gap_aff +=
+                (it.w[ri] + alpha_p_aff * aff.w[ri]) * (it.lam[ri] + alpha_d_aff * aff.lam[ri]);
         }
         let mu_aff = gap_aff / denom;
         let sigma = if mu_gap > 0.0 {
@@ -1372,14 +1959,14 @@ fn run_ipm(
 
         // ---- Corrector direction. ----
         for j in 0..n {
-            rc1[j] = target_mu - x[j] * s[j] - aff.x[j] * aff.s[j];
+            rc.x[j] = target_mu - it.x[j] * it.s[j] - aff.x[j] * aff.s[j];
         }
         for ri in 0..m_in {
-            rc2[ri] = target_mu - w[ri] * lam[ri] - aff.w[ri] * aff.lam[ri];
+            rc.w[ri] = target_mu - it.w[ri] * it.lam[ri] - aff.w[ri] * aff.lam[ri];
         }
-        build_rhs1(&rc1, &rc2, &mut rhs1);
-        factorization.newton_solve_into(prep, &mut scratch, &rhs1, &r_p2, &mut dir.x, &mut dmu);
-        let (step_p, step_d) = complete_direction(&rc1, &rc2, &mut dir);
+        build_rhs1(prep, it, res, rc, coef, rhs1);
+        factorization.newton_solve_into(prep, scratch, rhs1, &res.p2, &mut dir.x, dmu);
+        let (step_p, step_d) = complete_direction(prep, it, &res.p1, rc, dir);
         let mut alpha_p = (STEP_FRACTION * step_p).min(1.0);
         let mut alpha_d = (STEP_FRACTION * step_d).min(1.0);
 
@@ -1401,86 +1988,24 @@ fn run_ipm(
         // How far past the currently-achievable step each corrector probes.
         const TRIAL_ENLARGE: f64 = 0.1;
         for _ in 0..MAX_CENTRALITY_CORRECTORS {
-            let trial_p = (alpha_p / STEP_FRACTION + TRIAL_ENLARGE * (1.0 - alpha_p)).min(1.0);
-            let trial_d = (alpha_d / STEP_FRACTION + TRIAL_ENLARGE * (1.0 - alpha_d)).min(1.0);
-            let lo = BETA_MIN * target_mu;
-            let hi = BETA_MAX * target_mu;
-            let band = |v: f64| {
-                if v < lo {
-                    lo - v
-                } else if v > hi {
-                    hi - v
-                } else {
-                    0.0
-                }
+            let band = Band {
+                trial_p: (alpha_p / STEP_FRACTION + TRIAL_ENLARGE * (1.0 - alpha_p)).min(1.0),
+                trial_d: (alpha_d / STEP_FRACTION + TRIAL_ENLARGE * (1.0 - alpha_d)).min(1.0),
+                lo: BETA_MIN * target_mu,
+                hi: BETA_MAX * target_mu,
             };
-            // Pairs whose primal side has converged to its bound are left
-            // alone: the correction divides by that variable, so "lifting" a
-            // boundary pair would inject an enormous (possibly overflowing)
-            // right-hand side for a product that legitimately sits at zero.
-            const BOUNDARY: f64 = 1e-12;
-            // Newton system with zero residual blocks and the band violations
-            // as the complementarity targets: each inequality's band term is
-            // scattered into `rhs1` as soon as it is measured.
-            let mut any_outlier = false;
-            rhs1.fill(0.0);
-            for ri in 0..m_in {
-                t2[ri] = if w[ri] <= BOUNDARY {
-                    0.0
-                } else {
-                    band((w[ri] + trial_p * dir.w[ri]) * (lam[ri] + trial_d * dir.lam[ri]))
-                };
-                if t2[ri] != 0.0 {
-                    any_outlier = true;
-                    prep.g.axpy_into(ri, -t2[ri] / w[ri], &mut rhs1);
-                }
-            }
-            for j in 0..n {
-                t1[j] = if x[j] <= BOUNDARY {
-                    0.0
-                } else {
-                    band((x[j] + trial_p * dir.x[j]) * (s[j] + trial_d * dir.s[j]))
-                };
-                any_outlier |= t1[j] != 0.0;
-                rhs1[j] += t1[j] / x[j];
-            }
-            if !any_outlier {
+            if !band_rhs(prep, it, dir, &band, t, coef, rhs1) {
                 break;
             }
-            factorization.newton_solve_into(
-                prep,
-                &mut scratch,
-                &rhs1,
-                &zeros_eq,
-                &mut ddx,
-                &mut ddmu,
-            );
-            // The enlarged candidate, with its steps and finiteness measured
-            // in the same pass.
-            let (mut step_x, mut step_w, mut step_lam, mut step_s) = (1.0, 1.0, 1.0, 1.0);
-            let mut finite = true;
-            for j in 0..n {
-                trial.x[j] = dir.x[j] + ddx[j];
-                trial.s[j] = dir.s[j] + (t1[j] - s[j] * ddx[j]) / x[j];
-                shrink_step(&mut step_x, x[j], trial.x[j]);
-                shrink_step(&mut step_s, s[j], trial.s[j]);
-                finite &= trial.x[j].is_finite() & trial.s[j].is_finite();
-            }
-            for ri in 0..m_in {
-                let ddw = -prep.g.dot(ri, &ddx);
-                trial.w[ri] = dir.w[ri] + ddw;
-                trial.lam[ri] = dir.lam[ri] + (t2[ri] - lam[ri] * ddw) / w[ri];
-                shrink_step(&mut step_w, w[ri], trial.w[ri]);
-                shrink_step(&mut step_lam, lam[ri], trial.lam[ri]);
-                finite &= trial.w[ri].is_finite() & trial.lam[ri].is_finite();
-            }
-            let ap = (STEP_FRACTION * f64::min(step_x, step_w)).min(1.0);
-            let ad = (STEP_FRACTION * f64::min(step_s, step_lam)).min(1.0);
+            factorization.newton_solve_into(prep, scratch, rhs1, zeros_eq, ddx, ddmu);
+            let (step_p, step_d, finite) = enlarged_candidate(prep, it, dir, ddx, t, trial);
+            let ap = (STEP_FRACTION * step_p).min(1.0);
+            let ad = (STEP_FRACTION * step_d).min(1.0);
             if !finite || ap + ad < alpha_p + alpha_d + 0.02 {
                 break;
             }
-            std::mem::swap(&mut dir, &mut trial);
-            for (a, b) in dmu.iter_mut().zip(&ddmu) {
+            std::mem::swap(dir, trial);
+            for (a, b) in dmu.iter_mut().zip(ddmu.iter()) {
                 *a += b;
             }
             alpha_p = ap;
@@ -1497,17 +2022,17 @@ fn run_ipm(
         // converges to an active bound and underflows).
         const FLOOR: f64 = 1e-30;
         for j in 0..n {
-            x[j] = (x[j] + alpha_p * dir.x[j]).max(FLOOR);
-            s[j] = (s[j] + alpha_d * dir.s[j]).max(FLOOR);
+            it.x[j] = (it.x[j] + alpha_p * dir.x[j]).max(FLOOR);
+            it.s[j] = (it.s[j] + alpha_d * dir.s[j]).max(FLOOR);
         }
         for ri in 0..m_in {
-            w[ri] = (w[ri] + alpha_p * dir.w[ri]).max(FLOOR);
-            lam[ri] = (lam[ri] + alpha_d * dir.lam[ri]).max(FLOOR);
+            it.w[ri] = (it.w[ri] + alpha_p * dir.w[ri]).max(FLOOR);
+            it.lam[ri] = (it.lam[ri] + alpha_d * dir.lam[ri]).max(FLOOR);
         }
         for (ri, d) in dmu.iter().enumerate() {
             mu_eq[ri] += alpha_d * d;
         }
-        if x.iter().any(|v| !v.is_finite()) {
+        if it.x.iter().any(|v| !v.is_finite()) {
             // Numerical breakdown: stop and fall back to the best iterate.
             status = SolveStatus::IterationLimit;
             break;
@@ -1517,21 +2042,21 @@ fn run_ipm(
     // Capture the converged iterate for warm-starting nearby solves — only on
     // `Optimal` (a diverged or stalled iterate would poison the next solve).
     let warm_out = if status == SolveStatus::Optimal {
-        let mut y = mu_eq;
-        y.extend_from_slice(&lam);
+        let mut y = mu_eq.clone();
+        y.extend_from_slice(&it.lam);
         Some(WarmStart {
-            x: x.clone(),
+            x: it.x.clone(),
             y,
-            s,
+            s: it.s.clone(),
             mu: mu_gap_final,
         })
     } else {
         None
     };
     let x = if status == SolveStatus::Optimal {
-        x
+        it.x.clone()
     } else {
-        best_x
+        best_x.clone()
     };
     let objective = problem.objective_value(&x);
     Ok(LpSolution {
@@ -1557,10 +2082,7 @@ pub mod bench_support {
     pub struct FactorizationBench {
         prep: Prepared,
         ws: BlockedWorkspace,
-        x: Vec<f64>,
-        s: Vec<f64>,
-        w: Vec<f64>,
-        lam: Vec<f64>,
+        it: Point,
     }
 
     impl FactorizationBench {
@@ -1569,16 +2091,8 @@ pub mod bench_support {
             validate_blocks(blocks, problem.num_vars())?;
             let prep = prepare(problem, blocks)?;
             let ws = BlockedWorkspace::new(&prep);
-            let n = prep.n;
-            let m_in = prep.g.len();
-            Ok(Self {
-                prep,
-                ws,
-                x: vec![1.0; n],
-                s: vec![1.0; n],
-                w: vec![1.0; m_in],
-                lam: vec![1.0; m_in],
-            })
+            let it = Point::filled(prep.n, prep.g.rows(), 1.0);
+            Ok(Self { prep, ws, it })
         }
 
         /// Perturb the barrier state pseudo-randomly (xorshift64, seeded) so
@@ -1592,12 +2106,12 @@ pub mod bench_support {
                 state ^= state << 17;
                 (state >> 11) as f64 / (1u64 << 53) as f64
             };
-            for v in self
-                .x
-                .iter_mut()
-                .chain(self.s.iter_mut())
-                .chain(self.w.iter_mut())
-                .chain(self.lam.iter_mut())
+            let it = &mut self.it;
+            for v in
+                it.x.iter_mut()
+                    .chain(it.s.iter_mut())
+                    .chain(it.w.iter_mut())
+                    .chain(it.lam.iter_mut())
             {
                 *v = 0.05 + next();
             }
@@ -1606,14 +2120,7 @@ pub mod bench_support {
         /// Assemble and factorize all block Newton matrices and the Schur
         /// complement — the timed kernel.
         pub fn factor(&mut self) -> Result<(), LpError> {
-            factor_blocked(
-                &self.prep,
-                &mut self.ws,
-                &self.x,
-                &self.s,
-                &self.w,
-                &self.lam,
-            )
+            factor_blocked(&self.prep, &mut self.ws, &self.it)
         }
     }
 }
@@ -2035,6 +2542,343 @@ mod tests {
         }
     }
 
+    // ---- Run sweeps against row-by-row evaluation. ----
+
+    /// An inequality row equilibrated as `prepare` does, with its block: the
+    /// row-by-row reference every run sweep must match.
+    struct RefRow {
+        idx: Vec<usize>,
+        val: Vec<f64>,
+        block: usize,
+    }
+
+    fn reference_rows(p: &LpProblem, prep: &Prepared) -> Vec<RefRow> {
+        p.constraints()
+            .iter()
+            .filter(|c| c.sense != ConstraintSense::Eq)
+            .map(|c| {
+                let mut val = vec![0.0; c.coeffs.len()];
+                equilibrate_row(&c.coeffs, c.sense, c.rhs, &mut val);
+                let idx: Vec<usize> = c.coeffs.iter().map(|&(j, _)| j).collect();
+                let block = idx.first().map_or(0, |&j| prep.var_block[j]);
+                RefRow { idx, val, block }
+            })
+            .collect()
+    }
+
+    fn ref_dot(row: &RefRow, x: &[f64]) -> f64 {
+        row.idx.iter().zip(&row.val).map(|(&j, &a)| a * x[j]).sum()
+    }
+
+    fn ref_axpy(row: &RefRow, alpha: f64, y: &mut [f64]) {
+        for (&j, &a) in row.idx.iter().zip(&row.val) {
+            y[j] += alpha * a;
+        }
+    }
+
+    /// The LPs the sweep tests run on, each with the run lengths it must
+    /// prepare into.
+    ///
+    /// The first has K = 7 column blocks (`z_{i,l}` is variable `7i + l`,
+    /// block `l`, as in the obfuscation LP) and rows of one to three
+    /// nonzeros: runs of length K, one whose next copy would cross the last
+    /// block boundary (the next pair's first row shifts every index by one
+    /// too), one with descending indices, runs broken by an index gap and by
+    /// pattern changes, and a row with no variables.  The second has two
+    /// contiguous blocks whose rows repeat with every index shifted by one
+    /// inside one block, so consecutive copies share variables, or into the
+    /// next block at another local position; they must stay runs of length
+    /// one.  The third is the first with its blocks in reverse order.
+    fn sweep_inputs(seed: u64) -> Vec<(LpProblem, Vec<Vec<usize>>, Vec<usize>)> {
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let coeff = |rng: &mut StdRng| {
+            let a: f64 = rng.gen_range(0.1..3.0);
+            if rng.gen_bool(0.4) {
+                -a
+            } else {
+                a
+            }
+        };
+        let add = |p: &mut LpProblem, rng: &mut StdRng, vars: &[usize]| {
+            let row = vars.iter().map(|&v| (v, coeff(rng))).collect();
+            let sense = if rng.gen_bool(0.5) {
+                ConstraintSense::Le
+            } else {
+                ConstraintSense::Ge
+            };
+            p.add_constraint(row, sense, rng.gen_range(-1.0..1.0))
+                .unwrap();
+        };
+
+        let k = 7;
+        let var = |i: usize, l: usize| i * k + l;
+        let mut columns = LpProblem::new(k * k);
+        columns
+            .add_constraint(
+                (0..k).map(|l| (var(0, l), 1.0)).collect(),
+                ConstraintSense::Eq,
+                1.0,
+            )
+            .unwrap();
+        for (i, j) in [(0, 1), (1, 2), (4, 1)] {
+            for l in 0..k {
+                add(&mut columns, &mut rng, &[var(i, l), var(j, l)]);
+            }
+        }
+        for l in [0, 1, 2, 4, 5, 6] {
+            add(&mut columns, &mut rng, &[var(2, l), var(3, l), var(6, l)]);
+        }
+        for l in 0..3 {
+            add(&mut columns, &mut rng, &[var(5, l)]);
+        }
+        add(&mut columns, &mut rng, &[var(6, 3)]);
+        add(&mut columns, &mut rng, &[var(6, 4), var(0, 4)]);
+        columns
+            .add_constraint(Vec::new(), ConstraintSense::Le, 1.0)
+            .unwrap();
+        let column_blocks: Vec<Vec<usize>> = (0..k)
+            .map(|l| (0..k).map(|i| var(i, l)).collect())
+            .collect();
+        // The same rows with the column blocks in reverse order: the next
+        // column is the previous block, so no two rows form a run.
+        let reversed_blocks = column_blocks.iter().rev().cloned().collect();
+
+        let mut contiguous = LpProblem::new(8);
+        for v in 0..3 {
+            add(&mut contiguous, &mut rng, &[v, v + 1]);
+        }
+        for v in 4..6 {
+            add(&mut contiguous, &mut rng, &[v, v + 1, v + 2]);
+        }
+        // Variable 4 follows 3 into the next block, but at local position 0.
+        add(&mut contiguous, &mut rng, &[3]);
+        add(&mut contiguous, &mut rng, &[4]);
+        let contiguous_blocks = vec![(0..4).collect(), (4..8).collect()];
+
+        vec![
+            (columns.clone(), reversed_blocks, vec![1; 33]),
+            (columns, column_blocks, vec![7, 7, 7, 3, 3, 3, 1, 1, 1]),
+            (contiguous, contiguous_blocks, vec![1; 7]),
+        ]
+    }
+
+    /// A random vector of `len` entries in `lo..hi`.
+    fn random_vec(rng: &mut rand::rngs::StdRng, len: usize, lo: f64, hi: f64) -> Vec<f64> {
+        use rand::Rng;
+        (0..len).map(|_| rng.gen_range(lo..hi)).collect()
+    }
+
+    /// A random strictly positive iterate.
+    fn random_point(rng: &mut rand::rngs::StdRng, n: usize, m_in: usize) -> Point {
+        Point {
+            x: random_vec(rng, n, 0.05, 2.0),
+            w: random_vec(rng, m_in, 0.05, 2.0),
+            lam: random_vec(rng, m_in, 0.05, 2.0),
+            s: random_vec(rng, n, 0.05, 2.0),
+        }
+    }
+
+    fn sweep_cases() -> impl Iterator<Item = (u64, LpProblem, Prepared, Vec<RefRow>)> {
+        (0..6u64).flat_map(|seed| {
+            sweep_inputs(seed)
+                .into_iter()
+                .map(move |(p, blocks, lengths)| {
+                    let prep = prepare(&p, &blocks).unwrap();
+                    let runs: Vec<usize> = prep.g.iter().map(|run| run.len()).collect();
+                    assert_eq!(runs, lengths, "seed {seed}: run lengths");
+                    let rows = reference_rows(&p, &prep);
+                    (seed, p, prep, rows)
+                })
+        })
+    }
+
+    #[test]
+    fn sweep_gx_and_gty_match_row_by_row() {
+        use rand::SeedableRng;
+        for (seed, _, prep, rows) in sweep_cases() {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let x = random_vec(&mut rng, prep.n, -2.0, 2.0);
+            let coef = random_vec(&mut rng, rows.len(), -2.0, 2.0);
+            let y0 = random_vec(&mut rng, prep.n, -1.0, 1.0);
+
+            let mut gx = vec![f64::NAN; rows.len()];
+            let mut y = y0.clone();
+            for run in prep.g.iter() {
+                run.dot_into(&x, &mut gx[run.rows.clone()]);
+                run.scatter(&coef[run.rows.clone()], &mut y);
+            }
+            let ref_gx: Vec<f64> = rows.iter().map(|row| ref_dot(row, &x)).collect();
+            let mut ref_y = y0;
+            for (row, &k) in rows.iter().zip(&coef) {
+                ref_axpy(row, k, &mut ref_y);
+            }
+            assert_eq!(bits(&gx), bits(&ref_gx), "seed {seed}: Gx");
+            assert_eq!(bits(&y), bits(&ref_y), "seed {seed}: y + Gᵀc");
+        }
+    }
+
+    #[test]
+    fn sweep_direction_completion_matches_row_by_row() {
+        use rand::SeedableRng;
+        for (seed, _, prep, rows) in sweep_cases() {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let (n, m_in) = (prep.n, rows.len());
+            let it = random_point(&mut rng, n, m_in);
+            let p1 = random_vec(&mut rng, m_in, -1.0, 1.0);
+            let rc = Targets {
+                x: random_vec(&mut rng, n, -1.0, 1.0),
+                w: random_vec(&mut rng, m_in, -1.0, 1.0),
+            };
+            let mut d = Point::filled(n, m_in, f64::NAN);
+            d.x = random_vec(&mut rng, n, -3.0, 3.0);
+            let steps = complete_direction(&prep, &it, &p1, &rc, &mut d);
+
+            let mut r = Point::filled(n, m_in, 0.0);
+            r.x.clone_from(&d.x);
+            let (mut step_x, mut step_w, mut step_lam, mut step_s) = (1.0, 1.0, 1.0, 1.0);
+            for j in 0..n {
+                r.s[j] = (rc.x[j] - it.s[j] * r.x[j]) / it.x[j];
+                shrink_step(&mut step_x, it.x[j], r.x[j]);
+                shrink_step(&mut step_s, it.s[j], r.s[j]);
+            }
+            for (ri, row) in rows.iter().enumerate() {
+                r.w[ri] = p1[ri] - ref_dot(row, &r.x);
+                r.lam[ri] = (rc.w[ri] - it.lam[ri] * r.w[ri]) / it.w[ri];
+                shrink_step(&mut step_w, it.w[ri], r.w[ri]);
+                shrink_step(&mut step_lam, it.lam[ri], r.lam[ri]);
+            }
+            let ref_steps = (f64::min(step_x, step_w), f64::min(step_s, step_lam));
+            assert_eq!(bits(&d.w), bits(&r.w), "seed {seed}: dw");
+            assert_eq!(bits(&d.lam), bits(&r.lam), "seed {seed}: dlam");
+            assert_eq!(bits(&d.s), bits(&r.s), "seed {seed}: ds");
+            assert_eq!(
+                (steps.0.to_bits(), steps.1.to_bits()),
+                (ref_steps.0.to_bits(), ref_steps.1.to_bits()),
+                "seed {seed}: steps"
+            );
+        }
+    }
+
+    #[test]
+    fn sweep_band_scatter_matches_row_by_row() {
+        use rand::SeedableRng;
+        for (seed, _, prep, rows) in sweep_cases() {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let (n, m_in) = (prep.n, rows.len());
+            let mut it = random_point(&mut rng, n, m_in);
+            let mut dir = Point {
+                x: random_vec(&mut rng, n, -0.5, 0.5),
+                w: random_vec(&mut rng, m_in, -0.5, 0.5),
+                lam: random_vec(&mut rng, m_in, -0.5, 0.5),
+                s: random_vec(&mut rng, n, -0.5, 0.5),
+            };
+            // The first run sits inside the band (its scatter is skipped) and
+            // some pairs sit at their primal bound.
+            for ri in prep.g.run(0).rows {
+                (it.w[ri], it.lam[ri], dir.w[ri], dir.lam[ri]) = (1.0, 1.0, 0.0, 0.0);
+            }
+            it.w[m_in - 2] = BOUNDARY / 2.0;
+            it.x[1] = BOUNDARY;
+            let band = Band {
+                trial_p: 0.7,
+                trial_d: 0.9,
+                lo: 0.5,
+                hi: 1.5,
+            };
+            let mut t = Targets {
+                x: vec![f64::NAN; n],
+                w: vec![f64::NAN; m_in],
+            };
+            let mut coef = vec![f64::NAN; prep.g.max_run()];
+            let mut rhs1 = vec![f64::NAN; n];
+            let any = band_rhs(&prep, &it, &dir, &band, &mut t, &mut coef, &mut rhs1);
+
+            let mut ref_any = false;
+            let mut ref_rhs1 = vec![0.0; n];
+            let mut ref_t = Targets {
+                x: vec![0.0; n],
+                w: vec![0.0; m_in],
+            };
+            for (ri, row) in rows.iter().enumerate() {
+                ref_t.w[ri] = if it.w[ri] <= BOUNDARY {
+                    0.0
+                } else {
+                    band.violation(it.w[ri], dir.w[ri], it.lam[ri], dir.lam[ri])
+                };
+                if ref_t.w[ri] != 0.0 {
+                    ref_any = true;
+                    ref_axpy(row, -ref_t.w[ri] / it.w[ri], &mut ref_rhs1);
+                }
+            }
+            for j in 0..n {
+                ref_t.x[j] = if it.x[j] <= BOUNDARY {
+                    0.0
+                } else {
+                    band.violation(it.x[j], dir.x[j], it.s[j], dir.s[j])
+                };
+                ref_any |= ref_t.x[j] != 0.0;
+                ref_rhs1[j] += ref_t.x[j] / it.x[j];
+            }
+            assert!(ref_t.w.contains(&0.0) && ref_t.w.iter().any(|&v| v != 0.0));
+            assert_eq!(any, ref_any, "seed {seed}: outliers");
+            assert_eq!(bits(&t.w), bits(&ref_t.w), "seed {seed}: t.w");
+            assert_eq!(bits(&t.x), bits(&ref_t.x), "seed {seed}: t.x");
+            assert_eq!(bits(&rhs1), bits(&ref_rhs1), "seed {seed}: rhs1");
+        }
+    }
+
+    #[test]
+    fn sweep_block_assembly_matches_row_by_row() {
+        use rand::SeedableRng;
+        for (seed, _, prep, rows) in sweep_cases() {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let it = random_point(&mut rng, prep.n, rows.len());
+            for lower in [true, false] {
+                let zeros = || -> Vec<DenseMatrix> {
+                    prep.blocks
+                        .iter()
+                        .map(|b| DenseMatrix::zeros(b.len(), b.len()))
+                        .collect()
+                };
+                let mut mats = zeros();
+                // Stale entries must not survive the assembly.
+                for mb in &mut mats {
+                    mb.fill(f64::NAN);
+                }
+                let mut weights = vec![f64::NAN; prep.g.max_run()];
+                assemble_block_matrices(&prep, &it, &mut mats, &mut weights, lower);
+
+                let mut reference = zeros();
+                for (ri, row) in rows.iter().enumerate() {
+                    let local: Vec<usize> = row.idx.iter().map(|&v| prep.var_local[v]).collect();
+                    let weight = barrier_weight(it.lam[ri], it.w[ri]);
+                    let mb = &mut reference[row.block];
+                    if lower {
+                        mb.add_scaled_outer_sparse_lower(&local, &row.val, weight);
+                    } else {
+                        mb.add_scaled_outer_sparse(&local, &row.val, weight);
+                    }
+                }
+                for (mb, block) in reference.iter_mut().zip(&prep.blocks) {
+                    for (local, &v) in block.iter().enumerate() {
+                        mb.add_diagonal(local, (it.s[v] / it.x[v]).min(1e10));
+                    }
+                }
+                for (b, (got, want)) in mats.iter().zip(&reference).enumerate() {
+                    for i in 0..got.rows() {
+                        let upto = if lower { i + 1 } else { got.cols() };
+                        assert_eq!(
+                            bits(&got.row(i)[..upto]),
+                            bits(&want.row(i)[..upto]),
+                            "seed {seed}, lower {lower}: block {b} row {i}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn warm_start_reconverges_in_fewer_iterations() {
         let (p, blocks) = stochastic_problem(5, 0.8f64.exp());
@@ -2134,6 +2978,83 @@ mod tests {
                 .solve(&build(3.0, -0.5))
                 .unwrap(),
         );
+
+        // The bulk write: each pair's K copies, one run, in one call.
+        let k = 5;
+        let (loose, blocks) = geo_ind_problem(k, 0.8f64.exp());
+        let (tight, _) = geo_ind_problem(k, 0.5f64.exp());
+        let mut prepared = PreparedLp::new(loose, &blocks).unwrap();
+        let runs: Vec<_> = prepared.inequality_runs().collect();
+        assert_eq!(runs.len(), k * (k - 1));
+        assert!(runs.iter().all(|run| run.len() == k));
+        for (pair, (i, j)) in geo_ind_pairs(k).enumerate() {
+            let bound = -0.5f64.exp();
+            prepared
+                .update_shifted_rows(k + pair * k, k, &[(i * k, 1.0), (j * k, bound)])
+                .unwrap();
+        }
+        assert_eq!(prepared.problem(), &tight);
+        assert_bit_identical(
+            &prepared.solve_with_warm(&opts, None).unwrap(),
+            &BlockAngularSolver::new(blocks, opts).solve(&tight).unwrap(),
+        );
+
+        // Copies of one run may differ in sense and right-hand side (here
+        // `≤ 0`, `≥ 0.5`, `≤ −0`): each is equilibrated as a fresh
+        // preparation would.
+        let build = |a: f64, b: f64| {
+            let mut p = LpProblem::new(9);
+            p.set_objective_vector(vec![1.0; 9]).unwrap();
+            let senses = [
+                (ConstraintSense::Le, 0.0),
+                (ConstraintSense::Ge, 0.5),
+                (ConstraintSense::Le, -0.0),
+            ];
+            for (l, &(sense, rhs)) in senses.iter().enumerate() {
+                p.add_constraint(vec![(l, a), (3 + l, b)], sense, rhs)
+                    .unwrap();
+            }
+            p
+        };
+        let blocks: Vec<Vec<usize>> = (0..3).map(|l| vec![l, 3 + l, 6 + l]).collect();
+        let mut prepared = PreparedLp::new(build(1.0, -2.0), &blocks).unwrap();
+        prepared
+            .update_shifted_rows(0, 3, &[(0, 4.0), (3, -0.5)])
+            .unwrap();
+        let fresh = prepare(&build(4.0, -0.5), &blocks).unwrap();
+        assert_eq!(prepared.inequality_runs().collect::<Vec<_>>(), vec![0..3]);
+        assert_eq!(bits(&prepared.prep.g.val), bits(&fresh.g.val));
+        assert_eq!(bits(&prepared.prep.h), bits(&fresh.h));
+        assert_eq!(prepared.problem(), &build(4.0, -0.5));
+    }
+
+    /// The ordered pairs of `geo_ind_problem`, in row order.
+    fn geo_ind_pairs(k: usize) -> impl Iterator<Item = (usize, usize)> {
+        (0..k).flat_map(move |i| (0..k).filter(move |&j| j != i).map(move |j| (i, j)))
+    }
+
+    /// The miniature obfuscation LP of `stochastic_problem` with its ratio
+    /// rows in the obfuscation LP's order: pair-major, column-minor, so each
+    /// pair's K rows form one run.
+    fn geo_ind_problem(k: usize, factor: f64) -> (LpProblem, Vec<Vec<usize>>) {
+        let (plain, blocks) = stochastic_problem(k, factor);
+        let mut p = LpProblem::new(k * k);
+        p.set_objective_vector(plain.objective().to_vec()).unwrap();
+        for cons in plain.constraints().iter().take(k) {
+            p.add_constraint(cons.coeffs.clone(), cons.sense, cons.rhs)
+                .unwrap();
+        }
+        for (i, j) in geo_ind_pairs(k) {
+            for l in 0..k {
+                p.add_constraint(
+                    vec![(i * k + l, 1.0), (j * k + l, -factor)],
+                    ConstraintSense::Le,
+                    0.0,
+                )
+                .unwrap();
+            }
+        }
+        (p, blocks)
     }
 
     #[test]
@@ -2164,6 +3085,26 @@ mod tests {
                 index: count,
                 num_constraints: count
             })
+        );
+        // A bulk write is checked copy by copy before anything is written:
+        // rows 3 and 4 are not shifted copies of each other, the copies from
+        // the last ratio row run past the end, and row 2 is an equality.
+        assert_eq!(
+            prepared.update_shifted_rows(3, 2, &row),
+            Err(LpError::RowPatternMismatch { constraint: 4 })
+        );
+        let last = count - 1;
+        let tail = p.constraints()[last].coeffs.clone();
+        assert_eq!(
+            prepared.update_shifted_rows(last, 2, &tail),
+            Err(LpError::ConstraintOutOfRange {
+                index: count,
+                num_constraints: count
+            })
+        );
+        assert_eq!(
+            prepared.update_shifted_rows(2, 2, &row),
+            Err(LpError::EqualityRowUpdate { constraint: 2 })
         );
         // Every refusal left the LP as it was.
         assert_eq!(prepared.problem(), &p);

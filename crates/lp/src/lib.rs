@@ -25,8 +25,8 @@
 //!   the solver behind every obfuscation matrix `corgi-core` produces.
 //!
 //! * [`PreparedLp`] — a block-angular problem prepared once (rows
-//!   equilibrated, grouped by block, stored flat) whose inequality
-//!   coefficients can be rewritten in place between solves.  Algorithm 1's
+//!   equilibrated, inequality rows stored as runs of shifted copies) whose
+//!   inequality coefficients can be rewritten in place between solves.  Algorithm 1's
 //!   reserved-budget refinements change only the Geo-Ind bounds, so each
 //!   refinement re-solves the same prepared LP instead of rebuilding it.
 //!
