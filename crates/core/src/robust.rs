@@ -250,7 +250,8 @@ pub fn generate_robust_matrix_warm(
     // an objective 4.25× the 1e-8 one, and a relaxed refinement takes about
     // 2 IPM iterations and barely moves.  So the matrices that feed Eq. 14's
     // reserved-budget recomputation are not the LP optima Algorithm 1
-    // specifies; what it costs and how to fix it is ROADMAP item 1.  Combined
+    // specifies; ROADMAP item 1 measures what it costs and item 3 holds the
+    // fix.  Combined
     // with the warm chaining below, the ladder is what makes a chain one
     // cold solve plus cheap refinements.
     const REFINEMENT_TOLERANCE: f64 = 1e-4;

@@ -38,6 +38,35 @@
 //! backward substitutions both read the row-major factor by contiguous rows,
 //! and the reference path's per-column multi-RHS solve
 //! ([`DenseMatrix::cholesky_solve_matrix_per_column`]).
+//!
+//! # Lane-batched kernels
+//!
+//! The block-angular solver's Newton blocks come in runs of one shape (K
+//! per-column blocks of size K in the obfuscation LP), so the blocked
+//! strategy factors, inverts and solves `L` of them per pass.  Their
+//! matrices are stored interleaved: entry `(i, j)` of matrix `l` is
+//! `a[(i·n + j)·L + l]`, so the `L` copies of one entry are one lane vector
+//! and every scalar step of [`DenseMatrix::cholesky_in_place_blocked`], of
+//! [`DenseMatrix::cholesky_solve_into`] and of the per-block Schur kernel
+//! becomes one `L`-wide operation on contiguous memory.
+//!
+//! Each kernel has one generic body over a lane vector (`cholesky_lanes`,
+//! `cholesky_solve_lanes`, `schur_panel_lanes`).  It is compiled for plain
+//! `f64` lanes and, on x86_64, inside `#[target_feature]` wrappers for AVX2
+//! and AVX-512F registers, chosen at run time by what the CPU reports.  The
+//! lane vectors use the intrinsics directly, because the autovectorized
+//! form of the same body shuffled lanes across registers.
+//!
+//! Every lane is bit-identical to the scalar kernel on its own matrix:
+//! - the dot products keep their four accumulators per lane and the same
+//!   tail order;
+//! - a zero-multiplier skip of the scalar kernel becomes a per-lane select
+//!   (a skipped update is not always bit-neutral: `v − 0·∞` is NaN),
+//!   and the whole update is skipped only when every lane would skip it;
+//! - the flush and the `d < reg` pivot rule apply per lane, and a NaN pivot
+//!   reports the first failing lane's first NaN column;
+//! - Rust never contracts `a·b + c` into a fused multiply-add, so every
+//!   instruction set rounds each operation as scalar code does.
 
 use crate::LpError;
 use serde::{Deserialize, Serialize};
@@ -158,6 +187,11 @@ impl DenseMatrix {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
+    /// Every entry, row-major.
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
     /// Overwrite every entry with `value` (used to recycle workspace matrices
     /// across interior-point iterations instead of reallocating).
     pub fn fill(&mut self, value: f64) {
@@ -251,7 +285,6 @@ impl DenseMatrix {
         assert_eq!(self.rows, self.cols, "Cholesky needs a square matrix");
         let n = self.rows;
         let nb = nb.max(1);
-        let mut panel_row = vec![0.0; nb];
         let mut k0 = 0;
         while k0 < n {
             let k1 = (k0 + nb).min(n);
@@ -286,17 +319,19 @@ impl DenseMatrix {
                         flush_subnormalish((self.data[ri + j] - s) / self.data[rj + j]);
                 }
             }
-            // 3. Symmetric rank-nb trailing update of the lower triangle.
-            let width = k1 - k0;
+            // 3. Symmetric rank-nb trailing update of the lower triangle.  Row
+            //    `i`'s panel and the entries it updates are disjoint slices of
+            //    the row, so the kernel allocates nothing.
             for i in k1..n {
                 let ri = i * self.cols;
-                panel_row[..width].copy_from_slice(&self.data[ri + k0..ri + k1]);
                 let (before, current) = self.data.split_at_mut(ri);
+                let (head, trailing) = current.split_at_mut(k1);
+                let panel = &head[k0..k1];
                 for j in k1..i {
                     let rj = j * self.cols;
-                    current[j] -= dot(&panel_row[..width], &before[rj + k0..rj + k1]);
+                    trailing[j - k1] -= dot(panel, &before[rj + k0..rj + k1]);
                 }
-                current[i] -= dot(&panel_row[..width], &panel_row[..width]);
+                trailing[i - k1] -= dot(panel, panel);
             }
             k0 = k1;
         }
@@ -407,6 +442,714 @@ impl DenseMatrix {
             }
         }
         out
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Lane-batched kernels: L same-shaped matrices per SIMD pass.
+// ---------------------------------------------------------------------------
+
+/// Most lanes a group has: groups have 8, 4, 2 or 1.
+pub(crate) const MAX_LANES: usize = 8;
+
+/// Instruction set a lane kernel is compiled for, one the CPU runs.  Every
+/// instruction set runs the same generic body ([`LaneKernel::run`]); only
+/// the registers that hold the lanes differ.  Rust never contracts `a * b +
+/// c` into a fused multiply-add, so each rounds every operation as scalar
+/// code does.
+///
+/// The kind is private, so an `Isa` comes only from [`Isa::supported`],
+/// which checks the CPU: [`Isa::run`] relies on that.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Isa(IsaKind);
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum IsaKind {
+    /// Plain `f64` lanes, for any target.
+    Baseline,
+    /// AVX2: four lanes per register.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    /// AVX-512F: eight lanes per register.
+    #[cfg(target_arch = "x86_64")]
+    Avx512f,
+}
+
+impl Isa {
+    /// Every instruction set this CPU runs, baseline first.
+    pub(crate) fn supported() -> Vec<Isa> {
+        #[allow(unused_mut)]
+        let mut isas = vec![Isa(IsaKind::Baseline)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx2") {
+                isas.push(Isa(IsaKind::Avx2));
+            }
+            if is_x86_feature_detected!("avx512f") {
+                isas.push(Isa(IsaKind::Avx512f));
+            }
+        }
+        isas
+    }
+
+    /// The widest instruction set this CPU runs.
+    pub(crate) fn detect() -> Isa {
+        *Self::supported()
+            .last()
+            .expect("the baseline is always supported")
+    }
+
+    /// Run `kernel` on a group of `lanes` blocks (1, 2, 4 or 8), in the
+    /// registers of this instruction set.
+    pub(crate) fn run<K: LaneKernel>(self, lanes: usize, kernel: K) -> K::Output {
+        match (self.0, lanes) {
+            (_, 1) => kernel.run::<f64>(),
+            (_, 2) => kernel.run::<Pair<f64>>(),
+            (IsaKind::Baseline, 4) => kernel.run::<Pair<Pair<f64>>>(),
+            (IsaKind::Baseline, 8) => kernel.run::<Pair<Pair<Pair<f64>>>>(),
+            // SAFETY (all three arms): `Isa::supported` makes these kinds
+            // only when the CPU reports the feature, and AVX-512F implies
+            // AVX2.
+            #[cfg(target_arch = "x86_64")]
+            (IsaKind::Avx2 | IsaKind::Avx512f, 4) => unsafe {
+                x86::run_avx2::<K, x86::F64x4>(kernel)
+            },
+            #[cfg(target_arch = "x86_64")]
+            (IsaKind::Avx2, 8) => unsafe { x86::run_avx2::<K, Pair<x86::F64x4>>(kernel) },
+            #[cfg(target_arch = "x86_64")]
+            (IsaKind::Avx512f, 8) => unsafe { x86::run_avx512f::<K, x86::F64x8>(kernel) },
+            _ => unreachable!("a lane group has 1, 2, 4 or 8 lanes, not {lanes}"),
+        }
+    }
+}
+
+/// A kernel over one lane group, with one generic body for every lane
+/// vector.
+///
+/// `run` and everything it calls must be `#[inline(always)]`: the body is
+/// compiled for an instruction set only where it is inlined into that
+/// instruction set's wrapper.
+pub(crate) trait LaneKernel {
+    /// What the kernel returns.
+    type Output;
+    /// Run the kernel with lanes held in `V`.
+    fn run<V: Vector>(self) -> Self::Output;
+}
+
+/// `LANES` lanes of `f64`, one per block of a group, and the lane-wise
+/// operations the kernels need.  Every operation rounds each lane exactly
+/// as the scalar `f64` operation does.
+///
+/// Lane vectors live in flat `f64` slices: `load` reads `s[..LANES]` and
+/// `store` writes it.
+pub(crate) trait Vector: Copy {
+    /// Lanes per vector.
+    const LANES: usize;
+    /// One flag per lane.
+    type Mask: Copy;
+    fn load(s: &[f64]) -> Self;
+    fn store(self, s: &mut [f64]);
+    fn splat(x: f64) -> Self;
+    fn add(self, o: Self) -> Self;
+    fn sub(self, o: Self) -> Self;
+    fn mul(self, o: Self) -> Self;
+    fn div(self, o: Self) -> Self;
+    /// Lanes equal to zero (either sign).
+    fn zero(self) -> Self::Mask;
+    fn and(a: Self::Mask, b: Self::Mask) -> Self::Mask;
+    /// Whether every lane is set.
+    fn all(m: Self::Mask) -> bool;
+    /// `old` in the lanes of `keep`, `new` elsewhere.
+    fn select(keep: Self::Mask, old: Self, new: Self) -> Self;
+    /// [`flush_subnormalish`] in every lane.
+    fn flush(self) -> Self;
+}
+
+impl Vector for f64 {
+    const LANES: usize = 1;
+    type Mask = bool;
+    #[inline(always)]
+    fn load(s: &[f64]) -> Self {
+        s[0]
+    }
+    #[inline(always)]
+    fn store(self, s: &mut [f64]) {
+        s[0] = self;
+    }
+    #[inline(always)]
+    fn splat(x: f64) -> Self {
+        x
+    }
+    #[inline(always)]
+    fn add(self, o: Self) -> Self {
+        self + o
+    }
+    #[inline(always)]
+    fn sub(self, o: Self) -> Self {
+        self - o
+    }
+    #[inline(always)]
+    fn mul(self, o: Self) -> Self {
+        self * o
+    }
+    #[inline(always)]
+    fn div(self, o: Self) -> Self {
+        self / o
+    }
+    #[inline(always)]
+    fn zero(self) -> bool {
+        self == 0.0
+    }
+    #[inline(always)]
+    fn and(a: bool, b: bool) -> bool {
+        a && b
+    }
+    #[inline(always)]
+    fn all(m: bool) -> bool {
+        m
+    }
+    #[inline(always)]
+    fn select(keep: bool, old: Self, new: Self) -> Self {
+        if keep {
+            old
+        } else {
+            new
+        }
+    }
+    #[inline(always)]
+    fn flush(self) -> Self {
+        flush_subnormalish(self)
+    }
+}
+
+/// Two vectors side by side: lanes `0..V::LANES` in the first.
+#[derive(Clone, Copy)]
+pub(crate) struct Pair<V>(V, V);
+
+impl<V: Vector> Vector for Pair<V> {
+    const LANES: usize = 2 * V::LANES;
+    type Mask = (V::Mask, V::Mask);
+    #[inline(always)]
+    fn load(s: &[f64]) -> Self {
+        Pair(V::load(s), V::load(&s[V::LANES..]))
+    }
+    #[inline(always)]
+    fn store(self, s: &mut [f64]) {
+        self.0.store(s);
+        self.1.store(&mut s[V::LANES..]);
+    }
+    #[inline(always)]
+    fn splat(x: f64) -> Self {
+        Pair(V::splat(x), V::splat(x))
+    }
+    #[inline(always)]
+    fn add(self, o: Self) -> Self {
+        Pair(self.0.add(o.0), self.1.add(o.1))
+    }
+    #[inline(always)]
+    fn sub(self, o: Self) -> Self {
+        Pair(self.0.sub(o.0), self.1.sub(o.1))
+    }
+    #[inline(always)]
+    fn mul(self, o: Self) -> Self {
+        Pair(self.0.mul(o.0), self.1.mul(o.1))
+    }
+    #[inline(always)]
+    fn div(self, o: Self) -> Self {
+        Pair(self.0.div(o.0), self.1.div(o.1))
+    }
+    #[inline(always)]
+    fn zero(self) -> Self::Mask {
+        (self.0.zero(), self.1.zero())
+    }
+    #[inline(always)]
+    fn and(a: Self::Mask, b: Self::Mask) -> Self::Mask {
+        (V::and(a.0, b.0), V::and(a.1, b.1))
+    }
+    #[inline(always)]
+    fn all(m: Self::Mask) -> bool {
+        V::all(m.0) && V::all(m.1)
+    }
+    #[inline(always)]
+    fn select(keep: Self::Mask, old: Self, new: Self) -> Self {
+        Pair(
+            V::select(keep.0, old.0, new.0),
+            V::select(keep.1, old.1, new.1),
+        )
+    }
+    #[inline(always)]
+    fn flush(self) -> Self {
+        Pair(self.0.flush(), self.1.flush())
+    }
+}
+
+/// The x86_64 lane vectors and the wrappers that compile a kernel for them.
+///
+/// A value of [`x86::F64x4`] or [`x86::F64x8`] exists only inside a kernel
+/// that [`Isa::run`] entered through the matching wrapper, after the CPU
+/// reported the feature; that is what makes their intrinsics sound.
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use super::{LaneKernel, Vector, FLUSH_THRESHOLD};
+    use std::arch::x86_64::*;
+
+    /// `kernel` compiled with AVX2.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn run_avx2<K: LaneKernel, V: Vector>(kernel: K) -> K::Output {
+        kernel.run::<V>()
+    }
+
+    /// `kernel` compiled with AVX-512F.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn run_avx512f<K: LaneKernel, V: Vector>(kernel: K) -> K::Output {
+        kernel.run::<V>()
+    }
+
+    /// Four lanes in one AVX register.
+    #[derive(Clone, Copy)]
+    pub(crate) struct F64x4(__m256d);
+
+    impl Vector for F64x4 {
+        const LANES: usize = 4;
+        /// All-ones or all-zeros per lane.
+        type Mask = __m256d;
+        #[inline(always)]
+        fn load(s: &[f64]) -> Self {
+            assert!(s.len() >= 4);
+            // SAFETY: four readable lanes; AVX is enabled (see the module docs).
+            Self(unsafe { _mm256_loadu_pd(s.as_ptr()) })
+        }
+        #[inline(always)]
+        fn store(self, s: &mut [f64]) {
+            assert!(s.len() >= 4);
+            // SAFETY: four writable lanes; AVX is enabled.
+            unsafe { _mm256_storeu_pd(s.as_mut_ptr(), self.0) }
+        }
+        #[inline(always)]
+        fn splat(x: f64) -> Self {
+            // SAFETY: AVX is enabled (see the module docs).
+            Self(unsafe { _mm256_set1_pd(x) })
+        }
+        #[inline(always)]
+        fn add(self, o: Self) -> Self {
+            // SAFETY: AVX is enabled (see the module docs).
+            Self(unsafe { _mm256_add_pd(self.0, o.0) })
+        }
+        #[inline(always)]
+        fn sub(self, o: Self) -> Self {
+            // SAFETY: AVX is enabled (see the module docs).
+            Self(unsafe { _mm256_sub_pd(self.0, o.0) })
+        }
+        #[inline(always)]
+        fn mul(self, o: Self) -> Self {
+            // SAFETY: AVX is enabled (see the module docs).
+            Self(unsafe { _mm256_mul_pd(self.0, o.0) })
+        }
+        #[inline(always)]
+        fn div(self, o: Self) -> Self {
+            // SAFETY: AVX is enabled (see the module docs).
+            Self(unsafe { _mm256_div_pd(self.0, o.0) })
+        }
+        #[inline(always)]
+        fn zero(self) -> __m256d {
+            // SAFETY: AVX is enabled (see the module docs).
+            unsafe { _mm256_cmp_pd::<_CMP_EQ_OQ>(self.0, _mm256_setzero_pd()) }
+        }
+        #[inline(always)]
+        fn and(a: __m256d, b: __m256d) -> __m256d {
+            // SAFETY: AVX is enabled (see the module docs).
+            unsafe { _mm256_and_pd(a, b) }
+        }
+        #[inline(always)]
+        fn all(m: __m256d) -> bool {
+            // SAFETY: AVX is enabled (see the module docs).
+            unsafe { _mm256_movemask_pd(m) == 0b1111 }
+        }
+        #[inline(always)]
+        fn select(keep: __m256d, old: Self, new: Self) -> Self {
+            // SAFETY: AVX is enabled (see the module docs).
+            Self(unsafe { _mm256_blendv_pd(new.0, old.0, keep) })
+        }
+        #[inline(always)]
+        fn flush(self) -> Self {
+            // SAFETY: AVX is enabled (see the module docs).
+            unsafe {
+                let abs = _mm256_andnot_pd(_mm256_set1_pd(-0.0), self.0);
+                let tiny = _mm256_cmp_pd::<_CMP_LT_OQ>(abs, _mm256_set1_pd(FLUSH_THRESHOLD));
+                Self(_mm256_blendv_pd(self.0, _mm256_setzero_pd(), tiny))
+            }
+        }
+    }
+
+    /// Eight lanes in one AVX-512 register.
+    #[derive(Clone, Copy)]
+    pub(crate) struct F64x8(__m512d);
+
+    impl Vector for F64x8 {
+        const LANES: usize = 8;
+        type Mask = __mmask8;
+        #[inline(always)]
+        fn load(s: &[f64]) -> Self {
+            assert!(s.len() >= 8);
+            // SAFETY: eight readable lanes; AVX-512F is enabled (see the
+            // module docs).
+            // SAFETY: AVX-512F is enabled (see the module docs).
+            Self(unsafe { _mm512_loadu_pd(s.as_ptr()) })
+        }
+        #[inline(always)]
+        fn store(self, s: &mut [f64]) {
+            assert!(s.len() >= 8);
+            // SAFETY: eight writable lanes; AVX-512F is enabled.
+            unsafe { _mm512_storeu_pd(s.as_mut_ptr(), self.0) }
+        }
+        #[inline(always)]
+        fn splat(x: f64) -> Self {
+            // SAFETY: AVX-512F is enabled (see the module docs).
+            Self(unsafe { _mm512_set1_pd(x) })
+        }
+        #[inline(always)]
+        fn add(self, o: Self) -> Self {
+            // SAFETY: AVX-512F is enabled (see the module docs).
+            Self(unsafe { _mm512_add_pd(self.0, o.0) })
+        }
+        #[inline(always)]
+        fn sub(self, o: Self) -> Self {
+            // SAFETY: AVX-512F is enabled (see the module docs).
+            Self(unsafe { _mm512_sub_pd(self.0, o.0) })
+        }
+        #[inline(always)]
+        fn mul(self, o: Self) -> Self {
+            // SAFETY: AVX-512F is enabled (see the module docs).
+            Self(unsafe { _mm512_mul_pd(self.0, o.0) })
+        }
+        #[inline(always)]
+        fn div(self, o: Self) -> Self {
+            // SAFETY: AVX-512F is enabled (see the module docs).
+            Self(unsafe { _mm512_div_pd(self.0, o.0) })
+        }
+        #[inline(always)]
+        fn zero(self) -> __mmask8 {
+            // SAFETY: AVX-512F is enabled (see the module docs).
+            unsafe { _mm512_cmp_pd_mask::<_CMP_EQ_OQ>(self.0, _mm512_setzero_pd()) }
+        }
+        #[inline(always)]
+        fn and(a: __mmask8, b: __mmask8) -> __mmask8 {
+            a & b
+        }
+        #[inline(always)]
+        fn all(m: __mmask8) -> bool {
+            m == 0xff
+        }
+        #[inline(always)]
+        fn select(keep: __mmask8, old: Self, new: Self) -> Self {
+            // SAFETY: AVX-512F is enabled (see the module docs).
+            Self(unsafe { _mm512_mask_blend_pd(keep, new.0, old.0) })
+        }
+        #[inline(always)]
+        fn flush(self) -> Self {
+            // SAFETY: AVX-512F is enabled (see the module docs).
+            unsafe {
+                let abs = _mm512_abs_pd(self.0);
+                let tiny = _mm512_cmp_pd_mask::<_CMP_LT_OQ>(abs, _mm512_set1_pd(FLUSH_THRESHOLD));
+                Self(_mm512_mask_blend_pd(tiny, self.0, _mm512_setzero_pd()))
+            }
+        }
+    }
+}
+
+/// [`dot`] in every lane of the lane-interleaved vectors `a` and `b`: four
+/// accumulators per lane over chunks of four entries, the tail summed in
+/// order, combined as `(s0 + s1) + (s2 + s3) + tail`.  The scalar tail sums
+/// from −0.0 (`Iterator::sum`), and −0.0 + p = p and x + −0.0 = x for every
+/// p and x, so here the tail starts at its first term and an empty tail adds
+/// nothing.
+#[inline(always)]
+fn dot_lanes<V: Vector>(a: &[f64], b: &[f64]) -> V {
+    debug_assert_eq!(a.len(), b.len());
+    let w = V::LANES;
+    let body = a.len() / (4 * w) * (4 * w);
+    let (head_a, tail_a) = a.split_at(body);
+    let (head_b, tail_b) = b.split_at(body);
+    let zero = V::splat(0.0);
+    let (mut s0, mut s1, mut s2, mut s3) = (zero, zero, zero, zero);
+    for (x, y) in head_a.chunks_exact(4 * w).zip(head_b.chunks_exact(4 * w)) {
+        s0 = s0.add(V::load(x).mul(V::load(y)));
+        s1 = s1.add(V::load(&x[w..]).mul(V::load(&y[w..])));
+        s2 = s2.add(V::load(&x[2 * w..]).mul(V::load(&y[2 * w..])));
+        s3 = s3.add(V::load(&x[3 * w..]).mul(V::load(&y[3 * w..])));
+    }
+    let out = s0.add(s1).add(s2.add(s3));
+    if tail_a.is_empty() {
+        return out;
+    }
+    let mut tail = V::load(tail_a).mul(V::load(tail_b));
+    let mut k = w;
+    while k < tail_a.len() {
+        tail = tail.add(V::load(&tail_a[k..]).mul(V::load(&tail_b[k..])));
+        k += w;
+    }
+    out.add(tail)
+}
+
+/// [`DenseMatrix::cholesky_in_place_blocked`] on `V::LANES` lane-interleaved
+/// `n × n` matrices: entry `(i, j)` of matrix `l` is `a[(i·n + j)·LANES + l]`.
+///
+/// Each lane runs its matrix's scalar arithmetic in the same order.  A lane
+/// whose pivot is NaN keeps going (its values no longer matter); the error
+/// names the first NaN column of the lowest such lane, which is the error
+/// the scalar kernel returns on the first failing matrix.
+#[inline(always)]
+pub(crate) fn cholesky_lanes<V: Vector>(
+    a: &mut [f64],
+    n: usize,
+    nb: usize,
+    reg: f64,
+) -> Result<(), LpError> {
+    let w = V::LANES;
+    debug_assert_eq!(a.len(), n * n * w);
+    let nb = nb.max(1);
+    let mut nan_col = [usize::MAX; MAX_LANES];
+    let mut k0 = 0;
+    while k0 < n {
+        let k1 = (k0 + nb).min(n);
+        // 1. Factor the diagonal block in place (left-looking within panel).
+        for j in k0..k1 {
+            let rj = j * n;
+            let row_j = &a[(rj + k0) * w..(rj + j) * w];
+            let s: V = dot_lanes(row_j, row_j);
+            let mut pivots = [0.0; MAX_LANES];
+            V::load(&a[(rj + j) * w..]).sub(s).store(&mut pivots);
+            for (d, first_nan) in pivots[..w].iter_mut().zip(&mut nan_col) {
+                if d.is_nan() && *first_nan == usize::MAX {
+                    *first_nan = j;
+                }
+                if *d < reg || !d.is_finite() {
+                    *d = reg.max(1e-300);
+                }
+                *d = d.sqrt();
+            }
+            let d = V::load(&pivots);
+            d.store(&mut a[(rj + j) * w..]);
+            for i in (j + 1)..k1 {
+                let ri = i * n;
+                let s: V = dot_lanes(
+                    &a[(ri + k0) * w..(ri + j) * w],
+                    &a[(rj + k0) * w..(rj + j) * w],
+                );
+                let e = &mut a[(ri + j) * w..];
+                V::load(e).sub(s).div(d).flush().store(e);
+            }
+        }
+        // 2. Solve the rows below the panel: L21 · L11ᵀ = A21.
+        for i in k1..n {
+            let ri = i * n;
+            for j in k0..k1 {
+                let rj = j * n;
+                let s: V = dot_lanes(
+                    &a[(ri + k0) * w..(ri + j) * w],
+                    &a[(rj + k0) * w..(rj + j) * w],
+                );
+                let d = V::load(&a[(rj + j) * w..]);
+                let e = &mut a[(ri + j) * w..];
+                V::load(e).sub(s).div(d).flush().store(e);
+            }
+        }
+        // 3. Symmetric rank-nb trailing update of the lower triangle.
+        for i in k1..n {
+            let ri = i * n;
+            let (before, current) = a.split_at_mut(ri * w);
+            let (head, trailing) = current.split_at_mut(k1 * w);
+            let panel = &head[k0 * w..];
+            for j in k1..i {
+                let rj = j * n;
+                let s: V = dot_lanes(panel, &before[(rj + k0) * w..(rj + k1) * w]);
+                let e = &mut trailing[(j - k1) * w..];
+                V::load(e).sub(s).store(e);
+            }
+            let s: V = dot_lanes(panel, panel);
+            let e = &mut trailing[(i - k1) * w..];
+            V::load(e).sub(s).store(e);
+        }
+        k0 = k1;
+    }
+    match nan_col.iter().find(|&&j| j != usize::MAX) {
+        Some(j) => Err(LpError::NumericalFailure(format!(
+            "NaN pivot at column {j}"
+        ))),
+        None => Ok(()),
+    }
+}
+
+/// [`DenseMatrix::cholesky_solve_into`] in every lane: `b[i·LANES + l]` is
+/// entry `i` of lane `l`'s right-hand side, and `factor` holds the lanes'
+/// `n × n` factors interleaved as in [`cholesky_lanes`].
+#[inline(always)]
+pub(crate) fn cholesky_solve_lanes<V: Vector>(factor: &[f64], n: usize, b: &mut [f64]) {
+    let w = V::LANES;
+    debug_assert_eq!(factor.len(), n * n * w);
+    debug_assert_eq!(b.len(), n * w);
+    for i in 0..n {
+        let ri = i * n;
+        let (solved, rest) = b.split_at_mut(i * w);
+        let s: V = dot_lanes(&factor[ri * w..(ri + i) * w], solved);
+        let d = V::load(&factor[(ri + i) * w..]);
+        V::load(rest).sub(s).div(d).store(rest);
+    }
+    for i in (0..n).rev() {
+        let ri = i * n;
+        let (head, rest) = b.split_at_mut(i * w);
+        let xi = V::load(rest).div(V::load(&factor[(ri + i) * w..]));
+        xi.store(rest);
+        for (v, l) in head
+            .chunks_exact_mut(w)
+            .zip(factor[ri * w..(ri + i) * w].chunks_exact(w))
+        {
+            V::load(v).sub(V::load(l).mul(xi)).store(v);
+        }
+    }
+}
+
+/// The Schur contribution `XᵀX`, `X = L⁻¹B`, of `V::LANES` lane-interleaved
+/// blocks whose coupling matrices `B` share one pattern (the interior-point
+/// module's `CouplingBlock`): `m` columns ordered by first nonzero, the
+/// columns started by local row `i` a prefix of length `started[i]`, and
+/// rows above `top` all zero.
+///
+/// On entry rows `top..n` of `x` (`n × m` lane vectors) hold `B`; on exit
+/// they hold `X`, and `s_local` (`m × m` lane vectors) holds the lower
+/// triangle of `XᵀX`.  Each lane repeats the per-block scalar kernel: the
+/// same groups of four rows, the same expression order, the flush after each
+/// row's division.  Where the scalar kernel skips an update because its
+/// multipliers are zero, a lane with zero multipliers keeps its old value (a
+/// skipped update is not always bit-neutral: `v − 0·∞` is NaN); the
+/// update is skipped outright only when every lane would skip it.
+#[inline(always)]
+pub(crate) fn schur_panel_lanes<V: Vector>(
+    factor: &[f64],
+    n: usize,
+    m: usize,
+    started: &[usize],
+    top: usize,
+    x: &mut [f64],
+    s_local: &mut [f64],
+) {
+    let w = V::LANES;
+    let stride = m * w;
+    debug_assert_eq!(x.len(), n * stride);
+    debug_assert_eq!(s_local.len(), m * stride);
+    let all_zero = |v: [V; 4]| {
+        V::and(
+            V::and(v[0].zero(), v[1].zero()),
+            V::and(v[2].zero(), v[3].zero()),
+        )
+    };
+    for i in top..n {
+        let (solved, rest) = x.split_at_mut(i * stride);
+        let xi = &mut rest[..stride];
+        let li = &factor[i * n * w..(i * n + i + 1) * w];
+        let mut k = top;
+        while k + 4 <= i {
+            let at = |r: usize| V::load(&li[(k + r) * w..]);
+            let l = [at(0), at(1), at(2), at(3)];
+            let keep = all_zero(l);
+            if !V::all(keep) {
+                let len = started[k + 3] * w;
+                let row = |r: usize| solved[(k + r) * stride..][..len].chunks_exact(w);
+                for ((((v, a0), a1), a2), a3) in xi[..len]
+                    .chunks_exact_mut(w)
+                    .zip(row(0))
+                    .zip(row(1))
+                    .zip(row(2))
+                    .zip(row(3))
+                {
+                    let old = V::load(v);
+                    let new = old
+                        .sub(l[0].mul(V::load(a0)))
+                        .sub(l[1].mul(V::load(a1)))
+                        .sub(l[2].mul(V::load(a2)))
+                        .sub(l[3].mul(V::load(a3)));
+                    V::select(keep, old, new).store(v);
+                }
+            }
+            k += 4;
+        }
+        for k in k..i {
+            let lik = V::load(&li[k * w..]);
+            let keep = lik.zero();
+            if !V::all(keep) {
+                let len = started[k] * w;
+                for (v, y) in xi[..len]
+                    .chunks_exact_mut(w)
+                    .zip(solved[k * stride..][..len].chunks_exact(w))
+                {
+                    let old = V::load(v);
+                    V::select(keep, old, old.sub(lik.mul(V::load(y)))).store(v);
+                }
+            }
+        }
+        let d = V::load(&li[i * w..]);
+        for v in xi[..started[i] * w].chunks_exact_mut(w) {
+            V::load(v).div(d).flush().store(v);
+        }
+    }
+
+    s_local.fill(0.0);
+    let mut i = top;
+    while i + 4 <= n {
+        let len = started[i + 3];
+        let row = |r: usize| &x[(i + r) * stride..][..len * w];
+        let y = [row(0), row(1), row(2), row(3)];
+        for a in 0..len {
+            let at = |r: usize| V::load(&y[r][a * w..]);
+            let c = [at(0), at(1), at(2), at(3)];
+            let keep = all_zero(c);
+            if V::all(keep) {
+                continue;
+            }
+            let end = (a + 1) * w;
+            for ((((v, a0), a1), a2), a3) in s_local[a * stride..][..end]
+                .chunks_exact_mut(w)
+                .zip(y[0][..end].chunks_exact(w))
+                .zip(y[1][..end].chunks_exact(w))
+                .zip(y[2][..end].chunks_exact(w))
+                .zip(y[3][..end].chunks_exact(w))
+            {
+                let old = V::load(v);
+                let new = old
+                    .add(c[0].mul(V::load(a0)))
+                    .add(c[1].mul(V::load(a1)))
+                    .add(c[2].mul(V::load(a2)))
+                    .add(c[3].mul(V::load(a3)));
+                V::select(keep, old, new).store(v);
+            }
+        }
+        i += 4;
+    }
+    for i in i..n {
+        let xi = &x[i * stride..][..started[i] * w];
+        for a in 0..started[i] {
+            let xa = V::load(&xi[a * w..]);
+            let keep = xa.zero();
+            if V::all(keep) {
+                continue;
+            }
+            let end = (a + 1) * w;
+            for (v, y) in s_local[a * stride..][..end]
+                .chunks_exact_mut(w)
+                .zip(xi[..end].chunks_exact(w))
+            {
+                let old = V::load(v);
+                V::select(keep, old, old.add(xa.mul(V::load(y)))).store(v);
+            }
+        }
     }
 }
 
@@ -564,6 +1307,161 @@ mod tests {
         let x_poisoned = poisoned.cholesky_solve(&b);
         for (a, b) in x_clean.iter().zip(x_poisoned.iter()) {
             assert!((a - b).abs() < 1e-12);
+        }
+    }
+
+    struct LaneCholesky<'a> {
+        a: &'a mut [f64],
+        n: usize,
+    }
+
+    impl LaneKernel for LaneCholesky<'_> {
+        type Output = Result<(), LpError>;
+        #[inline(always)]
+        fn run<V: Vector>(self) -> Result<(), LpError> {
+            cholesky_lanes::<V>(self.a, self.n, DEFAULT_CHOLESKY_BLOCK, 1e-10)
+        }
+    }
+
+    struct LaneSolve<'a> {
+        factor: &'a [f64],
+        n: usize,
+        b: &'a mut [f64],
+    }
+
+    impl LaneKernel for LaneSolve<'_> {
+        type Output = ();
+        #[inline(always)]
+        fn run<V: Vector>(self) {
+            cholesky_solve_lanes::<V>(self.factor, self.n, self.b)
+        }
+    }
+
+    /// `lanes` seeded SPD matrices of size `n`.  Lane `l % 3 == 1` has its
+    /// off-diagonal entries scaled down until its factor's entries flush to
+    /// zero; lane `l % 3 == 2` has every other row's off-diagonals zero.  A
+    /// dominant diagonal keeps every lane positive definite.
+    fn lane_matrices(n: usize, lanes: usize, seed: u64) -> Vec<DenseMatrix> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        (0..lanes)
+            .map(|l| {
+                let vals: Vec<f64> = (0..n * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                let mut a = random_spd(&vals, n);
+                for i in 0..n {
+                    for j in 0..i {
+                        let v = match l % 3 {
+                            1 => a[(i, j)] * 1e-160,
+                            2 if i % 2 == 0 => 0.0,
+                            _ => a[(i, j)],
+                        };
+                        a[(i, j)] = v;
+                        a[(j, i)] = v;
+                    }
+                }
+                for i in 0..n {
+                    a[(i, i)] = 1.0
+                        + (0..n)
+                            .filter(|&j| j != i)
+                            .map(|j| a[(i, j)].abs())
+                            .sum::<f64>();
+                }
+                a
+            })
+            .collect()
+    }
+
+    fn interleave(mats: &[DenseMatrix]) -> Vec<f64> {
+        let lanes = mats.len();
+        let n = mats[0].rows();
+        let mut out = vec![0.0; n * n * lanes];
+        for (l, m) in mats.iter().enumerate() {
+            for e in 0..n * n {
+                out[e * lanes + l] = m.data[e];
+            }
+        }
+        out
+    }
+
+    /// Every instruction set this CPU runs, at every lane count, against
+    /// the scalar blocked Cholesky and solve bit for bit: one panel and
+    /// several (n > 64), flushed factor entries, zero rows and an infinite
+    /// pivot.
+    #[test]
+    fn lane_cholesky_and_solve_match_scalar_kernels() {
+        use rand::{Rng, SeedableRng};
+        for isa in Isa::supported() {
+            for lanes in [1, 2, 4, 8] {
+                for n in [1, 5, 49, 70, 130] {
+                    let mut mats = lane_matrices(n, lanes, (n * lanes) as u64);
+                    // An infinite pivot takes the regularization, as a tiny one does.
+                    mats[lanes - 1][(n - 1, n - 1)] = f64::INFINITY;
+                    let mut a = interleave(&mats);
+                    isa.run(lanes, LaneCholesky { a: &mut a, n })
+                        .unwrap_or_else(|e| panic!("{isa:?} {lanes} {n}: {e}"));
+                    let mut rng = rand::rngs::StdRng::seed_from_u64(n as u64);
+                    let rhs: Vec<f64> = (0..n * lanes).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                    let mut b = rhs.clone();
+                    isa.run(
+                        lanes,
+                        LaneSolve {
+                            factor: &a,
+                            n,
+                            b: &mut b,
+                        },
+                    );
+                    for (l, m) in mats.iter().enumerate() {
+                        let mut f = m.clone();
+                        f.cholesky_in_place(1e-10).unwrap();
+                        if l % 3 == 1 && n > 1 {
+                            assert_eq!(f[(n - 1, 0)], 0.0, "lane {l} flushes");
+                        }
+                        for i in 0..n {
+                            for j in 0..=i {
+                                assert_eq!(
+                                    a[(i * n + j) * lanes + l].to_bits(),
+                                    f[(i, j)].to_bits(),
+                                    "{isa:?}, {lanes} lanes, n = {n}: lane {l} entry ({i}, {j})"
+                                );
+                            }
+                        }
+                        let mut x: Vec<f64> = (0..n).map(|i| rhs[i * lanes + l]).collect();
+                        f.cholesky_solve_into(&mut x);
+                        for (i, v) in x.iter().enumerate() {
+                            assert_eq!(
+                                b[i * lanes + l].to_bits(),
+                                v.to_bits(),
+                                "{isa:?}, {lanes} lanes, n = {n}: lane {l} solution {i}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A NaN pivot gives the scalar kernel's error on the first failing
+    /// lane, even when a later lane fails at an earlier column.
+    #[test]
+    fn lane_cholesky_reports_the_first_failing_lane() {
+        for isa in Isa::supported() {
+            for lanes in [2, 4, 8] {
+                let n = 70;
+                let mut mats = lane_matrices(n, lanes, 11);
+                mats[1][(40, 40)] = f64::NAN;
+                mats[lanes - 1][(10, 10)] = f64::NAN;
+                if lanes > 2 {
+                    // A NaN below the diagonal reaches a pivot in the second panel.
+                    mats[0][(66, 3)] = f64::NAN;
+                }
+                let want = mats
+                    .iter()
+                    .find_map(|m| m.clone().cholesky_in_place(1e-10).err())
+                    .expect("a lane fails");
+                let mut a = interleave(&mats);
+                let got = isa.run(lanes, LaneCholesky { a: &mut a, n }).unwrap_err();
+                assert_eq!(got.to_string(), want.to_string(), "{isa:?}, {lanes} lanes");
+            }
         }
     }
 

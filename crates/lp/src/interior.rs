@@ -68,21 +68,46 @@
 //! Two interchangeable linear-algebra backends drive the Newton systems (see
 //! [`KernelStrategy`]):
 //!
-//! * [`KernelStrategy::Blocked`] (default) — blocked Cholesky factorization of
-//!   the per-block Newton matrices plus a *structure-aware* Schur-complement
-//!   assembly.  The coupling matrix `B_b = E_bᵀ` of each block (the slice of
-//!   the equality rows that touches block `b`) is extracted **once** per
-//!   preparation, its columns ordered by first nonzero — the sparsity pattern
-//!   is static across interior-point iterations, only the numeric values of
-//!   the Newton matrix change.  Each iteration then solves `X = L_b⁻¹ B_b` row
-//!   by row for all coupling columns at once (row `i` touches only the prefix
-//!   of columns already started), accumulates the lower triangle of `XᵀX`
-//!   into a per-block buffer with contiguous rank updates, and scatter-adds it
-//!   into the Schur matrix — instead of forming the dense `n_b × m_eq` product
-//!   `M_b⁻¹ E_bᵀ` and a dense `m_eq² · n_b` triple loop.  All per-block factor
-//!   and scratch buffers live in a workspace that is allocated once and
-//!   recycled across iterations, and so does every vector of the iteration
-//!   itself.
+//! * [`KernelStrategy::Blocked`] (default) — the Newton blocks assembled,
+//!   factored, inverted and solved in *lane groups*.  Consecutive blocks of
+//!   one shape (the same size, equality rows and coupling pattern) form
+//!   groups of 8, and the rest of such a stretch one group padded to 1, 2,
+//!   4 or 8 lanes: the obfuscation LP's K = 49 column blocks are six groups
+//!   of 8 and one leftover block, its K = 7 blocks one group of 8 lanes with
+//!   one lane of padding.  A group is stored
+//!   interleaved: entry `(i, j)` of its block `first + l` sits at
+//!   `(i·n + j)·L + l`, so each scalar step of a per-block kernel becomes one
+//!   L-wide operation, on AVX-512F, AVX2 or plain `f64` lanes as the CPU
+//!   allows (the lane kernels in `dense.rs`).  Each iteration:
+//!   - the assembly writes the lower triangles straight into the lanes: a
+//!     run's copies lie in consecutive blocks, so the copies that fall in one
+//!     group are consecutive lanes;
+//!   - each group is factored, then its Schur panels are formed: the
+//!     coupling matrix `B_b = E_bᵀ` of each block (the slice of the
+//!     equality rows that touches it) is extracted **once** per preparation
+//!     with its columns ordered by first nonzero, `X = L_b⁻¹ B_b` is solved
+//!     row by row for all coupling columns at once (row `i` touches only the
+//!     prefix of columns already started), and the lower triangle of `XᵀX`
+//!     is accumulated and scattered into the Schur matrix — instead of
+//!     forming the dense `n_b × m_eq` product `M_b⁻¹ E_bᵀ` and a dense
+//!     `m_eq² · n_b` triple loop;
+//!   - the Newton solves gather a group's right-hand sides into lanes (at
+//!     K = 49 a group's lanes are L contiguous variables), solve them in
+//!     one pass and scatter the solutions back.
+//!
+//!   Every forest stays bit-identical to the per-block kernels, because
+//!   each lane repeats its block's scalar arithmetic in the same order: the
+//!   dot products keep their four accumulators per lane; where a per-block
+//!   kernel skipped an update because its multipliers were zero, a lane
+//!   with zero multipliers keeps its old value by a select (a skipped
+//!   update is not always bit-neutral); the flush and the `d < reg` pivot
+//!   rule apply per lane; and a Schur entry takes at most one term per
+//!   block, added in block order.  Rust never contracts `a·b + c` into a
+//!   fused multiply-add, so every instruction set rounds alike.  The
+//!   per-block kernels are kept in the tests as the lane kernels' oracle.
+//!   All factor and scratch buffers live in a workspace that is allocated
+//!   once and recycled across iterations, and so does every vector of the
+//!   iteration itself: after the first, an iteration allocates nothing.
 //! * [`KernelStrategy::Reference`] — the original scalar kernels (textbook
 //!   left-looking Cholesky, per-column multi-RHS solves, dense Schur
 //!   accumulation), kept verbatim so the perf-gated benchmarks can measure the
@@ -103,7 +128,10 @@
 //! second fan-out inside each solve would only oversubscribe the cores.
 
 use crate::{
-    dense::{DenseMatrix, FLUSH_THRESHOLD},
+    dense::{
+        cholesky_lanes, cholesky_solve_lanes, schur_panel_lanes, DenseMatrix, Isa, LaneKernel,
+        Vector, DEFAULT_CHOLESKY_BLOCK, MAX_LANES,
+    },
     ConstraintSense, LpError, LpProblem, LpSolution, LpSolver, SolveStatus, WarmStart,
 };
 
@@ -621,6 +649,20 @@ impl CouplingBlock {
     fn row(&self, i: usize) -> &[(usize, f64)] {
         &self.entries[self.ptr[i]..self.ptr[i + 1]]
     }
+
+    /// Whether `other` has this block's pattern: the same equality rows as
+    /// columns, started at the same rows, with nonzeros at the same
+    /// positions.  Only the coefficients may differ.
+    fn same_pattern(&self, other: &CouplingBlock) -> bool {
+        self.eq_rows == other.eq_rows
+            && self.started == other.started
+            && self.ptr == other.ptr
+            && self
+                .entries
+                .iter()
+                .zip(&other.entries)
+                .all(|(a, b)| a.0 == b.0)
+    }
 }
 
 struct Prepared {
@@ -885,8 +927,78 @@ fn barrier_weight(lam: f64, w: f64) -> f64 {
 }
 
 // ---------------------------------------------------------------------------
-// Blocked kernels: workspace, factorization, Newton solve.
+// Blocked kernels: lane groups, workspace, factorization, Newton solve.
 // ---------------------------------------------------------------------------
+
+/// Consecutive blocks of one shape, assembled, factored and solved together
+/// (see the module docs): entry `(i, j)` of block `first + l` is lane `l` of
+/// entry `i·n + j` of the group's factor storage.
+///
+/// Lanes past the group's blocks are padding.  They hold a zero matrix,
+/// whose regularized factor is finite, and no kernel's result is read from
+/// them.
+struct LaneGroup {
+    /// First block of the group.
+    first: usize,
+    /// Number of blocks, at most `lanes`.
+    blocks: usize,
+    /// Lanes per entry: 8, 4, 2 or 1.
+    lanes: usize,
+    /// Size of every block of the group.
+    n: usize,
+    /// Start of the group's `n·n·lanes` factor entries.
+    offset: usize,
+    /// Variable of local row `i` of block `first + l`, at `i·blocks + l`.
+    vars: Vec<usize>,
+}
+
+impl LaneGroup {
+    fn factor_len(&self) -> usize {
+        self.n * self.n * self.lanes
+    }
+}
+
+/// Split the blocks into lane groups: each stretch of consecutive blocks
+/// with the same size and the same coupling pattern
+/// ([`CouplingBlock::same_pattern`]) becomes groups of 8 blocks, and the
+/// rest one group padded to 1, 2, 4 or 8 lanes.  K = 49 blocks are six
+/// groups of 8 and a leftover block at 1 lane; K = 7 blocks are one group
+/// of 8 lanes, one of them padding.
+fn lane_groups(prep: &Prepared) -> Vec<LaneGroup> {
+    let same_shape = |a: usize, b: usize| {
+        prep.blocks[a].len() == prep.blocks[b].len()
+            && prep.coupling_by_block[a].same_pattern(&prep.coupling_by_block[b])
+    };
+    let mut groups = Vec::new();
+    let mut offset = 0;
+    let mut first = 0;
+    while first < prep.blocks.len() {
+        let mut end = first + 1;
+        while end < prep.blocks.len() && same_shape(first, end) {
+            end += 1;
+        }
+        while first < end {
+            let blocks = (end - first).min(MAX_LANES);
+            let lanes = blocks.next_power_of_two();
+            let n = prep.blocks[first].len();
+            let vars = (0..n)
+                .flat_map(|i| (first..first + blocks).map(move |b| prep.blocks[b][i]))
+                .collect();
+            let group = LaneGroup {
+                first,
+                blocks,
+                lanes,
+                n,
+                offset,
+                vars,
+            };
+            offset += group.factor_len();
+            first += blocks;
+            groups.push(group);
+        }
+    }
+    groups
+}
 
 /// Scratch of the blocked kernel strategy, one of the [`IpmBuffers`].
 ///
@@ -895,15 +1007,21 @@ fn barrier_weight(lam: f64, w: f64) -> f64 {
 /// reallocated (the reference path, kept for comparison, reallocates ~2·n²
 /// doubles per iteration).
 struct BlockedWorkspace {
-    /// Cholesky factors of the per-block Newton matrices (persistent storage).
-    factors: Vec<DenseMatrix>,
+    /// Instruction set the lane kernels run on.
+    isa: Isa,
+    groups: Vec<LaneGroup>,
+    /// Group of every block.
+    group_of: Vec<usize>,
+    /// Newton matrices, then their Cholesky factors, lane-interleaved group
+    /// by group.
+    factors: Vec<f64>,
     /// Lower triangle of the Schur complement `E M⁻¹ Eᵀ` (+ regularization).
     schur: DenseMatrix,
     /// Whether equality rows exist (i.e. `schur` is meaningful).
     has_eq: bool,
-    /// Row-major `X = L_b⁻¹ B_b` of the current block, row stride `m_b`.
+    /// `X = L_b⁻¹ B_b` of the current group's blocks, row stride `m·lanes`.
     x_panel: Vec<f64>,
-    /// Lower triangle of the current block's `XᵀX`, row-major `m_b × m_b`.
+    /// Lower triangle of the current group's `XᵀX`, `m × m` lane vectors.
     s_local: Vec<f64>,
     /// Barrier weights of the rows of one run.
     weights: Vec<f64>,
@@ -912,26 +1030,354 @@ struct BlockedWorkspace {
 impl BlockedWorkspace {
     fn new(prep: &Prepared) -> Self {
         let m_eq = prep.e.len();
-        let max_nb = prep.blocks.iter().map(Vec::len).max().unwrap_or(0);
-        let max_m = prep.eq_by_block.iter().map(Vec::len).max().unwrap_or(0);
+        let groups = lane_groups(prep);
+        let mut group_of = vec![0; prep.blocks.len()];
+        let (mut x_len, mut s_len) = (0, 0);
+        for (q, g) in groups.iter().enumerate() {
+            group_of[g.first..g.first + g.blocks].fill(q);
+            let m = prep.coupling_by_block[g.first].eq_rows.len();
+            x_len = x_len.max(g.n * m * g.lanes);
+            s_len = s_len.max(m * m * g.lanes);
+        }
         Self {
-            factors: prep
-                .blocks
-                .iter()
-                .map(|b| DenseMatrix::zeros(b.len(), b.len()))
-                .collect(),
+            isa: Isa::detect(),
+            factors: vec![0.0; groups.iter().map(LaneGroup::factor_len).sum()],
+            groups,
+            group_of,
             schur: DenseMatrix::zeros(m_eq, m_eq),
             has_eq: m_eq > 0,
-            x_panel: vec![0.0; max_nb * max_m],
-            s_local: vec![0.0; max_m * max_m],
+            x_panel: vec![0.0; x_len],
+            s_local: vec![0.0; s_len],
             weights: vec![0.0; prep.g.max_run()],
+        }
+    }
+
+    fn factor(&self, g: &LaneGroup) -> &[f64] {
+        &self.factors[g.offset..g.offset + g.factor_len()]
+    }
+}
+
+/// Assemble the lower triangle of every block's Newton matrix `M_b = G_bᵀ
+/// diag(λ/w) G_b + diag(s/x)` into the lane-interleaved factor storage
+/// (its lower triangle zeroed first).
+///
+/// One sweep over the runs, as [`assemble_block_matrices`] does: a run's
+/// copies lie in consecutive blocks, so the copies that fall in one group
+/// are consecutive lanes, and each pair of pattern entries updates them as
+/// one contiguous slice.  Every entry still takes its terms row by row, in
+/// row order, each as `(λ/w · a_i) · a_j`.
+fn assemble_lanes(prep: &Prepared, it: &Point, ws: &mut BlockedWorkspace) {
+    let BlockedWorkspace {
+        groups,
+        group_of,
+        factors,
+        weights,
+        ..
+    } = ws;
+    // Only the lower triangle is read, so only it is cleared.
+    for g in groups.iter() {
+        for i in 0..g.n {
+            let row = g.offset + i * g.n * g.lanes;
+            factors[row..row + (i + 1) * g.lanes].fill(0.0);
+        }
+    }
+    for run in prep.g.iter() {
+        let rows = run.rows.clone();
+        let wt = &mut weights[..run.len()];
+        for ((v, &lam), &w) in wt.iter_mut().zip(&it.lam[rows.clone()]).zip(&it.w[rows]) {
+            *v = barrier_weight(lam, w);
+        }
+        let mut c = 0;
+        while c < run.len() {
+            let g = &groups[group_of[run.block + c]];
+            let lane = run.block + c - g.first;
+            let copies = c..c + (g.blocks - lane).min(run.len() - c);
+            let mats = &mut factors[g.offset..g.offset + g.factor_len()];
+            let wt = &wt[copies.clone()];
+            for (a, &ia) in run.local.iter().enumerate() {
+                let va = &run.entry(a)[copies.clone()];
+                for (b, &ib) in run.local.iter().enumerate() {
+                    if ib > ia {
+                        continue;
+                    }
+                    let vb = &run.entry(b)[copies.clone()];
+                    let at = (ia * g.n + ib) * g.lanes + lane;
+                    for (((m, &k), &x), &y) in mats[at..at + copies.len()]
+                        .iter_mut()
+                        .zip(wt)
+                        .zip(va)
+                        .zip(vb)
+                    {
+                        *m += (k * x) * y;
+                    }
+                }
+            }
+            c = copies.end;
+        }
+    }
+    for g in groups.iter() {
+        let mats = &mut factors[g.offset..g.offset + g.factor_len()];
+        for i in 0..g.n {
+            let diag = &mut mats[(i * g.n + i) * g.lanes..][..g.blocks];
+            for (d, &v) in diag.iter_mut().zip(&g.vars[i * g.blocks..]) {
+                *d += (it.s[v] / it.x[v]).min(1e10);
+            }
         }
     }
 }
 
-/// Assemble every block's Newton matrix `M_b = G_bᵀ diag(λ/w) G_b +
-/// diag(s/x)` into `mats` (zeroed first), the lower triangle only when
-/// `lower` (the factorization never reads the upper one).
+/// One group's factorization: the blocks' Cholesky factors in place and,
+/// when the blocks are coupled, their Schur panels.
+struct FactorGroup<'a> {
+    factor: &'a mut [f64],
+    n: usize,
+    schur: Option<SchurPanel<'a>>,
+}
+
+/// The coupling pattern shared by a group's blocks and the panels the Schur
+/// kernel fills (see [`schur_panel_lanes`]).
+struct SchurPanel<'a> {
+    m: usize,
+    started: &'a [usize],
+    top: usize,
+    x: &'a mut [f64],
+    s_local: &'a mut [f64],
+}
+
+impl LaneKernel for FactorGroup<'_> {
+    type Output = Result<(), LpError>;
+
+    #[inline(always)]
+    fn run<V: Vector>(self) -> Result<(), LpError> {
+        cholesky_lanes::<V>(self.factor, self.n, DEFAULT_CHOLESKY_BLOCK, REGULARIZATION)?;
+        if let Some(p) = self.schur {
+            schur_panel_lanes::<V>(self.factor, self.n, p.m, p.started, p.top, p.x, p.s_local);
+        }
+        Ok(())
+    }
+}
+
+/// One group's block solve `M_b⁻¹ rhs`, in place on lane-interleaved
+/// right-hand sides.
+struct SolveGroup<'a> {
+    factor: &'a [f64],
+    n: usize,
+    rhs: &'a mut [f64],
+}
+
+impl LaneKernel for SolveGroup<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<V: Vector>(self) {
+        cholesky_solve_lanes::<V>(self.factor, self.n, self.rhs);
+    }
+}
+
+/// Assemble and factorize the block-diagonal Newton matrix and the Schur
+/// complement `S = Σ_b B_bᵀ M_b⁻¹ B_b = Σ_b X_bᵀ X_b` with the lane kernels,
+/// reusing the workspace buffers.
+///
+/// Group by group: the blocks' factors, then `X = L_b⁻¹ B_b` and the lower
+/// triangle of `XᵀX` ([`schur_panel_lanes`]), scattered into the Schur
+/// matrix through each lane's equality rows.  A Schur entry takes at most
+/// one term per block, so the scatter adds its terms in block order, as the
+/// per-block kernel did.  The first failing block is the first failing lane
+/// of the first failing group, so a NaN pivot gives the per-block error.
+fn factor_blocked(prep: &Prepared, ws: &mut BlockedWorkspace, it: &Point) -> Result<(), LpError> {
+    assemble_lanes(prep, it, ws);
+    let BlockedWorkspace {
+        isa,
+        groups,
+        factors,
+        schur,
+        has_eq,
+        x_panel,
+        s_local,
+        ..
+    } = ws;
+    schur.fill(0.0);
+    for g in groups.iter() {
+        let lanes = g.lanes;
+        let coupling = &prep.coupling_by_block[g.first..g.first + g.blocks];
+        let (started, m) = (&coupling[0].started, coupling[0].eq_rows.len());
+        let top = started.iter().position(|&st| st > 0).unwrap_or(g.n);
+        let x = &mut x_panel[..g.n * m * lanes];
+        let s = &mut s_local[..m * m * lanes];
+        let coupled = *has_eq && m > 0;
+        if coupled {
+            // X starts as B: the rows a lane's factor is applied to hold the
+            // block's coupling coefficients, zero elsewhere.
+            for i in top..g.n {
+                let row = &mut x[i * m * lanes..(i + 1) * m * lanes];
+                row.fill(0.0);
+                for (lane, block) in coupling.iter().enumerate() {
+                    for &(p, coeff) in block.row(i) {
+                        row[p * lanes + lane] = coeff;
+                    }
+                }
+            }
+        }
+        isa.run(
+            lanes,
+            FactorGroup {
+                factor: &mut factors[g.offset..g.offset + g.factor_len()],
+                n: g.n,
+                schur: coupled.then_some(SchurPanel {
+                    m,
+                    started,
+                    top,
+                    x,
+                    s_local: &mut *s,
+                }),
+            },
+        )?;
+        if !coupled {
+            continue;
+        }
+        // The lanes share their equality rows, so entry `(a, c)` of every
+        // lane lands on one Schur entry.  Eight entries at a time, the lanes
+        // are added in order: each Schur entry still takes its terms in
+        // block order, and the eight entries' additions overlap.
+        let m_eq = schur.rows();
+        let lower = schur.as_mut_slice();
+        let eq_rows = &coupling[0].eq_rows;
+        for (a, &eq_a) in eq_rows.iter().enumerate() {
+            let terms = &s[a * m * lanes..][..(a + 1) * lanes];
+            for (cols, chunk) in eq_rows[..=a].chunks(8).zip(terms.chunks(8 * lanes)) {
+                for lane in 0..g.blocks {
+                    for (&eq_c, &v) in cols.iter().zip(chunk[lane..].iter().step_by(lanes)) {
+                        lower[eq_a.max(eq_c) * m_eq + eq_a.min(eq_c)] += v;
+                    }
+                }
+            }
+        }
+    }
+
+    if !*has_eq {
+        return Ok(());
+    }
+    for i in 0..prep.e.len() {
+        schur.add_diagonal(i, REGULARIZATION.max(1e-12));
+    }
+    schur.cholesky_in_place(REGULARIZATION)
+}
+
+/// Scratch of the blocked Newton solve, one of the [`IpmBuffers`]: the
+/// intermediate `t = M⁻¹ rhs1` and one group's lane-interleaved right-hand
+/// sides.
+struct NewtonScratch {
+    t: Vec<f64>,
+    local: Vec<f64>,
+}
+
+impl NewtonScratch {
+    fn new(prep: &Prepared) -> Self {
+        let max_nb = prep.blocks.iter().map(Vec::len).max().unwrap_or(0);
+        Self {
+            t: vec![0.0; prep.n],
+            local: vec![0.0; max_nb * MAX_LANES],
+        }
+    }
+}
+
+/// Newton solve against the blocked factorization, writing `dx` (length `n`)
+/// and `dmu` (length `m_eq`) in place.  Each group gathers its blocks'
+/// right-hand sides into lanes, solves them in one pass and scatters the
+/// solutions back.
+fn newton_solve_blocked(
+    prep: &Prepared,
+    ws: &BlockedWorkspace,
+    scratch: &mut NewtonScratch,
+    rhs1: &[f64],
+    r_p2: &[f64],
+    dx: &mut [f64],
+    dmu: &mut [f64],
+) {
+    let NewtonScratch { t, local } = scratch;
+    // t = M⁻¹ rhs1, group by group.
+    for g in &ws.groups {
+        let rhs = &mut local[..g.n * g.lanes];
+        rhs.fill(0.0);
+        for (v, vars) in rhs
+            .chunks_exact_mut(g.lanes)
+            .zip(g.vars.chunks_exact(g.blocks))
+        {
+            for (v, &var) in v.iter_mut().zip(vars) {
+                *v = rhs1[var];
+            }
+        }
+        let factor = ws.factor(g);
+        ws.isa.run(
+            g.lanes,
+            SolveGroup {
+                factor,
+                n: g.n,
+                rhs,
+            },
+        );
+        for (v, vars) in local
+            .chunks_exact(g.lanes)
+            .zip(g.vars.chunks_exact(g.blocks))
+        {
+            for (&v, &var) in v.iter().zip(vars) {
+                t[var] = v;
+            }
+        }
+    }
+    if prep.e.len() == 0 {
+        dx.copy_from_slice(t);
+        return;
+    }
+    // dmu = S⁻¹ (E t − r_p2)
+    for (ri, d) in dmu.iter_mut().enumerate() {
+        *d = prep.e.dot(ri, t) - r_p2[ri];
+    }
+    ws.schur.cholesky_solve_into(dmu);
+    // dx = M⁻¹ (rhs1 − Eᵀ dmu), group by group: B_b·dmu through each lane's
+    // sparse coupling rows — the dense `M_b⁻¹ E_bᵀ` product of the reference
+    // path is never materialized.
+    for g in &ws.groups {
+        let u = &mut local[..g.n * g.lanes];
+        u.fill(0.0);
+        for (lane, coupling) in prep.coupling_by_block[g.first..g.first + g.blocks]
+            .iter()
+            .enumerate()
+        {
+            for i in 0..g.n {
+                let mut v = 0.0;
+                for &(p, coeff) in coupling.row(i) {
+                    v += coeff * dmu[coupling.eq_rows[p]];
+                }
+                u[i * g.lanes + lane] = v;
+            }
+        }
+        let factor = ws.factor(g);
+        ws.isa.run(
+            g.lanes,
+            SolveGroup {
+                factor,
+                n: g.n,
+                rhs: u,
+            },
+        );
+        for (v, vars) in local
+            .chunks_exact(g.lanes)
+            .zip(g.vars.chunks_exact(g.blocks))
+        {
+            for (&v, &var) in v.iter().zip(vars) {
+                dx[var] = t[var] - v;
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Reference kernels (pre-optimization), kept for benchmarks and agreement.
+// ---------------------------------------------------------------------------
+
+/// Assemble every block's full Newton matrix `M_b = G_bᵀ diag(λ/w) G_b +
+/// diag(s/x)` into `mats` (zeroed first), for the reference kernels.
 ///
 /// One sweep over the runs: a run's barrier weights are formed once, and
 /// each pair of its pattern entries updates one position of every copy's
@@ -945,7 +1391,6 @@ fn assemble_block_matrices(
     it: &Point,
     mats: &mut [DenseMatrix],
     weights: &mut [f64],
-    lower: bool,
 ) {
     for mb in mats.iter_mut() {
         mb.fill(0.0);
@@ -960,9 +1405,6 @@ fn assemble_block_matrices(
         for (a, &ia) in run.local.iter().enumerate() {
             let va = run.entry(a);
             for (b, &ib) in run.local.iter().enumerate() {
-                if lower && ib > ia {
-                    continue;
-                }
                 let vb = run.entry(b);
                 for (((mb, &k), &x), &y) in mats.iter_mut().zip(wt.iter()).zip(va).zip(vb) {
                     mb[(ia, ib)] += (k * x) * y;
@@ -976,224 +1418,6 @@ fn assemble_block_matrices(
         }
     }
 }
-
-/// Accumulate block `b`'s Schur contribution `B_bᵀ M_b⁻¹ B_b = XᵀX`, with
-/// `X = L_b⁻¹ B_b`, into the lower triangle of the workspace's Schur matrix.
-///
-/// 1. **Batched triangular solve.**  `X` is solved row by row for all
-///    coupling columns at once.  The columns are ordered by first nonzero
-///    ([`CouplingBlock`]), so row `i` of `X` is nonzero only in its first
-///    `started[i]` columns, and `X[i,:] = (B[i,:] − Σ_{k<i} L[i,k]·X[k,:]) /
-///    L[i,i]` is a sequence of contiguous axpys over those prefixes, four rows
-///    `k` per pass over `X[i,:]`.  Entries below [`FLUSH_THRESHOLD`] are
-///    flushed to exact zero as each row is finished: factors of diagonally
-///    dominant Newton matrices decay geometrically, and subnormal operands
-///    would take the CPU's slow microcoded path in every later row.
-/// 2. **Rank accumulation.**  `S_loc += X[i,:]ᵀ X[i,:]` over the rows,
-///    lower triangle only, as contiguous updates of the block's `m_b × m_b`
-///    buffer, four rows per pass over it.
-/// 3. **Scatter.**  `S_loc` is added into the Schur matrix through the
-///    columns' equality rows.
-///
-/// Grouping rows changes memory traffic, not arithmetic: every entry still
-/// accumulates its terms one row at a time, in row order.
-fn accumulate_schur_block(prep: &Prepared, b: usize, ws: &mut BlockedWorkspace) {
-    let coupling = &prep.coupling_by_block[b];
-    let m = coupling.eq_rows.len();
-    if m == 0 {
-        return;
-    }
-    let nb = prep.blocks[b].len();
-    let started = &coupling.started;
-    let l = &ws.factors[b];
-    let x = &mut ws.x_panel[..nb * m];
-    // Rows above the first column's first nonzero are zero in X and never
-    // stored; every stored row is zero past its started prefix, so a group
-    // of rows may share the longest prefix of the group.
-    let top = started.iter().position(|&st| st > 0).unwrap_or(nb);
-    for i in top..nb {
-        let (solved, rest) = x.split_at_mut(i * m);
-        let xi = &mut rest[..m];
-        xi.fill(0.0);
-        for &(p, coeff) in coupling.row(i) {
-            xi[p] = coeff;
-        }
-        let li = l.row(i);
-        let mut k = top;
-        while k + 4 <= i {
-            let (l0, l1, l2, l3) = (li[k], li[k + 1], li[k + 2], li[k + 3]);
-            if l0 != 0.0 || l1 != 0.0 || l2 != 0.0 || l3 != 0.0 {
-                let len = started[k + 3];
-                let row = |r: usize| &solved[r * m..r * m + len];
-                let (y0, y1, y2, y3) = (row(k), row(k + 1), row(k + 2), row(k + 3));
-                for ((((v, &a0), &a1), &a2), &a3) in
-                    xi[..len].iter_mut().zip(y0).zip(y1).zip(y2).zip(y3)
-                {
-                    *v = *v - l0 * a0 - l1 * a1 - l2 * a2 - l3 * a3;
-                }
-            }
-            k += 4;
-        }
-        for k in k..i {
-            let lik = li[k];
-            if lik != 0.0 {
-                let len = started[k];
-                for (v, &y) in xi[..len].iter_mut().zip(&solved[k * m..k * m + len]) {
-                    *v -= lik * y;
-                }
-            }
-        }
-        let d = li[i];
-        for v in xi[..started[i]].iter_mut() {
-            *v /= d;
-            if v.abs() < FLUSH_THRESHOLD {
-                *v = 0.0;
-            }
-        }
-    }
-
-    let s_local = &mut ws.s_local[..m * m];
-    s_local.fill(0.0);
-    let mut i = top;
-    while i + 4 <= nb {
-        let len = started[i + 3];
-        let row = |r: usize| &x[r * m..r * m + len];
-        let (y0, y1, y2, y3) = (row(i), row(i + 1), row(i + 2), row(i + 3));
-        for a in 0..len {
-            let (c0, c1, c2, c3) = (y0[a], y1[a], y2[a], y3[a]);
-            if c0 == 0.0 && c1 == 0.0 && c2 == 0.0 && c3 == 0.0 {
-                continue;
-            }
-            let end = a + 1;
-            for ((((v, &a0), &a1), &a2), &a3) in s_local[a * m..a * m + end]
-                .iter_mut()
-                .zip(&y0[..end])
-                .zip(&y1[..end])
-                .zip(&y2[..end])
-                .zip(&y3[..end])
-            {
-                *v = *v + c0 * a0 + c1 * a1 + c2 * a2 + c3 * a3;
-            }
-        }
-        i += 4;
-    }
-    for i in i..nb {
-        let xi = &x[i * m..i * m + started[i]];
-        for (a, &xa) in xi.iter().enumerate() {
-            if xa != 0.0 {
-                for (v, &y) in s_local[a * m..a * m + a + 1].iter_mut().zip(&xi[..=a]) {
-                    *v += xa * y;
-                }
-            }
-        }
-    }
-    for (a, &eq_a) in coupling.eq_rows.iter().enumerate() {
-        for (c, &eq_c) in coupling.eq_rows[..=a].iter().enumerate() {
-            let (r, col) = if eq_a >= eq_c {
-                (eq_a, eq_c)
-            } else {
-                (eq_c, eq_a)
-            };
-            ws.schur[(r, col)] += s_local[a * m + c];
-        }
-    }
-}
-
-/// Assemble and factorize the block-diagonal Newton matrix and the Schur
-/// complement with the blocked kernels, reusing the workspace buffers.
-fn factor_blocked(prep: &Prepared, ws: &mut BlockedWorkspace, it: &Point) -> Result<(), LpError> {
-    // Per-block Newton matrices, assembled lower-triangle-only.
-    assemble_block_matrices(prep, it, &mut ws.factors, &mut ws.weights, true);
-    for mb in &mut ws.factors {
-        mb.cholesky_in_place(REGULARIZATION)?;
-    }
-
-    if !ws.has_eq {
-        return Ok(());
-    }
-
-    // Batched Schur assembly: S = Σ_b E_b M_b⁻¹ E_bᵀ = Σ_b X_bᵀ X_b.
-    ws.schur.fill(0.0);
-    for b in 0..prep.blocks.len() {
-        accumulate_schur_block(prep, b, ws);
-    }
-    for i in 0..prep.e.len() {
-        ws.schur.add_diagonal(i, REGULARIZATION.max(1e-12));
-    }
-    ws.schur.cholesky_in_place(REGULARIZATION)
-}
-
-/// Scratch of the blocked Newton solve, one of the [`IpmBuffers`]: the
-/// intermediate `t = M⁻¹ rhs1` and one block-local right-hand side.
-struct NewtonScratch {
-    t: Vec<f64>,
-    local: Vec<f64>,
-}
-
-impl NewtonScratch {
-    fn new(prep: &Prepared) -> Self {
-        let max_nb = prep.blocks.iter().map(Vec::len).max().unwrap_or(0);
-        Self {
-            t: vec![0.0; prep.n],
-            local: vec![0.0; max_nb],
-        }
-    }
-}
-
-/// Newton solve against the blocked factorization, writing `dx` (length `n`)
-/// and `dmu` (length `m_eq`) in place.
-fn newton_solve_blocked(
-    prep: &Prepared,
-    ws: &BlockedWorkspace,
-    scratch: &mut NewtonScratch,
-    rhs1: &[f64],
-    r_p2: &[f64],
-    dx: &mut [f64],
-    dmu: &mut [f64],
-) {
-    let NewtonScratch { t, local } = scratch;
-    // t = M⁻¹ rhs1, blockwise, in-place solves on the block-local buffer.
-    for (b, block) in prep.blocks.iter().enumerate() {
-        let nb = block.len();
-        for (l, &v) in block.iter().enumerate() {
-            local[l] = rhs1[v];
-        }
-        ws.factors[b].cholesky_solve_into(&mut local[..nb]);
-        for (l, &v) in block.iter().enumerate() {
-            t[v] = local[l];
-        }
-    }
-    if prep.e.len() == 0 {
-        dx.copy_from_slice(t);
-        return;
-    }
-    // dmu = S⁻¹ (E t − r_p2)
-    for (ri, d) in dmu.iter_mut().enumerate() {
-        *d = prep.e.dot(ri, t) - r_p2[ri];
-    }
-    ws.schur.cholesky_solve_into(dmu);
-    // dx = M⁻¹ (rhs1 − Eᵀ dmu), blockwise: B_b·dmu through the sparse coupling
-    // rows, one solve per block — the dense `M_b⁻¹ E_bᵀ` product of the
-    // reference path is never materialized.
-    for (b, block) in prep.blocks.iter().enumerate() {
-        let coupling = &prep.coupling_by_block[b];
-        let u = &mut local[..block.len()];
-        for (l, v) in u.iter_mut().enumerate() {
-            *v = 0.0;
-            for &(p, coeff) in coupling.row(l) {
-                *v += coeff * dmu[coupling.eq_rows[p]];
-            }
-        }
-        ws.factors[b].cholesky_solve_into(u);
-        for (l, &v) in block.iter().enumerate() {
-            dx[v] = t[v] - u[l];
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Reference kernels (pre-optimization), kept for benchmarks and agreement.
-// ---------------------------------------------------------------------------
 
 /// Factorization state of the reference path: per-block factors, the dense
 /// Schur factor, and the materialized `M_b⁻¹ E_bᵀ` panels.
@@ -1213,7 +1437,7 @@ fn factor_reference(prep: &Prepared, it: &Point) -> Result<ReferenceFactors, LpE
         .map(|block| DenseMatrix::zeros(block.len(), block.len()))
         .collect();
     let mut weights = vec![0.0; prep.g.max_run()];
-    assemble_block_matrices(prep, it, &mut block_factors, &mut weights, false);
+    assemble_block_matrices(prep, it, &mut block_factors, &mut weights);
     for mb in &mut block_factors {
         mb.cholesky_in_place_unblocked(REGULARIZATION)?;
     }
@@ -2128,7 +2352,7 @@ pub mod bench_support {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SimplexSolver;
+    use crate::{SimplexSolver, FLUSH_THRESHOLD};
 
     fn ipm() -> InteriorPointSolver {
         InteriorPointSolver::default()
@@ -2542,6 +2766,433 @@ mod tests {
         }
     }
 
+    // ---- Lane kernels against the per-block scalar kernels. ----
+
+    /// The per-block scalar Schur kernel the lane kernels replaced, kept as
+    /// their oracle: block `b`'s contribution `B_bᵀ M_b⁻¹ B_b = XᵀX`, `X = L_b⁻¹
+    /// B_b`, added into the lower triangle of `schur`.  Row `i` of `X` is
+    /// nonzero only in its first `started[i]` columns; four rows per pass, the
+    /// flush after each row's division, then the scatter through the columns'
+    /// equality rows.
+    fn accumulate_schur_block(prep: &Prepared, b: usize, l: &DenseMatrix, schur: &mut DenseMatrix) {
+        let coupling = &prep.coupling_by_block[b];
+        let m = coupling.eq_rows.len();
+        if m == 0 {
+            return;
+        }
+        let nb = prep.blocks[b].len();
+        let started = &coupling.started;
+        let mut x_panel = vec![0.0; nb * m];
+        let x = &mut x_panel[..];
+        // Rows above the first column's first nonzero are zero in X and never
+        // stored; every stored row is zero past its started prefix, so a group
+        // of rows may share the longest prefix of the group.
+        let top = started.iter().position(|&st| st > 0).unwrap_or(nb);
+        for i in top..nb {
+            let (solved, rest) = x.split_at_mut(i * m);
+            let xi = &mut rest[..m];
+            xi.fill(0.0);
+            for &(p, coeff) in coupling.row(i) {
+                xi[p] = coeff;
+            }
+            let li = l.row(i);
+            let mut k = top;
+            while k + 4 <= i {
+                let (l0, l1, l2, l3) = (li[k], li[k + 1], li[k + 2], li[k + 3]);
+                if l0 != 0.0 || l1 != 0.0 || l2 != 0.0 || l3 != 0.0 {
+                    let len = started[k + 3];
+                    let row = |r: usize| &solved[r * m..r * m + len];
+                    let (y0, y1, y2, y3) = (row(k), row(k + 1), row(k + 2), row(k + 3));
+                    for ((((v, &a0), &a1), &a2), &a3) in
+                        xi[..len].iter_mut().zip(y0).zip(y1).zip(y2).zip(y3)
+                    {
+                        *v = *v - l0 * a0 - l1 * a1 - l2 * a2 - l3 * a3;
+                    }
+                }
+                k += 4;
+            }
+            for k in k..i {
+                let lik = li[k];
+                if lik != 0.0 {
+                    let len = started[k];
+                    for (v, &y) in xi[..len].iter_mut().zip(&solved[k * m..k * m + len]) {
+                        *v -= lik * y;
+                    }
+                }
+            }
+            let d = li[i];
+            for v in xi[..started[i]].iter_mut() {
+                *v /= d;
+                if v.abs() < FLUSH_THRESHOLD {
+                    *v = 0.0;
+                }
+            }
+        }
+
+        let mut s_buf = vec![0.0; m * m];
+        let s_local = &mut s_buf[..];
+        let mut i = top;
+        while i + 4 <= nb {
+            let len = started[i + 3];
+            let row = |r: usize| &x[r * m..r * m + len];
+            let (y0, y1, y2, y3) = (row(i), row(i + 1), row(i + 2), row(i + 3));
+            for a in 0..len {
+                let (c0, c1, c2, c3) = (y0[a], y1[a], y2[a], y3[a]);
+                if c0 == 0.0 && c1 == 0.0 && c2 == 0.0 && c3 == 0.0 {
+                    continue;
+                }
+                let end = a + 1;
+                for ((((v, &a0), &a1), &a2), &a3) in s_local[a * m..a * m + end]
+                    .iter_mut()
+                    .zip(&y0[..end])
+                    .zip(&y1[..end])
+                    .zip(&y2[..end])
+                    .zip(&y3[..end])
+                {
+                    *v = *v + c0 * a0 + c1 * a1 + c2 * a2 + c3 * a3;
+                }
+            }
+            i += 4;
+        }
+        for i in i..nb {
+            let xi = &x[i * m..i * m + started[i]];
+            for (a, &xa) in xi.iter().enumerate() {
+                if xa != 0.0 {
+                    for (v, &y) in s_local[a * m..a * m + a + 1].iter_mut().zip(&xi[..=a]) {
+                        *v += xa * y;
+                    }
+                }
+            }
+        }
+        for (a, &eq_a) in coupling.eq_rows.iter().enumerate() {
+            for (c, &eq_c) in coupling.eq_rows[..=a].iter().enumerate() {
+                let (r, col) = if eq_a >= eq_c {
+                    (eq_a, eq_c)
+                } else {
+                    (eq_c, eq_a)
+                };
+                schur[(r, col)] += s_local[a * m + c];
+            }
+        }
+    }
+
+    /// The per-block Newton solve the lane kernels replaced, kept as their
+    /// oracle.
+    fn newton_solve_per_block(
+        prep: &Prepared,
+        oracle: &PerBlock,
+        rhs1: &[f64],
+        r_p2: &[f64],
+        dx: &mut [f64],
+        dmu: &mut [f64],
+    ) {
+        let max_nb = prep.blocks.iter().map(Vec::len).max().unwrap_or(0);
+        let (mut t, mut local) = (vec![0.0; prep.n], vec![0.0; max_nb]);
+        // t = M⁻¹ rhs1, blockwise, in-place solves on the block-local buffer.
+        for (b, block) in prep.blocks.iter().enumerate() {
+            let nb = block.len();
+            for (l, &v) in block.iter().enumerate() {
+                local[l] = rhs1[v];
+            }
+            oracle.factors[b].cholesky_solve_into(&mut local[..nb]);
+            for (l, &v) in block.iter().enumerate() {
+                t[v] = local[l];
+            }
+        }
+        if prep.e.len() == 0 {
+            dx.copy_from_slice(&t);
+            return;
+        }
+        // dmu = S⁻¹ (E t − r_p2)
+        for (ri, d) in dmu.iter_mut().enumerate() {
+            *d = prep.e.dot(ri, &t) - r_p2[ri];
+        }
+        oracle.schur.cholesky_solve_into(dmu);
+        // dx = M⁻¹ (rhs1 − Eᵀ dmu), blockwise: B_b·dmu through the sparse coupling
+        // rows, one solve per block — the dense `M_b⁻¹ E_bᵀ` product of the
+        // reference path is never materialized.
+        for (b, block) in prep.blocks.iter().enumerate() {
+            let coupling = &prep.coupling_by_block[b];
+            let u = &mut local[..block.len()];
+            for (l, v) in u.iter_mut().enumerate() {
+                *v = 0.0;
+                for &(p, coeff) in coupling.row(l) {
+                    *v += coeff * dmu[coupling.eq_rows[p]];
+                }
+            }
+            oracle.factors[b].cholesky_solve_into(u);
+            for (l, &v) in block.iter().enumerate() {
+                dx[v] = t[v] - u[l];
+            }
+        }
+    }
+
+    /// The per-block blocked factorization the lane kernels replaced: each
+    /// block's factor and the factored Schur matrix.
+    struct PerBlock {
+        factors: Vec<DenseMatrix>,
+        schur: DenseMatrix,
+    }
+
+    /// The oracle factorization: the full Newton blocks (whose lower
+    /// triangles the lower-only assembly reproduces bit for bit), the scalar
+    /// blocked Cholesky per block, then the per-block Schur kernel.
+    fn factor_per_block(prep: &Prepared, it: &Point) -> Result<PerBlock, LpError> {
+        let mut factors: Vec<DenseMatrix> = prep
+            .blocks
+            .iter()
+            .map(|b| DenseMatrix::zeros(b.len(), b.len()))
+            .collect();
+        let mut weights = vec![0.0; prep.g.max_run()];
+        assemble_block_matrices(prep, it, &mut factors, &mut weights);
+        for mb in &mut factors {
+            mb.cholesky_in_place(REGULARIZATION)?;
+        }
+        let m_eq = prep.e.len();
+        let mut schur = DenseMatrix::zeros(m_eq, m_eq);
+        if m_eq > 0 {
+            for (b, l) in factors.iter().enumerate() {
+                accumulate_schur_block(prep, b, l, &mut schur);
+            }
+            for i in 0..m_eq {
+                schur.add_diagonal(i, REGULARIZATION.max(1e-12));
+            }
+            schur.cholesky_in_place(REGULARIZATION)?;
+        }
+        Ok(PerBlock { factors, schur })
+    }
+
+    /// Block `b`'s factor as the lane kernels left it, lower triangle only.
+    fn lane_factor(ws: &BlockedWorkspace, b: usize) -> DenseMatrix {
+        let g = &ws.groups[ws.group_of[b]];
+        let lane = b - g.first;
+        let mut out = DenseMatrix::zeros(g.n, g.n);
+        for i in 0..g.n {
+            for j in 0..=i {
+                out[(i, j)] = ws.factor(g)[(i * g.n + j) * g.lanes + lane];
+            }
+        }
+        out
+    }
+
+    fn lower_bits(m: &DenseMatrix) -> Vec<u64> {
+        (0..m.rows()).flat_map(|i| bits(&m.row(i)[..=i])).collect()
+    }
+
+    /// A K-location LP shaped like the obfuscation LP: `z_{i,l}` is variable
+    /// `i·K + l` in block `l`; row `i` is an equality over `z_{i,·}` with its
+    /// own coefficient per column, so each lane of a group couples through
+    /// different values; each constrained pair `(i, j)` gives one run of K
+    /// shifted copies.
+    fn lane_test_lp(k: usize, seed: u64) -> (LpProblem, Vec<Vec<usize>>) {
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let var = |i: usize, l: usize| i * k + l;
+        let mut p = LpProblem::new(k * k);
+        p.set_objective_vector((0..k * k).map(|_| rng.gen_range(0.0..1.0)).collect())
+            .unwrap();
+        for i in 0..k {
+            let row = (0..k)
+                .map(|l| (var(i, l), rng.gen_range(0.5..2.0)))
+                .collect();
+            p.add_constraint(row, ConstraintSense::Eq, 1.0).unwrap();
+        }
+        for i in 0..k {
+            for j in [(i + 1) % k, (i + 3) % k] {
+                let bound = rng.gen_range(1.5..4.0);
+                for l in 0..k {
+                    p.add_constraint(
+                        vec![(var(i, l), 1.0), (var(j, l), -bound)],
+                        ConstraintSense::Le,
+                        0.0,
+                    )
+                    .unwrap();
+                }
+            }
+        }
+        let blocks = (0..k)
+            .map(|l| (0..k).map(|i| var(i, l)).collect())
+            .collect();
+        (p, blocks)
+    }
+
+    /// Factor `it` with the lane kernels on `isa` and with the per-block
+    /// oracle, and require the same bits: every block's factor, the Schur
+    /// factor, and a Newton solve.  A failure must be the same error.
+    fn assert_lanes_match_per_block(prep: &Prepared, it: &Point, isa: Isa, what: &str) {
+        use rand::{Rng, SeedableRng};
+        let mut ws = BlockedWorkspace::new(prep);
+        ws.isa = isa;
+        let lanes = factor_blocked(prep, &mut ws, it);
+        let oracle = factor_per_block(prep, it);
+        let oracle = match (lanes, oracle) {
+            (Ok(()), Ok(oracle)) => oracle,
+            (Err(a), Err(b)) => {
+                assert_eq!(a.to_string(), b.to_string(), "{what} on {isa:?}: error");
+                return;
+            }
+            (a, b) => panic!("{what} on {isa:?}: lanes {a:?}, per block {:?}", b.err()),
+        };
+        for (b, want) in oracle.factors.iter().enumerate() {
+            assert_eq!(
+                lower_bits(&lane_factor(&ws, b)),
+                lower_bits(want),
+                "{what} on {isa:?}: factor of block {b}"
+            );
+        }
+        assert_eq!(
+            lower_bits(&ws.schur),
+            lower_bits(&oracle.schur),
+            "{what} on {isa:?}: Schur factor"
+        );
+        let mut rng = rand::rngs::StdRng::seed_from_u64(prep.n as u64);
+        let rhs1: Vec<f64> = (0..prep.n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let r_p2: Vec<f64> = (0..prep.e.len())
+            .map(|_| rng.gen_range(-1.0..1.0))
+            .collect();
+        let (mut dx, mut dmu) = (vec![f64::NAN; prep.n], vec![f64::NAN; prep.e.len()]);
+        let mut scratch = NewtonScratch::new(prep);
+        newton_solve_blocked(prep, &ws, &mut scratch, &rhs1, &r_p2, &mut dx, &mut dmu);
+        let (mut want_dx, mut want_dmu) = (vec![0.0; prep.n], vec![0.0; prep.e.len()]);
+        newton_solve_per_block(prep, &oracle, &rhs1, &r_p2, &mut want_dx, &mut want_dmu);
+        assert_eq!(bits(&dx), bits(&want_dx), "{what} on {isa:?}: dx");
+        assert_eq!(bits(&dmu), bits(&want_dmu), "{what} on {isa:?}: dmu");
+    }
+
+    /// `(blocks, lanes)` of every group.
+    fn group_lanes(prep: &Prepared) -> Vec<(usize, usize)> {
+        lane_groups(prep)
+            .iter()
+            .map(|g| (g.blocks, g.lanes))
+            .collect()
+    }
+
+    #[test]
+    fn lane_groups_split_same_shaped_blocks_into_eights_and_a_padded_rest() {
+        let lanes_of = |k| group_lanes(&prepare_lane_lp(k, 1));
+        assert_eq!(lanes_of(7), vec![(7, 8)]);
+        assert_eq!(lanes_of(10), vec![(8, 8), (2, 2)]);
+        assert_eq!(lanes_of(11), vec![(8, 8), (3, 4)]);
+        assert_eq!(lanes_of(49), [vec![(8, 8); 6], vec![(1, 1)]].concat());
+        assert_eq!(lanes_of(70), [vec![(8, 8); 8], vec![(6, 8)]].concat());
+        // Blocks of another size or coupling pattern start a new group.
+        for seed in 0..20 {
+            let (p, blocks) = random_block_angular_lp(seed);
+            let prep = prepare(&p, &blocks).unwrap();
+            let groups = lane_groups(&prep);
+            let mut next = 0;
+            for g in &groups {
+                assert_eq!(
+                    g.first, next,
+                    "seed {seed}: groups cover the blocks in order"
+                );
+                for b in g.first..g.first + g.blocks {
+                    assert_eq!(prep.blocks[b].len(), g.n);
+                    assert!(
+                        prep.coupling_by_block[g.first].same_pattern(&prep.coupling_by_block[b])
+                    );
+                }
+                next += g.blocks;
+            }
+            assert_eq!(next, blocks.len());
+        }
+    }
+
+    fn prepare_lane_lp(k: usize, seed: u64) -> Prepared {
+        let (p, blocks) = lane_test_lp(k, seed);
+        prepare(&p, &blocks).unwrap()
+    }
+
+    /// Every instruction set this CPU runs, against the per-block kernels
+    /// at random iterates: K = 7 (one group of 8 lanes, one of them
+    /// padding), K = 10 and 11 (groups of 2 lanes and of 4 with padding
+    /// after a group of 8) and K = 49 (six groups of 8 and one leftover
+    /// block at 1 lane).
+    #[test]
+    fn lane_kernels_match_per_block_kernels_on_obfuscation_blocks() {
+        use rand::SeedableRng;
+        for isa in Isa::supported() {
+            for (k, seed) in [(7, 1), (7, 2), (10, 3), (11, 4), (49, 5), (49, 6)] {
+                let prep = prepare_lane_lp(k, seed);
+                let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                let it = random_point(&mut rng, prep.n, prep.g.rows());
+                assert_lanes_match_per_block(&prep, &it, isa, &format!("K = {k}, seed {seed}"));
+            }
+        }
+    }
+
+    /// Flushed entries and zero multipliers: rows whose barrier weight is
+    /// tiny leave factor entries below the flush threshold.  With tiny
+    /// weights in every other block, a group's lanes disagree on every zero
+    /// skip (so the per-lane selects decide); with tiny weights everywhere,
+    /// every lane skips together.  Every third column's equality
+    /// coefficients are −0.0, so signed zeros enter `X`.
+    #[test]
+    fn lane_kernels_match_per_block_kernels_on_flushed_and_zero_entries() {
+        use rand::SeedableRng;
+        for isa in Isa::supported() {
+            for k in [7, 49] {
+                let (mut p, blocks) = lane_test_lp(k, 5);
+                for i in 0..k {
+                    let row: Vec<(usize, f64)> = p.constraints()[i]
+                        .coeffs
+                        .iter()
+                        .map(|&(v, a)| (v, if (v % k) % 3 == 0 { -0.0 } else { a }))
+                        .collect();
+                    p.overwrite_coefficients(i, &row);
+                }
+                let prep = prepare(&p, &blocks).unwrap();
+                for every_block in [false, true] {
+                    let mut rng = rand::rngs::StdRng::seed_from_u64(6);
+                    let mut it = random_point(&mut rng, prep.n, prep.g.rows());
+                    for run in prep.g.iter() {
+                        for (c, ri) in run.rows.clone().enumerate() {
+                            if every_block || (run.block + c) % 2 == 0 {
+                                it.lam[ri] = 1e-160;
+                            }
+                        }
+                    }
+                    let mut ws = BlockedWorkspace::new(&prep);
+                    factor_blocked(&prep, &mut ws, &it).unwrap();
+                    assert!(ws.factors.contains(&0.0));
+                    let what = format!("K = {k}, tiny weights in every block: {every_block}");
+                    assert_lanes_match_per_block(&prep, &it, isa, &what);
+                }
+            }
+        }
+    }
+
+    /// More than one Cholesky panel (n = 70 > 64), with a padded group.
+    /// (NaN pivots are checked on the dense kernels, where they can be
+    /// placed: the Newton matrix caps every weight with `min`, which drops a
+    /// NaN.)
+    #[test]
+    fn lane_kernels_match_per_block_kernels_on_multi_panel_blocks() {
+        use rand::SeedableRng;
+        let prep = prepare_lane_lp(70, 7);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(8);
+        let it = random_point(&mut rng, prep.n, prep.g.rows());
+        for isa in Isa::supported() {
+            assert_lanes_match_per_block(&prep, &it, isa, "K = 70");
+        }
+    }
+
+    /// The general coupling of `random_block_angular_lp`: blocks of several
+    /// sizes and patterns, mostly in groups of one.
+    #[test]
+    fn lane_kernels_match_per_block_kernels_on_general_coupling() {
+        use rand::SeedableRng;
+        for isa in Isa::supported() {
+            for seed in 0..24 {
+                let (p, blocks) = random_block_angular_lp(seed);
+                let prep = prepare(&p, &blocks).unwrap();
+                let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                let it = random_point(&mut rng, prep.n, prep.g.rows());
+                assert_lanes_match_per_block(&prep, &it, isa, &format!("seed {seed}"));
+            }
+        }
+    }
+
     // ---- Run sweeps against row-by-row evaluation. ----
 
     /// An inequality row equilibrated as `prepare` does, with its block: the
@@ -2841,13 +3492,24 @@ mod tests {
                         .map(|b| DenseMatrix::zeros(b.len(), b.len()))
                         .collect()
                 };
-                let mut mats = zeros();
                 // Stale entries must not survive the assembly.
-                for mb in &mut mats {
-                    mb.fill(f64::NAN);
-                }
-                let mut weights = vec![f64::NAN; prep.g.max_run()];
-                assemble_block_matrices(&prep, &it, &mut mats, &mut weights, lower);
+                let mats = if lower {
+                    let mut ws = BlockedWorkspace::new(&prep);
+                    ws.factors.fill(f64::NAN);
+                    ws.weights.fill(f64::NAN);
+                    assemble_lanes(&prep, &it, &mut ws);
+                    (0..prep.blocks.len())
+                        .map(|b| lane_factor(&ws, b))
+                        .collect()
+                } else {
+                    let mut mats = zeros();
+                    for mb in &mut mats {
+                        mb.fill(f64::NAN);
+                    }
+                    let mut weights = vec![f64::NAN; prep.g.max_run()];
+                    assemble_block_matrices(&prep, &it, &mut mats, &mut weights);
+                    mats
+                };
 
                 let mut reference = zeros();
                 for (ri, row) in rows.iter().enumerate() {
