@@ -71,10 +71,10 @@
 //! * [`KernelStrategy::Blocked`] (default) — the Newton blocks assembled,
 //!   factored, inverted and solved in *lane groups*.  Consecutive blocks of
 //!   one shape (the same size, equality rows and coupling pattern) form
-//!   groups of 8, and the rest of such a stretch one group padded to 1, 2,
-//!   4 or 8 lanes: the obfuscation LP's K = 49 column blocks are six groups
-//!   of 8 and one leftover block, its K = 7 blocks one group of 8 lanes with
-//!   one lane of padding.  A group is stored
+//!   groups of 8, and the rest of such a stretch one group padded to 8
+//!   lanes, or a lone block at 1 lane: the obfuscation LP's K = 49 column
+//!   blocks are six groups of 8 and one leftover block, its K = 7 blocks
+//!   one group of 8 lanes with one lane of padding.  A group is stored
 //!   interleaved: entry `(i, j)` of its block `first + l` sits at
 //!   `(i·n + j)·L + l`, so each scalar step of a per-block kernel becomes one
 //!   L-wide operation, on AVX-512F, AVX2 or plain `f64` lanes as the CPU
@@ -942,7 +942,7 @@ struct LaneGroup {
     first: usize,
     /// Number of blocks, at most `lanes`.
     blocks: usize,
-    /// Lanes per entry: 8, 4, 2 or 1.
+    /// Lanes per entry: [`MAX_LANES`], or 1 for a lone block.
     lanes: usize,
     /// Size of every block of the group.
     n: usize,
@@ -961,9 +961,9 @@ impl LaneGroup {
 /// Split the blocks into lane groups: each stretch of consecutive blocks
 /// with the same size and the same coupling pattern
 /// ([`CouplingBlock::same_pattern`]) becomes groups of 8 blocks, and the
-/// rest one group padded to 1, 2, 4 or 8 lanes.  K = 49 blocks are six
-/// groups of 8 and a leftover block at 1 lane; K = 7 blocks are one group
-/// of 8 lanes, one of them padding.
+/// rest one group padded to 8 lanes, or a lone block at 1 lane.  K = 49
+/// blocks are six groups of 8 and a leftover block at 1 lane; K = 7 blocks
+/// are one group of 8 lanes, one of them padding.
 fn lane_groups(prep: &Prepared) -> Vec<LaneGroup> {
     let same_shape = |a: usize, b: usize| {
         prep.blocks[a].len() == prep.blocks[b].len()
@@ -979,7 +979,7 @@ fn lane_groups(prep: &Prepared) -> Vec<LaneGroup> {
         }
         while first < end {
             let blocks = (end - first).min(MAX_LANES);
-            let lanes = blocks.next_power_of_two();
+            let lanes = if blocks == 1 { 1 } else { MAX_LANES };
             let n = prep.blocks[first].len();
             let vars = (0..n)
                 .flat_map(|i| (first..first + blocks).map(move |b| prep.blocks[b][i]))
@@ -1065,7 +1065,8 @@ impl BlockedWorkspace {
 /// copies lie in consecutive blocks, so the copies that fall in one group
 /// are consecutive lanes, and each pair of pattern entries updates them as
 /// one contiguous slice.  Every entry still takes its terms row by row, in
-/// row order, each as `(λ/w · a_i) · a_j`.
+/// row order, each as `(λ/w · a_i) · a_j`; the products `λ/w · a_i` of a
+/// segment are formed once per pattern entry `i`.
 fn assemble_lanes(prep: &Prepared, it: &Point, ws: &mut BlockedWorkspace) {
     let BlockedWorkspace {
         groups,
@@ -1092,23 +1093,24 @@ fn assemble_lanes(prep: &Prepared, it: &Point, ws: &mut BlockedWorkspace) {
             let g = &groups[group_of[run.block + c]];
             let lane = run.block + c - g.first;
             let copies = c..c + (g.blocks - lane).min(run.len() - c);
+            let len = copies.len();
             let mats = &mut factors[g.offset..g.offset + g.factor_len()];
             let wt = &wt[copies.clone()];
+            let mut kx = [0.0; MAX_LANES];
             for (a, &ia) in run.local.iter().enumerate() {
                 let va = &run.entry(a)[copies.clone()];
+                for ((o, &k), &x) in kx[..len].iter_mut().zip(wt).zip(va) {
+                    *o = k * x;
+                }
+                let row = &mut mats[ia * g.n * g.lanes..];
                 for (b, &ib) in run.local.iter().enumerate() {
                     if ib > ia {
                         continue;
                     }
                     let vb = &run.entry(b)[copies.clone()];
-                    let at = (ia * g.n + ib) * g.lanes + lane;
-                    for (((m, &k), &x), &y) in mats[at..at + copies.len()]
-                        .iter_mut()
-                        .zip(wt)
-                        .zip(va)
-                        .zip(vb)
-                    {
-                        *m += (k * x) * y;
+                    let at = ib * g.lanes + lane;
+                    for ((m, &kx), &y) in row[at..at + len].iter_mut().zip(&kx[..len]).zip(vb) {
+                        *m += kx * y;
                     }
                 }
             }
@@ -3071,8 +3073,8 @@ mod tests {
     fn lane_groups_split_same_shaped_blocks_into_eights_and_a_padded_rest() {
         let lanes_of = |k| group_lanes(&prepare_lane_lp(k, 1));
         assert_eq!(lanes_of(7), vec![(7, 8)]);
-        assert_eq!(lanes_of(10), vec![(8, 8), (2, 2)]);
-        assert_eq!(lanes_of(11), vec![(8, 8), (3, 4)]);
+        assert_eq!(lanes_of(10), vec![(8, 8), (2, 8)]);
+        assert_eq!(lanes_of(11), vec![(8, 8), (3, 8)]);
         assert_eq!(lanes_of(49), [vec![(8, 8); 6], vec![(1, 1)]].concat());
         assert_eq!(lanes_of(70), [vec![(8, 8); 8], vec![(6, 8)]].concat());
         // Blocks of another size or coupling pattern start a new group.
@@ -3105,9 +3107,9 @@ mod tests {
 
     /// Every instruction set this CPU runs, against the per-block kernels
     /// at random iterates: K = 7 (one group of 8 lanes, one of them
-    /// padding), K = 10 and 11 (groups of 2 lanes and of 4 with padding
-    /// after a group of 8) and K = 49 (six groups of 8 and one leftover
-    /// block at 1 lane).
+    /// padding), K = 10 and 11 (a group of 8 followed by one of 2 or 3
+    /// blocks padded to 8 lanes) and K = 49 (six groups of 8 and one
+    /// leftover block at 1 lane).
     #[test]
     fn lane_kernels_match_per_block_kernels_on_obfuscation_blocks() {
         use rand::SeedableRng;
