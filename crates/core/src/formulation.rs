@@ -42,7 +42,8 @@ pub struct ObfuscationProblem {
     epsilon: f64,
     /// Ordered pairs `(i, j)` for which a Geo-Ind constraint is generated.
     constrained_pairs: Vec<(usize, usize)>,
-    /// Whether the graph approximation is in effect (affects reporting only).
+    /// Whether the graph approximation is in effect: it chose
+    /// `constrained_pairs` (neighbouring peers only, or all ordered pairs).
     graph_approximation: bool,
     /// [`ObfuscationProblem::cost_matrix`], computed on first use.
     costs: OnceLock<Vec<f64>>,
@@ -256,13 +257,13 @@ impl ObfuscationProblem {
     /// Returns the problem plus the per-column variable blocks used by the
     /// block-angular solver.
     ///
-    /// The K row-stochasticity equalities come first, then the Geo-Ind rows
-    /// pair-major and column-minor: pair `p`'s row for column `l` is
-    /// constraint `K + p·K + l`.  Consecutive columns shift both variables by
-    /// one and move to the next column block, so each pair's K rows form one
-    /// run that the solver sweeps as contiguous slices (see `corgi-lp`'s
-    /// `interior` module); `write_reserved_budget` rewrites them with one call
-    /// per pair.  Reordering these rows keeps the LP but loses that layout.
+    /// The K row-stochasticity equalities come first, then one Geo-Ind
+    /// constraint per constrained pair, as Eq. 4 states it: pair `p` is
+    /// constraint `K + p`, with one copy per reported column `l`, each
+    /// shifting both variables by `l` into column block `l`.  The solver
+    /// sweeps each pair's K copies as one run (see `corgi-lp`'s `interior`
+    /// module), and `write_reserved_budget` rewrites them with one update
+    /// per pair.
     pub fn build_lp(&self, rpb: Option<&[Vec<f64>]>) -> Result<(LpProblem, Vec<Vec<usize>>)> {
         let k = self.size();
         let var = |real: usize, reported: usize| real * k + reported;
@@ -280,14 +281,9 @@ impl ObfuscationProblem {
         // Geo-Ind constraints (Eq. 4 with the effective budget of Eq. 13/15).
         for &(i, j) in &self.constrained_pairs {
             let bound = self.geo_ind_bound(i, j, rpb.map_or(0.0, |m| m[i][j]));
-            for l in 0..k {
-                lp.add_constraint(
-                    vec![(var(i, l), 1.0), (var(j, l), -bound)],
-                    ConstraintSense::Le,
-                    0.0,
-                )
+            let coeffs = vec![(var(i, 0), 1.0), (var(j, 0), -bound)];
+            lp.add_shifted_constraints(coeffs, k, ConstraintSense::Le, 0.0)
                 .map_err(CorgiError::from)?;
-            }
         }
 
         // One block per reported-location column: {z_{i,l} : i = 0..K} for fixed l.
@@ -319,11 +315,11 @@ impl ObfuscationProblem {
         rpb: &[Vec<f64>],
     ) -> Result<()> {
         let k = self.size();
-        // The K row-stochasticity equalities come first, then the Geo-Ind
-        // rows in `build_lp` order: the K copies of each pair, one write.
+        // The K row-stochasticity equalities come first, then one Geo-Ind
+        // constraint per pair in `build_lp` order.
         for (p, &(i, j)) in self.constrained_pairs.iter().enumerate() {
             let bound = self.geo_ind_bound(i, j, rpb[i][j]);
-            lp.update_shifted_rows(k + p * k, k, &[(i * k, 1.0), (j * k, -bound)])
+            lp.update_constraint(k + p, &[(i * k, 1.0), (j * k, -bound)])
                 .map_err(CorgiError::from)?;
         }
         Ok(())
@@ -523,7 +519,25 @@ mod tests {
         let (_t, p) = problem(1, true);
         let matrix = p.solve(None).unwrap();
         matrix.check_stochastic(1e-6).unwrap();
-        // The graph approximation is sufficient for all-pairs Geo-Ind (Theorem 4.1).
+        // All pairs hold here, but this does not check Theorem 4.1: the LP
+        // bounds each constrained pair at its direct distance, and chaining
+        // those bounds over non-neighbours is sound only where the graph
+        // distance equals the direct one.  At level 1 it does: the graph
+        // constrains 36 of the 42 ordered pairs, and each of the other 6
+        // (opposite ring cells) runs through a neighbour on a straight line.
+        let d = p.distances();
+        let pairs = p.constrained_pairs();
+        assert_eq!(pairs.len(), 36);
+        for i in 0..7 {
+            for j in (0..7).filter(|&j| j != i && !pairs.contains(&(i, j))) {
+                assert!(
+                    (0..7).any(|m| pairs.contains(&(i, m))
+                        && pairs.contains(&(m, j))
+                        && (d[i][m] + d[m][j] - d[i][j]).abs() < 1e-9 * d[i][j]),
+                    "pair ({i}, {j}) is chained at a longer distance"
+                );
+            }
+        }
         let report = geoind::check_all_pairs(&matrix, p.distances(), p.epsilon(), 1e-6);
         assert!(
             report.is_satisfied(),

@@ -20,7 +20,7 @@ pub enum LpError {
     InvalidBlockStructure(String),
     /// An inequality constraint spans more than one block (block-angular solver only).
     ConstraintSpansBlocks {
-        /// Index of the offending constraint.
+        /// Index of the offending constraint among `LpProblem::constraints`.
         constraint: usize,
     },
     /// A numerical factorization failed (matrix not positive definite / singular).
@@ -29,7 +29,8 @@ pub enum LpError {
     ConstraintOutOfRange {
         /// Offending constraint index.
         index: usize,
-        /// Number of constraints in the problem.
+        /// Number of constraints in the problem (each stated once for all of
+        /// its shifted copies).
         num_constraints: usize,
     },
     /// A prepared-LP row update addressed an equality row (equality rows

@@ -31,27 +31,27 @@
 //! prepares and then runs the one IPM loop.  [`PreparedLp`] keeps the
 //! prepared form, and the IPM's buffers, across solves: Algorithm 1's
 //! refinements change only inequality coefficients, which
-//! [`PreparedLp::update_row`] and [`PreparedLp::update_shifted_rows`] rewrite
-//! in place with the same equilibration arithmetic, so a chain of re-solves
-//! skips the rebuild and still runs exactly the floating-point operations of
-//! a fresh preparation.
+//! [`PreparedLp::update_constraint`] rewrites in place with the same
+//! equilibration arithmetic, so a chain of re-solves skips the rebuild and
+//! still runs exactly the floating-point operations of a fresh preparation.
 //!
 //! # Inequality rows as runs
 //!
 //! The Geo-Ind constraints `z_{i,l} ≤ e^{ε·d_{i,j}}·z_{j,l}` repeat one bound
 //! for every reported column `l`: at K = 49 the 21,756 inequality rows are
-//! 444 constrained pairs, each repeated K times.  `G` is therefore stored as
-//! *runs*: a run is a stack of consecutive rows in which copy `c` repeats the
-//! first row's pattern with every variable index shifted by `c`, and lies in
-//! the block after copy `c − 1` at the same block-local positions.  A run
-//! keeps its variable indices, block-local positions and first block once,
-//! and its coefficients entry-major, so every pass over `G` — the residual
-//! with its `Gᵀλ` scatter, the Newton right-hand side, each direction's
-//! completion, the Gondzio band and candidate, the warm-start slacks and the
-//! block assembly — sweeps a run as contiguous slices: the K coefficients of
-//! one pattern entry against the K contiguous variables they multiply.  Any
-//! other row is a run of length one, so a generic LP has the same layout and
-//! the same code path.
+//! 444 constrained pairs, each repeated K times.  The builder states each
+//! pair once, as one [`crate::Constraint`] of K copies whose copy `c`
+//! shifts every variable index by `c`, and `G` is stored as *runs*: a
+//! constraint whose copy `c` lies in the block after copy `c − 1`, at copy
+//! 0's block-local positions, is one run of K rows.  A run keeps its
+//! variable indices, block-local positions, coefficients, right-hand side
+//! and first block once, so every pass over `G` — the residual with its
+//! `Gᵀλ` scatter, the Newton right-hand side, each direction's completion,
+//! the Gondzio band and candidate, the warm-start slacks and the block
+//! assembly — sweeps a run's pattern entry as one coefficient against the K
+//! contiguous variables it multiplies.  The copies of any other constraint
+//! (a generic LP's one-copy rows, copies inside one block, blocks in
+//! another order) are runs of length one, on the same code path.
 //!
 //! The sweeps are bit-identical to a row-by-row evaluation.  Each row's dot
 //! product still sums its terms in pattern order, and each row's arithmetic is
@@ -59,9 +59,7 @@
 //! and it does: the copies of a run lie in distinct blocks, so they share no
 //! variable, and each variable takes at most one term per run while the runs
 //! are swept in row order.  The same holds for the block assembly, where a
-//! block holds at most one copy of each run.  Rows that repeat with shifted
-//! indices inside one block, whose copies would share variables, are runs of
-//! length one.
+//! block holds at most one copy of each run.
 //!
 //! # Kernel strategies
 //!
@@ -330,9 +328,9 @@ impl SparseRows {
 
     /// Append a row with the given variable indices and zero coefficients;
     /// returns the coefficient slice for the caller to fill.
-    fn push_pattern(&mut self, coeffs: &[(usize, f64)]) -> &mut [f64] {
+    fn push_pattern(&mut self, idx: impl Iterator<Item = usize>) -> &mut [f64] {
         let start = self.idx.len();
-        self.idx.extend(coeffs.iter().map(|&(j, _)| j));
+        self.idx.extend(idx);
         self.val.resize(self.idx.len(), 0.0);
         self.ptr.push(self.idx.len());
         &mut self.val[start..]
@@ -361,24 +359,24 @@ struct Run {
     /// Number of rows (copies) in the run.
     len: usize,
     /// The run's pattern is `idx[entries]`, with block-local positions
-    /// `local[entries]`.
+    /// `local[entries]` and coefficients `val[entries]`, shared by every copy.
     entries: std::ops::Range<usize>,
-    /// Start of the run's `len · entries.len()` coefficients in `val`.
-    val: usize,
+    /// Equilibrated right-hand side, shared by every copy.
+    h: f64,
     /// Block of the first copy; copy `c` lies in block `block + c`.
     block: usize,
 }
 
-/// The inequality rows `G`, stored as runs (see the module docs): the `len`
-/// coefficients of a run's pattern entry `t` are one slice, multiplying the
-/// contiguous variables `x[idx[t]..idx[t] + len]`.
+/// The inequality rows `G`, stored as runs (see the module docs): the one
+/// coefficient of a run's pattern entry `t` multiplies the contiguous
+/// variables `x[idx[t]..idx[t] + len]`, one per copy.
 struct RowRuns {
     runs: Vec<Run>,
     /// Variable index of each pattern entry in the run's first copy.
     idx: Vec<usize>,
     /// Block-local position of each pattern entry, shared by every copy.
     local: Vec<usize>,
-    /// Coefficients, run by run, entry-major within a run.
+    /// Coefficient of each pattern entry, shared by every copy.
     val: Vec<f64>,
 }
 
@@ -388,6 +386,7 @@ struct RunRef<'a> {
     idx: &'a [usize],
     local: &'a [usize],
     val: &'a [f64],
+    h: f64,
     block: usize,
 }
 
@@ -396,27 +395,22 @@ impl RunRef<'_> {
         self.rows.len()
     }
 
-    /// The coefficients of pattern entry `t`, one per copy.
-    fn entry(&self, t: usize) -> &[f64] {
-        let len = self.len();
-        &self.val[t * len..(t + 1) * len]
-    }
-
     /// `out[c] = (G x)[rows.start + c]`.  Each row sums its terms in
     /// pattern order starting from −0.0, as `Iterator::sum` does, so every
     /// value equals the row-by-row dot product bit for bit.
     fn dot_into(&self, x: &[f64], out: &mut [f64]) {
         let len = self.len();
-        let Some(&j) = self.idx.first() else {
+        let mut terms = self.idx.iter().zip(self.val);
+        let Some((&j, &a)) = terms.next() else {
             out.fill(-0.0);
             return;
         };
         // −0.0 + p is p for every p, so the first term initializes the sum.
-        for ((o, &a), &v) in out.iter_mut().zip(self.entry(0)).zip(&x[j..j + len]) {
+        for (o, &v) in out.iter_mut().zip(&x[j..j + len]) {
             *o = a * v;
         }
-        for (t, &j) in self.idx.iter().enumerate().skip(1) {
-            for ((o, &a), &v) in out.iter_mut().zip(self.entry(t)).zip(&x[j..j + len]) {
+        for (&j, &a) in terms {
+            for (o, &v) in out.iter_mut().zip(&x[j..j + len]) {
                 *o += a * v;
             }
         }
@@ -430,8 +424,8 @@ impl RunRef<'_> {
     /// row-by-row scatter does.
     fn scatter(&self, coef: &[f64], y: &mut [f64]) {
         let len = self.len();
-        for (t, &j) in self.idx.iter().enumerate() {
-            for ((v, &a), &k) in y[j..j + len].iter_mut().zip(self.entry(t)).zip(coef) {
+        for (&j, &a) in self.idx.iter().zip(self.val) {
+            for (v, &k) in y[j..j + len].iter_mut().zip(coef) {
                 *v += k * a;
             }
         }
@@ -458,13 +452,19 @@ impl RowRuns {
         self.runs.iter().map(|run| run.len).max().unwrap_or(0)
     }
 
+    /// Largest absolute right-hand side.
+    fn h_norm(&self) -> f64 {
+        self.runs.iter().fold(0.0f64, |m, run| m.max(run.h.abs()))
+    }
+
     fn run(&self, q: usize) -> RunRef<'_> {
         let run = &self.runs[q];
         RunRef {
             rows: run.first..run.first + run.len,
             idx: &self.idx[run.entries.clone()],
             local: &self.local[run.entries.clone()],
-            val: &self.val[run.val..run.val + run.len * run.entries.len()],
+            val: &self.val[run.entries.clone()],
+            h: run.h,
             block: run.block,
         }
     }
@@ -473,74 +473,29 @@ impl RowRuns {
         (0..self.runs.len()).map(|q| self.run(q))
     }
 
-    /// Append the next row, with variables `idx`, coefficients `vals` and
-    /// lying in `block`.  It becomes the next copy of the last run when it
-    /// is one, else a run of its own.  `open` holds the last run's
-    /// coefficients row by row until [`RowRuns::close`] lays them out.
+    /// Append a run of `len` copies of the row with variables `idx`,
+    /// coefficients `val` and right-hand side `h`, its first copy in `block`.
     fn push(
         &mut self,
-        open: &mut Vec<f64>,
-        idx: &[usize],
-        vals: &[f64],
+        idx: impl Iterator<Item = usize>,
+        val: &[f64],
+        h: f64,
         block: usize,
+        len: usize,
         var_local: &[usize],
     ) {
-        let extends = self.runs.last().is_some_and(|run| {
-            let pattern = &self.idx[run.entries.clone()];
-            let local = &self.local[run.entries.clone()];
-            !idx.is_empty()
-                && idx.len() == pattern.len()
-                && block == run.block + run.len
-                && idx
-                    .iter()
-                    .zip(pattern)
-                    .zip(local)
-                    .all(|((&v, &p), &l)| v == p + run.len && var_local[v] == l)
+        let start = self.idx.len();
+        self.idx.extend(idx);
+        self.local
+            .extend(self.idx[start..].iter().map(|&v| var_local[v]));
+        self.val.extend_from_slice(val);
+        self.runs.push(Run {
+            first: self.rows(),
+            len,
+            entries: start..self.idx.len(),
+            h,
+            block,
         });
-        if extends {
-            self.runs.last_mut().expect("a run to extend").len += 1;
-        } else {
-            self.close(open);
-            let start = self.idx.len();
-            self.idx.extend_from_slice(idx);
-            self.local.extend(idx.iter().map(|&v| var_local[v]));
-            self.runs.push(Run {
-                first: self.rows(),
-                len: 1,
-                entries: start..self.idx.len(),
-                val: self.val.len(),
-                block,
-            });
-        }
-        open.extend_from_slice(vals);
-    }
-
-    /// Lay out the last run's row-by-row coefficients `open` entry-major.
-    fn close(&mut self, open: &mut Vec<f64>) {
-        if let Some(run) = self.runs.last() {
-            let nnz = run.entries.len();
-            for t in 0..nnz {
-                self.val.extend(open.iter().skip(t).step_by(nnz));
-            }
-        }
-        open.clear();
-    }
-
-    /// Overwrite the coefficients of every row in `rows` with `vals`.
-    fn fill_rows(&mut self, rows: std::ops::Range<usize>, vals: &[f64]) {
-        let mut q = self
-            .runs
-            .partition_point(|run| run.first + run.len <= rows.start);
-        while q < self.runs.len() && self.runs[q].first < rows.end {
-            let run = &self.runs[q];
-            let copies = rows.start.max(run.first) - run.first
-                ..rows.end.min(run.first + run.len) - run.first;
-            for (t, &v) in vals.iter().enumerate() {
-                let base = run.val + t * run.len;
-                self.val[base + copies.start..base + copies.end].fill(v);
-            }
-            q += 1;
-        }
     }
 }
 
@@ -552,8 +507,8 @@ impl RowRuns {
 /// coefficient.  The feasible set is unchanged but the Newton systems stay
 /// well-conditioned even when coefficients span many orders of magnitude (the
 /// Geo-Ind bounds e^{ε·d} easily reach 10⁶ and beyond).  [`prepare`] and
-/// [`PreparedLp::update_row`] both go through here, so an updated row holds
-/// exactly the values a fresh preparation would.
+/// [`PreparedLp::update_constraint`] both go through here, so an updated
+/// constraint holds exactly the values a fresh preparation would.
 fn equilibrate_row(
     coeffs: &[(usize, f64)],
     sense: ConstraintSense,
@@ -597,49 +552,34 @@ struct CouplingBlock {
 }
 
 impl CouplingBlock {
-    /// Extract block `b`'s coupling matrix from the equality rows `active`
-    /// that touch it.
-    fn new(
-        e: &SparseRows,
-        active: &[usize],
-        b: usize,
-        nb: usize,
-        var_block: &[usize],
-        var_local: &[usize],
-    ) -> Self {
-        let columns: Vec<Vec<(usize, f64)>> = active
-            .iter()
-            .map(|&eq_row| {
-                e.idx(eq_row)
-                    .iter()
-                    .zip(e.val(eq_row))
-                    .filter(|(&v, _)| var_block[v] == b)
-                    .map(|(&v, &a)| (var_local[v], a))
-                    .collect()
-            })
-            .collect();
-        let first = |col: &[(usize, f64)]| col.iter().map(|&(l, _)| l).min().unwrap_or(0);
-        let mut order: Vec<usize> = (0..active.len()).collect();
-        order.sort_by_key(|&a| first(&columns[a]));
+    /// Build a block's coupling matrix from its columns: the nonzeros of
+    /// each equality row that touches the block, as `(equality row, local
+    /// row, coefficient)`.
+    fn new(mut columns: Vec<&[(usize, usize, f64)]>, nb: usize) -> Self {
+        let first = |col: &[(usize, usize, f64)]| col.iter().map(|t| t.1).min().unwrap_or(0);
+        columns.sort_by_key(|col| first(col));
         let mut started = vec![0; nb];
-        let mut rows = vec![Vec::new(); nb];
-        for (p, &a) in order.iter().enumerate() {
-            started[first(&columns[a])] += 1;
-            for &(l, coeff) in &columns[a] {
-                rows[l].push((p, coeff));
+        let mut ptr = vec![0; nb + 1];
+        for col in &columns {
+            started[first(col)] += 1;
+            for &(_, l, _) in *col {
+                ptr[l + 1] += 1;
             }
         }
         for i in 1..nb {
             started[i] += started[i - 1];
+            ptr[i + 1] += ptr[i];
         }
-        let mut ptr = vec![0];
-        let mut entries = Vec::new();
-        for row in rows {
-            entries.extend(row);
-            ptr.push(entries.len());
+        let mut next = ptr[..nb].to_vec();
+        let mut entries = vec![(0, 0.0); ptr[nb]];
+        for (p, col) in columns.iter().enumerate() {
+            for &(_, l, coeff) in *col {
+                entries[next[l]] = (p, coeff);
+                next[l] += 1;
+            }
         }
         Self {
-            eq_rows: order.iter().map(|&a| active[a]).collect(),
+            eq_rows: columns.iter().map(|col| col[0].0).collect(),
             started,
             ptr,
             entries,
@@ -669,7 +609,6 @@ struct Prepared {
     n: usize,
     c: Vec<f64>,
     g: RowRuns,
-    h: Vec<f64>,
     e: SparseRows,
     f: Vec<f64>,
     /// block id of every variable
@@ -681,8 +620,9 @@ struct Prepared {
     eq_by_block: Vec<Vec<usize>>,
     /// coupling matrix `E_bᵀ` of each block (blocked kernels)
     coupling_by_block: Vec<CouplingBlock>,
-    /// position of every constraint among the `g` or `e` rows (by its sense)
-    slot: Vec<usize>,
+    /// runs of every constraint, by its index among the problem's
+    /// constraints (none for an equality)
+    runs_of: Vec<std::ops::Range<usize>>,
 }
 
 fn prepare(problem: &LpProblem, blocks: &[Vec<usize>]) -> Result<Prepared, LpError> {
@@ -699,69 +639,85 @@ fn prepare(problem: &LpProblem, blocks: &[Vec<usize>]) -> Result<Prepared, LpErr
         }
     }
 
-    // Inequality rows go into runs, each in the one block it touches (a row
-    // spanning blocks is refused; a row with no variables is vacuous and
-    // attached to block 0).
+    // An inequality constraint is one run when its copy `c` lies in block
+    // `b₀ + c` at copy 0's block-local positions, and runs of one copy each
+    // otherwise (copies inside one block, or blocks in another order).  A
+    // row spanning blocks is refused; a row with no variables is vacuous
+    // and attached to block 0.
     let mut g = RowRuns::new();
-    let mut open = Vec::new();
-    let mut row_idx = Vec::new();
-    let mut row_val = Vec::new();
-    let mut h = Vec::new();
+    let mut vals = Vec::new();
     let mut e = SparseRows::new();
     let mut f = Vec::new();
-    let mut slot = Vec::with_capacity(problem.num_constraints());
-    for cons in problem.constraints() {
+    let mut runs_of = Vec::with_capacity(problem.constraints().len());
+    for (constraint, cons) in problem.constraints().iter().enumerate() {
+        let (coeffs, copies) = (&cons.coeffs, cons.copies);
+        let first_run = g.runs.len();
         if cons.sense == ConstraintSense::Eq {
-            slot.push(e.len());
-            let out = e.push_pattern(&cons.coeffs);
-            f.push(equilibrate_row(&cons.coeffs, cons.sense, cons.rhs, out));
+            for shift in 0..copies {
+                let out = e.push_pattern(coeffs.iter().map(|&(j, _)| j + shift));
+                f.push(equilibrate_row(coeffs, cons.sense, cons.rhs, out));
+            }
+            runs_of.push(first_run..first_run);
             continue;
         }
-        let ri = h.len();
-        slot.push(ri);
-        row_idx.clear();
-        row_idx.extend(cons.coeffs.iter().map(|&(j, _)| j));
-        let block = row_idx.first().map_or(0, |&j| var_block[j]);
-        if row_idx.iter().any(|&j| var_block[j] != block) {
-            return Err(LpError::ConstraintSpansBlocks { constraint: ri });
-        }
-        row_val.resize(row_idx.len(), 0.0);
-        h.push(equilibrate_row(
-            &cons.coeffs,
-            cons.sense,
-            cons.rhs,
-            &mut row_val,
-        ));
-        g.push(&mut open, &row_idx, &row_val, block, &var_local);
-    }
-    g.close(&mut open);
-
-    // Equality rows touching each block, plus the sparse coupling columns.
-    let mut eq_by_block = vec![Vec::new(); blocks.len()];
-    for ri in 0..e.len() {
-        let mut touched = vec![false; blocks.len()];
-        for &j in e.idx(ri) {
-            touched[var_block[j]] = true;
-        }
-        for (b, t) in touched.iter().enumerate() {
-            if *t {
-                eq_by_block[b].push(ri);
+        vals.resize(coeffs.len(), 0.0);
+        let h = equilibrate_row(coeffs, cons.sense, cons.rhs, &mut vals);
+        let block_of = |shift: usize| coeffs.first().map_or(0, |&(j, _)| var_block[j + shift]);
+        let one_run = copies > 1
+            && !coeffs.is_empty()
+            && coeffs.iter().all(|&(j, _)| {
+                (0..copies).all(|c| {
+                    var_block[j + c] == block_of(0) + c && var_local[j + c] == var_local[j]
+                })
+            });
+        if one_run {
+            let idx = coeffs.iter().map(|&(j, _)| j);
+            g.push(idx, &vals, h, block_of(0), copies, &var_local);
+        } else {
+            for shift in 0..copies {
+                let block = block_of(shift);
+                if coeffs.iter().any(|&(j, _)| var_block[j + shift] != block) {
+                    return Err(LpError::ConstraintSpansBlocks { constraint });
+                }
+                let idx = coeffs.iter().map(|&(j, _)| j + shift);
+                g.push(idx, &vals, h, block, 1, &var_local);
             }
         }
+        runs_of.push(first_run..g.runs.len());
     }
-    let coupling_by_block = eq_by_block
-        .iter()
-        .enumerate()
-        .map(|(b, active)| {
-            CouplingBlock::new(&e, active, b, blocks[b].len(), &var_block, &var_local)
-        })
-        .collect();
+
+    // The equality rows' nonzeros block by block, in row order within a
+    // block: the rows touching each block, and its coupling columns.
+    let mut start = vec![0; blocks.len() + 1];
+    for &j in &e.idx {
+        start[var_block[j] + 1] += 1;
+    }
+    for b in 0..blocks.len() {
+        start[b + 1] += start[b];
+    }
+    let mut next = start.clone();
+    let mut nonzeros = vec![(0, 0, 0.0); e.idx.len()];
+    for ri in 0..e.len() {
+        for (&j, &a) in e.idx(ri).iter().zip(e.val(ri)) {
+            let b = var_block[j];
+            nonzeros[next[b]] = (ri, var_local[j], a);
+            next[b] += 1;
+        }
+    }
+    let mut eq_by_block = Vec::with_capacity(blocks.len());
+    let mut coupling_by_block = Vec::with_capacity(blocks.len());
+    for (b, block) in blocks.iter().enumerate() {
+        let columns: Vec<_> = nonzeros[start[b]..start[b + 1]]
+            .chunk_by(|x, y| x.0 == y.0)
+            .collect();
+        eq_by_block.push(columns.iter().map(|col| col[0].0).collect());
+        coupling_by_block.push(CouplingBlock::new(columns, block.len()));
+    }
 
     Ok(Prepared {
         n,
         c: problem.objective().to_vec(),
         g,
-        h,
         e,
         f,
         var_block,
@@ -769,7 +725,7 @@ fn prepare(problem: &LpProblem, blocks: &[Vec<usize>]) -> Result<Prepared, LpErr
         blocks: blocks.to_vec(),
         eq_by_block,
         coupling_by_block,
-        slot,
+        runs_of,
     })
 }
 
@@ -777,13 +733,13 @@ fn prepare(problem: &LpProblem, blocks: &[Vec<usize>]) -> Result<Prepared, LpErr
 /// inequality coefficients (Algorithm 1's reserved-budget refinements).
 ///
 /// Owns the [`LpProblem`] together with its prepared form (rows
-/// equilibrated, inequality rows stored as runs, the coupling columns of the
-/// Schur complement extracted) and the interior-point method's buffers,
-/// which every solve of the chain reuses.  [`PreparedLp::update_row`] and
-/// [`PreparedLp::update_shifted_rows`] rewrite inequality rows in the problem
-/// and the prepared form at once, with exactly the arithmetic of a fresh
-/// preparation, so [`PreparedLp::solve_with_warm`] after any sequence of
-/// updates runs the same floating-point operations as
+/// equilibrated, each inequality constraint's copies stored as runs, the
+/// coupling columns of the Schur complement extracted) and the
+/// interior-point method's buffers, which every solve of the chain reuses.
+/// [`PreparedLp::update_constraint`] rewrites an inequality constraint in
+/// the problem and the prepared form at once, with exactly the arithmetic of
+/// a fresh preparation, so [`PreparedLp::solve_with_warm`] after any
+/// sequence of updates runs the same floating-point operations as
 /// [`BlockAngularSolver::solve_with_warm`] on the rebuilt problem — and
 /// returns the same solution bit for bit.
 pub struct PreparedLp {
@@ -817,79 +773,56 @@ impl PreparedLp {
         self.prep.g.iter().map(|run| run.rows)
     }
 
-    /// Replace the coefficient values of inequality constraint `constraint`.
+    /// Replace the coefficient values of inequality constraint `constraint`
+    /// (its index among [`LpProblem::constraints`]) in every copy.
     ///
-    /// `coeffs` must name the row's variables in the row's order; only the
-    /// values change.  An equality row ([`LpError::EqualityRowUpdate`]), a
-    /// different pattern ([`LpError::RowPatternMismatch`]), an index out of
-    /// range or a non-finite value is refused and leaves the LP unchanged.
-    pub fn update_row(
+    /// `coeffs` must name the constraint's variables in its order; only the
+    /// values change.  They are equilibrated once and written once per
+    /// pattern entry of each of the constraint's runs.  An equality
+    /// ([`LpError::EqualityRowUpdate`]), a different pattern
+    /// ([`LpError::RowPatternMismatch`]), an index out of range or a
+    /// non-finite value is refused and leaves the LP unchanged.
+    pub fn update_constraint(
         &mut self,
         constraint: usize,
         coeffs: &[(usize, f64)],
     ) -> Result<(), LpError> {
-        self.update_shifted_rows(constraint, 1, coeffs)
-    }
-
-    /// Replace the coefficient values of the `copies` inequality constraints
-    /// `first..first + copies`, where constraint `first + c` is `coeffs` with
-    /// every variable index shifted by `c` — the copies of one Geo-Ind pair,
-    /// one per reported column, that form one run.
-    ///
-    /// The row is equilibrated once and written to every copy; a copy whose
-    /// sense or right-hand side differs from the first copy's is equilibrated
-    /// on its own.  Each copy is checked as [`PreparedLp::update_row`] checks
-    /// its row, all before anything is written, so a refusal leaves the LP
-    /// unchanged.
-    pub fn update_shifted_rows(
-        &mut self,
-        first: usize,
-        copies: usize,
-        coeffs: &[(usize, f64)],
-    ) -> Result<(), LpError> {
         let constraints = self.problem.constraints();
-        for c in 0..copies {
-            let constraint = first + c;
-            let Some(cons) = constraints.get(constraint) else {
-                return Err(LpError::ConstraintOutOfRange {
-                    index: constraint,
-                    num_constraints: constraints.len(),
-                });
-            };
-            if cons.sense == ConstraintSense::Eq {
-                return Err(LpError::EqualityRowUpdate { constraint });
-            }
-            if cons.coeffs.len() != coeffs.len()
-                || cons.coeffs.iter().zip(coeffs).any(|(a, b)| a.0 != b.0 + c)
-            {
-                return Err(LpError::RowPatternMismatch { constraint });
-            }
+        let Some(cons) = constraints.get(constraint) else {
+            return Err(LpError::ConstraintOutOfRange {
+                index: constraint,
+                num_constraints: constraints.len(),
+            });
+        };
+        if cons.sense == ConstraintSense::Eq {
+            return Err(LpError::EqualityRowUpdate { constraint });
+        }
+        if cons.coeffs.len() != coeffs.len()
+            || cons.coeffs.iter().zip(coeffs).any(|(a, b)| a.0 != b.0)
+        {
+            return Err(LpError::RowPatternMismatch { constraint });
         }
         if coeffs.iter().any(|(_, a)| !a.is_finite()) {
             return Err(LpError::NonFiniteCoefficient);
         }
-        if copies == 0 {
-            return Ok(());
+        let g = &mut self.prep.g;
+        let mut runs = self.prep.runs_of[constraint].clone();
+        if let Some(head) = runs.next() {
+            let entries = g.runs[head].entries.clone();
+            let h = equilibrate_row(coeffs, cons.sense, cons.rhs, &mut g.val[entries.clone()]);
+            g.runs[head].h = h;
+            for q in runs {
+                let run = &mut g.runs[q];
+                run.h = h;
+                g.val.copy_within(entries.clone(), run.entries.start);
+            }
         }
-        let head = &constraints[first];
-        let (sense, rhs) = (head.sense, head.rhs);
-        let mut vals = vec![0.0; coeffs.len()];
-        let h = equilibrate_row(coeffs, sense, rhs, &mut vals);
-        let row = self.prep.slot[first];
-        self.prep.g.fill_rows(row..row + copies, &vals);
-        for c in 0..copies {
-            let cons = &constraints[first + c];
-            self.prep.h[row + c] = if cons.sense == sense && cons.rhs.to_bits() == rhs.to_bits() {
-                h
-            } else {
-                let mut own = vec![0.0; coeffs.len()];
-                let own_h = equilibrate_row(coeffs, cons.sense, cons.rhs, &mut own);
-                self.prep.g.fill_rows(row + c..row + c + 1, &own);
-                own_h
-            };
-        }
-        for c in 0..copies {
-            self.problem.overwrite_coefficients(first + c, coeffs);
+        for (slot, &(_, a)) in self.problem.constraints[constraint]
+            .coeffs
+            .iter_mut()
+            .zip(coeffs)
+        {
+            slot.1 = a;
         }
         Ok(())
     }
@@ -1064,7 +997,7 @@ impl BlockedWorkspace {
 /// One sweep over the runs, as [`assemble_block_matrices`] does: a run's
 /// copies lie in consecutive blocks, so the copies that fall in one group
 /// are consecutive lanes, and each pair of pattern entries updates them as
-/// one contiguous slice.  Every entry still takes its terms row by row, in
+/// one contiguous slice with the entries' two coefficients.  Every entry still takes its terms row by row, in
 /// row order, each as `(λ/w · a_i) · a_j`; the products `λ/w · a_i` of a
 /// segment are formed once per pattern entry `i`.
 fn assemble_lanes(prep: &Prepared, it: &Point, ws: &mut BlockedWorkspace) {
@@ -1097,20 +1030,18 @@ fn assemble_lanes(prep: &Prepared, it: &Point, ws: &mut BlockedWorkspace) {
             let mats = &mut factors[g.offset..g.offset + g.factor_len()];
             let wt = &wt[copies.clone()];
             let mut kx = [0.0; MAX_LANES];
-            for (a, &ia) in run.local.iter().enumerate() {
-                let va = &run.entry(a)[copies.clone()];
-                for ((o, &k), &x) in kx[..len].iter_mut().zip(wt).zip(va) {
-                    *o = k * x;
+            for (&ia, &va) in run.local.iter().zip(run.val) {
+                for (o, &k) in kx[..len].iter_mut().zip(wt) {
+                    *o = k * va;
                 }
                 let row = &mut mats[ia * g.n * g.lanes..];
-                for (b, &ib) in run.local.iter().enumerate() {
+                for (&ib, &vb) in run.local.iter().zip(run.val) {
                     if ib > ia {
                         continue;
                     }
-                    let vb = &run.entry(b)[copies.clone()];
                     let at = ib * g.lanes + lane;
-                    for ((m, &kx), &y) in row[at..at + len].iter_mut().zip(&kx[..len]).zip(vb) {
-                        *m += kx * y;
+                    for (m, &kx) in row[at..at + len].iter_mut().zip(&kx[..len]) {
+                        *m += kx * vb;
                     }
                 }
             }
@@ -1383,7 +1314,7 @@ fn newton_solve_blocked(
 ///
 /// One sweep over the runs: a run's barrier weights are formed once, and
 /// each pair of its pattern entries updates one position of every copy's
-/// block, reading both entries' coefficients as contiguous slices.  A block
+/// block with the entries' two coefficients.  A block
 /// holds at most one copy of each run, so its entries still take their
 /// terms row by row, in row order, each as `(λ/w · a_i) · a_j` — the
 /// arithmetic of a row-by-row assembly.  `weights` holds at least the
@@ -1404,12 +1335,10 @@ fn assemble_block_matrices(
             *v = barrier_weight(lam, w);
         }
         let mats = &mut mats[run.block..run.block + run.len()];
-        for (a, &ia) in run.local.iter().enumerate() {
-            let va = run.entry(a);
-            for (b, &ib) in run.local.iter().enumerate() {
-                let vb = run.entry(b);
-                for (((mb, &k), &x), &y) in mats.iter_mut().zip(wt.iter()).zip(va).zip(vb) {
-                    mb[(ia, ib)] += (k * x) * y;
+        for (&ia, &va) in run.local.iter().zip(run.val) {
+            for (&ib, &vb) in run.local.iter().zip(run.val) {
+                for (mb, &k) in mats.iter_mut().zip(wt.iter()) {
+                    mb[(ia, ib)] += (k * va) * vb;
                 }
             }
         }
@@ -1696,12 +1625,8 @@ fn compute_residuals(prep: &Prepared, it: &Point, mu_eq: &[f64], res: &mut Resid
         let rows = run.rows.clone();
         let p1 = &mut res.p1[rows.clone()];
         run.dot_into(&it.x, p1);
-        for ((r, &h), &w) in p1
-            .iter_mut()
-            .zip(&prep.h[rows.clone()])
-            .zip(&it.w[rows.clone()])
-        {
-            *r = h - *r - w;
+        for (r, &w) in p1.iter_mut().zip(&it.w[rows.clone()]) {
+            *r = run.h - *r - w;
         }
         run.scatter(&it.lam[rows], &mut res.dual);
     }
@@ -1988,7 +1913,7 @@ fn run_ipm(
 
     let scale = 1.0
         + inf_norm(&prep.c)
-            .max(inf_norm(&prep.h))
+            .max(prep.g.h_norm())
             .max(inf_norm(&prep.f));
 
     // Warm start: adopt a validated previous iterate, shifted back to the
@@ -2036,8 +1961,8 @@ fn run_ipm(
                 let rows = run.rows.clone();
                 let raw_w = &mut raw_w[rows.clone()];
                 run.dot_into(&it.x, raw_w);
-                for (raw, &h) in raw_w.iter_mut().zip(&prep.h[rows]) {
-                    *raw = h - *raw;
+                for raw in raw_w.iter_mut() {
+                    *raw = run.h - *raw;
                     violation = violation.max(-*raw);
                 }
             }
@@ -3002,14 +2927,9 @@ mod tests {
         for i in 0..k {
             for j in [(i + 1) % k, (i + 3) % k] {
                 let bound = rng.gen_range(1.5..4.0);
-                for l in 0..k {
-                    p.add_constraint(
-                        vec![(var(i, l), 1.0), (var(j, l), -bound)],
-                        ConstraintSense::Le,
-                        0.0,
-                    )
+                let pair = vec![(var(i, 0), 1.0), (var(j, 0), -bound)];
+                p.add_shifted_constraints(pair, k, ConstraintSense::Le, 0.0)
                     .unwrap();
-                }
             }
         }
         let blocks = (0..k)
@@ -3128,20 +3048,20 @@ mod tests {
     /// weights in every other block, a group's lanes disagree on every zero
     /// skip (so the per-lane selects decide); with tiny weights everywhere,
     /// every lane skips together.  Every third column's equality
-    /// coefficients are −0.0, so signed zeros enter `X`.
+    /// coefficients are −0.0, so signed zeros enter `X`, and one of them
+    /// becomes +∞, so zero multipliers meet infinite `X` entries.
     #[test]
     fn lane_kernels_match_per_block_kernels_on_flushed_and_zero_entries() {
         use rand::SeedableRng;
         for isa in Isa::supported() {
             for k in [7, 49] {
                 let (mut p, blocks) = lane_test_lp(k, 5);
-                for i in 0..k {
-                    let row: Vec<(usize, f64)> = p.constraints()[i]
-                        .coeffs
-                        .iter()
-                        .map(|&(v, a)| (v, if (v % k) % 3 == 0 { -0.0 } else { a }))
-                        .collect();
-                    p.overwrite_coefficients(i, &row);
+                for cons in &mut p.constraints[..k] {
+                    for (v, a) in &mut cons.coeffs {
+                        if (*v % k) % 3 == 0 {
+                            *a = -0.0;
+                        }
+                    }
                 }
                 let prep = prepare(&p, &blocks).unwrap();
                 for every_block in [false, true] {
@@ -3160,6 +3080,29 @@ mod tests {
                     let what = format!("K = {k}, tiny weights in every block: {every_block}");
                     assert_lanes_match_per_block(&prep, &it, isa, &what);
                 }
+                // An infinite coefficient `X` carries: block 3's equality
+                // row 0 coefficient becomes +∞, and every row of block 3
+                // but pair (4, 0)'s gets a tiny weight.  Its lane's `X`
+                // then holds ±∞ in rows 0 and 4 of column 0 and zeros
+                // elsewhere, and its multipliers are zero wherever they meet
+                // those entries while the other lanes' are not: the lane
+                // must keep its value, since 0·∞ is NaN.
+                let mut prep = prep;
+                let at = prep.e.range(0).start + 3;
+                assert_eq!(prep.e.idx[at], 3);
+                prep.e.val[at] = f64::INFINITY;
+                let coupling = &mut prep.coupling_by_block[3];
+                assert_eq!(coupling.eq_rows[0], 0);
+                coupling.entries[coupling.ptr[0]] = (0, f64::INFINITY);
+                let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+                let mut it = random_point(&mut rng, prep.n, prep.g.rows());
+                for run in prep.g.iter().filter(|run| run.local != [4, 0]) {
+                    if let Some(c) = 3usize.checked_sub(run.block).filter(|&c| c < run.len()) {
+                        it.lam[run.rows.start + c] = 1e-160;
+                    }
+                }
+                let what = format!("K = {k}, an infinite coupling coefficient");
+                assert_lanes_match_per_block(&prep, &it, isa, &what);
             }
         }
     }
@@ -3206,13 +3149,12 @@ mod tests {
     }
 
     fn reference_rows(p: &LpProblem, prep: &Prepared) -> Vec<RefRow> {
-        p.constraints()
-            .iter()
-            .filter(|c| c.sense != ConstraintSense::Eq)
-            .map(|c| {
+        p.rows()
+            .filter(|(c, _)| c.sense != ConstraintSense::Eq)
+            .map(|(c, copy)| {
                 let mut val = vec![0.0; c.coeffs.len()];
                 equilibrate_row(&c.coeffs, c.sense, c.rhs, &mut val);
-                let idx: Vec<usize> = c.coeffs.iter().map(|&(j, _)| j).collect();
+                let idx: Vec<usize> = c.terms(copy).map(|(j, _)| j).collect();
                 let block = idx.first().map_or(0, |&j| prep.var_block[j]);
                 RefRow { idx, val, block }
             })
@@ -3233,15 +3175,17 @@ mod tests {
     /// prepare into.
     ///
     /// The first has K = 7 column blocks (`z_{i,l}` is variable `7i + l`,
-    /// block `l`, as in the obfuscation LP) and rows of one to three
-    /// nonzeros: runs of length K, one whose next copy would cross the last
-    /// block boundary (the next pair's first row shifts every index by one
-    /// too), one with descending indices, runs broken by an index gap and by
-    /// pattern changes, and a row with no variables.  The second has two
-    /// contiguous blocks whose rows repeat with every index shifted by one
-    /// inside one block, so consecutive copies share variables, or into the
-    /// next block at another local position; they must stay runs of length
-    /// one.  The third is the first with its blocks in reverse order.
+    /// block `l`, as in the obfuscation LP) and groups of shifted copies of
+    /// rows with one to three nonzeros: groups of K copies, groups of 3
+    /// copies on either side of a column no group covers, one with
+    /// descending indices, groups of one copy and a row with no variables.
+    /// Each forms one run.  A group whose last copy crosses the last block
+    /// boundary (its index shift wraps to block 0) is runs of length one.
+    /// The second has two contiguous blocks whose groups shift every index
+    /// by one inside one block, so consecutive copies share variables, or
+    /// into the next block at another local position; they must stay runs
+    /// of length one.  The third is the first with its blocks in reverse
+    /// order, where every copy is a run of its own.
     fn sweep_inputs(seed: u64) -> Vec<(LpProblem, Vec<Vec<usize>>, Vec<usize>)> {
         use rand::prelude::*;
         let mut rng = StdRng::seed_from_u64(seed);
@@ -3253,14 +3197,14 @@ mod tests {
                 a
             }
         };
-        let add = |p: &mut LpProblem, rng: &mut StdRng, vars: &[usize]| {
+        let add = |p: &mut LpProblem, rng: &mut StdRng, vars: &[usize], copies: usize| {
             let row = vars.iter().map(|&v| (v, coeff(rng))).collect();
             let sense = if rng.gen_bool(0.5) {
                 ConstraintSense::Le
             } else {
                 ConstraintSense::Ge
             };
-            p.add_constraint(row, sense, rng.gen_range(-1.0..1.0))
+            p.add_shifted_constraints(row, copies, sense, rng.gen_range(-1.0..1.0))
                 .unwrap();
         };
 
@@ -3275,43 +3219,44 @@ mod tests {
             )
             .unwrap();
         for (i, j) in [(0, 1), (1, 2), (4, 1)] {
-            for l in 0..k {
-                add(&mut columns, &mut rng, &[var(i, l), var(j, l)]);
-            }
+            add(&mut columns, &mut rng, &[var(i, 0), var(j, 0)], k);
         }
-        for l in [0, 1, 2, 4, 5, 6] {
-            add(&mut columns, &mut rng, &[var(2, l), var(3, l), var(6, l)]);
+        for l in [0, 4] {
+            add(
+                &mut columns,
+                &mut rng,
+                &[var(2, l), var(3, l), var(6, l)],
+                3,
+            );
         }
-        for l in 0..3 {
-            add(&mut columns, &mut rng, &[var(5, l)]);
-        }
-        add(&mut columns, &mut rng, &[var(6, 3)]);
-        add(&mut columns, &mut rng, &[var(6, 4), var(0, 4)]);
+        add(&mut columns, &mut rng, &[var(5, 0)], 3);
+        add(&mut columns, &mut rng, &[var(6, 3)], 1);
+        add(&mut columns, &mut rng, &[var(6, 4), var(0, 4)], 1);
         columns
             .add_constraint(Vec::new(), ConstraintSense::Le, 1.0)
             .unwrap();
+        add(&mut columns, &mut rng, &[var(3, 5)], 3);
         let column_blocks: Vec<Vec<usize>> = (0..k)
             .map(|l| (0..k).map(|i| var(i, l)).collect())
             .collect();
-        // The same rows with the column blocks in reverse order: the next
-        // column is the previous block, so no two rows form a run.
+        // The same groups with the column blocks in reverse order: the next
+        // column is the previous block, so no group forms a run.
         let reversed_blocks = column_blocks.iter().rev().cloned().collect();
 
         let mut contiguous = LpProblem::new(8);
-        for v in 0..3 {
-            add(&mut contiguous, &mut rng, &[v, v + 1]);
-        }
-        for v in 4..6 {
-            add(&mut contiguous, &mut rng, &[v, v + 1, v + 2]);
-        }
+        add(&mut contiguous, &mut rng, &[0, 1], 3);
+        add(&mut contiguous, &mut rng, &[4, 5, 6], 2);
         // Variable 4 follows 3 into the next block, but at local position 0.
-        add(&mut contiguous, &mut rng, &[3]);
-        add(&mut contiguous, &mut rng, &[4]);
+        add(&mut contiguous, &mut rng, &[3], 2);
         let contiguous_blocks = vec![(0..4).collect(), (4..8).collect()];
 
         vec![
-            (columns.clone(), reversed_blocks, vec![1; 33]),
-            (columns, column_blocks, vec![7, 7, 7, 3, 3, 3, 1, 1, 1]),
+            (columns.clone(), reversed_blocks, vec![1; 36]),
+            (
+                columns,
+                column_blocks,
+                vec![7, 7, 7, 3, 3, 3, 1, 1, 1, 1, 1, 1],
+            ),
             (contiguous, contiguous_blocks, vec![1; 7]),
         ]
     }
@@ -3586,12 +3531,12 @@ mod tests {
         assert_eq!(warm_bits(&a.warm), warm_bits(&b.warm));
     }
 
-    /// Rewrite every inequality row of `prepared` to the coefficients of
-    /// `target` (same pattern).
+    /// Rewrite every inequality constraint of `prepared` to the
+    /// coefficients of `target` (same pattern).
     fn update_inequalities(prepared: &mut PreparedLp, target: &LpProblem) {
         for (ci, cons) in target.constraints().iter().enumerate() {
             if cons.sense != ConstraintSense::Eq {
-                prepared.update_row(ci, &cons.coeffs).unwrap();
+                prepared.update_constraint(ci, &cons.coeffs).unwrap();
             }
         }
         assert_eq!(prepared.problem(), target);
@@ -3643,7 +3588,8 @@ mod tests {
                 .unwrap(),
         );
 
-        // The bulk write: each pair's K copies, one run, in one call.
+        // The obfuscation LP's write: each pair's K copies, one run, in one
+        // update.
         let k = 5;
         let (loose, blocks) = geo_ind_problem(k, 0.8f64.exp());
         let (tight, _) = geo_ind_problem(k, 0.5f64.exp());
@@ -3654,7 +3600,7 @@ mod tests {
         for (pair, (i, j)) in geo_ind_pairs(k).enumerate() {
             let bound = -0.5f64.exp();
             prepared
-                .update_shifted_rows(k + pair * k, k, &[(i * k, 1.0), (j * k, bound)])
+                .update_constraint(k + pair, &[(i * k, 1.0), (j * k, bound)])
                 .unwrap();
         }
         assert_eq!(prepared.problem(), &tight);
@@ -3663,43 +3609,44 @@ mod tests {
             &BlockAngularSolver::new(blocks, opts).solve(&tight).unwrap(),
         );
 
-        // Copies of one run may differ in sense and right-hand side (here
-        // `≤ 0`, `≥ 0.5`, `≤ −0`): each is equilibrated as a fresh
-        // preparation would.
+        // A `≥` group of three copies that is one run, beside a group whose
+        // second copy wraps to block 0 at another local position, so its
+        // copies are two runs: each update is equilibrated as a fresh
+        // preparation would, and written to every run of its group.
         let build = |a: f64, b: f64| {
             let mut p = LpProblem::new(9);
             p.set_objective_vector(vec![1.0; 9]).unwrap();
-            let senses = [
-                (ConstraintSense::Le, 0.0),
-                (ConstraintSense::Ge, 0.5),
-                (ConstraintSense::Le, -0.0),
-            ];
-            for (l, &(sense, rhs)) in senses.iter().enumerate() {
-                p.add_constraint(vec![(l, a), (3 + l, b)], sense, rhs)
-                    .unwrap();
-            }
+            p.add_shifted_constraints(vec![(0, a), (3, b)], 3, ConstraintSense::Ge, 0.5)
+                .unwrap();
+            p.add_shifted_constraints(vec![(2, b)], 2, ConstraintSense::Le, -0.0)
+                .unwrap();
             p
         };
         let blocks: Vec<Vec<usize>> = (0..3).map(|l| vec![l, 3 + l, 6 + l]).collect();
         let mut prepared = PreparedLp::new(build(1.0, -2.0), &blocks).unwrap();
         prepared
-            .update_shifted_rows(0, 3, &[(0, 4.0), (3, -0.5)])
+            .update_constraint(0, &[(0, 4.0), (3, -0.5)])
             .unwrap();
+        prepared.update_constraint(1, &[(2, -0.5)]).unwrap();
         let fresh = prepare(&build(4.0, -0.5), &blocks).unwrap();
-        assert_eq!(prepared.inequality_runs().collect::<Vec<_>>(), vec![0..3]);
+        assert_eq!(
+            prepared.inequality_runs().collect::<Vec<_>>(),
+            vec![0..3, 3..4, 4..5]
+        );
+        let h = |g: &RowRuns| g.runs.iter().map(|run| run.h).collect::<Vec<_>>();
         assert_eq!(bits(&prepared.prep.g.val), bits(&fresh.g.val));
-        assert_eq!(bits(&prepared.prep.h), bits(&fresh.h));
+        assert_eq!(bits(&h(&prepared.prep.g)), bits(&h(&fresh.g)));
         assert_eq!(prepared.problem(), &build(4.0, -0.5));
     }
 
-    /// The ordered pairs of `geo_ind_problem`, in row order.
+    /// The ordered pairs of `geo_ind_problem`, in constraint order.
     fn geo_ind_pairs(k: usize) -> impl Iterator<Item = (usize, usize)> {
         (0..k).flat_map(move |i| (0..k).filter(move |&j| j != i).map(move |j| (i, j)))
     }
 
     /// The miniature obfuscation LP of `stochastic_problem` with its ratio
-    /// rows in the obfuscation LP's order: pair-major, column-minor, so each
-    /// pair's K rows form one run.
+    /// rows as the obfuscation LP states them: one constraint per pair with
+    /// K shifted copies, one run each.
     fn geo_ind_problem(k: usize, factor: f64) -> (LpProblem, Vec<Vec<usize>>) {
         let (plain, blocks) = stochastic_problem(k, factor);
         let mut p = LpProblem::new(k * k);
@@ -3709,66 +3656,42 @@ mod tests {
                 .unwrap();
         }
         for (i, j) in geo_ind_pairs(k) {
-            for l in 0..k {
-                p.add_constraint(
-                    vec![(i * k + l, 1.0), (j * k + l, -factor)],
-                    ConstraintSense::Le,
-                    0.0,
-                )
+            let pair = vec![(i * k, 1.0), (j * k, -factor)];
+            p.add_shifted_constraints(pair, k, ConstraintSense::Le, 0.0)
                 .unwrap();
-            }
         }
         (p, blocks)
     }
 
     #[test]
     fn prepared_lp_refuses_equality_and_pattern_updates() {
-        let (p, blocks) = stochastic_problem(3, 0.5f64.exp());
+        let (p, blocks) = geo_ind_problem(3, 0.5f64.exp());
         let mut prepared = PreparedLp::new(p.clone(), &blocks).unwrap();
-        // Rows 0..3 are the row-sum equalities; row 3 is the first ratio row.
+        // Constraints 0..3 are the row-sum equalities; constraint 3 is the
+        // first pair's ratio rows.
         assert_eq!(
-            prepared.update_row(0, &p.constraints()[0].coeffs),
+            prepared.update_constraint(0, &p.constraints()[0].coeffs),
             Err(LpError::EqualityRowUpdate { constraint: 0 })
         );
         let row = p.constraints()[3].coeffs.clone();
         let mismatch = Err(LpError::RowPatternMismatch { constraint: 3 });
         let swapped = vec![row[1], row[0]];
-        assert_eq!(prepared.update_row(3, &swapped), mismatch);
-        assert_eq!(prepared.update_row(3, &row[..1]), mismatch);
+        assert_eq!(prepared.update_constraint(3, &swapped), mismatch);
+        assert_eq!(prepared.update_constraint(3, &row[..1]), mismatch);
         let moved = vec![row[0], (row[1].0 + 1, row[1].1)];
-        assert_eq!(prepared.update_row(3, &moved), mismatch);
+        assert_eq!(prepared.update_constraint(3, &moved), mismatch);
         let nan = vec![row[0], (row[1].0, f64::NAN)];
         assert_eq!(
-            prepared.update_row(3, &nan),
+            prepared.update_constraint(3, &nan),
             Err(LpError::NonFiniteCoefficient)
         );
-        let count = p.num_constraints();
+        let count = p.constraints().len();
         assert_eq!(
-            prepared.update_row(count, &row),
+            prepared.update_constraint(count, &row),
             Err(LpError::ConstraintOutOfRange {
                 index: count,
                 num_constraints: count
             })
-        );
-        // A bulk write is checked copy by copy before anything is written:
-        // rows 3 and 4 are not shifted copies of each other, the copies from
-        // the last ratio row run past the end, and row 2 is an equality.
-        assert_eq!(
-            prepared.update_shifted_rows(3, 2, &row),
-            Err(LpError::RowPatternMismatch { constraint: 4 })
-        );
-        let last = count - 1;
-        let tail = p.constraints()[last].coeffs.clone();
-        assert_eq!(
-            prepared.update_shifted_rows(last, 2, &tail),
-            Err(LpError::ConstraintOutOfRange {
-                index: count,
-                num_constraints: count
-            })
-        );
-        assert_eq!(
-            prepared.update_shifted_rows(2, 2, &row),
-            Err(LpError::EqualityRowUpdate { constraint: 2 })
         );
         // Every refusal left the LP as it was.
         assert_eq!(prepared.problem(), &p);

@@ -25,12 +25,16 @@
 //!   the solver behind every obfuscation matrix `corgi-core` produces.
 //!
 //! * [`PreparedLp`] — a block-angular problem prepared once (rows
-//!   equilibrated, inequality rows stored as runs of shifted copies) whose
-//!   inequality coefficients can be rewritten in place between solves.  Algorithm 1's
-//!   reserved-budget refinements change only the Geo-Ind bounds, so each
-//!   refinement re-solves the same prepared LP instead of rebuilding it.
+//!   equilibrated, each constraint's shifted copies stored as one run)
+//!   whose inequality coefficients can be rewritten in place between solves.
+//!   Algorithm 1's reserved-budget refinements change only the Geo-Ind
+//!   bounds, so each refinement re-solves the same prepared LP instead of
+//!   rebuilding it.
 //!
-//! The [`LpProblem`] builder plus the [`LpSolver`] trait give the rest of the
+//! The [`LpProblem`] builder states a constraint that repeats with shifted
+//! variable indices once ([`LpProblem::add_shifted_constraints`]), as the
+//! paper writes the Geo-Ind constraints: one per constrained pair, "for all
+//! l".  The builder plus the [`LpSolver`] trait give the rest of the
 //! workspace a solver-agnostic API; tests and the ablation bench use it to
 //! check the block-angular solver against the simplex and generic
 //! interior-point oracles on the same LP.  Every solve runs on the calling thread;

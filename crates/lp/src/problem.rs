@@ -14,11 +14,19 @@ pub enum ConstraintSense {
     Eq,
 }
 
-/// A single sparse linear constraint `aᵀx {≤,≥,=} b`.
+/// A sparse linear constraint `aᵀx {≤,≥,=} b`, stated once for `copies`
+/// shifted copies: copy `c` is `coeffs` with every variable index shifted
+/// by `c`, with the same sense and right-hand side.
+///
+/// A plain constraint is one copy.  The Geo-Ind constraints of the
+/// obfuscation LP are one constraint per constrained pair with one copy per
+/// reported column (Eq. 4 "for all l").
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Constraint {
-    /// Sparse coefficients as `(variable index, coefficient)` pairs.
+    /// Sparse coefficients of copy 0 as `(variable index, coefficient)` pairs.
     pub coeffs: Vec<(usize, f64)>,
+    /// Number of shifted copies (rows) the constraint stands for.
+    pub copies: usize,
     /// Constraint sense.
     pub sense: ConstraintSense,
     /// Right-hand side.
@@ -26,17 +34,22 @@ pub struct Constraint {
 }
 
 impl Constraint {
-    /// Evaluate `aᵀx` for a given point.
-    pub fn lhs_value(&self, x: &[f64]) -> f64 {
-        self.coeffs.iter().map(|&(j, a)| a * x[j]).sum()
+    /// The terms of copy `c`, in pattern order: `coeffs` with every variable
+    /// index shifted by `c`.
+    pub(crate) fn terms(&self, c: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        self.coeffs.iter().map(move |&(j, a)| (j + c, a))
     }
 
-    /// Signed violation of the constraint at `x` (0 when satisfied).
+    /// Violation of copy `c` at `x` (0 when satisfied).
     ///
-    /// For `≤` constraints this is `max(0, aᵀx − b)`, for `≥` it is
-    /// `max(0, b − aᵀx)`, for `=` it is `|aᵀx − b|`.
-    pub fn violation(&self, x: &[f64]) -> f64 {
-        let lhs = self.lhs_value(x);
+    /// For `≤` this is `max(0, aᵀx − b)`, for `≥` it is `max(0, b − aᵀx)`,
+    /// for `=` it is `|aᵀx − b|`.  A non-finite `aᵀx` (a NaN or infinite
+    /// term) is an infinite violation.
+    fn violation(&self, c: usize, x: &[f64]) -> f64 {
+        let lhs: f64 = self.terms(c).map(|(j, a)| a * x[j]).sum();
+        if !lhs.is_finite() {
+            return f64::INFINITY;
+        }
         match self.sense {
             ConstraintSense::Le => (lhs - self.rhs).max(0.0),
             ConstraintSense::Ge => (self.rhs - lhs).max(0.0),
@@ -60,7 +73,7 @@ impl Constraint {
 pub struct LpProblem {
     num_vars: usize,
     objective: Vec<f64>,
-    constraints: Vec<Constraint>,
+    pub(crate) constraints: Vec<Constraint>,
 }
 
 impl LpProblem {
@@ -78,19 +91,19 @@ impl LpProblem {
         self.num_vars
     }
 
-    /// Number of constraints.
+    /// Number of constraint rows, every copy of a [`Constraint`] counted.
     pub fn num_constraints(&self) -> usize {
-        self.constraints.len()
+        self.constraints.iter().map(|c| c.copies).sum()
     }
 
-    /// Number of constraints of each sense `(le, ge, eq)`.
+    /// Number of constraint rows of each sense `(le, ge, eq)`.
     pub fn constraint_counts(&self) -> (usize, usize, usize) {
         let mut counts = (0usize, 0usize, 0usize);
         for c in &self.constraints {
             match c.sense {
-                ConstraintSense::Le => counts.0 += 1,
-                ConstraintSense::Ge => counts.1 += 1,
-                ConstraintSense::Eq => counts.2 += 1,
+                ConstraintSense::Le => counts.0 += c.copies,
+                ConstraintSense::Ge => counts.1 += c.copies,
+                ConstraintSense::Eq => counts.2 += c.copies,
             }
         }
         counts
@@ -101,7 +114,10 @@ impl LpProblem {
     /// interior-point solvers (the factorization cost is driven by the block
     /// sizes instead).
     pub fn nonzeros(&self) -> usize {
-        self.constraints.iter().map(|c| c.coeffs.len()).sum()
+        self.constraints
+            .iter()
+            .map(|c| c.coeffs.len() * c.copies)
+            .sum()
     }
 
     /// Set the objective coefficient of one variable.
@@ -139,7 +155,8 @@ impl LpProblem {
         &self.objective
     }
 
-    /// Add a sparse constraint and return its index.
+    /// Add a sparse constraint (one row) and return its index among
+    /// [`LpProblem::constraints`].
     ///
     /// Duplicate variable indices within one constraint are summed.
     pub fn add_constraint(
@@ -148,14 +165,32 @@ impl LpProblem {
         sense: ConstraintSense,
         rhs: f64,
     ) -> Result<usize, LpError> {
+        self.add_shifted_constraints(coeffs, 1, sense, rhs)
+    }
+
+    /// Add a constraint standing for `copies` rows, where copy `c` is
+    /// `coeffs` with every variable index shifted by `c`, and return its
+    /// index among [`LpProblem::constraints`].  The rows are numbered after
+    /// the rows of the constraints added before it.
+    ///
+    /// Validated as [`LpProblem::add_constraint`] validates a row, with every
+    /// index of the last copy in range; duplicate indices are summed.
+    pub fn add_shifted_constraints(
+        &mut self,
+        coeffs: Vec<(usize, f64)>,
+        copies: usize,
+        sense: ConstraintSense,
+        rhs: f64,
+    ) -> Result<usize, LpError> {
         if !rhs.is_finite() {
             return Err(LpError::NonFiniteCoefficient);
         }
         let mut merged: Vec<(usize, f64)> = Vec::with_capacity(coeffs.len());
         for (j, a) in coeffs {
-            if j >= self.num_vars {
+            let last = j + copies.max(1) - 1;
+            if last >= self.num_vars {
                 return Err(LpError::VariableOutOfRange {
-                    index: j,
+                    index: last,
                     num_vars: self.num_vars,
                 });
             }
@@ -170,23 +205,24 @@ impl LpProblem {
         }
         self.constraints.push(Constraint {
             coeffs: merged,
+            copies,
             sense,
             rhs,
         });
         Ok(self.constraints.len() - 1)
     }
 
-    /// All constraints.
+    /// All constraints, each stated once for all of its copies.
     pub fn constraints(&self) -> &[Constraint] {
         &self.constraints
     }
 
-    /// Overwrite the coefficient values of constraint `index` with those of
-    /// `coeffs`, which the caller has checked against the row's pattern.
-    pub(crate) fn overwrite_coefficients(&mut self, index: usize, coeffs: &[(usize, f64)]) {
-        for (slot, &(_, a)) in self.constraints[index].coeffs.iter_mut().zip(coeffs) {
-            slot.1 = a;
-        }
+    /// Every constraint row, in row order, as `(constraint, copy)`: the
+    /// copies of each constraint in turn.
+    pub(crate) fn rows(&self) -> impl Iterator<Item = (&Constraint, usize)> {
+        self.constraints
+            .iter()
+            .flat_map(|c| (0..c.copies).map(move |copy| (c, copy)))
     }
 
     /// Objective value `cᵀx` at a point.
@@ -199,14 +235,19 @@ impl LpProblem {
     }
 
     /// Maximum constraint violation at `x` (also counts negativity of `x`).
+    /// A non-finite entry of `x` or `aᵀx` is an infinite violation.
     pub fn max_violation(&self, x: &[f64]) -> f64 {
-        let constraint_violation = self
-            .constraints
-            .iter()
-            .map(|c| c.violation(x))
-            .fold(0.0f64, f64::max);
-        let negativity = x.iter().map(|v| (-v).max(0.0)).fold(0.0f64, f64::max);
-        constraint_violation.max(negativity)
+        let negativity = x.iter().map(|&v| {
+            if v.is_finite() {
+                (-v).max(0.0)
+            } else {
+                f64::INFINITY
+            }
+        });
+        self.rows()
+            .map(|(c, copy)| c.violation(copy, x))
+            .chain(negativity)
+            .fold(0.0f64, f64::max)
     }
 
     /// Whether a point is feasible within tolerance `tol`.
@@ -291,7 +332,68 @@ mod tests {
         .unwrap();
         let c = &p.constraints()[0];
         assert_eq!(c.coeffs.len(), 2);
-        assert!((c.lhs_value(&[1.0, 0.0]) - 3.0).abs() < 1e-12);
+        let lhs: f64 = c.terms(0).map(|(j, a)| a * [1.0, 0.0][j]).sum();
+        assert!((lhs - 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn shifted_constraints_are_stored_once_and_read_as_rows() {
+        let mut p = LpProblem::new(6);
+        p.add_constraint(vec![(0, 1.0), (1, 1.0)], ConstraintSense::Eq, 1.0)
+            .unwrap();
+        let index = p
+            .add_shifted_constraints(vec![(0, 1.0), (3, -2.0)], 3, ConstraintSense::Le, 0.5)
+            .unwrap();
+        assert_eq!(index, 1);
+        assert_eq!(p.constraints().len(), 2);
+        assert_eq!(p.num_constraints(), 4);
+        assert_eq!(p.constraint_counts(), (3, 0, 1));
+        assert_eq!(p.nonzeros(), 8);
+        let terms: Vec<Vec<(usize, f64)>> =
+            p.rows().map(|(c, copy)| c.terms(copy).collect()).collect();
+        assert_eq!(
+            terms,
+            vec![
+                vec![(0, 1.0), (1, 1.0)],
+                vec![(0, 1.0), (3, -2.0)],
+                vec![(1, 1.0), (4, -2.0)],
+                vec![(2, 1.0), (5, -2.0)],
+            ]
+        );
+        // Copy 2 reads x[2] and x[5]: 2 − 2·0 = 2 > 0.5.
+        let x = [0.5, 0.5, 2.0, 1.0, 1.0, 0.0];
+        assert!((p.max_violation(&x) - 1.5).abs() < 1e-12);
+        // The last copy's indices must be in range.
+        assert_eq!(
+            p.add_shifted_constraints(vec![(4, 1.0)], 3, ConstraintSense::Le, 0.0),
+            Err(LpError::VariableOutOfRange {
+                index: 6,
+                num_vars: 6
+            })
+        );
+        assert_eq!(
+            p.add_shifted_constraints(vec![(0, f64::NAN)], 2, ConstraintSense::Le, 0.0),
+            Err(LpError::NonFiniteCoefficient)
+        );
+        assert_eq!(p.num_constraints(), 4, "refusals add nothing");
+    }
+
+    #[test]
+    fn non_finite_points_are_infeasible() {
+        let mut p = LpProblem::new(2);
+        p.add_constraint(vec![(0, 1.0)], ConstraintSense::Le, 1.0)
+            .unwrap();
+        p.add_constraint(vec![(1, 1.0)], ConstraintSense::Ge, 0.0)
+            .unwrap();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for x in [[bad, 0.5], [0.5, bad]] {
+                assert_eq!(p.max_violation(&x), f64::INFINITY, "{x:?}");
+                assert!(!p.is_feasible(&x, 1e-6), "{x:?}");
+            }
+        }
+        // A NaN variable no row reads is still a violation.
+        let free = LpProblem::new(1);
+        assert!(!free.is_feasible(&[f64::NAN], 1e-6));
     }
 
     #[test]

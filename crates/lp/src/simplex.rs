@@ -188,14 +188,14 @@ impl LpSolver for SimplexSolver {
             rhs: f64,
         }
         let mut rows: Vec<Row> = Vec::with_capacity(m);
-        for c in problem.constraints() {
+        for (c, copy) in problem.rows() {
             // Row equilibration: scale each row to unit max-absolute coefficient so
             // that constraints with very large coefficients (e.g. the e^{ε·d}
             // Geo-Ind bounds) do not dominate the pivoting tolerances.
             let max_abs = c.coeffs.iter().fold(0.0f64, |mx, (_, a)| mx.max(a.abs()));
             let scale = if max_abs > 0.0 { 1.0 / max_abs } else { 1.0 };
             let mut coeffs: Vec<(usize, f64)> =
-                c.coeffs.iter().map(|&(j, a)| (j, a * scale)).collect();
+                c.terms(copy).map(|(j, a)| (j, a * scale)).collect();
             let mut sense = c.sense;
             let mut rhs = c.rhs * scale;
             if rhs < 0.0 {

@@ -4,7 +4,8 @@
 //!
 //! After the first iteration has sized every buffer, an iteration allocates
 //! nothing: a solve capped at six iterations makes exactly as many
-//! allocations as one capped at two.
+//! allocations as one capped at two.  Building and preparing the LP
+//! allocate per constraint and per block, not per row.
 
 use corgi_lp::{ConstraintSense, InteriorPointOptions, LpProblem, PreparedLp, SolveStatus};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -53,7 +54,8 @@ fn count_allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
 
 /// A K = 49 LP shaped like the obfuscation LP: `z_{i,l}` is variable
 /// `49·i + l` in block `l`, each row `i` sums to one, and each cell is
-/// bounded by its neighbours on a 7 × 7 grid in every column.
+/// bounded by its neighbours on a 7 × 7 grid in every column: one
+/// constraint per neighbouring pair, with one shifted copy per column.
 fn obfuscation_shaped_lp() -> (LpProblem, Vec<Vec<usize>>) {
     let (side, k) = (7, 49);
     let var = |i: usize, l: usize| i * k + l;
@@ -79,14 +81,9 @@ fn obfuscation_shaped_lp() -> (LpProblem, Vec<Vec<usize>>) {
             (c + 1 < side).then(|| i + 1),
         ];
         for j in neighbours.into_iter().flatten() {
-            for l in 0..k {
-                p.add_constraint(
-                    vec![(var(i, l), 1.0), (var(j, l), -1.8f64.exp())],
-                    ConstraintSense::Le,
-                    0.0,
-                )
+            let pair = vec![(var(i, 0), 1.0), (var(j, 0), -1.8f64.exp())];
+            p.add_shifted_constraints(pair, k, ConstraintSense::Le, 0.0)
                 .unwrap();
-            }
         }
     }
     let blocks = (0..k)
@@ -116,4 +113,28 @@ fn ipm_iterations_after_the_first_allocate_nothing() {
         six, two,
         "a solve capped at 6 iterations allocated {six} times, one capped at 2 {two} times"
     );
+}
+
+/// Building and preparing the K = 49 LP allocate per constraint and per
+/// block, never per row: each pair's 49 copies are one constraint, prepared
+/// into one run.  The build allocates each constraint's coefficients twice
+/// (the caller's vector and the merged one) plus the blocks; the
+/// preparation allocates a few buffers per block.  A build that states
+/// every copy as its own constraint allocates more than 16,000 times here.
+#[test]
+fn building_and_preparing_allocate_per_pair_not_per_row() {
+    let ((p, blocks), build) = count_allocations(obfuscation_shaped_lp);
+    let (prepared, prepare) = count_allocations(|| PreparedLp::new(p, &blocks).unwrap());
+    let k = 49;
+    let pairs = (prepared.problem().num_constraints() - k) / k;
+    assert_eq!(pairs, 168);
+    assert!(
+        build <= 3 * (pairs + k) as u64,
+        "building allocated {build} times for {pairs} pairs at K = {k}"
+    );
+    assert!(
+        prepare <= 16 * k as u64,
+        "preparing allocated {prepare} times for {pairs} pairs at K = {k}"
+    );
+    assert_eq!(prepared.problem().constraints().len(), k + pairs);
 }

@@ -103,19 +103,14 @@ fn block_solver_matches_simplex_on_stochastic_matrices() {
             let coeffs = (0..k).map(|j| (var(i, j), 1.0)).collect();
             p.add_constraint(coeffs, ConstraintSense::Eq, 1.0).unwrap();
         }
+        // One ratio constraint per ordered pair, with one shifted copy per
+        // column.
         let factor = 0.8f64.exp();
-        for j in 0..k {
-            for i in 0..k {
-                for l in 0..k {
-                    if i != l {
-                        p.add_constraint(
-                            vec![(var(i, j), 1.0), (var(l, j), -factor)],
-                            ConstraintSense::Le,
-                            0.0,
-                        )
-                        .unwrap();
-                    }
-                }
+        for i in 0..k {
+            for l in (0..k).filter(|&l| l != i) {
+                let pair = vec![(var(i, 0), 1.0), (var(l, 0), -factor)];
+                p.add_shifted_constraints(pair, k, ConstraintSense::Le, 0.0)
+                    .unwrap();
             }
         }
         let spx = SimplexSolver::new().solve(&p).unwrap();
@@ -158,24 +153,15 @@ fn full_tree_shaped_problem(k: usize) -> (LpProblem, Vec<Vec<usize>>) {
         p.add_constraint(coeffs, ConstraintSense::Eq, 1.0).unwrap();
     }
     // Ring-neighbor constrained pairs: (i, i+1) and (i+1, i), both directions,
-    // one constraint per reported column — the sparse analogue of the
-    // 12-neighbor mobility graph.
+    // each one constraint with one shifted copy per reported column — the
+    // sparse analogue of the 12-neighbor mobility graph.
     let factor = 1.8f64.exp();
-    for j in 0..k {
-        for i in 0..k {
-            let nb = (i + 1) % k;
-            p.add_constraint(
-                vec![(var(i, j), 1.0), (var(nb, j), -factor)],
-                ConstraintSense::Le,
-                0.0,
-            )
-            .unwrap();
-            p.add_constraint(
-                vec![(var(nb, j), 1.0), (var(i, j), -factor)],
-                ConstraintSense::Le,
-                0.0,
-            )
-            .unwrap();
+    for i in 0..k {
+        let nb = (i + 1) % k;
+        for (a, b) in [(i, nb), (nb, i)] {
+            let pair = vec![(var(a, 0), 1.0), (var(b, 0), -factor)];
+            p.add_shifted_constraints(pair, k, ConstraintSense::Le, 0.0)
+                .unwrap();
         }
     }
     let blocks: Vec<Vec<usize>> = (0..k)
