@@ -19,8 +19,8 @@ use corgi_bench::{ExperimentContext, DEFAULT_EPSILON};
 use corgi_core::robust::reserved_privacy_budget_approx;
 use corgi_core::{generate_robust_matrix_warm, ObfuscationMatrix, RobustConfig};
 use corgi_lp::{
-    bench_support, BlockAngularSolver, DenseMatrix, InteriorPointOptions, KernelStrategy,
-    LpProblem, LpSolver,
+    bench_support, DenseMatrix, InteriorPointOptions, KernelStrategy, LpProblem, LpSolution,
+    PreparedLp,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -56,6 +56,19 @@ fn options(kernels: KernelStrategy) -> InteriorPointOptions {
 fn obfuscation_lp(ctx: &ExperimentContext, k: usize) -> (LpProblem, Vec<Vec<usize>>) {
     let problem = ctx.problem_for_n_locations(k, DEFAULT_EPSILON, true);
     problem.build_lp(None).expect("LP builds")
+}
+
+/// Prepare `lp` under `blocks` and solve it cold: preparation plus the
+/// interior-point method.
+fn prepare_and_solve(
+    lp: LpProblem,
+    blocks: &[Vec<usize>],
+    opts: &InteriorPointOptions,
+) -> LpSolution {
+    PreparedLp::new(lp, blocks)
+        .expect("LP prepares")
+        .solve_with_warm(opts, None)
+        .expect("solve")
 }
 
 fn bench_cholesky_factorize(c: &mut Criterion) {
@@ -95,9 +108,9 @@ fn bench_forest_generation_k49(c: &mut Criterion) {
         ("blocked", KernelStrategy::Blocked),
         ("reference", KernelStrategy::Reference),
     ] {
-        let solver = BlockAngularSolver::new(blocks.clone(), options(kernels));
+        let opts = options(kernels);
         group.bench_function(name, |b| {
-            b.iter(|| solver.solve(&lp).expect("solve"));
+            b.iter(|| prepare_and_solve(lp.clone(), &blocks, &opts));
         });
     }
     group.finish();
@@ -126,9 +139,8 @@ fn bench_forest_generation_k343(c: &mut Criterion) {
             max_iterations: 2,
             ..options(kernels)
         };
-        let solver = BlockAngularSolver::new(blocks.clone(), opts);
         group.bench_function(name, |b| {
-            b.iter(|| solver.solve(&lp).expect("solve"));
+            b.iter(|| prepare_and_solve(lp.clone(), &blocks, &opts));
         });
     }
     group.finish();
@@ -189,16 +201,12 @@ fn bench_warm_vs_cold_ipm(c: &mut Criterion) {
     group.bench_function("k49/cold", |b| {
         b.iter(|| {
             let (lp, blocks) = problem.build_lp(None).expect("base LP builds");
-            let s = BlockAngularSolver::new(blocks, full)
-                .solve(&lp)
-                .expect("cold base solve");
+            let s = prepare_and_solve(lp, &blocks, &full);
             let mut iterations = s.iterations;
             let mut matrix = matrix_of(s.x);
             for _ in 0..REFINEMENTS {
                 let (lp, blocks) = next_lp(&matrix);
-                let s = BlockAngularSolver::new(blocks, full)
-                    .solve(&lp)
-                    .expect("cold refinement");
+                let s = prepare_and_solve(lp, &blocks, &full);
                 iterations += s.iterations;
                 matrix = matrix_of(s.x);
             }

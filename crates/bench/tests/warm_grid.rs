@@ -22,7 +22,7 @@
 use corgi_bench::{ExperimentContext, DEFAULT_EPSILON};
 use corgi_core::robust::reserved_privacy_budget_approx;
 use corgi_core::{geoind, ObfuscationMatrix};
-use corgi_lp::{BlockAngularSolver, InteriorPointOptions, LpSolver, SolveStatus, WarmStart};
+use corgi_lp::{InteriorPointOptions, PreparedLp, SolveStatus, WarmStart};
 
 const REFINEMENTS: usize = 10;
 const DELTA: usize = 2;
@@ -46,8 +46,9 @@ fn warm_chained_refinement_engine_halves_total_iterations() {
     // --- Pre-incremental engine: every solve cold, at full tolerance. ---
     let (lp0, blocks0) = problem.build_lp(None).expect("base LP builds");
     let mut cold_iters = Vec::new();
-    let s = BlockAngularSolver::new(blocks0.clone(), full)
-        .solve(&lp0)
+    let s = PreparedLp::new(lp0.clone(), &blocks0)
+        .expect("base LP prepares")
+        .solve_with_warm(&full, None)
         .expect("cold base solve");
     assert_eq!(s.status, SolveStatus::Optimal);
     cold_iters.push(s.iterations);
@@ -57,8 +58,9 @@ fn warm_chained_refinement_engine_halves_total_iterations() {
         let rpb =
             reserved_privacy_budget_approx(&matrix, problem.distances(), problem.epsilon(), DELTA);
         let (lp, blocks) = problem.build_lp(Some(&rpb)).expect("refined LP builds");
-        let s = BlockAngularSolver::new(blocks, full)
-            .solve(&lp)
+        let s = PreparedLp::new(lp, &blocks)
+            .expect("refined LP prepares")
+            .solve_with_warm(&full, None)
             .expect("cold refinement");
         assert_eq!(s.status, SolveStatus::Optimal);
         cold_iters.push(s.iterations);
@@ -68,8 +70,9 @@ fn warm_chained_refinement_engine_halves_total_iterations() {
 
     // --- Incremental engine: warm-chained, tolerance ladder. ---
     let mut warm_iters = Vec::new();
-    let s = BlockAngularSolver::new(blocks0, relaxed)
-        .solve(&lp0)
+    let s = PreparedLp::new(lp0, &blocks0)
+        .expect("base LP prepares")
+        .solve_with_warm(&relaxed, None)
         .expect("relaxed base solve");
     assert_eq!(s.status, SolveStatus::Optimal);
     warm_iters.push(s.iterations);
@@ -81,8 +84,9 @@ fn warm_chained_refinement_engine_halves_total_iterations() {
             reserved_privacy_budget_approx(&matrix, problem.distances(), problem.epsilon(), DELTA);
         let (lp, blocks) = problem.build_lp(Some(&rpb)).expect("refined LP builds");
         let opts = if t == REFINEMENTS { full } else { relaxed };
-        let s = BlockAngularSolver::new(blocks, opts)
-            .solve_with_warm(&lp, warm.as_ref())
+        let s = PreparedLp::new(lp, &blocks)
+            .expect("refined LP prepares")
+            .solve_with_warm(&opts, warm.as_ref())
             .expect("warm refinement");
         assert_eq!(
             s.status,

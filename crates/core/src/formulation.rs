@@ -20,7 +20,8 @@
 //! only the `|pairs| · K` Geo-Ind bounds in place (`write_reserved_budget`),
 //! which is how Algorithm 1 re-solves without rebuilding.
 //! [`ObfuscationProblem::build_lp`] returns the plain LP, which tests and the
-//! ablation bench hand to the simplex and generic interior-point oracles.
+//! ablation bench hand to the oracles: the simplex, and a [`PreparedLp`] with
+//! every variable in one block (the generic interior-point method).
 
 use crate::{utility, CorgiError, LocationTree, ObfuscationMatrix, Result, Subtree};
 use corgi_graph::HexMobilityGraph;
@@ -434,7 +435,7 @@ mod tests {
     use super::*;
     use crate::geoind;
     use corgi_hexgrid::{HexGrid, HexGridConfig};
-    use corgi_lp::{InteriorPointSolver, LpSolver, SimplexSolver};
+    use corgi_lp::{LpError, SimplexSolver};
 
     fn tree() -> LocationTree {
         LocationTree::new(HexGrid::new(HexGridConfig::san_francisco()).unwrap())
@@ -442,12 +443,21 @@ mod tests {
 
     /// The plain LP of `p` (Eq. 8) solved by an oracle solver, post-processed
     /// like a served solve.
-    fn oracle_solve(p: &ObfuscationProblem, solver: &dyn LpSolver) -> ObfuscationMatrix {
+    fn oracle_solve(
+        p: &ObfuscationProblem,
+        solve: impl FnOnce(&LpProblem) -> std::result::Result<LpSolution, LpError>,
+    ) -> ObfuscationMatrix {
         let (lp, _) = p.build_lp(None).unwrap();
-        let solution = solver.solve(&lp).unwrap();
+        let solution = solve(&lp).unwrap();
         p.matrix_from_solution(&lp, solution, InteriorPointOptions::default())
             .unwrap()
             .0
+    }
+
+    /// The generic interior-point oracle: every variable in one block.
+    fn one_block_ipm(lp: &LpProblem) -> std::result::Result<LpSolution, LpError> {
+        PreparedLp::new(lp.clone(), &[(0..lp.num_vars()).collect()])?
+            .solve_with_warm(&InteriorPointOptions::default(), None)
     }
 
     fn problem(k_level: u8, graph_approx: bool) -> (LocationTree, ObfuscationProblem) {
@@ -561,9 +571,9 @@ mod tests {
         let prior: Vec<f64> = (0..7).map(|i| 1.0 + (i % 5) as f64).collect();
         let targets: Vec<usize> = (0..7).step_by(3).collect();
         let p = ObfuscationProblem::new(&t, &subtree, &prior, &targets, 3.0, true).unwrap();
-        let simplex = oracle_solve(&p, &SimplexSolver::new());
+        let simplex = oracle_solve(&p, |lp| SimplexSolver::new().solve(lp));
         let block = p.solve(None).unwrap();
-        let general = oracle_solve(&p, &InteriorPointSolver::default());
+        let general = oracle_solve(&p, one_block_ipm);
         let q_s = p.quality_loss(&simplex);
         let q_b = p.quality_loss(&block);
         let q_g = p.quality_loss(&general);
@@ -575,7 +585,7 @@ mod tests {
     fn interior_point_paths_agree_at_paper_epsilon() {
         let (_t, p) = problem(1, true);
         let block = p.solve(None).unwrap();
-        let general = oracle_solve(&p, &InteriorPointSolver::default());
+        let general = oracle_solve(&p, one_block_ipm);
         let q_b = p.quality_loss(&block);
         let q_g = p.quality_loss(&general);
         assert!((q_b - q_g).abs() < 1e-3 * (1.0 + q_b), "{q_b} vs {q_g}");

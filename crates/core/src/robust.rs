@@ -312,7 +312,7 @@ mod tests {
     use super::*;
     use crate::{geoind, prune::prune_matrix, LocationTree};
     use corgi_hexgrid::{HexGrid, HexGridConfig};
-    use corgi_lp::BlockAngularSolver;
+    use corgi_lp::PreparedLp;
     use rand::prelude::*;
 
     fn small_problem() -> (LocationTree, ObfuscationProblem) {
@@ -325,8 +325,8 @@ mod tests {
     }
 
     /// Algorithm 1 replayed with the LP rebuilt through `build_lp` and
-    /// prepared afresh by `BlockAngularSolver::solve_with_warm` for every
-    /// solve — the chain as it ran before the LP was prepared once.
+    /// prepared afresh by a new `PreparedLp` for every solve — the chain as it
+    /// ran before the LP was prepared once.
     fn replay_with_rebuilds(
         problem: &ObfuscationProblem,
         delta: usize,
@@ -340,8 +340,9 @@ mod tests {
         };
         let solve = |rpb: Option<&[Vec<f64>]>, opts, warm: Option<&WarmStart>| {
             let (lp, blocks) = problem.build_lp(rpb).unwrap();
-            let solution = BlockAngularSolver::new(blocks, opts)
-                .solve_with_warm(&lp, warm)
+            let solution = PreparedLp::new(lp.clone(), &blocks)
+                .unwrap()
+                .solve_with_warm(&opts, warm)
                 .unwrap();
             problem.matrix_from_solution(&lp, solution, opts).unwrap()
         };

@@ -77,7 +77,7 @@ use serde::{Deserialize, Serialize};
 /// small enough that the panel rows of both operands of the trailing update
 /// stay L1-resident, large enough to amortize the loop overhead.  The blocked
 /// interior-point kernels factorize at this width.
-pub const DEFAULT_CHOLESKY_BLOCK: usize = 64;
+pub(crate) const DEFAULT_CHOLESKY_BLOCK: usize = 64;
 
 /// Dot product with four independent accumulators.
 ///
@@ -118,7 +118,7 @@ pub(crate) fn dot(a: &[f64], b: &[f64]) -> f64 {
 /// subnormal range every multiply takes the CPU's microcoded assist path
 /// (~100 cycles instead of ~4), which measurably dominated the K = 343
 /// full-tree solve before flushing.
-pub const FLUSH_THRESHOLD: f64 = 1e-154;
+pub(crate) const FLUSH_THRESHOLD: f64 = 1e-154;
 
 /// `v`, or exact zero when `|v|` is below [`FLUSH_THRESHOLD`].
 #[inline]
@@ -252,7 +252,7 @@ impl DenseMatrix {
     /// matrix; the lower triangle of `self` is overwritten with `L`.
     ///
     /// Delegates to [`DenseMatrix::cholesky_in_place_blocked`] with the default
-    /// panel width [`DEFAULT_CHOLESKY_BLOCK`].  Only the lower triangle is read;
+    /// panel width of 64 columns.  Only the lower triangle is read;
     /// the upper triangle is ignored and left untouched.
     ///
     /// A small diagonal regularization `reg` is added on the fly whenever a pivot
@@ -278,9 +278,10 @@ impl DenseMatrix {
     /// performs the same operations as the unblocked reference kernel.
     /// Regularization semantics match [`DenseMatrix::cholesky_in_place_unblocked`].
     ///
-    /// Strictly-below-diagonal factor entries with magnitude under
-    /// [`FLUSH_THRESHOLD`] are flushed to exact zero (see the constant's docs:
-    /// numerically inert, keeps subnormals out of every downstream solve).
+    /// Strictly-below-diagonal factor entries with magnitude under 1e-154
+    /// are flushed to exact zero (numerically inert: the square of that is
+    /// the smallest normal `f64`; it keeps subnormals out of every downstream
+    /// solve).
     /// Diagonal entries are never flushed.
     pub fn cholesky_in_place_blocked(&mut self, reg: f64, nb: usize) -> Result<(), LpError> {
         assert_eq!(self.rows, self.cols, "Cholesky needs a square matrix");

@@ -1,4 +1,4 @@
-//! Primal–dual path-following interior-point solvers.
+//! Primal–dual path-following interior-point method.
 //!
 //! The solver works on the mixed form
 //!
@@ -27,8 +27,9 @@
 //! Before the first iteration a problem is *prepared*: every row is
 //! equilibrated to unit max-absolute coefficient and split into the
 //! inequality (`G`) and equality (`E`) sets, and the coupling columns of the
-//! Schur complement are extracted.  [`BlockAngularSolver::solve_with_warm`]
-//! prepares and then runs the one IPM loop.  [`PreparedLp`] keeps the
+//! Schur complement are extracted.  [`PreparedLp::new`] prepares, and
+//! [`PreparedLp::solve_with_warm`] runs the one IPM loop; a generic LP is
+//! prepared with every variable in one block.  [`PreparedLp`] keeps the
 //! prepared form, and the IPM's buffers, across solves: Algorithm 1's
 //! refinements change only inequality coefficients, which
 //! [`PreparedLp::update_constraint`] rewrites in place with the same
@@ -130,7 +131,7 @@ use crate::{
         cholesky_lanes, cholesky_solve_lanes, schur_panel_lanes, DenseMatrix, Isa, LaneKernel,
         Vector, DEFAULT_CHOLESKY_BLOCK, MAX_LANES,
     },
-    ConstraintSense, LpError, LpProblem, LpSolution, LpSolver, SolveStatus, WarmStart,
+    ConstraintSense, LpError, LpProblem, LpSolution, SolveStatus, WarmStart,
 };
 
 /// Diagonal regularization added to keep Cholesky factorizations stable.
@@ -160,7 +161,7 @@ pub enum KernelStrategy {
     Reference,
 }
 
-/// Tuning knobs of the interior-point solvers.
+/// Tuning knobs of the interior-point method.
 #[derive(Debug, Clone, Copy)]
 pub struct InteriorPointOptions {
     /// Maximum number of interior-point iterations.
@@ -178,92 +179,6 @@ impl Default for InteriorPointOptions {
             tolerance: 1e-8,
             kernels: KernelStrategy::Blocked,
         }
-    }
-}
-
-impl InteriorPointOptions {
-    /// The default options with the [`KernelStrategy::Reference`] backend —
-    /// convenience for benchmarks and agreement tests.
-    pub fn reference_kernels() -> Self {
-        Self {
-            kernels: KernelStrategy::Reference,
-            ..Self::default()
-        }
-    }
-}
-
-/// General-purpose interior-point solver (single block).
-#[derive(Debug, Clone)]
-pub struct InteriorPointSolver {
-    options: InteriorPointOptions,
-}
-
-impl InteriorPointSolver {
-    /// Create a solver with the given options.
-    pub fn new(options: InteriorPointOptions) -> Self {
-        Self { options }
-    }
-}
-
-impl Default for InteriorPointSolver {
-    fn default() -> Self {
-        Self::new(InteriorPointOptions::default())
-    }
-}
-
-impl LpSolver for InteriorPointSolver {
-    fn solve(&self, problem: &LpProblem) -> Result<LpSolution, LpError> {
-        let blocks = vec![(0..problem.num_vars()).collect::<Vec<_>>()];
-        solve_ipm(problem, &blocks, &self.options, self.name(), None)
-    }
-
-    fn name(&self) -> &'static str {
-        "interior-point"
-    }
-}
-
-/// [`LpSolver::name`] of the block-angular solver (and of [`PreparedLp`]).
-const BLOCK_ANGULAR_NAME: &str = "block-angular-ipm";
-
-/// Interior-point solver exploiting a block-angular structure.
-///
-/// `blocks` is a partition of the variable indices.  Every *inequality*
-/// constraint must reference variables of one block only; equality constraints
-/// may couple blocks freely.
-#[derive(Debug, Clone)]
-pub struct BlockAngularSolver {
-    blocks: Vec<Vec<usize>>,
-    options: InteriorPointOptions,
-}
-
-impl BlockAngularSolver {
-    /// Create a solver for the given variable partition.
-    pub fn new(blocks: Vec<Vec<usize>>, options: InteriorPointOptions) -> Self {
-        Self { blocks, options }
-    }
-
-    /// [`LpSolver::solve`], optionally seeded with a [`WarmStart`] captured
-    /// from a previous `Optimal` solve of the same or a nearby problem (the
-    /// shape must match, i.e. same variable count and constraint-row counts;
-    /// anything else degrades to the cold start).
-    pub fn solve_with_warm(
-        &self,
-        problem: &LpProblem,
-        warm: Option<&WarmStart>,
-    ) -> Result<LpSolution, LpError> {
-        validate_blocks(&self.blocks, problem.num_vars())?;
-        solve_ipm(problem, &self.blocks, &self.options, self.name(), warm)
-    }
-}
-
-impl LpSolver for BlockAngularSolver {
-    fn solve(&self, problem: &LpProblem) -> Result<LpSolution, LpError> {
-        validate_blocks(&self.blocks, problem.num_vars())?;
-        solve_ipm(problem, &self.blocks, &self.options, self.name(), None)
-    }
-
-    fn name(&self) -> &'static str {
-        BLOCK_ANGULAR_NAME
     }
 }
 
@@ -729,8 +644,15 @@ fn prepare(problem: &LpProblem, blocks: &[Vec<usize>]) -> Result<Prepared, LpErr
     })
 }
 
-/// A block-angular LP prepared once for a chain of solves that differ only in
-/// inequality coefficients (Algorithm 1's reserved-budget refinements).
+/// A block-angular LP prepared once, for one solve or for a chain of solves
+/// that differ only in inequality coefficients (Algorithm 1's
+/// reserved-budget refinements): the one way to run the interior-point
+/// method.
+///
+/// `blocks` is a partition of the variable indices.  Every *inequality*
+/// constraint must reference variables of one block only; equality
+/// constraints may couple blocks freely.  A generic LP is one block of every
+/// variable.
 ///
 /// Owns the [`LpProblem`] together with its prepared form (rows
 /// equilibrated, each inequality constraint's copies stored as runs, the
@@ -739,9 +661,9 @@ fn prepare(problem: &LpProblem, blocks: &[Vec<usize>]) -> Result<Prepared, LpErr
 /// [`PreparedLp::update_constraint`] rewrites an inequality constraint in
 /// the problem and the prepared form at once, with exactly the arithmetic of
 /// a fresh preparation, so [`PreparedLp::solve_with_warm`] after any
-/// sequence of updates runs the same floating-point operations as
-/// [`BlockAngularSolver::solve_with_warm`] on the rebuilt problem — and
-/// returns the same solution bit for bit.
+/// sequence of updates runs the same floating-point operations as a fresh
+/// `PreparedLp` of the rebuilt problem — and returns the same solution bit
+/// for bit.
 pub struct PreparedLp {
     problem: LpProblem,
     prep: Prepared,
@@ -828,20 +750,16 @@ impl PreparedLp {
     }
 
     /// Solve the prepared problem with the block-angular interior-point
-    /// method, optionally warm-started (see [`BlockAngularSolver::solve_with_warm`]).
+    /// method, optionally seeded with a [`WarmStart`] captured from a previous
+    /// `Optimal` solve of the same or a nearby problem (the shape must match,
+    /// i.e. same variable count and constraint-row counts; anything else
+    /// degrades to the cold start).
     pub fn solve_with_warm(
         &mut self,
         options: &InteriorPointOptions,
         warm: Option<&WarmStart>,
     ) -> Result<LpSolution, LpError> {
-        run_ipm(
-            &self.problem,
-            &self.prep,
-            options,
-            BLOCK_ANGULAR_NAME,
-            warm,
-            &mut self.buffers,
-        )
+        run_ipm(&self.problem, &self.prep, options, warm, &mut self.buffers)
     }
 }
 
@@ -1859,19 +1777,6 @@ fn enlarged_candidate(
     (f64::min(step_x, step_w), f64::min(step_s, step_lam), finite)
 }
 
-/// Prepare `problem` under `blocks`, then run the interior-point method.
-fn solve_ipm(
-    problem: &LpProblem,
-    blocks: &[Vec<usize>],
-    opts: &InteriorPointOptions,
-    solver_name: &'static str,
-    warm: Option<&WarmStart>,
-) -> Result<LpSolution, LpError> {
-    let prep = prepare(problem, blocks)?;
-    let mut buffers = IpmBuffers::new(&prep);
-    run_ipm(problem, &prep, opts, solver_name, warm, &mut buffers)
-}
-
 /// The interior-point method on a prepared problem (`prep` must be the
 /// prepared form of `problem`, which supplies only the reported objective),
 /// in `buffers` sized for it.
@@ -1879,7 +1784,6 @@ fn run_ipm(
     problem: &LpProblem,
     prep: &Prepared,
     opts: &InteriorPointOptions,
-    solver_name: &'static str,
     warm: Option<&WarmStart>,
     buffers: &mut IpmBuffers,
 ) -> Result<LpSolution, LpError> {
@@ -2215,7 +2119,6 @@ fn run_ipm(
         objective,
         x,
         iterations,
-        solver: solver_name.to_string(),
         warm: warm_out,
     })
 }
@@ -2279,10 +2182,27 @@ pub mod bench_support {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{SimplexSolver, FLUSH_THRESHOLD};
+    use crate::{dense::FLUSH_THRESHOLD, SimplexSolver};
 
-    fn ipm() -> InteriorPointSolver {
-        InteriorPointSolver::default()
+    /// One fresh preparation of `p` under `blocks`, solved cold.
+    fn solve(
+        p: &LpProblem,
+        blocks: &[Vec<usize>],
+        opts: InteriorPointOptions,
+    ) -> Result<LpSolution, LpError> {
+        PreparedLp::new(p.clone(), blocks)?.solve_with_warm(&opts, None)
+    }
+
+    /// The generic interior-point oracle: every variable in one block.
+    fn ipm(p: &LpProblem, opts: InteriorPointOptions) -> Result<LpSolution, LpError> {
+        solve(p, &[(0..p.num_vars()).collect()], opts)
+    }
+
+    fn reference() -> InteriorPointOptions {
+        InteriorPointOptions {
+            kernels: KernelStrategy::Reference,
+            ..InteriorPointOptions::default()
+        }
     }
 
     #[test]
@@ -2296,7 +2216,7 @@ mod tests {
             .unwrap();
         p.add_constraint(vec![(0, 3.0), (1, 2.0)], ConstraintSense::Le, 18.0)
             .unwrap();
-        let s = ipm().solve(&p).unwrap();
+        let s = ipm(&p, InteriorPointOptions::default()).unwrap();
         assert_eq!(s.status, SolveStatus::Optimal);
         assert!(
             (s.objective + 36.0).abs() < 1e-5,
@@ -2315,7 +2235,7 @@ mod tests {
             .unwrap();
         p.add_constraint(vec![(0, 1.0)], ConstraintSense::Ge, 3.0)
             .unwrap();
-        let s = ipm().solve(&p).unwrap();
+        let s = ipm(&p, InteriorPointOptions::default()).unwrap();
         assert_eq!(s.status, SolveStatus::Optimal);
         assert!((s.objective - 10.0).abs() < 1e-5);
         assert!(p.is_feasible(&s.x, 1e-5));
@@ -2333,7 +2253,7 @@ mod tests {
             .unwrap();
         p.add_constraint(vec![(1, 1.0), (3, 1.0)], ConstraintSense::Eq, 5.0)
             .unwrap();
-        let ipm_sol = ipm().solve(&p).unwrap();
+        let ipm_sol = ipm(&p, InteriorPointOptions::default()).unwrap();
         let spx_sol = SimplexSolver::new().solve(&p).unwrap();
         assert_eq!(ipm_sol.status, SolveStatus::Optimal);
         assert!((ipm_sol.objective - spx_sol.objective).abs() < 1e-5);
@@ -2363,12 +2283,12 @@ mod tests {
             p
         };
         let p = build();
-        let general = ipm().solve(&p).unwrap();
-        let block = BlockAngularSolver::new(
-            vec![vec![0, 1], vec![2, 3]],
+        let general = ipm(&p, InteriorPointOptions::default()).unwrap();
+        let block = solve(
+            &p,
+            &[vec![0, 1], vec![2, 3]],
             InteriorPointOptions::default(),
         )
-        .solve(&p)
         .unwrap();
         let spx = SimplexSolver::new().solve(&p).unwrap();
         assert_eq!(block.status, SolveStatus::Optimal);
@@ -2383,10 +2303,8 @@ mod tests {
         p.set_objective_vector(vec![1.0, 1.0]).unwrap();
         p.add_constraint(vec![(0, 1.0), (1, 1.0)], ConstraintSense::Le, 1.0)
             .unwrap();
-        let solver =
-            BlockAngularSolver::new(vec![vec![0], vec![1]], InteriorPointOptions::default());
         assert!(matches!(
-            solver.solve(&p),
+            PreparedLp::new(p, &[vec![0], vec![1]]),
             Err(LpError::ConstraintSpansBlocks { constraint: 0 })
         ));
     }
@@ -2397,28 +2315,27 @@ mod tests {
         p.set_objective_vector(vec![1.0; 3]).unwrap();
         p.add_constraint(vec![(0, 1.0)], ConstraintSense::Ge, 1.0)
             .unwrap();
+        let refused = |blocks: &[Vec<usize>]| {
+            matches!(
+                PreparedLp::new(p.clone(), blocks),
+                Err(LpError::InvalidBlockStructure(_))
+            )
+        };
         // Missing variable 2.
-        let solver =
-            BlockAngularSolver::new(vec![vec![0], vec![1]], InteriorPointOptions::default());
-        assert!(matches!(
-            solver.solve(&p),
-            Err(LpError::InvalidBlockStructure(_))
-        ));
+        assert!(refused(&[vec![0], vec![1]]));
         // Duplicate variable.
-        let solver = BlockAngularSolver::new(
-            vec![vec![0, 1], vec![1, 2]],
-            InteriorPointOptions::default(),
-        );
-        assert!(matches!(
-            solver.solve(&p),
-            Err(LpError::InvalidBlockStructure(_))
-        ));
+        assert!(refused(&[vec![0, 1], vec![1, 2]]));
+        // Variable past `num_vars`.
+        assert!(refused(&[vec![0, 1], vec![2, 3]]));
     }
 
     #[test]
     fn empty_problem_rejected() {
         let p = LpProblem::new(0);
-        assert!(matches!(ipm().solve(&p), Err(LpError::EmptyProblem)));
+        assert!(matches!(
+            ipm(&p, InteriorPointOptions::default()),
+            Err(LpError::EmptyProblem)
+        ));
     }
 
     #[test]
@@ -2430,7 +2347,7 @@ mod tests {
             .unwrap();
         p.add_constraint(vec![(0, 1.0), (1, -1.0)], ConstraintSense::Eq, 0.0)
             .unwrap();
-        let s = ipm().solve(&p).unwrap();
+        let s = ipm(&p, InteriorPointOptions::default()).unwrap();
         assert_eq!(s.status, SolveStatus::Optimal);
         assert!((s.x[0] - 1.0).abs() < 1e-5);
         assert!((s.x[1] - 1.0).abs() < 1e-5);
@@ -2477,10 +2394,8 @@ mod tests {
         // minimize a cost, subject to per-column ratio constraints and row sums = 1.
         let (p, blocks) = stochastic_problem(3, 0.5f64.exp());
         let spx = SimplexSolver::new().solve(&p).unwrap();
-        let general = ipm().solve(&p).unwrap();
-        let block = BlockAngularSolver::new(blocks, InteriorPointOptions::default())
-            .solve(&p)
-            .unwrap();
+        let general = ipm(&p, InteriorPointOptions::default()).unwrap();
+        let block = solve(&p, &blocks, InteriorPointOptions::default()).unwrap();
         assert_eq!(spx.status, SolveStatus::Optimal);
         assert_eq!(general.status, SolveStatus::Optimal);
         assert_eq!(block.status, SolveStatus::Optimal);
@@ -2505,12 +2420,8 @@ mod tests {
         // the solver tolerance (the paths differ only by floating-point
         // accumulation order inside the Cholesky).
         let (p, blocks) = stochastic_problem(5, 0.8f64.exp());
-        let blocked = BlockAngularSolver::new(blocks.clone(), InteriorPointOptions::default())
-            .solve(&p)
-            .unwrap();
-        let reference = BlockAngularSolver::new(blocks, InteriorPointOptions::reference_kernels())
-            .solve(&p)
-            .unwrap();
+        let blocked = solve(&p, &blocks, InteriorPointOptions::default()).unwrap();
+        let reference = solve(&p, &blocks, reference()).unwrap();
         assert_eq!(blocked.status, SolveStatus::Optimal);
         assert_eq!(reference.status, SolveStatus::Optimal);
         assert!(
@@ -2538,10 +2449,8 @@ mod tests {
             .unwrap();
         p.add_constraint(vec![(1, 1.0), (3, 1.0)], ConstraintSense::Eq, 5.0)
             .unwrap();
-        let blocked = InteriorPointSolver::default().solve(&p).unwrap();
-        let reference = InteriorPointSolver::new(InteriorPointOptions::reference_kernels())
-            .solve(&p)
-            .unwrap();
+        let blocked = ipm(&p, InteriorPointOptions::default()).unwrap();
+        let reference = ipm(&p, reference()).unwrap();
         assert_eq!(blocked.status, SolveStatus::Optimal);
         assert_eq!(reference.status, SolveStatus::Optimal);
         assert!((blocked.objective - reference.objective).abs() < 1e-7);
@@ -2674,13 +2583,8 @@ mod tests {
             let row0_entries = block0.entries.iter().filter(|&&(c, _)| c == column(0)).count();
             proptest::prop_assert_eq!(row0_entries, 2);
 
-            let blocked = BlockAngularSolver::new(blocks.clone(), InteriorPointOptions::default())
-                .solve(&p)
-                .unwrap();
-            let reference =
-                BlockAngularSolver::new(blocks, InteriorPointOptions::reference_kernels())
-                    .solve(&p)
-                    .unwrap();
+            let blocked = solve(&p, &blocks, InteriorPointOptions::default()).unwrap();
+            let reference = solve(&p, &blocks, reference()).unwrap();
             proptest::prop_assert_eq!(blocked.status, SolveStatus::Optimal);
             proptest::prop_assert_eq!(reference.status, SolveStatus::Optimal);
             proptest::prop_assert!(
@@ -3491,14 +3395,15 @@ mod tests {
     #[test]
     fn warm_start_reconverges_in_fewer_iterations() {
         let (p, blocks) = stochastic_problem(5, 0.8f64.exp());
-        let solver = BlockAngularSolver::new(blocks, InteriorPointOptions::default());
-        let cold = solver.solve(&p).unwrap();
+        let opts = InteriorPointOptions::default();
+        let mut prepared = PreparedLp::new(p, &blocks).unwrap();
+        let cold = prepared.solve_with_warm(&opts, None).unwrap();
         assert_eq!(cold.status, SolveStatus::Optimal);
         let warm_state = cold
             .warm
             .as_ref()
             .expect("Optimal solve captures a warm start");
-        let warm = solver.solve_with_warm(&p, Some(warm_state)).unwrap();
+        let warm = prepared.solve_with_warm(&opts, Some(warm_state)).unwrap();
         assert_eq!(warm.status, SolveStatus::Optimal);
         assert!(
             warm.iterations < cold.iterations,
@@ -3521,7 +3426,6 @@ mod tests {
     fn assert_bit_identical(a: &LpSolution, b: &LpSolution) {
         assert_eq!(a.status, b.status);
         assert_eq!(a.iterations, b.iterations);
-        assert_eq!(a.solver, b.solver);
         assert_eq!(a.objective.to_bits(), b.objective.to_bits());
         assert_eq!(bits(&a.x), bits(&b.x));
         let warm_bits = |w: &Option<WarmStart>| {
@@ -3550,20 +3454,22 @@ mod tests {
         let opts = InteriorPointOptions::default();
         let (loose, blocks) = stochastic_problem(5, 0.8f64.exp());
         let (tight, _) = stochastic_problem(5, 0.5f64.exp());
-        let solver = BlockAngularSolver::new(blocks.clone(), opts);
         let mut prepared = PreparedLp::new(loose.clone(), &blocks).unwrap();
         let loose_sol = prepared.solve_with_warm(&opts, None).unwrap();
-        assert_bit_identical(&loose_sol, &solver.solve(&loose).unwrap());
+        assert_bit_identical(&loose_sol, &solve(&loose, &blocks, opts).unwrap());
 
         update_inequalities(&mut prepared, &tight);
         assert_bit_identical(
             &prepared.solve_with_warm(&opts, None).unwrap(),
-            &solver.solve(&tight).unwrap(),
+            &solve(&tight, &blocks, opts).unwrap(),
         );
         let warm = loose_sol.warm.as_ref();
         assert_bit_identical(
             &prepared.solve_with_warm(&opts, warm).unwrap(),
-            &solver.solve_with_warm(&tight, warm).unwrap(),
+            &PreparedLp::new(tight, &blocks)
+                .unwrap()
+                .solve_with_warm(&opts, warm)
+                .unwrap(),
         );
 
         // A `≥` row goes through the negated branch of the equilibration.
@@ -3583,9 +3489,7 @@ mod tests {
         update_inequalities(&mut prepared, &build(3.0, -0.5));
         assert_bit_identical(
             &prepared.solve_with_warm(&opts, None).unwrap(),
-            &BlockAngularSolver::new(blocks, opts)
-                .solve(&build(3.0, -0.5))
-                .unwrap(),
+            &solve(&build(3.0, -0.5), &blocks, opts).unwrap(),
         );
 
         // The obfuscation LP's write: each pair's K copies, one run, in one
@@ -3606,7 +3510,7 @@ mod tests {
         assert_eq!(prepared.problem(), &tight);
         assert_bit_identical(
             &prepared.solve_with_warm(&opts, None).unwrap(),
-            &BlockAngularSolver::new(blocks, opts).solve(&tight).unwrap(),
+            &solve(&tight, &blocks, opts).unwrap(),
         );
 
         // A `≥` group of three copies that is one run, beside a group whose
@@ -3698,22 +3602,23 @@ mod tests {
         let opts = InteriorPointOptions::default();
         assert_bit_identical(
             &prepared.solve_with_warm(&opts, None).unwrap(),
-            &BlockAngularSolver::new(blocks, opts).solve(&p).unwrap(),
+            &solve(&p, &blocks, opts).unwrap(),
         );
     }
 
     #[test]
     fn invalid_warm_start_is_ignored() {
         let (p, blocks) = stochastic_problem(4, 0.6f64.exp());
-        let solver = BlockAngularSolver::new(blocks, InteriorPointOptions::default());
-        let cold = solver.solve(&p).unwrap();
+        let opts = InteriorPointOptions::default();
+        let mut prepared = PreparedLp::new(p, &blocks).unwrap();
+        let cold = prepared.solve_with_warm(&opts, None).unwrap();
         let bogus = WarmStart {
             x: vec![1.0; 3], // wrong length
             y: Vec::new(),
             s: vec![1.0; 3],
             mu: 1.0,
         };
-        let with_bogus = solver.solve_with_warm(&p, Some(&bogus)).unwrap();
+        let with_bogus = prepared.solve_with_warm(&opts, Some(&bogus)).unwrap();
         assert_eq!(with_bogus.status, cold.status);
         assert_eq!(with_bogus.iterations, cold.iterations);
         assert_eq!(with_bogus.objective, cold.objective);

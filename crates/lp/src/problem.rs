@@ -187,7 +187,8 @@ impl LpProblem {
         }
         let mut merged: Vec<(usize, f64)> = Vec::with_capacity(coeffs.len());
         for (j, a) in coeffs {
-            let last = j + copies.max(1) - 1;
+            // A last index past `usize::MAX` saturates, and is out of range too.
+            let last = j.saturating_add(copies.max(1) - 1);
             if last >= self.num_vars {
                 return Err(LpError::VariableOutOfRange {
                     index: last,
@@ -302,6 +303,22 @@ mod tests {
             p.add_constraint(vec![(3, 1.0)], ConstraintSense::Le, 1.0),
             Err(LpError::VariableOutOfRange { index: 3, .. })
         ));
+    }
+
+    #[test]
+    fn overflowing_copy_count_rejected() {
+        let mut p = LpProblem::new(4);
+        p.add_constraint(vec![(0, 1.0)], ConstraintSense::Le, 1.0)
+            .unwrap();
+        let before = p.clone();
+        assert_eq!(
+            p.add_shifted_constraints(vec![(2, 1.0)], usize::MAX, ConstraintSense::Le, 0.0),
+            Err(LpError::VariableOutOfRange {
+                index: usize::MAX,
+                num_vars: 4
+            })
+        );
+        assert_eq!(p, before);
     }
 
     #[test]

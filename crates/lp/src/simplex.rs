@@ -6,7 +6,7 @@
 //! optimize the true objective.  Pivoting uses Dantzig's rule with an automatic
 //! switch to Bland's rule when the objective stalls, which guarantees termination.
 
-use crate::{ConstraintSense, LpError, LpProblem, LpSolution, LpSolver, SolveStatus};
+use crate::{ConstraintSense, LpError, LpProblem, LpSolution, SolveStatus};
 
 /// Dense two-phase tableau simplex solver.
 #[derive(Debug, Clone)]
@@ -23,13 +23,6 @@ impl Default for SimplexSolver {
             tolerance: 1e-9,
             max_iterations: 50_000,
         }
-    }
-}
-
-impl SimplexSolver {
-    /// Create a solver with default settings.
-    pub fn new() -> Self {
-        Self::default()
     }
 }
 
@@ -167,8 +160,14 @@ fn run_phase(
     }
 }
 
-impl LpSolver for SimplexSolver {
-    fn solve(&self, problem: &LpProblem) -> Result<LpSolution, LpError> {
+impl SimplexSolver {
+    /// Create a solver with default settings.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Solve the given minimization problem.
+    pub fn solve(&self, problem: &LpProblem) -> Result<LpSolution, LpError> {
         let n = problem.num_vars();
         if n == 0 {
             return Err(LpError::EmptyProblem);
@@ -290,7 +289,6 @@ impl LpSolver for SimplexSolver {
                         objective: f64::NAN,
                         x: vec![0.0; n],
                         iterations: total_iterations,
-                        solver: self.name().to_string(),
                         warm: None,
                     });
                 }
@@ -310,7 +308,6 @@ impl LpSolver for SimplexSolver {
                     objective: f64::NAN,
                     x: vec![0.0; n],
                     iterations: total_iterations,
-                    solver: self.name().to_string(),
                     warm: None,
                 });
             }
@@ -377,13 +374,8 @@ impl LpSolver for SimplexSolver {
             objective,
             x,
             iterations: total_iterations,
-            solver: self.name().to_string(),
             warm: None,
         })
-    }
-
-    fn name(&self) -> &'static str {
-        "simplex"
     }
 }
 

@@ -61,8 +61,6 @@ pub struct LpSolution {
     pub x: Vec<f64>,
     /// Number of iterations performed (simplex pivots or interior-point steps).
     pub iterations: usize,
-    /// Name of the solver that produced this solution.
-    pub solver: String,
     /// Converged interior-point iterate for warm-starting a nearby solve.
     /// `Some` exactly when an interior-point solver finished `Optimal`; the
     /// simplex solver never captures one.
@@ -70,11 +68,6 @@ pub struct LpSolution {
 }
 
 impl LpSolution {
-    /// Whether the solve produced a usable (optimal) solution.
-    pub fn is_optimal(&self) -> bool {
-        self.status == SolveStatus::Optimal
-    }
-
     /// Whether the returned point is worth consuming at all: optimal, or the
     /// best iterate of a solver that hit its iteration limit (callers like the
     /// obfuscation pipeline repair such points towards feasibility).
@@ -93,31 +86,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn optimal_flag() {
-        let s = LpSolution {
-            status: SolveStatus::Optimal,
-            objective: 1.0,
-            x: vec![1.0],
-            iterations: 3,
-            solver: "test".to_string(),
-            warm: None,
-        };
-        assert!(s.is_optimal());
-        let s2 = LpSolution {
-            status: SolveStatus::Infeasible,
-            ..s
-        };
-        assert!(!s2.is_optimal());
-    }
-
-    #[test]
     fn usable_statuses() {
         let base = LpSolution {
             status: SolveStatus::Optimal,
             objective: 0.0,
             x: vec![],
             iterations: 0,
-            solver: "test".to_string(),
             warm: None,
         };
         for (status, usable) in [

@@ -1,13 +1,27 @@
 //! Cross-solver agreement tests: the simplex method is the exact reference; the
-//! interior-point solvers must reproduce its optimal objective on random
-//! feasible, bounded problems.
+//! interior-point method, block-angular or with every variable in one block,
+//! must reproduce its optimal objective on random feasible, bounded problems.
 
 use corgi_lp::{
-    BlockAngularSolver, ConstraintSense, InteriorPointOptions, InteriorPointSolver, KernelStrategy,
-    LpProblem, LpSolver, SimplexSolver, SolveStatus,
+    ConstraintSense, InteriorPointOptions, KernelStrategy, LpProblem, LpSolution, PreparedLp,
+    SimplexSolver, SolveStatus,
 };
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
+
+/// One fresh preparation of `p` under `blocks`, solved cold.
+fn solve(p: &LpProblem, blocks: &[Vec<usize>], opts: InteriorPointOptions) -> LpSolution {
+    PreparedLp::new(p.clone(), blocks)
+        .unwrap()
+        .solve_with_warm(&opts, None)
+        .unwrap()
+}
+
+/// The generic interior-point oracle: every variable in one block.
+fn ipm(p: &LpProblem) -> LpSolution {
+    let one_block = [(0..p.num_vars()).collect()];
+    solve(p, &one_block, InteriorPointOptions::default())
+}
 
 /// Build a random LP that is guaranteed feasible (the origin plus slack is
 /// feasible because every RHS is ≥ 0 for ≤ rows) and bounded (all objective
@@ -54,7 +68,7 @@ fn ipm_matches_simplex_on_many_random_problems() {
         if spx.status != SolveStatus::Optimal {
             continue; // randomly generated ≥ rows can make a problem infeasible
         }
-        let ipm = InteriorPointSolver::default().solve(&p).unwrap();
+        let ipm = ipm(&p);
         if ipm.status != SolveStatus::Optimal {
             // Path-following without a homogeneous embedding is not guaranteed on
             // problems lacking a strictly feasible interior; it must report the
@@ -117,9 +131,7 @@ fn block_solver_matches_simplex_on_stochastic_matrices() {
         let blocks: Vec<Vec<usize>> = (0..k)
             .map(|j| (0..k).map(|i| var(i, j)).collect())
             .collect();
-        let block = BlockAngularSolver::new(blocks, InteriorPointOptions::default())
-            .solve(&p)
-            .unwrap();
+        let block = solve(&p, &blocks, InteriorPointOptions::default());
         assert_eq!(spx.status, SolveStatus::Optimal);
         assert_eq!(block.status, SolveStatus::Optimal);
         assert!(
@@ -175,12 +187,15 @@ fn full_tree_shaped_problem(k: usize) -> (LpProblem, Vec<Vec<usize>>) {
 #[test]
 fn kernel_strategies_agree_on_full_tree_shape() {
     let (p, blocks) = full_tree_shaped_problem(12);
-    let blocked = BlockAngularSolver::new(blocks.clone(), InteriorPointOptions::default())
-        .solve(&p)
-        .unwrap();
-    let reference = BlockAngularSolver::new(blocks, InteriorPointOptions::reference_kernels())
-        .solve(&p)
-        .unwrap();
+    let blocked = solve(&p, &blocks, InteriorPointOptions::default());
+    let reference = solve(
+        &p,
+        &blocks,
+        InteriorPointOptions {
+            kernels: KernelStrategy::Reference,
+            ..InteriorPointOptions::default()
+        },
+    );
     assert_eq!(blocked.status, SolveStatus::Optimal);
     assert_eq!(reference.status, SolveStatus::Optimal);
     let scale = 1.0 + reference.objective.abs();
@@ -222,14 +237,10 @@ fn full_tree_k343_blocked_matches_reference_iterates() {
         ..InteriorPointOptions::default()
     };
     let t0 = Instant::now();
-    let blocked = BlockAngularSolver::new(blocks.clone(), capped(KernelStrategy::Blocked))
-        .solve(&p)
-        .unwrap();
+    let blocked = solve(&p, &blocks, capped(KernelStrategy::Blocked));
     let blocked_time = t0.elapsed();
     let t1 = Instant::now();
-    let reference = BlockAngularSolver::new(blocks, capped(KernelStrategy::Reference))
-        .solve(&p)
-        .unwrap();
+    let reference = solve(&p, &blocks, capped(KernelStrategy::Reference));
     let reference_time = t1.elapsed();
     println!(
         "K=343, 3 IPM iterations: blocked {blocked_time:?}, reference {reference_time:?} \
@@ -262,9 +273,7 @@ fn full_tree_k343_blocked_converges() {
     use std::time::Instant;
     let (p, blocks) = full_tree_shaped_problem(343);
     let t0 = Instant::now();
-    let s = BlockAngularSolver::new(blocks, InteriorPointOptions::default())
-        .solve(&p)
-        .unwrap();
+    let s = solve(&p, &blocks, InteriorPointOptions::default());
     println!(
         "K=343 full solve: {:?} in {} iterations ({:?})",
         s.status,
@@ -280,16 +289,15 @@ fn full_tree_k343_blocked_converges() {
 #[test]
 fn warm_start_k49_matches_cold_objective_in_fewer_iterations() {
     let (p, blocks) = full_tree_shaped_problem(49);
-    let cold = BlockAngularSolver::new(blocks.clone(), InteriorPointOptions::default())
-        .solve(&p)
-        .unwrap();
+    let cold = solve(&p, &blocks, InteriorPointOptions::default());
     assert_eq!(cold.status, SolveStatus::Optimal);
     let warm_state = cold
         .warm
         .clone()
         .expect("optimal solve captures warm state");
-    let warm = BlockAngularSolver::new(blocks, InteriorPointOptions::default())
-        .solve_with_warm(&p, Some(&warm_state))
+    let warm = PreparedLp::new(p.clone(), &blocks)
+        .unwrap()
+        .solve_with_warm(&InteriorPointOptions::default(), Some(&warm_state))
         .unwrap();
     assert_eq!(warm.status, SolveStatus::Optimal);
     assert!(
@@ -325,7 +333,7 @@ proptest! {
         p.add_constraint(vec![(0, 1.0), (1, 1.0)], ConstraintSense::Le, cap).unwrap();
         p.add_constraint(vec![(0, 1.0), (1, 1.0)], ConstraintSense::Ge, lower).unwrap();
         let spx = SimplexSolver::new().solve(&p).unwrap();
-        let ipm = InteriorPointSolver::default().solve(&p).unwrap();
+        let ipm = ipm(&p);
         prop_assert_eq!(spx.status, SolveStatus::Optimal);
         prop_assert_eq!(ipm.status, SolveStatus::Optimal);
         prop_assert!((spx.objective - ipm.objective).abs() < 1e-5);
@@ -348,7 +356,7 @@ proptest! {
         p.add_constraint(vec![(0, 1.0), (2, 1.0)], ConstraintSense::Eq, d0).unwrap();
         p.add_constraint(vec![(1, 1.0), (3, 1.0)], ConstraintSense::Eq, d1).unwrap();
         let spx = SimplexSolver::new().solve(&p).unwrap();
-        let ipm = InteriorPointSolver::default().solve(&p).unwrap();
+        let ipm = ipm(&p);
         prop_assert_eq!(spx.status, SolveStatus::Optimal);
         prop_assert_eq!(ipm.status, SolveStatus::Optimal);
         let scale = 1.0 + spx.objective.abs();
